@@ -32,7 +32,6 @@ from ..dynamics import (
     classical_channel_map,
 )
 from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
-from ..linalg import factor_permutation_matrix
 from ..nonlocality import LocalBasis, activation_F, activation_setup, chsh_value
 from ..oracle import brute_force_conditional_check
 from ..states import (
@@ -514,24 +513,16 @@ def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
     """Tensor two states and reorder factors into canonical dits-first layout."""
     if left.sig.d != right.sig.d:
         raise DomainError("product states need a common local dimension")
-    d = left.sig.d
-    sig = SystemSignature(d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
-    mat = np.kron(left.density.matrix, right.density.matrix)
-    kinds = left.sig.kinds + right.sig.kinds
-    dest = []
-    next_d, next_a = 0, sig.m
-    for kind in kinds:
-        if kind == "D":
-            dest.append(next_d)
-            next_d += 1
-        else:
-            dest.append(next_a)
-            next_a += 1
-    perm = factor_permutation_matrix([d] * len(kinds), tuple(dest))
-    rho = DensityState(sig, perm @ mat @ perm.conj().T)
+    sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
+    # output axis q holds input factor order[q]: left dits, right dits, left antis, right antis
+    kl, ml, mr = left.sig.num_factors, left.sig.m, right.sig.m
+    order = [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, sig.num_factors)]
+    mat = np.kron(left.density.matrix, right.density.matrix).reshape(sig.dims * 2)
+    mat = mat.transpose(order + [sig.num_factors + t for t in order])
+    rho = DensityState(sig, mat.reshape(sig.dim, sig.dim))
     vec = None
     if left.vector is not None and right.vector is not None:
-        vec = perm @ np.kron(left.vector, right.vector)
+        vec = np.kron(left.vector, right.vector).reshape(sig.dims).transpose(order).reshape(-1)
     return StateBinding(sig, rho, vec)
 
 

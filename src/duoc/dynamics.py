@@ -11,21 +11,15 @@ ancilla, and the unconsumed ancilla factors are the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .effects import Effect
 from .errors import DomainError, NotClassicalError, ShapeError
-from .linalg import embed_operator, is_unitary, partial_trace, tensor_all
+from .linalg import DEFAULT_ATOL, as_operator, contract_effect, tensor_all
 from .states import DensityState, ValidityReport, validate_mixed_state
-from .systems import (
-    FactorPermutation,
-    SystemSignature,
-    embed_permutation,
-    phase_matrix,
-    shift_matrix,
-)
+from .systems import FactorPermutation, SystemSignature, phase_matrix
 
 
 @dataclass(eq=False)
@@ -50,7 +44,10 @@ class ReversibleSpec:
 
 
 def build_reversible(spec: ReversibleSpec, sig: SystemSignature) -> np.ndarray:
-    """Unitary for a reversible spec: permutation after shifts after phases."""
+    """Unitary for a reversible spec: permutation after shifts after phases.
+
+    The map is monomial: one scatter fills it from its index map and phases.
+    """
     nfac = sig.num_factors
     for name, layer in (("x_shifts", spec.x_shifts), ("z_phases", spec.z_phases)):
         if layer and len(layer) != nfac:
@@ -58,21 +55,42 @@ def build_reversible(spec: ReversibleSpec, sig: SystemSignature) -> np.ndarray:
     perm = spec.perm or FactorPermutation.identity(sig.m, sig.n)
     if len(perm.sigma) != sig.m or len(perm.tau) != sig.n:
         raise DomainError("factor permutation shape does not match the signature")
-    u = embed_permutation(sig, perm)
-    if spec.x_shifts:
-        u = u @ tensor_all(*[shift_matrix(sig.d, j) for j in spec.x_shifts])
-    if spec.z_phases:
-        u = u @ tensor_all(*[phase_matrix(sig.d, j) for j in spec.z_phases])
+    # src[i] is the basis index that the map sends to basis index i
+    src = np.arange(sig.dim).reshape(sig.dims)
+    for axis, j in enumerate(spec.x_shifts):
+        src = np.roll(src, j, axis=axis)
+    src = src.transpose(np.argsort(perm.destinations(sig.m, sig.n))).reshape(-1)
+    phases = np.ones(sig.dim, dtype=complex)
+    if spec.z_phases:  # the diagonal of the tensor product of the per-factor phases
+        phases = tensor_all(*[np.diag(phase_matrix(sig.d, j)) for j in spec.z_phases])
+    u = np.zeros((sig.dim, sig.dim), dtype=complex)
+    u[np.arange(sig.dim), src] = phases[src]
     return u
 
 
 def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
-    """Conjugate a state by a reversible unitary."""
-    if not is_unitary(u):
-        raise DomainError("transformation matrix is not unitary")
-    if u.shape[0] != rho.sig.dim:
+    """Conjugate a state by a reversible unitary, by index gather in O(dim^2).
+
+    Reversible maps are monomial: one entry of modulus 1 in each row and
+    column.  ``u`` must be such a matrix within ``DEFAULT_ATOL`` (for a
+    monomial matrix this is the unitarity test); any other matrix, a
+    unitary that mixes basis states included, raises :class:`DomainError`.
+    The result is ``(ph x conj(ph)) * rho[src][:, src]``.
+    """
+    mat = as_operator(u)
+    mag = np.abs(mat)
+    rows = np.arange(mat.shape[0])
+    src = np.argmax(mag, axis=1)  # u[i, src[i]] is the one entry of row i
+    defect = float(np.max(np.abs(mag[rows, src] - 1.0)))
+    mag[rows, src] = 0.0
+    defect = max(defect, float(np.max(mag)))
+    del mag  # released before the state checks allocate
+    if np.unique(src).size != src.size or defect > DEFAULT_ATOL:
+        raise DomainError(f"transformation matrix is not a monomial unitary (defect {defect})")
+    if mat.shape[0] != rho.sig.dim:
         raise ShapeError("unitary dimension does not match the state")
-    return DensityState(rho.sig, u @ rho.matrix @ u.conj().T)
+    phases = mat[rows, src]
+    return DensityState(rho.sig, phases[:, None] * rho.matrix[np.ix_(src, src)] * phases.conj())
 
 
 @dataclass(eq=False)
@@ -171,17 +189,14 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
         raise DomainError(f"input on {rho.sig} does not match the spec's {spec.input_sig}")
     dims = rho.sig.dims + spec.ancilla.sig.dims
     joint = np.kron(rho.matrix, spec.ancilla.matrix)
-    full = embed_operator(spec.effect.op, spec.effect_positions, dims)
-    weighted = full @ joint
-    prob = float(np.real(np.trace(weighted)))
+    raw = contract_effect(spec.effect.op, joint, spec.effect_positions, dims)
+    prob = float(np.real(np.trace(raw)))
     if prob <= 1e-12:
         return max(prob, 0.0), None
-    keep = spec.output_positions
-    out = partial_trace(weighted, dims, keep) / prob
     k_in = rho.sig.num_factors
-    kinds = [spec.ancilla.sig.kinds[t - k_in] for t in keep]
+    kinds = [spec.ancilla.sig.kinds[t - k_in] for t in spec.output_positions]
     out_sig = SystemSignature(rho.sig.d, kinds.count("D"), kinds.count("A"))
-    return prob, DensityState(out_sig, out)
+    return prob, DensityState(out_sig, raw / prob)
 
 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:

@@ -16,11 +16,10 @@ from .errors import DegenerateInputError, DomainError, ShapeError
 from .linalg import (
     DEFAULT_ATOL,
     as_operator,
-    embed_operator,
+    contract_effect,
     hermiticity_defect,
     max_eigenvalue,
     min_eigenvalue,
-    partial_trace,
     projector,
 )
 from .states import (
@@ -29,7 +28,7 @@ from .states import (
     SeparableSpec,
     ValidityReport,
     build_pure_state,
-    validate_pure_state,
+    validate_cone_member,
 )
 from .systems import SystemSignature, index_to_digits
 
@@ -87,11 +86,6 @@ class Povm:
         return len(self.effects)
 
 
-def _sector_labels(d: int) -> np.ndarray:
-    idx = np.arange(d * d)
-    return (idx % d - idx // d) % d
-
-
 def validate_effect(e: Effect, atol: float = DEFAULT_ATOL) -> ValidityReport:
     """Membership check for the effect cone.
 
@@ -102,38 +96,7 @@ def validate_effect(e: Effect, atol: float = DEFAULT_ATOL) -> ValidityReport:
     the eigendecomposition is tried as a candidate certificate and a
     failure is flagged NON-EXHAUSTIVE.
     """
-    sig = e.sig
-    mat = e.op
-    if e.certificate is not None:
-        if not e.certificate:
-            raise DegenerateInputError("empty certificate")
-        recon = np.zeros_like(mat)
-        for w, spec in e.certificate:
-            if w < -1e-12:
-                return ValidityReport(False, float(w), witness="negative certificate weight")
-            recon += max(float(w), 0.0) * projector(build_pure_state(spec))
-        defect = float(np.max(np.abs(recon - mat)))
-        return ValidityReport(defect <= atol, defect, witness="certificate")
-    if sig.is_classical() or sig.is_anticlassical():
-        off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-        return ValidityReport(off <= atol, off, witness="diagonal test")
-    if (sig.m, sig.n) == (1, 1):
-        sector = _sector_labels(sig.d)
-        cross = sector[:, None] != sector[None, :]
-        worst = float(np.max(np.abs(mat[cross]))) if np.any(cross) else 0.0
-        return ValidityReport(worst <= atol, worst, witness="sector-block test")
-    vals, vecs = np.linalg.eigh(mat)
-    worst = 0.0
-    for idx in range(vals.size):
-        if vals[idx] <= atol:
-            continue
-        rep = validate_pure_state(vecs[:, idx], sig, atol=1e-8)
-        worst = max(worst, rep.residual)
-        if not rep.valid:
-            return ValidityReport(
-                False, rep.residual, witness="spectral decomposition", flags=("NON-EXHAUSTIVE",)
-            )
-    return ValidityReport(True, worst, witness="spectral decomposition")
+    return validate_cone_member(e.sig, e.op, e.certificate, atol)
 
 
 def born_probabilities(povm: Povm, rho: DensityState) -> np.ndarray:
@@ -170,14 +133,12 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
             raise DomainError(
                 f"effect factor {t} ({e.sig.kinds[t]}) wired to a {sig.kinds[p]} factor"
             )
-    full = embed_operator(e.op, positions, sig.dims)
-    weighted = full @ rho.matrix
-    prob = float(np.real(np.trace(weighted)))
+    raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
+    prob = float(np.real(np.trace(raw)))
     if prob <= 1e-12:
         return max(prob, 0.0), None
     keep = tuple(t for t in range(sig.num_factors) if t not in positions)
-    post = partial_trace(weighted, sig.dims, keep) / prob
-    return prob, DensityState(sig.sub_signature(keep), post)
+    return prob, DensityState(sig.sub_signature(keep), raw / prob)
 
 
 def unit_effect(sig: SystemSignature) -> Effect:
@@ -259,19 +220,12 @@ def worst_case_no_probability(p: float, grid_step: float = 0.01) -> tuple:
         raise DomainError(f"witness parameter must lie in (0, 1), got {p}")
     if not 0 < grid_step <= 0.1:
         raise DomainError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    povm = witness_povm(p)
-    p_no = povm.effects[1].op
-    sig = povm.sig
+    p_no = witness_povm(p).effects[1].op
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     # Born coefficient of each product basis state; the sweep is affine in gamma
-    coeff = {}
-    for i in range(2):
-        for j in range(2):
-            basis = np.zeros((4, 4), dtype=complex)
-            basis[i * 2 + j, i * 2 + j] = 1.0
-            coeff[(i, j)] = float(np.real(np.trace(p_no @ basis)))
+    coeff = {k: float(np.real(p_no[q, q])) for q, k in enumerate(keys)}
     steps = int(round(1.0 / grid_step))
     best = None
-    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for a in range(steps + 1):
         for b in range(steps + 1 - a):
             for c in range(steps + 1 - a - b):

@@ -134,6 +134,18 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
 
 
+def _split_factors(positions, dims, op_dim):
+    """Check ``positions`` for an operator of dimension ``op_dim``; returns them and the rest."""
+    positions = tuple(int(p) for p in positions)
+    nfac = len(dims)
+    if len(set(positions)) != len(positions) or any(p < 0 or p >= nfac for p in positions):
+        raise ShapeError(f"positions {positions} invalid for {nfac} factors")
+    sub = int(np.prod([dims[p] for p in positions]))
+    if op_dim != sub:
+        raise ShapeError(f"operator dim {op_dim} != product of target dims {sub}")
+    return positions, [t for t in range(nfac) if t not in positions]
+
+
 def embed_operator(op, positions, dims) -> np.ndarray:
     """Embed ``op`` into a larger composite, acting at ``positions``.
 
@@ -143,14 +155,8 @@ def embed_operator(op, positions, dims) -> np.ndarray:
     """
     small = as_operator(op)
     dims = tuple(int(d) for d in dims)
-    positions = tuple(int(p) for p in positions)
+    positions, rest = _split_factors(positions, dims, small.shape[0])
     nfac = len(dims)
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= nfac for p in positions):
-        raise ShapeError(f"positions {positions} invalid for {nfac} factors")
-    sub = int(np.prod([dims[p] for p in positions]))
-    if small.shape[0] != sub:
-        raise ShapeError(f"operator dim {small.shape[0]} != product of target dims {sub}")
-    rest = [t for t in range(nfac) if t not in positions]
     rest_dim = int(np.prod([dims[t] for t in rest])) if rest else 1
     full = np.kron(small, np.eye(rest_dim, dtype=complex))
     # source factor order is positions + rest; permute axes back to 0..nfac-1
@@ -162,6 +168,25 @@ def embed_operator(op, positions, dims) -> np.ndarray:
     tensor = tensor.transpose(perm + [nfac + p for p in perm])
     total = int(np.prod(dims))
     return tensor.reshape(total, total)
+
+
+def contract_effect(op, rho, positions, dims) -> np.ndarray:
+    """``Tr_S[(E_S x I) rho]``, contracted on the tensor axes of ``rho`` in O(dim^2).
+
+    ``op`` acts on the factors at ``positions`` in that order, as in
+    :func:`embed_operator`; the result acts on the other factors in
+    ascending order, and its trace is ``Tr[(E_S x I) rho]``.
+    """
+    small, mat = as_operator(op), as_operator(rho)
+    dims = _check_dims(dims, mat.shape[0])
+    positions, rest = _split_factors(positions, dims, small.shape[0])
+    nfac, sub = len(dims), small.shape[0]
+    rest_dim = mat.shape[0] // sub
+    # axes (a, b, x, y) hold rho[(b, x), (a, y)]; sum over a, b of E[a, b] times that
+    tensor = mat.reshape(dims + dims).transpose(
+        [nfac + p for p in positions] + list(positions) + rest + [nfac + t for t in rest])
+    out = small.reshape(-1) @ tensor.reshape(sub * sub, rest_dim * rest_dim)
+    return out.reshape(rest_dim, rest_dim)
 
 
 def permute_vector_factors(v, dims, dest) -> np.ndarray:
@@ -184,11 +209,10 @@ def factor_permutation_matrix(dims, dest) -> np.ndarray:
     """Unitary matrix sending input factor ``t`` to output position ``dest[t]``."""
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
+    # row q of the output takes the input basis index that lands on q
+    src = permute_vector_factors(np.arange(total), dims, dest).real.astype(int)
     out = np.zeros((total, total), dtype=complex)
-    for idx in range(total):
-        e = np.zeros(total, dtype=complex)
-        e[idx] = 1.0
-        out[:, idx] = permute_vector_factors(e, dims, dest)
+    out[np.arange(total), src] = 1.0
     return out
 
 

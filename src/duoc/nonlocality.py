@@ -29,7 +29,7 @@ from .errors import (
     ValidityError,
 )
 from .linalg import embed_operator, projector
-from .states import PureStateSpec, build_pure_state, validate_pure_state
+from .states import PureStateSpec, build_pure_state, cross_sector_mass, validate_pure_state
 from .systems import SystemSignature, digits_to_index
 
 ALICE_PAIR = (0, 3)
@@ -270,10 +270,7 @@ def pair_effect_from_operator(op, d: int, atol: float = 1e-12) -> Effect:
     """
     sig = SystemSignature(d, 1, 1)
     op = np.asarray(op, dtype=complex)
-    idx = np.arange(d * d)
-    sector = (idx % d - idx // d) % d
-    cross = sector[:, None] != sector[None, :]
-    worst = float(np.max(np.abs(op[cross]))) if np.any(cross) else 0.0
+    worst = cross_sector_mass(op, d)
     if worst > atol:
         raise DomainError(f"operator couples parity sectors (mass {worst})")
     cert = []

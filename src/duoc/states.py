@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_ATOL,
     as_operator,
     as_vector,
-    hermiticity_defect,
     min_eigenvalue,
     partial_trace,
     permute_vector_factors,
@@ -248,6 +247,12 @@ class DensityState:
     Construction enforces Hermiticity, positivity and unit trace within
     ``atol`` (eigenvalues may dip to ``-atol``); it does not by itself
     certify membership in the model's state set.
+
+    Positivity: a Cholesky factorization of ``matrix + atol*I`` succeeds
+    when every eigenvalue lies above ``-atol``.  Only if it fails is
+    ``eigvalsh`` run, for the exact verdict and the eigenvalue reported in
+    the error; the verdict can differ from ``eigvalsh`` alone only within
+    rounding (about ``dim * eps``) of ``-atol``.
     """
 
     sig: SystemSignature
@@ -258,17 +263,27 @@ class DensityState:
         mat = as_operator(self.matrix)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        defect = hermiticity_defect(mat)
+        sym = np.ascontiguousarray(mat.conj().T)  # the adjoint, symmetrized in place below
+        defect = float(np.max(np.abs(mat - sym)))
         if defect > self.atol:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
-        mat = (mat + mat.conj().T) / 2
-        tr = float(np.real(np.trace(mat)))
+        sym += mat
+        sym /= 2
+        tr = float(np.real(np.trace(sym)))
         if abs(tr - 1.0) > self.atol:
             raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
-        lo = min_eigenvalue(mat)
-        if lo < -self.atol:
+        # factor sym + atol*I in place, with no second dim^2 copy, then restore the diagonal
+        diag = sym.diagonal().copy()
+        sym.flat[:: sym.shape[0] + 1] += self.atol
+        try:
+            np.linalg.cholesky(sym)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        np.fill_diagonal(sym, diag)
+        if not factored and (lo := min_eigenvalue(sym)) < -self.atol:
             raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
-        self.matrix = mat
+        self.matrix = sym
 
     @classmethod
     def from_vector(cls, sig: SystemSignature, v) -> "DensityState":
@@ -338,7 +353,7 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
     return DensityState(sig, rho)
 
 
-def _cross_sector_mass(mat: np.ndarray, d: int) -> float:
+def cross_sector_mass(mat: np.ndarray, d: int) -> float:
     """Largest entry coupling different parity sectors of a (1, 1) matrix."""
     idx = np.arange(d * d)
     sector = (idx % d - idx // d) % d
@@ -364,8 +379,11 @@ def validate_mixed_state(
     certificate : list of (weight, PureStateSpec), optional
         Claimed convex decomposition; verified by reconstruction.
     """
-    sig = rho.sig
-    mat = rho.matrix
+    return validate_cone_member(rho.sig, rho.matrix, certificate, atol)
+
+
+def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> ValidityReport:
+    """Membership test shared by valid states and effects; see :func:`validate_mixed_state`."""
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -373,14 +391,14 @@ def validate_mixed_state(
         for w, spec in certificate:
             if w < -1e-12:
                 return ValidityReport(False, float(w), witness="negative certificate weight")
-            recon += max(w, 0.0) * projector(build_pure_state(spec))
+            recon += max(float(w), 0.0) * projector(build_pure_state(spec))
         defect = float(np.max(np.abs(recon - mat)))
         return ValidityReport(defect <= atol, defect, witness="certificate")
     if sig.is_classical() or sig.is_anticlassical():
         off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
         return ValidityReport(off <= atol, off, witness="diagonal test")
     if (sig.m, sig.n) == (1, 1):
-        worst = _cross_sector_mass(mat, sig.d)
+        worst = cross_sector_mass(mat, sig.d)
         return ValidityReport(worst <= atol, worst, witness="sector-block test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)

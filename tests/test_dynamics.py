@@ -14,9 +14,22 @@ from duoc.dynamics import (
 )
 from duoc.effects import Effect
 from duoc.errors import DomainError, NotClassicalError, ShapeError
-from duoc.linalg import is_unitary
+from duoc.linalg import embed_operator, is_unitary, partial_trace, tensor_all
 from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state, validate_pure_state
-from duoc.systems import FactorPermutation, SystemSignature, parity_projector
+from duoc.systems import (
+    FactorPermutation,
+    SystemSignature,
+    all_factor_permutations,
+    embed_permutation,
+    parity_projector,
+    phase_matrix,
+    shift_matrix,
+)
+
+from conftest import random_density
+
+# signatures on which the structured kernels are compared with dense references
+KERNEL_SIGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 3)]
 
 SIG11 = SystemSignature(2, 1, 1)
 SIG10 = SystemSignature(2, 1, 0)
@@ -92,6 +105,67 @@ class TestReversible:
             apply_reversible(np.ones((4, 4)), rho)
         with pytest.raises(ShapeError):
             apply_reversible(np.eye(2), rho)
+
+
+def random_reversible_spec(sig, rng):
+    perms = list(all_factor_permutations(sig.m, sig.n))
+    return ReversibleSpec(
+        perm=perms[int(rng.integers(len(perms)))],
+        x_shifts=tuple(int(x) for x in rng.integers(0, sig.d, size=sig.num_factors)),
+        z_phases=tuple(int(x) for x in rng.integers(0, sig.d, size=sig.num_factors)),
+    )
+
+
+def random_effect_op(dim, rng):
+    a = random_density(rng, dim)
+    return a / np.linalg.eigvalsh(a)[-1]
+
+
+class TestStructuredReversible:
+    """Index-map kernels against the dense products they replace."""
+
+    @pytest.mark.parametrize("dmn", KERNEL_SIGS)
+    def test_build_matches_dense_product(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        for _ in range(3):
+            spec = random_reversible_spec(sig, rng)
+            dense = (
+                embed_permutation(sig, spec.perm)
+                @ tensor_all(*[shift_matrix(sig.d, j) for j in spec.x_shifts])
+                @ tensor_all(*[phase_matrix(sig.d, j) for j in spec.z_phases])
+            )
+            np.testing.assert_allclose(build_reversible(spec, sig), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dmn", KERNEL_SIGS)
+    def test_apply_matches_dense_conjugation(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        rho = DensityState(sig, random_density(rng, sig.dim))
+        u = build_reversible(random_reversible_spec(sig, rng), sig)
+        out = apply_reversible(u, rho)
+        np.testing.assert_allclose(out.matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+
+    def test_apply_rejects_mixing_unitary(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        u = np.kron(hadamard, np.eye(2))
+        assert is_unitary(u)
+        with pytest.raises(DomainError, match="monomial"):
+            apply_reversible(u, phi_plus_density())
+
+    def test_apply_rejects_off_support_noise(self, rng):
+        u = build_reversible(random_reversible_spec(SIG11, rng), SIG11)
+        noisy = u + 1e-6 * (np.ones((4, 4)) - np.abs(u))
+        with pytest.raises(DomainError, match="monomial"):
+            apply_reversible(noisy, phi_plus_density())
+
+    def test_apply_rejects_wrong_modulus(self):
+        with pytest.raises(DomainError, match="monomial"):
+            apply_reversible(np.eye(4) * (1 + 1e-6), phi_plus_density())
+
+    def test_apply_rejects_repeated_column(self):
+        u = np.eye(4)
+        u[1] = u[0]
+        with pytest.raises(DomainError, match="monomial"):
+            apply_reversible(u, phi_plus_density())
 
 
 class TestClassicalChannel:
@@ -187,6 +261,27 @@ class TestConditionalEvolution:
         oprob, oraw = oracle_conditional(joint, 2, 3, self.pair_proj.op, (0, 2))
         assert prob == pytest.approx(oprob, abs=1e-12)
         np.testing.assert_allclose(out.matrix, oraw / oprob, atol=1e-12)
+
+    @pytest.mark.parametrize("dmn", KERNEL_SIGS)
+    def test_matches_dense_embedding(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        ancilla = DensityState(sig, random_density(rng, sig.dim))
+        # the input dit plus one or two ancilla factors, dits wired out of order
+        if sig.m >= 2:
+            esig, positions = SystemSignature(sig.d, 2, 1), (2, 0, sig.num_factors)
+        else:
+            esig, positions = SystemSignature(sig.d, 1, 1), (0, sig.num_factors)
+        effect = Effect(esig, random_effect_op(esig.dim, rng))
+        in_sig = SystemSignature(sig.d, 1, 0)
+        spec = ConditionalEvolutionSpec(in_sig, ancilla, effect, positions)
+        rho = DensityState(in_sig, random_density(rng, sig.d))
+        prob, out = conditional_evolution(spec, rho)
+        dims = in_sig.dims + sig.dims
+        weighted = embed_operator(effect.op, positions, dims) @ np.kron(rho.matrix, ancilla.matrix)
+        want_prob = np.trace(weighted).real
+        want = partial_trace(weighted, dims, spec.output_positions) / want_prob
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+        np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-12)
 
 
 class TestChoiAndValidation:

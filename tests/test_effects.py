@@ -13,8 +13,11 @@ from duoc.effects import (
     worst_case_no_probability,
 )
 from duoc.errors import DomainError
+from duoc.linalg import embed_operator, partial_trace
 from duoc.states import DensityState, PureStateSpec, build_pure_state
 from duoc.systems import SystemSignature
+
+from conftest import random_density
 
 SIG11 = SystemSignature(2, 1, 1)
 
@@ -133,6 +136,27 @@ class TestConditionalState:
         e = Effect(SystemSignature(2, 0, 1), np.diag([1.0, 0.0]))
         with pytest.raises(DomainError):
             conditional_state(rho, e, (0,))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 3)])
+    def test_matches_dense_embedding(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        rho = DensityState(sig, random_density(rng, sig.dim))
+        last = sig.num_factors - 1
+        wirings = [(0,), (last,)]
+        if sig.m >= 2:
+            # two dits wired out of order, plus an anti-dit where one can be spared
+            wirings.append((1, 0) + ((last,) if sig.n >= 2 else ()))
+        for positions in wirings:
+            esig = sig.sub_signature(positions)
+            op = random_density(rng, esig.dim)
+            e = Effect(esig, op / np.linalg.eigvalsh(op)[-1])
+            prob, cond = conditional_state(rho, e, positions)
+            weighted = embed_operator(e.op, positions, sig.dims) @ rho.matrix
+            keep = tuple(t for t in range(sig.num_factors) if t not in positions)
+            want_prob = np.trace(weighted).real
+            assert prob == pytest.approx(want_prob, abs=1e-12)
+            want = partial_trace(weighted, sig.dims, keep) / want_prob
+            np.testing.assert_allclose(cond.matrix, want, rtol=0, atol=1e-12)
 
 
 class TestClassicalPovm:

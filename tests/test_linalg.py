@@ -3,6 +3,7 @@ import pytest
 
 from duoc.errors import DegenerateInputError, ShapeError
 from duoc.linalg import (
+    contract_effect,
     dagger,
     embed_operator,
     factor_permutation_matrix,
@@ -110,6 +111,27 @@ def test_embed_operator_two_positions_any_order(rng):
     np.testing.assert_allclose(full, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("positions", [(1,), (2, 0), (0, 1, 3)])
+def test_contract_effect_matches_embed_and_trace(positions, rng):
+    dims = [2, 3, 2, 2]
+    rho = random_density(rng, 24)
+    sub = int(np.prod([dims[p] for p in positions]))
+    op = random_density(rng, sub)
+    keep = [t for t in range(4) if t not in positions]
+    want = partial_trace(embed_operator(op, positions, dims) @ rho, dims, keep)
+    np.testing.assert_allclose(contract_effect(op, rho, positions, dims), want, atol=1e-14)
+
+
+def test_contract_effect_checks_shapes(rng):
+    rho = random_density(rng, 8)
+    with pytest.raises(ShapeError):
+        contract_effect(np.eye(4), rho, (0,), [2, 2, 2])
+    with pytest.raises(ShapeError):
+        contract_effect(np.eye(4), rho, (0, 0), [2, 2, 2])
+    with pytest.raises(ShapeError):
+        contract_effect(np.eye(2), rho, (0,), [2, 2])
+
+
 def test_permute_vector_factors_roundtrip(rng):
     v = random_unit(rng, 2 * 3 * 4)
     dest = (2, 0, 1)  # factor t goes to slot dest[t]
@@ -130,6 +152,8 @@ def test_factor_permutation_matrix_matches_vector_action(rng):
     dest = (1, 2, 0)
     v = random_unit(rng, 12)
     mat = factor_permutation_matrix(dims, dest)
+    assert set(np.unique(mat)) == {0, 1}
+    assert (mat.sum(axis=0) == 1).all() and (mat.sum(axis=1) == 1).all()
     np.testing.assert_allclose(mat @ v, permute_vector_factors(v, dims, dest))
     assert is_unitary(mat)
 

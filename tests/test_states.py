@@ -204,6 +204,28 @@ class TestDensityState:
         with pytest.raises(DensityMatrixError):
             DensityState(SIG11, mat)
 
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("scale", [-2.0, -0.5, 0.0])
+    def test_positivity_verdict_matches_eigvalsh(self, dmn, scale, rng):
+        # spectrum with its smallest eigenvalue at scale * atol, in a random basis
+        sig = SystemSignature(*dmn)
+        atol = 1e-10
+        spectrum = rng.uniform(0.1, 1.0, size=sig.dim)
+        spectrum[0] = 0.0
+        spectrum *= (1 - scale * atol) / spectrum.sum()
+        spectrum[0] = scale * atol
+        q, _ = np.linalg.qr(rng.normal(size=(sig.dim,) * 2) + 1j * rng.normal(size=(sig.dim,) * 2))
+        mat = (q * spectrum) @ q.conj().T
+        lo = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
+        if lo < -atol:
+            with pytest.raises(DensityMatrixError, match="negative eigenvalue") as err:
+                DensityState(sig, mat, atol=atol)
+            reported = float(str(err.value).rsplit(" ", 1)[1])
+            assert reported == pytest.approx(lo, abs=1e-14)
+        else:
+            DensityState(sig, mat, atol=atol)
+        assert (lo < -atol) == (scale < -1)
+
 
 class TestSeparable:
     def test_gamma_form(self):
