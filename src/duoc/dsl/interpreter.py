@@ -57,7 +57,6 @@ from .ast import (
     RunDecl,
     Script,
     StateDecl,
-    Str,
     SystemDecl,
     TransformDecl,
 )
@@ -113,21 +112,21 @@ class _Args:
             raise _err(self.line,
                        f"unknown argument(s) {', '.join(sorted(extra))} in {self.what}")
 
-    def _get(self, key, default=...):
+    def _get(self, key, default, node, what):
+        """The value of ``key``, which must be a ``node``; ``default`` when absent."""
         self.seen.add(key)
-        if key in self.map:
-            return self.map[key]
-        if default is ...:
-            raise _err(self.line, f"{self.what} needs argument {key!r}")
-        return default
+        if key not in self.map:
+            if default is ...:
+                raise _err(self.line, f"{self.what} needs argument {key!r}")
+            return default
+        v = self.map[key]
+        if not isinstance(v, node):
+            raise _err(self.line, f"argument {key!r} of {self.what} must be {what}")
+        return v
 
     def number(self, key, default=...):
-        v = self._get(key, default)
-        if v is default and not isinstance(v, (Num, Str, Ref, ListV)):
-            return v
-        if not isinstance(v, Num):
-            raise _err(self.line, f"argument {key!r} of {self.what} must be a number")
-        return v.value
+        v = self._get(key, default, Num, "a number")
+        return v.value if isinstance(v, Num) else v
 
     def integer(self, key, default=...):
         v = self.number(key, default)
@@ -138,24 +137,18 @@ class _Args:
         return int(v)
 
     def ref(self, key, default=...):
-        v = self._get(key, default)
-        if v is default and not isinstance(v, (Num, Str, Ref, ListV)):
-            return v
-        if not isinstance(v, Ref):
-            raise _err(self.line, f"argument {key!r} of {self.what} must be a name")
-        return v.name
+        v = self._get(key, default, Ref, "a name")
+        return v.name if isinstance(v, Ref) else v
 
     def number_list(self, key, default=...):
-        v = self._get(key, default)
-        if v is default and not isinstance(v, (Num, Str, Ref, ListV)):
-            return v
-        if not isinstance(v, ListV) or any(not isinstance(x, Num) for x in v.items):
+        v = self._get(key, default, ListV, "a number list")
+        if isinstance(v, ListV) and any(not isinstance(x, Num) for x in v.items):
             raise _err(self.line, f"argument {key!r} of {self.what} must be a number list")
-        return [x.value for x in v.items]
+        return [x.value for x in v.items] if isinstance(v, ListV) else v
 
     def nested_number_list(self, key):
-        v = self._get(key)
-        if not isinstance(v, ListV) or any(not isinstance(row, ListV) for row in v.items):
+        v = self._get(key, ..., ListV, "a list of lists")
+        if any(not isinstance(row, ListV) for row in v.items):
             raise _err(self.line, f"argument {key!r} of {self.what} must be a list of lists")
         out = []
         for row in v.items:
@@ -463,6 +456,8 @@ class _Interpreter:
         n = args.integer("antibits", 1)
         corrupt = args.integer("corrupt", 0)
         args.done()
+        if trials < 1:
+            raise _err(line, f"conditional needs trials >= 1, got {trials}")
         sig = SystemSignature(d, m, n)
         failures = brute_force_conditional_check(trials, sig, self.rng,
                                                  corrupt=bool(corrupt))
@@ -500,8 +495,8 @@ class _Interpreter:
             "!=": abs(actual - expected) > tol,
             "<=": actual <= expected + tol,
             ">=": actual >= expected - tol,
-            "<": actual < expected + tol,
-            ">": actual > expected - tol,
+            "<": actual < expected,
+            ">": actual > expected,
         }[st.op]
         if not ok:
             raise AssertionFailure(

@@ -133,6 +133,16 @@ class _Parser:
 
     # -- values ---------------------------------------------------------
     def _number(self) -> float:
+        t = self.tok
+        try:
+            value = self._literal()
+        except ZeroDivisionError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError("number is not finite (overflow or division by zero)", t.line, t.col)
+        return value
+
+    def _literal(self) -> float:
         """number ::= ["-"] (NUM ["*" "pi" ["/" NUM]] | "pi" ["/" NUM])"""
         sign = 1.0
         if self._at("punct", "-"):

@@ -18,8 +18,6 @@ from .linalg import (
     as_operator,
     contract_effect,
     hermiticity_defect,
-    max_eigenvalue,
-    min_eigenvalue,
     projector,
 )
 from .states import (
@@ -54,7 +52,7 @@ class Effect:
         if defect > self.atol:
             raise DomainError(f"effect is not Hermitian (defect {defect})")
         mat = (mat + mat.conj().T) / 2
-        lo, hi = min_eigenvalue(mat), max_eigenvalue(mat)
+        lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
         if lo < -self.atol or hi > 1 + self.atol:
             raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
         self.op = mat

@@ -218,7 +218,9 @@ def factor_permutation_matrix(dims, dest) -> np.ndarray:
 
 def hermiticity_defect(op) -> float:
     mat = as_operator(op)
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    # a contiguous adjoint updated in place: a strided view or fresh dim^2 temporaries cost more
+    adj = mat.T.copy()
+    return float(np.max(np.abs(np.subtract(np.conjugate(adj, out=adj), mat, out=adj))))
 
 
 def is_hermitian(op, atol: float = DEFAULT_ATOL) -> bool:

@@ -12,6 +12,12 @@ For the maximally entangled state the regrouped measurements reproduce
 quantum two-qubit statistics exactly; for arbitrary entangled two-term
 states the tilted measurements below give a CHSH value strictly above
 2, with a closed form for the maximum.
+
+CHSH and activation share one correlator kernel: read as a d^2 x d^2
+matrix ``M`` from Alice's pair (bit1, anti2) to Bob's (bit2, anti1),
+the two-copy vector gives ``<psi| A (x) B |psi> = sum((M^H A M) * B)``,
+one batched matmul and one contraction in O(d^6).
+``two_copy_distribution`` stays the literal Born-rule reference.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     ShapeError,
     ValidityError,
 )
-from .linalg import embed_operator, projector
+from .linalg import embed_operator, permute_vector_factors, projector
 from .states import PureStateSpec, build_pure_state, cross_sector_mass, validate_pure_state
 from .systems import SystemSignature, digits_to_index
 
@@ -156,12 +162,9 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
         raise DomainError(f"parity {r} out of range for d={d}")
     if abs(np.linalg.norm(alphas) - 1.0) > 1e-10:
         raise NormalizationError("coefficients must be normalized")
-    v = np.zeros(d**4, dtype=complex)
-    for x1 in range(d):
-        for x2 in range(d):
-            idx = digits_to_index([x1, x2, (x1 + r) % d, (x2 + r) % d], d)
-            v[idx] = alphas[x1] * alphas[x2]
-    return v
+    x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
+    v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
+    return v.reshape(-1)
 
 
 def _pair_state_data(psi, expected_d=None):
@@ -194,8 +197,6 @@ def regroup_check(psi, d: int = None) -> float:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     lhs_kron = np.kron(psi, psi)
     # kron order is [bit1, anti1, bit2, anti2]; canonical wants [bit1, bit2, anti1, anti2]
-    from .linalg import permute_vector_factors
-
     lhs = permute_vector_factors(lhs_kron, (d,) * 4, (0, 2, 1, 3))
     rhs = np.zeros_like(lhs)
     for k in range(d):
@@ -230,29 +231,17 @@ class ChshResult:
     f_value: float
 
 
-def chsh_value(
-    alice_bases,
-    bob_bases,
-    alice_signs=(1, -1),
-    bob_signs=(1, -1),
-) -> ChshResult:
+def chsh_value(alice_bases, bob_bases, alice_signs=(1, -1), bob_signs=(1, -1)) -> ChshResult:
     """CHSH value of the regrouped two-copy experiment.
 
     ``alice_bases`` and ``bob_bases`` are pairs of LocalBasis (the two
     settings per side); outcome ``a`` of a setting contributes with
     ``alice_signs[a]`` (and likewise for Bob).
     """
-    expectations = np.zeros((2, 2))
-    for x, abasis in enumerate(alice_bases):
-        for y, bbasis in enumerate(bob_bases):
-            dist = two_copy_distribution(abasis, bbasis)
-            expectations[x, y] = sum(
-                alice_signs[a] * bob_signs[b] * dist[a, b] for a in range(2) for b in range(2)
-            )
-    f = float(
-        expectations[0, 0] + expectations[0, 1] + expectations[1, 0] - expectations[1, 1]
-    )
-    return ChshResult(expectations, f)
+    alice_obs = [_signed_observable(side_povm("alice", b), alice_signs) for b in alice_bases]
+    bob_obs = [_signed_observable(side_povm("bob", b), bob_signs) for b in bob_bases]
+    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
+    return _chsh(_correlators(psi2, alice_obs, bob_obs))
 
 
 def optimal_chsh_bases() -> tuple:
@@ -368,10 +357,25 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     )
 
 
-def _pair_observable(povm: Povm, d: int) -> np.ndarray:
-    """Signed observable (+1 for outcome 0, -1 for outcome 1) as a 4-tensor."""
-    ob = povm.effects[0].op - povm.effects[1].op
-    return ob.reshape(d, d, d, d)
+def _signed_observable(povm: Povm, signs=(1, -1)) -> np.ndarray:
+    """``sum_a signs[a] E_a`` over the outcomes of a two-outcome POVM."""
+    return signs[0] * povm.effects[0].op + signs[1] * povm.effects[1].op
+
+
+def _correlators(psi2, alice_obs, bob_obs) -> np.ndarray:
+    """``E[x, y] = Re sum((M^H A_x M) * B_y)`` for two-copy vector ``psi2`` read as ``M``.
+
+    Alice's observables act on (bit1, anti2), Bob's on (bit2, anti1).
+    """
+    alice_obs, bob_obs = np.asarray(alice_obs), np.asarray(bob_obs)
+    d = round(psi2.size**0.25)
+    m = psi2.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    return np.einsum("xjk,yjk->xy", m.conj().T @ alice_obs @ m, bob_obs).real
+
+
+def _chsh(e) -> ChshResult:
+    """A 2 x 2 correlator table ``E`` with its combination E00 + E01 + E10 - E11."""
+    return ChshResult(e, float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]))
 
 
 def activation_F(setup: ActivationSetup, psi=None) -> tuple:
@@ -383,23 +387,13 @@ def activation_F(setup: ActivationSetup, psi=None) -> tuple:
     agree when the state is supported on the two dominant indices; for
     wider support only ``F_simulated`` is meaningful.
     """
-    d = setup.d
     if psi is not None:
-        pd, pr, alphas = _pair_state_data(psi, d)
+        _, pr, alphas = _pair_state_data(psi, setup.d)
         if pr != setup.r or float(np.max(np.abs(np.abs(alphas) - setup.coeffs))) > 1e-9:
             raise DomainError("state does not match the setup's coefficients")
-    psi2 = two_copy_state(setup.coeffs, setup.r).reshape(d, d, d, d)
-    expectations = np.zeros((2, 2))
-    for x in range(2):
-        a_ob = _pair_observable(setup.alice[x], d)
-        for y in range(2):
-            b_ob = _pair_observable(setup.bob[y], d)
-            # alice acts on axes (bit1, anti2) = (0, 3), bob on (bit2, anti1) = (1, 2)
-            val = np.einsum("ABCD,ADad,BCbc,abcd->", psi2.conj(), a_ob, b_ob, psi2)
-            expectations[x, y] = float(np.real(val))
-    f_sim = float(
-        expectations[0, 0] + expectations[0, 1] + expectations[1, 0] - expectations[1, 1]
-    )
+    psi2 = two_copy_state(setup.coeffs, setup.r)
+    obs = [[_signed_observable(p) for p in side] for side in (setup.alice, setup.bob)]
+    f_sim = _chsh(_correlators(psi2, *obs)).f_value
     s = setup.alpha_prime**2 + setup.beta_prime**2
     f_closed = float(
         2 + 2 * s * (np.sqrt(1 + 4 * setup.alpha_prime**2 * setup.beta_prime**2 / s**2) - 1)

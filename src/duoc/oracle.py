@@ -19,7 +19,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .effects import Effect
 from .errors import DomainError
@@ -307,6 +306,8 @@ def brute_force_mixed_membership(rho: np.ndarray, d: int = 2,
     grid of valid pure projectors; small residuals certify membership
     in the model's mixed-state set, large residuals witness exclusion.
     """
+    from scipy.optimize import nnls  # scipy is a test extra, needed only here
+
     rho = np.asarray(rho, dtype=complex)
     atoms = _pair_atoms(d, n_angles, n_phases)
     a_mat = np.array([np.concatenate([a.reshape(-1).real, a.reshape(-1).imag])

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -17,7 +21,7 @@ from duoc.dsl import (
     run_script,
 )
 from duoc.dsl.ast import ListV, Num
-from duoc.errors import AssertionFailure, DomainError, ParseError, ScriptError
+from duoc.errors import AssertionFailure, DomainError, DuocError, ParseError, ScriptError
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.duoc"))
 
@@ -220,6 +224,25 @@ class TestInterpreter:
             "assert R.p0 == 0.3333333 tol 1e-6\n"
         )
 
+    @pytest.mark.parametrize("op,holds", [("<", False), (">", False), ("<=", True),
+                                          (">=", True), ("==", True), ("!=", False)])
+    def test_assert_at_the_bound(self, op, holds):
+        # strict comparisons ignore the tolerance; the others widen by it
+        span = "run span { d=2, bits=1, antibits=1 } as D\n"
+        text = span + f"assert D.product_span {op} 4\n"
+        if holds:
+            self.run(text)
+        else:
+            with pytest.raises(AssertionFailure):
+                self.run(text)
+
+    def test_strict_assert_at_computed_chsh_value(self):
+        f = self.run("run chsh { } as R\n").value("R", "F")
+        for op in ("<", ">"):
+            with pytest.raises(AssertionFailure):
+                self.run(f"run chsh {{ }} as R\nassert R.F {op} {f!r}\n")
+        self.run(f"run chsh {{ }} as R\nassert R.F <= {f!r} tol 0\nassert R.F >= {f!r} tol 0\n")
+
     def test_domain_violation_becomes_script_error(self):
         with pytest.raises(ScriptError, match="line 2"):
             self.run(
@@ -336,6 +359,29 @@ class TestCli:
             "state E = entpair(p=0.0) on S\n",
         )
         assert cli_main(["run", path]) == 2
+
+    @pytest.mark.parametrize("text,stage", [
+        ("run conditional { trials=-1 } as C\n", ScriptError),
+        ("run conditional { trials=0 } as C\n", ScriptError),
+        ("run chsh { a0=1e400 } as R\n", ParseError),
+        ("run chsh { a0=-3*pi/0 } as R\n", ParseError),
+        ("run span { } as S\nassert S.state_span == 8 tol 1e999\n", ParseError),
+    ])
+    def test_out_of_range_inputs_exit_two_without_warnings(self, tmp_path, capsys, text, stage):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(stage) as exc:
+                run_script(parse_script(text))
+            assert isinstance(exc.value, DuocError)
+            assert cli_main(["run", self.write(tmp_path, text)]) == 2
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, duoc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_missing_file_exit_two(self, capsys):
         assert cli_main(["run", "/definitely/not/here.duoc"]) == 2

@@ -293,3 +293,48 @@ class TestActivationF:
         s = activation_setup([0.6, 0.8], r=0)
         with pytest.raises(DomainError):
             activation_F(s, psi=pair_vector([0.8, 0.6], r=0))
+
+
+class TestCorrelatorKernel:
+    """``chsh_value`` and ``activation_F`` share one regrouped-matrix kernel;
+    both are checked here against contractions written out independently."""
+
+    def test_chsh_matches_born_rule_distribution(self, rng):
+        for alice_signs, bob_signs in [((1, -1), (1, -1)), ((0.5, -2.0), (-1, 3)), ((1, 1), (1, 0))]:
+            for _ in range(10):
+                angles = rng.uniform(-np.pi, np.pi, size=4)
+                alice = (LocalBasis.rotation(angles[0]), LocalBasis.rotation(angles[1]))
+                bob = (LocalBasis.rotation(angles[2]), LocalBasis.rotation(angles[3]))
+                res = chsh_value(alice, bob, alice_signs=alice_signs, bob_signs=bob_signs)
+                want = np.zeros((2, 2))
+                for x in range(2):
+                    for y in range(2):
+                        dist = two_copy_distribution(alice[x], bob[y])
+                        want[x, y] = sum(alice_signs[a] * bob_signs[b] * dist[a, b]
+                                         for a in range(2) for b in range(2))
+                np.testing.assert_allclose(res.expectations, want, rtol=0, atol=1e-12)
+                f = want[0, 0] + want[0, 1] + want[1, 0] - want[1, 1]
+                assert res.f_value == pytest.approx(f, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_activation_matches_four_tensor_contraction(self, d, rng):
+        for r in range(d):
+            alphas = rng.uniform(0.05, 1.0, size=d)
+            alphas /= np.linalg.norm(alphas)
+            setup = activation_setup(alphas, r=r)
+            # axes of psi2: bit1, bit2, anti1, anti2; alice on (0, 3), bob on (1, 2)
+            psi2 = np.zeros((d,) * 4, dtype=complex)
+            for x1 in range(d):
+                for x2 in range(d):
+                    psi2[x1, x2, (x1 + r) % d, (x2 + r) % d] = alphas[x1] * alphas[x2]
+            want = np.zeros((2, 2))
+            for x in range(2):
+                a_ob = setup.alice[x].effects[0].op - setup.alice[x].effects[1].op
+                for y in range(2):
+                    b_ob = setup.bob[y].effects[0].op - setup.bob[y].effects[1].op
+                    want[x, y] = np.einsum("ABCD,ADad,BCbc,abcd->", psi2.conj(),
+                                           a_ob.reshape((d,) * 4), b_ob.reshape((d,) * 4),
+                                           psi2).real
+            f_want = want[0, 0] + want[0, 1] + want[1, 0] - want[1, 1]
+            f_sim, _ = activation_F(setup)
+            assert f_sim == pytest.approx(f_want, abs=1e-12)
