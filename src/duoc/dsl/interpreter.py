@@ -63,6 +63,8 @@ from .ast import (
 from .emit import ResultTable, emit_results
 
 DEFAULT_TOL = 1e-9
+# bounds the run time of ``run conditional``: every trial samples, contracts and validates
+MAX_CONDITIONAL_TRIALS = 10_000
 
 
 @dataclass
@@ -255,10 +257,8 @@ class _Interpreter:
                 raise _err(line, f"entpair weight p must lie in (0, 1), got {p}")
             if (sig.m, sig.n) != (1, 1):
                 raise _err(line, "entpair needs a (1, 1) composite")
-            spec = PureStateSpec(sig, {(0,): math.sqrt(p), (1,): math.sqrt(1 - p)},
-                                 parity=(parity,))
-            v = build_pure_state(spec)
-            return StateBinding(sig, DensityState.from_vector(sig, v), v)
+            return _pure_binding(PureStateSpec(
+                sig, {(0,): math.sqrt(p), (1,): math.sqrt(1 - p)}, parity=(parity,)))
         if ctor.name == "entstate":
             coeffs = args.number_list("coeffs")
             parity = args.integer("parity", 0)
@@ -267,16 +267,12 @@ class _Interpreter:
                 raise _err(line, "entstate needs a (1, 1) composite")
             if len(coeffs) != sig.d:
                 raise _err(line, f"entstate needs {sig.d} coefficients, got {len(coeffs)}")
-            spec = PureStateSpec(sig, {(i,): c for i, c in enumerate(coeffs)},
-                                 parity=(parity,))
-            v = build_pure_state(spec)
-            return StateBinding(sig, DensityState.from_vector(sig, v), v)
+            return _pure_binding(PureStateSpec(
+                sig, {(i,): c for i, c in enumerate(coeffs)}, parity=(parity,)))
         if ctor.name == "basis":
             digits = [int(x) for x in args.number_list("digits")]
             args.done()
-            spec = basis_state_spec(sig, tuple(digits))
-            v = build_pure_state(spec)
-            return StateBinding(sig, DensityState.from_vector(sig, v), v)
+            return _pure_binding(basis_state_spec(sig, tuple(digits)))
         if ctor.name == "classical":
             weights = args.number_list("weights")
             args.done()
@@ -313,8 +309,7 @@ class _Interpreter:
                 tail=None if tail is None else tuple(int(x) for x in tail))
             if spec.sig != sig:
                 raise _err(line, f"purification lives on {spec.sig}, not {sig}")
-            v = build_pure_state(spec)
-            return StateBinding(sig, DensityState.from_vector(sig, v), v)
+            return _pure_binding(spec)
         if ctor.name == "apply":
             state_name = args.ref("state")
             transform_name = args.ref("transform")
@@ -456,8 +451,9 @@ class _Interpreter:
         n = args.integer("antibits", 1)
         corrupt = args.integer("corrupt", 0)
         args.done()
-        if trials < 1:
-            raise _err(line, f"conditional needs trials >= 1, got {trials}")
+        if not 1 <= trials <= MAX_CONDITIONAL_TRIALS:
+            raise _err(line, f"conditional needs trials in 1..{MAX_CONDITIONAL_TRIALS}, "
+                             f"got {trials}")
         sig = SystemSignature(d, m, n)
         failures = brute_force_conditional_check(trials, sig, self.rng,
                                                  corrupt=bool(corrupt))
@@ -502,6 +498,12 @@ class _Interpreter:
             raise AssertionFailure(
                 f"line {st.line}: assert {name}.{metric} {st.op} {expected!r} "
                 f"failed (actual {actual!r}, tol {tol!r})")
+
+
+def _pure_binding(spec: PureStateSpec) -> StateBinding:
+    """Bind the valid pure state built from ``spec`` with its density matrix."""
+    v = build_pure_state(spec)
+    return StateBinding(spec.sig, DensityState.from_vector(spec.sig, v), v)
 
 
 def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .effects import Effect
 from .errors import DomainError, NotClassicalError, ShapeError
-from .linalg import DEFAULT_ATOL, as_operator, contract_effect, tensor_all
+from .linalg import DEFAULT_ATOL, as_operator, contract_effect, off_diagonal_max, tensor_all
 from .states import DensityState, ValidityReport, validate_mixed_state
 from .systems import FactorPermutation, SystemSignature, phase_matrix
 
@@ -130,8 +130,7 @@ def classical_channel_map(ch: ClassicalChannel, rho: DensityState) -> DensitySta
         raise NotClassicalError("channel input must live on a classical composite")
     if rho.sig.d != ch.d or rho.sig.m != ch.m_in:
         raise DomainError("channel does not match the input signature")
-    off = float(np.max(np.abs(rho.matrix - np.diag(np.diag(rho.matrix)))))
-    if off > 1e-10:
+    if (off := off_diagonal_max(rho.matrix)) > 1e-10:
         raise NotClassicalError(f"input state is not diagonal (defect {off})")
     probs = np.real(np.diag(rho.matrix))
     out = ch.matrix @ probs
@@ -230,7 +229,9 @@ def validate_transformation(
     induced block matrix above ``-atol``); trace non-increase and
     validity of the normalized outputs are checked on ``samples``
     random valid mixed states, so a passing report is flagged SAMPLED,
-    not a proof.  Linearity itself is spot-checked.
+    not a proof.  An output whose validity cannot be decided fails the
+    check with an ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.
+    Linearity itself is spot-checked.
     """
     from .oracle import random_mixed_state
 
@@ -243,7 +244,6 @@ def validate_transformation(
     lo = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     if lo < -atol:
         return ValidityReport(False, -lo, witness="complete positivity", flags=("SAMPLED",))
-    flags = ["SAMPLED"]
     worst = max(0.0, -lo)
     for _ in range(samples):
         state, _cert = random_mixed_state(sig_in, rng)
@@ -254,14 +254,12 @@ def validate_transformation(
         if tr <= 1e-12:
             continue
         rep = validate_mixed_state(DensityState(sig_out, image / tr))
-        if rep.valid:
-            worst = max(worst, rep.residual)
-        elif "NON-EXHAUSTIVE" in rep.flags:
-            # could not certify this sample either way; recorded, not fatal
-            if "NON-EXHAUSTIVE" not in flags:
-                flags.append("NON-EXHAUSTIVE")
-        else:
+        if "NON-EXHAUSTIVE" in rep.flags:
+            return ValidityReport(False, rep.residual, witness="UNDECIDED output state",
+                                  flags=("SAMPLED", "NON-EXHAUSTIVE"))
+        if not rep.valid:
             return ValidityReport(
                 False, rep.residual, witness="invalid output state", flags=("SAMPLED",)
             )
-    return ValidityReport(True, worst, witness="sampled channel check", flags=tuple(flags))
+        worst = max(worst, rep.residual)
+    return ValidityReport(True, worst, witness="sampled channel check", flags=("SAMPLED",))

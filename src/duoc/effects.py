@@ -208,29 +208,20 @@ def witness_povm(p: float, parity: int = 0) -> Povm:
 
 
 def worst_case_no_probability(p: float, grid_step: float = 0.01) -> tuple:
-    """Minimize p(no | separable) for the witness over a simplex grid.
+    """Minimize p(no | separable) for the witness over the separable simplex.
 
-    The objective is linear in the product-basis weights, so the true
-    minimum sits at a vertex; the grid sweep is kept as a cross-check.
+    The objective is linear in the product-basis weights, so the minimum
+    sits at a vertex: the smallest Born coefficient ``<ij|P_no|ij>``.
+    Every vertex lies on every grid, so ``grid_step`` is range-checked but
+    does not change the value; :func:`duoc.oracle.separable_grid_min`
+    keeps the grid sweep as the cross-check.
     Returns ``(min_p_no, argmin SeparableSpec)``.
     """
     if not 0 < p < 1:
         raise DomainError(f"witness parameter must lie in (0, 1), got {p}")
     if not 0 < grid_step <= 0.1:
         raise DomainError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    p_no = witness_povm(p).effects[1].op
-    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # Born coefficient of each product basis state; the sweep is affine in gamma
-    coeff = {k: float(np.real(p_no[q, q])) for q, k in enumerate(keys)}
-    steps = int(round(1.0 / grid_step))
-    best = None
-    for a in range(steps + 1):
-        for b in range(steps + 1 - a):
-            for c in range(steps + 1 - a - b):
-                e = steps - a - b - c
-                gamma = (a, b, c, e)
-                val = sum(g * coeff[k] for g, k in zip(gamma, keys)) / steps
-                if best is None or val < best[0]:
-                    best = (val, gamma)
-    gamma = {k: g / steps for k, g in zip(keys, best[1])}
-    return best[0], SeparableSpec(gamma=gamma)
+    # Born coefficient of each product basis state |ij>, index 2*i + j
+    coeff = np.real(np.diag(witness_povm(p).effects[1].op))
+    q = int(np.argmin(coeff))
+    return float(coeff[q]), SeparableSpec(gamma={divmod(k, 2): float(k == q) for k in range(4)})

@@ -223,6 +223,13 @@ def hermiticity_defect(op) -> float:
     return float(np.max(np.abs(np.subtract(np.conjugate(adj, out=adj), mat, out=adj))))
 
 
+def off_diagonal_max(mat) -> float:
+    """Largest modulus among the off-diagonal entries of a square matrix."""
+    mag = np.abs(mat)
+    np.fill_diagonal(mag, 0.0)
+    return float(np.max(mag))
+
+
 def is_hermitian(op, atol: float = DEFAULT_ATOL) -> bool:
     return hermiticity_defect(op) <= atol
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -50,14 +51,7 @@ def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     tail = tuple(int(x) for x in rng.integers(0, d, size=abs(m - n)))
     raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
     raw = raw / np.linalg.norm(raw)
-    coeffs = {}
-    for idx in range(d**p):
-        digits = []
-        rem = idx
-        for _ in range(p):
-            digits.append(rem % d)
-            rem //= d
-        coeffs[tuple(reversed(digits))] = complex(raw[idx])
+    coeffs = {x: complex(a) for x, a in zip(product(range(d), repeat=p), raw)}
     return PureStateSpec(sig, coeffs, parity=parity, tail=tail,
                          perm=FactorPermutation(sigma, tau))
 
@@ -158,15 +152,7 @@ def _corrupt_case(sig: SystemSignature):
     if min(m, n) < 1:
         raise DomainError("the corrupt control needs at least one dit/anti-dit pair")
     p = sig.num_pairs
-    amp = d ** (-p / 2)
-    coeffs = {}
-    for idx in range(d**p):
-        digits = []
-        rem = idx
-        for _ in range(p):
-            digits.append(rem % d)
-            rem //= d
-        coeffs[tuple(reversed(digits))] = amp
+    coeffs = dict.fromkeys(product(range(d), repeat=p), d ** (-p / 2))
     state = PureStateSpec(sig, coeffs, parity=(0,) * p, tail=(0,) * abs(m - n))
     e = np.zeros(d, dtype=complex)
     e[0] = 1 / np.sqrt(2)

@@ -15,7 +15,7 @@ longer kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .linalg import (
     as_operator,
     as_vector,
     min_eigenvalue,
+    off_diagonal_max,
     partial_trace,
     permute_vector_factors,
     projector,
@@ -146,26 +147,18 @@ def build_pure_state(spec: PureStateSpec) -> np.ndarray:
 def _pattern_leak(v_pre: np.ndarray, sig: SystemSignature):
     """Given a vector in unpermuted layout, fit the paired-support pattern.
 
-    Reads the parity vector and tail off the largest amplitude, then
-    returns ``(leak, parity, tail)`` where ``leak`` is the norm of the
-    amplitude mass that violates the fitted pattern.
+    Keys every basis index by its pair parities ``(anti_i - dit_i) % d``
+    and its unpaired digits, reads the parity vector and tail off the key
+    of the largest amplitude, then returns ``(leak, parity, tail)`` where
+    ``leak`` is the norm of the amplitude mass whose key differs.
     """
-    d, m, n = sig.d, sig.m, sig.n
-    p = sig.num_pairs
-    ref = int(np.argmax(np.abs(v_pre)))
-    digits = index_to_digits(ref, d, m + n)
-    dits, antis = digits[:m], digits[m:]
-    parity = tuple((antis[i] - dits[i]) % d for i in range(p))
-    tail = dits[p:] if m > n else antis[p:]
-    leak_sq = 0.0
-    for idx in np.nonzero(np.abs(v_pre) > 0)[0]:
-        dg = index_to_digits(int(idx), d, m + n)
-        c, a = dg[:m], dg[m:]
-        ok = all((a[i] - c[i]) % d == parity[i] for i in range(p))
-        ok = ok and (c[p:] if m > n else a[p:]) == tail
-        if not ok:
-            leak_sq += abs(v_pre[idx]) ** 2
-    return float(np.sqrt(leak_sq)), parity, tail
+    m, n, p = sig.m, sig.n, sig.num_pairs
+    digits = np.indices(sig.dims).reshape(m + n, -1)
+    key = np.vstack([(digits[m : m + p] - digits[:p]) % sig.d,
+                     digits[p:m] if m > n else digits[m + p :]])
+    ref = key[:, int(np.argmax(np.abs(v_pre)))]
+    leak = float(np.linalg.norm(v_pre[np.any(key != ref[:, None], axis=0)]))
+    return leak, tuple(int(x) for x in ref[:p]), tuple(int(x) for x in ref[p:])
 
 
 def validate_pure_state(
@@ -344,8 +337,7 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
                 raise DomainError(f"dit string {dits} must have length {sig.m}")
             if anti.sig != SystemSignature(d, 0, sig.n):
                 raise DomainError("anti-classical factor has the wrong signature")
-            off = float(np.max(np.abs(anti.matrix - np.diag(np.diag(anti.matrix)))))
-            if off > 1e-10:
+            if (off := off_diagonal_max(anti.matrix)) > 1e-10:
                 raise ValidityError(f"anti-classical factor is not diagonal (defect {off})")
             block = np.zeros((d**sig.m, d**sig.m), dtype=complex)
             block[digits_to_index(dits, d), digits_to_index(dits, d)] = 1.0
@@ -395,7 +387,7 @@ def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> Valid
         defect = float(np.max(np.abs(recon - mat)))
         return ValidityReport(defect <= atol, defect, witness="certificate")
     if sig.is_classical() or sig.is_anticlassical():
-        off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
+        off = off_diagonal_max(mat)
         return ValidityReport(off <= atol, off, witness="diagonal test")
     if (sig.m, sig.n) == (1, 1):
         worst = cross_sector_mass(mat, sig.d)
@@ -446,8 +438,7 @@ def purify_classical_state(
     m, d = sig.m, sig.d
     if num_anti < m:
         raise DomainError(f"need at least {m} anti-dits to purify, got {num_anti}")
-    off = float(np.max(np.abs(rho.matrix - np.diag(np.diag(rho.matrix)))))
-    if off > 1e-10:
+    if (off := off_diagonal_max(rho.matrix)) > 1e-10:
         raise NotClassicalError(f"state is not diagonal (off-diagonal mass {off})")
     parity = tuple(parity) if parity is not None else (0,) * m
     tail = tuple(tail) if tail is not None else (0,) * (num_anti - m)
@@ -485,7 +476,7 @@ def is_entangled(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> bool:
 def _pair_subspace_specs(sig, perm, parity, tail):
     """Spanning family of pure specs for one (relabeling, parity, tail) cell."""
     p = sig.num_pairs
-    strings = [index_to_digits(i, sig.d, p) for i in range(sig.d**p)]
+    strings = list(product(range(sig.d), repeat=p))
     inv_sqrt2 = 1 / np.sqrt(2)
     out = []
     for x in strings:
@@ -510,8 +501,8 @@ def span_dimensions(sig: SystemSignature, sv_cutoff: float = 1e-8) -> tuple:
     rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
     rows_valid = []
     p = sig.num_pairs
-    tails = [index_to_digits(i, sig.d, abs(sig.m - sig.n)) for i in range(sig.d ** abs(sig.m - sig.n))]
-    parities = [index_to_digits(i, sig.d, p) for i in range(sig.d**p)]
+    tails = list(product(range(sig.d), repeat=abs(sig.m - sig.n)))
+    parities = list(product(range(sig.d), repeat=p))
     from math import factorial
 
     from .systems import all_factor_permutations

@@ -4,9 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from duoc.cli import main as cli_main
 from duoc.dsl import (
@@ -419,3 +421,31 @@ class TestCli:
             cli_main(["demo", "nonexistent"])
         assert e.value.code == 2
         capsys.readouterr()
+
+
+class TestRunBounds:
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.one_of(st.floats(0, 1), finite), grid=st.one_of(st.floats(0, 0.2), finite))
+    @example(p=0.5, grid=1e-7)
+    def test_witness_is_exact_minimum_or_domain_error(self, p, grid):
+        text = f"run witness {{ p={p!r}, grid={grid!r} }} as W\n"
+        start = time.perf_counter()
+        try:
+            table = run_script(parse_script(text))
+        except DuocError:
+            assert not (0 < p < 1 and 0 < grid <= 0.1), text
+            return
+        assert time.perf_counter() - start < 0.5
+        assert abs(table.value("W", "min_p_no") - min(p, 1 - p)) <= 1e-9
+
+    def test_conditional_trials_capped_before_any_work(self, tmp_path):
+        text = "run conditional { trials=1000000000 } as C\n"
+        start = time.perf_counter()
+        with pytest.raises(ScriptError, match="10000"):
+            run_script(parse_script(text))
+        assert time.perf_counter() - start < 0.5
+        path = tmp_path / "s.duoc"
+        path.write_text(text)
+        assert cli_main(["run", str(path)]) == 2

@@ -320,3 +320,14 @@ class TestChoiAndValidation:
 
         rep = validate_transformation(coherence_injector, SIG11, SIG11)
         assert not rep.valid
+
+    @pytest.mark.parametrize("dmn", [(2, 2, 1), (2, 2, 2)])
+    def test_undecided_output_is_not_a_pass(self, dmn):
+        # a Hadamard on dit 0 superposes basis states; the spectral check cannot decide
+        sig = SystemSignature(*dmn)
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        u = tensor_all(h, np.eye(sig.dim // 2))
+        rep = validate_transformation(lambda r: u @ r @ u.conj().T, sig, sig)
+        assert not rep.valid
+        assert rep.witness == "UNDECIDED output state"
+        assert rep.flags == ("SAMPLED", "NON-EXHAUSTIVE")

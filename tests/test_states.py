@@ -24,7 +24,8 @@ from duoc.states import (
     validate_mixed_state,
     validate_pure_state,
 )
-from duoc.systems import FactorPermutation, SystemSignature, digits_to_index
+from duoc.states import _pattern_leak
+from duoc.systems import FactorPermutation, SystemSignature, digits_to_index, index_to_digits
 
 SIG11 = SystemSignature(2, 1, 1)
 SIG11_3 = SystemSignature(3, 1, 1)
@@ -165,6 +166,47 @@ class TestValidatePureState:
         rep = validate_pure_state(build_pure_state(spec), sig)
         assert rep.valid
         assert rep.witness["tau"] == (1, 0)
+
+
+def _pattern_leak_loop(v_pre, sig):
+    """The per-index reference fit: one digit decomposition per nonzero amplitude."""
+    d, m, n = sig.d, sig.m, sig.n
+    p = sig.num_pairs
+    digits = index_to_digits(int(np.argmax(np.abs(v_pre))), d, m + n)
+    dits, antis = digits[:m], digits[m:]
+    parity = tuple((antis[i] - dits[i]) % d for i in range(p))
+    tail = dits[p:] if m > n else antis[p:]
+    leak_sq = 0.0
+    for idx in np.nonzero(np.abs(v_pre) > 0)[0]:
+        dg = index_to_digits(int(idx), d, m + n)
+        c, a = dg[:m], dg[m:]
+        ok = all((a[i] - c[i]) % d == parity[i] for i in range(p))
+        ok = ok and (c[p:] if m > n else a[p:]) == tail
+        if not ok:
+            leak_sq += abs(v_pre[idx]) ** 2
+    return float(np.sqrt(leak_sq)), parity, tail
+
+
+class TestPatternLeak:
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 2), (2, 2, 2)])
+    def test_matches_per_index_loop(self, rng, dmn):
+        from duoc.oracle import random_valid_state
+
+        sig = SystemSignature(*dmn)
+        for trial in range(12):
+            spec = random_valid_state(sig, rng)  # rebuilt unrelabeled: the fit's layout
+            v = build_pure_state(PureStateSpec(sig, spec.coeffs, spec.parity, spec.tail))
+            if trial % 3 == 1:  # dense noise: every index carries mass
+                v = v + 0.1 * (rng.normal(size=v.size) + 1j * rng.normal(size=v.size))
+            elif trial % 3 == 2:  # a few off-pattern entries, zeros elsewhere
+                v[rng.choice(v.size, size=2, replace=False)] += 0.3
+            v = v / np.linalg.norm(v)
+            leak, parity, tail = _pattern_leak(v, sig)
+            ref_leak, ref_parity, ref_tail = _pattern_leak_loop(v, sig)
+            assert abs(leak - ref_leak) <= 1e-12
+            assert (parity, tail) == (ref_parity, ref_tail)
+            if trial % 3 == 0:
+                assert leak <= 1e-12
 
 
 class TestCertificate:
