@@ -27,8 +27,8 @@ from ..effects import (
 from ..dynamics import (
     ClassicalChannel,
     ReversibleSpec,
-    apply_reversible,
-    build_reversible,
+    _conjugate_monomial,
+    _reversible_index_map,
     classical_channel_map,
 )
 from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
@@ -317,9 +317,9 @@ class _Interpreter:
             inner = self._lookup("state", state_name, line)
             kind, spec = self._lookup("transform", transform_name, line)
             if kind == "reversible":
-                u = build_reversible(spec, inner.sig)
-                rho = apply_reversible(u, inner.density)
-                vec = None if inner.vector is None else u @ inner.vector
+                src, ph = _reversible_index_map(spec, inner.sig)
+                rho = _conjugate_monomial(src, ph, inner.density)
+                vec = None if inner.vector is None else ph * inner.vector[src]
                 return StateBinding(inner.sig, rho, vec)
             out = classical_channel_map(spec, inner.density)
             return StateBinding(out.sig, out)

@@ -17,7 +17,9 @@ import numpy as np
 
 from .effects import Effect
 from .errors import DomainError, NotClassicalError, ShapeError
-from .linalg import DEFAULT_ATOL, as_operator, contract_effect, off_diagonal_max, tensor_all
+from .linalg import (
+    DEFAULT_ATOL, as_operator, contract_effect, min_eigenvalue, off_diagonal_max, tensor_all,
+)
 from .states import DensityState, ValidityReport, validate_mixed_state
 from .systems import FactorPermutation, SystemSignature, phase_matrix
 
@@ -48,6 +50,17 @@ def build_reversible(spec: ReversibleSpec, sig: SystemSignature) -> np.ndarray:
 
     The map is monomial: one scatter fills it from its index map and phases.
     """
+    src, ph = _reversible_index_map(spec, sig)
+    u = np.zeros((sig.dim, sig.dim), dtype=complex)
+    u[np.arange(sig.dim), src] = ph
+    return u
+
+
+def _reversible_index_map(spec: ReversibleSpec, sig: SystemSignature) -> tuple:
+    """``(src, ph)`` with ``u[i, src[i]] = ph[i]`` the only entries of the spec's unitary.
+
+    So the map sends a vector ``v`` to ``ph * v[src]``.
+    """
     nfac = sig.num_factors
     for name, layer in (("x_shifts", spec.x_shifts), ("z_phases", spec.z_phases)):
         if layer and len(layer) != nfac:
@@ -63,9 +76,7 @@ def build_reversible(spec: ReversibleSpec, sig: SystemSignature) -> np.ndarray:
     phases = np.ones(sig.dim, dtype=complex)
     if spec.z_phases:  # the diagonal of the tensor product of the per-factor phases
         phases = tensor_all(*[np.diag(phase_matrix(sig.d, j)) for j in spec.z_phases])
-    u = np.zeros((sig.dim, sig.dim), dtype=complex)
-    u[np.arange(sig.dim), src] = phases[src]
-    return u
+    return src, phases[src]
 
 
 def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
@@ -89,8 +100,15 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
         raise DomainError(f"transformation matrix is not a monomial unitary (defect {defect})")
     if mat.shape[0] != rho.sig.dim:
         raise ShapeError("unitary dimension does not match the state")
-    phases = mat[rows, src]
-    return DensityState(rho.sig, phases[:, None] * rho.matrix[np.ix_(src, src)] * phases.conj())
+    return _conjugate_monomial(src, mat[rows, src], rho)
+
+
+def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:
+    """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather."""
+    out = rho.matrix.take(src, 0).take(src, 1)
+    np.multiply(ph[:, None], out, out=out)  # operand order kept: complex products round by it
+    out *= ph.conj()
+    return DensityState(rho.sig, out)
 
 
 @dataclass(eq=False)
@@ -201,12 +219,12 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:
     """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity."""
     dim_out = np.asarray(map_fn(_unit_matrix(dim_in, 0, 0))).shape[0]
-    choi = np.zeros((dim_out * dim_in, dim_out * dim_in), dtype=complex)
+    # entry ((a, i), (b, j)) of the block matrix is map(E_ij)[a, b]: write each image in its slot
+    choi = np.zeros((dim_out, dim_in, dim_out, dim_in), dtype=complex)
     for i in range(dim_in):
         for j in range(dim_in):
-            block = np.asarray(map_fn(_unit_matrix(dim_in, i, j)), dtype=complex)
-            choi += np.kron(block, _unit_matrix(dim_in, i, j))
-    return choi
+            choi[:, i, :, j] = map_fn(_unit_matrix(dim_in, i, j))
+    return choi.reshape(dim_out * dim_in, dim_out * dim_in)
 
 
 def _unit_matrix(dim, i, j):
@@ -241,7 +259,7 @@ def validate_transformation(
     if float(np.max(np.abs(1j * a - b))) > 1e-9:
         raise DomainError("map is not linear over the complex operator space")
     choi = choi_matrix(map_fn, sig_in.dim)
-    lo = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    lo = min_eigenvalue(choi)
     if lo < -atol:
         return ValidityReport(False, -lo, witness="complete positivity", flags=("SAMPLED",))
     worst = max(0.0, -lo)

@@ -17,7 +17,7 @@ from .linalg import (
     DEFAULT_ATOL,
     as_operator,
     contract_effect,
-    hermiticity_defect,
+    hermitian_part,
     projector,
 )
 from .states import (
@@ -48,10 +48,9 @@ class Effect:
         mat = as_operator(self.op)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        defect = hermiticity_defect(mat)
+        mat, defect = hermitian_part(mat)
         if defect > self.atol:
             raise DomainError(f"effect is not Hermitian (defect {defect})")
-        mat = (mat + mat.conj().T) / 2
         lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
         if lo < -self.atol or hi > 1 + self.atol:
             raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")

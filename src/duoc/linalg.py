@@ -216,11 +216,53 @@ def factor_permutation_matrix(dims, dest) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(op) -> float:
+def hermitian_part(op) -> tuple:
+    """``((op + op^H) / 2, max |op^H - op|)``; the first is exactly Hermitian."""
+    # a contiguous adjoint symmetrized in place: a strided view or dim^2 temporaries cost more
     mat = as_operator(op)
-    # a contiguous adjoint updated in place: a strided view or fresh dim^2 temporaries cost more
-    adj = mat.T.copy()
-    return float(np.max(np.abs(np.subtract(np.conjugate(adj, out=adj), mat, out=adj))))
+    sym = mat.T.copy()
+    np.conjugate(sym, out=sym)
+    defect = float(np.max(np.abs(sym - mat)))
+    sym += mat
+    sym /= 2
+    return sym, defect
+
+
+def hermiticity_defect(op) -> float:
+    return hermitian_part(op)[1]
+
+
+def low_rank_psd(mat, atol: float) -> bool:
+    """True when a low-rank factor proves no eigenvalue of Hermitian ``mat`` is below ``-atol``.
+
+    A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
+    at most ``dim // 64`` columns, stopping once no remaining diagonal entry
+    exceeds ``atol / dim`` (a PSD remainder is then below ``atol`` in trace,
+    hence in Frobenius norm).  True only if the residual, formed in one dim^2
+    buffer, has ``||mat - L L^H||_F <= atol``: by Weyl's inequality no
+    eigenvalue is then below ``-atol``.  False decides nothing.
+    """
+    dim = mat.shape[0]
+    # k <= dim // 64 columns keep the residual product (dim^2 k) far below a Cholesky (dim^3 / 3);
+    # a rank above the cap gives up after O(dim k^2) work, before any dim^2 step
+    cap = dim // 64
+    if cap == 0:
+        return False
+    rest = mat.diagonal().real.copy()  # diagonal of the Schur complement left to factor
+    cols = np.empty((dim, cap), dtype=complex)
+    for k in range(cap + 1):
+        p = int(np.argmax(rest))
+        if rest[p] <= atol / dim:
+            break
+        if k == cap:
+            return False
+        col = mat[:, p] - cols[:, :k] @ cols[p, :k].conj()
+        col /= np.sqrt(rest[p])
+        cols[:, k] = col
+        rest -= col.real**2 + col.imag**2
+    resid = cols[:, :k] @ cols[:, :k].conj().T
+    resid -= mat
+    return bool(np.linalg.norm(resid) <= atol)
 
 
 def off_diagonal_max(mat) -> float:

@@ -32,6 +32,8 @@ from .linalg import (
     DEFAULT_ATOL,
     as_operator,
     as_vector,
+    hermitian_part,
+    low_rank_psd,
     min_eigenvalue,
     off_diagonal_max,
     partial_trace,
@@ -241,11 +243,21 @@ class DensityState:
     ``atol`` (eigenvalues may dip to ``-atol``); it does not by itself
     certify membership in the model's state set.
 
-    Positivity: a Cholesky factorization of ``matrix + atol*I`` succeeds
-    when every eigenvalue lies above ``-atol``.  Only if it fails is
-    ``eigvalsh`` run, for the exact verdict and the eigenvalue reported in
-    the error; the verdict can differ from ``eigvalsh`` alone only within
-    rounding (about ``dim * eps``) of ``-atol``.
+    Positivity is decided on the stored (symmetrized) matrix by the first
+    of three paths that settles it:
+
+    1. a pivoted partial Cholesky factor ``L`` of at most ``dim // 64``
+       columns (so none below dimension 64) whose residual
+       ``||matrix - L L^H||_F`` is at most ``atol`` accepts, by Weyl's
+       inequality (:func:`~duoc.linalg.low_rank_psd`); this settles the
+       low-rank states that pure states and short mixtures give;
+    2. else a Cholesky factorization of ``matrix + atol*I``, which
+       succeeds when every eigenvalue lies above ``-atol``, accepts;
+    3. else ``eigvalsh`` gives the exact verdict and the eigenvalue
+       reported in the error.
+
+    The verdict can differ from ``eigvalsh`` alone only within rounding
+    (about ``dim * eps``) of ``-atol``.
     """
 
     sig: SystemSignature
@@ -256,26 +268,14 @@ class DensityState:
         mat = as_operator(self.matrix)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        sym = np.ascontiguousarray(mat.conj().T)  # the adjoint, symmetrized in place below
-        defect = float(np.max(np.abs(mat - sym)))
+        sym, defect = hermitian_part(mat)
         if defect > self.atol:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
-        sym += mat
-        sym /= 2
         tr = float(np.real(np.trace(sym)))
         if abs(tr - 1.0) > self.atol:
             raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
-        # factor sym + atol*I in place, with no second dim^2 copy, then restore the diagonal
-        diag = sym.diagonal().copy()
-        sym.flat[:: sym.shape[0] + 1] += self.atol
-        try:
-            np.linalg.cholesky(sym)
-            factored = True
-        except np.linalg.LinAlgError:
-            factored = False
-        np.fill_diagonal(sym, diag)
-        if not factored and (lo := min_eigenvalue(sym)) < -self.atol:
-            raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
+        if not low_rank_psd(sym, self.atol):
+            _require_psd(sym, self.atol)
         self.matrix = sym
 
     @classmethod
@@ -285,6 +285,21 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.sig.dim
+
+
+def _require_psd(sym: np.ndarray, atol: float):
+    """Raise if an eigenvalue of ``sym`` is below ``-atol``: Cholesky, then ``eigvalsh``."""
+    # factor sym + atol*I in place, with no second dim^2 copy, then restore the diagonal
+    diag = sym.diagonal().copy()
+    sym.flat[:: sym.shape[0] + 1] += atol
+    try:
+        np.linalg.cholesky(sym)
+        factored = True
+    except np.linalg.LinAlgError:
+        factored = False
+    np.fill_diagonal(sym, diag)
+    if not factored and (lo := min_eigenvalue(sym)) < -atol:
+        raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
 
 
 @dataclass(eq=False)
@@ -379,12 +394,15 @@ def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> Valid
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
-        recon = np.zeros_like(mat)
-        for w, spec in certificate:
+        for w, _ in certificate:
             if w < -1e-12:
                 return ValidityReport(False, float(w), witness="negative certificate weight")
-            recon += max(float(w), 0.0) * projector(build_pure_state(spec))
-        defect = float(np.max(np.abs(recon - mat)))
+        # sum_t w_t |v_t><v_t| over unit columns v_t, as one product
+        vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        recon = (vecs * [max(float(w), 0.0) for w, _ in certificate]) @ vecs.conj().T
+        recon -= mat
+        defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= atol, defect, witness="certificate")
     if sig.is_classical() or sig.is_anticlassical():
         off = off_diagonal_max(mat)

@@ -293,6 +293,24 @@ class TestInterpreter:
         )
         assert t.value("R", "p0") == pytest.approx(0.0, abs=1e-12)
 
+    def test_transform_applied_by_index_map(self):
+        import numpy as np
+
+        from duoc.dsl.interpreter import _Interpreter
+        from duoc.dynamics import ReversibleSpec, apply_reversible, build_reversible
+
+        interp = _Interpreter(RunConfig())
+        interp.execute(parse(
+            "system S = composite(d=3, bits=1, antibits=1)\n"
+            "state E = entstate(coeffs=[0.6, 0.8, 0], parity=1) on S\n"
+            "transform T = reversible(shifts=[1, 2], phases=[2, 1])\n"
+            "state E2 = apply(state=E, transform=T) on S\n"
+        ))
+        before, after = interp.env["E"][1], interp.env["E2"][1]
+        u = build_reversible(ReversibleSpec(x_shifts=(1, 2), z_phases=(2, 1)), before.sig)
+        np.testing.assert_allclose(after.vector, u @ before.vector, rtol=0, atol=1e-15)
+        assert np.array_equal(after.density.matrix, apply_reversible(u, before.density).matrix)
+
     def test_witness_run_metrics(self):
         t = self.run("run witness { p=0.3, grid=0.05 } as W\n")
         assert t.value("W", "min_p_no") == pytest.approx(0.3, abs=1e-12)

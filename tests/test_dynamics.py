@@ -12,6 +12,7 @@ from duoc.dynamics import (
     conditional_evolution,
     validate_transformation,
 )
+from duoc.dynamics import _conjugate_monomial, _reversible_index_map
 from duoc.effects import Effect
 from duoc.errors import DomainError, NotClassicalError, ShapeError
 from duoc.linalg import embed_operator, is_unitary, partial_trace, tensor_all
@@ -143,6 +144,21 @@ class TestStructuredReversible:
         u = build_reversible(random_reversible_spec(sig, rng), sig)
         out = apply_reversible(u, rho)
         np.testing.assert_allclose(out.matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dmn", KERNEL_SIGS)
+    def test_index_map_matches_built_unitary(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        spec = random_reversible_spec(sig, rng)
+        u = build_reversible(spec, sig)
+        src, ph = _reversible_index_map(spec, sig)
+        v = rng.normal(size=sig.dim) + 1j * rng.normal(size=sig.dim)
+        np.testing.assert_allclose(ph * v[src], u @ v, rtol=0, atol=1e-15)
+        rho = DensityState(sig, random_density(rng, sig.dim))
+        out = _conjugate_monomial(src, ph, rho).matrix
+        assert np.array_equal(out, apply_reversible(u, rho).matrix)
+        # bit for bit the fancy-index gather with the phases applied out of place
+        old = DensityState(sig, ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj()).matrix
+        assert np.array_equal(out, old)
 
     def test_apply_rejects_mixing_unitary(self):
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -293,6 +309,21 @@ class TestChoiAndValidation:
     def test_transpose_choi_not_psd(self):
         c = choi_matrix(lambda r: r.T, 2)
         assert np.linalg.eigvalsh(c)[0] < -0.5
+
+    @pytest.mark.parametrize("dim_in, dim_out", [(4, 4), (8, 2), (4, 8), (16, 16)])
+    def test_choi_matches_kron_definition(self, dim_in, dim_out, rng):
+        k = rng.normal(size=(dim_out, dim_in)) + 1j * rng.normal(size=(dim_out, dim_in))
+
+        def channel(r):  # a transpose, so the map is not completely positive
+            return k @ r.T @ k.conj().T
+
+        want = np.zeros((dim_out * dim_in,) * 2, dtype=complex)
+        for i in range(dim_in):
+            for j in range(dim_in):
+                unit = np.zeros((dim_in, dim_in), dtype=complex)
+                unit[i, j] = 1.0
+                want += np.kron(channel(unit), unit)
+        assert np.array_equal(choi_matrix(channel, dim_in), want)
 
     def test_identity_map_validates(self):
         rep = validate_transformation(lambda r: r, SIG10, SIG10)

@@ -7,9 +7,11 @@ from duoc.linalg import (
     dagger,
     embed_operator,
     factor_permutation_matrix,
+    hermitian_part,
     hermiticity_defect,
     is_hermitian,
     is_unitary,
+    low_rank_psd,
     max_eigenvalue,
     min_eigenvalue,
     partial_trace,
@@ -19,7 +21,14 @@ from duoc.linalg import (
     tensor_product,
 )
 
-from conftest import random_density, random_unit
+from conftest import (
+    LOW_RANK_LAMBDAS,
+    low_rank_density,
+    low_rank_support,
+    lowest_eigenvalue,
+    random_density,
+    random_unit,
+)
 
 
 def test_tensor_product_basis_bookkeeping():
@@ -164,6 +173,37 @@ def test_dagger_and_hermiticity(rng):
     assert is_hermitian(h)
     assert hermiticity_defect(h) < 1e-14
     assert hermiticity_defect(m + 1j * np.eye(4)) > 0.5
+
+
+def test_hermitian_part_matches_direct_forms(rng):
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    sym, defect = hermitian_part(m)
+    assert np.array_equal(sym, (m + m.conj().T) / 2)
+    assert np.array_equal(sym, sym.conj().T)
+    assert defect == np.max(np.abs(m - m.conj().T)) == hermiticity_defect(m)
+
+
+@pytest.mark.parametrize("dim", [64, 256, 1024])
+def test_low_rank_psd_matches_eigvalsh(dim, rng):
+    # never accepts what eigvalsh rejects, nor a rank above its cap of dim // 64 steps, and
+    # accepts every PSD matrix of rank up to the cap; a negative eigenvalue within atol may
+    # leave a Schur-complement residual above atol, which hands the verdict to the fallback
+    atol, cap = 1e-10, dim // 64
+    support = low_rank_support(rng, dim)
+    for rank in range(1, cap + 2):
+        for lam in LOW_RANK_LAMBDAS:
+            mat = low_rank_density(rng, dim, rank, lam, support)
+            lo = lowest_eigenvalue(mat, support)
+            assert (lo >= -atol) == (lam >= -atol)
+            accepted = low_rank_psd(mat, atol)
+            if rank > cap or lo < -atol:
+                assert not accepted, (rank, lam)
+            elif lam == 0.0:
+                assert accepted, rank
+
+
+def test_low_rank_psd_needs_a_step():
+    assert not low_rank_psd(np.eye(63, dtype=complex) / 63, 1e-10)
 
 
 def test_eigenvalue_bounds():

@@ -24,8 +24,11 @@ from duoc.states import (
     validate_mixed_state,
     validate_pure_state,
 )
+from duoc.linalg import low_rank_psd, projector
 from duoc.states import _pattern_leak
 from duoc.systems import FactorPermutation, SystemSignature, digits_to_index, index_to_digits
+
+from conftest import LOW_RANK_LAMBDAS, low_rank_density, low_rank_support, lowest_eigenvalue
 
 SIG11 = SystemSignature(2, 1, 1)
 SIG11_3 = SystemSignature(3, 1, 1)
@@ -269,6 +272,47 @@ class TestDensityState:
         assert (lo < -atol) == (scale < -1)
 
 
+    # every rank up to the low-rank cap (dim // 64) and one above it at dims 64 and 256; at
+    # 1024, where each rejection runs a full eigvalsh, one rank on each side of the cap
+    @pytest.mark.parametrize("dmn, ranks, lams", [
+        ((2, 3, 3), range(1, 3), LOW_RANK_LAMBDAS),
+        ((2, 4, 4), range(1, 6), LOW_RANK_LAMBDAS),
+        ((2, 5, 5), (1, 17), (-0.99e-10, -1.01e-10)),
+    ])
+    def test_positivity_verdict_matches_eigvalsh_at_low_rank(self, dmn, ranks, lams, rng):
+        sig = SystemSignature(*dmn)
+        atol = 1e-10
+        support = low_rank_support(rng, sig.dim)
+        for rank in ranks:
+            for lam in lams:
+                mat = low_rank_density(rng, sig.dim, rank, lam, support)
+                lo = lowest_eigenvalue(mat, support)
+                if lo < -atol:
+                    with pytest.raises(DensityMatrixError, match="negative eigenvalue") as err:
+                        DensityState(sig, mat, atol=atol)
+                    assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(lo, abs=1e-14)
+                else:
+                    np.testing.assert_array_equal(DensityState(sig, mat, atol=atol).matrix, mat)
+
+    def test_residual_not_pivots_decides_positivity(self, rng):
+        # a rank-1 projector's diagonal with a zero-diagonal coupling that makes it indefinite:
+        # one pivot leaves nothing on the diagonal, the explicit residual sees the coupling
+        sig, atol = SystemSignature(2, 3, 3), 1e-10
+        v = rng.normal(size=sig.dim) + 1j * rng.normal(size=sig.dim)
+        mat = projector(v)
+        p = int(np.argmax(mat.diagonal().real))
+        a, b = [i for i in range(sig.dim) if i != p][:2]
+        mat[a, b] += 1e-6
+        mat[b, a] += 1e-6
+        np.testing.assert_array_equal(mat.diagonal(), projector(v).diagonal())
+        rest = mat.diagonal().real - np.abs(mat[:, p]) ** 2 / mat[p, p].real
+        assert np.max(rest) <= atol / sig.dim
+        assert np.linalg.eigvalsh(mat)[0] < -atol
+        assert not low_rank_psd(mat, atol)
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
+            DensityState(sig, mat, atol=atol)
+
+
 class TestSeparable:
     def test_gamma_form(self):
         spec = SeparableSpec(gamma={(0, 0): 0.25, (1, 1): 0.75})
@@ -320,6 +364,21 @@ class TestValidateMixedState:
         rho, cert = random_mixed_state(SystemSignature(2, 2, 1), rng)
         rep = validate_mixed_state(rho, certificate=cert)
         assert rep.valid and rep.witness == "certificate"
+
+    @pytest.mark.parametrize("dmn", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
+    def test_certificate_defect_matches_per_term_sum(self, dmn, rng):
+        from duoc.oracle import random_mixed_state
+
+        rho, cert = random_mixed_state(SystemSignature(*dmn), rng)
+        # the exact claim, scaled weights, and a first weight clamped up from just below zero
+        for claim in (cert, [(0.9 * w, s) for w, s in cert], [(-1e-13, cert[0][1])] + cert[1:]):
+            recon = np.zeros_like(rho.matrix)
+            for w, s in claim:
+                recon += max(float(w), 0.0) * projector(build_pure_state(s))
+            want = float(np.max(np.abs(recon - rho.matrix)))
+            rep = validate_mixed_state(rho, certificate=claim)
+            assert rep.residual == pytest.approx(want, abs=1e-15)
+            assert rep.valid == (want <= 1e-10)
 
     def test_wrong_certificate_rejected(self):
         spec = PureStateSpec(SIG11, {(0,): 1.0})
