@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from ..states import (
     purify_classical_state,
     span_dimensions,
 )
-from ..systems import SystemSignature, index_to_digits, parity_projector
+from ..systems import SystemSignature, parity_projector
 from .ast import (
     AssertDecl,
     Ctor,
@@ -332,8 +333,7 @@ class _Interpreter:
         if st.ctor.name == "computational":
             args.done()
             effects = []
-            for idx in range(sig.dim):
-                digits = index_to_digits(idx, sig.d, sig.num_factors)
+            for idx, digits in enumerate(product(range(sig.d), repeat=sig.num_factors)):
                 spec = basis_state_spec(sig, digits)
                 op = np.zeros((sig.dim, sig.dim), dtype=complex)
                 op[idx, idx] = 1.0

@@ -9,6 +9,7 @@ identity; for larger composites validity is certified constructively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -25,10 +26,11 @@ from .states import (
     PureStateSpec,
     SeparableSpec,
     ValidityReport,
+    basis_state_spec,
     build_pure_state,
     validate_cone_member,
 )
-from .systems import SystemSignature, index_to_digits
+from .systems import SystemSignature
 
 
 @dataclass(eq=False)
@@ -140,10 +142,8 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
 
 def unit_effect(sig: SystemSignature) -> Effect:
     """The deterministic effect (identity), certified by basis projectors."""
-    from .states import basis_state_spec
-
-    cert = [(1.0, basis_state_spec(sig, index_to_digits(z, sig.d, sig.num_factors)))
-            for z in range(sig.dim)]
+    cert = [(1.0, basis_state_spec(sig, digits))
+            for digits in product(range(sig.d), repeat=sig.num_factors)]
     return Effect(sig, np.eye(sig.dim, dtype=complex), certificate=cert)
 
 
@@ -162,13 +162,12 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     col_sums = table.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-10 or np.min(table) < -1e-12:
         raise DomainError("columns of p(j|i) must be probability distributions")
-    from .states import basis_state_spec
-
+    strings = list(product(range(sig.d), repeat=sig.m))
     effects = []
     for j in range(table.shape[0]):
         cert = [
-            (float(table[j, i]), basis_state_spec(sig, index_to_digits(i, sig.d, sig.m)))
-            for i in range(sig.dim)
+            (float(table[j, i]), basis_state_spec(sig, digits))
+            for i, digits in enumerate(strings)
             if table[j, i] > 0
         ]
         op = np.diag(table[j].astype(complex))

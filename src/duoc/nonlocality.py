@@ -35,7 +35,13 @@ from .errors import (
     ValidityError,
 )
 from .linalg import embed_operator, permute_vector_factors, projector
-from .states import PureStateSpec, build_pure_state, cross_sector_mass, validate_pure_state
+from .states import (
+    PureStateSpec,
+    basis_state_spec,
+    build_pure_state,
+    cross_sector_mass,
+    validate_pure_state,
+)
 from .systems import SystemSignature, digits_to_index
 
 ALICE_PAIR = (0, 3)
@@ -198,13 +204,12 @@ def regroup_check(psi, d: int = None) -> float:
     lhs_kron = np.kron(psi, psi)
     # kron order is [bit1, anti1, bit2, anti2]; canonical wants [bit1, bit2, anti1, anti2]
     lhs = permute_vector_factors(lhs_kron, (d,) * 4, (0, 2, 1, 3))
-    rhs = np.zeros_like(lhs)
-    for k in range(d):
-        for l in range(d):
-            kp = (k + l - r) % d
-            digits = [k, kp, (kp + 2 * r - l) % d, (k + l) % d]
-            rhs[digits_to_index(digits, d)] += alphas[k] * alphas[kp]
-    return float(np.max(np.abs(lhs - rhs)))
+    # one scatter over (k, l); (k, l) -> (k, kp) is one-to-one, so no entry is hit twice
+    k, l = np.arange(d)[:, None], np.arange(d)
+    kp = (k + l - r) % d
+    rhs = np.zeros((d,) * 4, dtype=complex)
+    rhs[k, kp, (kp + 2 * r - l) % d, (k + l) % d] = alphas[k] * alphas[kp]
+    return float(np.max(np.abs(lhs - rhs.reshape(-1))))
 
 
 def two_copy_distribution(alice_basis: LocalBasis, bob_basis: LocalBasis) -> np.ndarray:
@@ -309,6 +314,13 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     two largest coefficients carry the effective two-level pair; fewer
     than two nonzero coefficients means a product state, which cannot
     be activated.
+
+    Each POVM is ``{|v><v|, I - |v><v|}`` with ``v = c0|up> + c1|down>``
+    in sector ``r``.  The complement is certified from its construction,
+    all weights 1: the sector-``r`` partner ``-conj(c1)|up> +
+    conj(c0)|down>`` plus every other paired basis state (the d - 2
+    remaining ones of sector ``r`` and all those of the other sectors),
+    a list built once and shared by the four complements.
     """
     alphas = np.abs(np.asarray(alphas, dtype=complex)).astype(float)
     d = alphas.size
@@ -329,11 +341,14 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     up = phi_vector(d, i_up, r)
     down = phi_vector(d, i_down, r)
     eye = np.eye(d * d, dtype=complex)
+    others = [(1.0, basis_state_spec(sig, (i, (i + k) % d)))
+              for k in range(d) for i in range(d) if k != r or i not in (i_up, i_down)]
 
     def two_outcome(vec, c0, c1):
         spec = PureStateSpec(sig, {(i_up,): c0, (i_down,): c1}, parity=(r,))
         plus = Effect(sig, projector(vec), certificate=[(1.0, spec)])
-        minus = pair_effect_from_operator(eye - plus.op, d)
+        partner = PureStateSpec(sig, {(i_up,): -np.conj(c1), (i_down,): np.conj(c0)}, parity=(r,))
+        minus = Effect(sig, eye - plus.op, certificate=[(1.0, partner)] + others)
         return Povm([plus, minus])
 
     inv_sqrt2 = 1 / np.sqrt(2)

@@ -394,6 +394,8 @@ def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> Valid
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
+        if other := [spec.sig for _, spec in certificate if spec.sig != sig]:
+            raise ShapeError(f"certificate term on {other[0]} cannot certify a member of {sig}")
         for w, _ in certificate:
             if w < -1e-12:
                 return ValidityReport(False, float(w), witness="negative certificate weight")

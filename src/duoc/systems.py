@@ -8,6 +8,7 @@ that canonical order; position ``t < m`` is the dit ``D[t]`` and position
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -97,7 +98,9 @@ class FactorPermutation:
                 raise DomainError(f"{name}={perm} is not a permutation")
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def identity(cls, m: int, n: int) -> "FactorPermutation":
+        """The identity on ``(m, n)``: one shared frozen instance per shape (few exist)."""
         return cls(tuple(range(m)), tuple(range(n)))
 
     def is_identity(self) -> bool:

@@ -311,6 +311,24 @@ class TestInterpreter:
         np.testing.assert_allclose(after.vector, u @ before.vector, rtol=0, atol=1e-15)
         assert np.array_equal(after.density.matrix, apply_reversible(u, before.density).matrix)
 
+    def test_computational_effects_certified_in_index_order(self):
+        import numpy as np
+
+        from duoc.dsl.interpreter import _Interpreter
+        from duoc.effects import validate_effect
+        from duoc.states import build_pure_state
+
+        interp = _Interpreter(RunConfig())
+        interp.execute(parse(
+            "system S = composite(d=3, bits=1, antibits=1)\n"
+            "measure M = computational() on S\n"
+        ))
+        effects = interp.env["M"][1].effects
+        assert len(effects) == 9
+        for idx, e in enumerate(effects):
+            assert validate_effect(e).witness == "certificate" and validate_effect(e).valid
+            assert np.array_equal(build_pure_state(e.certificate[0][1]), np.eye(9)[idx])
+
     def test_witness_run_metrics(self):
         t = self.run("run witness { p=0.3, grid=0.05 } as W\n")
         assert t.value("W", "min_p_no") == pytest.approx(0.3, abs=1e-12)

@@ -12,9 +12,9 @@ from duoc.effects import (
     witness_povm,
     worst_case_no_probability,
 )
-from duoc.errors import DomainError
+from duoc.errors import DomainError, ShapeError
 from duoc.linalg import embed_operator, partial_trace
-from duoc.states import DensityState, PureStateSpec, build_pure_state
+from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state
 from duoc.systems import SystemSignature
 
 from conftest import random_density
@@ -159,6 +159,22 @@ class TestConditionalState:
             np.testing.assert_allclose(cond.matrix, want, rtol=0, atol=1e-12)
 
 
+def test_certificate_on_another_signature_rejected():
+    e = Effect(SIG11, np.diag([1, 0, 0, 0]).astype(complex),
+               certificate=[(1.0, basis_state_spec(SystemSignature(3, 1, 1), (0, 0)))])
+    with pytest.raises(ShapeError, match="certificate"):
+        validate_effect(e)
+
+
+@pytest.mark.parametrize("dmn", [(2, 2, 1), (3, 1, 1), (2, 0, 3)])
+def test_unit_effect_certificate_in_index_order(dmn):
+    sig = SystemSignature(*dmn)
+    cert = unit_effect(sig).certificate
+    assert len(cert) == sig.dim
+    for z, (w, spec) in enumerate(cert):
+        assert w == 1.0 and np.array_equal(build_pure_state(spec), np.eye(sig.dim)[z])
+
+
 class TestClassicalPovm:
     def test_table_columns_must_be_distributions(self):
         sig = SystemSignature(2, 1, 0)
@@ -171,6 +187,18 @@ class TestClassicalPovm:
         assert len(povm) == 2
         for e in povm.effects:
             assert validate_effect(e).valid
+
+    def test_certificate_in_index_order(self, rng):
+        sig = SystemSignature(3, 2, 0)
+        table = rng.uniform(size=(2, sig.dim))
+        table[:, 4] = (1.0, 0.0)
+        table /= table.sum(axis=0)
+        for j, e in enumerate(classical_povm(table, sig).effects):
+            support = np.flatnonzero(table[j] > 0)
+            assert len(e.certificate) == support.size
+            for i, (w, spec) in zip(support, e.certificate):
+                assert w == table[j, i]
+                assert np.array_equal(build_pure_state(spec), np.eye(sig.dim)[i])
 
 
 class TestWitnessPovm:

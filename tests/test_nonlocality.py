@@ -23,7 +23,7 @@ from duoc.nonlocality import (
     two_copy_state,
 )
 from duoc.states import build_pure_state, PureStateSpec
-from duoc.systems import SystemSignature
+from duoc.systems import SystemSignature, digits_to_index
 
 ROOT2 = np.sqrt(2.0)
 
@@ -141,6 +141,24 @@ class TestRegroup:
             alphas /= np.linalg.norm(alphas)
             assert regroup_check(pair_vector(alphas, r), d) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_scatter_matches_loop(self, d, rng):
+        # the right-hand side as the per-(k, l) loop the scatter replaced, with the
+        # products taken from one array product as the scatter takes them; residuals bit-equal
+        for r in range(d):
+            alphas = rng.normal(size=d) + 1j * rng.normal(size=d)
+            alphas /= np.linalg.norm(alphas)
+            psi = pair_vector(alphas, r)
+            lhs = np.kron(psi, psi).reshape((d,) * 4).transpose(0, 2, 1, 3).reshape(-1)
+            prods = np.outer(alphas, alphas)
+            rhs = np.zeros_like(lhs)
+            for k in range(d):
+                for l in range(d):
+                    kp = (k + l - r) % d
+                    digits = [k, kp, (kp + 2 * r - l) % d, (k + l) % d]
+                    rhs[digits_to_index(digits, d)] += prods[k, kp]
+            assert regroup_check(psi, d) == float(np.max(np.abs(lhs - rhs)))
+
     def test_rejects_invalid_state(self):
         bad = np.zeros(4, dtype=complex)
         bad[0] = bad[1] = 1 / ROOT2  # |00> + |01| mixes sectors
@@ -255,6 +273,32 @@ class TestActivationSetup:
         a = activation_setup([0.6, 0.8])
         b = activation_setup([0.6 * np.exp(1j * 0.7), -0.8])
         np.testing.assert_allclose(a.coeffs, b.coeffs)
+
+
+class TestActivationCertificates:
+    """Each complement effect carries its closed-form certificate: the
+    sector partner of ``v`` plus every other paired basis state."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("support", ["two", "full"])
+    def test_every_effect_certified(self, d, support, rng):
+        eye = np.eye(d * d)
+        for r in range(d):
+            alphas = np.zeros(d)
+            idx = rng.choice(d, size=2, replace=False) if support == "two" else np.arange(d)
+            alphas[idx] = rng.uniform(0.05, 1.0, size=idx.size)
+            alphas /= np.linalg.norm(alphas)
+            setup = activation_setup(alphas, r=r)
+            for povm in setup.alice + setup.bob:
+                plus, minus = povm.effects
+                for e in (plus, minus):
+                    rep = validate_effect(e)
+                    assert rep.valid and rep.witness == "certificate"
+                    assert rep.residual <= 1e-12
+                assert len(minus.certificate) == d * d - 1
+                assert all(w == 1.0 for w, _ in minus.certificate)
+                old = pair_effect_from_operator(eye - plus.op, d)
+                assert np.array_equal(minus.op, old.op)
 
 
 class TestActivationF:

@@ -7,6 +7,7 @@ from duoc.errors import (
     DomainError,
     NormalizationError,
     NotClassicalError,
+    ShapeError,
     ValidityError,
 )
 from duoc.states import (
@@ -63,6 +64,16 @@ class TestPureStateSpec:
     def test_empty_coeffs_rejected(self):
         with pytest.raises(DegenerateInputError):
             PureStateSpec(SIG11, {})
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 2, 1), (2, 1, 3)])
+    def test_default_perm_is_the_shared_identity(self, dmn):
+        sig = SystemSignature(*dmn)
+        coeffs = {(0,) * sig.num_pairs: 0.6, (1,) * sig.num_pairs: 0.8}
+        spec = PureStateSpec(sig, coeffs, parity=(1,) * sig.num_pairs)
+        assert spec.perm is FactorPermutation.identity(sig.m, sig.n)
+        explicit = FactorPermutation(tuple(range(sig.m)), tuple(range(sig.n)))
+        given = PureStateSpec(sig, coeffs, parity=(1,) * sig.num_pairs, perm=explicit)
+        assert np.array_equal(build_pure_state(spec), build_pure_state(given))
 
 
 class TestBuildPureState:
@@ -379,6 +390,14 @@ class TestValidateMixedState:
             rep = validate_mixed_state(rho, certificate=claim)
             assert rep.residual == pytest.approx(want, abs=1e-15)
             assert rep.valid == (want <= 1e-10)
+
+    @pytest.mark.parametrize("other", [(2, 2, 2), (4, 1, 0)])
+    def test_certificate_on_another_signature_rejected(self, other):
+        # (2,2,2) has another dimension; (4,1,0) has the same dimension 4
+        rho = DensityState(SIG11, np.diag([1, 0, 0, 0]).astype(complex))
+        spec = basis_state_spec(SystemSignature(*other), (0,) * sum(other[1:]))
+        with pytest.raises(ShapeError, match="certificate"):
+            validate_mixed_state(rho, certificate=[(1.0, spec)])
 
     def test_wrong_certificate_rejected(self):
         spec = PureStateSpec(SIG11, {(0,): 1.0})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +59,13 @@ class TestFactorPermutation:
         perm = FactorPermutation.identity(2, 3)
         assert perm.is_identity()
         assert perm.destinations(2, 3) == (0, 1, 2, 3, 4)
+
+    def test_identity_is_one_shared_frozen_instance(self):
+        perm = FactorPermutation.identity(2, 3)
+        assert FactorPermutation.identity(2, 3) is perm
+        assert FactorPermutation.identity(3, 2) is not perm
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            perm.sigma = (1, 0)
 
     def test_destinations_offset_anti_block(self):
         perm = FactorPermutation((1, 0), (0,))
