@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_run_options(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--tol", type=float, default=None,
-                     help="default assert tolerance (default: DUOC_TOL or 1e-9)")
+                     help="default assert tolerance, finite and >= 0 (default: DUOC_TOL or 1e-9)")
     sub.add_argument("--out", default=None, help="also write the result table here")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="format for --out (default csv)")
@@ -50,9 +50,7 @@ def _add_run_options(sub: argparse.ArgumentParser):
 
 def _execute(text: str, name: str, args) -> int:
     script = parse_script(text)
-    cfg = RunConfig(seed=args.seed, tolerance=args.tol, out_path=args.out,
-                    fmt=args.format, script_name=name)
-    table = run_script(script, cfg)
+    table = run_script(script, RunConfig(seed=args.seed, tolerance=args.tol, script_name=name))
     sys.stdout.write(render_csv(table))
     if args.out:
         emit_results(table, args.format, args.out)

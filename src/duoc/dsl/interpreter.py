@@ -33,6 +33,7 @@ from ..dynamics import (
     classical_channel_map,
 )
 from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
+from ..linalg import INPUT_ATOL
 from ..nonlocality import LocalBasis, activation_F, activation_setup, chsh_value
 from ..oracle import brute_force_conditional_check
 from ..states import (
@@ -63,7 +64,7 @@ from .ast import (
 )
 from .emit import ResultTable, emit_results
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = INPUT_ATOL
 # bounds the run time of ``run conditional``: every trial samples, contracts and validates
 MAX_CONDITIONAL_TRIALS = 10_000
 
@@ -72,24 +73,26 @@ MAX_CONDITIONAL_TRIALS = 10_000
 class RunConfig:
     seed: int = 0
     tolerance: float = None
-    out_path: str = None
-    fmt: str = None
     script_name: str = "script"
 
     def resolved_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return float(self.tolerance)
-        env = os.environ.get("DUOC_TOL")
-        if env:
-            return float(env)
-        return DEFAULT_TOL
+        """``tolerance``, else ``DUOC_TOL``, else ``DEFAULT_TOL``; it must be finite and >= 0."""
+        value, source = self.tolerance, "tolerance"
+        if value is None:
+            value, source = os.environ.get("DUOC_TOL") or DEFAULT_TOL, "DUOC_TOL"
+        try:
+            tol = float(value)
+        except (TypeError, ValueError):
+            tol = math.nan
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ScriptError(f"{source} must be a finite number >= 0, got {value!r}")
+        return tol
 
 
 @dataclass
 class StateBinding:
     sig: SystemSignature
     density: DensityState
-    vector: np.ndarray = None
 
 
 def _err(line: int, msg: str) -> ScriptError:
@@ -282,7 +285,7 @@ class _Interpreter:
             if len(weights) != sig.dim:
                 raise _err(line, f"classical needs {sig.dim} weights, got {len(weights)}")
             w = np.array(weights, dtype=float)
-            if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > 1e-9:
+            if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > INPUT_ATOL:
                 raise _err(line, "classical weights must be a probability vector")
             return StateBinding(sig, DensityState(sig, np.diag(w).astype(complex)))
         if ctor.name == "separable":
@@ -319,9 +322,7 @@ class _Interpreter:
             kind, spec = self._lookup("transform", transform_name, line)
             if kind == "reversible":
                 src, ph = _reversible_index_map(spec, inner.sig)
-                rho = _conjugate_monomial(src, ph, inner.density)
-                vec = None if inner.vector is None else ph * inner.vector[src]
-                return StateBinding(inner.sig, rho, vec)
+                return StateBinding(inner.sig, _conjugate_monomial(src, ph, inner.density))
             out = classical_channel_map(spec, inner.density)
             return StateBinding(out.sig, out)
         raise _err(line, f"unknown state constructor {ctor.name!r}")
@@ -501,9 +502,8 @@ class _Interpreter:
 
 
 def _pure_binding(spec: PureStateSpec) -> StateBinding:
-    """Bind the valid pure state built from ``spec`` with its density matrix."""
-    v = build_pure_state(spec)
-    return StateBinding(spec.sig, DensityState.from_vector(spec.sig, v), v)
+    """Bind the density matrix of the valid pure state built from ``spec``."""
+    return StateBinding(spec.sig, DensityState.from_vector(spec.sig, build_pure_state(spec)))
 
 
 def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
@@ -516,11 +516,7 @@ def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
     order = [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, sig.num_factors)]
     mat = np.kron(left.density.matrix, right.density.matrix).reshape(sig.dims * 2)
     mat = mat.transpose(order + [sig.num_factors + t for t in order])
-    rho = DensityState(sig, mat.reshape(sig.dim, sig.dim))
-    vec = None
-    if left.vector is not None and right.vector is not None:
-        vec = np.kron(left.vector, right.vector).reshape(sig.dims).transpose(order).reshape(-1)
-    return StateBinding(sig, rho, vec)
+    return StateBinding(sig, DensityState(sig, mat.reshape(sig.dim, sig.dim)))
 
 
 def run_script(script: Script, cfg: RunConfig = None) -> ResultTable:

@@ -299,7 +299,10 @@ class _Parser:
             tol = None
             if self._at("id", "tol"):
                 self._advance()
+                tt = self.tok
                 tol = self._number()
+                if tol < 0:
+                    raise ParseError(f"tolerance must be >= 0, got {tol!r}", tt.line, tt.col)
             return AssertDecl(tuple(path), op, value, tol=tol, line=line)
         if word == "emit":
             self._advance()

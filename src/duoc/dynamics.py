@@ -18,10 +18,14 @@ import numpy as np
 from .effects import Effect
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    DEFAULT_ATOL, as_operator, contract_effect, min_eigenvalue, off_diagonal_max, tensor_all,
+    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, contract_effect, min_eigenvalue,
+    off_diagonal_max, tensor_all,
 )
 from .states import DensityState, ValidityReport, validate_mixed_state
 from .systems import FactorPermutation, SystemSignature, phase_matrix
+
+# random valid inputs on which validate_transformation checks trace and output validity
+TRANSFORMATION_SAMPLES = 25
 
 
 @dataclass(eq=False)
@@ -128,10 +132,10 @@ class ClassicalChannel:
         expect = (self.d**self.m_out, self.d**self.m_in)
         if table.shape != expect:
             raise ShapeError(f"channel table shape {table.shape} != {expect}")
-        if np.min(table) < -1e-12:
+        if np.min(table) < -ZERO_ATOL:
             raise DomainError("conditional probabilities must be nonnegative")
         defect = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
-        if defect > 1e-10:
+        if defect > DEFAULT_ATOL:
             raise DomainError(f"columns of p(y|x) must sum to 1 (defect {defect})")
         self.matrix = table
 
@@ -148,7 +152,7 @@ def classical_channel_map(ch: ClassicalChannel, rho: DensityState) -> DensitySta
         raise NotClassicalError("channel input must live on a classical composite")
     if rho.sig.d != ch.d or rho.sig.m != ch.m_in:
         raise DomainError("channel does not match the input signature")
-    if (off := off_diagonal_max(rho.matrix)) > 1e-10:
+    if (off := off_diagonal_max(rho.matrix)) > DEFAULT_ATOL:
         raise NotClassicalError(f"input state is not diagonal (defect {off})")
     probs = np.real(np.diag(rho.matrix))
     out = ch.matrix @ probs
@@ -208,7 +212,7 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
     joint = np.kron(rho.matrix, spec.ancilla.matrix)
     raw = contract_effect(spec.effect.op, joint, spec.effect_positions, dims)
     prob = float(np.real(np.trace(raw)))
-    if prob <= 1e-12:
+    if prob <= ZERO_ATOL:
         return max(prob, 0.0), None
     k_in = rho.sig.num_factors
     kinds = [spec.ancilla.sig.kinds[t - k_in] for t in spec.output_positions]
@@ -234,20 +238,15 @@ def _unit_matrix(dim, i, j):
 
 
 def validate_transformation(
-    map_fn,
-    sig_in: SystemSignature,
-    sig_out: SystemSignature,
-    samples: int = 25,
-    seed: int = 0,
-    atol: float = 1e-9,
+    map_fn, sig_in: SystemSignature, sig_out: SystemSignature, seed: int = 0
 ) -> ValidityReport:
     """Sampled channel check: complete positivity, trace behavior, validity.
 
     Complete positivity is decided exactly (smallest eigenvalue of the
-    induced block matrix above ``-atol``); trace non-increase and
-    validity of the normalized outputs are checked on ``samples``
-    random valid mixed states, so a passing report is flagged SAMPLED,
-    not a proof.  An output whose validity cannot be decided fails the
+    induced block matrix above ``-INPUT_ATOL``); trace non-increase and
+    validity of the normalized outputs are checked on
+    ``TRANSFORMATION_SAMPLES`` random valid mixed states drawn from
+    ``seed``, so a passing report is flagged SAMPLED, not a proof.  An output whose validity cannot be decided fails the
     check with an ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.
     Linearity itself is spot-checked.
     """
@@ -256,20 +255,20 @@ def validate_transformation(
     rng = np.random.default_rng(seed)
     a = np.asarray(map_fn(_unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
     b = np.asarray(map_fn(1j * _unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
-    if float(np.max(np.abs(1j * a - b))) > 1e-9:
+    if float(np.max(np.abs(1j * a - b))) > INPUT_ATOL:
         raise DomainError("map is not linear over the complex operator space")
     choi = choi_matrix(map_fn, sig_in.dim)
     lo = min_eigenvalue(choi)
-    if lo < -atol:
+    if lo < -INPUT_ATOL:
         return ValidityReport(False, -lo, witness="complete positivity", flags=("SAMPLED",))
     worst = max(0.0, -lo)
-    for _ in range(samples):
+    for _ in range(TRANSFORMATION_SAMPLES):
         state, _cert = random_mixed_state(sig_in, rng)
         image = np.asarray(map_fn(state.matrix), dtype=complex)
         tr = float(np.real(np.trace(image)))
-        if tr > 1 + 1e-10:
+        if tr > 1 + DEFAULT_ATOL:
             return ValidityReport(False, tr - 1.0, witness="trace increase", flags=("SAMPLED",))
-        if tr <= 1e-12:
+        if tr <= ZERO_ATOL:
             continue
         rep = validate_mixed_state(DensityState(sig_out, image / tr))
         if "NON-EXHAUSTIVE" in rep.flags:

@@ -8,7 +8,7 @@ identity; for larger composites validity is certified constructively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ShapeError
 from .linalg import (
     DEFAULT_ATOL,
+    ZERO_ATOL,
     as_operator,
     contract_effect,
     hermitian_part,
@@ -44,17 +45,16 @@ class Effect:
     sig: SystemSignature
     op: np.ndarray
     certificate: list = None
-    atol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         mat = as_operator(self.op)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {self.sig.dim}")
         mat, defect = hermitian_part(mat)
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise DomainError(f"effect is not Hermitian (defect {defect})")
         lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
-        if lo < -self.atol or hi > 1 + self.atol:
+        if lo < -DEFAULT_ATOL or hi > 1 + DEFAULT_ATOL:
             raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
         self.op = mat
 
@@ -64,7 +64,6 @@ class Povm:
     """Ordered list of effects on one composite, summing to the identity."""
 
     effects: list
-    atol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         if not self.effects:
@@ -74,7 +73,7 @@ class Povm:
             raise DomainError("all effects of a POVM must share one signature")
         total = sum(e.op for e in self.effects)
         defect = float(np.max(np.abs(total - np.eye(sig.dim))))
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise DomainError(f"effects do not sum to identity (defect {defect})")
 
     @property
@@ -85,7 +84,7 @@ class Povm:
         return len(self.effects)
 
 
-def validate_effect(e: Effect, atol: float = DEFAULT_ATOL) -> ValidityReport:
+def validate_effect(e: Effect) -> ValidityReport:
     """Membership check for the effect cone.
 
     A certificate, when present, is verified by reconstruction.  On a
@@ -95,7 +94,7 @@ def validate_effect(e: Effect, atol: float = DEFAULT_ATOL) -> ValidityReport:
     the eigendecomposition is tried as a candidate certificate and a
     failure is flagged NON-EXHAUSTIVE.
     """
-    return validate_cone_member(e.sig, e.op, e.certificate, atol)
+    return validate_cone_member(e.sig, e.op, e.certificate)
 
 
 def born_probabilities(povm: Povm, rho: DensityState) -> np.ndarray:
@@ -103,7 +102,7 @@ def born_probabilities(povm: Povm, rho: DensityState) -> np.ndarray:
     if povm.sig != rho.sig:
         raise DomainError(f"POVM on {povm.sig} cannot measure a state on {rho.sig}")
     probs = np.array([float(np.real(np.trace(e.op @ rho.matrix))) for e in povm.effects])
-    if np.min(probs) < -1e-10 or abs(np.sum(probs) - 1.0) > 1e-10:
+    if np.min(probs) < -DEFAULT_ATOL or abs(np.sum(probs) - 1.0) > DEFAULT_ATOL:
         raise DomainError(f"Born probabilities {probs} violate normalization")
     return probs
 
@@ -114,7 +113,7 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     ``positions`` lists the factor positions of ``rho`` consumed by the
     effect, one per effect factor and kind-matching (dit to dit,
     anti-dit to anti-dit).  The probability is ``Tr((E_S x I) rho)``;
-    branches below probability 1e-12 return ``(prob, None)`` rather
+    branches at or below probability ``ZERO_ATOL`` return ``(prob, None)`` rather
     than renormalizing noise.
     """
     sig = rho.sig
@@ -134,7 +133,7 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
             )
     raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
     prob = float(np.real(np.trace(raw)))
-    if prob <= 1e-12:
+    if prob <= ZERO_ATOL:
         return max(prob, 0.0), None
     keep = tuple(t for t in range(sig.num_factors) if t not in positions)
     return prob, DensityState(sig.sub_signature(keep), raw / prob)
@@ -160,7 +159,7 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     if table.ndim != 2 or table.shape[1] != sig.dim:
         raise ShapeError(f"conditional probability table must be (k, {sig.dim})")
     col_sums = table.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > 1e-10 or np.min(table) < -1e-12:
+    if np.max(np.abs(col_sums - 1.0)) > DEFAULT_ATOL or np.min(table) < -ZERO_ATOL:
         raise DomainError("columns of p(j|i) must be probability distributions")
     strings = list(product(range(sig.d), repeat=sig.m))
     effects = []

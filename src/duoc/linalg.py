@@ -14,7 +14,11 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 
-DEFAULT_ATOL = 1e-10
+# The tolerance table: every numerical threshold of the engine is one of these.
+DEFAULT_ATOL = 1e-10  # equality checks on states, effects, POVMs, unit vectors and channels
+ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zero norm, eigenvalue
+INPUT_ATOL = 1e-9  # user-typed weights and coefficients, script asserts, map spot checks
+SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition or a singular-value list
 
 _AXIS_LABELS = string.ascii_letters
 
@@ -64,11 +68,11 @@ def projector(v) -> np.ndarray:
     Raises
     ------
     DegenerateInputError
-        If ``v`` has norm below 1e-12 (direction undefined).
+        If ``v`` has norm below ``ZERO_ATOL`` (direction undefined).
     """
     vec = as_vector(v)
     nrm = np.linalg.norm(vec)
-    if nrm < 1e-12:
+    if nrm < ZERO_ATOL:
         raise DegenerateInputError("cannot project onto a (near-)zero vector")
     vec = vec / nrm
     return np.outer(vec, vec.conj())
@@ -272,21 +276,19 @@ def off_diagonal_max(mat) -> float:
     return float(np.max(mag))
 
 
-def is_hermitian(op, atol: float = DEFAULT_ATOL) -> bool:
-    return hermiticity_defect(op) <= atol
+def is_hermitian(op) -> bool:
+    return hermiticity_defect(op) <= DEFAULT_ATOL
 
 
 def min_eigenvalue(op) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian operator."""
-    mat = as_operator(op)
-    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
+    return float(np.linalg.eigvalsh(hermitian_part(op)[0])[0])
 
 
 def max_eigenvalue(op) -> float:
-    mat = as_operator(op)
-    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[-1])
+    return float(np.linalg.eigvalsh(hermitian_part(op)[0])[-1])
 
 
-def is_unitary(op, atol: float = DEFAULT_ATOL) -> bool:
+def is_unitary(op) -> bool:
     mat = as_operator(op)
-    return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= atol)
+    return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= DEFAULT_ATOL)

@@ -34,7 +34,9 @@ from .errors import (
     ShapeError,
     ValidityError,
 )
-from .linalg import embed_operator, permute_vector_factors, projector
+from .linalg import (
+    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, embed_operator, permute_vector_factors, projector,
+)
 from .states import (
     PureStateSpec,
     basis_state_spec,
@@ -95,7 +97,7 @@ class LocalBasis:
         if v.ndim != 2 or v.shape[1] != 2 or not 1 <= v.shape[0] <= 2:
             raise ShapeError(f"expected (k, 2) rows with k in 1..2, got {v.shape}")
         gram = v @ v.conj().T
-        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > 1e-10:
+        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > DEFAULT_ATOL:
             raise DomainError("basis rows are not orthonormal")
         self.vectors = v
 
@@ -120,7 +122,7 @@ def side_effect(side: str, u) -> Effect:
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.size != 2:
         raise ShapeError(f"need a 2-vector, got length {u.size}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(u) - 1.0) > DEFAULT_ATOL:
         raise DomainError("direction vector must be normalized")
     if side not in ("alice", "bob"):
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
@@ -166,7 +168,7 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
         raise DomainError("need local dimension >= 2")
     if not (0 <= r < d):
         raise DomainError(f"parity {r} out of range for d={d}")
-    if abs(np.linalg.norm(alphas) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(alphas) - 1.0) > DEFAULT_ATOL:
         raise NormalizationError("coefficients must be normalized")
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
@@ -256,16 +258,17 @@ def optimal_chsh_bases() -> tuple:
     return alice, bob
 
 
-def pair_effect_from_operator(op, d: int, atol: float = 1e-12) -> Effect:
+def pair_effect_from_operator(op, d: int) -> Effect:
     """Effect on a (1, 1) composite with a certificate from its sector blocks.
 
-    Requires ``op`` parity-block-diagonal; each block's spectral
-    decomposition provides the certificate entries.
+    Requires ``op`` parity-block-diagonal (cross-sector mass at most
+    ``ZERO_ATOL``); each block's spectral decomposition provides the
+    certificate entries.
     """
     sig = SystemSignature(d, 1, 1)
     op = np.asarray(op, dtype=complex)
     worst = cross_sector_mass(op, d)
-    if worst > atol:
+    if worst > ZERO_ATOL:
         raise DomainError(f"operator couples parity sectors (mass {worst})")
     cert = []
     for k in range(d):
@@ -273,7 +276,7 @@ def pair_effect_from_operator(op, d: int, atol: float = 1e-12) -> Effect:
         block = op[np.ix_(inds, inds)]
         vals, vecs = np.linalg.eigh(block)
         for pos in range(d):
-            if vals[pos] > 1e-12:
+            if vals[pos] > ZERO_ATOL:
                 coeffs = {(i,): vecs[i, pos] for i in range(d)}
                 cert.append((float(vals[pos]), PureStateSpec(sig, coeffs, parity=(k,))))
     return Effect(sig, op, certificate=cert or None)
@@ -303,7 +306,7 @@ class ActivationSetup:
     def __post_init__(self):
         lhs = np.tan(self.theta) * (self.alpha_prime**2 + self.beta_prime**2)
         rhs = 2 * self.alpha_prime * self.beta_prime
-        if abs(lhs - rhs) > 1e-10:
+        if abs(lhs - rhs) > DEFAULT_ATOL:
             raise DomainError("theta does not satisfy the defining relation")
 
 
@@ -328,7 +331,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
         raise DomainError("need local dimension >= 2")
     if not (0 <= r < d):
         raise DomainError(f"parity {r} out of range for d={d}")
-    if abs(np.linalg.norm(alphas) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(alphas) - 1.0) > DEFAULT_ATOL:
         raise NormalizationError("coefficients must be normalized")
     if int(np.sum(alphas > 0)) < 2:
         raise NotEntangledError("activation needs at least two nonzero coefficients")
@@ -404,7 +407,7 @@ def activation_F(setup: ActivationSetup, psi=None) -> tuple:
     """
     if psi is not None:
         _, pr, alphas = _pair_state_data(psi, setup.d)
-        if pr != setup.r or float(np.max(np.abs(np.abs(alphas) - setup.coeffs))) > 1e-9:
+        if pr != setup.r or float(np.max(np.abs(np.abs(alphas) - setup.coeffs))) > INPUT_ATOL:
             raise DomainError("state does not match the setup's coefficients")
     psi2 = two_copy_state(setup.coeffs, setup.r)
     obs = [[_signed_observable(p) for p in side] for side in (setup.alice, setup.bob)]

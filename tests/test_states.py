@@ -25,7 +25,7 @@ from duoc.states import (
     validate_mixed_state,
     validate_pure_state,
 )
-from duoc.linalg import low_rank_psd, projector
+from duoc.linalg import DEFAULT_ATOL, low_rank_psd, projector
 from duoc.states import _pattern_leak
 from duoc.systems import FactorPermutation, SystemSignature, digits_to_index, index_to_digits
 
@@ -265,7 +265,7 @@ class TestDensityState:
     def test_positivity_verdict_matches_eigvalsh(self, dmn, scale, rng):
         # spectrum with its smallest eigenvalue at scale * atol, in a random basis
         sig = SystemSignature(*dmn)
-        atol = 1e-10
+        atol = DEFAULT_ATOL
         spectrum = rng.uniform(0.1, 1.0, size=sig.dim)
         spectrum[0] = 0.0
         spectrum *= (1 - scale * atol) / spectrum.sum()
@@ -275,11 +275,11 @@ class TestDensityState:
         lo = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
         if lo < -atol:
             with pytest.raises(DensityMatrixError, match="negative eigenvalue") as err:
-                DensityState(sig, mat, atol=atol)
+                DensityState(sig, mat)
             reported = float(str(err.value).rsplit(" ", 1)[1])
             assert reported == pytest.approx(lo, abs=1e-14)
         else:
-            DensityState(sig, mat, atol=atol)
+            DensityState(sig, mat)
         assert (lo < -atol) == (scale < -1)
 
 
@@ -292,7 +292,7 @@ class TestDensityState:
     ])
     def test_positivity_verdict_matches_eigvalsh_at_low_rank(self, dmn, ranks, lams, rng):
         sig = SystemSignature(*dmn)
-        atol = 1e-10
+        atol = DEFAULT_ATOL
         support = low_rank_support(rng, sig.dim)
         for rank in ranks:
             for lam in lams:
@@ -300,15 +300,15 @@ class TestDensityState:
                 lo = lowest_eigenvalue(mat, support)
                 if lo < -atol:
                     with pytest.raises(DensityMatrixError, match="negative eigenvalue") as err:
-                        DensityState(sig, mat, atol=atol)
+                        DensityState(sig, mat)
                     assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(lo, abs=1e-14)
                 else:
-                    np.testing.assert_array_equal(DensityState(sig, mat, atol=atol).matrix, mat)
+                    np.testing.assert_array_equal(DensityState(sig, mat).matrix, mat)
 
     def test_residual_not_pivots_decides_positivity(self, rng):
         # a rank-1 projector's diagonal with a zero-diagonal coupling that makes it indefinite:
         # one pivot leaves nothing on the diagonal, the explicit residual sees the coupling
-        sig, atol = SystemSignature(2, 3, 3), 1e-10
+        sig, atol = SystemSignature(2, 3, 3), DEFAULT_ATOL
         v = rng.normal(size=sig.dim) + 1j * rng.normal(size=sig.dim)
         mat = projector(v)
         p = int(np.argmax(mat.diagonal().real))
@@ -321,7 +321,7 @@ class TestDensityState:
         assert np.linalg.eigvalsh(mat)[0] < -atol
         assert not low_rank_psd(mat, atol)
         with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
-            DensityState(sig, mat, atol=atol)
+            DensityState(sig, mat)
 
 
 class TestSeparable:
