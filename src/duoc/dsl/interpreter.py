@@ -33,7 +33,7 @@ from ..dynamics import (
     classical_channel_map,
 )
 from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
-from ..linalg import INPUT_ATOL
+from ..linalg import DEFAULT_ATOL, INPUT_ATOL
 from ..nonlocality import LocalBasis, activation_F, activation_setup, chsh_value
 from ..oracle import brute_force_conditional_check
 from ..states import (
@@ -67,6 +67,8 @@ from .emit import ResultTable, emit_results
 DEFAULT_TOL = INPUT_ATOL
 # bounds the run time of ``run conditional``: every trial samples, contracts and validates
 MAX_CONDITIONAL_TRIALS = 10_000
+# bounds ``computational()``: dim effects of dim^2 entries each, 33 MB at dimension 128
+MAX_COMPUTATIONAL_DIM = 128
 
 
 @dataclass
@@ -285,7 +287,8 @@ class _Interpreter:
             if len(weights) != sig.dim:
                 raise _err(line, f"classical needs {sig.dim} weights, got {len(weights)}")
             w = np.array(weights, dtype=float)
-            if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > INPUT_ATOL:
+            # the state's trace check decides at DEFAULT_ATOL, so the weights are held to it
+            if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > DEFAULT_ATOL:
                 raise _err(line, "classical weights must be a probability vector")
             return StateBinding(sig, DensityState(sig, np.diag(w).astype(complex)))
         if ctor.name == "separable":
@@ -333,6 +336,10 @@ class _Interpreter:
         args = _Args(st.ctor.args, st.line, f"{st.ctor.name}(...)")
         if st.ctor.name == "computational":
             args.done()
+            if sig.dim > MAX_COMPUTATIONAL_DIM:
+                raise _err(st.line, f"computational() holds one dense effect per basis state; "
+                                    f"refused above dimension {MAX_COMPUTATIONAL_DIM}, "
+                                    f"got {sig.dim}")
             effects = []
             for idx, digits in enumerate(product(range(sig.d), repeat=sig.num_factors)):
                 spec = basis_state_spec(sig, digits)

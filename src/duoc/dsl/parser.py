@@ -17,7 +17,6 @@ import re
 
 from ..errors import ParseError
 from .ast import (
-    CMP_OPS,
     RUN_KINDS,
     AssertDecl,
     Ctor,

@@ -17,7 +17,6 @@ from .errors import DegenerateInputError, DomainError, ShapeError
 from .linalg import (
     DEFAULT_ATOL,
     ZERO_ATOL,
-    as_operator,
     contract_effect,
     hermitian_part,
     projector,
@@ -47,10 +46,10 @@ class Effect:
     certificate: list = None
 
     def __post_init__(self):
-        mat = as_operator(self.op)
+        # hermitian_part coerces the input and checks it is finite and square
+        mat, defect = hermitian_part(self.op)
         if mat.shape[0] != self.sig.dim:
             raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        mat, defect = hermitian_part(mat)
         if defect > DEFAULT_ATOL:
             raise DomainError(f"effect is not Hermitian (defect {defect})")
         lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])

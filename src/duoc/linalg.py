@@ -17,7 +17,7 @@ from .errors import DegenerateInputError, ShapeError
 # The tolerance table: every numerical threshold of the engine is one of these.
 DEFAULT_ATOL = 1e-10  # equality checks on states, effects, POVMs, unit vectors and channels
 ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zero norm, eigenvalue
-INPUT_ATOL = 1e-9  # user-typed weights and coefficients, script asserts, map spot checks
+INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
 SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition or a singular-value list
 
 _AXIS_LABELS = string.ascii_letters

@@ -45,13 +45,14 @@ def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     rng = _as_rng(rng)
     d, m, n = sig.d, sig.m, sig.n
     p = sig.num_pairs
-    sigma = tuple(int(x) for x in rng.permutation(m))
-    tau = tuple(int(x) for x in rng.permutation(n))
-    parity = tuple(int(x) for x in rng.integers(0, d, size=p))
-    tail = tuple(int(x) for x in rng.integers(0, d, size=abs(m - n)))
+    # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
+    sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
+    tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
+    parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
+    tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
     raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
     raw = raw / np.linalg.norm(raw)
-    coeffs = {x: complex(a) for x, a in zip(product(range(d), repeat=p), raw)}
+    coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
     return PureStateSpec(sig, coeffs, parity=parity, tail=tail,
                          perm=FactorPermutation(sigma, tau))
 

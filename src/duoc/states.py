@@ -15,7 +15,7 @@ longer kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -30,28 +30,28 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_ATOL,
-    INPUT_ATOL,
     SPECTRAL_ATOL,
     ZERO_ATOL,
-    as_operator,
     as_vector,
     hermitian_part,
     low_rank_psd,
     min_eigenvalue,
     off_diagonal_max,
     partial_trace,
-    permute_vector_factors,
     projector,
 )
 from .systems import (
+    MAX_PERM_FACTORS,
     FactorPermutation,
+    IndexTable,
     SystemSignature,
     digits_to_index,
+    index_table,
     index_to_digits,
 )
 
-# factorial growth of the relabeling search; larger sides need certificates
-MAX_PERM_FACTORS = 3
+# bounds the time and memory of span_dimensions: about 0.2 s and 40 MB on one core
+SPAN_SVD_WORK = 500_000_000
 
 
 @dataclass
@@ -132,20 +132,37 @@ class PureStateSpec:
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
     """Dense state vector for a :class:`PureStateSpec`."""
     sig = spec.sig
-    d, m, n = sig.d, sig.m, sig.n
-    p = sig.num_pairs
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    place = index_table(sig).place
+    # canonical factor t lands on position dest[t] and takes that place value
+    w = [place[q] for q in spec.perm.destinations(m, n)]
+    tail_w = w[p:m] if m > n else w[m + p :]
+    # the spec checked its fields when built; these checks catch a spec changed since
+    if len(spec.parity) != p or len(spec.tail) != len(tail_w):
+        raise DomainError(f"parity {spec.parity} or tail {spec.tail} does not fit {sig}")
+    base = 0
+    for t, wt in zip(spec.tail, tail_w):
+        if not 0 <= t < d:
+            raise DomainError(f"tail digits must lie in 0..{d - 1}")
+        base += t * wt
+    pairs = list(zip(spec.parity, w[:p], w[m : m + p]))
     v = np.zeros(sig.dim, dtype=complex)
-    for x, amp in sorted(spec.coeffs.items()):
-        dits = list(x) + [0] * (m - p)
-        antis = [(x[i] + spec.parity[i]) % d for i in range(p)] + [0] * (n - p)
-        if m > n:
-            dits[p:] = spec.tail
-        else:
-            antis[p:] = spec.tail
-        v[digits_to_index(dits + antis, d)] = amp
-    if spec.perm.is_identity():
-        return v
-    return permute_vector_factors(v, sig.dims, spec.perm.destinations(m, n))
+    for x, amp in spec.coeffs.items():
+        if len(x) != p:
+            raise DomainError(f"coefficient key {x} must have length {p}")
+        idx = base
+        for g, (s, wd, wa) in zip(x, pairs):
+            if not 0 <= g < d:
+                raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
+            idx += g * wd + (g + s) % d * wa
+        v[idx] = amp
+    return v
+
+
+def _pattern_fit(rows: np.ndarray, table: IndexTable) -> tuple:
+    """Key code at the largest amplitude of each row, and where each row's keys differ from it."""
+    ref = table.key[np.argmax(np.abs(rows), axis=-1)]
+    return ref, table.key != ref[..., None]
 
 
 def _pattern_leak(v_pre: np.ndarray, sig: SystemSignature):
@@ -156,13 +173,9 @@ def _pattern_leak(v_pre: np.ndarray, sig: SystemSignature):
     of the largest amplitude, then returns ``(leak, parity, tail)`` where
     ``leak`` is the norm of the amplitude mass whose key differs.
     """
-    m, n, p = sig.m, sig.n, sig.num_pairs
-    digits = np.indices(sig.dims).reshape(m + n, -1)
-    key = np.vstack([(digits[m : m + p] - digits[:p]) % sig.d,
-                     digits[p:m] if m > n else digits[m + p :]])
-    ref = key[:, int(np.argmax(np.abs(v_pre)))]
-    leak = float(np.linalg.norm(v_pre[np.any(key != ref[:, None], axis=0)]))
-    return leak, tuple(int(x) for x in ref[:p]), tuple(int(x) for x in ref[p:])
+    table = index_table(sig)
+    ref, off = _pattern_fit(v_pre, table)
+    return (float(np.linalg.norm(v_pre[off])), *table.split_key(ref))
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
@@ -171,9 +184,13 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
     Searches every kind-preserving factor relabeling, so the cost grows
     as ``m! * n!``; sides larger than ``MAX_PERM_FACTORS`` are refused
     (use certificate comparison via :func:`certificate_matches` there).
+    The relabelings and basis keys come from the signature's cached
+    :func:`~duoc.systems.index_table`, at most ``(3! * 3! + 1) * 4096``
+    integers per signature; each call gathers ``v`` once per relabeling.
 
     Returns a report whose witness, when valid, records the relabeling,
-    parity vector and tail that exhibit the paired structure.
+    parity vector and tail that exhibit the paired structure; otherwise
+    the first relabeling of least leaked mass.
     """
     vec = as_vector(v)
     if vec.size != sig.dim:
@@ -186,23 +203,20 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
             f"exhaustive relabeling search refused for ({sig.m}, {sig.n}); "
             "verify against a certificate instead"
         )
+    table = index_table(sig)
+    rows = vec[table.gather]
+    refs, off = _pattern_fit(rows, table)
     best = None
-    for sigma in permutations(range(sig.m)):
-        for tau in permutations(range(sig.n)):
-            perm = FactorPermutation(sigma, tau)
-            if perm.is_identity():
-                v_pre = vec
-            else:
-                v_pre = permute_vector_factors(
-                    vec, sig.dims, perm.inverse().destinations(sig.m, sig.n)
-                )
-            leak, parity, tail = _pattern_leak(v_pre, sig)
-            cand = (leak, {"sigma": sigma, "tau": tau, "parity": parity, "tail": tail})
-            if best is None or leak < best[0]:
-                best = cand
-            if leak <= atol:
-                return ValidityReport(valid=True, residual=leak, witness=cand[1])
-    return ValidityReport(valid=False, residual=best[0], witness=best[1])
+    for k in range(len(rows)):
+        leak = float(np.linalg.norm(rows[k][off[k]]))
+        if best is None or leak < best[0]:
+            best = (leak, k)
+        if leak <= atol:
+            break
+    leak, k = best
+    (sigma, tau), (parity, tail) = table.relabelings[k], table.split_key(refs[k])
+    witness = {"sigma": sigma, "tau": tau, "parity": parity, "tail": tail}
+    return ValidityReport(valid=leak <= atol, residual=leak, witness=witness)
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
@@ -261,10 +275,10 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = as_operator(self.matrix)
-        if mat.shape[0] != self.sig.dim:
-            raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        sym, defect = hermitian_part(mat)
+        # hermitian_part coerces the input and checks it is finite and square
+        sym, defect = hermitian_part(self.matrix)
+        if sym.shape[0] != self.sig.dim:
+            raise ShapeError(f"matrix dim {sym.shape[0]} != composite dimension {self.sig.dim}")
         if defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
         tr = float(np.real(np.trace(sym)))
@@ -326,7 +340,8 @@ class SeparableSpec:
         if any(w < -ZERO_ATOL for w in weights):
             raise DomainError("separable weights must be nonnegative")
         total = float(sum(weights))
-        if abs(total - 1.0) > INPUT_ATOL:
+        # the trace check of the state built from them decides at DEFAULT_ATOL
+        if abs(total - 1.0) > DEFAULT_ATOL:
             raise NormalizationError(f"separable weights sum to {total}, expected 1")
 
 
@@ -509,9 +524,9 @@ def span_dimensions(sig: SystemSignature) -> tuple:
     with basis projectors; the valid-state span is probed with a
     deterministic family that spans every paired subspace.  Ranks are
     singular-value counts above ``SPECTRAL_ATOL`` (relative to the largest).
+    A composite whose two rank computations would cost more than
+    ``SPAN_SVD_WORK`` is refused before anything is built.
     """
-    rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
-    rows_valid = []
     p = sig.num_pairs
     tails = list(product(range(sig.d), repeat=abs(sig.m - sig.n)))
     parities = list(product(range(sig.d), repeat=p))
@@ -521,8 +536,12 @@ def span_dimensions(sig: SystemSignature) -> tuple:
 
     n_cells = factorial(sig.m) * factorial(sig.n) * len(parities) * len(tails)
     n_rows = n_cells * (sig.d**p) ** 2
-    if n_rows * sig.dim**2 > 30_000_000:
+    # an SVD of a rows x cols matrix costs about min(rows, cols)^2 * max(rows, cols)
+    cols = 2 * sig.dim**2
+    if max(min(r, cols) ** 2 * max(r, cols) for r in (sig.dim, n_rows)) > SPAN_SVD_WORK:
         raise DomainError("spanning family too large for this composite; reduce the system")
+    rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
+    rows_valid = []
     for perm in all_factor_permutations(sig.m, sig.n):
         for parity in parities:
             for tail in tails:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 MAX_COMPOSITE_DIM = 4096
+# factorial growth of the relabeling search; larger sides need certificates
+MAX_PERM_FACTORS = 3
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,58 @@ class FactorPermutation:
                 f"permutation shape ({len(self.sigma)}, {len(self.tau)}) != ({m}, {n})"
             )
         return tuple(self.sigma) + tuple(m + i for i in self.tau)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """Digit bookkeeping of one signature, derived once by :func:`index_table`.
+
+    ``place[t]`` is the place value ``d ** (m + n - 1 - t)`` of factor
+    position ``t``.  ``key[i]`` codes basis index ``i``'s pair parities
+    ``(anti_j - dit_j) % d`` followed by its unpaired digits as one base-``d``
+    integer of ``max(m, n)`` digits, most significant first.  When ``m, n <=
+    MAX_PERM_FACTORS``, ``relabelings`` lists every kind-preserving
+    ``(sigma, tau)`` in ``itertools.permutations`` order and ``gather[k]``
+    reads a vector in the layout before relabeling ``k``: if ``v`` is
+    ``u`` relabeled by ``k``, then ``v[gather[k]] == u``.  Otherwise both
+    are empty.
+    """
+
+    sig: SystemSignature
+    place: tuple
+    key: np.ndarray
+    relabelings: tuple
+    gather: np.ndarray
+
+    def split_key(self, code) -> tuple:
+        """``(parity, tail)`` read off a key code."""
+        digits = index_to_digits(int(code), self.sig.d, max(self.sig.m, self.sig.n))
+        return digits[: self.sig.num_pairs], digits[self.sig.num_pairs :]
+
+
+@functools.lru_cache(maxsize=None)
+def index_table(sig: SystemSignature) -> IndexTable:
+    """The :class:`IndexTable` of ``sig``: one shared object per signature.
+
+    The composite cap bounds the signatures, and a table holds at most
+    ``(3! * 3! + 1) * MAX_COMPOSITE_DIM`` integers (about 1.2 MB).
+    """
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    width = max(m, n)
+    place = tuple(d ** (m + n - 1 - t) for t in range(m + n))
+    digits = np.indices(sig.dims).reshape(m + n, -1)
+    key_digits = np.vstack([(digits[m : m + p] - digits[:p]) % d,
+                            digits[p:m] if m > n else digits[m + p :]])
+    key = d ** np.arange(width - 1, -1, -1) @ key_digits
+    relabelings = ()
+    gather = np.empty((0, sig.dim), dtype=np.intp)
+    if m <= MAX_PERM_FACTORS and n <= MAX_PERM_FACTORS:
+        relabelings = tuple(itertools.product(itertools.permutations(range(m)),
+                                              itertools.permutations(range(n))))
+        cube = np.arange(sig.dim).reshape(sig.dims)
+        gather = np.stack([cube.transpose(sigma + tuple(m + i for i in tau)).reshape(-1)
+                           for sigma, tau in relabelings])
+    return IndexTable(sig, place, key, relabelings, gather)
 
 
 def index_to_digits(index: int, d: int, width: int) -> tuple:

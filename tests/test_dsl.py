@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -434,6 +435,35 @@ class TestCli:
             assert isinstance(exc.value, DuocError)
             assert cli_main(["run", self.write(tmp_path, text)]) == 2
         assert "Warning" not in capsys.readouterr().err
+
+    # the state built from the weights checks its trace at DEFAULT_ATOL (1e-10), so the
+    # weight check itself must refuse a larger excess, naming the weights, not a matrix
+    @pytest.mark.parametrize("ctor,bits,antibits", [
+        ("classical(weights=[0.5, {w}])", 1, 0),
+        ("classical(weights=[{w}, 0.5])", 0, 1),
+        ("separable(weights=[0.5, {w}, 0, 0])", 1, 1),
+    ])
+    @pytest.mark.parametrize("excess,accepted", [(5e-10, False), (5e-11, True)])
+    def test_weight_excess_refused_at_the_trace_tolerance(self, tmp_path, capsys, ctor, bits,
+                                                          antibits, excess, accepted):
+        text = (f"system C = composite(d=2, bits={bits}, antibits={antibits})\n"
+                f"state A = {ctor.format(w=repr(0.5 + excess))} on C\n")
+        assert cli_main(["run", self.write(tmp_path, text)]) == (0 if accepted else 2)
+        err = capsys.readouterr().err
+        if not accepted:
+            assert "weights" in err and "matrix" not in err and "Traceback" not in err
+
+    # one dense effect per basis state: at dimension 729 that used to be 6.2 GB of effects
+    def test_computational_refused_above_its_dimension_cap(self, tmp_path, capsys):
+        text = ("system S = composite(d=2, bits=4, antibits=4)\n"
+                "measure M = computational() on S\n")
+        tracemalloc.start()
+        try:
+            assert cli_main(["run", self.write(tmp_path, text)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "refused above dimension 128" in capsys.readouterr().err and peak < 1e6
 
     # every angle 0 gives F = 2, so F == 7 holds only under a vacuous tolerance
     @pytest.mark.parametrize("flags, env", [(["--tol", "inf"], None), (["--tol", "1e400"], None),

@@ -39,6 +39,28 @@ class TestRandomGenerators:
         assert (a.parity, a.tail, a.coeffs) == (b.parity, b.tail, b.coeffs)
         np.testing.assert_array_equal(build_pure_state(a), build_pure_state(b))
 
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 2, 1), (2, 0, 3), (2, 2, 0), (2, 2, 2), (4, 1, 2)])
+    def test_draws_match_elementwise_conversion(self, dmn):
+        from itertools import product
+
+        sig = SystemSignature(*dmn)
+        d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+        new, old = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(5):
+            spec = random_valid_state(sig, new)
+            # the draws converted one element at a time, with the empty draws made
+            sigma = tuple(int(x) for x in old.permutation(m))
+            tau = tuple(int(x) for x in old.permutation(n))
+            parity = tuple(int(x) for x in old.integers(0, d, size=p))
+            tail = tuple(int(x) for x in old.integers(0, d, size=abs(m - n)))
+            raw = old.normal(size=d**p) + 1j * old.normal(size=d**p)
+            raw = raw / np.linalg.norm(raw)
+            coeffs = {x: complex(a) for x, a in zip(product(range(d), repeat=p), raw)}
+            assert (spec.perm.sigma, spec.perm.tau) == (sigma, tau)
+            assert (spec.parity, spec.tail) == (parity or (0,) * p, tail or (0,) * abs(m - n))
+            assert spec.coeffs == coeffs
+        assert new.bit_generator.state == old.bit_generator.state
+
     def test_effects_within_unit_interval(self, rng):
         sig = SystemSignature(2, 1, 1)
         for _ in range(10):

@@ -1,3 +1,7 @@
+import time
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -25,7 +29,7 @@ from duoc.states import (
     validate_mixed_state,
     validate_pure_state,
 )
-from duoc.linalg import DEFAULT_ATOL, low_rank_psd, projector
+from duoc.linalg import DEFAULT_ATOL, low_rank_psd, permute_vector_factors, projector
 from duoc.states import _pattern_leak
 from duoc.systems import FactorPermutation, SystemSignature, digits_to_index, index_to_digits
 
@@ -221,6 +225,115 @@ class TestPatternLeak:
             assert (parity, tail) == (ref_parity, ref_tail)
             if trial % 3 == 0:
                 assert leak <= 1e-12
+
+
+def _pattern_leak_indices(v_pre, sig):
+    """The fit as one ``np.indices`` key table per call, each key a column of digits."""
+    m, n, p = sig.m, sig.n, sig.num_pairs
+    digits = np.indices(sig.dims).reshape(m + n, -1)
+    key = np.vstack([(digits[m : m + p] - digits[:p]) % sig.d,
+                     digits[p:m] if m > n else digits[m + p :]])
+    ref = key[:, int(np.argmax(np.abs(v_pre)))]
+    leak = float(np.linalg.norm(v_pre[np.any(key != ref[:, None], axis=0)]))
+    return leak, tuple(int(x) for x in ref[:p]), tuple(int(x) for x in ref[p:])
+
+
+def _validate_pure_loop(vec, sig, atol):
+    """The relabeling search as one transpose and one key table per relabeling."""
+    best = None
+    for sigma in permutations(range(sig.m)):
+        for tau in permutations(range(sig.n)):
+            perm = FactorPermutation(sigma, tau)
+            v_pre = permute_vector_factors(vec, sig.dims, perm.inverse().destinations(sig.m, sig.n))
+            leak, parity, tail = _pattern_leak_indices(v_pre, sig)
+            cand = (leak, {"sigma": sigma, "tau": tau, "parity": parity, "tail": tail})
+            if best is None or leak < best[0]:
+                best = cand
+            if leak <= atol:
+                return True, leak, cand[1]
+    return False, best[0], best[1]
+
+
+def _build_pure_loop(spec):
+    """The state vector built digit string by digit string, then transposed into place."""
+    sig = spec.sig
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    v = np.zeros(sig.dim, dtype=complex)
+    for x, amp in sorted(spec.coeffs.items()):
+        dits = list(x) + [0] * (m - p)
+        antis = [(x[i] + spec.parity[i]) % d for i in range(p)] + [0] * (n - p)
+        if m > n:
+            dits[p:] = spec.tail
+        else:
+            antis[p:] = spec.tail
+        v[digits_to_index(dits + antis, d)] = amp
+    if spec.perm.is_identity():
+        return v
+    return permute_vector_factors(v, sig.dims, spec.perm.destinations(m, n))
+
+
+TABLE_SIGS = [(2, 1, 1), (2, 2, 1), (2, 0, 2), (3, 2, 1), (2, 3, 3), (4, 1, 2)]
+
+
+class TestIndexTablePaths:
+    """The table-driven search and state construction against the derivations they replace."""
+
+    def _vectors(self, sig, rng):
+        from duoc.oracle import random_valid_state
+
+        out = []
+        for _ in range(6):
+            v = build_pure_state(random_valid_state(sig, rng))
+            noise = rng.normal(size=v.size) + 1j * rng.normal(size=v.size)
+            out += [v, v + 0.1 * noise]
+        # ties: every relabeling leaks alike from a uniform vector; a valid state plus its
+        # image under a dit or anti-dit swap leaks alike under the swapped relabelings
+        out.append(np.ones(sig.dim, dtype=complex))
+        spec = random_valid_state(sig, rng)
+        swap = FactorPermutation(tuple(range(sig.m))[::-1], tuple(range(sig.n))[::-1])
+        mirrored = PureStateSpec(sig, spec.coeffs, spec.parity, spec.tail, swap.compose(spec.perm))
+        out.append(build_pure_state(spec) + build_pure_state(mirrored))
+        return [v / np.linalg.norm(v) for v in out]
+
+    @pytest.mark.parametrize("dmn", TABLE_SIGS)
+    @pytest.mark.parametrize("atol", [DEFAULT_ATOL, 0.3])
+    def test_validate_matches_per_relabeling_loop(self, rng, dmn, atol):
+        sig = SystemSignature(*dmn)
+        for v in self._vectors(sig, rng):
+            rep = validate_pure_state(v, sig, atol=atol)
+            valid, residual, witness = _validate_pure_loop(v, sig, atol)
+            assert (rep.valid, rep.residual, rep.witness) == (valid, residual, witness)
+
+    @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 5, 3)])
+    def test_build_matches_digit_loop(self, rng, dmn):
+        from duoc.oracle import random_valid_state
+
+        sig = SystemSignature(*dmn)
+        for trial in range(10):
+            spec = random_valid_state(sig, rng)
+            if trial % 2 and len(spec.coeffs) > 1:  # a sparse support, renormalized
+                keep = list(spec.coeffs)[:: 2]
+                scale = np.sqrt(sum(abs(spec.coeffs[x]) ** 2 for x in keep))
+                spec = PureStateSpec(sig, {x: spec.coeffs[x] / scale for x in keep},
+                                     spec.parity, spec.tail, spec.perm)
+            assert build_pure_state(spec).tobytes() == _build_pure_loop(spec).tobytes()
+
+    @pytest.mark.parametrize("dmn,field,value", [
+        ((2, 2, 1), "tail", (2,)),
+        ((2, 2, 1), "tail", (-1,)),
+        ((2, 1, 2), "tail", (5,)),
+        ((2, 2, 1), "coeffs", {(2,): 1.0}),
+        ((2, 2, 1), "coeffs", {(-1,): 1.0}),
+        ((3, 2, 2), "coeffs", {(0, 3): 1.0}),
+    ])
+    def test_mutated_spec_with_out_of_range_digit_raises(self, dmn, field, value):
+        sig = SystemSignature(*dmn)
+        p = sig.num_pairs
+        perm = FactorPermutation(tuple(range(sig.m))[::-1], tuple(range(sig.n))[::-1])
+        spec = PureStateSpec(sig, {(0,) * p: 1.0}, perm=perm)
+        setattr(spec, field, value)
+        with pytest.raises(DomainError):
+            build_pure_state(spec)
 
 
 class TestCertificate:
@@ -488,3 +601,17 @@ class TestSpanDimensions:
         sig = SystemSignature(2, 2, 0)
         prod, full = span_dimensions(sig)
         assert prod == full == 4
+
+    # each used to be accepted: (3,1,3) ran for about 6 s, (2,1,4) about 2 s, and (2,4,4)
+    # built 256 dense basis projectors (268 MB) before its size check refused it
+    @pytest.mark.parametrize("dmn", [(3, 1, 3), (2, 1, 4), (2, 4, 4)])
+    def test_costly_family_refused_before_anything_is_built(self, dmn):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(DomainError, match="too large"):
+                span_dimensions(SystemSignature(*dmn))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5 and peak < 1e6

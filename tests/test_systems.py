@@ -84,6 +84,21 @@ class TestFactorPermutation:
         assert len(set(perms)) == 12
 
 
+def test_index_table_is_one_shared_object_per_signature():
+    from duoc.states import build_pure_state, validate_pure_state
+    from duoc.oracle import random_valid_state
+    from duoc.systems import index_table
+
+    sig = SystemSignature(3, 2, 1)
+    table = index_table(sig)
+    assert index_table(SystemSignature(3, 2, 1)) is table
+    assert index_table(SystemSignature(3, 1, 2)) is not table
+    before = index_table.cache_info().currsize
+    v = build_pure_state(random_valid_state(SystemSignature(3, 2, 1), 4))
+    assert validate_pure_state(v, SystemSignature(3, 2, 1)).valid
+    assert index_table.cache_info().currsize == before
+
+
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
 def test_digit_roundtrip(d, width, data):
     idx = data.draw(st.integers(0, d**width - 1))
