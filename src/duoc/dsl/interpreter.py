@@ -522,8 +522,9 @@ def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
     kl, ml, mr = left.sig.num_factors, left.sig.m, right.sig.m
     order = [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, sig.num_factors)]
     mat = np.kron(left.density.matrix, right.density.matrix).reshape(sig.dims * 2)
-    mat = mat.transpose(order + [sig.num_factors + t for t in order])
-    return StateBinding(sig, DensityState(sig, mat.reshape(sig.dim, sig.dim)))
+    # the reordered copy replaces the kron product before the checks allocate their own dim^2
+    mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
+    return StateBinding(sig, DensityState(sig, mat))
 
 
 def run_script(script: Script, cfg: RunConfig = None) -> ResultTable:

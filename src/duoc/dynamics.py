@@ -18,8 +18,8 @@ import numpy as np
 from .effects import Effect
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, contract_effect, min_eigenvalue,
-    off_diagonal_max, tensor_all,
+    BLOCK_ENTRIES, DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, contract_effect,
+    min_eigenvalue, off_diagonal_max, row_blocks, tensor_all,
 )
 from .states import DensityState, ValidityReport, validate_mixed_state
 from .systems import FactorPermutation, SystemSignature, phase_matrix
@@ -108,11 +108,26 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
 
 
 def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:
-    """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather."""
-    out = rho.matrix.take(src, 0).take(src, 1)
-    np.multiply(ph[:, None], out, out=out)  # operand order kept: complex products round by it
-    out *= ph.conj()
+    """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather.
+
+    Above 256 x 256 each of the :func:`~duoc.linalg.row_blocks` is gathered
+    and phase-scaled while it is in cache, then copied into place.
+    """
+    mat, conj_ph = rho.matrix, ph.conj()
+    if mat.size <= BLOCK_ENTRIES:
+        return DensityState(rho.sig, _phased_gather(mat, src, src, ph, conj_ph))
+    out = np.empty_like(mat)
+    for rows in row_blocks(mat.shape[0]):
+        out[rows] = _phased_gather(mat, src[rows], src, ph[rows], conj_ph)
     return DensityState(rho.sig, out)
+
+
+def _phased_gather(mat, row_src, src, row_ph, conj_ph) -> np.ndarray:
+    """Rows ``row_src``, columns ``src`` of ``mat``, scaled by ``row_ph`` and ``conj_ph``."""
+    out = mat.take(row_src, 0).take(src, 1)
+    np.multiply(row_ph[:, None], out, out=out)  # operand order kept: complex products round by it
+    out *= conj_ph
+    return out
 
 
 @dataclass(eq=False)
@@ -132,10 +147,11 @@ class ClassicalChannel:
         expect = (self.d**self.m_out, self.d**self.m_in)
         if table.shape != expect:
             raise ShapeError(f"channel table shape {table.shape} != {expect}")
-        if np.min(table) < -ZERO_ATOL:
+        # both checks written so that a NaN fails them
+        if not np.min(table) >= -ZERO_ATOL:
             raise DomainError("conditional probabilities must be nonnegative")
         defect = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
-        if defect > DEFAULT_ATOL:
+        if not defect <= DEFAULT_ATOL:
             raise DomainError(f"columns of p(y|x) must sum to 1 (defect {defect})")
         self.matrix = table
 

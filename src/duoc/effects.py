@@ -158,7 +158,7 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     if table.ndim != 2 or table.shape[1] != sig.dim:
         raise ShapeError(f"conditional probability table must be (k, {sig.dim})")
     col_sums = table.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > DEFAULT_ATOL or np.min(table) < -ZERO_ATOL:
+    if not (np.max(np.abs(col_sums - 1.0)) <= DEFAULT_ATOL and np.min(table) >= -ZERO_ATOL):
         raise DomainError("columns of p(j|i) must be probability distributions")
     strings = list(product(range(sig.d), repeat=sig.m))
     effects = []

@@ -4,10 +4,19 @@ Composite indices follow the usual Kronecker convention: the leftmost
 factor is the most significant digit, so ``kron(a, b)`` acts on the
 composite index ``i*dim_b + j``.  All operators are dense complex
 ``numpy`` arrays.
+
+The dim^2 passes that admit a state or effect (:func:`hermitian_part`,
+the residual of :func:`low_rank_psd`) walk a matrix above 256 x 256 in
+blocks that fit in cache: ``TILE x TILE`` tile pairs and row blocks of
+``BLOCK_ENTRIES`` entries.  A full strided transpose or a dim^2
+temporary misses cache on every row there, while a 1 MB block is read
+from memory once and then reused (Lam, Rothberg & Wolf 1991).  A matrix
+of at most 256 x 256 is one block and takes the single-block path.
 """
 
 from __future__ import annotations
 
+import math
 import string
 
 import numpy as np
@@ -19,6 +28,11 @@ DEFAULT_ATOL = 1e-10  # equality checks on states, effects, POVMs, unit vectors 
 ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zero norm, eigenvalue
 INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
 SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition or a singular-value list
+
+# The cache budget of the blocked dim^2 passes: 64 x 64 complex tiles (64 KB), and row blocks of
+# 2^16 complex entries (1 MB), which also bound the single block: a matrix of at most 256 x 256
+BLOCK_ENTRIES = 1 << 16
+TILE = 64
 
 _AXIS_LABELS = string.ascii_letters
 
@@ -221,13 +235,39 @@ def factor_permutation_matrix(dims, dest) -> np.ndarray:
 
 
 def hermitian_part(op) -> tuple:
-    """``((op + op^H) / 2, max |op^H - op|)``; the first is exactly Hermitian."""
-    # a contiguous adjoint symmetrized in place: a strided view or dim^2 temporaries cost more
+    """``((op + op^H) / 2, max |op^H - op|)``; the first is exactly Hermitian.
+
+    Above 256 x 256 each ``TILE x TILE`` tile pair ``(I, J)``, ``I <= J``,
+    is visited once: both tiles are symmetrized from that pair and the
+    defect is read off it.  Each entry is summed as in the single block,
+    so the output is bit-identical to it.
+    """
     mat = as_operator(op)
-    sym = mat.T.copy()
+    if mat.size <= BLOCK_ENTRIES:
+        return _adjoint_mean(mat, mat, True)
+    dim = mat.shape[0]
+    out = np.empty_like(mat)
+    defect = 0.0
+    for i in range(0, dim, TILE):
+        a = slice(i, i + TILE)
+        out[a, a], tile_defect = _adjoint_mean(mat[a, a], mat[a, a], True)
+        defect = max(defect, tile_defect)
+        for j in range(i + TILE, dim, TILE):
+            b = slice(j, j + TILE)
+            out[a, b], tile_defect = _adjoint_mean(mat[a, b], mat[b, a], True)
+            defect = max(defect, tile_defect)
+            # recomputed, not mirrored: conj(out[a, b]).T can flip the sign of a zero imaginary part
+            out[b, a] = _adjoint_mean(mat[b, a], mat[a, b], False)[0]
+    return out, defect
+
+
+def _adjoint_mean(x, y, with_defect: bool) -> tuple:
+    """``((x + y^H) / 2, max |y^H - x|)`` for blocks of one shape; a defect not wanted is 0.0."""
+    # a contiguous adjoint symmetrized in place: a strided view or full-size temporaries cost more
+    sym = y.T.copy()
     np.conjugate(sym, out=sym)
-    defect = float(np.max(np.abs(sym - mat)))
-    sym += mat
+    defect = float(np.max(np.abs(sym - x))) if with_defect else 0.0
+    sym += x
     sym /= 2
     return sym, defect
 
@@ -236,15 +276,23 @@ def hermiticity_defect(op) -> float:
     return hermitian_part(op)[1]
 
 
+def row_blocks(dim: int) -> list:
+    """Row slices of ``BLOCK_ENTRIES // dim`` rows (at least one) covering a ``dim``-row matrix."""
+    step = max(1, BLOCK_ENTRIES // dim)
+    return [slice(r, r + step) for r in range(0, dim, step)]
+
+
 def low_rank_psd(mat, atol: float) -> bool:
     """True when a low-rank factor proves no eigenvalue of Hermitian ``mat`` is below ``-atol``.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
     at most ``dim // 64`` columns, stopping once no remaining diagonal entry
     exceeds ``atol / dim`` (a PSD remainder is then below ``atol`` in trace,
-    hence in Frobenius norm).  True only if the residual, formed in one dim^2
-    buffer, has ``||mat - L L^H||_F <= atol``: by Weyl's inequality no
-    eigenvalue is then below ``-atol``.  False decides nothing.
+    hence in Frobenius norm).  Each pivot column is read as a conjugated
+    row, which equals the column of an exactly Hermitian ``mat``.  True only
+    if the residual, summed over :func:`row_blocks`, has
+    ``||mat - L L^H||_F <= atol``: by Weyl's inequality no eigenvalue is
+    then below ``-atol``.  False decides nothing.
     """
     dim = mat.shape[0]
     # k <= dim // 64 columns keep the residual product (dim^2 k) far below a Cholesky (dim^3 / 3);
@@ -260,13 +308,18 @@ def low_rank_psd(mat, atol: float) -> bool:
             break
         if k == cap:
             return False
-        col = mat[:, p] - cols[:, :k] @ cols[p, :k].conj()
+        col = mat[p].conj()
+        col -= cols[:, :k] @ cols[p, :k].conj()
         col /= np.sqrt(rest[p])
         cols[:, k] = col
         rest -= col.real**2 + col.imag**2
-    resid = cols[:, :k] @ cols[:, :k].conj().T
-    resid -= mat
-    return bool(np.linalg.norm(resid) <= atol)
+    adjoint = cols[:, :k].conj().T
+    norms = []
+    for rows in row_blocks(dim):
+        resid = cols[rows, :k] @ adjoint
+        resid -= mat[rows]
+        norms.append(np.linalg.norm(resid))
+    return bool(math.hypot(*norms) <= atol)
 
 
 def off_diagonal_max(mat) -> float:

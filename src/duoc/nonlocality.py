@@ -97,7 +97,7 @@ class LocalBasis:
         if v.ndim != 2 or v.shape[1] != 2 or not 1 <= v.shape[0] <= 2:
             raise ShapeError(f"expected (k, 2) rows with k in 1..2, got {v.shape}")
         gram = v @ v.conj().T
-        if float(np.max(np.abs(gram - np.eye(v.shape[0])))) > DEFAULT_ATOL:
+        if not float(np.max(np.abs(gram - np.eye(v.shape[0])))) <= DEFAULT_ATOL:  # NaN fails
             raise DomainError("basis rows are not orthonormal")
         self.vectors = v
 
@@ -122,7 +122,7 @@ def side_effect(side: str, u) -> Effect:
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.size != 2:
         raise ShapeError(f"need a 2-vector, got length {u.size}")
-    if abs(np.linalg.norm(u) - 1.0) > DEFAULT_ATOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_ATOL:  # NaN fails
         raise DomainError("direction vector must be normalized")
     if side not in ("alice", "bob"):
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
@@ -168,7 +168,7 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
         raise DomainError("need local dimension >= 2")
     if not (0 <= r < d):
         raise DomainError(f"parity {r} out of range for d={d}")
-    if abs(np.linalg.norm(alphas) - 1.0) > DEFAULT_ATOL:
+    if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
         raise NormalizationError("coefficients must be normalized")
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
@@ -331,7 +331,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
         raise DomainError("need local dimension >= 2")
     if not (0 <= r < d):
         raise DomainError(f"parity {r} out of range for d={d}")
-    if abs(np.linalg.norm(alphas) - 1.0) > DEFAULT_ATOL:
+    if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
         raise NormalizationError("coefficients must be normalized")
     if int(np.sum(alphas > 0)) < 2:
         raise NotEntangledError("activation needs at least two nonzero coefficients")

@@ -124,7 +124,8 @@ class PureStateSpec:
         if not coeffs:
             raise DegenerateInputError("a pure state needs at least one coefficient")
         total = sum(abs(a) ** 2 for a in coeffs.values())
-        if abs(total - 1.0) > DEFAULT_ATOL:
+        # written so that a NaN amplitude fails it
+        if not abs(total - 1.0) <= DEFAULT_ATOL:
             raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
         self.coeffs = coeffs
 
@@ -269,6 +270,12 @@ class DensityState:
 
     The verdict can differ from ``eigvalsh`` alone only within rounding
     (about ``dim * eps``) of ``-atol``.
+
+    Above 256 x 256 the symmetrization and the low-rank residual walk the
+    matrix in cache-sized blocks (64 x 64 tile pairs, 1 MB row blocks;
+    see :mod:`duoc.linalg`), because a full strided transpose or a dim^2
+    temporary there costs a cache miss per row.  The stored matrix, the
+    defect and every verdict are those of the single-block pass.
     """
 
     sig: SystemSignature
@@ -340,8 +347,8 @@ class SeparableSpec:
         if any(w < -ZERO_ATOL for w in weights):
             raise DomainError("separable weights must be nonnegative")
         total = float(sum(weights))
-        # the trace check of the state built from them decides at DEFAULT_ATOL
-        if abs(total - 1.0) > DEFAULT_ATOL:
+        # the trace check of the state built from them decides at DEFAULT_ATOL; a NaN fails it
+        if not abs(total - 1.0) <= DEFAULT_ATOL:
             raise NormalizationError(f"separable weights sum to {total}, expected 1")
 
 
