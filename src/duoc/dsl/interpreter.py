@@ -35,7 +35,6 @@ from ..dynamics import (
 from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
 from ..linalg import DEFAULT_ATOL, INPUT_ATOL
 from ..nonlocality import LocalBasis, activation_F, activation_setup, chsh_value
-from ..oracle import brute_force_conditional_check
 from ..states import (
     DensityState,
     PureStateSpec,
@@ -89,12 +88,6 @@ class RunConfig:
         if not (math.isfinite(tol) and tol >= 0):
             raise ScriptError(f"{source} must be a finite number >= 0, got {value!r}")
         return tol
-
-
-@dataclass
-class StateBinding:
-    sig: SystemSignature
-    density: DensityState
 
 
 def _err(line: int, msg: str) -> ScriptError:
@@ -246,14 +239,14 @@ class _Interpreter:
             self._bind("state", st.name, _product_state(left, right))
             return
         sig = self._lookup("system", st.system, st.line)
-        binding = self._state_ctor(st.ctor, sig, st.line)
-        if binding.sig != sig:
+        state = self._state_ctor(st.ctor, sig, st.line)
+        if state.sig != sig:
             raise _err(st.line,
                        f"constructor {st.ctor.name!r} produced a state on "
-                       f"{binding.sig}, not on the declared system {sig}")
-        self._bind("state", st.name, binding)
+                       f"{state.sig}, not on the declared system {sig}")
+        self._bind("state", st.name, state)
 
-    def _state_ctor(self, ctor: Ctor, sig: SystemSignature, line: int) -> StateBinding:
+    def _state_ctor(self, ctor: Ctor, sig: SystemSignature, line: int) -> DensityState:
         args = _Args(ctor.args, line, f"{ctor.name}(...)")
         if ctor.name == "entpair":
             p = args.number("p")
@@ -263,7 +256,7 @@ class _Interpreter:
                 raise _err(line, f"entpair weight p must lie in (0, 1), got {p}")
             if (sig.m, sig.n) != (1, 1):
                 raise _err(line, "entpair needs a (1, 1) composite")
-            return _pure_binding(PureStateSpec(
+            return _pure_state(PureStateSpec(
                 sig, {(0,): math.sqrt(p), (1,): math.sqrt(1 - p)}, parity=(parity,)))
         if ctor.name == "entstate":
             coeffs = args.number_list("coeffs")
@@ -273,12 +266,12 @@ class _Interpreter:
                 raise _err(line, "entstate needs a (1, 1) composite")
             if len(coeffs) != sig.d:
                 raise _err(line, f"entstate needs {sig.d} coefficients, got {len(coeffs)}")
-            return _pure_binding(PureStateSpec(
+            return _pure_state(PureStateSpec(
                 sig, {(i,): c for i, c in enumerate(coeffs)}, parity=(parity,)))
         if ctor.name == "basis":
             digits = [int(x) for x in args.number_list("digits")]
             args.done()
-            return _pure_binding(basis_state_spec(sig, tuple(digits)))
+            return _pure_state(basis_state_spec(sig, tuple(digits)))
         if ctor.name == "classical":
             weights = args.number_list("weights")
             args.done()
@@ -290,7 +283,7 @@ class _Interpreter:
             # the state's trace check decides at DEFAULT_ATOL, so the weights are held to it
             if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > DEFAULT_ATOL:
                 raise _err(line, "classical weights must be a probability vector")
-            return StateBinding(sig, DensityState(sig, np.diag(w).astype(complex)))
+            return DensityState(sig, np.diag(w).astype(complex))
         if ctor.name == "separable":
             weights = args.number_list("weights")
             args.done()
@@ -302,8 +295,7 @@ class _Interpreter:
             for i in range(sig.d):
                 for j in range(sig.d):
                     gamma[(i, j)] = float(weights[i * sig.d + j])
-            rho = build_separable(SeparableSpec(gamma=gamma), sig)
-            return StateBinding(sig, rho)
+            return build_separable(SeparableSpec(gamma=gamma), sig)
         if ctor.name == "purify":
             of = args.ref("of")
             parity = args.number_list("parity", None)
@@ -311,12 +303,12 @@ class _Interpreter:
             args.done()
             inner = self._lookup("state", of, line)
             spec = purify_classical_state(
-                inner.density, sig.n,
+                inner, sig.n,
                 parity=None if parity is None else tuple(int(x) for x in parity),
                 tail=None if tail is None else tuple(int(x) for x in tail))
             if spec.sig != sig:
                 raise _err(line, f"purification lives on {spec.sig}, not {sig}")
-            return _pure_binding(spec)
+            return _pure_state(spec)
         if ctor.name == "apply":
             state_name = args.ref("state")
             transform_name = args.ref("transform")
@@ -325,9 +317,8 @@ class _Interpreter:
             kind, spec = self._lookup("transform", transform_name, line)
             if kind == "reversible":
                 src, ph = _reversible_index_map(spec, inner.sig)
-                return StateBinding(inner.sig, _conjugate_monomial(src, ph, inner.density))
-            out = classical_channel_map(spec, inner.density)
-            return StateBinding(out.sig, out)
+                return _conjugate_monomial(src, ph, inner)
+            return classical_channel_map(spec, inner)
         raise _err(line, f"unknown state constructor {ctor.name!r}")
 
     # -- measurements ----------------------------------------------------
@@ -403,11 +394,10 @@ class _Interpreter:
             self._bind("result", st.result, dict(metrics))
 
     def _run_born(self, args: _Args, line: int):
-        state = self._lookup("state", args.ref("state"), line)
+        rho = self._lookup("state", args.ref("state"), line)
         povm = self._lookup("measure", args.ref("measure"), line)
         marginal = args.number_list("marginal", None)
         args.done()
-        rho = state.density
         if marginal is not None:
             rho = marginal_state(rho, tuple(int(x) for x in marginal))
         probs = born_probabilities(povm, rho)
@@ -445,7 +435,7 @@ class _Interpreter:
         povm = witness_povm(p)
         sig = povm.sig
         spec = PureStateSpec(sig, {(0,): math.sqrt(p), (1,): math.sqrt(1 - p)})
-        rho = DensityState.from_vector(sig, build_pure_state(spec))
+        rho = _pure_state(spec)
         p_yes, p_no = born_probabilities(povm, rho)
         return [("min_p_no", float(min_no)),
                 ("bound", float(min(p, 1 - p))),
@@ -462,6 +452,8 @@ class _Interpreter:
         if not 1 <= trials <= MAX_CONDITIONAL_TRIALS:
             raise _err(line, f"conditional needs trials in 1..{MAX_CONDITIONAL_TRIALS}, "
                              f"got {trials}")
+        from ..oracle import brute_force_conditional_check  # the oracle stays out of CLI import
+
         sig = SystemSignature(d, m, n)
         failures = brute_force_conditional_check(trials, sig, self.rng,
                                                  corrupt=bool(corrupt))
@@ -508,12 +500,12 @@ class _Interpreter:
                 f"failed (actual {actual!r}, tol {tol!r})")
 
 
-def _pure_binding(spec: PureStateSpec) -> StateBinding:
-    """Bind the density matrix of the valid pure state built from ``spec``."""
-    return StateBinding(spec.sig, DensityState.from_vector(spec.sig, build_pure_state(spec)))
+def _pure_state(spec: PureStateSpec) -> DensityState:
+    """The density matrix of the valid pure state built from ``spec``."""
+    return DensityState.from_vector(spec.sig, build_pure_state(spec))
 
 
-def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
+def _product_state(left: DensityState, right: DensityState) -> DensityState:
     """Tensor two states and reorder factors into canonical dits-first layout."""
     if left.sig.d != right.sig.d:
         raise DomainError("product states need a common local dimension")
@@ -521,10 +513,10 @@ def _product_state(left: StateBinding, right: StateBinding) -> StateBinding:
     # output axis q holds input factor order[q]: left dits, right dits, left antis, right antis
     kl, ml, mr = left.sig.num_factors, left.sig.m, right.sig.m
     order = [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, sig.num_factors)]
-    mat = np.kron(left.density.matrix, right.density.matrix).reshape(sig.dims * 2)
+    mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
     # the reordered copy replaces the kron product before the checks allocate their own dim^2
     mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
-    return StateBinding(sig, DensityState(sig, mat))
+    return DensityState(sig, mat)
 
 
 def run_script(script: Script, cfg: RunConfig = None) -> ResultTable:

@@ -57,11 +57,6 @@ def as_operator(x) -> np.ndarray:
     return m
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the left factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def tensor_all(*factors) -> np.ndarray:
     """Kronecker product of any number of vectors or operators, left to right."""
     if not factors:
@@ -70,10 +65,6 @@ def tensor_all(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
-
-
-def dagger(op) -> np.ndarray:
-    return np.asarray(op, dtype=complex).conj().T
 
 
 def projector(v) -> np.ndarray:
@@ -272,18 +263,16 @@ def _adjoint_mean(x, y, with_defect: bool) -> tuple:
     return sym, defect
 
 
-def hermiticity_defect(op) -> float:
-    return hermitian_part(op)[1]
-
-
 def row_blocks(dim: int) -> list:
     """Row slices of ``BLOCK_ENTRIES // dim`` rows (at least one) covering a ``dim``-row matrix."""
     step = max(1, BLOCK_ENTRIES // dim)
     return [slice(r, r + step) for r in range(0, dim, step)]
 
 
-def low_rank_psd(mat, atol: float) -> bool:
+def low_rank_psd(mat) -> bool:
     """True when a low-rank factor proves no eigenvalue of Hermitian ``mat`` is below ``-atol``.
+
+    Here ``atol`` is ``DEFAULT_ATOL``, the tolerance of state admission.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
     at most ``dim // 64`` columns, stopping once no remaining diagonal entry
@@ -304,7 +293,7 @@ def low_rank_psd(mat, atol: float) -> bool:
     cols = np.empty((dim, cap), dtype=complex)
     for k in range(cap + 1):
         p = int(np.argmax(rest))
-        if rest[p] <= atol / dim:
+        if rest[p] <= DEFAULT_ATOL / dim:
             break
         if k == cap:
             return False
@@ -319,7 +308,7 @@ def low_rank_psd(mat, atol: float) -> bool:
         resid = cols[rows, :k] @ adjoint
         resid -= mat[rows]
         norms.append(np.linalg.norm(resid))
-    return bool(math.hypot(*norms) <= atol)
+    return bool(math.hypot(*norms) <= DEFAULT_ATOL)
 
 
 def off_diagonal_max(mat) -> float:
@@ -329,17 +318,9 @@ def off_diagonal_max(mat) -> float:
     return float(np.max(mag))
 
 
-def is_hermitian(op) -> bool:
-    return hermiticity_defect(op) <= DEFAULT_ATOL
-
-
 def min_eigenvalue(op) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian operator."""
     return float(np.linalg.eigvalsh(hermitian_part(op)[0])[0])
-
-
-def max_eigenvalue(op) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(op)[0])[-1])
 
 
 def is_unitary(op) -> bool:

@@ -34,70 +34,35 @@ from .errors import (
     ShapeError,
     ValidityError,
 )
-from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, embed_operator, permute_vector_factors, projector,
-)
-from .states import (
-    PureStateSpec,
-    basis_state_spec,
-    build_pure_state,
-    cross_sector_mass,
-    validate_pure_state,
-)
-from .systems import SystemSignature, digits_to_index
+from .linalg import DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector
+from .states import PureStateSpec, basis_state_spec, build_pure_state, validate_pure_state
+from .systems import SystemSignature
 
 ALICE_PAIR = (0, 3)
 BOB_PAIR = (1, 2)
 
 
-def phi_vector(d: int, i: int, j: int, placement=None) -> np.ndarray:
-    """Paired basis vector |i>|i+j mod d> on one (bit, anti-bit) pair.
-
-    ``placement`` optionally embeds the pair into a larger composite:
-    a tuple ``(bit_pos, anti_pos, num_factors)``.
-    """
+def phi_vector(d: int, i: int, j: int) -> np.ndarray:
+    """Paired basis vector |i>|i+j mod d> on one (bit, anti-bit) pair."""
     if not (0 <= i < d and 0 <= j < d):
         raise DomainError(f"labels ({i}, {j}) out of range for d={d}")
-    if placement is None:
-        v = np.zeros(d * d, dtype=complex)
-        v[i * d + (i + j) % d] = 1.0
-        return v
-    bit_pos, anti_pos, nfac = placement
-    if bit_pos == anti_pos or not (0 <= bit_pos < nfac and 0 <= anti_pos < nfac):
-        raise DomainError(f"placement {placement} is not two distinct positions")
-    digits = [0] * nfac
-    digits[bit_pos] = i
-    digits[anti_pos] = (i + j) % d
-    v = np.zeros(d**nfac, dtype=complex)
-    v[digits_to_index(digits, d)] = 1.0
+    v = np.zeros(d * d, dtype=complex)
+    v[i * d + (i + j) % d] = 1.0
     return v
-
-
-@dataclass(frozen=True)
-class PairedBasis:
-    """Label (i, parity) of a paired basis vector, with side bookkeeping."""
-
-    i: int
-    parity: int
-    bit_label: str = "B1"
-    anti_label: str = "A2"
-
-    def vector(self, d: int) -> np.ndarray:
-        return phi_vector(d, self.i, self.parity)
 
 
 @dataclass(eq=False)
 class LocalBasis:
-    """Orthonormal rows of 2-dim complex vectors (measurement directions)."""
+    """Two orthonormal rows of 2-dim complex vectors (measurement directions)."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[1] != 2 or not 1 <= v.shape[0] <= 2:
-            raise ShapeError(f"expected (k, 2) rows with k in 1..2, got {v.shape}")
+        if v.shape != (2, 2):
+            raise ShapeError(f"expected two rows of 2-vectors, got shape {v.shape}")
         gram = v @ v.conj().T
-        if not float(np.max(np.abs(gram - np.eye(v.shape[0])))) <= DEFAULT_ATOL:  # NaN fails
+        if not float(np.max(np.abs(gram - np.eye(2)))) <= DEFAULT_ATOL:  # NaN fails
             raise DomainError("basis rows are not orthonormal")
         self.vectors = v
 
@@ -141,9 +106,7 @@ def side_effect(side: str, u) -> Effect:
 
 
 def side_povm(side: str, basis: LocalBasis) -> Povm:
-    """Two-outcome POVM from a full local basis; the effects sum to I."""
-    if basis.vectors.shape[0] != 2:
-        raise DomainError("a complete two-outcome measurement needs 2 basis rows")
+    """Two-outcome POVM from a local basis; the effects sum to I."""
     return Povm([side_effect(side, row) for row in basis.vectors])
 
 
@@ -238,15 +201,14 @@ class ChshResult:
     f_value: float
 
 
-def chsh_value(alice_bases, bob_bases, alice_signs=(1, -1), bob_signs=(1, -1)) -> ChshResult:
+def chsh_value(alice_bases, bob_bases) -> ChshResult:
     """CHSH value of the regrouped two-copy experiment.
 
     ``alice_bases`` and ``bob_bases`` are pairs of LocalBasis (the two
-    settings per side); outcome ``a`` of a setting contributes with
-    ``alice_signs[a]`` (and likewise for Bob).
+    settings per side); outcome 0 of a setting counts as +1, outcome 1 as -1.
     """
-    alice_obs = [_signed_observable(side_povm("alice", b), alice_signs) for b in alice_bases]
-    bob_obs = [_signed_observable(side_povm("bob", b), bob_signs) for b in bob_bases]
+    alice_obs = [_signed_observable(side_povm("alice", b)) for b in alice_bases]
+    bob_obs = [_signed_observable(side_povm("bob", b)) for b in bob_bases]
     psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
     return _chsh(_correlators(psi2, alice_obs, bob_obs))
 
@@ -256,30 +218,6 @@ def optimal_chsh_bases() -> tuple:
     alice = (LocalBasis.rotation(0.0), LocalBasis.rotation(np.pi / 4))
     bob = (LocalBasis.rotation(np.pi / 8), LocalBasis.rotation(-np.pi / 8))
     return alice, bob
-
-
-def pair_effect_from_operator(op, d: int) -> Effect:
-    """Effect on a (1, 1) composite with a certificate from its sector blocks.
-
-    Requires ``op`` parity-block-diagonal (cross-sector mass at most
-    ``ZERO_ATOL``); each block's spectral decomposition provides the
-    certificate entries.
-    """
-    sig = SystemSignature(d, 1, 1)
-    op = np.asarray(op, dtype=complex)
-    worst = cross_sector_mass(op, d)
-    if worst > ZERO_ATOL:
-        raise DomainError(f"operator couples parity sectors (mass {worst})")
-    cert = []
-    for k in range(d):
-        inds = [i * d + (i + k) % d for i in range(d)]
-        block = op[np.ix_(inds, inds)]
-        vals, vecs = np.linalg.eigh(block)
-        for pos in range(d):
-            if vals[pos] > ZERO_ATOL:
-                coeffs = {(i,): vecs[i, pos] for i in range(d)}
-                cert.append((float(vals[pos]), PureStateSpec(sig, coeffs, parity=(k,))))
-    return Effect(sig, op, certificate=cert or None)
 
 
 @dataclass(eq=False)
@@ -306,7 +244,7 @@ class ActivationSetup:
     def __post_init__(self):
         lhs = np.tan(self.theta) * (self.alpha_prime**2 + self.beta_prime**2)
         rhs = 2 * self.alpha_prime * self.beta_prime
-        if abs(lhs - rhs) > DEFAULT_ATOL:
+        if not abs(lhs - rhs) <= DEFAULT_ATOL:  # NaN fails
             raise DomainError("theta does not satisfy the defining relation")
 
 
@@ -375,9 +313,9 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     )
 
 
-def _signed_observable(povm: Povm, signs=(1, -1)) -> np.ndarray:
-    """``sum_a signs[a] E_a`` over the outcomes of a two-outcome POVM."""
-    return signs[0] * povm.effects[0].op + signs[1] * povm.effects[1].op
+def _signed_observable(povm: Povm) -> np.ndarray:
+    """``E_0 - E_1`` of a two-outcome POVM: outcome 0 counts +1, outcome 1 counts -1."""
+    return povm.effects[0].op - povm.effects[1].op
 
 
 def _correlators(psi2, alice_obs, bob_obs) -> np.ndarray:

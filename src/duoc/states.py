@@ -43,7 +43,6 @@ from .linalg import (
 from .systems import (
     MAX_PERM_FACTORS,
     FactorPermutation,
-    IndexTable,
     SystemSignature,
     digits_to_index,
     index_table,
@@ -160,25 +159,6 @@ def build_pure_state(spec: PureStateSpec) -> np.ndarray:
     return v
 
 
-def _pattern_fit(rows: np.ndarray, table: IndexTable) -> tuple:
-    """Key code at the largest amplitude of each row, and where each row's keys differ from it."""
-    ref = table.key[np.argmax(np.abs(rows), axis=-1)]
-    return ref, table.key != ref[..., None]
-
-
-def _pattern_leak(v_pre: np.ndarray, sig: SystemSignature):
-    """Given a vector in unpermuted layout, fit the paired-support pattern.
-
-    Keys every basis index by its pair parities ``(anti_i - dit_i) % d``
-    and its unpaired digits, reads the parity vector and tail off the key
-    of the largest amplitude, then returns ``(leak, parity, tail)`` where
-    ``leak`` is the norm of the amplitude mass whose key differs.
-    """
-    table = index_table(sig)
-    ref, off = _pattern_fit(v_pre, table)
-    return (float(np.linalg.norm(v_pre[off])), *table.split_key(ref))
-
-
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
     """Exhaustively test whether ``v`` is a valid pure state of ``sig``.
 
@@ -206,7 +186,9 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
         )
     table = index_table(sig)
     rows = vec[table.gather]
-    refs, off = _pattern_fit(rows, table)
+    # each row's key code at its largest amplitude, and where the row's keys differ from it
+    refs = table.key[np.argmax(np.abs(rows), axis=-1)]
+    off = table.key != refs[:, None]
     best = None
     for k in range(len(rows)):
         leak = float(np.linalg.norm(rows[k][off[k]]))
@@ -291,7 +273,7 @@ class DensityState:
         tr = float(np.real(np.trace(sym)))
         if abs(tr - 1.0) > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
-        if not low_rank_psd(sym, DEFAULT_ATOL):
+        if not low_rank_psd(sym):
             _require_psd(sym)
         self.matrix = sym
 
@@ -378,14 +360,6 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
     return DensityState(sig, rho)
 
 
-def cross_sector_mass(mat: np.ndarray, d: int) -> float:
-    """Largest entry coupling different parity sectors of a (1, 1) matrix."""
-    idx = np.arange(d * d)
-    sector = (idx % d - idx // d) % d
-    cross = sector[:, None] != sector[None, :]
-    return float(np.max(np.abs(mat[cross]))) if np.any(cross) else 0.0
-
-
 def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
@@ -424,7 +398,8 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         off = off_diagonal_max(mat)
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="diagonal test")
     if (sig.m, sig.n) == (1, 1):
-        worst = cross_sector_mass(mat, sig.d)
+        sector = index_table(sig).key  # (anti - dit) % d of each basis index
+        worst = float(np.max(np.abs(mat[sector[:, None] != sector])))
         return ValidityReport(worst <= DEFAULT_ATOL, worst, witness="sector-block test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)

@@ -205,13 +205,6 @@ def digits_to_index(digits, d: int) -> int:
     return idx
 
 
-def sector_of_basis_pair(d: int, i: int, j: int) -> int:
-    """Parity sector of the basis pair |i>|j> on one dit/anti-dit pair."""
-    if not (0 <= i < d and 0 <= j < d):
-        raise DomainError(f"basis labels ({i}, {j}) out of range for d={d}")
-    return (j - i) % d
-
-
 def parity_projector(d: int, k: int) -> np.ndarray:
     """Projector onto the parity-``k`` sector of one dit/anti-dit pair.
 

@@ -330,7 +330,7 @@ class TestInterpreter:
         ))
         before, after = interp.env["E"][1], interp.env["E2"][1]
         u = build_reversible(ReversibleSpec(x_shifts=(1, 2), z_phases=(2, 1)), before.sig)
-        assert np.array_equal(after.density.matrix, apply_reversible(u, before.density).matrix)
+        assert np.array_equal(after.matrix, apply_reversible(u, before).matrix)
 
     def test_computational_effects_certified_in_index_order(self):
         import numpy as np
@@ -478,11 +478,13 @@ class TestCli:
         assert "must be a finite number >= 0" in err and "Traceback" not in err
 
     def test_import_does_not_load_scipy(self):
-        code = "import sys, duoc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        # nor the test oracle: the interpreter imports it when a conditional run needs it
+        code = ("import sys, duoc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+                " 'duoc.oracle' in sys.modules)")
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
     def test_missing_file_exit_two(self, capsys):
         assert cli_main(["run", "/definitely/not/here.duoc"]) == 2

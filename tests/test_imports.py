@@ -1,4 +1,5 @@
-"""Every name a module under ``src/duoc`` imports is read by that module.
+"""Every name a module under ``src/duoc`` imports is read by that module, and
+every top-level function or class it defines is read somewhere in the package.
 
 A package ``__init__`` re-exports the names in its ``__all__``; those count
 as read.  ``from __future__`` imports are directives, not names.
@@ -12,6 +13,22 @@ import pytest
 import duoc
 
 SRC = pathlib.Path(duoc.__file__).resolve().parent
+SOURCES = sorted(SRC.rglob("*.py"))
+
+# the test oracle is read by tests and the benchmark, not by the engine
+ORPHAN_EXEMPT_MODULES = {"oracle.py"}
+# dense references that tests compare the structured kernels against
+DENSE_REFERENCES = {"embed_permutation", "is_unitary"}
+
+
+def _exported(tree) -> set:
+    """The names listed in a module-level ``__all__``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            out.update(ast.literal_eval(node.value))
+    return out
 
 
 def unused_imports(source: str) -> list:
@@ -26,11 +43,43 @@ def unused_imports(source: str) -> list:
                 bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
+    read |= _exported(tree)
     return [(line, name) for line, name in bound if name not in read]
+
+
+def _names_read(node) -> set:
+    """Names a statement loads, reads as an attribute or imports from another module."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def orphans(sources: dict) -> list:
+    """``(module, name)`` of each top-level function or class that no ``__all__`` lists and
+    no statement of the package but its own definition reads.
+
+    ``sources`` maps module names to source text; modules in ``ORPHAN_EXEMPT_MODULES``
+    are read but not checked.  An attribute of the same name counts as a read, so the
+    guard may miss an orphan but never flags a name in use.
+    """
+    defined, exported, reads = [], set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported |= _exported(tree)
+        for node in tree.body:
+            name = getattr(node, "name", None) if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else None
+            if name is not None and module not in ORPHAN_EXEMPT_MODULES:
+                defined.append((module, name))
+            reads.append(((module, name), _names_read(node)))
+    return [(module, name) for module, name in defined if name not in exported
+            and not any(name in names for owner, names in reads if owner != (module, name))]
 
 
 def test_guard_sees_unused_imports():
@@ -39,6 +88,21 @@ def test_guard_sees_unused_imports():
     assert unused_imports(source) == [(2, "os"), (4, "C")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_orphans():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef self_only():\n    return self_only()\n\n"
+                "class Exported:\n    pass\n\ndef _helper():\n    return used()\n",
+        "b.py": "from .a import _helper\n__all__ = ['Exported']\n",
+        "oracle.py": "def reference():\n    pass\n",
+    }
+    assert orphans(sources) == [("a.py", "self_only")]
+
+
+def test_no_orphan_definition():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in SOURCES}
+    assert [(m, n) for m, n in orphans(sources) if n not in DENSE_REFERENCES] == []

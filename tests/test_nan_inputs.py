@@ -5,6 +5,8 @@ amplitude or table entry raises the module's ``DomainError`` (or its
 ``NormalizationError`` subclass) instead of passing ``x > tol``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,10 @@ def test_activation_setup():
     # used to raise NotEntangledError: the NaN coefficient counted as zero
     with pytest.raises(NormalizationError):
         activation_setup([NAN, 1.0])
+
+
+def test_activation_setup_theta():
+    # used to pass: abs(nan - rhs) > atol is false for a NaN theta
+    setup = activation_setup([0.6, 0.8])
+    with pytest.raises(DomainError, match="defining relation"):
+        dataclasses.replace(setup, theta=NAN)

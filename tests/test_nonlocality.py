@@ -8,13 +8,11 @@ from duoc.nonlocality import (
     BOB_PAIR,
     ChshResult,
     LocalBasis,
-    PairedBasis,
     activation_F,
     activation_setup,
     chsh_value,
     optimal_chsh_bases,
     p_quantum,
-    pair_effect_from_operator,
     phi_vector,
     regroup_check,
     side_effect,
@@ -44,21 +42,9 @@ class TestPhiVector:
         v = phi_vector(3, 1, 2)
         assert v[1 * 3 + 0] == 1.0 and np.sum(np.abs(v)) == 1.0
 
-    def test_placement(self):
-        v = phi_vector(2, 1, 0, placement=(0, 3, 4))
-        # digits (1, 0, 0, 1) -> index 9
-        assert v[9] == 1.0 and v.size == 16
-
     def test_label_range(self):
         with pytest.raises(DomainError):
             phi_vector(2, 2, 0)
-
-    def test_bad_placement(self):
-        with pytest.raises(DomainError):
-            phi_vector(2, 0, 0, placement=(1, 1, 4))
-
-    def test_paired_basis_wrapper(self):
-        np.testing.assert_allclose(PairedBasis(1, 1).vector(2), phi_vector(2, 1, 1))
 
 
 class TestLocalBasis:
@@ -104,7 +90,7 @@ class TestSideEffects:
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
     def test_povm_needs_full_basis(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError):
             side_povm("alice", LocalBasis(np.array([[1.0, 0.0]])))
 
 
@@ -219,26 +205,6 @@ class TestChsh:
             assert chsh_value(alice, bob).f_value <= 2 * ROOT2 + 1e-9
 
 
-class TestPairEffectFromOperator:
-    def test_identity_gets_full_certificate(self):
-        e = pair_effect_from_operator(np.eye(4), 2)
-        assert len(e.certificate) == 4
-        rebuilt = sum(w * np.outer(build_pure_state(s), build_pure_state(s).conj())
-                      for w, s in e.certificate)
-        np.testing.assert_allclose(rebuilt, np.eye(4), atol=1e-12)
-
-    def test_certificate_validates(self):
-        op = 0.5 * np.outer(phi_vector(2, 0, 1), phi_vector(2, 0, 1).conj())
-        rep = validate_effect(pair_effect_from_operator(op, 2))
-        assert rep.valid
-
-    def test_cross_sector_coupling_rejected(self):
-        op = np.zeros((4, 4))
-        op[0, 1] = op[1, 0] = 0.5
-        with pytest.raises(DomainError):
-            pair_effect_from_operator(op, 2)
-
-
 class TestActivationSetup:
     def test_theta_relation(self):
         s = activation_setup([0.6, 0.8])
@@ -282,7 +248,6 @@ class TestActivationCertificates:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("support", ["two", "full"])
     def test_every_effect_certified(self, d, support, rng):
-        eye = np.eye(d * d)
         for r in range(d):
             alphas = np.zeros(d)
             idx = rng.choice(d, size=2, replace=False) if support == "two" else np.arange(d)
@@ -297,8 +262,6 @@ class TestActivationCertificates:
                     assert rep.residual <= 1e-12
                 assert len(minus.certificate) == d * d - 1
                 assert all(w == 1.0 for w, _ in minus.certificate)
-                old = pair_effect_from_operator(eye - plus.op, d)
-                assert np.array_equal(minus.op, old.op)
 
 
 class TestActivationF:
@@ -344,21 +307,21 @@ class TestCorrelatorKernel:
     both are checked here against contractions written out independently."""
 
     def test_chsh_matches_born_rule_distribution(self, rng):
-        for alice_signs, bob_signs in [((1, -1), (1, -1)), ((0.5, -2.0), (-1, 3)), ((1, 1), (1, 0))]:
-            for _ in range(10):
-                angles = rng.uniform(-np.pi, np.pi, size=4)
-                alice = (LocalBasis.rotation(angles[0]), LocalBasis.rotation(angles[1]))
-                bob = (LocalBasis.rotation(angles[2]), LocalBasis.rotation(angles[3]))
-                res = chsh_value(alice, bob, alice_signs=alice_signs, bob_signs=bob_signs)
-                want = np.zeros((2, 2))
-                for x in range(2):
-                    for y in range(2):
-                        dist = two_copy_distribution(alice[x], bob[y])
-                        want[x, y] = sum(alice_signs[a] * bob_signs[b] * dist[a, b]
-                                         for a in range(2) for b in range(2))
-                np.testing.assert_allclose(res.expectations, want, rtol=0, atol=1e-12)
-                f = want[0, 0] + want[0, 1] + want[1, 0] - want[1, 1]
-                assert res.f_value == pytest.approx(f, abs=1e-12)
+        signs = (1, -1)  # outcome 0 counts +1, outcome 1 counts -1
+        for _ in range(10):
+            angles = rng.uniform(-np.pi, np.pi, size=4)
+            alice = (LocalBasis.rotation(angles[0]), LocalBasis.rotation(angles[1]))
+            bob = (LocalBasis.rotation(angles[2]), LocalBasis.rotation(angles[3]))
+            res = chsh_value(alice, bob)
+            want = np.zeros((2, 2))
+            for x in range(2):
+                for y in range(2):
+                    dist = two_copy_distribution(alice[x], bob[y])
+                    want[x, y] = sum(signs[a] * signs[b] * dist[a, b]
+                                     for a in range(2) for b in range(2))
+            np.testing.assert_allclose(res.expectations, want, rtol=0, atol=1e-12)
+            f = want[0, 0] + want[0, 1] + want[1, 0] - want[1, 1]
+            assert res.f_value == pytest.approx(f, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_activation_matches_four_tensor_contraction(self, d, rng):

@@ -30,8 +30,7 @@ from duoc.states import (
     validate_pure_state,
 )
 from duoc.linalg import DEFAULT_ATOL, low_rank_psd, permute_vector_factors, projector
-from duoc.states import _pattern_leak
-from duoc.systems import FactorPermutation, SystemSignature, digits_to_index, index_to_digits
+from duoc.systems import FactorPermutation, SystemSignature, digits_to_index
 
 from conftest import LOW_RANK_LAMBDAS, low_rank_density, low_rank_support, lowest_eigenvalue
 
@@ -184,47 +183,6 @@ class TestValidatePureState:
         rep = validate_pure_state(build_pure_state(spec), sig)
         assert rep.valid
         assert rep.witness["tau"] == (1, 0)
-
-
-def _pattern_leak_loop(v_pre, sig):
-    """The per-index reference fit: one digit decomposition per nonzero amplitude."""
-    d, m, n = sig.d, sig.m, sig.n
-    p = sig.num_pairs
-    digits = index_to_digits(int(np.argmax(np.abs(v_pre))), d, m + n)
-    dits, antis = digits[:m], digits[m:]
-    parity = tuple((antis[i] - dits[i]) % d for i in range(p))
-    tail = dits[p:] if m > n else antis[p:]
-    leak_sq = 0.0
-    for idx in np.nonzero(np.abs(v_pre) > 0)[0]:
-        dg = index_to_digits(int(idx), d, m + n)
-        c, a = dg[:m], dg[m:]
-        ok = all((a[i] - c[i]) % d == parity[i] for i in range(p))
-        ok = ok and (c[p:] if m > n else a[p:]) == tail
-        if not ok:
-            leak_sq += abs(v_pre[idx]) ** 2
-    return float(np.sqrt(leak_sq)), parity, tail
-
-
-class TestPatternLeak:
-    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 2), (2, 2, 2)])
-    def test_matches_per_index_loop(self, rng, dmn):
-        from duoc.oracle import random_valid_state
-
-        sig = SystemSignature(*dmn)
-        for trial in range(12):
-            spec = random_valid_state(sig, rng)  # rebuilt unrelabeled: the fit's layout
-            v = build_pure_state(PureStateSpec(sig, spec.coeffs, spec.parity, spec.tail))
-            if trial % 3 == 1:  # dense noise: every index carries mass
-                v = v + 0.1 * (rng.normal(size=v.size) + 1j * rng.normal(size=v.size))
-            elif trial % 3 == 2:  # a few off-pattern entries, zeros elsewhere
-                v[rng.choice(v.size, size=2, replace=False)] += 0.3
-            v = v / np.linalg.norm(v)
-            leak, parity, tail = _pattern_leak(v, sig)
-            ref_leak, ref_parity, ref_tail = _pattern_leak_loop(v, sig)
-            assert abs(leak - ref_leak) <= 1e-12
-            assert (parity, tail) == (ref_parity, ref_tail)
-            if trial % 3 == 0:
-                assert leak <= 1e-12
 
 
 def _pattern_leak_indices(v_pre, sig):
@@ -432,7 +390,7 @@ class TestDensityState:
         rest = mat.diagonal().real - np.abs(mat[:, p]) ** 2 / mat[p, p].real
         assert np.max(rest) <= atol / sig.dim
         assert np.linalg.eigvalsh(mat)[0] < -atol
-        assert not low_rank_psd(mat, atol)
+        assert not low_rank_psd(mat)
         with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
             DensityState(sig, mat)
 
@@ -481,6 +439,16 @@ class TestValidateMixedState:
         rep = validate_mixed_state(DensityState(SIG11, mat))
         assert not rep.valid
         assert rep.residual == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pair_residual_is_largest_cross_sector_entry(self, d, rng):
+        sig = SystemSignature(d, 1, 1)
+        rho = DensityState.from_vector(sig, rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+        idx = np.arange(d * d)
+        sector = (idx % d - idx // d) % d
+        want = float(np.max(np.abs(rho.matrix[sector[:, None] != sector[None, :]])))
+        rep = validate_mixed_state(rho)
+        assert not rep.valid and rep.residual == want
 
     def test_certificate_path(self, rng):
         from duoc.oracle import random_mixed_state

@@ -15,7 +15,6 @@ from duoc.systems import (
     index_to_digits,
     parity_projector,
     phase_matrix,
-    sector_of_basis_pair,
     shift_matrix,
 )
 
@@ -113,10 +112,13 @@ def test_index_to_digits_most_significant_first():
 
 
 class TestParityMachinery:
-    def test_sector_of_basis_pair_d2(self):
-        assert sector_of_basis_pair(2, 0, 0) == 0
-        assert sector_of_basis_pair(2, 1, 1) == 0
-        assert sector_of_basis_pair(2, 1, 0) == 1
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_pair_key_is_the_sector(self, d):
+        # on (1, 1) the table's key of basis index i = dit * d + anti is its sector (anti - dit) % d
+        from duoc.systems import index_table
+
+        i = np.arange(d * d)
+        np.testing.assert_array_equal(index_table(SystemSignature(d, 1, 1)).key, (i % d - i // d) % d)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_projectors_resolve_identity(self, d):
