@@ -4,10 +4,23 @@ Valid effects are nonnegative combinations of projectors onto valid
 pure states, bounded above by the identity.  For a (1, 1) composite
 this cone is exactly the parity-block-diagonal PSD operators below the
 identity; for larger composites validity is certified constructively.
+
+Admission (:func:`admit_effect`) keeps the Hermitian part ``P`` of the
+operator and checks that its spectrum lies in ``[-atol, 1 + atol]``,
+``atol = DEFAULT_ATOL``.  A projector is admitted without an
+eigendecomposition: ``||P^2 - P||_F <= atol`` bounds every eigenvalue
+by ``|lam^2 - lam| <= atol``, and ``|lam| <= lam^2 - lam`` for
+``lam < 0`` while ``lam - 1 <= lam (lam - 1)`` for ``lam > 1``, so the
+spectrum lies in exactly the interval checked (up to the rounding of
+one matmul, of the order of ``eigvalsh``'s own).  The matmul runs only
+when the O(dim^2) necessary condition ``|tr P - ||P||_F^2| <=
+sqrt(dim) atol`` holds (``tr P - ||P||_F^2 = sum(lam - lam^2)``); any
+other operator is decided by ``eigvalsh``, with the same message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -39,6 +52,10 @@ class Effect:
 
     ``certificate`` is a list of ``(weight, PureStateSpec)`` pairs with
     nonnegative weights whose projector combination reconstructs ``op``.
+    Construction keeps the Hermitian part ``P`` of ``op`` once
+    :func:`admit_effect` has checked it: a projector by ``||P^2 - P||_F <=
+    DEFAULT_ATOL``, which bounds its spectrum to ``[-DEFAULT_ATOL, 1 +
+    DEFAULT_ATOL]``, any other operator by ``eigvalsh``.
     """
 
     sig: SystemSignature
@@ -46,16 +63,46 @@ class Effect:
     certificate: list = None
 
     def __post_init__(self):
-        # hermitian_part coerces the input and checks it is finite and square
-        mat, defect = hermitian_part(self.op)
-        if mat.shape[0] != self.sig.dim:
-            raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {self.sig.dim}")
-        if defect > DEFAULT_ATOL:
-            raise DomainError(f"effect is not Hermitian (defect {defect})")
+        self.op = admit_effect(self.op, self.sig.dim)
+
+
+def admit_effect(op, dim: int) -> np.ndarray:
+    """The Hermitian part of ``op`` once it is checked to be an effect on ``dim`` states.
+
+    Raises ``ShapeError`` for a wrong size and ``DomainError`` for a
+    Hermitian defect or an eigenvalue beyond ``DEFAULT_ATOL`` outside
+    ``[0, 1]``; the module docstring states why a projector needs no
+    eigendecomposition.
+    """
+    # hermitian_part coerces the input and checks it is finite and square
+    mat, defect = hermitian_part(op)
+    if mat.shape[0] != dim:
+        raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {dim}")
+    if defect > DEFAULT_ATOL:
+        raise DomainError(f"effect is not Hermitian (defect {defect})")
+    if not _is_projector(mat):
         lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
         if lo < -DEFAULT_ATOL or hi > 1 + DEFAULT_ATOL:
             raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
-        self.op = mat
+    return mat
+
+
+def _is_projector(mat) -> bool:
+    """``||P^2 - P||_F <= DEFAULT_ATOL`` for Hermitian ``mat``, tried only when the trace allows it."""
+    # tr P - ||P||_F^2 = sum(lam - lam^2), at most sqrt(dim) ||P^2 - P||_F in modulus
+    if not abs(mat.trace().real - np.vdot(mat, mat).real) <= math.sqrt(len(mat)) * DEFAULT_ATOL:
+        return False
+    resid = mat @ mat
+    resid -= mat
+    return bool(np.vdot(resid, resid).real <= DEFAULT_ATOL**2)
+
+
+def check_completeness(ops, dim: int) -> None:
+    """Raise ``DomainError`` unless the operators ``ops`` sum to the ``dim``-state identity."""
+    total = sum(ops)
+    defect = float(np.max(np.abs(total - np.eye(dim))))
+    if defect > DEFAULT_ATOL:
+        raise DomainError(f"effects do not sum to identity (defect {defect})")
 
 
 @dataclass(eq=False)
@@ -70,10 +117,7 @@ class Povm:
         sig = self.effects[0].sig
         if any(e.sig != sig for e in self.effects):
             raise DomainError("all effects of a POVM must share one signature")
-        total = sum(e.op for e in self.effects)
-        defect = float(np.max(np.abs(total - np.eye(sig.dim))))
-        if defect > DEFAULT_ATOL:
-            raise DomainError(f"effects do not sum to identity (defect {defect})")
+        check_completeness([e.op for e in self.effects], sig.dim)
 
     @property
     def sig(self) -> SystemSignature:

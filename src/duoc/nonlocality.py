@@ -18,15 +18,26 @@ matrix ``M`` from Alice's pair (bit1, anti2) to Bob's (bit2, anti1),
 the two-copy vector gives ``<psi| A (x) B |psi> = sum((M^H A M) * B)``,
 one batched matmul and one contraction in O(d^6).
 ``two_copy_distribution`` stays the literal Born-rule reference.
+
+A side's effect operators come from one kernel, ``_side_operators``:
+direction ``u`` collects, in each parity sector ``l``, the projector of
+the zero-padded (1, 1) vector holding ``u_0`` and ``u_1`` at that
+side's two slots of the sector, normalized by its own norm, and the two
+projectors are summed into a zero 4 x 4.  ``chsh_value`` admits these
+operators with the checks of :class:`~duoc.effects.Effect` and
+:class:`~duoc.effects.Povm` (Hermitian defect, spectrum, sum to the
+identity) without building either; ``side_effect`` wraps the same
+operator in a certified ``Effect``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import Effect, Povm
+from .effects import Effect, Povm, admit_effect, check_completeness
 from .errors import (
     DomainError,
     NormalizationError,
@@ -35,11 +46,13 @@ from .errors import (
     ValidityError,
 )
 from .linalg import DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector
-from .states import PureStateSpec, basis_state_spec, build_pure_state, validate_pure_state
+from .states import PureStateSpec, basis_state_spec, validate_pure_state
 from .systems import SystemSignature
 
 ALICE_PAIR = (0, 3)
 BOB_PAIR = (1, 2)
+# per side and parity sector l, the basis indices (2 * bit + anti) that hold u_0 and u_1
+_SECTOR_SLOTS = {"alice": ((0, 3), (1, 2)), "bob": ((0, 3), (2, 1))}
 
 
 def phi_vector(d: int, i: int, j: int) -> np.ndarray:
@@ -93,16 +106,29 @@ def side_effect(side: str, u) -> Effect:
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
     sig = SystemSignature(2, 1, 1)
     cert = []
-    op = np.zeros((4, 4), dtype=complex)
     for sector in range(2):
         if side == "alice":
             coeffs = {(0,): u[0], (1,): u[1]}
         else:
             coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
-        spec = PureStateSpec(sig, coeffs, parity=(sector,))
-        cert.append((1.0, spec))
-        op += projector(build_pure_state(spec))
-    return Effect(sig, op, certificate=cert)
+        cert.append((1.0, PureStateSpec(sig, coeffs, parity=(sector,))))
+    return Effect(sig, _side_operators(side, u[None])[0], certificate=cert)
+
+
+def _side_operators(side: str, rows) -> np.ndarray:
+    """Unchecked effect operators of ``side`` for the directions ``rows``, shape (k, 4, 4).
+
+    The kernel of the module docstring; each padded vector is divided by
+    its own ``np.linalg.norm``, as :func:`~duoc.linalg.projector` divides.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    ops = np.zeros((len(rows), 4, 4), dtype=complex)
+    for slots in _SECTOR_SLOTS[side]:
+        vecs = np.zeros((len(rows), 4), dtype=complex)
+        vecs[:, slots] = rows
+        vecs = vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+        ops += vecs[:, :, None] * vecs.conj()[:, None, :]
+    return ops
 
 
 def side_povm(side: str, basis: LocalBasis) -> Povm:
@@ -129,13 +155,23 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
     d = alphas.size
     if d < 2:
         raise DomainError("need local dimension >= 2")
-    if not (0 <= r < d):
-        raise DomainError(f"parity {r} out of range for d={d}")
+    r = _parity(r, d)
     if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
         raise NormalizationError("coefficients must be normalized")
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
     return v.reshape(-1)
+
+
+def _parity(r, d: int) -> int:
+    """``r`` as an int, once checked to be an integer (numpy integers too) in ``0..d-1``."""
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise DomainError(f"parity {r!r} is not an integer") from None
+    if not 0 <= r < d:
+        raise DomainError(f"parity {r} out of range for d={d}")
+    return r
 
 
 def _pair_state_data(psi, expected_d=None):
@@ -177,12 +213,17 @@ def regroup_check(psi, d: int = None) -> float:
     return float(np.max(np.abs(lhs - rhs.reshape(-1))))
 
 
+# two copies of the d = 2 maximally entangled pair, shared read-only by every CHSH call
+_BELL_TWO_COPY = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
+_BELL_TWO_COPY.flags.writeable = False
+
+
 def two_copy_distribution(alice_basis: LocalBasis, bob_basis: LocalBasis) -> np.ndarray:
     """Joint toy-theory distribution on two regrouped copies of the d=2
     maximally entangled pair; equals ``p_quantum`` row by row."""
     pa = side_povm("alice", alice_basis)
     pb = side_povm("bob", bob_basis)
-    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
+    psi2 = _BELL_TWO_COPY
     dims = (2,) * 4
     out = np.zeros((2, 2))
     for a, ea in enumerate(pa.effects):
@@ -206,11 +247,28 @@ def chsh_value(alice_bases, bob_bases) -> ChshResult:
 
     ``alice_bases`` and ``bob_bases`` are pairs of LocalBasis (the two
     settings per side); outcome 0 of a setting counts as +1, outcome 1 as -1.
+    Each setting's two effect operators pass the ``Effect`` and ``Povm``
+    admission checks; no ``Effect`` or ``Povm`` object is built.
     """
-    alice_obs = [_signed_observable(side_povm("alice", b)) for b in alice_bases]
-    bob_obs = [_signed_observable(side_povm("bob", b)) for b in bob_bases]
-    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
-    return _chsh(_correlators(psi2, alice_obs, bob_obs))
+    obs = [_side_observables("alice", alice_bases), _side_observables("bob", bob_bases)]
+    return _chsh(_correlators(_BELL_TWO_COPY, *obs))
+
+
+def _side_observables(side: str, bases) -> list:
+    """``E_0 - E_1`` of each of a side's two settings, each effect pair admitted as a POVM."""
+    try:
+        bases = tuple(bases)
+    except TypeError:
+        bases = ()
+    if len(bases) != 2 or not all(isinstance(b, LocalBasis) for b in bases):
+        raise ShapeError(f"{side} needs exactly two LocalBasis settings")
+    ops = _side_operators(side, np.concatenate([b.vectors for b in bases]))
+    obs = []
+    for plus, minus in (ops[:2], ops[2:]):
+        plus, minus = admit_effect(plus, 4), admit_effect(minus, 4)
+        check_completeness([plus, minus], 4)
+        obs.append(plus - minus)
+    return obs
 
 
 def optimal_chsh_bases() -> tuple:
@@ -267,8 +325,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     d = alphas.size
     if d < 2:
         raise DomainError("need local dimension >= 2")
-    if not (0 <= r < d):
-        raise DomainError(f"parity {r} out of range for d={d}")
+    r = _parity(r, d)
     if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
         raise NormalizationError("coefficients must be normalized")
     if int(np.sum(alphas > 0)) < 2:

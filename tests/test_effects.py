@@ -12,8 +12,10 @@ from duoc.effects import (
     witness_povm,
     worst_case_no_probability,
 )
+from duoc.dsl import RunConfig, parse_script
+from duoc.dsl.interpreter import _Interpreter
 from duoc.errors import DomainError, ShapeError
-from duoc.linalg import embed_operator, partial_trace
+from duoc.linalg import embed_operator, hermitian_part, partial_trace
 from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state
 from duoc.systems import SystemSignature
 
@@ -44,6 +46,103 @@ class TestEffect:
 
     def test_identity_is_an_effect(self):
         Effect(SIG11, np.eye(4))
+
+
+def parent_admission_message(op):
+    """The eigvalsh rule every effect passed before projectors skipped it: None when admitted."""
+    mat = hermitian_part(op)[0]
+    lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
+    if lo < -1e-10 or hi > 1 + 1e-10:
+        return f"effect eigenvalues [{lo}, {hi}] outside [0, 1]"
+    return None
+
+
+def admission_message(sig, op):
+    try:
+        Effect(sig, op)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def spectral_op(rng, lams):
+    """``U diag(lams) U^H`` for a random unitary ``U``."""
+    n = len(lams)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(lams)) @ q.conj().T
+
+
+ADMISSION_SIGS = [SystemSignature(2, 1, 1), SystemSignature(3, 1, 1), SystemSignature(2, 2, 2),
+                  SystemSignature(4, 1, 2), SystemSignature(2, 4, 3)]
+
+
+class TestAdmissionBound:
+    """A projector is admitted by ||P^2 - P||_F <= 1e-10, which confines its spectrum to
+    [-1e-10, 1 + 1e-10]; everything else by eigvalsh, with the message it always had."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_computational_projectors_admitted_without_eigvalsh(self, eigvalsh_calls):
+        for bits, antibits in [(1, 1), (2, 2), (3, 3), (4, 3)]:
+            interp = _Interpreter(RunConfig())
+            parity = "measure Q = parity() on S\n" if bits == antibits == 1 else ""
+            interp.execute(parse_script(
+                f"system S = composite(d=2, bits={bits}, antibits={antibits})\n"
+                f"measure M = computational() on S\n{parity}"
+            ))
+            dim = 2 ** (bits + antibits)
+            assert len(interp.env["M"][1].effects) == dim
+        assert dim == 128 and eigvalsh_calls == []
+
+    @pytest.mark.parametrize("sig", ADMISSION_SIGS, ids=str)
+    def test_projectors_and_complements_skip_eigvalsh(self, sig, rng, eigvalsh_calls):
+        for rank in (1, sig.dim // 2, sig.dim - 1):
+            op = spectral_op(rng, [1.0] * rank + [0.0] * (sig.dim - rank))
+            Effect(sig, op)
+            Effect(sig, np.eye(sig.dim) - op)
+        unit_effect(sig)
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("sig", ADMISSION_SIGS, ids=str)
+    @pytest.mark.parametrize("edge", [1 + 2e-10, -2e-10])
+    def test_eigenvalue_past_the_tolerance_rejected_as_before(self, sig, edge, rng):
+        lams = [1.0] * (sig.dim // 2) + [0.0] * (sig.dim - sig.dim // 2)
+        lams[0 if edge > 1 else -1] = edge
+        op = spectral_op(rng, lams)
+        want = parent_admission_message(op)
+        assert want is not None
+        with pytest.raises(DomainError) as info:
+            Effect(sig, op)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("sig", ADMISSION_SIGS[:-1], ids=str)
+    def test_verdicts_match_eigvalsh(self, sig, rng):
+        n = sig.dim
+        cases = []
+        for shift in (2e-11, 5e-11, 9e-11, 2e-10, 1e-9, 1e-3):
+            for sign in (1, -1):
+                lams = rng.integers(0, 2, size=n).astype(float)
+                lams[rng.integers(n)] += sign * shift
+                cases.append(lams)
+        for lo, hi in [(0, 1), (-1e-9, 1), (0, 1 + 1e-9), (-1e-11, 1 + 1e-11), (0.2, 0.7), (-1, 2)]:
+            cases.append(rng.uniform(lo, hi, size=n))
+        cases += [np.full(n, 0.5), np.full(n, 1 + 1e-9), np.full(n, -1e-9)]
+        verdicts = []
+        for lams in cases:
+            op = spectral_op(rng, lams)
+            verdicts.append(admission_message(sig, op))
+            assert verdicts[-1] == parent_admission_message(op)
+        assert None in verdicts and len(set(verdicts)) > 1
 
 
 class TestPovm:

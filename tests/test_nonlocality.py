@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from duoc import effects, states
 from duoc.effects import validate_effect
 from duoc.errors import DomainError, NotEntangledError, NormalizationError, ShapeError, ValidityError
 from duoc.nonlocality import (
@@ -20,6 +21,7 @@ from duoc.nonlocality import (
     two_copy_distribution,
     two_copy_state,
 )
+from duoc.linalg import hermitian_part, projector
 from duoc.states import build_pure_state, PureStateSpec
 from duoc.systems import SystemSignature, digits_to_index
 
@@ -114,6 +116,19 @@ class TestTwoCopyState:
         with pytest.raises(DomainError):
             two_copy_state([0.6, 0.8], 2)
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0), "1", None, float("nan")])
+    def test_parity_must_be_an_integer(self, r):
+        with pytest.raises(DomainError, match="not an integer"):
+            two_copy_state([0.6, 0.8], r)
+        with pytest.raises(DomainError, match="not an integer"):
+            activation_setup([0.6, 0.8], r)
+
+    @pytest.mark.parametrize("r", [np.int64(1), np.int8(1), np.uint32(1)])
+    def test_numpy_integer_parity_accepted(self, r):
+        assert np.array_equal(two_copy_state([0.6, 0.8], r), two_copy_state([0.6, 0.8], 1))
+        setup = activation_setup([0.6, 0.8], r)
+        assert setup.r == 1 and activation_F(setup) == activation_F(activation_setup([0.6, 0.8], 1))
+
 
 class TestRegroup:
     def test_maximally_entangled_pair_exact(self):
@@ -203,6 +218,27 @@ class TestChsh:
             alice = (LocalBasis.rotation(angles[0]), LocalBasis.rotation(angles[1]))
             bob = (LocalBasis.rotation(angles[2]), LocalBasis.rotation(angles[3]))
             assert chsh_value(alice, bob).f_value <= 2 * ROOT2 + 1e-9
+
+    @pytest.mark.parametrize("bad", [
+        (LocalBasis.rotation(0.1),),
+        (LocalBasis.rotation(0.1), LocalBasis.rotation(0.2), LocalBasis.rotation(0.3)),
+        LocalBasis.rotation(0.1).vectors,
+        LocalBasis.rotation(0.1),
+        (LocalBasis.rotation(0.1), LocalBasis.rotation(0.2).vectors),
+        (),
+        None,
+    ], ids=["one", "three", "bare-array", "bare-basis", "array-setting", "empty", "none"])
+    def test_each_side_needs_exactly_two_bases(self, bad):
+        good = optimal_chsh_bases()[0]
+        for alice, bob in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeError, match="exactly two LocalBasis"):
+                chsh_value(alice, bob)
+
+    def test_bases_may_come_as_any_pair(self):
+        alice, bob = optimal_chsh_bases()
+        want = chsh_value(alice, bob)
+        got = chsh_value(list(alice), iter(bob))
+        assert got.expectations.tobytes() == want.expectations.tobytes()
 
 
 class TestActivationSetup:
@@ -345,3 +381,103 @@ class TestCorrelatorKernel:
             f_want = want[0, 0] + want[0, 1] + want[1, 0] - want[1, 1]
             f_sim, _ = activation_F(setup)
             assert f_sim == pytest.approx(f_want, abs=1e-12)
+
+
+EDGE_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, -0.0)
+
+
+def parent_side_op(side, u):
+    """The certified construction ``chsh_value`` used to build per effect, written out."""
+    sig = SystemSignature(2, 1, 1)
+    op = np.zeros((4, 4), dtype=complex)
+    for sector in range(2):
+        if side == "alice":
+            coeffs = {(0,): u[0], (1,): u[1]}
+        else:
+            coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
+        op += projector(build_pure_state(PureStateSpec(sig, coeffs, parity=(sector,))))
+    return hermitian_part(op)[0]
+
+
+def parent_chsh(alice_bases, bob_bases):
+    """Expectations and F as the per-effect construction gave them."""
+    obs = [[parent_side_op(side, b.vectors[0]) - parent_side_op(side, b.vectors[1]) for b in bases]
+           for side, bases in (("alice", alice_bases), ("bob", bob_bases))]
+    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
+    m = psi2.reshape(2, 2, 2, 2).transpose(0, 3, 1, 2).reshape(4, 4)
+    e = np.einsum("xjk,yjk->xy", m.conj().T @ np.asarray(obs[0]) @ m, np.asarray(obs[1])).real
+    return e, float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+
+
+def bit_identity_bases(rng):
+    """Real rotations at random and edge angles, random unitaries, and edge angles with phases."""
+    out = [LocalBasis.rotation(a) for a in EDGE_ANGLES]
+    out += [LocalBasis.rotation(a) for a in rng.uniform(-np.pi, np.pi, size=40)]
+    for _ in range(40):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        out.append(LocalBasis(q * (np.diag(r) / np.abs(np.diag(r)))))
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(len(EDGE_ANGLES), 2, 1)))
+    out += [LocalBasis(LocalBasis.rotation(a).vectors * ph) for a, ph in zip(EDGE_ANGLES, phases)]
+    return out
+
+
+class TestClosedFormBitIdentity:
+    """The closed-form CHSH kernel reproduces the per-effect construction byte for byte."""
+
+    def test_chsh_value(self, rng):
+        bases = bit_identity_bases(rng)
+        picks = [tuple(rng.integers(len(bases), size=4)) for _ in range(150)]
+        n_edge = len(EDGE_ANGLES)
+        picks += [(i, j, (i + 1) % n_edge, (j + 2) % n_edge)
+                  for i in range(n_edge) for j in range(n_edge)]
+        for a0, a1, b0, b1 in picks:
+            alice, bob = (bases[a0], bases[a1]), (bases[b0], bases[b1])
+            res = chsh_value(alice, bob)
+            e, f = parent_chsh(alice, bob)
+            assert res.expectations.tobytes() == e.tobytes()
+            assert np.float64(res.f_value).tobytes() == np.float64(f).tobytes()
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_side_effect_op(self, side, rng):
+        for basis in bit_identity_bases(rng):
+            for u in basis.vectors:
+                assert side_effect(side, u).op.tobytes() == parent_side_op(side, u).tobytes()
+
+
+class TestNoReproofs:
+    """Structural guard, no timing: the Bell path builds nothing it does not read."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"spec": 0, "effect": 0, "eigvalsh": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(states.PureStateSpec, "__post_init__",
+                            counting("spec", states.PureStateSpec.__post_init__))
+        monkeypatch.setattr(effects.Effect, "__post_init__",
+                            counting("effect", effects.Effect.__post_init__))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        return counts
+
+    def test_counters_see_the_certified_path(self, counts):
+        side_povm("alice", LocalBasis.rotation(0.3))
+        assert counts["spec"] == 4 and counts["effect"] == 2
+
+    def test_chsh_builds_no_spec_or_effect(self, counts, rng):
+        alice, bob = optimal_chsh_bases()
+        chsh_value(alice, bob)
+        for _ in range(5):
+            a0, a1, b0, b1 = (LocalBasis.rotation(a) for a in rng.uniform(-np.pi, np.pi, size=4))
+            chsh_value((a0, a1), (b0, b1))
+        assert counts["spec"] == 0 and counts["effect"] == 0 and counts["eigvalsh"] <= 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_activation_setup_calls_no_eigvalsh(self, d, counts, rng):
+        alphas = rng.uniform(0.05, 1.0, size=d)
+        activation_F(activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d))))
+        assert counts["effect"] == 8 and counts["eigvalsh"] == 0
