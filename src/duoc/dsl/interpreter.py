@@ -147,6 +147,14 @@ class _Args:
             raise _err(self.line, f"argument {key!r} of {self.what} must be a number list")
         return [x.value for x in v.items] if isinstance(v, ListV) else v
 
+    def integer_list(self, key, default=...):
+        v = self.number_list(key, default)
+        if v is default:
+            return v
+        if not all(float(x).is_integer() for x in v):
+            raise _err(self.line, f"argument {key!r} of {self.what} must be an integer list")
+        return tuple(int(x) for x in v)
+
     def nested_number_list(self, key):
         v = self._get(key, ..., ListV, "a list of lists")
         if any(not isinstance(row, ListV) for row in v.items):
@@ -269,9 +277,9 @@ class _Interpreter:
             return _pure_state(PureStateSpec(
                 sig, {(i,): c for i, c in enumerate(coeffs)}, parity=(parity,)))
         if ctor.name == "basis":
-            digits = [int(x) for x in args.number_list("digits")]
+            digits = args.integer_list("digits")
             args.done()
-            return _pure_state(basis_state_spec(sig, tuple(digits)))
+            return _pure_state(basis_state_spec(sig, digits))
         if ctor.name == "classical":
             weights = args.number_list("weights")
             args.done()
@@ -298,14 +306,11 @@ class _Interpreter:
             return build_separable(SeparableSpec(gamma=gamma), sig)
         if ctor.name == "purify":
             of = args.ref("of")
-            parity = args.number_list("parity", None)
-            tail = args.number_list("tail", None)
+            parity = args.integer_list("parity", None)
+            tail = args.integer_list("tail", None)
             args.done()
             inner = self._lookup("state", of, line)
-            spec = purify_classical_state(
-                inner, sig.n,
-                parity=None if parity is None else tuple(int(x) for x in parity),
-                tail=None if tail is None else tuple(int(x) for x in tail))
+            spec = purify_classical_state(inner, sig.n, parity=parity, tail=tail)
             if spec.sig != sig:
                 raise _err(line, f"purification lives on {spec.sig}, not {sig}")
             return _pure_state(spec)
@@ -362,11 +367,8 @@ class _Interpreter:
     def _transform(self, st: TransformDecl):
         args = _Args(st.ctor.args, st.line, f"{st.ctor.name}(...)")
         if st.ctor.name == "reversible":
-            shifts = args.number_list("shifts", None)
-            phases = args.number_list("phases", None)
-            spec = ReversibleSpec(
-                x_shifts=() if shifts is None else tuple(int(x) for x in shifts),
-                z_phases=() if phases is None else tuple(int(x) for x in phases))
+            spec = ReversibleSpec(x_shifts=args.integer_list("shifts", ()),
+                                  z_phases=args.integer_list("phases", ()))
             args.done()
             self._bind("transform", st.name, ("reversible", spec))
             return
@@ -374,6 +376,10 @@ class _Interpreter:
             rows = args.nested_number_list("rows")
             d = args.integer("d", 2)
             args.done()
+            if d < 2:
+                raise _err(st.line, f"channel needs d >= 2, got {d}")
+            if not (rows and rows[0]) or any(len(row) != len(rows[0]) for row in rows):
+                raise _err(st.line, "channel rows must be non-empty and of equal length")
             table = np.array(rows, dtype=float)
             m_out = round(math.log(table.shape[0], d))
             m_in = round(math.log(table.shape[1], d))
@@ -396,10 +402,10 @@ class _Interpreter:
     def _run_born(self, args: _Args, line: int):
         rho = self._lookup("state", args.ref("state"), line)
         povm = self._lookup("measure", args.ref("measure"), line)
-        marginal = args.number_list("marginal", None)
+        marginal = args.integer_list("marginal", None)
         args.done()
         if marginal is not None:
-            rho = marginal_state(rho, tuple(int(x) for x in marginal))
+            rho = marginal_state(rho, marginal)
         probs = born_probabilities(povm, rho)
         return [(f"p{i}", float(x)) for i, x in enumerate(probs)]
 

@@ -27,7 +27,7 @@ from .errors import DegenerateInputError, ShapeError
 DEFAULT_ATOL = 1e-10  # equality checks on states, effects, POVMs, unit vectors and channels
 ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zero norm, eigenvalue
 INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
-SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition or a singular-value list
+SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 
 # The cache budget of the blocked dim^2 passes: 64 x 64 complex tiles (64 KB), and row blocks of
 # 2^16 complex entries (1 MB), which also bound the single block: a matrix of at most 256 x 256

@@ -15,7 +15,6 @@ longer kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -48,9 +47,6 @@ from .systems import (
     index_table,
     index_to_digits,
 )
-
-# bounds the time and memory of span_dimensions: about 0.2 s and 40 MB on one core
-SPAN_SVD_WORK = 500_000_000
 
 
 @dataclass
@@ -197,8 +193,8 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
         if leak <= atol:
             break
     leak, k = best
-    (sigma, tau), (parity, tail) = table.relabelings[k], table.split_key(refs[k])
-    witness = {"sigma": sigma, "tau": tau, "parity": parity, "tail": tail}
+    perm, (parity, tail) = table.relabelings[k], table.split_key(refs[k])
+    witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
     return ValidityReport(valid=leak <= atol, residual=leak, witness=witness)
 
 
@@ -222,6 +218,8 @@ def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
     digits = tuple(int(g) for g in digits)
     if len(digits) != sig.num_factors:
         raise DomainError(f"need {sig.num_factors} digits, got {len(digits)}")
+    if any(g < 0 or g >= sig.d for g in digits):
+        raise DomainError(f"digits {digits} must lie in 0..{sig.d - 1}")
     p = sig.num_pairs
     dits, antis = digits[: sig.m], digits[sig.m :]
     parity = tuple((antis[i] - dits[i]) % sig.d for i in range(p))
@@ -482,58 +480,31 @@ def is_entangled(v, sig: SystemSignature) -> bool:
     return int(np.sum(eigs > DEFAULT_ATOL)) >= 2
 
 
-def _pair_subspace_specs(sig, perm, parity, tail):
-    """Spanning family of pure specs for one (relabeling, parity, tail) cell."""
-    p = sig.num_pairs
-    strings = list(product(range(sig.d), repeat=p))
-    inv_sqrt2 = 1 / np.sqrt(2)
-    out = []
-    for x in strings:
-        out.append(PureStateSpec(sig, {x: 1.0}, parity, tail, perm))
-    for a in range(len(strings)):
-        for b in range(a + 1, len(strings)):
-            x, y = strings[a], strings[b]
-            out.append(PureStateSpec(sig, {x: inv_sqrt2, y: inv_sqrt2}, parity, tail, perm))
-            out.append(PureStateSpec(sig, {x: inv_sqrt2, y: 1j * inv_sqrt2}, parity, tail, perm))
-    return out
-
-
 def span_dimensions(sig: SystemSignature) -> tuple:
-    """Real linear dimensions spanned by product states and by all valid states.
+    """Real linear dimensions ``(product_dim, valid_dim)`` spanned by product
+    states and by all valid states, counted from the cell structure.
 
-    Returns ``(product_dim, valid_dim)``.  Product states of the
-    classical/anti-classical split are diagonal, so their span is probed
-    with basis projectors; the valid-state span is probed with a
-    deterministic family that spans every paired subspace.  Ranks are
-    singular-value counts above ``SPECTRAL_ATOL`` (relative to the largest).
-    A composite whose two rank computations would cost more than
-    ``SPAN_SVD_WORK`` is refused before anything is built.
+    Product states are diagonal and include the ``dim`` basis projectors, so
+    ``product_dim = dim``.  A cell is ``gather[k][key == v]`` of
+    :func:`~duoc.systems.index_table`: the basis indices that relabeling
+    ``k`` gives key ``v``.  ``valid_dim`` counts the entries ``(i, j)`` with
+    ``i`` and ``j`` in one common cell, exactly: every valid pure state lies
+    on one cell; the pure states of a cell span all Hermitian matrices on
+    cell x cell; and in the real basis ``{E_ii, E_ij + E_ji, i(E_ij - E_ji)}``
+    these spans are coordinate subspaces, so their sum is spanned by the
+    union of their supports.  Without pairs the cells are single indices;
+    with pairs every relabeling is enumerated, so sides above
+    ``MAX_PERM_FACTORS`` are refused, as :func:`validate_pure_state` does.
     """
-    p = sig.num_pairs
-    tails = list(product(range(sig.d), repeat=abs(sig.m - sig.n)))
-    parities = list(product(range(sig.d), repeat=p))
-    from math import factorial
-
-    from .systems import all_factor_permutations
-
-    n_cells = factorial(sig.m) * factorial(sig.n) * len(parities) * len(tails)
-    n_rows = n_cells * (sig.d**p) ** 2
-    # an SVD of a rows x cols matrix costs about min(rows, cols)^2 * max(rows, cols)
-    cols = 2 * sig.dim**2
-    if max(min(r, cols) ** 2 * max(r, cols) for r in (sig.dim, n_rows)) > SPAN_SVD_WORK:
-        raise DomainError("spanning family too large for this composite; reduce the system")
-    rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
-    rows_valid = []
-    for perm in all_factor_permutations(sig.m, sig.n):
-        for parity in parities:
-            for tail in tails:
-                for spec in _pair_subspace_specs(sig, perm, parity, tail):
-                    rows_valid.append(projector(build_pure_state(spec)).reshape(-1))
-
-    def real_rank(rows):
-        a = np.array(rows)
-        stacked = np.hstack([a.real, a.imag])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        return int(np.sum(sv > SPECTRAL_ATOL * sv[0]))
-
-    return real_rank(rows_product), real_rank(rows_valid)
+    if not sig.num_pairs:
+        return sig.dim, sig.dim
+    if sig.m > MAX_PERM_FACTORS or sig.n > MAX_PERM_FACTORS:
+        raise DomainError(f"span of ({sig.m}, {sig.n}) enumerates every relabeling; "
+                          f"sides above {MAX_PERM_FACTORS} factors are too large")
+    table = index_table(sig)
+    # the key that relabeling k gives each basis index, in the index's own layout
+    labels = table.key[np.argsort(table.gather, axis=1)]
+    together = np.zeros((sig.dim, sig.dim), dtype=bool)
+    for row in labels:
+        together |= row[:, None] == row
+    return sig.dim, int(np.count_nonzero(together))

@@ -141,10 +141,10 @@ class IndexTable:
     ``(anti_j - dit_j) % d`` followed by its unpaired digits as one base-``d``
     integer of ``max(m, n)`` digits, most significant first.  When ``m, n <=
     MAX_PERM_FACTORS``, ``relabelings`` lists every kind-preserving
-    ``(sigma, tau)`` in ``itertools.permutations`` order and ``gather[k]``
-    reads a vector in the layout before relabeling ``k``: if ``v`` is
-    ``u`` relabeled by ``k``, then ``v[gather[k]] == u``.  Otherwise both
-    are empty.
+    :class:`FactorPermutation` in :func:`all_factor_permutations` order,
+    and ``gather[k]`` reads a vector in the layout before relabeling
+    ``k``: if ``v`` is ``u`` relabeled by ``k``, then ``v[gather[k]] ==
+    u``.  Otherwise both are empty.
     """
 
     sig: SystemSignature
@@ -176,11 +176,10 @@ def index_table(sig: SystemSignature) -> IndexTable:
     relabelings = ()
     gather = np.empty((0, sig.dim), dtype=np.intp)
     if m <= MAX_PERM_FACTORS and n <= MAX_PERM_FACTORS:
-        relabelings = tuple(itertools.product(itertools.permutations(range(m)),
-                                              itertools.permutations(range(n))))
+        relabelings = tuple(all_factor_permutations(m, n))
         cube = np.arange(sig.dim).reshape(sig.dims)
-        gather = np.stack([cube.transpose(sigma + tuple(m + i for i in tau)).reshape(-1)
-                           for sigma, tau in relabelings])
+        gather = np.stack([cube.transpose(perm.destinations(m, n)).reshape(-1)
+                           for perm in relabelings])
     return IndexTable(sig, place, key, relabelings, gather)
 
 

@@ -436,6 +436,42 @@ class TestCli:
             assert cli_main(["run", self.write(tmp_path, text)]) == 2
         assert "Warning" not in capsys.readouterr().err
 
+    # each of these used to crash with a raw numpy or math exception (channel), or to run on
+    # a silently changed input: a wrapped anti-dit digit, or a truncated integer
+    @pytest.mark.parametrize("text,message", [
+        ("transform T = channel(rows=[[1, 0], [0]], d=2)\n", "equal length"),
+        ("transform T = channel(rows=[[]], d=2)\n", "non-empty"),
+        ("transform T = channel(rows=[], d=2)\n", "non-empty"),
+        ("transform T = channel(rows=[[1]], d=1)\n", "d >= 2"),
+        ("transform T = channel(rows=[[1]], d=0)\n", "d >= 2"),
+        ("system S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = basis(digits=[0, 7]) on S\n", "must lie in 0..1"),
+        ("system S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = basis(digits=[0, -1]) on S\n", "must lie in 0..1"),
+        ("system S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = basis(digits=[0.9, 1]) on S\n", "'digits' .* integer list"),
+        ("transform T = reversible(shifts=[0, 1.5])\n", "'shifts' .* integer list"),
+        ("transform T = reversible(phases=[0.5, 1])\n", "'phases' .* integer list"),
+        ("system S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = basis(digits=[0, 1]) on S\nmeasure M = parity() on S\n"
+         "run born { state=A, measure=M, marginal=[1.7] } as B\n",
+         "'marginal' .* integer list"),
+        ("system C = composite(d=2, bits=1)\nsystem S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = classical(weights=[0.5, 0.5]) on C\n"
+         "state P = purify(of=A, parity=[0.5]) on S\n", "'parity' .* integer list"),
+        ("system C = composite(d=2, bits=1)\nsystem S = composite(d=2, bits=1, antibits=2)\n"
+         "state A = classical(weights=[0.5, 0.5]) on C\n"
+         "state P = purify(of=A, tail=[1.5]) on S\n", "'tail' .* integer list"),
+    ], ids=["ragged-rows", "empty-row", "no-rows", "d1", "d0", "digit7", "digit-1",
+            "digits", "shifts", "phases", "marginal", "parity", "tail"])
+    def test_bad_transform_and_list_inputs_exit_two(self, tmp_path, capsys, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScriptError, match=message):
+                run_script(parse_script(text))
+            assert cli_main(["run", self.write(tmp_path, text)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     # the state built from the weights checks its trace at DEFAULT_ATOL (1e-10), so the
     # weight check itself must refuse a larger excess, naming the weights, not a matrix
     @pytest.mark.parametrize("ctor,bits,antibits", [

@@ -1,6 +1,7 @@
 """Random scripts either run or raise a ``DuocError``, quickly and without numpy warnings.
 
-A script declares a system, then states, measurements, runs and asserts
+A script declares a transform, then a system, states (some of them the
+transform applied to another state), measurements, runs and asserts
 over a few names.  Every argument is drawn from values in its valid range
 and, about one time in twelve, from values outside it (negative,
 fractional, huge, missing), so that scripts often get past their first
@@ -55,7 +56,17 @@ UNIT = _val(["[0.6, 0.8]", "[1, 0]", "[0.6, 0, 0.8]", "[0.5, 0.5, 0.5, 0.5]"],
 WEIGHTS = st.one_of(_val(["[0.5, 0.5]", "[0.25, 0.25, 0.25, 0.25]", "[1, 0, 0, 0]"],
                          ["[0.5, 0.6]", "[-0.5, 1.5]"]), _list(NUMBER, 9))
 
+# channel tables over d=2: 2 x 2, 2 x 1 and 1 x 2 are valid; ragged, empty and non-stochastic
+ROWS = _val(["[[0.9, 0.2], [0.1, 0.8]]", "[[1, 0], [0, 1]]", "[[0.5], [0.5]]", "[[1, 1]]"],
+            ["[[1, 0], [0]]", "[[]]", "[]", "[[1, 0.5], [0, 0.6]]", "[[-1, 0], [2, 1]]"])
+CHANNEL_D = _val(["2"], ["1", "0", "-1", "2.5", "3"])
+
 _system_args = st.builds("composite(d={}, bits={}, antibits={})".format, DIM, FACTORS, FACTORS)
+
+_transform = st.one_of(
+    _args(shifts=_list(DIGIT, 3), phases=_list(DIGIT, 3)).map("reversible({})".format),
+    _args(rows=ROWS, d=CHANNEL_D).map("channel({})".format),
+)
 
 _state_ctor = st.one_of(
     _args(p=NUMBER, parity=DIGIT).map("entpair({})".format),
@@ -66,7 +77,9 @@ _state_ctor = st.one_of(
     _args(of=_name("A"), parity=_list(DIGIT, 3), tail=_list(DIGIT, 3)).map("purify({})".format),
 )
 _state_on = st.builds("{} on {}".format, _state_ctor, _name("S"))
-_state = st.one_of(_state_on, st.builds("product(A0, {})".format, _name("A")))
+_apply = _args(state=_name("A"), transform=_name("T")).map("apply({})".format)
+_state = st.one_of(_state_on, st.builds("product(A0, {})".format, _name("A")),
+                   st.builds("{} on {}".format, _apply, _name("S")))
 
 _measure = st.builds(
     "{} on {}".format,
@@ -100,8 +113,10 @@ def _declare(template, first, rest, max_size):
         lambda items: [template.format(i, body) for i, body in enumerate([items[0], *items[1]])])
 
 
-# declared in order, the first of each kind always, so that most references resolve
+# declared in order, the first of each kind always, so that most references resolve; the
+# transform needs no system, so it comes first, where a failing system cannot hide its input
 _script = st.tuples(
+    _declare("transform T{} = {}", _transform, _transform, 1),
     _declare("system S{} = {}", _system_args, _system_args, 2),
     _declare("state A{} = {}", _state_on, _state, 3),
     _declare("measure M{} = {}", _measure, _measure, 2),

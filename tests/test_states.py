@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -29,8 +29,21 @@ from duoc.states import (
     validate_mixed_state,
     validate_pure_state,
 )
-from duoc.linalg import DEFAULT_ATOL, low_rank_psd, permute_vector_factors, projector
-from duoc.systems import FactorPermutation, SystemSignature, digits_to_index
+from duoc.linalg import (
+    DEFAULT_ATOL,
+    SPECTRAL_ATOL,
+    low_rank_psd,
+    permute_vector_factors,
+    projector,
+)
+from duoc.systems import (
+    MAX_COMPOSITE_DIM,
+    MAX_PERM_FACTORS,
+    FactorPermutation,
+    SystemSignature,
+    all_factor_permutations,
+    digits_to_index,
+)
 
 from conftest import LOW_RANK_LAMBDAS, low_rank_density, low_rank_support, lowest_eigenvalue
 
@@ -315,6 +328,13 @@ def test_basis_state_spec_reconstructs():
     assert v[digits_to_index(digits, 3)] == 1.0
 
 
+# a paired anti-dit digit enters only the parity (anti - dit) % d, where 7 and -1 read as 1
+@pytest.mark.parametrize("digits", [(0, 7), (0, -1), (2, 0), (-1, 1)])
+def test_basis_state_spec_refuses_digits_out_of_range(digits):
+    with pytest.raises(DomainError, match="must lie in 0..1"):
+        basis_state_spec(SIG11, digits)
+
+
 class TestDensityState:
     def test_trace_enforced(self):
         with pytest.raises(DensityMatrixError):
@@ -557,6 +577,42 @@ class TestIsEntangled:
             is_entangled(v, SIG11)
 
 
+def dense_span(sig):
+    """Span dimensions the dense way: the real SVD rank, at ``SPECTRAL_ATOL`` relative to the
+    largest singular value, of the basis projectors and of a spanning family of every cell."""
+    strings = list(product(range(sig.d), repeat=sig.num_pairs))
+    r = 2**-0.5
+    family = [{x: 1.0} for x in strings] + [
+        {x: r, y: c * r} for x, y in combinations(strings, 2) for c in (1, 1j)]
+    rows_valid = [
+        projector(build_pure_state(PureStateSpec(sig, coeffs, parity, tail, perm))).reshape(-1)
+        for perm in all_factor_permutations(sig.m, sig.n)
+        for parity in product(range(sig.d), repeat=sig.num_pairs)
+        for tail in product(range(sig.d), repeat=abs(sig.m - sig.n))
+        for coeffs in family]
+    rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
+
+    def real_rank(rows):
+        a = np.array(rows)
+        sv = np.linalg.svd(np.hstack([a.real, a.imag]), compute_uv=False)
+        return int(np.sum(sv > SPECTRAL_ATOL * sv[0]))
+
+    return real_rank(rows_product), real_rank(rows_valid)
+
+
+# every signature of dimension <= 64 that the dense method answered under its old cost bound
+DENSE_SPAN_SIGNATURES = [
+    (2, 0, 1), (2, 0, 2), (2, 0, 3), (2, 0, 4), (2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3),
+    (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (2, 3, 1), (2, 4, 0), (3, 0, 1), (3, 0, 2),
+    (3, 0, 3), (3, 1, 0), (3, 1, 1), (3, 1, 2), (3, 2, 0), (3, 2, 1), (3, 3, 0), (4, 0, 1),
+    (4, 0, 2), (4, 1, 0), (4, 1, 1), (4, 2, 0), (5, 0, 1), (5, 0, 2), (5, 1, 0), (5, 1, 1),
+    (5, 2, 0), (6, 0, 1), (6, 0, 2), (6, 1, 0), (6, 1, 1), (6, 2, 0), (7, 0, 1), (7, 0, 2),
+    (7, 1, 0), (7, 2, 0), (8, 0, 1), (8, 0, 2), (8, 1, 0), (8, 2, 0), (9, 0, 1), (9, 1, 0),
+    (10, 0, 1), (10, 1, 0), (11, 0, 1), (11, 1, 0), (12, 0, 1), (12, 1, 0), (13, 0, 1),
+    (13, 1, 0), (14, 0, 1), (14, 1, 0), (15, 0, 1), (15, 1, 0), (16, 0, 1), (16, 1, 0),
+]
+
+
 class TestSpanDimensions:
     def test_pair_d2(self):
         assert span_dimensions(SIG11) == (4, 8)
@@ -570,9 +626,46 @@ class TestSpanDimensions:
         prod, full = span_dimensions(sig)
         assert prod == full == 4
 
-    # each used to be accepted: (3,1,3) ran for about 6 s, (2,1,4) about 2 s, and (2,4,4)
-    # built 256 dense basis projectors (268 MB) before its size check refused it
-    @pytest.mark.parametrize("dmn", [(3, 1, 3), (2, 1, 4), (2, 4, 4)])
+    @pytest.mark.parametrize("dmn", DENSE_SPAN_SIGNATURES, ids=str)
+    def test_count_matches_dense_rank(self, dmn):
+        sig = SystemSignature(*dmn)
+        assert span_dimensions(sig) == dense_span(sig)
+
+    # the dense rank refused these (without its cost bound, (3,1,3) took about 6 s and
+    # (3,2,2) 21.7 s); the cell count answers them within the refusal bound below
+    @pytest.mark.parametrize("dmn, dims", [((3, 1, 3), (81, 567)), ((3, 2, 2), (81, 1215)),
+                                           ((2, 0, 5), (32, 32))])
+    def test_count_is_quick_where_dense_was_refused(self, dmn, dims):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert span_dimensions(SystemSignature(*dmn)) == dims
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5 and peak < 1e6
+
+    def test_count_at_the_composite_cap(self):
+        start = time.perf_counter()
+        assert span_dimensions(SystemSignature(4, 3, 3)) == (4096, 1048576)
+        assert time.perf_counter() - start < 1.0
+
+    def test_every_signature_answers_or_is_refused_within_a_second(self):
+        sigs = [SystemSignature(d, m, n) for d in range(2, 17) for m in range(13)
+                for n in range(13) if m + n and d ** (m + n) <= MAX_COMPOSITE_DIM]
+        for sig in sigs:
+            start = time.perf_counter()
+            if sig.num_pairs and max(sig.m, sig.n) > MAX_PERM_FACTORS:
+                with pytest.raises(DomainError):
+                    span_dimensions(sig)
+            else:
+                prod, full = span_dimensions(sig)
+                assert prod == sig.dim <= full <= sig.dim**2
+            assert time.perf_counter() - start < 1.0, sig
+
+    # (2,1,4) used to run for about 2 s, and (2,4,4) built 256 dense basis projectors
+    # (268 MB) before a size check refused it
+    @pytest.mark.parametrize("dmn", [(2, 1, 4), (2, 4, 4)])
     def test_costly_family_refused_before_anything_is_built(self, dmn):
         tracemalloc.start()
         start = time.perf_counter()
