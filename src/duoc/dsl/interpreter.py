@@ -22,6 +22,7 @@ from ..effects import (
     Effect,
     Povm,
     born_probabilities,
+    conditional_failures,
     witness_povm,
     worst_case_no_probability,
 )
@@ -64,8 +65,10 @@ from .ast import (
 from .emit import ResultTable, emit_results
 
 DEFAULT_TOL = INPUT_ATOL
-# bounds the run time of ``run conditional``: every trial samples, contracts and validates
+# bound the run time of ``run conditional``: every trial samples, contracts a dim x dim projector
+# and validates; at most 2^22 projector entries take under 2 s and 0.2 GB at every dimension
 MAX_CONDITIONAL_TRIALS = 10_000
+MAX_CONDITIONAL_WORK = 1 << 22
 # bounds ``computational()``: dim effects of dim^2 entries each, 33 MB at dimension 128
 MAX_COMPUTATIONAL_DIM = 128
 
@@ -458,11 +461,11 @@ class _Interpreter:
         if not 1 <= trials <= MAX_CONDITIONAL_TRIALS:
             raise _err(line, f"conditional needs trials in 1..{MAX_CONDITIONAL_TRIALS}, "
                              f"got {trials}")
-        from ..oracle import brute_force_conditional_check  # the oracle stays out of CLI import
-
         sig = SystemSignature(d, m, n)
-        failures = brute_force_conditional_check(trials, sig, self.rng,
-                                                 corrupt=bool(corrupt))
+        if trials * sig.dim**2 > MAX_CONDITIONAL_WORK:
+            raise _err(line, f"conditional needs trials x dim^2 <= {MAX_CONDITIONAL_WORK}, "
+                             f"got {trials} x {sig.dim}^2")
+        failures = conditional_failures(trials, sig, self.rng, corrupt=bool(corrupt))
         return [("trials", int(trials)), ("failures", int(failures))]
 
     def _run_span(self, args: _Args, line: int):

@@ -21,7 +21,7 @@ from .linalg import (
     BLOCK_ENTRIES, DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, contract_effect,
     min_eigenvalue, off_diagonal_max, row_blocks, tensor_all,
 )
-from .states import DensityState, ValidityReport, validate_mixed_state
+from .states import DensityState, ValidityReport, random_mixed_state, validate_mixed_state
 from .systems import FactorPermutation, SystemSignature, phase_matrix
 
 # random valid inputs on which validate_transformation checks trace and output validity
@@ -266,8 +266,6 @@ def validate_transformation(
     check with an ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.
     Linearity itself is spot-checked.
     """
-    from .oracle import random_mixed_state
-
     rng = np.random.default_rng(seed)
     a = np.asarray(map_fn(_unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
     b = np.asarray(map_fn(1j * _unit_matrix(sig_in.dim, 0, 0)), dtype=complex)

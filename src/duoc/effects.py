@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ShapeError
 from .linalg import (
     DEFAULT_ATOL,
+    INPUT_ATOL,
     ZERO_ATOL,
     contract_effect,
     hermitian_part,
@@ -39,11 +40,19 @@ from .states import (
     PureStateSpec,
     SeparableSpec,
     ValidityReport,
+    as_rng,
     basis_state_spec,
+    build_drawn_states,
     build_pure_state,
+    draw_valid_state,
+    drawn_spec,
+    pattern_test,
     validate_cone_member,
 )
 from .systems import SystemSignature
+
+# bytes of one batch of conditional trials: their projectors and a contraction copy of each
+CONDITIONAL_BATCH_BYTES = 1 << 24
 
 
 @dataclass(eq=False)
@@ -180,6 +189,153 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
         return max(prob, 0.0), None
     keep = tuple(t for t in range(sig.num_factors) if t not in positions)
     return prob, DensityState(sig.sub_signature(keep), raw / prob)
+
+
+def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Effect:
+    """Random positive combination of valid pure projectors, scaled below I.
+
+    Draw order: number of terms, term weights, then one
+    :func:`~duoc.states.draw_valid_state` per term.
+    """
+    weights, draws = _draw_effect(sig, as_rng(rng), max_terms)
+    cert = []
+    op = np.zeros((sig.dim, sig.dim), dtype=complex)
+    for w, draw in zip(weights, draws):
+        spec = drawn_spec(sig, draw)
+        v = build_pure_state(spec)
+        cert.append([float(w), spec])
+        op += w * np.outer(v, v.conj())
+    top = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[-1])
+    if top > 1.0:
+        scale = top * (1 + ZERO_ATOL)
+        op /= scale
+        cert = [[w / scale, spec] for w, spec in cert]
+    return Effect(sig, op, certificate=[(w, spec) for w, spec in cert])
+
+
+def _draw_effect(sig: SystemSignature, rng, max_terms: int = 3) -> tuple:
+    """The draws of :func:`random_certified_effect`: term weights and one state draw per term."""
+    n_terms = int(rng.integers(1, max_terms + 1))
+    weights = rng.uniform(0.2, 1.0, size=n_terms)
+    return weights, [draw_valid_state(sig, rng) for _ in range(n_terms)]
+
+
+def corrupt_case(sig: SystemSignature) -> tuple:
+    """A maximally correlated state plus a digit-mixing effect: ``(spec, e_vec, positions)``.
+
+    Measuring the first dit in a superposition basis leaves its paired
+    anti-dit in a superposition of basis states, which the model
+    forbids, so the conditional state always fails validation.
+    """
+    d, m, n = sig.d, sig.m, sig.n
+    if min(m, n) < 1:
+        raise DomainError("the corrupt control needs at least one dit/anti-dit pair")
+    p = sig.num_pairs
+    coeffs = dict.fromkeys(product(range(d), repeat=p), d ** (-p / 2))
+    state = PureStateSpec(sig, coeffs, parity=(0,) * p, tail=(0,) * abs(m - n))
+    e = np.zeros(d, dtype=complex)
+    e[0] = 1 / np.sqrt(2)
+    e[1] = 1 / np.sqrt(2)
+    return state, e, (0,)
+
+
+def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool = False) -> int:
+    """Count invalid conditional states over random measurement scenarios, in one batched pass.
+
+    Trial by trial this draws from ``rng`` what
+    :func:`duoc.oracle.brute_force_conditional_check` draws, in its order: a
+    valid pure state, the number and positions of the measured factors and
+    a random certified effect on them; both leave ``rng`` in one state.  The
+    trials measuring the same positions then run together in batches of
+    ``CONDITIONAL_BATCH_BYTES``: admission of the scaled effects, the
+    contraction of each projector, and :func:`~duoc.states.pattern_test` on
+    every branch ``conj(e_t) . psi`` of relative weight above ``INPUT_ATOL``.
+    A trial of probability at most ``INPUT_ATOL`` is skipped; one fails when
+    a branch is invalid or the branches miss the contraction by more than
+    ``DEFAULT_ATOL``.  With ``corrupt=True`` every trial is the fixed
+    :func:`corrupt_case`, which draws nothing and always fails.
+    """
+    if sig.num_factors < 2:
+        raise DomainError("need at least two factors to measure a proper subset")
+    if corrupt:
+        spec, e_vec, positions = corrupt_case(sig)
+        cases = [(positions, np.tile(build_pure_state(spec), (trials, 1)),
+                  np.tile(e_vec, (trials, 1, 1)), np.ones((trials, 1)))]
+    else:
+        cases = _drawn_cases(trials, sig, as_rng(rng))
+    step = max(1, CONDITIONAL_BATCH_BYTES // (32 * sig.dim**2))
+    return sum(_batch_failures(sig, positions, *(a[i : i + step] for a in arrays))
+               for positions, *arrays in cases for i in range(0, len(arrays[0]), step))
+
+
+def _drawn_cases(trials: int, sig: SystemSignature, rng) -> list:
+    """The random trials of :func:`conditional_failures`, one ``(positions, psi, terms, weights)``
+    per measured position set: states ``(G, dim)``, term vectors and term weights."""
+    groups = {}
+    for _ in range(trials):
+        state = draw_valid_state(sig, rng)
+        size = int(rng.integers(1, sig.num_factors))
+        positions = tuple(sorted(rng.choice(sig.num_factors, size=size, replace=False).tolist()))
+        if positions not in groups:
+            groups[positions] = (sig.sub_signature(positions), [], [])
+        sub, states, effects = groups[positions]
+        states.append(state)
+        effects.append(_draw_effect(sub, rng))
+    cases = []
+    for positions, (sub, states, effects) in groups.items():
+        psi = build_drawn_states(sig, *(np.array(field) for field in zip(*states)))
+        counts = np.array([len(w) for w, _ in effects])
+        # the terms and weights of trial g in row g, in draw order, padded with zero terms
+        slots = np.nonzero(np.arange(max(counts)) < counts[:, None])
+        terms = np.zeros((len(states), max(counts), sub.dim), dtype=complex)
+        weights = np.zeros(terms.shape[:2])
+        terms[slots] = build_drawn_states(sub, *(np.array(field) for field in zip(
+            *(draw for _, draws in effects for draw in draws))))
+        weights[slots] = np.concatenate([w for w, _ in effects])
+        cases.append((positions, psi, terms, weights))
+    return cases
+
+
+def _batch_failures(sig: SystemSignature, positions, psi, terms, weights) -> int:
+    """Failing trials among states ``psi`` ``(G, dim)`` measured at ``positions`` by the effects
+    ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
+    rest = tuple(t for t in range(sig.num_factors) if t not in positions)
+    # the effects, scaled below the identity where their top eigenvalue exceeds 1
+    op = (terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj()
+    adjoint = op.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(adjoint - op), axis=(1, 2))
+    op += adjoint
+    op /= 2
+    vals = np.linalg.eigvalsh(op)
+    scale = np.where(vals[:, -1] > 1.0, vals[:, -1] * (1 + ZERO_ATOL), 1.0)
+    # admission as Effect runs it on each scaled operator; a positive scale divides the
+    # Hermitian part, its defect and its spectrum alike
+    op /= scale[:, None, None]
+    weights = weights / scale[:, None]
+    defect /= scale
+    vals /= scale[:, None]
+    if np.any(defect > DEFAULT_ATOL):
+        raise DomainError(f"effect is not Hermitian (defect {np.max(defect)})")
+    if np.any(outside := (vals[:, 0] < -DEFAULT_ATOL) | (vals[:, -1] > 1 + DEFAULT_ATOL)):
+        lo, hi = vals[np.argmax(outside)][[0, -1]]
+        raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
+    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(), positions, sig.dims)
+    prob = np.trace(raw, axis1=1, axis2=2).real
+    # branch t of trial g is conj(terms[g, t]) . psi[g] over the measured factors
+    cube = psi.reshape((-1,) + sig.dims).transpose([0] + [1 + t for t in positions + rest])
+    branch = terms.conj() @ cube.reshape(len(psi), terms.shape[-1], -1)
+    recon = (branch.transpose(0, 2, 1) * weights[:, None, :]) @ branch.conj()
+    wrong = np.max(np.abs(recon - raw), axis=(1, 2)) > DEFAULT_ATOL
+    kept = prob > INPUT_ATOL
+    mass = weights[kept] * np.sum(branch[kept].real**2 + branch[kept].imag**2, axis=2)
+    tested = np.zeros(weights.shape, dtype=bool)
+    tested[kept] = mass / prob[kept, None] > INPUT_ATOL
+    invalid = np.zeros(weights.shape, dtype=bool)
+    if tested.any():
+        vecs = branch[tested]
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        invalid[tested] = ~pattern_test(vecs, sig.sub_signature(rest))[0]
+    return int(np.count_nonzero(kept & (wrong | invalid.any(axis=1))))
 
 
 def unit_effect(sig: SystemSignature) -> Effect:

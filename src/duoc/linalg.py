@@ -47,10 +47,10 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_operator(x) -> np.ndarray:
-    """Coerce ``x`` to a finite square complex matrix."""
+def as_operator(x, stacked: bool = False) -> np.ndarray:
+    """Coerce ``x`` to a finite square complex matrix, or with ``stacked`` to a stack of them."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
@@ -184,18 +184,26 @@ def contract_effect(op, rho, positions, dims) -> np.ndarray:
 
     ``op`` acts on the factors at ``positions`` in that order, as in
     :func:`embed_operator`; the result acts on the other factors in
-    ascending order, and its trace is ``Tr[(E_S x I) rho]``.
+    ascending order, and its trace is ``Tr[(E_S x I) rho]``.  A stack of
+    states ``rho`` (one leading axis) takes a stack of as many effects and
+    gives the stack of their contractions.
     """
-    small, mat = as_operator(op), as_operator(rho)
-    dims = _check_dims(dims, mat.shape[0])
-    positions, rest = _split_factors(positions, dims, small.shape[0])
-    nfac, sub = len(dims), small.shape[0]
-    rest_dim = mat.shape[0] // sub
+    stacked = np.ndim(rho) == 3
+    small, mat = as_operator(op, stacked), as_operator(rho, stacked)
+    lead = mat.shape[:-2]
+    if small.shape[:-2] != lead:
+        raise ShapeError(f"{small.shape[:-2]} effects cannot pair with {lead} states")
+    dims = _check_dims(dims, mat.shape[-1])
+    positions, rest = _split_factors(positions, dims, small.shape[-1])
+    nfac, sub = len(dims), small.shape[-1]
+    rest_dim = mat.shape[-1] // sub
     # axes (a, b, x, y) hold rho[(b, x), (a, y)]; sum over a, b of E[a, b] times that
-    tensor = mat.reshape(dims + dims).transpose(
-        [nfac + p for p in positions] + list(positions) + rest + [nfac + t for t in rest])
-    out = small.reshape(-1) @ tensor.reshape(sub * sub, rest_dim * rest_dim)
-    return out.reshape(rest_dim, rest_dim)
+    axes = [nfac + p for p in positions] + list(positions) + rest + [nfac + t for t in rest]
+    tensor = mat.reshape(lead + dims + dims).transpose(
+        list(range(len(lead))) + [len(lead) + a for a in axes])
+    out = small.reshape(lead + (1, sub * sub)) @ tensor.reshape(
+        lead + (sub * sub, rest_dim * rest_dim))
+    return out.reshape(lead + (rest_dim, rest_dim))
 
 
 def permute_vector_factors(v, dims, dest) -> np.ndarray:

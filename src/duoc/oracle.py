@@ -8,94 +8,25 @@ nonnegative least squares over a dense grid of valid pure projectors.
 None of these routines call the engine's embedding or partial-trace
 kernels, so agreement between the two paths is evidence, not tautology.
 
-Randomness: ``numpy.random.default_rng`` (PCG64).  Every sampler draws
-in a fixed documented order, so recorded values are stable across
-platforms for a given seed.
+Randomness: the conditional sweep draws its scenarios with the engine's
+samplers, which use ``numpy.random.default_rng`` (PCG64) in a fixed
+documented order; the engine's batched
+:func:`duoc.effects.conditional_failures` draws the same scenarios.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .effects import Effect
+from .effects import corrupt_case, random_certified_effect
 from .errors import DomainError
-from .states import PureStateSpec, build_pure_state, validate_pure_state
-from .systems import FactorPermutation, SystemSignature
+from .states import as_rng, build_pure_state, random_valid_state, validate_pure_state
+from .systems import SystemSignature
 
 _L = string.ascii_letters
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
-    """Uniformly sampled valid pure-state spec.
-
-    Draw order (fixed for reproducibility): dit permutation, anti-dit
-    permutation, parity vector, tail, coefficient reals, coefficient
-    imaginaries.
-    """
-    rng = _as_rng(rng)
-    d, m, n = sig.d, sig.m, sig.n
-    p = sig.num_pairs
-    # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
-    sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
-    tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
-    parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
-    tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
-    raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
-    raw = raw / np.linalg.norm(raw)
-    coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
-    return PureStateSpec(sig, coeffs, parity=parity, tail=tail,
-                         perm=FactorPermutation(sigma, tau))
-
-
-def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Effect:
-    """Random positive combination of valid pure projectors, scaled below I.
-
-    Draw order: number of terms, term weights, then one
-    :func:`random_valid_state` per term.
-    """
-    rng = _as_rng(rng)
-    n_terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.uniform(0.2, 1.0, size=n_terms)
-    cert = []
-    op = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for t in range(n_terms):
-        spec = random_valid_state(sig, rng)
-        v = build_pure_state(spec)
-        cert.append([float(weights[t]), spec])
-        op += weights[t] * np.outer(v, v.conj())
-    top = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[-1])
-    if top > 1.0:
-        scale = top * (1 + 1e-12)
-        op /= scale
-        cert = [[w / scale, spec] for w, spec in cert]
-    return Effect(sig, op, certificate=[(w, spec) for w, spec in cert])
-
-
-def random_mixed_state(sig: SystemSignature, rng, max_terms: int = 3):
-    """Random convex mixture of valid pure states; returns (state, certificate)."""
-    from .states import DensityState
-
-    rng = _as_rng(rng)
-    n_terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.dirichlet(np.ones(n_terms))
-    cert = []
-    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for t in range(n_terms):
-        spec = random_valid_state(sig, rng)
-        v = build_pure_state(spec)
-        cert.append((float(weights[t]), spec))
-        mat += weights[t] * np.outer(v, v.conj())
-    return DensityState(sig, mat), cert
 
 
 def oracle_conditional(rho: np.ndarray, d: int, nfac: int, e_op: np.ndarray, positions):
@@ -142,25 +73,6 @@ def _branch_vector(e_vec: np.ndarray, psi: np.ndarray, d: int, nfac: int, positi
     return np.einsum(spec, e_t, psi_t).reshape(-1)
 
 
-def _corrupt_case(sig: SystemSignature):
-    """A maximally correlated state plus a digit-mixing effect.
-
-    Measuring the first dit in a superposition basis leaves its paired
-    anti-dit in a superposition of basis states, which the model
-    forbids, so the conditional state always fails validation.
-    """
-    d, m, n = sig.d, sig.m, sig.n
-    if min(m, n) < 1:
-        raise DomainError("the corrupt control needs at least one dit/anti-dit pair")
-    p = sig.num_pairs
-    coeffs = dict.fromkeys(product(range(d), repeat=p), d ** (-p / 2))
-    state = PureStateSpec(sig, coeffs, parity=(0,) * p, tail=(0,) * abs(m - n))
-    e = np.zeros(d, dtype=complex)
-    e[0] = 1 / np.sqrt(2)
-    e[1] = 1 / np.sqrt(2)
-    return state, e, (0,)
-
-
 def brute_force_conditional_check(trials: int, sig: SystemSignature, rng,
                                   corrupt: bool = False) -> int:
     """Count invalid conditional states over random measurement scenarios.
@@ -173,14 +85,14 @@ def brute_force_conditional_check(trials: int, sig: SystemSignature, rng,
     deliberately invalid parity-mixing projector, so failures are the
     expected outcome.
     """
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     d, nfac = sig.d, sig.num_factors
     if nfac < 2:
         raise DomainError("need at least two factors to measure a proper subset")
     failures = 0
     for _ in range(trials):
         if corrupt:
-            spec, e_vec, positions = _corrupt_case(sig)
+            spec, e_vec, positions = corrupt_case(sig)
             branches = [(1.0, e_vec)]
         else:
             spec = random_valid_state(sig, rng)

@@ -14,7 +14,9 @@ longer kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -47,6 +49,9 @@ from .systems import (
     index_table,
     index_to_digits,
 )
+
+# the rounding unit of the leaks that pattern_test sums at once
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -128,42 +133,140 @@ class PureStateSpec:
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
     """Dense state vector for a :class:`PureStateSpec`."""
     sig = spec.sig
-    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    d, p = sig.d, sig.num_pairs
     place = index_table(sig).place
-    # canonical factor t lands on position dest[t] and takes that place value
-    w = [place[q] for q in spec.perm.destinations(m, n)]
-    tail_w = w[p:m] if m > n else w[m + p :]
+    w = [place[q] for q in spec.perm.destinations(sig.m, sig.n)]
     # the spec checked its fields when built; these checks catch a spec changed since
-    if len(spec.parity) != p or len(spec.tail) != len(tail_w):
+    if len(spec.parity) != p or len(spec.tail) != abs(sig.m - sig.n):
         raise DomainError(f"parity {spec.parity} or tail {spec.tail} does not fit {sig}")
-    base = 0
-    for t, wt in zip(spec.tail, tail_w):
-        if not 0 <= t < d:
-            raise DomainError(f"tail digits must lie in 0..{d - 1}")
-        base += t * wt
-    pairs = list(zip(spec.parity, w[:p], w[m : m + p]))
+    if any(not 0 <= t < d for t in spec.tail):
+        raise DomainError(f"tail digits must lie in 0..{d - 1}")
     v = np.zeros(sig.dim, dtype=complex)
     for x, amp in spec.coeffs.items():
         if len(x) != p:
             raise DomainError(f"coefficient key {x} must have length {p}")
-        idx = base
-        for g, (s, wd, wa) in zip(x, pairs):
-            if not 0 <= g < d:
-                raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
-            idx += g * wd + (g + s) % d * wa
-        v[idx] = amp
+        if any(not 0 <= g < d for g in x):
+            raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
+        v[_pure_index(sig, w, spec.parity, spec.tail, x)] = amp
     return v
+
+
+def _pure_index(sig: SystemSignature, w, parity, tail, key):
+    """Basis index of ``key``'s amplitude in a paired state, on ints or on broadcasting arrays.
+
+    Canonical factor ``t`` takes place value ``w[t]`` (its destination's);
+    pair ``i`` puts digit ``key[i]`` on its dit and ``key[i] + parity[i] mod
+    d`` on its anti-dit, and the unpaired factors carry ``tail``.
+    """
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    idx = 0
+    for t, wt in zip(tail, w[p:m] if m > n else w[m + p :]):
+        idx = idx + t * wt
+    for g, s, wd, wa in zip(key, parity, w[:p], w[m : m + p]):
+        idx = idx + g * wd + (g + s) % d * wa
+    return idx
+
+
+def build_drawn_states(sig: SystemSignature, dest, parity, tail, coeffs) -> np.ndarray:
+    """Dense vectors ``(N, dim)`` of ``N`` states drawn by :func:`draw_valid_state`.
+
+    The arguments stack the draws' fields row by row; ``coeffs[i]`` holds
+    every key's amplitude in ``itertools.product`` order.  The draws are
+    checked as :class:`PureStateSpec` checks its fields.
+    """
+    d, p = sig.d, sig.num_pairs
+    dest, parity, tail = (np.asarray(a, dtype=np.intp) for a in (dest, parity, tail))
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if (parity.shape, tail.shape, coeffs.shape) != ((len(coeffs), p),
+                                                    (len(coeffs), abs(sig.m - sig.n)),
+                                                    (len(coeffs), d**p)):
+        raise DomainError(f"drawn parities, tails or amplitudes do not fit {sig}")
+    if np.any((parity < 0) | (parity >= d)) or np.any((tail < 0) | (tail >= d)):
+        raise DomainError(f"drawn digits must lie in 0..{d - 1}")
+    total = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
+    # written so that a NaN amplitude fails it
+    if not np.all(np.abs(total - 1.0) <= DEFAULT_ATOL):
+        raise NormalizationError(f"drawn amplitudes have squared norms {total}, expected 1")
+    # per-factor rows of shape (N, 1) broadcast against the keys' digit rows of shape (K,)
+    w = np.asarray(index_table(sig).place)[dest].T[:, :, None]
+    keys = np.indices((d,) * p).reshape(p, d**p)
+    idx = _pure_index(sig, w, parity.T[:, :, None], tail.T[:, :, None], keys)
+    v = np.zeros((len(coeffs), sig.dim), dtype=complex)
+    np.put_along_axis(v, np.broadcast_to(idx, coeffs.shape), coeffs, axis=1)
+    return v
+
+
+def as_rng(rng) -> np.random.Generator:
+    """``rng`` itself if it is a ``numpy`` generator, else ``default_rng(rng)`` (PCG64)."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng)
+
+
+def draw_valid_state(sig: SystemSignature, rng: np.random.Generator) -> tuple:
+    """The draws of one uniformly sampled valid pure state of ``sig``.
+
+    Returns ``(destinations, parity, tail, coefficients)``: the flat factor
+    destinations of the relabeling, the parity vector, the tail and the
+    unit vector of amplitudes in ``itertools.product`` key order.  Draw
+    order (fixed for reproducibility): dit permutation, anti-dit
+    permutation, parity vector, tail, coefficient reals, coefficient
+    imaginaries.
+    """
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
+    sigma = rng.permutation(m) if m > 1 else np.arange(m)
+    tau = rng.permutation(n) if n > 1 else np.arange(n)
+    parity = rng.integers(0, d, size=p) if p else np.zeros(0, dtype=np.intp)
+    tail = rng.integers(0, d, size=abs(m - n)) if m != n else np.zeros(0, dtype=np.intp)
+    # one draw of 2 d^p normals consumes the stream as two of d^p do
+    parts = rng.normal(size=2 * d**p)
+    raw = parts[: d**p] + 1j * parts[d**p :]
+    # the norm as np.linalg.norm sums it, without its dispatch
+    norm = math.sqrt(raw.real.dot(raw.real) + raw.imag.dot(raw.imag))
+    return np.concatenate([sigma, tau + m]), parity, tail, raw / norm
+
+
+def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
+    """Uniformly sampled valid pure-state spec, drawn by :func:`draw_valid_state`."""
+    return drawn_spec(sig, draw_valid_state(sig, as_rng(rng)))
+
+
+def drawn_spec(sig: SystemSignature, draw) -> PureStateSpec:
+    """The :class:`PureStateSpec` of a draw of :func:`draw_valid_state`."""
+    dest, parity, tail, raw = draw
+    coeffs = dict(zip(product(range(sig.d), repeat=sig.num_pairs), raw.tolist()))
+    perm = FactorPermutation(tuple(dest[: sig.m].tolist()), tuple((dest[sig.m :] - sig.m).tolist()))
+    return PureStateSpec(sig, coeffs, parity=tuple(parity.tolist()), tail=tuple(tail.tolist()),
+                         perm=perm)
+
+
+def random_mixed_state(sig: SystemSignature, rng, max_terms: int = 3):
+    """Random convex mixture of valid pure states; returns (state, certificate).
+
+    Draw order: number of terms, Dirichlet weights, then one
+    :func:`random_valid_state` per term.
+    """
+    rng = as_rng(rng)
+    n_terms = int(rng.integers(1, max_terms + 1))
+    weights = rng.dirichlet(np.ones(n_terms))
+    cert = []
+    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+    for t in range(n_terms):
+        spec = random_valid_state(sig, rng)
+        v = build_pure_state(spec)
+        cert.append((float(weights[t]), spec))
+        mat += weights[t] * np.outer(v, v.conj())
+    return DensityState(sig, mat), cert
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
     """Exhaustively test whether ``v`` is a valid pure state of ``sig``.
 
-    Searches every kind-preserving factor relabeling, so the cost grows
-    as ``m! * n!``; sides larger than ``MAX_PERM_FACTORS`` are refused
-    (use certificate comparison via :func:`certificate_matches` there).
-    The relabelings and basis keys come from the signature's cached
-    :func:`~duoc.systems.index_table`, at most ``(3! * 3! + 1) * 4096``
-    integers per signature; each call gathers ``v`` once per relabeling.
+    The one-row case of :func:`pattern_test`: every kind-preserving factor
+    relabeling is searched, so sides larger than ``MAX_PERM_FACTORS`` are
+    refused (use certificate comparison via :func:`certificate_matches`
+    there).
 
     Returns a report whose witness, when valid, records the relabeling,
     parity vector and tail that exhibit the paired structure; otherwise
@@ -172,30 +275,63 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
     vec = as_vector(v)
     if vec.size != sig.dim:
         raise ShapeError(f"vector length {vec.size} != composite dimension {sig.dim}")
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > DEFAULT_ATOL:
-        raise NormalizationError(f"state vector has norm {nrm}, expected 1")
+    valid, leak, k, ref = (x[0] for x in pattern_test(vec[None], sig, atol))
+    table = index_table(sig)
+    perm, (parity, tail) = table.relabelings[k], table.split_key(ref)
+    witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
+    return ValidityReport(valid=bool(valid), residual=float(leak), witness=witness)
+
+
+def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tuple:
+    """The pure-state pattern test of each row of ``vecs``: ``(valid, leak, relabeling, key)``.
+
+    Read in the layout before relabeling ``k`` of the cached
+    :func:`~duoc.systems.index_table`, a row's key code at its largest
+    amplitude names its cell, and its leak is the norm of its mass off that
+    cell.  A row takes the first relabeling of leak at most ``atol`` (it is
+    then valid), else the first of least leak; ``key`` names that cell.
+    All ``m! * n!`` relabelings are searched, so sides above
+    ``MAX_PERM_FACTORS`` are refused.  Above one row the leaks are first
+    summed at once, and a row that leaks exactly nothing where it may first
+    be valid is decided; the others search on the norm of their gathered
+    off-cell entries.
+    """
+    vecs = np.asarray(vecs, dtype=complex)
+    if vecs.ndim != 2 or vecs.shape[1] != sig.dim:
+        raise ShapeError(f"vectors of shape {vecs.shape} are not rows of length {sig.dim}")
+    mag = np.abs(vecs)
+    norms = np.sqrt(np.add.reduce(mag * mag, axis=1))
+    # written so that a NaN or infinite entry fails it
+    if not (ok := np.abs(norms - 1.0) <= DEFAULT_ATOL).all():
+        raise NormalizationError(f"state vector has norm {norms[~ok][0]}, expected 1")
     if sig.m > MAX_PERM_FACTORS or sig.n > MAX_PERM_FACTORS:
         raise DomainError(
             f"exhaustive relabeling search refused for ({sig.m}, {sig.n}); "
             "verify against a certificate instead"
         )
     table = index_table(sig)
-    rows = vec[table.gather]
-    # each row's key code at its largest amplitude, and where the row's keys differ from it
-    refs = table.key[np.argmax(np.abs(rows), axis=-1)]
-    off = table.key != refs[:, None]
-    best = None
-    for k in range(len(rows)):
-        leak = float(np.linalg.norm(rows[k][off[k]]))
-        if best is None or leak < best[0]:
-            best = (leak, k)
-        if leak <= atol:
-            break
-    leak, k = best
-    perm, (parity, tail) = table.relabelings[k], table.split_key(refs[k])
-    witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
-    return ValidityReport(valid=leak <= atol, residual=leak, witness=witness)
+    mag = mag[:, table.gather]
+    refs = table.key[mag.argmax(axis=-1)]
+    off = table.key != refs[..., None]
+    pick, leak, every = np.zeros(len(vecs), dtype=np.intp), np.zeros(len(vecs)), np.arange(len(vecs))
+    search = every
+    if len(vecs) > 1:
+        # a row is decided when its first relabeling whose summed leak may be at most atol leaks
+        # nothing at all; two orders of summing 2 * dim squares differ by less than band
+        band = 4 * sig.dim * _EPS
+        sums = np.sqrt(np.add.reduce((mag * off) ** 2, axis=-1))
+        pick = np.argmax(sums <= atol * (1 + 2 * band), axis=1)
+        search = np.flatnonzero(sums[every, pick])
+    for i in search:
+        # relabelings in order, on exact norms: the first leak at most atol, else the first least
+        best = (np.inf, 0)
+        for k, cols in enumerate(table.gather):
+            if (lk := float(np.linalg.norm(vecs[i, cols[off[i, k]]]))) < best[0]:
+                best = (lk, k)
+            if lk <= atol:
+                break
+        leak[i], pick[i] = best
+    return leak <= atol, leak, pick, refs[every, pick]
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
@@ -401,17 +537,12 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         return ValidityReport(worst <= DEFAULT_ATOL, worst, witness="sector-block test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)
-    worst = 0.0
-    for idx in range(vals.size):
-        if vals[idx] <= DEFAULT_ATOL:
-            continue
-        rep = validate_pure_state(vecs[:, idx], sig, atol=SPECTRAL_ATOL)
-        worst = max(worst, rep.residual)
-        if not rep.valid:
-            return ValidityReport(
-                False, rep.residual, witness="spectral decomposition", flags=("NON-EXHAUSTIVE",)
-            )
-    return ValidityReport(True, worst, witness="spectral decomposition")
+    cols = vecs[:, vals > DEFAULT_ATOL].T
+    valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
+    if not all(valid):
+        return ValidityReport(False, float(leak[np.argmin(valid)]),
+                              witness="spectral decomposition", flags=("NON-EXHAUSTIVE",))
+    return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
 
 
 def marginal_state(rho: DensityState, keep) -> DensityState:
@@ -504,7 +635,11 @@ def span_dimensions(sig: SystemSignature) -> tuple:
     table = index_table(sig)
     # the key that relabeling k gives each basis index, in the index's own layout
     labels = table.key[np.argsort(table.gather, axis=1)]
+    # relabelings with the same cells give one row once each label is replaced by the index of
+    # its first occurrence, so only the distinct rows are ORed
+    first = np.full((len(labels), int(table.key.max()) + 1), sig.dim)
+    np.minimum.at(first, (np.arange(len(labels))[:, None], labels), np.arange(sig.dim))
     together = np.zeros((sig.dim, sig.dim), dtype=bool)
-    for row in labels:
+    for row in {row.tobytes(): row for row in np.take_along_axis(first, labels, 1)}.values():
         together |= row[:, None] == row
     return sig.dim, int(np.count_nonzero(together))

@@ -514,13 +514,27 @@ class TestCli:
         assert "must be a finite number >= 0" in err and "Traceback" not in err
 
     def test_import_does_not_load_scipy(self):
-        # nor the test oracle: the interpreter imports it when a conditional run needs it
+        # nor the test oracle, which no engine module imports
         code = ("import sys, duoc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules),"
                 " 'duoc.oracle' in sys.modules)")
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert out.stdout.strip() == "False False"
+
+    def test_consistency_demo_and_corpus_runs_leave_the_oracle_unloaded(self, tmp_path):
+        # run conditional is the engine's batched check, not the oracle's sweep
+        corpus = pathlib.Path(__file__).resolve().parent / "corpus"
+        code = ("import contextlib, io, pathlib, sys\nfrom duoc.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(['demo', 'consistency'])] + [main(['run', str(p)]) for p in"
+                " sorted(pathlib.Path(sys.argv[1]).glob('*.duoc'))]\n"
+                "print(set(codes), 'duoc.oracle' in sys.modules)")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code, str(corpus)], capture_output=True,
+                             text=True, cwd=tmp_path, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "{0} False"
 
     def test_missing_file_exit_two(self, capsys):
         assert cli_main(["run", "/definitely/not/here.duoc"]) == 2
@@ -576,6 +590,31 @@ class TestRunBounds:
             return
         assert time.perf_counter() - start < 0.5
         assert abs(table.value("W", "min_p_no") - min(p, 1 - p)) <= 1e-9
+
+    # the heaviest admitted inputs at three dimensions, each just below trials x dim^2 = 2^22
+    @pytest.mark.parametrize("args", ["trials=10000, d=2, bits=2, antibits=2",
+                                      "trials=1024, d=2, bits=3, antibits=3",
+                                      "trials=1, d=2, bits=6, antibits=5"])
+    def test_conditional_work_bound_admits_only_quick_runs(self, args):
+        start = time.perf_counter()
+        try:
+            run_script(parse_script(f"run conditional {{ {args} }} as C\n"))
+        except DuocError:
+            pass  # a side above the relabeling cap is refused once a branch reaches validation
+        assert time.perf_counter() - start < 5.0
+
+    # (4,3,3) took 4.2 s and 632 MB for two trials before the work bound
+    @pytest.mark.parametrize("args", ["trials=1, d=4, bits=3, antibits=3",
+                                      "trials=1025, d=2, bits=3, antibits=3"])
+    def test_conditional_work_bound_refuses_before_any_trial(self, args, tmp_path):
+        text = f"run conditional {{ {args} }} as C\n"
+        start = time.perf_counter()
+        with pytest.raises(ScriptError, match="trials x dim\\^2"):
+            run_script(parse_script(text))
+        assert time.perf_counter() - start < 0.5
+        path = tmp_path / "s.duoc"
+        path.write_text(text)
+        assert cli_main(["run", str(path)]) == 2
 
     def test_conditional_trials_capped_before_any_work(self, tmp_path):
         text = "run conditional { trials=1000000000 } as C\n"

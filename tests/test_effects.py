@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import duoc.effects
 from duoc.effects import (
     Effect,
     Povm,
     born_probabilities,
     classical_povm,
+    conditional_failures,
     conditional_state,
     unit_effect,
     validate_effect,
@@ -16,6 +18,7 @@ from duoc.dsl import RunConfig, parse_script
 from duoc.dsl.interpreter import _Interpreter
 from duoc.errors import DomainError, ShapeError
 from duoc.linalg import embed_operator, hermitian_part, partial_trace
+from duoc.oracle import brute_force_conditional_check
 from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state
 from duoc.systems import SystemSignature
 
@@ -369,3 +372,54 @@ class TestWorstCaseNo:
             worst_case_no_probability(0.0)
         with pytest.raises(DomainError):
             worst_case_no_probability(0.3, grid_step=0.5)
+
+
+class TestConditionalFailures:
+    """The batched engine check against the oracle's per-trial sweep."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 1, 1), (2, 1, 2),
+                                     (3, 2, 1)], ids=str)
+    def test_matches_oracle_seed_by_seed(self, dmn, corrupt):
+        sig = SystemSignature(*dmn)
+        for seed in range(3):
+            engine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            count = conditional_failures(25, sig, engine, corrupt=corrupt)
+            assert count == brute_force_conditional_check(25, sig, oracle, corrupt=corrupt)
+            assert count == (25 if corrupt else 0)
+            assert engine.bit_generator.state == oracle.bit_generator.state
+
+    # every trial of nonzero probability fails; with seed 0, 15 of the 20 draws measure an
+    # effect that is not orthogonal to the state
+    def test_branches_that_miss_the_contraction_fail(self, monkeypatch):
+        contract = duoc.effects.contract_effect
+        monkeypatch.setattr(duoc.effects, "contract_effect",
+                            lambda *args: contract(*args) * (1 + 1e-6))
+        assert conditional_failures(20, SystemSignature(2, 2, 1), 0) == 15
+
+    def test_an_invalid_branch_fails(self, monkeypatch):
+        test = duoc.effects.pattern_test
+        monkeypatch.setattr(duoc.effects, "pattern_test",
+                            lambda vecs, sig: (~test(vecs, sig)[0],) + test(vecs, sig)[1:])
+        assert conditional_failures(20, SystemSignature(2, 2, 1), 0) == 15
+
+    @pytest.mark.parametrize("dmn", [(2, 5, 1), (2, 4, 4)], ids=str)
+    def test_side_above_the_relabeling_cap_refused(self, dmn):
+        sig = SystemSignature(*dmn)
+        with pytest.raises(DomainError, match="relabeling search refused"):
+            conditional_failures(10, sig, 0)
+        with pytest.raises(DomainError, match="relabeling search refused"):
+            brute_force_conditional_check(10, sig, 0)
+
+    def test_needs_a_proper_subset_and_a_pair_for_corruption(self):
+        with pytest.raises(DomainError):
+            conditional_failures(3, SystemSignature(2, 1, 0), 0)
+        with pytest.raises(DomainError):
+            conditional_failures(3, SystemSignature(2, 2, 0), 0, corrupt=True)
+
+    def test_batches_agree_with_one_pass(self, monkeypatch):
+        sig = SystemSignature(2, 2, 1)
+        whole = conditional_failures(30, sig, 4, corrupt=True)
+        monkeypatch.setattr(duoc.effects, "CONDITIONAL_BATCH_BYTES", 1)
+        assert conditional_failures(30, sig, 4, corrupt=True) == whole == 30
+        assert conditional_failures(30, sig, 4) == 0

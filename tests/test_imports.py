@@ -1,5 +1,6 @@
 """Every name a module under ``src/duoc`` imports is read by that module, and
 every top-level function or class it defines is read somewhere in the package.
+No module but the oracle itself imports the test oracle.
 
 A package ``__init__`` re-exports the names in its ``__all__``; those count
 as read.  ``from __future__`` imports are directives, not names.
@@ -106,3 +107,45 @@ def test_guard_sees_orphans():
 def test_no_orphan_definition():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in SOURCES}
     assert [(m, n) for m, n in orphans(sources) if n not in DENSE_REFERENCES] == []
+
+
+def imports_oracle(source: str, package: str = "duoc") -> bool:
+    """Whether ``source``, a module of ``package`` (a dotted name), imports ``duoc.oracle``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "duoc.oracle" or a.name.startswith("duoc.oracle.")
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            # resolve a relative import against the module's package
+            parts = package.split(".")
+            base = parts[: len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            if module == "duoc.oracle" or module.startswith("duoc.oracle."):
+                return True
+            if module == "duoc" and any(a.name == "oracle" for a in node.names):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("source, package", [
+    ("from .oracle import x\n", "duoc"), ("from ..oracle import x\n", "duoc.dsl"),
+    ("from . import oracle\n", "duoc"), ("from .. import oracle\n", "duoc.dsl"),
+    ("import duoc.oracle\n", "duoc"), ("from duoc import oracle as o\n", "duoc.dsl"),
+    ("def f():\n    from .oracle import x\n", "duoc")])
+def test_guard_sees_oracle_imports(source, package):
+    assert imports_oracle(source, package)
+
+
+@pytest.mark.parametrize("source, package", [
+    ("from .states import oracle\n", "duoc"), ("from .dsl import oracle\n", "duoc"),
+    ("from . import states\n", "duoc.dsl"), ("import duoc.states\n", "duoc")])
+def test_guard_passes_other_imports(source, package):
+    assert not imports_oracle(source, package)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "oracle.py"],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_engine_does_not_import_the_oracle(path):
+    package = ".".join(("duoc",) + path.relative_to(SRC).parent.parts)
+    assert not imports_oracle(path.read_text(encoding="utf-8"), package)

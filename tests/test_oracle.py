@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
-from duoc.effects import born_probabilities, conditional_state, validate_effect, Povm
+from duoc.effects import (
+    Povm,
+    born_probabilities,
+    conditional_state,
+    random_certified_effect,
+    validate_effect,
+)
 from duoc.errors import DomainError
 from duoc.oracle import (
     GridSpec,
     brute_force_conditional_check,
     brute_force_mixed_membership,
     oracle_conditional,
-    random_certified_effect,
-    random_mixed_state,
-    random_valid_state,
     separable_grid_min,
 )
 from duoc.states import (
     DensityState,
     PureStateSpec,
     build_pure_state,
+    random_mixed_state,
+    random_valid_state,
     validate_mixed_state,
     validate_pure_state,
 )

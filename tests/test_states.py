@@ -19,11 +19,15 @@ from duoc.states import (
     PureStateSpec,
     SeparableSpec,
     basis_state_spec,
+    build_drawn_states,
     build_pure_state,
     build_separable,
     certificate_matches,
+    draw_valid_state,
+    drawn_spec,
     is_entangled,
     marginal_state,
+    pattern_test,
     purify_classical_state,
     span_dimensions,
     validate_mixed_state,
@@ -43,6 +47,7 @@ from duoc.systems import (
     SystemSignature,
     all_factor_permutations,
     digits_to_index,
+    index_table,
 )
 
 from conftest import LOW_RANK_LAMBDAS, low_rank_density, low_rank_support, lowest_eigenvalue
@@ -275,6 +280,47 @@ class TestIndexTablePaths:
             valid, residual, witness = _validate_pure_loop(v, sig, atol)
             assert (rep.valid, rep.residual, rep.witness) == (valid, residual, witness)
 
+    @pytest.mark.parametrize("dmn", TABLE_SIGS)
+    @pytest.mark.parametrize("atol", [DEFAULT_ATOL, 0.3])
+    def test_stacked_rows_match_one_row_validator(self, rng, dmn, atol):
+        # valid states, perturbed (invalid) ones and ties, all in one stack
+        sig = SystemSignature(*dmn)
+        vecs = self._vectors(sig, rng)
+        valid, leak, k, key = pattern_test(np.array(vecs), sig, atol)
+        assert valid[0] and (atol > DEFAULT_ATOL or not valid[1])
+        table = index_table(sig)
+        for i, v in enumerate(vecs):
+            rep = validate_pure_state(v, sig, atol=atol)
+            parity, tail = table.split_key(key[i])
+            perm = table.relabelings[k[i]]
+            witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
+            assert (rep.valid, rep.residual, rep.witness) == (valid[i], leak[i], witness)
+
+    @pytest.mark.parametrize("dmn", [(2, 4, 1), (2, 1, 4)])
+    def test_stack_refused_above_the_relabeling_cap(self, dmn):
+        sig = SystemSignature(*dmn)
+        with pytest.raises(DomainError, match="relabeling search refused"):
+            pattern_test(np.eye(sig.dim)[:2], sig)
+
+    @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 2, 0)])
+    def test_drawn_build_matches_spec_build(self, dmn):
+        sig = SystemSignature(*dmn)
+        draws = [draw_valid_state(sig, np.random.default_rng(seed)) for seed in range(8)]
+        vecs = build_drawn_states(sig, *(np.array(field) for field in zip(*draws)))
+        for v, draw in zip(vecs, draws):
+            assert v.tobytes() == build_pure_state(drawn_spec(sig, draw)).tobytes()
+
+    def test_drawn_build_checks_the_draws(self):
+        sig = SystemSignature(2, 2, 1)
+        dest, parity, tail, coeffs = (np.array([x]) for x in
+                                      draw_valid_state(sig, np.random.default_rng(0)))
+        with pytest.raises(NormalizationError):
+            build_drawn_states(sig, dest, parity, tail, 2 * coeffs)
+        with pytest.raises(DomainError):
+            build_drawn_states(sig, dest, parity + 2, tail, coeffs)
+        with pytest.raises(DomainError):
+            build_drawn_states(sig, dest, parity, tail, coeffs[:, :1])
+
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 5, 3)])
     def test_build_matches_digit_loop(self, rng, dmn):
         from duoc.oracle import random_valid_state
@@ -471,7 +517,7 @@ class TestValidateMixedState:
         assert not rep.valid and rep.residual == want
 
     def test_certificate_path(self, rng):
-        from duoc.oracle import random_mixed_state
+        from duoc.states import random_mixed_state
 
         rho, cert = random_mixed_state(SystemSignature(2, 2, 1), rng)
         rep = validate_mixed_state(rho, certificate=cert)
@@ -479,7 +525,7 @@ class TestValidateMixedState:
 
     @pytest.mark.parametrize("dmn", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
     def test_certificate_defect_matches_per_term_sum(self, dmn, rng):
-        from duoc.oracle import random_mixed_state
+        from duoc.states import random_mixed_state
 
         rho, cert = random_mixed_state(SystemSignature(*dmn), rng)
         # the exact claim, scaled weights, and a first weight clamped up from just below zero
@@ -507,7 +553,7 @@ class TestValidateMixedState:
         assert not rep.valid
 
     def test_spectral_path_on_larger_composite(self, rng):
-        from duoc.oracle import random_mixed_state
+        from duoc.states import random_mixed_state
 
         sig = SystemSignature(2, 2, 1)
         rho, _ = random_mixed_state(sig, rng)
