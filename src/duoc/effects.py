@@ -42,17 +42,14 @@ from .states import (
     ValidityReport,
     as_rng,
     basis_state_spec,
-    build_drawn_states,
     build_pure_state,
+    build_states,
     draw_valid_state,
-    drawn_spec,
     pattern_test,
+    random_valid_state,
     validate_cone_member,
 )
 from .systems import SystemSignature
-
-# bytes of one batch of conditional trials: their projectors and a contraction copy of each
-CONDITIONAL_BATCH_BYTES = 1 << 24
 
 
 @dataclass(eq=False)
@@ -194,14 +191,14 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
 def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Effect:
     """Random positive combination of valid pure projectors, scaled below I.
 
-    Draw order: number of terms, term weights, then one
-    :func:`~duoc.states.draw_valid_state` per term.
+    Draw order: number of terms, term weights (:func:`_draw_weights`), then
+    one :func:`~duoc.states.random_valid_state` per term.
     """
-    weights, draws = _draw_effect(sig, as_rng(rng), max_terms)
+    rng = as_rng(rng)
     cert = []
     op = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for w, draw in zip(weights, draws):
-        spec = drawn_spec(sig, draw)
+    for w in _draw_weights(rng, max_terms):
+        spec = random_valid_state(sig, rng)
         v = build_pure_state(spec)
         cert.append([float(w), spec])
         op += w * np.outer(v, v.conj())
@@ -213,11 +210,9 @@ def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Ef
     return Effect(sig, op, certificate=[(w, spec) for w, spec in cert])
 
 
-def _draw_effect(sig: SystemSignature, rng, max_terms: int = 3) -> tuple:
-    """The draws of :func:`random_certified_effect`: term weights and one state draw per term."""
-    n_terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.uniform(0.2, 1.0, size=n_terms)
-    return weights, [draw_valid_state(sig, rng) for _ in range(n_terms)]
+def _draw_weights(rng, max_terms: int = 3) -> np.ndarray:
+    """The term weights of a random certified effect: their number, then the weights."""
+    return rng.uniform(0.2, 1.0, size=int(rng.integers(1, max_terms + 1)))
 
 
 def corrupt_case(sig: SystemSignature) -> tuple:
@@ -243,17 +238,16 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
     """Count invalid conditional states over random measurement scenarios, in one batched pass.
 
     Trial by trial this draws from ``rng`` what
-    :func:`duoc.oracle.brute_force_conditional_check` draws, in its order: a
-    valid pure state, the number and positions of the measured factors and
-    a random certified effect on them; both leave ``rng`` in one state.  The
-    trials measuring the same positions then run together in batches of
-    ``CONDITIONAL_BATCH_BYTES``: admission of the scaled effects, the
+    :func:`duoc.oracle.brute_force_conditional_check` draws, in its order,
+    and leaves ``rng`` in the same state.  The trials measuring the same
+    positions run as one stack: admission of the scaled effects, the
     contraction of each projector, and :func:`~duoc.states.pattern_test` on
     every branch ``conj(e_t) . psi`` of relative weight above ``INPUT_ATOL``.
     A trial of probability at most ``INPUT_ATOL`` is skipped; one fails when
     a branch is invalid or the branches miss the contraction by more than
-    ``DEFAULT_ATOL``.  With ``corrupt=True`` every trial is the fixed
-    :func:`corrupt_case`, which draws nothing and always fails.
+    ``DEFAULT_ATOL``.  ``corrupt=True`` runs the fixed :func:`corrupt_case`
+    instead, drawing nothing.  A stack holds 32 bytes per entry of its
+    trials' dim x dim projectors, so ``run conditional`` bounds ``trials x dim^2``.
     """
     if sig.num_factors < 2:
         raise DomainError("need at least two factors to measure a proper subset")
@@ -263,9 +257,7 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
                   np.tile(e_vec, (trials, 1, 1)), np.ones((trials, 1)))]
     else:
         cases = _drawn_cases(trials, sig, as_rng(rng))
-    step = max(1, CONDITIONAL_BATCH_BYTES // (32 * sig.dim**2))
-    return sum(_batch_failures(sig, positions, *(a[i : i + step] for a in arrays))
-               for positions, *arrays in cases for i in range(0, len(arrays[0]), step))
+    return sum(_stack_failures(sig, *case) for case in cases)
 
 
 def _drawn_cases(trials: int, sig: SystemSignature, rng) -> list:
@@ -280,23 +272,23 @@ def _drawn_cases(trials: int, sig: SystemSignature, rng) -> list:
             groups[positions] = (sig.sub_signature(positions), [], [])
         sub, states, effects = groups[positions]
         states.append(state)
-        effects.append(_draw_effect(sub, rng))
+        weights = _draw_weights(rng)
+        effects.append((weights, [draw_valid_state(sub, rng) for _ in weights]))
     cases = []
     for positions, (sub, states, effects) in groups.items():
-        psi = build_drawn_states(sig, *(np.array(field) for field in zip(*states)))
+        psi = build_states(sig, states)
         counts = np.array([len(w) for w, _ in effects])
         # the terms and weights of trial g in row g, in draw order, padded with zero terms
         slots = np.nonzero(np.arange(max(counts)) < counts[:, None])
         terms = np.zeros((len(states), max(counts), sub.dim), dtype=complex)
         weights = np.zeros(terms.shape[:2])
-        terms[slots] = build_drawn_states(sub, *(np.array(field) for field in zip(
-            *(draw for _, draws in effects for draw in draws))))
+        terms[slots] = build_states(sub, [draw for _, draws in effects for draw in draws])
         weights[slots] = np.concatenate([w for w, _ in effects])
         cases.append((positions, psi, terms, weights))
     return cases
 
 
-def _batch_failures(sig: SystemSignature, positions, psi, terms, weights) -> int:
+def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int:
     """Failing trials among states ``psi`` ``(G, dim)`` measured at ``positions`` by the effects
     ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
     rest = tuple(t for t in range(sig.num_factors) if t not in positions)

@@ -47,10 +47,10 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_operator(x, stacked: bool = False) -> np.ndarray:
-    """Coerce ``x`` to a finite square complex matrix, or with ``stacked`` to a stack of them."""
+def as_operator(x) -> np.ndarray:
+    """Coerce ``x`` to a finite square complex matrix."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
@@ -188,11 +188,13 @@ def contract_effect(op, rho, positions, dims) -> np.ndarray:
     states ``rho`` (one leading axis) takes a stack of as many effects and
     gives the stack of their contractions.
     """
-    stacked = np.ndim(rho) == 3
-    small, mat = as_operator(op, stacked), as_operator(rho, stacked)
+    small, mat = np.asarray(op, dtype=complex), np.asarray(rho, dtype=complex)
     lead = mat.shape[:-2]
-    if small.shape[:-2] != lead:
-        raise ShapeError(f"{small.shape[:-2]} effects cannot pair with {lead} states")
+    if small.ndim != mat.ndim or len(lead) > 1 or small.shape[:-2] != lead:
+        raise ShapeError(f"effects {small.shape} cannot pair with states {mat.shape}")
+    # each matrix of a stack is coerced as a single one is
+    for one in (*small, *mat) if lead else (small, mat):
+        as_operator(one)
     dims = _check_dims(dims, mat.shape[-1])
     positions, rest = _split_factors(positions, dims, small.shape[-1])
     nfac, sub = len(dims), small.shape[-1]

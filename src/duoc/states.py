@@ -14,7 +14,6 @@ longer kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,10 +48,6 @@ from .systems import (
     index_table,
     index_to_digits,
 )
-
-# the rounding unit of the leaks that pattern_test sums at once
-_EPS = np.finfo(float).eps
-
 
 @dataclass
 class ValidityReport:
@@ -131,68 +126,48 @@ class PureStateSpec:
 
 
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
-    """Dense state vector for a :class:`PureStateSpec`."""
+    """Dense state vector for a :class:`PureStateSpec`: the one-row case of :func:`build_states`."""
     sig = spec.sig
-    d, p = sig.d, sig.num_pairs
-    place = index_table(sig).place
-    w = [place[q] for q in spec.perm.destinations(sig.m, sig.n)]
-    # the spec checked its fields when built; these checks catch a spec changed since
-    if len(spec.parity) != p or len(spec.tail) != abs(sig.m - sig.n):
-        raise DomainError(f"parity {spec.parity} or tail {spec.tail} does not fit {sig}")
-    if any(not 0 <= t < d for t in spec.tail):
-        raise DomainError(f"tail digits must lie in 0..{d - 1}")
-    v = np.zeros(sig.dim, dtype=complex)
-    for x, amp in spec.coeffs.items():
-        if len(x) != p:
-            raise DomainError(f"coefficient key {x} must have length {p}")
-        if any(not 0 <= g < d for g in x):
-            raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
-        v[_pure_index(sig, w, spec.parity, spec.tail, x)] = amp
-    return v
+    row = (spec.perm.destinations(sig.m, sig.n), spec.parity, spec.tail, spec.coeffs)
+    return build_states(sig, [row])[0]
 
 
-def _pure_index(sig: SystemSignature, w, parity, tail, key):
-    """Basis index of ``key``'s amplitude in a paired state, on ints or on broadcasting arrays.
+def build_states(sig: SystemSignature, rows) -> np.ndarray:
+    """Dense vectors ``(N, dim)`` of paired states, one per row ``(dest, parity, tail, coeffs)``.
 
-    Canonical factor ``t`` takes place value ``w[t]`` (its destination's);
-    pair ``i`` puts digit ``key[i]`` on its dit and ``key[i] + parity[i] mod
-    d`` on its anti-dit, and the unpaired factors carry ``tail``.
+    ``coeffs`` maps digit strings ``x`` to amplitudes: pair ``i`` puts
+    ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit, the
+    unpaired factors carry ``tail``, and canonical factor ``t`` moves to
+    ``dest[t]`` (as ``FactorPermutation.destinations`` lists them).  Each
+    row is checked as :class:`PureStateSpec` checks its fields, so a spec
+    changed since it was built is caught here.
     """
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    idx = 0
-    for t, wt in zip(tail, w[p:m] if m > n else w[m + p :]):
-        idx = idx + t * wt
-    for g, s, wd, wa in zip(key, parity, w[:p], w[m : m + p]):
-        idx = idx + g * wd + (g + s) % d * wa
-    return idx
-
-
-def build_drawn_states(sig: SystemSignature, dest, parity, tail, coeffs) -> np.ndarray:
-    """Dense vectors ``(N, dim)`` of ``N`` states drawn by :func:`draw_valid_state`.
-
-    The arguments stack the draws' fields row by row; ``coeffs[i]`` holds
-    every key's amplitude in ``itertools.product`` order.  The draws are
-    checked as :class:`PureStateSpec` checks its fields.
-    """
-    d, p = sig.d, sig.num_pairs
-    dest, parity, tail = (np.asarray(a, dtype=np.intp) for a in (dest, parity, tail))
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if (parity.shape, tail.shape, coeffs.shape) != ((len(coeffs), p),
-                                                    (len(coeffs), abs(sig.m - sig.n)),
-                                                    (len(coeffs), d**p)):
-        raise DomainError(f"drawn parities, tails or amplitudes do not fit {sig}")
-    if np.any((parity < 0) | (parity >= d)) or np.any((tail < 0) | (tail >= d)):
-        raise DomainError(f"drawn digits must lie in 0..{d - 1}")
-    total = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
-    # written so that a NaN amplitude fails it
-    if not np.all(np.abs(total - 1.0) <= DEFAULT_ATOL):
-        raise NormalizationError(f"drawn amplitudes have squared norms {total}, expected 1")
-    # per-factor rows of shape (N, 1) broadcast against the keys' digit rows of shape (K,)
-    w = np.asarray(index_table(sig).place)[dest].T[:, :, None]
-    keys = np.indices((d,) * p).reshape(p, d**p)
-    idx = _pure_index(sig, w, parity.T[:, :, None], tail.T[:, :, None], keys)
-    v = np.zeros((len(coeffs), sig.dim), dtype=complex)
-    np.put_along_axis(v, np.broadcast_to(idx, coeffs.shape), coeffs, axis=1)
+    place = index_table(sig).place
+    v = np.zeros((len(rows), sig.dim), dtype=complex)
+    for r, (dest, parity, tail, coeffs) in enumerate(rows):
+        # canonical factor t lands on position dest[t] and takes that place value
+        w = [place[q] for q in dest]
+        tail_w = w[p:m] if m > n else w[m + p :]
+        if len(parity) != p or len(tail) != len(tail_w):
+            raise DomainError(f"parity {parity} or tail {tail} does not fit {sig}")
+        if any(not 0 <= g < d for g in (*parity, *tail)):
+            raise DomainError(f"parity and tail digits must lie in 0..{d - 1}")
+        total = sum(abs(a) ** 2 for a in coeffs.values())
+        # written so that a NaN amplitude fails it
+        if not abs(total - 1.0) <= DEFAULT_ATOL:
+            raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
+        base = sum(t * wt for t, wt in zip(tail, tail_w))
+        pairs = list(zip(parity, w[:p], w[m : m + p]))
+        for x, amp in coeffs.items():
+            if len(x) != p:
+                raise DomainError(f"coefficient key {x} must have length {p}")
+            idx = base
+            for g, (s, wd, wa) in zip(x, pairs):
+                if not 0 <= g < d:
+                    raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
+                idx += g * wd + (g + s) % d * wa
+            v[r, idx] = amp
     return v
 
 
@@ -204,41 +179,31 @@ def as_rng(rng) -> np.random.Generator:
 
 
 def draw_valid_state(sig: SystemSignature, rng: np.random.Generator) -> tuple:
-    """The draws of one uniformly sampled valid pure state of ``sig``.
+    """One uniformly sampled valid pure state of ``sig`` as a row of :func:`build_states`.
 
     Returns ``(destinations, parity, tail, coefficients)``: the flat factor
-    destinations of the relabeling, the parity vector, the tail and the
-    unit vector of amplitudes in ``itertools.product`` key order.  Draw
-    order (fixed for reproducibility): dit permutation, anti-dit
-    permutation, parity vector, tail, coefficient reals, coefficient
-    imaginaries.
+    destinations of the relabeling and the amplitudes of every key, in
+    ``itertools.product`` order.  Draw order (fixed for reproducibility):
+    dit permutation, anti-dit permutation, parity vector, tail,
+    coefficient reals, coefficient imaginaries.
     """
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
     # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
-    sigma = rng.permutation(m) if m > 1 else np.arange(m)
-    tau = rng.permutation(n) if n > 1 else np.arange(n)
-    parity = rng.integers(0, d, size=p) if p else np.zeros(0, dtype=np.intp)
-    tail = rng.integers(0, d, size=abs(m - n)) if m != n else np.zeros(0, dtype=np.intp)
-    # one draw of 2 d^p normals consumes the stream as two of d^p do
-    parts = rng.normal(size=2 * d**p)
-    raw = parts[: d**p] + 1j * parts[d**p :]
-    # the norm as np.linalg.norm sums it, without its dispatch
-    norm = math.sqrt(raw.real.dot(raw.real) + raw.imag.dot(raw.imag))
-    return np.concatenate([sigma, tau + m]), parity, tail, raw / norm
+    sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
+    tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
+    parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
+    tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
+    raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
+    raw = raw / np.linalg.norm(raw)
+    coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
+    return sigma + tuple(m + i for i in tau), parity, tail, coeffs
 
 
 def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     """Uniformly sampled valid pure-state spec, drawn by :func:`draw_valid_state`."""
-    return drawn_spec(sig, draw_valid_state(sig, as_rng(rng)))
-
-
-def drawn_spec(sig: SystemSignature, draw) -> PureStateSpec:
-    """The :class:`PureStateSpec` of a draw of :func:`draw_valid_state`."""
-    dest, parity, tail, raw = draw
-    coeffs = dict(zip(product(range(sig.d), repeat=sig.num_pairs), raw.tolist()))
-    perm = FactorPermutation(tuple(dest[: sig.m].tolist()), tuple((dest[sig.m :] - sig.m).tolist()))
-    return PureStateSpec(sig, coeffs, parity=tuple(parity.tolist()), tail=tuple(tail.tolist()),
-                         perm=perm)
+    dest, parity, tail, coeffs = draw_valid_state(sig, as_rng(rng))
+    perm = FactorPermutation(dest[: sig.m], tuple(q - sig.m for q in dest[sig.m :]))
+    return PureStateSpec(sig, coeffs, parity=parity, tail=tail, perm=perm)
 
 
 def random_mixed_state(sig: SystemSignature, rng, max_terms: int = 3):
@@ -291,10 +256,7 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
     cell.  A row takes the first relabeling of leak at most ``atol`` (it is
     then valid), else the first of least leak; ``key`` names that cell.
     All ``m! * n!`` relabelings are searched, so sides above
-    ``MAX_PERM_FACTORS`` are refused.  Above one row the leaks are first
-    summed at once, and a row that leaks exactly nothing where it may first
-    be valid is decided; the others search on the norm of their gathered
-    off-cell entries.
+    ``MAX_PERM_FACTORS`` are refused.
     """
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != sig.dim:
@@ -310,28 +272,19 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
             "verify against a certificate instead"
         )
     table = index_table(sig)
-    mag = mag[:, table.gather]
-    refs = table.key[mag.argmax(axis=-1)]
+    refs = table.key[mag[:, table.gather].argmax(axis=-1)]
     off = table.key != refs[..., None]
-    pick, leak, every = np.zeros(len(vecs), dtype=np.intp), np.zeros(len(vecs)), np.arange(len(vecs))
-    search = every
-    if len(vecs) > 1:
-        # a row is decided when its first relabeling whose summed leak may be at most atol leaks
-        # nothing at all; two orders of summing 2 * dim squares differ by less than band
-        band = 4 * sig.dim * _EPS
-        sums = np.sqrt(np.add.reduce((mag * off) ** 2, axis=-1))
-        pick = np.argmax(sums <= atol * (1 + 2 * band), axis=1)
-        search = np.flatnonzero(sums[every, pick])
-    for i in search:
-        # relabelings in order, on exact norms: the first leak at most atol, else the first least
+    pick, leak = np.zeros(len(vecs), dtype=np.intp), np.zeros(len(vecs))
+    for i, vec in enumerate(vecs):
+        # relabelings in order: the first leak at most atol, else the first least
         best = (np.inf, 0)
         for k, cols in enumerate(table.gather):
-            if (lk := float(np.linalg.norm(vecs[i, cols[off[i, k]]]))) < best[0]:
+            if (lk := float(np.linalg.norm(vec[cols[off[i, k]]]))) < best[0]:
                 best = (lk, k)
             if lk <= atol:
                 break
         leak[i], pick[i] = best
-    return leak <= atol, leak, pick, refs[every, pick]
+    return leak <= atol, leak, pick, refs[np.arange(len(vecs)), pick]
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:

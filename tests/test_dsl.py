@@ -591,16 +591,24 @@ class TestRunBounds:
         assert time.perf_counter() - start < 0.5
         assert abs(table.value("W", "min_p_no") - min(p, 1 - p)) <= 1e-9
 
-    # the heaviest admitted inputs at three dimensions, each just below trials x dim^2 = 2^22
+    # the heaviest admitted inputs at dimensions 16, 64 and 1024, at or just below
+    # trials x dim^2 = 2^22
     @pytest.mark.parametrize("args", ["trials=10000, d=2, bits=2, antibits=2",
                                       "trials=1024, d=2, bits=3, antibits=3",
-                                      "trials=1, d=2, bits=6, antibits=5"])
+                                      "trials=4, d=4, bits=3, antibits=2"])
     def test_conditional_work_bound_admits_only_quick_runs(self, args):
         start = time.perf_counter()
-        try:
-            run_script(parse_script(f"run conditional {{ {args} }} as C\n"))
-        except DuocError:
-            pass  # a side above the relabeling cap is refused once a branch reaches validation
+        table = run_script(parse_script(f"run conditional {{ {args} }} as C\n"))
+        assert time.perf_counter() - start < 5.0
+        assert table.value("C", "failures") == 0
+
+    # an admitted input whose unmeasured side exceeds the relabeling cap is refused by the
+    # pattern test, not by the work bound
+    def test_conditional_side_above_the_cap_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ScriptError, match="relabeling search refused"):
+            run_script(parse_script(
+                "run conditional { trials=1, d=2, bits=6, antibits=5, corrupt=1 } as C\n"))
         assert time.perf_counter() - start < 5.0
 
     # (4,3,3) took 4.2 s and 632 MB for two trials before the work bound

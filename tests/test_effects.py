@@ -416,10 +416,3 @@ class TestConditionalFailures:
             conditional_failures(3, SystemSignature(2, 1, 0), 0)
         with pytest.raises(DomainError):
             conditional_failures(3, SystemSignature(2, 2, 0), 0, corrupt=True)
-
-    def test_batches_agree_with_one_pass(self, monkeypatch):
-        sig = SystemSignature(2, 2, 1)
-        whole = conditional_failures(30, sig, 4, corrupt=True)
-        monkeypatch.setattr(duoc.effects, "CONDITIONAL_BATCH_BYTES", 1)
-        assert conditional_failures(30, sig, 4, corrupt=True) == whole == 30
-        assert conditional_failures(30, sig, 4) == 0

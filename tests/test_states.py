@@ -19,12 +19,11 @@ from duoc.states import (
     PureStateSpec,
     SeparableSpec,
     basis_state_spec,
-    build_drawn_states,
     build_pure_state,
     build_separable,
+    build_states,
     certificate_matches,
     draw_valid_state,
-    drawn_spec,
     is_entangled,
     marginal_state,
     pattern_test,
@@ -303,23 +302,28 @@ class TestIndexTablePaths:
             pattern_test(np.eye(sig.dim)[:2], sig)
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 2, 0)])
-    def test_drawn_build_matches_spec_build(self, dmn):
+    def test_drawn_build_matches_digit_loop(self, dmn):
+        from duoc.states import random_valid_state
+
         sig = SystemSignature(*dmn)
         draws = [draw_valid_state(sig, np.random.default_rng(seed)) for seed in range(8)]
-        vecs = build_drawn_states(sig, *(np.array(field) for field in zip(*draws)))
-        for v, draw in zip(vecs, draws):
-            assert v.tobytes() == build_pure_state(drawn_spec(sig, draw)).tobytes()
+        vecs = build_states(sig, draws)
+        for seed, v in enumerate(vecs):
+            spec = random_valid_state(sig, np.random.default_rng(seed))
+            assert v.tobytes() == _build_pure_loop(spec).tobytes()
 
-    def test_drawn_build_checks_the_draws(self):
+    def test_build_states_checks_the_rows(self):
         sig = SystemSignature(2, 2, 1)
-        dest, parity, tail, coeffs = (np.array([x]) for x in
-                                      draw_valid_state(sig, np.random.default_rng(0)))
+        dest, parity, tail, coeffs = draw_valid_state(sig, np.random.default_rng(0))
+        build_states(sig, [(dest, parity, tail, coeffs)])
         with pytest.raises(NormalizationError):
-            build_drawn_states(sig, dest, parity, tail, 2 * coeffs)
+            build_states(sig, [(dest, parity, tail, {x: 2 * a for x, a in coeffs.items()})])
         with pytest.raises(DomainError):
-            build_drawn_states(sig, dest, parity + 2, tail, coeffs)
+            build_states(sig, [(dest, (parity[0] + 2,), tail, coeffs)])
         with pytest.raises(DomainError):
-            build_drawn_states(sig, dest, parity, tail, coeffs[:, :1])
+            build_states(sig, [(dest, parity, (), coeffs)])
+        with pytest.raises(DomainError):
+            build_states(sig, [(dest, parity, tail, {(2,): 1.0})])
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 5, 3)])
     def test_build_matches_digit_loop(self, rng, dmn):
