@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .. import __version__
 from ..effects import (
-    Effect,
     Povm,
+    basis_effect,
     born_probabilities,
     conditional_failures,
     witness_povm,
@@ -47,7 +46,7 @@ from ..states import (
     purify_classical_state,
     span_dimensions,
 )
-from ..systems import SystemSignature, parity_projector
+from ..systems import SystemSignature, index_table
 from .ast import (
     AssertDecl,
     Ctor,
@@ -339,13 +338,8 @@ class _Interpreter:
                 raise _err(st.line, f"computational() holds one dense effect per basis state; "
                                     f"refused above dimension {MAX_COMPUTATIONAL_DIM}, "
                                     f"got {sig.dim}")
-            effects = []
-            for idx, digits in enumerate(product(range(sig.d), repeat=sig.num_factors)):
-                spec = basis_state_spec(sig, digits)
-                op = np.zeros((sig.dim, sig.dim), dtype=complex)
-                op[idx, idx] = 1.0
-                effects.append(Effect(sig, op, certificate=[(1.0, spec)]))
-            povm = Povm(effects)
+            povm = Povm([basis_effect(sig, [float(i == idx) for i in range(sig.dim)])
+                         for idx in range(sig.dim)])
         elif st.ctor.name == "witness":
             p = args.number("p")
             parity = args.integer("parity", 0)
@@ -357,12 +351,9 @@ class _Interpreter:
             args.done()
             if (sig.m, sig.n) != (1, 1):
                 raise _err(st.line, "parity measurement needs a (1, 1) composite")
-            effects = []
-            for k in range(sig.d):
-                cert = [(1.0, basis_state_spec(sig, (i, (i + k) % sig.d)))
-                        for i in range(sig.d)]
-                effects.append(Effect(sig, parity_projector(sig.d, k), certificate=cert))
-            povm = Povm(effects)
+            # sector k is the (1, 1) cell of key (anti - dit) % d == k
+            key = index_table(sig).key.tolist()
+            povm = Povm([basis_effect(sig, [float(x == k) for x in key]) for k in range(sig.d)])
         else:
             raise _err(st.line, f"unknown measurement constructor {st.ctor.name!r}")
         self._bind("measure", st.name, povm)

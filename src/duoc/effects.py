@@ -49,7 +49,7 @@ from .states import (
     random_valid_state,
     validate_cone_member,
 )
-from .systems import SystemSignature
+from .systems import SystemSignature, index_to_digits
 
 
 @dataclass(eq=False)
@@ -134,15 +134,8 @@ class Povm:
 
 
 def validate_effect(e: Effect) -> ValidityReport:
-    """Membership check for the effect cone.
-
-    A certificate, when present, is verified by reconstruction.  On a
-    (1, 1) composite the check is exact: parity-block-diagonal plus the
-    spectral bounds already enforced at construction.  On classical and
-    anti-classical composites diagonality is exact as well.  Otherwise
-    the eigendecomposition is tried as a candidate certificate and a
-    failure is flagged NON-EXHAUSTIVE.
-    """
+    """Membership check for the effect cone, decided as :func:`~duoc.states.validate_mixed_state`
+    decides a state's; ``0 <= op <= I`` was enforced at construction."""
     return validate_cone_member(e.sig, e.op, e.certificate)
 
 
@@ -188,8 +181,8 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     return prob, DensityState(sig.sub_signature(keep), raw / prob)
 
 
-def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Effect:
-    """Random positive combination of valid pure projectors, scaled below I.
+def random_certified_effect(sig: SystemSignature, rng) -> Effect:
+    """Random positive combination of one to three valid pure projectors, scaled below I.
 
     Draw order: number of terms, term weights (:func:`_draw_weights`), then
     one :func:`~duoc.states.random_valid_state` per term.
@@ -197,7 +190,7 @@ def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Ef
     rng = as_rng(rng)
     cert = []
     op = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for w in _draw_weights(rng, max_terms):
+    for w in _draw_weights(rng):
         spec = random_valid_state(sig, rng)
         v = build_pure_state(spec)
         cert.append([float(w), spec])
@@ -210,9 +203,9 @@ def random_certified_effect(sig: SystemSignature, rng, max_terms: int = 3) -> Ef
     return Effect(sig, op, certificate=[(w, spec) for w, spec in cert])
 
 
-def _draw_weights(rng, max_terms: int = 3) -> np.ndarray:
+def _draw_weights(rng) -> np.ndarray:
     """The term weights of a random certified effect: their number, then the weights."""
-    return rng.uniform(0.2, 1.0, size=int(rng.integers(1, max_terms + 1)))
+    return rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
 
 
 def corrupt_case(sig: SystemSignature) -> tuple:
@@ -240,14 +233,16 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
     Trial by trial this draws from ``rng`` what
     :func:`duoc.oracle.brute_force_conditional_check` draws, in its order,
     and leaves ``rng`` in the same state.  The trials measuring the same
-    positions run as one stack: admission of the scaled effects, the
-    contraction of each projector, and :func:`~duoc.states.pattern_test` on
-    every branch ``conj(e_t) . psi`` of relative weight above ``INPUT_ATOL``.
-    A trial of probability at most ``INPUT_ATOL`` is skipped; one fails when
-    a branch is invalid or the branches miss the contraction by more than
-    ``DEFAULT_ATOL``.  ``corrupt=True`` runs the fixed :func:`corrupt_case`
-    instead, drawing nothing.  A stack holds 32 bytes per entry of its
-    trials' dim x dim projectors, so ``run conditional`` bounds ``trials x dim^2``.
+    positions run as one stack: admission of the scaled effects,
+    :func:`~duoc.states.pattern_test` on every branch ``conj(e_t) . psi`` of
+    relative weight above ``INPUT_ATOL`` (which refuses an unmeasured side
+    above ``MAX_PERM_FACTORS``), then the contraction of each projector.  A
+    trial of probability ``sum_t w_t |conj(e_t) . psi|^2`` at most
+    ``INPUT_ATOL`` is skipped; one fails when a branch is invalid or the
+    branches miss the contraction by more than ``DEFAULT_ATOL``.
+    ``corrupt=True`` runs the fixed :func:`corrupt_case` instead, drawing
+    nothing.  A stack holds 32 bytes per entry of its trials' dim x dim
+    projectors, so ``run conditional`` bounds ``trials x dim^2``.
     """
     if sig.num_factors < 2:
         raise DomainError("need at least two factors to measure a proper subset")
@@ -311,30 +306,38 @@ def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int
     if np.any(outside := (vals[:, 0] < -DEFAULT_ATOL) | (vals[:, -1] > 1 + DEFAULT_ATOL)):
         lo, hi = vals[np.argmax(outside)][[0, -1]]
         raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
-    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(), positions, sig.dims)
-    prob = np.trace(raw, axis1=1, axis2=2).real
     # branch t of trial g is conj(terms[g, t]) . psi[g] over the measured factors
     cube = psi.reshape((-1,) + sig.dims).transpose([0] + [1 + t for t in positions + rest])
     branch = terms.conj() @ cube.reshape(len(psi), terms.shape[-1], -1)
-    recon = (branch.transpose(0, 2, 1) * weights[:, None, :]) @ branch.conj()
-    wrong = np.max(np.abs(recon - raw), axis=(1, 2)) > DEFAULT_ATOL
+    mass = weights * np.sum(branch.real**2 + branch.imag**2, axis=2)
+    prob = np.sum(mass, axis=1)
     kept = prob > INPUT_ATOL
-    mass = weights[kept] * np.sum(branch[kept].real**2 + branch[kept].imag**2, axis=2)
     tested = np.zeros(weights.shape, dtype=bool)
-    tested[kept] = mass / prob[kept, None] > INPUT_ATOL
+    tested[kept] = mass[kept] / prob[kept, None] > INPUT_ATOL
     invalid = np.zeros(weights.shape, dtype=bool)
-    if tested.any():
+    if tested.any():  # a side above MAX_PERM_FACTORS is refused here, before the dim x dim stack
         vecs = branch[tested]
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         invalid[tested] = ~pattern_test(vecs, sig.sub_signature(rest))[0]
+    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(), positions, sig.dims)
+    recon = (branch.transpose(0, 2, 1) * weights[:, None, :]) @ branch.conj()
+    wrong = np.max(np.abs(recon - raw), axis=(1, 2)) > DEFAULT_ATOL
     return int(np.count_nonzero(kept & (wrong | invalid.any(axis=1))))
+
+
+def basis_effect(sig: SystemSignature, weights) -> Effect:
+    """The effect ``diag(weights)`` (one float per basis index), certified by its basis states of
+    positive weight; with none positive it carries no certificate."""
+    op = np.zeros((sig.dim, sig.dim), dtype=complex)
+    np.fill_diagonal(op, weights)
+    cert = [(w, basis_state_spec(sig, index_to_digits(i, sig.d, sig.num_factors)))
+            for i, w in enumerate(weights) if w > 0]
+    return Effect(sig, op, certificate=cert or None)
 
 
 def unit_effect(sig: SystemSignature) -> Effect:
     """The deterministic effect (identity), certified by basis projectors."""
-    cert = [(1.0, basis_state_spec(sig, digits))
-            for digits in product(range(sig.d), repeat=sig.num_factors)]
-    return Effect(sig, np.eye(sig.dim, dtype=complex), certificate=cert)
+    return basis_effect(sig, [1.0] * sig.dim)
 
 
 def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
@@ -352,17 +355,7 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     col_sums = table.sum(axis=0)
     if not (np.max(np.abs(col_sums - 1.0)) <= DEFAULT_ATOL and np.min(table) >= -ZERO_ATOL):
         raise DomainError("columns of p(j|i) must be probability distributions")
-    strings = list(product(range(sig.d), repeat=sig.m))
-    effects = []
-    for j in range(table.shape[0]):
-        cert = [
-            (float(table[j, i]), basis_state_spec(sig, digits))
-            for i, digits in enumerate(strings)
-            if table[j, i] > 0
-        ]
-        op = np.diag(table[j].astype(complex))
-        effects.append(Effect(sig, op, certificate=cert or None))
-    return Povm(effects)
+    return Povm([basis_effect(sig, row) for row in table.tolist()])
 
 
 def witness_povm(p: float, parity: int = 0) -> Povm:

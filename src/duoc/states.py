@@ -44,6 +44,7 @@ from .systems import (
     MAX_PERM_FACTORS,
     FactorPermutation,
     SystemSignature,
+    cell_partitions,
     digits_to_index,
     index_table,
     index_to_digits,
@@ -206,14 +207,14 @@ def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     return PureStateSpec(sig, coeffs, parity=parity, tail=tail, perm=perm)
 
 
-def random_mixed_state(sig: SystemSignature, rng, max_terms: int = 3):
-    """Random convex mixture of valid pure states; returns (state, certificate).
+def random_mixed_state(sig: SystemSignature, rng):
+    """Random convex mixture of one to three valid pure states; returns (state, certificate).
 
     Draw order: number of terms, Dirichlet weights, then one
     :func:`random_valid_state` per term.
     """
     rng = as_rng(rng)
-    n_terms = int(rng.integers(1, max_terms + 1))
+    n_terms = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_terms))
     cert = []
     mat = np.zeros((sig.dim, sig.dim), dtype=complex)
@@ -288,13 +289,12 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
-    """Check that ``v`` equals the state built from ``spec`` up to global phase."""
+    """Whether ``v`` is ``spec``'s state up to global phase, by certificate reconstruction."""
     vec = as_vector(v)
-    built = build_pure_state(spec)
-    if vec.size != built.size:
+    if vec.size != spec.sig.dim:
         raise ShapeError("vector length does not match the certificate's composite")
-    defect = float(np.max(np.abs(projector(built) - projector(vec))))
-    return ValidityReport(valid=defect <= DEFAULT_ATOL, residual=defect, witness=spec)
+    rep = validate_cone_member(spec.sig, projector(vec), [(1.0, spec)])
+    return ValidityReport(valid=rep.valid, residual=rep.residual, witness=spec)
 
 
 def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
@@ -450,11 +450,12 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
 def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
-    The check is exact for classical and anti-classical composites
-    (diagonal matrices), for (1, 1) composites (parity-block-diagonal
-    matrices), and whenever a certificate is supplied.  Otherwise the
-    eigendecomposition is tried as a candidate certificate; a negative
-    answer from that path is flagged ``NON-EXHAUSTIVE``.
+    A certificate decides by reconstruction.  Else mass above ``DEFAULT_ATOL``
+    on an entry that no cell covers (:func:`~duoc.systems.cell_partitions`)
+    rejects exactly; with one partition the cells are disjoint blocks and a
+    pass is exact too.  Otherwise the eigendecomposition is tried as a
+    candidate certificate; a negative answer from that path is flagged
+    ``NON-EXHAUSTIVE``.
 
     Parameters
     ----------
@@ -481,13 +482,12 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         recon -= mat
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
-    if sig.is_classical() or sig.is_anticlassical():
-        off = off_diagonal_max(mat)
-        return ValidityReport(off <= DEFAULT_ATOL, off, witness="diagonal test")
-    if (sig.m, sig.n) == (1, 1):
-        sector = index_table(sig).key  # (anti - dit) % d of each basis index
-        worst = float(np.max(np.abs(mat[sector[:, None] != sector])))
-        return ValidityReport(worst <= DEFAULT_ATOL, worst, witness="sector-block test")
+    if len(rows := cell_partitions(sig)):
+        # every valid operator is zero off the cells; with one partition they are disjoint blocks
+        mag = np.abs(mat)
+        np.putmask(mag, (rows[:, :, None] == rows[:, None, :]).any(axis=0), 0.0)
+        if (off := float(np.max(mag))) > DEFAULT_ATOL or len(rows) == 1:
+            return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)
     cols = vecs[:, vals > DEFAULT_ATOL].T
@@ -511,17 +511,15 @@ def purify_classical_state(
     num_anti: int,
     parity=None,
     tail=None,
-    phases=None,
     tau=None,
 ) -> PureStateSpec:
     """Purify a classical state by pairing each dit with a fresh anti-dit.
 
     ``rho`` must be a valid (diagonal) state of an ``(m, 0)`` composite
     and ``num_anti >= m``.  The returned spec reads ``sum_c sqrt(p_c)
-    e^{i phase_c} |c> (X^s |c>) |tail>``; its marginal on the dits
-    reproduces ``rho`` exactly, for any parity vector, tail, phases and
-    anti-dit relabeling ``tau``.  The dits themselves are never
-    relabeled.
+    |c> (X^s |c>) |tail>``; its marginal on the dits reproduces ``rho``
+    exactly, for any parity vector, tail and anti-dit relabeling ``tau``.
+    The dits themselves are never relabeled.
     """
     sig = rho.sig
     if not sig.is_classical():
@@ -535,13 +533,8 @@ def purify_classical_state(
     tail = tuple(tail) if tail is not None else (0,) * (num_anti - m)
     tau = tau if tau is not None else tuple(range(num_anti))
     probs = np.real(np.diag(rho.matrix))
-    coeffs = {}
-    for idx in np.nonzero(probs > 0)[0]:
-        c = index_to_digits(int(idx), d, m)
-        theta = 0.0
-        if phases is not None:
-            theta = float(phases.get(c, 0.0))
-        coeffs[c] = np.sqrt(probs[idx]) * np.exp(1j * theta)
+    coeffs = {index_to_digits(int(idx), d, m): np.sqrt(probs[idx])
+              for idx in np.nonzero(probs > 0)[0]}
     out_sig = SystemSignature(d, m, num_anti)
     perm = FactorPermutation(tuple(range(m)), tuple(tau))
     return PureStateSpec(out_sig, coeffs, parity=parity, tail=tail, perm=perm)
@@ -569,30 +562,19 @@ def span_dimensions(sig: SystemSignature) -> tuple:
     states and by all valid states, counted from the cell structure.
 
     Product states are diagonal and include the ``dim`` basis projectors, so
-    ``product_dim = dim``.  A cell is ``gather[k][key == v]`` of
-    :func:`~duoc.systems.index_table`: the basis indices that relabeling
-    ``k`` gives key ``v``.  ``valid_dim`` counts the entries ``(i, j)`` with
-    ``i`` and ``j`` in one common cell, exactly: every valid pure state lies
-    on one cell; the pure states of a cell span all Hermitian matrices on
-    cell x cell; and in the real basis ``{E_ii, E_ij + E_ji, i(E_ij - E_ji)}``
-    these spans are coordinate subspaces, so their sum is spanned by the
-    union of their supports.  Without pairs the cells are single indices;
-    with pairs every relabeling is enumerated, so sides above
-    ``MAX_PERM_FACTORS`` are refused, as :func:`validate_pure_state` does.
+    ``product_dim = dim``.  ``valid_dim`` counts the entries ``(i, j)`` with
+    ``i`` and ``j`` in one common cell of :func:`~duoc.systems.cell_partitions`,
+    exactly: every valid pure state lies on one cell; the pure states of a
+    cell span all Hermitian matrices on cell x cell; and in the real basis
+    ``{E_ii, E_ij + E_ji, i(E_ij - E_ji)}`` these spans are coordinate
+    subspaces, so their sum is spanned by the union of their supports.  With
+    pairs every relabeling is enumerated, so sides above ``MAX_PERM_FACTORS``
+    are refused, as :func:`validate_pure_state` does.
     """
-    if not sig.num_pairs:
-        return sig.dim, sig.dim
-    if sig.m > MAX_PERM_FACTORS or sig.n > MAX_PERM_FACTORS:
+    if not len(rows := cell_partitions(sig)):
         raise DomainError(f"span of ({sig.m}, {sig.n}) enumerates every relabeling; "
                           f"sides above {MAX_PERM_FACTORS} factors are too large")
-    table = index_table(sig)
-    # the key that relabeling k gives each basis index, in the index's own layout
-    labels = table.key[np.argsort(table.gather, axis=1)]
-    # relabelings with the same cells give one row once each label is replaced by the index of
-    # its first occurrence, so only the distinct rows are ORed
-    first = np.full((len(labels), int(table.key.max()) + 1), sig.dim)
-    np.minimum.at(first, (np.arange(len(labels))[:, None], labels), np.arange(sig.dim))
     together = np.zeros((sig.dim, sig.dim), dtype=bool)
-    for row in {row.tobytes(): row for row in np.take_along_axis(first, labels, 1)}.values():
+    for row in rows:
         together |= row[:, None] == row
     return sig.dim, int(np.count_nonzero(together))

@@ -183,6 +183,29 @@ def index_table(sig: SystemSignature) -> IndexTable:
     return IndexTable(sig, place, key, relabelings, gather)
 
 
+@functools.lru_cache(maxsize=None)
+def cell_partitions(sig: SystemSignature) -> np.ndarray:
+    """The distinct partitions of the basis into cells, ``(R, dim)``: each row labels an index
+    by the first index of its cell.
+
+    A cell, ``gather[k][key == v]`` of :func:`index_table`, holds the basis
+    indices that relabeling ``k`` gives key ``v``; a valid pure state lies on
+    one.  Without pairs the cells are single indices; with pairs and a side
+    above ``MAX_PERM_FACTORS`` there are no rows.
+    """
+    if not sig.num_pairs:
+        return np.arange(sig.dim)[None]
+    table = index_table(sig)
+    if not len(table.gather):
+        return table.gather
+    # the key that relabeling k gives each basis index, in the index's own layout
+    labels = table.key[np.argsort(table.gather, axis=1)]
+    first = np.full((len(labels), int(table.key.max()) + 1), sig.dim)
+    np.minimum.at(first, (np.arange(len(labels))[:, None], labels), np.arange(sig.dim))
+    rows = np.take_along_axis(first, labels, 1)
+    return np.stack(list({row.tobytes(): row for row in rows}.values()))
+
+
 def index_to_digits(index: int, d: int, width: int) -> tuple:
     """Base-``d`` digits of ``index``, most significant first."""
     if index < 0 or index >= d**width:

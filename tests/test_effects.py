@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import duoc.effects
 from duoc.effects import (
     Effect,
     Povm,
+    basis_effect,
     born_probabilities,
     classical_povm,
     conditional_failures,
@@ -20,7 +24,7 @@ from duoc.errors import DomainError, ShapeError
 from duoc.linalg import embed_operator, hermitian_part, partial_trace
 from duoc.oracle import brute_force_conditional_check
 from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state
-from duoc.systems import SystemSignature
+from duoc.systems import MAX_COMPOSITE_DIM, SystemSignature, parity_projector
 
 from conftest import random_density
 
@@ -411,8 +415,133 @@ class TestConditionalFailures:
         with pytest.raises(DomainError, match="relabeling search refused"):
             brute_force_conditional_check(10, sig, 0)
 
+    # the dim x dim projector stack of (2,6,5) alone is 2048^2 x 16 B = 67 MB; the refusal is
+    # decided from the branch vectors before any of it is formed
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_side_above_the_cap_refused_before_the_stack(self, corrupt):
+        sig = SystemSignature(2, 6, 5)
+        rng = np.random.default_rng(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="relabeling search refused"):
+                # seed 2 leaves (5, 4) unmeasured in its one trial
+                conditional_failures(1, sig, rng, corrupt=corrupt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        with pytest.raises(DomainError, match="relabeling search refused"):
+            brute_force_conditional_check(1, sig, np.random.default_rng(2), corrupt=corrupt)
+
+    def test_large_side_refused_where_the_oracle_refuses(self):
+        # seed 1 leaves (3, 2) unmeasured, within the cap; seed 2 leaves (5, 4)
+        sig = SystemSignature(2, 6, 5)
+        for seed in (1, 2):
+            try:
+                want = brute_force_conditional_check(1, sig, np.random.default_rng(seed))
+            except DomainError:
+                with pytest.raises(DomainError, match="relabeling search refused"):
+                    conditional_failures(1, sig, np.random.default_rng(seed))
+            else:
+                assert conditional_failures(1, sig, np.random.default_rng(seed)) == want
+
     def test_needs_a_proper_subset_and_a_pair_for_corruption(self):
         with pytest.raises(DomainError):
             conditional_failures(3, SystemSignature(2, 1, 0), 0)
         with pytest.raises(DomainError):
             conditional_failures(3, SystemSignature(2, 2, 0), 0, corrupt=True)
+
+
+def reference_basis_effects(sig, kind, table=None):
+    """The diagonal effects the DSL and the effect builders made before :func:`basis_effect`:
+    one loop per builder, certified by the basis states of positive weight."""
+    strings = list(product(range(sig.d), repeat=sig.num_factors))
+    if kind == "computational":
+        effects = []
+        for idx, digits in enumerate(strings):
+            op = np.zeros((sig.dim, sig.dim), dtype=complex)
+            op[idx, idx] = 1.0
+            effects.append(Effect(sig, op, certificate=[(1.0, basis_state_spec(sig, digits))]))
+        return effects
+    if kind == "parity":
+        return [Effect(sig, parity_projector(sig.d, k),
+                       certificate=[(1.0, basis_state_spec(sig, (i, (i + k) % sig.d)))
+                                    for i in range(sig.d)])
+                for k in range(sig.d)]
+    if kind == "unit":
+        cert = [(1.0, basis_state_spec(sig, digits)) for digits in strings]
+        return [Effect(sig, np.eye(sig.dim, dtype=complex), certificate=cert)]
+    effects = []
+    for j in range(table.shape[0]):
+        cert = [(float(table[j, i]), basis_state_spec(sig, digits))
+                for i, digits in enumerate(strings) if table[j, i] > 0]
+        effects.append(Effect(sig, np.diag(table[j].astype(complex)), certificate=cert or None))
+    return effects
+
+
+def certificate_terms(e):
+    """``(weight, basis digits)`` of each certificate term, with the weight's type."""
+    if e.certificate is None:
+        return None
+    out = []
+    for w, spec in e.certificate:
+        (x, amp), = spec.coeffs.items()
+        assert amp == 1.0 and spec.perm.is_identity()
+        out.append((type(w), w, x, spec.parity, spec.tail))
+    return out
+
+
+def assert_same_effects(got, want):
+    assert len(got) == len(want)
+    for e, ref in zip(got, want):
+        assert e.op.dtype == ref.op.dtype and e.op.tobytes() == ref.op.tobytes()
+        assert certificate_terms(e) == certificate_terms(ref)
+
+
+class TestBasisEffect:
+    """Every basis-certified diagonal effect against the builder loops it replaced."""
+
+    @staticmethod
+    def measured(sig, ctor):
+        interp = _Interpreter(RunConfig())
+        interp.execute(parse_script(
+            f"system S = composite(d={sig.d}, bits={sig.m}, antibits={sig.n})\n"
+            f"measure M = {ctor}() on S\n"))
+        return interp.env["M"][1].effects
+
+    @pytest.mark.parametrize("sig", [SystemSignature(d, m, n) for d in range(2, 65)
+                                     for m in range(7) for n in range(7)
+                                     if m + n and d ** (m + n) <= 64], ids=str)
+    def test_computational(self, sig):
+        assert_same_effects(self.measured(sig, "computational"),
+                            reference_basis_effects(sig, "computational"))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_parity(self, d):
+        sig = SystemSignature(d, 1, 1)
+        assert_same_effects(self.measured(sig, "parity"), reference_basis_effects(sig, "parity"))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (2, 0, 3), (4, 2, 1)],
+                             ids=str)
+    def test_unit_effect(self, dmn):
+        sig = SystemSignature(*dmn)
+        assert_same_effects([unit_effect(sig)], reference_basis_effects(sig, "unit"))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 0), (3, 2, 0), (2, 3, 0)], ids=str)
+    def test_classical_povm(self, dmn, rng):
+        sig = SystemSignature(*dmn)
+        table = rng.uniform(size=(3, sig.dim))
+        table[:, 1] = (1.0, 0.0, 0.0)
+        table[2] = 0.0  # an effect of no positive weight carries no certificate
+        table /= table.sum(axis=0)
+        got = classical_povm(table, sig).effects
+        assert got[2].certificate is None
+        assert_same_effects(got, reference_basis_effects(sig, "classical", table))
+
+    def test_weights_below_zero_stay_on_the_diagonal_without_a_term(self):
+        sig = SystemSignature(2, 1, 1)
+        e = basis_effect(sig, [0.5, -1e-13, 0.0, 1.0])
+        assert np.array_equal(np.diag(e.op), [0.5, -1e-13, 0.0, 1.0])
+        assert [(w, spec.coeffs, spec.parity) for w, spec in e.certificate] == [
+            (0.5, {(0,): 1.0}, (0,)), (1.0, {(1,): 1.0}, (0,))]
+        assert validate_effect(e).valid

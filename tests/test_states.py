@@ -36,8 +36,10 @@ from duoc.linalg import (
     DEFAULT_ATOL,
     SPECTRAL_ATOL,
     low_rank_psd,
+    off_diagonal_max,
     permute_vector_factors,
     projector,
+    tensor_all,
 )
 from duoc.systems import (
     MAX_COMPOSITE_DIM,
@@ -49,7 +51,13 @@ from duoc.systems import (
     index_table,
 )
 
-from conftest import LOW_RANK_LAMBDAS, low_rank_density, low_rank_support, lowest_eigenvalue
+from conftest import (
+    LOW_RANK_LAMBDAS,
+    low_rank_density,
+    low_rank_support,
+    lowest_eigenvalue,
+    random_density,
+)
 
 SIG11 = SystemSignature(2, 1, 1)
 SIG11_3 = SystemSignature(3, 1, 1)
@@ -564,6 +572,97 @@ class TestValidateMixedState:
         rep = validate_mixed_state(rho)
         # spectral route may be inconclusive but must not reject a genuine mixture outright
         assert rep.valid or "NON-EXHAUSTIVE" in rep.flags
+
+
+def cell_cover(sig):
+    """Entries ``(i, j)`` with ``i`` and ``j`` in one cell, from the definition: for every
+    relabeling ``k`` and key ``v``, the cell ``gather[k][key == v]``; single indices without pairs."""
+    if not sig.num_pairs:
+        return np.eye(sig.dim, dtype=bool)
+    table = index_table(sig)
+    cover = np.zeros((sig.dim, sig.dim), dtype=bool)
+    for cols in table.gather:
+        for v in np.unique(table.key):
+            cell = cols[table.key == v]
+            cover[np.ix_(cell, cell)] = True
+    return cover
+
+
+def hadamard_on_dit_0(sig):
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return tensor_all(h, np.eye(sig.dim // 2))
+
+
+# every signature up to dimension 64 whose cells are enumerated
+CELL_SIGS = [SystemSignature(d, m, n) for d in range(2, 65) for m in range(7) for n in range(7)
+             if m + n and d ** (m + n) <= 64 and not (min(m, n) and max(m, n) > MAX_PERM_FACTORS)]
+HADAMARD_SIGS = [(2, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 3, 3)]
+
+
+class TestCellTest:
+    """The one pattern branch of :func:`validate_cone_member` on states and effects."""
+
+    @staticmethod
+    def old_residual(sig, mat):
+        """The residual of the branches the cell test replaced: the diagonal test on one kind,
+        the sector-block test on (1, 1)."""
+        if sig.is_classical() or sig.is_anticlassical():
+            return off_diagonal_max(mat)
+        sector = index_table(sig).key
+        return float(np.max(np.abs(mat[sector[:, None] != sector])))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 0), (2, 3, 0), (3, 2, 0), (2, 0, 1), (2, 0, 3),
+                                     (3, 0, 2), (2, 1, 1), (3, 1, 1), (4, 1, 1)], ids=str)
+    def test_residual_and_verdict_equal_the_old_branches(self, dmn, rng):
+        from duoc.effects import Effect, random_certified_effect, validate_effect
+        from duoc.states import random_mixed_state
+
+        sig = SystemSignature(*dmn)
+        for _ in range(4):
+            valid_state = random_mixed_state(sig, rng)[0]
+            invalid_state = DensityState(sig, random_density(rng, sig.dim))
+            valid_effect = Effect(sig, random_certified_effect(sig, rng).op)
+            # a density matrix has its spectrum in [0, 1]
+            invalid_effect = Effect(sig, random_density(rng, sig.dim))
+            for obj, valid in ((valid_state, True), (invalid_state, False),
+                               (valid_effect, True), (invalid_effect, False)):
+                if isinstance(obj, DensityState):
+                    mat, rep = obj.matrix, validate_mixed_state(obj)
+                else:
+                    mat, rep = obj.op, validate_effect(obj)
+                want = self.old_residual(sig, mat)
+                assert rep.residual == want and rep.valid == (want <= DEFAULT_ATOL) == valid
+                assert rep.witness == "cell test" and rep.flags == ()
+
+    @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
+    def test_certified_inputs_carry_no_mass_off_the_cells(self, sig):
+        from duoc.effects import Effect, random_certified_effect, validate_effect
+        from duoc.states import random_mixed_state
+
+        rng = np.random.default_rng(sig.dim)
+        off = ~cell_cover(sig)
+        for _ in range(3):
+            rho = random_mixed_state(sig, rng)[0]
+            e = Effect(sig, random_certified_effect(sig, rng).op)
+            for mat, rep in ((rho.matrix, validate_mixed_state(rho)), (e.op, validate_effect(e))):
+                assert np.max(np.abs(mat[off]), initial=0.0) == 0.0
+                # never rejected exactly; undecided at most
+                assert rep.valid or rep.flags == ("NON-EXHAUSTIVE",)
+
+    @pytest.mark.parametrize("dmn", HADAMARD_SIGS, ids=str)
+    def test_hadamard_rotated_inputs_rejected_exactly(self, dmn):
+        from duoc.effects import Effect, random_certified_effect, validate_effect
+        from duoc.states import random_mixed_state
+
+        sig = SystemSignature(*dmn)
+        u = hadamard_on_dit_0(sig)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            rho = DensityState(sig, u @ random_mixed_state(sig, rng)[0].matrix @ u.conj().T)
+            e = Effect(sig, u @ random_certified_effect(sig, rng).op @ u.conj().T)
+            for rep in (validate_mixed_state(rho), validate_effect(e)):
+                assert not rep.valid and rep.residual > DEFAULT_ATOL
+                assert rep.witness == "cell test" and rep.flags == ()
 
 
 def test_marginal_state_of_product(rng):

@@ -10,11 +10,13 @@ from duoc.systems import (
     FactorPermutation,
     SystemSignature,
     all_factor_permutations,
+    cell_partitions,
     digits_to_index,
     embed_permutation,
     index_to_digits,
     parity_projector,
     phase_matrix,
+    index_table,
     shift_matrix,
 )
 
@@ -96,6 +98,40 @@ def test_index_table_is_one_shared_object_per_signature():
     v = build_pure_state(random_valid_state(SystemSignature(3, 2, 1), 4))
     assert validate_pure_state(v, SystemSignature(3, 2, 1)).valid
     assert index_table.cache_info().currsize == before
+
+
+class TestCellPartitions:
+    def partitions_by_definition(self, sig):
+        """The distinct partitions ``{cell}`` that the relabelings give, each cell a frozenset."""
+        table = index_table(sig)
+        return {frozenset(frozenset(cols[table.key == v].tolist()) for v in np.unique(table.key))
+                for cols in table.gather}
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2),
+                                     (3, 2, 1), (2, 3, 2), (2, 3, 3), (3, 2, 2)], ids=str)
+    def test_one_row_per_distinct_partition(self, dmn):
+        sig = SystemSignature(*dmn)
+        rows = cell_partitions(sig)
+        got = {frozenset(frozenset(np.flatnonzero(row == c).tolist()) for c in np.unique(row))
+               for row in rows}
+        assert len(got) == len(rows) and got == self.partitions_by_definition(sig)
+        # each label is the first index of its cell
+        for row in rows:
+            assert all(row[i] == np.flatnonzero(row == row[i])[0] for i in range(sig.dim))
+
+    @pytest.mark.parametrize("dmn", [(2, 3, 0), (3, 0, 2), (2, 12, 0)], ids=str)
+    def test_no_pairs_give_one_row_of_single_indices(self, dmn):
+        sig = SystemSignature(*dmn)
+        assert np.array_equal(cell_partitions(sig), np.arange(sig.dim)[None])
+
+    @pytest.mark.parametrize("dmn", [(2, 4, 1), (2, 1, 4), (2, 6, 5)], ids=str)
+    def test_pairs_beyond_the_relabeling_cap_give_no_rows(self, dmn):
+        sig = SystemSignature(*dmn)
+        assert cell_partitions(sig).shape == (0, sig.dim)
+
+    def test_cached_per_signature(self):
+        sig = SystemSignature(2, 2, 2)
+        assert cell_partitions(SystemSignature(2, 2, 2)) is cell_partitions(sig)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
