@@ -32,7 +32,7 @@ from ..dynamics import (
     _reversible_index_map,
     classical_channel_map,
 )
-from ..errors import AssertionFailure, DomainError, DuocError, ScriptError
+from ..errors import AssertionFailure, DuocError, ScriptError
 from ..linalg import DEFAULT_ATOL, INPUT_ATOL
 from ..nonlocality import LocalBasis, activation_F, activation_setup, chsh_value
 from ..states import (
@@ -43,6 +43,7 @@ from ..states import (
     build_pure_state,
     build_separable,
     marginal_state,
+    product_state,
     purify_classical_state,
     span_dimensions,
 )
@@ -246,7 +247,7 @@ class _Interpreter:
         if st.product is not None:
             left = self._lookup("state", st.product[0], st.line)
             right = self._lookup("state", st.product[1], st.line)
-            self._bind("state", st.name, _product_state(left, right))
+            self._bind("state", st.name, product_state(left, right))
             return
         sig = self._lookup("system", st.system, st.line)
         state = self._state_ctor(st.ctor, sig, st.line)
@@ -503,20 +504,6 @@ class _Interpreter:
 def _pure_state(spec: PureStateSpec) -> DensityState:
     """The density matrix of the valid pure state built from ``spec``."""
     return DensityState.from_vector(spec.sig, build_pure_state(spec))
-
-
-def _product_state(left: DensityState, right: DensityState) -> DensityState:
-    """Tensor two states and reorder factors into canonical dits-first layout."""
-    if left.sig.d != right.sig.d:
-        raise DomainError("product states need a common local dimension")
-    sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
-    # output axis q holds input factor order[q]: left dits, right dits, left antis, right antis
-    kl, ml, mr = left.sig.num_factors, left.sig.m, right.sig.m
-    order = [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, sig.num_factors)]
-    mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
-    # the reordered copy replaces the kron product before the checks allocate their own dim^2
-    mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
-    return DensityState(sig, mat)
 
 
 def run_script(script: Script, cfg: RunConfig = None) -> ResultTable:

@@ -15,14 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import Effect
+from .effects import Effect, check_wiring, conditional_state
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    BLOCK_ENTRIES, DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, contract_effect,
-    min_eigenvalue, off_diagonal_max, row_blocks, tensor_all,
+    BLOCK_ENTRIES, DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, min_eigenvalue,
+    off_diagonal_max, row_blocks, tensor_all,
 )
-from .states import DensityState, ValidityReport, random_mixed_state, validate_mixed_state
-from .systems import FactorPermutation, SystemSignature, phase_matrix
+from .states import (
+    DensityState, ValidityReport, product_order, product_state, random_mixed_state,
+    validate_mixed_state,
+)
+from .systems import FactorPermutation, SystemSignature, factor_positions, phase_matrix
 
 # random valid inputs on which validate_transformation checks trace and output validity
 TRANSFORMATION_SAMPLES = 25
@@ -183,6 +186,7 @@ class ConditionalEvolutionSpec:
     factors].  ``effect_positions`` wires each factor of the effect to
     one concatenated position; the wiring must consume every input
     factor, and the unconsumed ancilla factors form the output.
+    ``joint_positions`` is this wiring on the product (:func:`~duoc.states.product_order`).
     """
 
     input_sig: SystemSignature
@@ -191,49 +195,29 @@ class ConditionalEvolutionSpec:
     effect_positions: tuple
 
     def __post_init__(self):
-        self.effect_positions = tuple(int(p) for p in self.effect_positions)
-        k_in = self.input_sig.num_factors
-        k_all = k_in + self.ancilla.sig.num_factors
-        pos = self.effect_positions
-        if len(pos) != self.effect.sig.num_factors or len(set(pos)) != len(pos):
-            raise DomainError(f"need {self.effect.sig.num_factors} distinct wiring positions")
-        if any(p < 0 or p >= k_all for p in pos):
-            raise DomainError(f"wiring positions {pos} outside the {k_all} available factors")
-        if self.input_sig.d != self.ancilla.sig.d or self.input_sig.d != self.effect.sig.d:
-            raise DomainError("local dimensions of input, ancilla and effect differ")
-        if not set(range(k_in)) <= set(pos):
+        self.effect_positions = pos = factor_positions(self.effect_positions)
+        ins, anc = self.input_sig, self.ancilla.sig
+        if ins.d != anc.d:
+            raise DomainError("local dimensions of input and ancilla differ")
+        if not set(range(ins.num_factors)) <= set(pos):
             raise DomainError("the effect must consume every input factor")
-        concat_kinds = self.input_sig.kinds + self.ancilla.sig.kinds
-        for t, p in enumerate(pos):
-            if concat_kinds[p] != self.effect.sig.kinds[t]:
-                raise DomainError(
-                    f"effect factor {t} ({self.effect.sig.kinds[t]}) wired to a "
-                    f"{concat_kinds[p]} factor"
-                )
-        if len(pos) >= k_all:
-            raise DomainError("the wiring leaves no output factor")
+        joint = SystemSignature(ins.d, ins.m + anc.m, ins.n + anc.n)
+        # a position outside the concatenation stays outside the product
+        where = {t: q for q, t in enumerate(product_order(ins, anc))}
+        self.joint_positions = check_wiring(joint, self.effect.sig, [where.get(p, p) for p in pos])
 
     @property
     def output_positions(self) -> tuple:
-        k_in = self.input_sig.num_factors
-        k_all = k_in + self.ancilla.sig.num_factors
+        k_all = self.input_sig.num_factors + self.ancilla.sig.num_factors
         return tuple(t for t in range(k_all) if t not in self.effect_positions)
 
 
 def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> tuple:
-    """Apply a conditional evolution; returns ``(prob, out_state_or_None)``."""
+    """Apply a conditional evolution, the conditional state of the product of ``rho`` and the
+    ancilla; returns ``(prob, out_state_or_None)``."""
     if rho.sig != spec.input_sig:
         raise DomainError(f"input on {rho.sig} does not match the spec's {spec.input_sig}")
-    dims = rho.sig.dims + spec.ancilla.sig.dims
-    joint = np.kron(rho.matrix, spec.ancilla.matrix)
-    raw = contract_effect(spec.effect.op, joint, spec.effect_positions, dims)
-    prob = float(np.real(np.trace(raw)))
-    if prob <= ZERO_ATOL:
-        return max(prob, 0.0), None
-    k_in = rho.sig.num_factors
-    kinds = [spec.ancilla.sig.kinds[t - k_in] for t in spec.output_positions]
-    out_sig = SystemSignature(rho.sig.d, kinds.count("D"), kinds.count("A"))
-    return prob, DensityState(out_sig, raw / prob)
+    return conditional_state(product_state(rho, spec.ancilla), spec.effect, spec.joint_positions)
 
 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:

@@ -49,7 +49,7 @@ from .states import (
     random_valid_state,
     validate_cone_member,
 )
-from .systems import SystemSignature, index_to_digits
+from .systems import SystemSignature, factor_positions, index_to_digits
 
 
 @dataclass(eq=False)
@@ -153,32 +153,37 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     """Outcome probability and post-measurement state on the rest.
 
     ``positions`` lists the factor positions of ``rho`` consumed by the
-    effect, one per effect factor and kind-matching (dit to dit,
-    anti-dit to anti-dit).  The probability is ``Tr((E_S x I) rho)``;
-    branches at or below probability ``ZERO_ATOL`` return ``(prob, None)`` rather
-    than renormalizing noise.
+    effect, wired as :func:`check_wiring` requires.  The probability is
+    ``Tr((E_S x I) rho)``; branches at or below probability ``ZERO_ATOL``
+    return ``(prob, None)`` rather than renormalizing noise.
     """
     sig = rho.sig
-    positions = tuple(int(p) for p in positions)
-    if len(positions) != e.sig.num_factors or len(set(positions)) != len(positions):
-        raise DomainError(f"need {e.sig.num_factors} distinct positions, got {positions}")
-    if any(p < 0 or p >= sig.num_factors for p in positions):
-        raise DomainError(f"positions {positions} outside the composite")
-    if len(positions) >= sig.num_factors:
-        raise DomainError("the effect must leave at least one factor unmeasured")
-    if e.sig.d != sig.d:
-        raise DomainError("local dimensions differ")
-    for t, p in enumerate(positions):
-        if sig.kinds[p] != e.sig.kinds[t]:
-            raise DomainError(
-                f"effect factor {t} ({e.sig.kinds[t]}) wired to a {sig.kinds[p]} factor"
-            )
+    positions = check_wiring(sig, e.sig, positions)
     raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
     prob = float(np.real(np.trace(raw)))
     if prob <= ZERO_ATOL:
         return max(prob, 0.0), None
     keep = tuple(t for t in range(sig.num_factors) if t not in positions)
     return prob, DensityState(sig.sub_signature(keep), raw / prob)
+
+
+def check_wiring(sig: SystemSignature, esig: SystemSignature, positions) -> tuple:
+    """``positions`` as ints, once they wire factor ``t`` of an effect on ``esig`` to factor
+    ``positions[t]`` of ``sig``: integers, distinct, in range, of the same local dimension and
+    kind (dit to dit, anti-dit to anti-dit), and leaving at least one factor unmeasured."""
+    positions = factor_positions(positions)
+    if len(positions) != esig.num_factors or len(set(positions)) != len(positions):
+        raise DomainError(f"need {esig.num_factors} distinct positions, got {positions}")
+    if any(p < 0 or p >= sig.num_factors for p in positions):
+        raise DomainError(f"positions {positions} outside the composite")
+    if len(positions) >= sig.num_factors:
+        raise DomainError("the effect must leave at least one factor unmeasured")
+    if esig.d != sig.d:
+        raise DomainError("local dimensions differ")
+    for t, (p, kind) in enumerate(zip(positions, esig.kinds)):
+        if sig.kinds[p] != kind:
+            raise DomainError(f"effect factor {t} ({kind}) wired to a {sig.kinds[p]} factor")
+    return positions
 
 
 def random_certified_effect(sig: SystemSignature, rng) -> Effect:
@@ -188,19 +193,34 @@ def random_certified_effect(sig: SystemSignature, rng) -> Effect:
     one :func:`~duoc.states.random_valid_state` per term.
     """
     rng = as_rng(rng)
-    cert = []
-    op = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for w in _draw_weights(rng):
-        spec = random_valid_state(sig, rng)
-        v = build_pure_state(spec)
-        cert.append([float(w), spec])
-        op += w * np.outer(v, v.conj())
-    top = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[-1])
-    if top > 1.0:
-        scale = top * (1 + ZERO_ATOL)
-        op /= scale
-        cert = [[w / scale, spec] for w, spec in cert]
-    return Effect(sig, op, certificate=[(w, spec) for w, spec in cert])
+    weights = _draw_weights(rng)
+    specs = [random_valid_state(sig, rng) for _ in weights]
+    terms = np.stack([build_pure_state(spec) for spec in specs])
+    op, scaled = scaled_effects(terms[None], weights[None])
+    return Effect(sig, op[0], certificate=[(float(w), spec) for w, spec in zip(scaled[0], specs)])
+
+
+def scaled_effects(terms, weights) -> tuple:
+    """Row ``g``'s effect ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``, scaled below the
+    identity by its top eigenvalue where that exceeds 1 and admitted as :class:`Effect` admits
+    it (a positive scale divides the Hermitian part, its defect and its spectrum alike).
+    Returns the Hermitian ``(G, dim, dim)`` stack and the scaled ``(G, T)`` weights."""
+    op = (terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj()
+    adjoint = op.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(adjoint - op), axis=(1, 2))
+    op += adjoint
+    op /= 2
+    vals = np.linalg.eigvalsh(op)
+    scale = np.where(vals[:, -1] > 1.0, vals[:, -1] * (1 + ZERO_ATOL), 1.0)
+    op /= scale[:, None, None]
+    defect /= scale
+    vals /= scale[:, None]
+    if np.any(defect > DEFAULT_ATOL):
+        raise DomainError(f"effect is not Hermitian (defect {np.max(defect)})")
+    if np.any(outside := (vals[:, 0] < -DEFAULT_ATOL) | (vals[:, -1] > 1 + DEFAULT_ATOL)):
+        lo, hi = vals[np.argmax(outside)][[0, -1]]
+        raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
+    return op, weights / scale[:, None]
 
 
 def _draw_weights(rng) -> np.ndarray:
@@ -287,25 +307,7 @@ def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int
     """Failing trials among states ``psi`` ``(G, dim)`` measured at ``positions`` by the effects
     ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
     rest = tuple(t for t in range(sig.num_factors) if t not in positions)
-    # the effects, scaled below the identity where their top eigenvalue exceeds 1
-    op = (terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj()
-    adjoint = op.conj().transpose(0, 2, 1)
-    defect = np.max(np.abs(adjoint - op), axis=(1, 2))
-    op += adjoint
-    op /= 2
-    vals = np.linalg.eigvalsh(op)
-    scale = np.where(vals[:, -1] > 1.0, vals[:, -1] * (1 + ZERO_ATOL), 1.0)
-    # admission as Effect runs it on each scaled operator; a positive scale divides the
-    # Hermitian part, its defect and its spectrum alike
-    op /= scale[:, None, None]
-    weights = weights / scale[:, None]
-    defect /= scale
-    vals /= scale[:, None]
-    if np.any(defect > DEFAULT_ATOL):
-        raise DomainError(f"effect is not Hermitian (defect {np.max(defect)})")
-    if np.any(outside := (vals[:, 0] < -DEFAULT_ATOL) | (vals[:, -1] > 1 + DEFAULT_ATOL)):
-        lo, hi = vals[np.argmax(outside)][[0, -1]]
-        raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
+    op, weights = scaled_effects(terms, weights)
     # branch t of trial g is conj(terms[g, t]) . psi[g] over the measured factors
     cube = psi.reshape((-1,) + sig.dims).transpose([0] + [1 + t for t in positions + rest])
     branch = terms.conj() @ cube.reshape(len(psi), terms.shape[-1], -1)

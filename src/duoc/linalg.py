@@ -224,17 +224,6 @@ def permute_vector_factors(v, dims, dest) -> np.ndarray:
     return vec.reshape(dims).transpose(inv).reshape(-1)
 
 
-def factor_permutation_matrix(dims, dest) -> np.ndarray:
-    """Unitary matrix sending input factor ``t`` to output position ``dest[t]``."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    # row q of the output takes the input basis index that lands on q
-    src = permute_vector_factors(np.arange(total), dims, dest).real.astype(int)
-    out = np.zeros((total, total), dtype=complex)
-    out[np.arange(total), src] = 1.0
-    return out
-
-
 def hermitian_part(op) -> tuple:
     """``((op + op^H) / 2, max |op^H - op|)``; the first is exactly Hermitian.
 
@@ -332,7 +321,3 @@ def min_eigenvalue(op) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian operator."""
     return float(np.linalg.eigvalsh(hermitian_part(op)[0])[0])
 
-
-def is_unitary(op) -> bool:
-    mat = as_operator(op)
-    return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= DEFAULT_ATOL)

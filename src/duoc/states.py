@@ -46,6 +46,7 @@ from .systems import (
     SystemSignature,
     cell_partitions,
     digits_to_index,
+    factor_positions,
     index_table,
     index_to_digits,
 )
@@ -92,38 +93,36 @@ class PureStateSpec:
 
     def __post_init__(self):
         sig = self.sig
-        p = sig.num_pairs
-        self.parity = tuple(int(x) for x in self.parity) or (0,) * p
+        self.parity = tuple(int(x) for x in self.parity) or (0,) * sig.num_pairs
         self.tail = tuple(int(x) for x in self.tail) or (0,) * abs(sig.m - sig.n)
         if self.perm is None:
             self.perm = FactorPermutation.identity(sig.m, sig.n)
         if len(self.perm.sigma) != sig.m or len(self.perm.tau) != sig.n:
             raise DomainError("factor permutation shape does not match the signature")
-        if len(self.parity) != p:
-            raise DomainError(f"parity vector must have length {p}")
-        if any(s < 0 or s >= sig.d for s in self.parity):
-            raise DomainError(f"parity entries must lie in 0..{sig.d - 1}")
-        if len(self.tail) != abs(sig.m - sig.n):
-            raise DomainError(f"tail must have length {abs(sig.m - sig.n)}")
-        if any(t < 0 or t >= sig.d for t in self.tail):
-            raise DomainError(f"tail digits must lie in 0..{sig.d - 1}")
         coeffs = {}
         for x, a in self.coeffs.items():
             x = tuple(int(g) for g in (x if isinstance(x, (tuple, list)) else (x,)))
-            if len(x) != p:
-                raise DomainError(f"coefficient key {x} must have length {p}")
-            if any(g < 0 or g >= sig.d for g in x):
-                raise DomainError(f"coefficient key {x} has digits outside 0..{sig.d - 1}")
             if x in coeffs:
                 raise DomainError(f"duplicate coefficient key {x}")
             coeffs[x] = complex(a)
         if not coeffs:
             raise DegenerateInputError("a pure state needs at least one coefficient")
-        total = sum(abs(a) ** 2 for a in coeffs.values())
-        # written so that a NaN amplitude fails it
-        if not abs(total - 1.0) <= DEFAULT_ATOL:
-            raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
+        _check_row(sig, self.parity, self.tail, coeffs)
         self.coeffs = coeffs
+
+
+def _check_row(sig: SystemSignature, parity, tail, coeffs) -> None:
+    """Raise unless ``parity``, ``tail`` and the keys and amplitudes of ``coeffs`` are the fields
+    of a paired state of ``sig``: lengths matching, digits in ``0..d-1`` and unit norm."""
+    p = sig.num_pairs
+    if len(parity) != p or len(tail) != abs(sig.m - sig.n) or set(map(len, coeffs)) - {p}:
+        raise DomainError(f"parity {parity}, tail {tail} or a coefficient key does not fit {sig}")
+    if not set().union(parity, tail, *coeffs) <= set(range(sig.d)):
+        raise DomainError(f"parity, tail and key digits must lie in 0..{sig.d - 1}")
+    total = sum(abs(a) ** 2 for a in coeffs.values())
+    # written so that a NaN amplitude fails it
+    if not abs(total - 1.0) <= DEFAULT_ATOL:
+        raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
 
 
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
@@ -147,26 +146,15 @@ def build_states(sig: SystemSignature, rows) -> np.ndarray:
     place = index_table(sig).place
     v = np.zeros((len(rows), sig.dim), dtype=complex)
     for r, (dest, parity, tail, coeffs) in enumerate(rows):
+        _check_row(sig, parity, tail, coeffs)
         # canonical factor t lands on position dest[t] and takes that place value
         w = [place[q] for q in dest]
         tail_w = w[p:m] if m > n else w[m + p :]
-        if len(parity) != p or len(tail) != len(tail_w):
-            raise DomainError(f"parity {parity} or tail {tail} does not fit {sig}")
-        if any(not 0 <= g < d for g in (*parity, *tail)):
-            raise DomainError(f"parity and tail digits must lie in 0..{d - 1}")
-        total = sum(abs(a) ** 2 for a in coeffs.values())
-        # written so that a NaN amplitude fails it
-        if not abs(total - 1.0) <= DEFAULT_ATOL:
-            raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
         base = sum(t * wt for t, wt in zip(tail, tail_w))
         pairs = list(zip(parity, w[:p], w[m : m + p]))
         for x, amp in coeffs.items():
-            if len(x) != p:
-                raise DomainError(f"coefficient key {x} must have length {p}")
             idx = base
             for g, (s, wd, wa) in zip(x, pairs):
-                if not 0 <= g < d:
-                    raise DomainError(f"coefficient key {x} has digits outside 0..{d - 1}")
                 idx += g * wd + (g + s) % d * wa
             v[r, idx] = amp
     return v
@@ -388,6 +376,25 @@ def _require_psd(sym: np.ndarray):
         raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
 
 
+def product_order(left: SystemSignature, right: SystemSignature) -> list:
+    """Factor ``q`` of a product is factor ``order[q]`` of ``left`` and ``right`` side by side:
+    left dits, right dits, left anti-dits, right anti-dits."""
+    kl, kr, ml, mr = left.num_factors, right.num_factors, left.m, right.m
+    return [*range(ml), *range(kl, kl + mr), *range(ml, kl), *range(kl + mr, kl + kr)]
+
+
+def product_state(left: DensityState, right: DensityState) -> DensityState:
+    """The product of two states on one local dimension, in the layout of :func:`product_order`."""
+    if left.sig.d != right.sig.d:
+        raise DomainError("product states need a common local dimension")
+    sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
+    order = product_order(left.sig, right.sig)
+    mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
+    # the reordered copy replaces the kron product before the checks allocate their own dim^2
+    mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
+    return DensityState(sig, mat)
+
+
 @dataclass(eq=False)
 class SeparableSpec:
     """Description of a separable state.
@@ -500,7 +507,7 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
 
 def marginal_state(rho: DensityState, keep) -> DensityState:
     """Reduced state on the factors listed in ``keep`` (ascending positions)."""
-    keep = tuple(sorted(int(k) for k in keep))
+    keep = tuple(sorted(factor_positions(keep)))
     sub = rho.sig.sub_signature(keep)
     reduced = partial_trace(rho.matrix, rho.sig.dims, keep)
     return DensityState(sub, reduced)
@@ -574,6 +581,8 @@ def span_dimensions(sig: SystemSignature) -> tuple:
     if not len(rows := cell_partitions(sig)):
         raise DomainError(f"span of ({sig.m}, {sig.n}) enumerates every relabeling; "
                           f"sides above {MAX_PERM_FACTORS} factors are too large")
+    if len(rows) == 1:  # disjoint cells: the squares of their sizes
+        return sig.dim, int(np.sum(np.bincount(rows[0]) ** 2))
     together = np.zeros((sig.dim, sig.dim), dtype=bool)
     for row in rows:
         together |= row[:, None] == row

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,14 @@ def cell_partitions(sig: SystemSignature) -> np.ndarray:
     return np.stack(list({row.tobytes(): row for row in rows}.values()))
 
 
+def factor_positions(positions) -> tuple:
+    """``positions`` as ints, once each is checked to be an integer (numpy integers too)."""
+    try:
+        return tuple(operator.index(p) for p in positions)
+    except TypeError:
+        raise DomainError(f"factor positions {positions!r} must be integers") from None
+
+
 def index_to_digits(index: int, d: int, width: int) -> tuple:
     """Base-``d`` digits of ``index``, most significant first."""
     if index < 0 or index >= d**width:
@@ -259,14 +268,6 @@ def phase_matrix(d: int, j: int) -> np.ndarray:
     j = int(j) % d
     omega = np.exp(2j * np.pi / d)
     return np.diag([omega ** ((s + j) % d) for s in range(d)])
-
-
-def embed_permutation(sig: SystemSignature, perm: FactorPermutation) -> np.ndarray:
-    """Unitary on the full composite that realizes a factor permutation."""
-    from .linalg import factor_permutation_matrix
-
-    dest = perm.destinations(sig.m, sig.n)
-    return factor_permutation_matrix(sig.dims, dest)
 
 
 def all_factor_permutations(m: int, n: int):

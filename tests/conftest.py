@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from duoc.linalg import DEFAULT_ATOL, as_operator, permute_vector_factors
+
 
 @pytest.fixture
 def rng():
@@ -51,3 +53,28 @@ def lowest_eigenvalue(mat, support):
 def low_rank_support(rng, dim):
     """All indices up to dimension 256; 128 random ones above, to keep ``eigvalsh`` cheap."""
     return np.arange(dim) if dim <= 256 else np.sort(rng.choice(dim, size=128, replace=False))
+
+
+# dense references: the engine applies relabelings and reversible maps by index gather, and
+# tests compare it with these explicit matrices
+
+
+def factor_permutation_matrix(dims, dest):
+    """Unitary matrix sending input factor ``t`` to output position ``dest[t]``."""
+    dims = tuple(int(d) for d in dims)
+    total = int(np.prod(dims))
+    # row q of the output takes the input basis index that lands on q
+    src = permute_vector_factors(np.arange(total), dims, dest).real.astype(int)
+    out = np.zeros((total, total), dtype=complex)
+    out[np.arange(total), src] = 1.0
+    return out
+
+
+def embed_permutation(sig, perm):
+    """Unitary on the full composite that realizes a factor permutation."""
+    return factor_permutation_matrix(sig.dims, perm.destinations(sig.m, sig.n))
+
+
+def is_unitary(op):
+    mat = as_operator(op)
+    return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= DEFAULT_ATOL)

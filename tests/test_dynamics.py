@@ -13,21 +13,27 @@ from duoc.dynamics import (
     validate_transformation,
 )
 from duoc.dynamics import _conjugate_monomial, _reversible_index_map
-from duoc.effects import Effect
+from duoc.effects import Effect, random_certified_effect, unit_effect
 from duoc.errors import DomainError, NotClassicalError, ShapeError
-from duoc.linalg import embed_operator, is_unitary, partial_trace, tensor_all
-from duoc.states import DensityState, PureStateSpec, basis_state_spec, build_pure_state, validate_pure_state
+from duoc.linalg import ZERO_ATOL, contract_effect, embed_operator, partial_trace, tensor_all
+from duoc.states import (
+    DensityState,
+    PureStateSpec,
+    basis_state_spec,
+    build_pure_state,
+    random_mixed_state,
+    validate_pure_state,
+)
 from duoc.systems import (
     FactorPermutation,
     SystemSignature,
     all_factor_permutations,
-    embed_permutation,
     parity_projector,
     phase_matrix,
     shift_matrix,
 )
 
-from conftest import random_density
+from conftest import embed_permutation, is_unitary, random_density
 
 # signatures on which the structured kernels are compared with dense references
 KERNEL_SIGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 3)]
@@ -298,6 +304,93 @@ class TestConditionalEvolution:
         want = partial_trace(weighted, dims, spec.output_positions) / want_prob
         assert prob == pytest.approx(want_prob, abs=1e-12)
         np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-12)
+
+
+def parent_conditional_evolution(spec, rho):
+    """The conditional evolution written out on the concatenated layout: the Kronecker product of
+    input and ancilla, contracted at the wiring as given, cut at ``ZERO_ATOL``, and the output
+    signature counted from the kinds of the unconsumed ancilla factors."""
+    dims = rho.sig.dims + spec.ancilla.sig.dims
+    joint = np.kron(rho.matrix, spec.ancilla.matrix)
+    raw = contract_effect(spec.effect.op, joint, spec.effect_positions, dims)
+    prob = float(np.real(np.trace(raw)))
+    if prob <= ZERO_ATOL:
+        return max(prob, 0.0), None
+    k_in = rho.sig.num_factors
+    kinds = [spec.ancilla.sig.kinds[t - k_in] for t in spec.output_positions]
+    out_sig = SystemSignature(rho.sig.d, kinds.count("D"), kinds.count("A"))
+    return prob, DensityState(out_sig, raw / prob)
+
+
+def random_wiring(in_sig, anc_sig, rng):
+    """Every input factor and a random proper subset of the ancilla, wired dits first, each
+    kind in a random order; returns ``(effect signature, positions)``."""
+    k_in = in_sig.num_factors
+    extra = rng.choice(anc_sig.num_factors, size=int(rng.integers(0, anc_sig.num_factors)),
+                       replace=False)
+    measured = list(range(k_in)) + [k_in + int(t) for t in extra]
+    kinds = in_sig.kinds + anc_sig.kinds
+    dits = [p for p in measured if kinds[p] == "D"]
+    antis = [p for p in measured if kinds[p] == "A"]
+    positions = tuple(rng.permutation(dits).tolist()) + tuple(rng.permutation(antis).tolist())
+    return SystemSignature(in_sig.d, len(dits), len(antis)), positions
+
+
+class TestConditionalEvolutionIsAConditionalState:
+    """``conditional_evolution`` as ``conditional_state`` of the product, against the formula it
+    replaced."""
+
+    def test_matches_the_concatenated_formula_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+        stated = 0
+        for _ in range(120):
+            in_shape = shapes[rng.integers(len(shapes))]
+            anc_shape = [(1, 1), (2, 1), (1, 2), (2, 2)][rng.integers(4)]
+            # d = 3 up to five factors, to keep the joint's admission cheap
+            d = 3 if sum(in_shape + anc_shape) <= 5 and rng.integers(2) else 2
+            in_sig, anc_sig = SystemSignature(d, *in_shape), SystemSignature(d, *anc_shape)
+            rho, _ = random_mixed_state(in_sig, rng)
+            ancilla, _ = random_mixed_state(anc_sig, rng)
+            esig, positions = random_wiring(in_sig, anc_sig, rng)
+            spec = ConditionalEvolutionSpec(in_sig, ancilla, random_certified_effect(esig, rng),
+                                            positions)
+            prob, out = conditional_evolution(spec, rho)
+            want_prob, want = parent_conditional_evolution(spec, rho)
+            assert prob == want_prob
+            assert (out is None) == (want is None)
+            if out is not None:
+                stated += 1
+                assert out.sig == want.sig
+                assert out.matrix.tobytes() == want.matrix.tobytes()
+        assert stated > 40
+
+    def test_joint_above_the_cap_refused_at_construction(self):
+        # (2,6,0) x (2,4,3) has dimension 2^13; its kron product would take 1 GB
+        in_sig = SystemSignature(2, 6, 0)
+        ancilla = DensityState.from_vector(SystemSignature(2, 4, 3), np.eye(128)[0])
+        effect = unit_effect(in_sig)
+        with pytest.raises(DomainError, match="exceeds cap"):
+            ConditionalEvolutionSpec(in_sig, ancilla, effect, tuple(range(6)))
+
+    @pytest.mark.parametrize("positions", [(0.0, 2), (0, 2.0), ("0", 2), (0.9, 2)])
+    def test_positions_must_be_integers(self, positions):
+        phi = build_pure_state(PureStateSpec(SIG11, {(0,): 2**-0.5, (1,): 2**-0.5}))
+        ancilla = DensityState.from_vector(SIG11, phi)
+        effect = Effect(SIG11, np.outer(phi, phi.conj()))
+        with pytest.raises(DomainError, match="must be integers"):
+            ConditionalEvolutionSpec(SIG10, ancilla, effect, positions)
+        spec = ConditionalEvolutionSpec(SIG10, ancilla, effect, (np.int64(0), np.int32(2)))
+        assert spec.effect_positions == (0, 2) and spec.joint_positions == (0, 2)
+
+    def test_wiring_read_in_the_product_layout(self):
+        # input (1, 1) and ancilla (1, 1): the product is [in dit, anc dit, in anti, anc anti]
+        sig = SystemSignature(2, 1, 1)
+        ancilla = DensityState.from_vector(sig, np.eye(4)[0])
+        effect = unit_effect(SystemSignature(2, 1, 2))
+        spec = ConditionalEvolutionSpec(sig, ancilla, effect, (0, 1, 3))
+        assert spec.joint_positions == (0, 2, 3)
+        assert spec.output_positions == (2,)
 
 
 class TestChoiAndValidation:

@@ -18,8 +18,6 @@ SOURCES = sorted(SRC.rglob("*.py"))
 
 # the test oracle is read by tests and the benchmark, not by the engine
 ORPHAN_EXEMPT_MODULES = {"oracle.py"}
-# dense references that tests compare the structured kernels against
-DENSE_REFERENCES = {"embed_permutation", "is_unitary"}
 
 
 def _exported(tree) -> set:
@@ -106,7 +104,7 @@ def test_guard_sees_orphans():
 
 def test_no_orphan_definition():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in SOURCES}
-    assert [(m, n) for m, n in orphans(sources) if n not in DENSE_REFERENCES] == []
+    assert orphans(sources) == []
 
 
 def imports_oracle(source: str, package: str = "duoc") -> bool:

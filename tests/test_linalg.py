@@ -5,9 +5,7 @@ from duoc.errors import DegenerateInputError, ShapeError
 from duoc.linalg import (
     contract_effect,
     embed_operator,
-    factor_permutation_matrix,
     hermitian_part,
-    is_unitary,
     low_rank_psd,
     min_eigenvalue,
     partial_trace,
@@ -18,6 +16,8 @@ from duoc.linalg import (
 
 from conftest import (
     LOW_RANK_LAMBDAS,
+    factor_permutation_matrix,
+    is_unitary,
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,

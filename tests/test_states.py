@@ -27,6 +27,8 @@ from duoc.states import (
     is_entangled,
     marginal_state,
     pattern_test,
+    product_order,
+    product_state,
     purify_classical_state,
     span_dimensions,
     validate_mixed_state,
@@ -53,6 +55,7 @@ from duoc.systems import (
 
 from conftest import (
     LOW_RANK_LAMBDAS,
+    factor_permutation_matrix,
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,
@@ -673,6 +676,34 @@ def test_marginal_state_of_product(rng):
     np.testing.assert_allclose(np.diag(marg.matrix), [0.4, 0.6])
 
 
+@pytest.mark.parametrize("keep", [(1.5,), ("0",), (0.0,)], ids=repr)
+def test_marginal_positions_must_be_integers(keep):
+    rho = DensityState(SIG11, np.diag([0.4, 0.0, 0.0, 0.6]).astype(complex))
+    with pytest.raises(DomainError, match="must be integers"):
+        marginal_state(rho, keep)
+
+
+def test_marginal_accepts_numpy_integers():
+    rho = DensityState(SIG11, np.diag([0.4, 0.0, 0.0, 0.6]).astype(complex))
+    assert marginal_state(rho, np.array([1])).sig == SystemSignature(2, 0, 1)
+
+
+@pytest.mark.parametrize("left, right", [((2, 1, 0), (2, 1, 1)), ((2, 1, 1), (2, 2, 1)),
+                                         ((3, 0, 1), (3, 1, 0)), ((2, 2, 1), (2, 0, 2))], ids=str)
+def test_product_state_is_the_permuted_kron(left, right, rng):
+    a = DensityState(SystemSignature(*left), random_density(rng, left[0] ** sum(left[1:])))
+    b = DensityState(SystemSignature(*right), random_density(rng, right[0] ** sum(right[1:])))
+    prod = product_state(a, b)
+    order = product_order(a.sig, b.sig)
+    assert prod.sig == SystemSignature(left[0], left[1] + right[1], left[2] + right[2])
+    # concatenated factor order[q] lands on product position q
+    u = factor_permutation_matrix(a.sig.dims + b.sig.dims, np.argsort(order))
+    np.testing.assert_allclose(prod.matrix, u @ np.kron(a.matrix, b.matrix) @ u.T,
+                               rtol=0, atol=1e-15)
+    with pytest.raises(DomainError, match="common local dimension"):
+        product_state(a, DensityState(SystemSignature(5, 1, 0), np.eye(5) / 5))
+
+
 class TestPurification:
     def test_marginal_recovers_input(self):
         sig = SystemSignature(2, 2, 0)
@@ -793,6 +824,19 @@ class TestSpanDimensions:
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - start < 0.5 and peak < 1e6
+
+    # one partition needs no dim x dim mask: these took 33.6 MB (tracemalloc) with it
+    @pytest.mark.parametrize("dmn, dims", [((2, 12, 0), (4096, 4096)),
+                                           ((64, 1, 1), (4096, 262144))], ids=str)
+    def test_one_partition_counts_without_a_mask(self, dmn, dims):
+        sig = SystemSignature(*dmn)
+        tracemalloc.start()
+        try:
+            assert span_dimensions(sig) == dims
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_count_at_the_composite_cap(self):
         start = time.perf_counter()

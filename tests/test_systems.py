@@ -12,13 +12,14 @@ from duoc.systems import (
     all_factor_permutations,
     cell_partitions,
     digits_to_index,
-    embed_permutation,
     index_to_digits,
     parity_projector,
     phase_matrix,
     index_table,
     shift_matrix,
 )
+
+from conftest import embed_permutation
 
 
 class TestSystemSignature:
