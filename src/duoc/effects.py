@@ -71,6 +71,14 @@ class Effect:
     def __post_init__(self):
         self.op = admit_effect(self.op, self.sig.dim)
 
+    @classmethod
+    def _admitted(cls, sig: SystemSignature, op: np.ndarray, certificate: list) -> "Effect":
+        """The effect of an ``op`` that :func:`admit_effect`'s checks have already returned, such
+        as a matrix of :func:`scaled_effects`, built without deciding its spectrum again."""
+        e = cls.__new__(cls)
+        e.sig, e.op, e.certificate = sig, op, certificate
+        return e
+
 
 def admit_effect(op, dim: int) -> np.ndarray:
     """The Hermitian part of ``op`` once it is checked to be an effect on ``dim`` states.
@@ -190,14 +198,15 @@ def random_certified_effect(sig: SystemSignature, rng) -> Effect:
     """Random positive combination of one to three valid pure projectors, scaled below I.
 
     Draw order: number of terms, term weights (:func:`_draw_weights`), then
-    one :func:`~duoc.states.random_valid_state` per term.
+    one :func:`~duoc.states.random_valid_state` per term.  The operator is
+    admitted once, by :func:`scaled_effects`.
     """
     rng = as_rng(rng)
     weights = _draw_weights(rng)
     specs = [random_valid_state(sig, rng) for _ in weights]
     terms = np.stack([build_pure_state(spec) for spec in specs])
     op, scaled = scaled_effects(terms[None], weights[None])
-    return Effect(sig, op[0], certificate=[(float(w), spec) for w, spec in zip(scaled[0], specs)])
+    return Effect._admitted(sig, op[0], [(float(w), spec) for w, spec in zip(scaled[0], specs)])
 
 
 def scaled_effects(terms, weights) -> tuple:
@@ -277,29 +286,40 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
 
 def _drawn_cases(trials: int, sig: SystemSignature, rng) -> list:
     """The random trials of :func:`conditional_failures`, one ``(positions, psi, terms, weights)``
-    per measured position set: states ``(G, dim)``, term vectors and term weights."""
-    groups = {}
-    for _ in range(trials):
-        state = draw_valid_state(sig, rng)
+    per measured position set: states ``(G, dim)``, term vectors and term weights.
+
+    The rows of :func:`~duoc.states.draw_valid_state` are collected while
+    the trials are drawn.  Then every trial's state is built in one
+    :func:`~duoc.states.build_states` call and each sub-signature's terms
+    in one more, and the built rows are gathered into the position groups.
+    """
+    states, groups, rows, weights = [], {}, {}, {}
+    for g in range(trials):
+        states.append(draw_valid_state(sig, rng))
         size = int(rng.integers(1, sig.num_factors))
         positions = tuple(sorted(rng.choice(sig.num_factors, size=size, replace=False).tolist()))
         if positions not in groups:
-            groups[positions] = (sig.sub_signature(positions), [], [])
-        sub, states, effects = groups[positions]
-        states.append(state)
-        weights = _draw_weights(rng)
-        effects.append((weights, [draw_valid_state(sub, rng) for _ in weights]))
+            groups[positions] = (sig.sub_signature(positions), [])
+        sub, members = groups[positions]
+        w = _draw_weights(rng)
+        # trial g's terms are the len(w) rows of its sub-signature's batch from len(terms) on
+        terms = rows.setdefault(sub, [])
+        members.append((g, len(terms), len(w)))
+        terms.extend(draw_valid_state(sub, rng) for _ in w)
+        weights.setdefault(sub, []).append(w)
+    psi = build_states(sig, states)
+    built = {sub: (build_states(sub, r), np.concatenate(weights[sub])) for sub, r in rows.items()}
     cases = []
-    for positions, (sub, states, effects) in groups.items():
-        psi = build_states(sig, states)
-        counts = np.array([len(w) for w, _ in effects])
-        # the terms and weights of trial g in row g, in draw order, padded with zero terms
-        slots = np.nonzero(np.arange(max(counts)) < counts[:, None])
-        terms = np.zeros((len(states), max(counts), sub.dim), dtype=complex)
-        weights = np.zeros(terms.shape[:2])
-        terms[slots] = build_states(sub, [draw for _, draws in effects for draw in draws])
-        weights[slots] = np.concatenate([w for w, _ in effects])
-        cases.append((positions, psi, terms, weights))
+    for positions, (sub, members) in groups.items():
+        trial, first, counts = (np.array(x) for x in zip(*members))
+        vecs, ws = built[sub]
+        # the terms and weights of trial[j] in row j, in draw order, padded with zero terms
+        slots = np.nonzero(np.arange(counts.max()) < counts[:, None])
+        src = first[slots[0]] + slots[1]
+        terms = np.zeros((len(trial), counts.max(), sub.dim), dtype=complex)
+        term_weights = np.zeros(terms.shape[:2])
+        terms[slots], term_weights[slots] = vecs[src], ws[src]
+        cases.append((positions, psi[trial], terms, term_weights))
     return cases
 
 

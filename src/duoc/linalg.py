@@ -50,11 +50,27 @@ def as_vector(x) -> np.ndarray:
 def as_operator(x) -> np.ndarray:
     """Coerce ``x`` to a finite square complex matrix."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim != 2:
         raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return as_operators(m)
+
+
+def as_operators(x) -> np.ndarray:
+    """Coerce ``x`` to a stack of finite square complex matrices on its last two axes, checked
+    in one pass over the stack with the messages :func:`as_operator` gives for one matrix."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape[-2:]}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
     return m
+
+
+def vector_norm(v) -> float:
+    """``np.linalg.norm`` of a 1-D complex array, in its arithmetic (the dot products of the
+    real and imaginary parts, then a square root) without its call overhead."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def tensor_all(*factors) -> np.ndarray:
@@ -192,9 +208,7 @@ def contract_effect(op, rho, positions, dims) -> np.ndarray:
     lead = mat.shape[:-2]
     if small.ndim != mat.ndim or len(lead) > 1 or small.shape[:-2] != lead:
         raise ShapeError(f"effects {small.shape} cannot pair with states {mat.shape}")
-    # each matrix of a stack is coerced as a single one is
-    for one in (*small, *mat) if lead else (small, mat):
-        as_operator(one)
+    small, mat = as_operators(small), as_operators(mat)
     dims = _check_dims(dims, mat.shape[-1])
     positions, rest = _split_factors(positions, dims, small.shape[-1])
     nfac, sub = len(dims), small.shape[-1]

@@ -39,6 +39,7 @@ from .linalg import (
     off_diagonal_max,
     partial_trace,
     projector,
+    vector_norm,
 )
 from .systems import (
     MAX_PERM_FACTORS,
@@ -126,37 +127,64 @@ def _check_row(sig: SystemSignature, parity, tail, coeffs) -> None:
 
 
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
-    """Dense state vector for a :class:`PureStateSpec`: the one-row case of :func:`build_states`."""
-    sig = spec.sig
-    row = (spec.perm.destinations(sig.m, sig.n), spec.parity, spec.tail, spec.coeffs)
-    return build_states(sig, [row])[0]
+    """Dense state vector for a :class:`PureStateSpec`, checked again so that a spec changed
+    since construction is caught.  For one row this key-by-key loop is faster than the array
+    placement of :func:`build_states`, and puts the same amplitudes at the same indices."""
+    sig, coeffs = spec.sig, spec.coeffs
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    _check_row(sig, spec.parity, spec.tail, coeffs)
+    place = index_table(sig).place
+    # canonical factor t lands on position dest[t] and takes that place value
+    w = [place[q] for q in spec.perm.destinations(m, n)]
+    tail_w = w[p:m] if m > n else w[m + p :]
+    base = sum(t * wt for t, wt in zip(spec.tail, tail_w))
+    pairs = list(zip(spec.parity, w[:p], w[m : m + p]))
+    v = np.zeros(sig.dim, dtype=complex)
+    for x, amp in coeffs.items():
+        idx = base
+        for g, (s, wd, wa) in zip(x, pairs):
+            idx += g * wd + (g + s) % d * wa
+        v[idx] = amp
+    return v
 
 
 def build_states(sig: SystemSignature, rows) -> np.ndarray:
-    """Dense vectors ``(N, dim)`` of paired states, one per row ``(dest, parity, tail, coeffs)``.
+    """Dense vectors ``(N, dim)`` of paired states, one per row ``(dest, digits, amps)`` of
+    :func:`draw_valid_state`, placed by one index computation for the whole batch.
 
-    ``coeffs`` maps digit strings ``x`` to amplitudes: pair ``i`` puts
-    ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit, the
-    unpaired factors carry ``tail``, and canonical factor ``t`` moves to
-    ``dest[t]`` (as ``FactorPermutation.destinations`` lists them).  Each
-    row is checked as :class:`PureStateSpec` checks its fields, so a spec
-    changed since it was built is caught here.
+    ``amps`` holds the amplitude of every digit string ``x`` in ``itertools.product`` order:
+    pair ``i`` puts ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit, the
+    unpaired factors carry the tail (``digits`` is the parity vector, then the tail), and
+    canonical factor ``t`` moves to ``dest[t]``.  The rows are checked together as
+    :class:`PureStateSpec` checks its fields (lengths, digits in ``0..d-1``, unit norm),
+    with its exception types and messages.
     """
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    place = index_table(sig).place
+    width, keys = max(m, n), d**p
+    dest, digits, amps = zip(*rows)
+    if set(map(len, digits)) != {width} or set(map(len, amps)) != {keys}:
+        x = next(x for x, a in zip(digits, amps) if (len(x), len(a)) != (width, keys))
+        parity, tail = tuple(map(int, x[:p])), tuple(map(int, x[p:]))
+        raise DomainError(f"parity {parity}, tail {tail} or a coefficient key does not fit {sig}")
+    dest, digits, amps = (np.concatenate(f).reshape(len(rows), -1) for f in (dest, digits, amps))
+    if digits.min() < 0 or digits.max() >= d:
+        raise DomainError(f"parity, tail and key digits must lie in 0..{d - 1}")
+    total = np.sum(amps.real**2 + amps.imag**2, axis=1)
+    # written so that a NaN amplitude fails it
+    if not (ok := np.abs(total - 1.0) <= DEFAULT_ATOL).all():
+        raise NormalizationError(f"coefficients have squared norm {total[~ok][0]}, expected 1")
+    # w[r, t]: the place value of the position that row r sends canonical factor t to
+    w = np.asarray(index_table(sig).place)[dest]
+    tail_w = w[:, p:m] if m > n else w[:, m + p :]
+    idx = np.sum(digits[:, p:] * tail_w, axis=1)[:, None]
+    # pair i adds, for its dit digit g, g on the dit and g + parity_i on the anti-dit; each
+    # pair appends the next key digit, so the keys come out in itertools.product order
+    g = np.arange(d)
+    for i in range(p):
+        pair = g * w[:, i, None] + (g + digits[:, i, None]) % d * w[:, m + i, None]
+        idx = (idx[:, :, None] + pair[:, None, :]).reshape(len(rows), -1)
     v = np.zeros((len(rows), sig.dim), dtype=complex)
-    for r, (dest, parity, tail, coeffs) in enumerate(rows):
-        _check_row(sig, parity, tail, coeffs)
-        # canonical factor t lands on position dest[t] and takes that place value
-        w = [place[q] for q in dest]
-        tail_w = w[p:m] if m > n else w[m + p :]
-        base = sum(t * wt for t, wt in zip(tail, tail_w))
-        pairs = list(zip(parity, w[:p], w[m : m + p]))
-        for x, amp in coeffs.items():
-            idx = base
-            for g, (s, wd, wa) in zip(x, pairs):
-                idx += g * wd + (g + s) % d * wa
-            v[r, idx] = amp
+    v[np.arange(len(rows))[:, None], idx] = amps
     return v
 
 
@@ -170,29 +198,34 @@ def as_rng(rng) -> np.random.Generator:
 def draw_valid_state(sig: SystemSignature, rng: np.random.Generator) -> tuple:
     """One uniformly sampled valid pure state of ``sig`` as a row of :func:`build_states`.
 
-    Returns ``(destinations, parity, tail, coefficients)``: the flat factor
-    destinations of the relabeling and the amplitudes of every key, in
-    ``itertools.product`` order.  Draw order (fixed for reproducibility):
-    dit permutation, anti-dit permutation, parity vector, tail,
-    coefficient reals, coefficient imaginaries.
+    Returns integer arrays of the flat factor destinations of the
+    relabeling and of the parity digits followed by the tail, and the
+    unit amplitude array of every key in ``itertools.product`` order.
+    Draw order (fixed for reproducibility): dit permutation, anti-dit
+    permutation, parity vector, tail, coefficient reals, coefficient
+    imaginaries; the reals and imaginaries come from one ``normal`` call,
+    which gives the values and generator state that two calls give.
     """
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    keys = d**p
     # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
-    sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
-    tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
-    parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
-    tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
-    raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
-    raw = raw / np.linalg.norm(raw)
-    coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
-    return sigma + tuple(m + i for i in tau), parity, tail, coeffs
+    sigma = rng.permutation(m) if m > 1 else np.arange(m)
+    tau = rng.permutation(n) if n > 1 else np.arange(n)
+    parity = rng.integers(0, d, size=p) if p else np.arange(0)
+    tail = rng.integers(0, d, size=abs(m - n)) if m != n else np.arange(0)
+    z = rng.normal(size=2 * keys)
+    amps = z[:keys] + 1j * z[keys:]
+    amps = amps / vector_norm(amps)
+    return np.concatenate((sigma, tau + m)), np.concatenate((parity, tail)), amps
 
 
 def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     """Uniformly sampled valid pure-state spec, drawn by :func:`draw_valid_state`."""
-    dest, parity, tail, coeffs = draw_valid_state(sig, as_rng(rng))
-    perm = FactorPermutation(dest[: sig.m], tuple(q - sig.m for q in dest[sig.m :]))
-    return PureStateSpec(sig, coeffs, parity=parity, tail=tail, perm=perm)
+    dest, digits, amps = draw_valid_state(sig, as_rng(rng))
+    m, p = sig.m, sig.num_pairs
+    coeffs = dict(zip(product(range(sig.d), repeat=p), amps.tolist()))
+    perm = FactorPermutation(dest[:m], dest[m:] - m)
+    return PureStateSpec(sig, coeffs, parity=digits[:p], tail=digits[p:], perm=perm)
 
 
 def random_mixed_state(sig: SystemSignature, rng):
@@ -268,7 +301,7 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
         # relabelings in order: the first leak at most atol, else the first least
         best = (np.inf, 0)
         for k, cols in enumerate(table.gather):
-            if (lk := float(np.linalg.norm(vec[cols[off[i, k]]]))) < best[0]:
+            if (lk := vector_norm(vec[cols[off[i, k]]])) < best[0]:
                 best = (lk, k)
             if lk <= atol:
                 break

@@ -130,6 +130,15 @@ class TestAdmissionBound:
         unit_effect(sig)
         assert eigvalsh_calls == []
 
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2), (3, 2, 1)], ids=str)
+    def test_random_effects_decomposed_once(self, dmn, rng, eigvalsh_calls):
+        # scaled_effects' one eigvalsh scales and admits; the public admission keeps the op
+        sig = SystemSignature(*dmn)
+        effects = [random_certified_effect(sig, rng) for _ in range(20)]
+        assert len(eigvalsh_calls) == 20
+        for e in effects:
+            assert Effect(sig, e.op).op.tobytes() == e.op.tobytes()
+
     @pytest.mark.parametrize("sig", ADMISSION_SIGS, ids=str)
     @pytest.mark.parametrize("edge", [1 + 2e-10, -2e-10])
     def test_eigenvalue_past_the_tolerance_rejected_as_before(self, sig, edge, rng):
@@ -388,6 +397,55 @@ class TestWorstCaseNo:
             worst_case_no_probability(0.3, grid_step=0.5)
 
 
+DRAW_SIGS = [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 0), (2, 0, 3), (2, 3, 3)]
+
+
+def reference_drawn_cases(trials, sig, rng):
+    """The trials of ``conditional_failures`` drawn and built one at a time: each draw a dict of
+    coefficients (the reals and imaginaries in two ``normal`` calls), each vector placed digit by
+    digit, the trials grouped by measured positions.  Returns ``{positions: (psi, terms,
+    weights)}``, terms and weights padded with zeros."""
+
+    def draw(s):
+        d, m, n, p = s.d, s.m, s.n, s.num_pairs
+        sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
+        tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
+        parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
+        tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
+        raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
+        raw = raw / np.linalg.norm(raw)
+        coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
+        # canonical factor t (dits, then anti-dits) lands on position dest[t]
+        dest = sigma + tuple(m + i for i in tau)
+        v = np.zeros(s.dim, dtype=complex)
+        for x, amp in coeffs.items():
+            dits = list(x) + (list(tail) if m > n else [])
+            antis = [(g + t) % d for g, t in zip(x, parity)] + (list(tail) if n > m else [])
+            placed = [0] * s.num_factors
+            for t, g in enumerate(dits + antis):
+                placed[dest[t]] = g
+            v[sum(g * d ** (s.num_factors - 1 - q) for q, g in enumerate(placed))] = amp
+        return v
+
+    groups = {}
+    for _ in range(trials):
+        psi = draw(sig)
+        size = int(rng.integers(1, sig.num_factors))
+        positions = tuple(sorted(rng.choice(sig.num_factors, size=size, replace=False).tolist()))
+        weights = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
+        terms = [draw(sig.sub_signature(positions)) for _ in weights]
+        groups.setdefault(positions, []).append((psi, weights, terms))
+    out = {}
+    for positions, trials_of in groups.items():
+        width = max(len(w) for _, w, _ in trials_of)
+        terms = np.zeros((len(trials_of), width, len(trials_of[0][2][0])), dtype=complex)
+        weights = np.zeros((len(trials_of), width))
+        for g, (_, w, vecs) in enumerate(trials_of):
+            terms[g, : len(w)], weights[g, : len(w)] = vecs, w
+        out[positions] = (np.array([psi for psi, _, _ in trials_of]), terms, weights)
+    return out
+
+
 class TestConditionalFailures:
     """The batched engine check against the oracle's per-trial sweep."""
 
@@ -416,6 +474,36 @@ class TestConditionalFailures:
         monkeypatch.setattr(duoc.effects, "pattern_test",
                             lambda vecs, sig: (~test(vecs, sig)[0],) + test(vecs, sig)[1:])
         assert conditional_failures(20, SystemSignature(2, 2, 1), 0) == 15
+
+    @pytest.mark.parametrize("dmn", DRAW_SIGS, ids=str)
+    def test_batched_draw_matches_per_trial_reference(self, dmn):
+        sig = SystemSignature(*dmn)
+        for seed in range(5):
+            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            cases = _drawn_cases(12, sig, batched)
+            want = reference_drawn_cases(12, sig, reference)
+            assert [case[0] for case in cases] == list(want)
+            for (positions, psi, terms, weights), (psi_ref, terms_ref, weights_ref) in zip(
+                    cases, want.values()):
+                assert psi.tobytes() == psi_ref.tobytes() and psi.shape == psi_ref.shape
+                assert terms.tobytes() == terms_ref.tobytes() and terms.shape == terms_ref.shape
+                assert weights.tobytes() == weights_ref.tobytes()
+            assert batched.bit_generator.state == reference.bit_generator.state
+
+    # a build per position group or per row would call it more often; with 60 trials each of
+    # these draws more position groups than sub-signatures
+    @pytest.mark.parametrize("dmn", [(2, 2, 2), (2, 3, 1), (3, 2, 1)], ids=str)
+    def test_one_build_per_signature(self, dmn, monkeypatch):
+        sig = SystemSignature(*dmn)
+        positions = [case[0] for case in _drawn_cases(60, sig, np.random.default_rng(4))]
+        subs = {sig.sub_signature(p) for p in positions}
+        assert len(positions) > len(subs)
+        calls = []
+        build = duoc.effects.build_states
+        monkeypatch.setattr(duoc.effects, "build_states",
+                            lambda s, rows: calls.append(s) or build(s, rows))
+        assert conditional_failures(60, sig, np.random.default_rng(4)) == 0
+        assert calls[0] == sig and len(calls[1:]) == len(subs) and set(calls[1:]) == subs
 
     @pytest.mark.parametrize("dmn", [(2, 5, 1), (2, 4, 4)], ids=str)
     def test_side_above_the_relabeling_cap_refused(self, dmn):

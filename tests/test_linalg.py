@@ -12,6 +12,7 @@ from duoc.linalg import (
     permute_vector_factors,
     projector,
     tensor_all,
+    vector_norm,
 )
 
 from conftest import (
@@ -117,6 +118,22 @@ def test_contract_effect_checks_shapes(rng):
         contract_effect(np.eye(4), rho, (0, 0), [2, 2, 2])
     with pytest.raises(ShapeError):
         contract_effect(np.eye(2), rho, (0,), [2, 2])
+    # a stack is checked in one pass, with the messages of a single matrix
+    states = np.stack([rho] * 3)
+    states[2, 7, 7] = np.nan
+    with pytest.raises(ShapeError, match="^matrix contains non-finite entries$"):
+        contract_effect(np.stack([np.eye(2)] * 3), states, (0,), [2, 2, 2])
+    with pytest.raises(ShapeError, match=r"square matrix, got shape \(2,\)"):
+        contract_effect(np.ones(2), rho[0], (0,), [2, 2, 2])
+    with pytest.raises(ShapeError, match=r"square matrix, got shape \(2, 3\)"):
+        contract_effect(np.ones((3, 2, 3)), np.stack([rho] * 3), (0,), [2, 2, 2])
+
+
+def test_vector_norm_is_numpy_norm(rng):
+    for n in (1, 2, 3, 8, 33, 1000):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for w in (v, v[::3], v * 1e-200, v * 1e150):
+            assert vector_norm(w) == np.linalg.norm(w)
 
 
 def test_permute_vector_factors_roundtrip(rng):

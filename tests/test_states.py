@@ -324,17 +324,22 @@ class TestIndexTablePaths:
             assert v.tobytes() == _build_pure_loop(spec).tobytes()
 
     def test_build_states_checks_the_rows(self):
+        # each bad row is refused alone and in the middle of a batch of good ones
         sig = SystemSignature(2, 2, 1)
-        dest, parity, tail, coeffs = draw_valid_state(sig, np.random.default_rng(0))
-        build_states(sig, [(dest, parity, tail, coeffs)])
-        with pytest.raises(NormalizationError):
-            build_states(sig, [(dest, parity, tail, {x: 2 * a for x, a in coeffs.items()})])
-        with pytest.raises(DomainError):
-            build_states(sig, [(dest, (parity[0] + 2,), tail, coeffs)])
-        with pytest.raises(DomainError):
-            build_states(sig, [(dest, parity, (), coeffs)])
-        with pytest.raises(DomainError):
-            build_states(sig, [(dest, parity, tail, {(2,): 1.0})])
+        rows = [draw_valid_state(sig, np.random.default_rng(seed)) for seed in range(3)]
+        build_states(sig, rows)
+        dest, digits, amps = rows[1]
+        bad_rows = [
+            (NormalizationError, "squared norm", (dest, digits, 2 * amps)),
+            (NormalizationError, "squared norm nan", (dest, digits, amps * np.nan)),
+            (DomainError, "must lie in 0..1", (dest, digits + [2, 0], amps)),
+            (DomainError, r"tail \(\) or a coefficient key does not fit", (dest, digits[:1], amps)),
+            (DomainError, "does not fit", (dest, digits, amps[:1])),
+        ]
+        for error, message, bad in bad_rows:
+            for batch in ([bad], [rows[0], bad, rows[2]]):
+                with pytest.raises(error, match=message):
+                    build_states(sig, batch)
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 5, 3)])
     def test_build_matches_digit_loop(self, rng, dmn):
