@@ -264,10 +264,9 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
     and leaves ``rng`` in the same state.  The trials measuring the same
     positions run as one stack: admission of the scaled effects,
     :func:`~duoc.states.pattern_test` on every branch ``conj(e_t) . psi`` of
-    relative weight above ``INPUT_ATOL`` (which refuses an unmeasured side
-    above ``MAX_PERM_FACTORS``), then the contraction of each projector.  A
-    trial of probability ``sum_t w_t |conj(e_t) . psi|^2`` at most
-    ``INPUT_ATOL`` is skipped; one fails when a branch is invalid or the
+    relative weight above ``INPUT_ATOL``, then the contraction of each
+    projector.  A trial of probability ``sum_t w_t |conj(e_t) . psi|^2`` at
+    most ``INPUT_ATOL`` is skipped; one fails when a branch is invalid or the
     branches miss the contraction by more than ``DEFAULT_ATOL``.
     ``corrupt=True`` runs the fixed :func:`corrupt_case` instead, drawing
     nothing.  A stack holds 32 bytes per entry of its trials' dim x dim
@@ -337,7 +336,7 @@ def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int
     tested = np.zeros(weights.shape, dtype=bool)
     tested[kept] = mass[kept] / prob[kept, None] > INPUT_ATOL
     invalid = np.zeros(weights.shape, dtype=bool)
-    if tested.any():  # a side above MAX_PERM_FACTORS is refused here, before the dim x dim stack
+    if tested.any():
         vecs = branch[tested]
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         invalid[tested] = ~pattern_test(vecs, sig.sub_signature(rest))[0]

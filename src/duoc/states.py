@@ -42,10 +42,11 @@ from .linalg import (
     vector_norm,
 )
 from .systems import (
-    MAX_PERM_FACTORS,
+    MAX_COMPOSITE_DIM,
     FactorPermutation,
     SystemSignature,
-    cell_partitions,
+    admissible_differences,
+    cell_cover,
     digits_to_index,
     factor_positions,
     index_table,
@@ -248,16 +249,12 @@ def random_mixed_state(sig: SystemSignature, rng):
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
-    """Exhaustively test whether ``v`` is a valid pure state of ``sig``.
+    """Exhaustively test whether ``v`` is a valid pure state of ``sig``: the one-row case of
+    :func:`pattern_test`, which searches every pairing of dits with anti-dits.
 
-    The one-row case of :func:`pattern_test`: every kind-preserving factor
-    relabeling is searched, so sides larger than ``MAX_PERM_FACTORS`` are
-    refused (use certificate comparison via :func:`certificate_matches`
-    there).
-
-    Returns a report whose witness, when valid, records the relabeling,
-    parity vector and tail that exhibit the paired structure; otherwise
-    the first relabeling of least leaked mass.
+    The witness records the relabeling (the first of the winning pairing),
+    parity vector and tail that exhibit the paired structure when valid, else
+    those of the first pairing of least leaked mass.
     """
     vec = as_vector(v)
     if vec.size != sig.dim:
@@ -272,13 +269,12 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
 def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tuple:
     """The pure-state pattern test of each row of ``vecs``: ``(valid, leak, relabeling, key)``.
 
-    Read in the layout before relabeling ``k`` of the cached
-    :func:`~duoc.systems.index_table`, a row's key code at its largest
-    amplitude names its cell, and its leak is the norm of its mass off that
-    cell.  A row takes the first relabeling of leak at most ``atol`` (it is
-    then valid), else the first of least leak; ``key`` names that cell.
-    All ``m! * n!`` relabelings are searched, so sides above
-    ``MAX_PERM_FACTORS`` are refused.
+    One relabeling per pairing is searched, the rows of the cached :func:`~duoc.systems.index_table`
+    (read as ``intp``, which numpy indexes fastest).  Read in the layout before relabeling ``k``,
+    a row's key code at its first largest amplitude names its cell, and its leak is the norm of
+    its mass off that cell.  A row takes the first relabeling of leak at most ``atol`` (it is
+    then valid), else the first of least leak; ``key`` names that cell.  Rows run in chunks
+    whose masks hold at most ``MAX_COMPOSITE_DIM**2`` booleans, as a cover at the cap does.
     """
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != sig.dim:
@@ -288,25 +284,24 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
     # written so that a NaN or infinite entry fails it
     if not (ok := np.abs(norms - 1.0) <= DEFAULT_ATOL).all():
         raise NormalizationError(f"state vector has norm {norms[~ok][0]}, expected 1")
-    if sig.m > MAX_PERM_FACTORS or sig.n > MAX_PERM_FACTORS:
-        raise DomainError(
-            f"exhaustive relabeling search refused for ({sig.m}, {sig.n}); "
-            "verify against a certificate instead"
-        )
-    table = index_table(sig)
-    refs = table.key[mag[:, table.gather].argmax(axis=-1)]
-    off = table.key != refs[..., None]
-    pick, leak = np.zeros(len(vecs), dtype=np.intp), np.zeros(len(vecs))
-    for i, vec in enumerate(vecs):
-        # relabelings in order: the first leak at most atol, else the first least
-        best = (np.inf, 0)
-        for k, cols in enumerate(table.gather):
-            if (lk := vector_norm(vec[cols[off[i, k]]])) < best[0]:
-                best = (lk, k)
-            if lk <= atol:
-                break
-        leak[i], pick[i] = best
-    return leak <= atol, leak, pick, refs[np.arange(len(vecs)), pick]
+    key, gather = index_table(sig).key, index_table(sig).gather.astype(np.intp)
+    (pick, refs), leak = np.zeros((2, len(vecs)), dtype=np.intp), np.zeros(len(vecs))
+    step = max(1, MAX_COMPOSITE_DIM**2 // gather.size)
+    for lo in range(0, len(vecs), step):
+        top = (chunk := mag[lo : lo + step]) == chunk.max(axis=1, keepdims=True)
+        # the key at each relabeling's first index of largest amplitude, in its own layout
+        keys = key[top[:, gather].argmax(axis=2)]
+        for i, (vec, off) in enumerate(zip(vecs[lo : lo + step], key != keys[..., None]), lo):
+            # relabelings in order: the first leak at most atol, else the first least
+            best = (np.inf, 0)
+            for k, cols in enumerate(gather):
+                if (lk := vector_norm(vec[cols[off[k]]])) < best[0]:
+                    best = (lk, k)
+                if lk <= atol:
+                    break
+            leak[i], pick[i] = best
+        refs[lo : lo + step] = keys[np.arange(len(keys)), pick[lo : lo + step]]
+    return leak <= atol, leak, pick, refs
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
@@ -491,8 +486,8 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
     A certificate decides by reconstruction.  Else mass above ``DEFAULT_ATOL``
-    on an entry that no cell covers (:func:`~duoc.systems.cell_partitions`)
-    rejects exactly; with one partition the cells are disjoint blocks and a
+    on an entry that no cell covers (the cached :func:`~duoc.systems.cell_cover`)
+    rejects exactly; with one pairing the cells are disjoint blocks and a
     pass is exact too.  Otherwise the eigendecomposition is tried as a
     candidate certificate; a negative answer from that path is flagged
     ``NON-EXHAUSTIVE``.
@@ -522,12 +517,11 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         recon -= mat
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
-    if len(rows := cell_partitions(sig)):
-        # every valid operator is zero off the cells; with one partition they are disjoint blocks
-        mag = np.abs(mat)
-        np.putmask(mag, (rows[:, :, None] == rows[:, None, :]).any(axis=0), 0.0)
-        if (off := float(np.max(mag))) > DEFAULT_ATOL or len(rows) == 1:
-            return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
+    # every valid operator is zero off the cells; with one pairing they are disjoint blocks
+    mag = np.abs(mat)
+    np.putmask(mag, cell_cover(sig), 0.0)
+    if (off := float(np.max(mag))) > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
+        return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
     vals, vecs = np.linalg.eigh(mat)
     cols = vecs[:, vals > DEFAULT_ATOL].T
@@ -602,21 +596,11 @@ def span_dimensions(sig: SystemSignature) -> tuple:
     states and by all valid states, counted from the cell structure.
 
     Product states are diagonal and include the ``dim`` basis projectors, so
-    ``product_dim = dim``.  ``valid_dim`` counts the entries ``(i, j)`` with
-    ``i`` and ``j`` in one common cell of :func:`~duoc.systems.cell_partitions`,
-    exactly: every valid pure state lies on one cell; the pure states of a
-    cell span all Hermitian matrices on cell x cell; and in the real basis
-    ``{E_ii, E_ij + E_ji, i(E_ij - E_ji)}`` these spans are coordinate
-    subspaces, so their sum is spanned by the union of their supports.  With
-    pairs every relabeling is enumerated, so sides above ``MAX_PERM_FACTORS``
-    are refused, as :func:`validate_pure_state` does.
+    ``product_dim = dim``.  ``valid_dim`` counts the entries ``(i, j)`` with ``i`` and
+    ``j`` in one common cell, exactly: every valid pure state lies on one cell; the pure
+    states of a cell span all Hermitian matrices on cell x cell; and in the real basis
+    ``{E_ii, E_ij + E_ji, i(E_ij - E_ji)}`` these spans are coordinate subspaces, so
+    their sum is spanned by the union of their supports, ``dim`` entries per admissible
+    digit difference (:func:`~duoc.systems.admissible_differences`).
     """
-    if not len(rows := cell_partitions(sig)):
-        raise DomainError(f"span of ({sig.m}, {sig.n}) enumerates every relabeling; "
-                          f"sides above {MAX_PERM_FACTORS} factors are too large")
-    if len(rows) == 1:  # disjoint cells: the squares of their sizes
-        return sig.dim, int(np.sum(np.bincount(rows[0]) ** 2))
-    together = np.zeros((sig.dim, sig.dim), dtype=bool)
-    for row in rows:
-        together |= row[:, None] == row
-    return sig.dim, int(np.count_nonzero(together))
+    return sig.dim, sig.dim * int(np.count_nonzero(admissible_differences(sig)))

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DomainError
 
 MAX_COMPOSITE_DIM = 4096
-# factorial growth of the relabeling search; larger sides need certificates
-MAX_PERM_FACTORS = 3
 
 
 @dataclass(frozen=True)
@@ -31,6 +29,11 @@ class SystemSignature:
     n: int
 
     def __post_init__(self):
+        try:
+            for name in "dmn":
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise DomainError(f"d, m, n must be integers: {(self.d, self.m, self.n)}") from None
         if self.d < 2:
             raise DomainError(f"local dimension must be >= 2, got {self.d}")
         if self.m < 0 or self.n < 0 or self.m + self.n == 0:
@@ -69,7 +72,7 @@ class SystemSignature:
 
     def sub_signature(self, positions) -> "SystemSignature":
         """Signature of the sub-composite at the given factor positions."""
-        positions = tuple(int(p) for p in positions)
+        positions = factor_positions(positions)
         if len(set(positions)) != len(positions) or any(
             p < 0 or p >= self.num_factors for p in positions
         ):
@@ -94,8 +97,8 @@ class FactorPermutation:
     tau: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(int(x) for x in self.sigma))
-        object.__setattr__(self, "tau", tuple(int(x) for x in self.tau))
+        object.__setattr__(self, "sigma", factor_positions(self.sigma))
+        object.__setattr__(self, "tau", factor_positions(self.tau))
         for name, perm in (("sigma", self.sigma), ("tau", self.tau)):
             if sorted(perm) != list(range(len(perm))):
                 raise DomainError(f"{name}={perm} is not a permutation")
@@ -140,12 +143,12 @@ class IndexTable:
     ``place[t]`` is the place value ``d ** (m + n - 1 - t)`` of factor
     position ``t``.  ``key[i]`` codes basis index ``i``'s pair parities
     ``(anti_j - dit_j) % d`` followed by its unpaired digits as one base-``d``
-    integer of ``max(m, n)`` digits, most significant first.  When ``m, n <=
-    MAX_PERM_FACTORS``, ``relabelings`` lists every kind-preserving
-    :class:`FactorPermutation` in :func:`all_factor_permutations` order,
-    and ``gather[k]`` reads a vector in the layout before relabeling
-    ``k``: if ``v`` is ``u`` relabeled by ``k``, then ``v[gather[k]] ==
-    u``.  Otherwise both are empty.
+    integer of ``max(m, n)`` digits, most significant first.  A cell depends
+    only on which dit pairs with which anti-dit: ``relabelings`` holds, per
+    pairing, its first kind-preserving :class:`FactorPermutation` in
+    sigma-outer, tau-inner lexicographic order, and ``gather[k]`` reads a
+    vector in the layout before relabeling ``k``: if ``v`` is ``u``
+    relabeled by ``k``, then ``v[gather[k]] == u``.
     """
 
     sig: SystemSignature
@@ -164,47 +167,67 @@ class IndexTable:
 def index_table(sig: SystemSignature) -> IndexTable:
     """The :class:`IndexTable` of ``sig``: one shared object per signature.
 
-    The composite cap bounds the signatures, and a table holds at most
-    ``(3! * 3! + 1) * MAX_COMPOSITE_DIM`` integers (about 1.2 MB).
+    ``gather`` holds ``max(m, n)! / |m - n|!`` rows of ``int16`` (the cap fits), one per pairing:
+    at most 2520 x 4096 (20.6 MB, on (2, 5, 7) and (2, 7, 5)).
     """
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    width = max(m, n)
     place = tuple(d ** (m + n - 1 - t) for t in range(m + n))
     digits = np.indices(sig.dims).reshape(m + n, -1)
     key_digits = np.vstack([(digits[m : m + p] - digits[:p]) % d,
                             digits[p:m] if m > n else digits[m + p :]])
-    key = d ** np.arange(width - 1, -1, -1) @ key_digits
-    relabelings = ()
-    gather = np.empty((0, sig.dim), dtype=np.intp)
-    if m <= MAX_PERM_FACTORS and n <= MAX_PERM_FACTORS:
-        relabelings = tuple(all_factor_permutations(m, n))
-        cube = np.arange(sig.dim).reshape(sig.dims)
-        gather = np.stack([cube.transpose(perm.destinations(m, n)).reshape(-1)
-                           for perm in relabelings])
+    key = d ** np.arange(max(m, n) - 1, -1, -1) @ key_digits
+    if m <= n:  # dit t pairs with anti-dit tau[t]; the unpaired anti-dits keep their order
+        relabelings = tuple(
+            FactorPermutation(range(m), head + tuple(i for i in range(n) if i not in head))
+            for head in itertools.permutations(range(n), m))
+    else:  # anti-dit i pairs with dit sigma[i]; the paired dits ascend, then the unpaired ones
+        relabelings = tuple(
+            FactorPermutation(head + tuple(t for t in range(m) if t not in head), tau)
+            for head in itertools.combinations(range(m), n)
+            for tau in itertools.permutations(range(n)))
+    cube = np.arange(sig.dim, dtype=np.int16).reshape(sig.dims)
+    gather = np.stack([cube.transpose(perm.destinations(m, n)).reshape(-1)
+                       for perm in relabelings])
     return IndexTable(sig, place, key, relabelings, gather)
 
 
 @functools.lru_cache(maxsize=None)
-def cell_partitions(sig: SystemSignature) -> np.ndarray:
-    """The distinct partitions of the basis into cells, ``(R, dim)``: each row labels an index
-    by the first index of its cell.
+def admissible_differences(sig: SystemSignature) -> np.ndarray:
+    """``(dim,)`` booleans over digit differences ``delta``, each coded as a basis index: whether
+    some cell holds two basis indices ``i`` and ``j`` whose digits differ by ``delta`` (mod ``d``).
 
-    A cell, ``gather[k][key == v]`` of :func:`index_table`, holds the basis
-    indices that relabeling ``k`` gives key ``v``; a valid pure state lies on
-    one.  Without pairs the cells are single indices; with pairs and a side
-    above ``MAX_PERM_FACTORS`` there are no rows.
+    That holds exactly when, for each ``t`` in ``1..d-1``, as many dits as anti-dits have
+    difference ``t``: a pair keeps its parity when its two differences agree, and an unpaired
+    factor must not change.
+    """
+    digits = np.indices(sig.dims).reshape(sig.num_factors, -1)
+    admissible = np.ones(sig.dim, dtype=bool)
+    for t in range(1, sig.d):
+        moved = digits == t
+        admissible &= moved[: sig.m].sum(axis=0) == moved[sig.m :].sum(axis=0)
+    return admissible
+
+
+@functools.lru_cache(maxsize=None)
+def cell_cover(sig: SystemSignature) -> np.ndarray:
+    """``(dim, dim)`` booleans: whether basis indices ``i`` and ``j`` share some cell, that is
+    whether their digit difference is admissible (:func:`admissible_differences`).
+
+    The difference code of ``(i, j)``, the digits ``(j_t - i_t) % d`` read as one base-``d``
+    integer, is built for the leading and the trailing half of the factors: block ``(a, b)`` of
+    leading indices is row ``lead[a, b]`` of the table, read through the trailing codes.
     """
     if not sig.num_pairs:
-        return np.arange(sig.dim)[None]
-    table = index_table(sig)
-    if not len(table.gather):
-        return table.gather
-    # the key that relabeling k gives each basis index, in the index's own layout
-    labels = table.key[np.argsort(table.gather, axis=1)]
-    first = np.full((len(labels), int(table.key.max()) + 1), sig.dim)
-    np.minimum.at(first, (np.arange(len(labels))[:, None], labels), np.arange(sig.dim))
-    rows = np.take_along_axis(first, labels, 1)
-    return np.stack(list({row.tobytes(): row for row in rows}.values()))
+        return np.eye(sig.dim, dtype=bool)
+
+    def codes(factors):
+        digits = np.indices((sig.d,) * factors).reshape(factors, -1)
+        return np.tensordot(sig.d ** np.arange(factors - 1, -1, -1),
+                            (digits[:, None] - digits[..., None]) % sig.d, 1)
+
+    lead, trail = codes(sig.num_factors // 2), codes(sig.num_factors - sig.num_factors // 2)
+    table = admissible_differences(sig).reshape(len(lead), len(trail))
+    return table[:, trail][lead].transpose(0, 2, 1, 3).reshape(sig.dim, sig.dim)
 
 
 def factor_positions(positions) -> tuple:
@@ -268,10 +291,3 @@ def phase_matrix(d: int, j: int) -> np.ndarray:
     j = int(j) % d
     omega = np.exp(2j * np.pi / d)
     return np.diag([omega ** ((s + j) % d) for s in range(d)])
-
-
-def all_factor_permutations(m: int, n: int):
-    """Iterate every kind-preserving factor permutation of an (m, n) composite."""
-    for sigma in itertools.permutations(range(m)):
-        for tau in itertools.permutations(range(n)):
-            yield FactorPermutation(sigma, tau)

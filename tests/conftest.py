@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from duoc.linalg import DEFAULT_ATOL, as_operator, permute_vector_factors
+from duoc.systems import MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature
 
 
 @pytest.fixture
@@ -19,6 +22,10 @@ def random_density(rng, dim):
     m = a @ a.conj().T
     return m / np.trace(m)
 
+
+# the 286 signatures up to the composite cap with d up to 16
+ALL_SIGS = [SystemSignature(d, m, n) for d in range(2, 17) for m in range(13) for n in range(13)
+            if m + n and d ** (m + n) <= MAX_COMPOSITE_DIM]
 
 # smallest eigenvalues of the low-rank positivity grid, in units of the default atol 1e-10,
 # on both sides of -atol, plus one far below it
@@ -78,3 +85,23 @@ def embed_permutation(sig, perm):
 def is_unitary(op):
     mat = as_operator(op)
     return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) <= DEFAULT_ATOL)
+
+
+def all_factor_permutations(m: int, n: int):
+    """Iterate every kind-preserving factor permutation of an (m, n) composite, sigma outer."""
+    for sigma in itertools.permutations(range(m)):
+        for tau in itertools.permutations(range(n)):
+            yield FactorPermutation(sigma, tau)
+
+
+def relabeled_cells(sig):
+    """Each kind-preserving relabeling, in :func:`all_factor_permutations` order, with the cell
+    label of every basis index under it, derived from the digits alone: pair ``i`` couples dit
+    ``sigma[i]`` with anti-dit ``tau[i]`` and contributes its parity ``(anti - dit) % d``, and
+    each unpaired factor contributes its digit."""
+    m, n, p = sig.m, sig.n, sig.num_pairs
+    digits = np.array(list(itertools.product(range(sig.d), repeat=m + n))).reshape(sig.dim, -1)
+    for perm in all_factor_permutations(m, n):
+        dits, antis = digits[:, list(perm.sigma)], digits[:, [m + i for i in perm.tau]]
+        label = np.hstack([(antis[:, :p] - dits[:, :p]) % sig.d, dits[:, p:], antis[:, p:]])
+        yield perm, label @ sig.d ** np.arange(label.shape[1])

@@ -396,6 +396,12 @@ class TestCli:
         assert cli_main(["run", path]) == 0
         assert "T,span,product_span,4" in capsys.readouterr().out
 
+    def test_span_with_four_of_each_kind_printed(self, tmp_path, capsys):
+        path = self.write(tmp_path, "run span { d=2, bits=4, antibits=4 } as T\n")
+        assert cli_main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert "T,span,product_span,256" in out and "T,span,state_span,17920" in out
+
     def test_assertion_failure_exit_one(self, tmp_path, capsys):
         path = self.write(
             tmp_path,
@@ -602,14 +608,13 @@ class TestRunBounds:
         assert time.perf_counter() - start < 5.0
         assert table.value("C", "failures") == 0
 
-    # an admitted input whose unmeasured side exceeds the relabeling cap is refused by the
-    # pattern test, not by the work bound
-    def test_conditional_side_above_the_cap_refused_quickly(self):
+    # an admitted input that leaves five factors of each kind unmeasured
+    def test_conditional_with_large_sides_answers_quickly(self):
         start = time.perf_counter()
-        with pytest.raises(ScriptError, match="relabeling search refused"):
-            run_script(parse_script(
-                "run conditional { trials=1, d=2, bits=6, antibits=5, corrupt=1 } as C\n"))
+        table = run_script(parse_script(
+            "run conditional { trials=1, d=2, bits=6, antibits=5, corrupt=1 } as C\n"))
         assert time.perf_counter() - start < 5.0
+        assert table.value("C", "failures") == 1
 
     # (4,3,3) took 4.2 s and 632 MB for two trials before the work bound
     @pytest.mark.parametrize("args", ["trials=1, d=4, bits=3, antibits=3",

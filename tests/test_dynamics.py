@@ -27,13 +27,12 @@ from duoc.states import (
 from duoc.systems import (
     FactorPermutation,
     SystemSignature,
-    all_factor_permutations,
     parity_projector,
     phase_matrix,
     shift_matrix,
 )
 
-from conftest import embed_permutation, is_unitary, random_density
+from conftest import all_factor_permutations, embed_permutation, is_unitary, random_density
 
 # signatures on which the structured kernels are compared with dense references
 KERNEL_SIGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 3)]

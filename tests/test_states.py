@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -43,23 +44,24 @@ from duoc.linalg import (
     projector,
     tensor_all,
 )
+from duoc import systems
 from duoc.systems import (
-    MAX_COMPOSITE_DIM,
-    MAX_PERM_FACTORS,
     FactorPermutation,
     SystemSignature,
-    all_factor_permutations,
     digits_to_index,
     index_table,
 )
 
 from conftest import (
+    ALL_SIGS,
     LOW_RANK_LAMBDAS,
+    all_factor_permutations,
     factor_permutation_matrix,
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,
     random_density,
+    relabeled_cells,
 )
 
 SIG11 = SystemSignature(2, 1, 1)
@@ -192,12 +194,28 @@ class TestValidatePureState:
         with pytest.raises(NormalizationError):
             validate_pure_state(np.array([1.0, 1.0, 0, 0]), SIG11)
 
-    def test_perm_search_refused_when_too_large(self):
+    def test_four_per_side_answers_with_its_witness(self):
+        # each of dits 0, 1 and 2 moves alone, so only the spec's own pairing fits
         sig = SystemSignature(2, 4, 4)
-        v = np.zeros(256)
-        v[0] = 1.0
-        with pytest.raises(DomainError):
-            validate_pure_state(v, sig)
+        strings = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+        spec = PureStateSpec(sig, dict.fromkeys(strings, 0.5), parity=(1, 0, 1, 0),
+                             perm=FactorPermutation((0, 1, 2, 3), (1, 0, 3, 2)))
+        rep = validate_pure_state(build_pure_state(spec), sig)
+        assert rep.valid and rep.residual == 0.0
+        assert rep.witness == {"sigma": (0, 1, 2, 3), "tau": (1, 0, 3, 2),
+                               "parity": (1, 0, 1, 0), "tail": ()}
+
+    @pytest.mark.parametrize("dmn", [(2, 4, 4), (2, 6, 6), (2, 5, 7)], ids=str)
+    def test_drawn_states_validate_beyond_three_per_side(self, dmn):
+        # and are rejected once a Hadamard on dit 0 moves it apart from its anti-dit
+        from duoc.states import random_valid_state
+
+        sig = SystemSignature(*dmn)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for seed in range(3):
+            v = build_pure_state(random_valid_state(sig, seed))
+            assert validate_pure_state(v, sig).valid
+            assert not validate_pure_state((h @ v.reshape(2, -1)).reshape(-1), sig).valid
 
     def test_needs_relabeling_to_validate(self):
         # pair (D0, A1) instead of (D0, A0): only tau=(1,0) fits
@@ -238,6 +256,22 @@ def _validate_pure_loop(vec, sig, atol):
             if leak <= atol:
                 return True, leak, cand[1]
     return False, best[0], best[1]
+
+
+def _check_against_loop(v, sig, atol, valid, residual, witness):
+    """The pattern-test contract against the per-relabeling loop: one relabeling per pairing is
+    searched, so a valid row gives the loop's first fit bit for bit, and an invalid one its
+    least leak up to the summation order of the same entries (the loop takes the minimum over
+    every order), a leak that its witness reproduces bit for bit."""
+    want_valid, want_residual, want_witness = _validate_pure_loop(v, sig, atol)
+    assert valid == want_valid
+    if valid:
+        assert (residual, witness) == (want_residual, want_witness)
+        return
+    assert abs(residual - want_residual) <= 4 * np.spacing(want_residual)
+    perm = FactorPermutation(witness["sigma"], witness["tau"])
+    v_pre = permute_vector_factors(v, sig.dims, perm.inverse().destinations(sig.m, sig.n))
+    assert _pattern_leak_indices(v_pre, sig) == (residual, witness["parity"], witness["tail"])
 
 
 def _build_pure_loop(spec):
@@ -287,8 +321,7 @@ class TestIndexTablePaths:
         sig = SystemSignature(*dmn)
         for v in self._vectors(sig, rng):
             rep = validate_pure_state(v, sig, atol=atol)
-            valid, residual, witness = _validate_pure_loop(v, sig, atol)
-            assert (rep.valid, rep.residual, rep.witness) == (valid, residual, witness)
+            _check_against_loop(v, sig, atol, rep.valid, rep.residual, rep.witness)
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS)
     @pytest.mark.parametrize("atol", [DEFAULT_ATOL, 0.3])
@@ -307,10 +340,15 @@ class TestIndexTablePaths:
             assert (rep.valid, rep.residual, rep.witness) == (valid[i], leak[i], witness)
 
     @pytest.mark.parametrize("dmn", [(2, 4, 1), (2, 1, 4)])
-    def test_stack_refused_above_the_relabeling_cap(self, dmn):
+    def test_stack_beyond_three_per_side_matches_the_loop(self, rng, dmn):
         sig = SystemSignature(*dmn)
-        with pytest.raises(DomainError, match="relabeling search refused"):
-            pattern_test(np.eye(sig.dim)[:2], sig)
+        vecs = self._vectors(sig, rng)
+        valid, leak, k, key = pattern_test(np.array(vecs), sig)
+        table = index_table(sig)
+        for i, v in enumerate(vecs):
+            perm, (parity, tail) = table.relabelings[k[i]], table.split_key(key[i])
+            witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
+            _check_against_loop(v, sig, DEFAULT_ATOL, valid[i], leak[i], witness)
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 2, 0)])
     def test_drawn_build_matches_digit_loop(self, dmn):
@@ -584,15 +622,10 @@ class TestValidateMixedState:
 
 def cell_cover(sig):
     """Entries ``(i, j)`` with ``i`` and ``j`` in one cell, from the definition: for every
-    relabeling ``k`` and key ``v``, the cell ``gather[k][key == v]``; single indices without pairs."""
-    if not sig.num_pairs:
-        return np.eye(sig.dim, dtype=bool)
-    table = index_table(sig)
+    relabeling, enumerated here, the indices that it gives one cell label."""
     cover = np.zeros((sig.dim, sig.dim), dtype=bool)
-    for cols in table.gather:
-        for v in np.unique(table.key):
-            cell = cols[table.key == v]
-            cover[np.ix_(cell, cell)] = True
+    for _, labels in relabeled_cells(sig):
+        cover |= labels[:, None] == labels
     return cover
 
 
@@ -601,9 +634,9 @@ def hadamard_on_dit_0(sig):
     return tensor_all(h, np.eye(sig.dim // 2))
 
 
-# every signature up to dimension 64 whose cells are enumerated
+# every signature up to dimension 64
 CELL_SIGS = [SystemSignature(d, m, n) for d in range(2, 65) for m in range(7) for n in range(7)
-             if m + n and d ** (m + n) <= 64 and not (min(m, n) and max(m, n) > MAX_PERM_FACTORS)]
+             if m + n and d ** (m + n) <= 64]
 HADAMARD_SIGS = [(2, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 3, 3)]
 
 
@@ -641,6 +674,10 @@ class TestCellTest:
                 want = self.old_residual(sig, mat)
                 assert rep.residual == want and rep.valid == (want <= DEFAULT_ATOL) == valid
                 assert rep.witness == "cell test" and rep.flags == ()
+
+    @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
+    def test_cover_equals_the_definition(self, sig):
+        assert np.array_equal(systems.cell_cover(sig), cell_cover(sig))
 
     @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
     def test_certified_inputs_carry_no_mass_off_the_cells(self, sig):
@@ -764,28 +801,49 @@ class TestIsEntangled:
 
 def dense_span(sig):
     """Span dimensions the dense way: the real SVD rank, at ``SPECTRAL_ATOL`` relative to the
-    largest singular value, of the basis projectors and of a spanning family of every cell."""
+    largest singular value, of the basis projectors and of a spanning family of every cell.
+
+    Relabelings of one pairing build the same vectors, so each distinct vector is projected
+    once, and the entries that every projector leaves zero are dropped; neither changes a rank.
+    """
     strings = list(product(range(sig.d), repeat=sig.num_pairs))
     r = 2**-0.5
     family = [{x: 1.0} for x in strings] + [
         {x: r, y: c * r} for x, y in combinations(strings, 2) for c in (1, 1j)]
-    rows_valid = [
-        projector(build_pure_state(PureStateSpec(sig, coeffs, parity, tail, perm))).reshape(-1)
+    vecs = {v.tobytes(): v for v in (
+        build_pure_state(PureStateSpec(sig, coeffs, parity, tail, perm))
         for perm in all_factor_permutations(sig.m, sig.n)
         for parity in product(range(sig.d), repeat=sig.num_pairs)
         for tail in product(range(sig.d), repeat=abs(sig.m - sig.n))
-        for coeffs in family]
+        for coeffs in family)}
+    rows_valid = [projector(v).reshape(-1) for v in vecs.values()]
     rows_product = [np.diag(col).reshape(-1) for col in np.eye(sig.dim)]
 
     def real_rank(rows):
         a = np.array(rows)
-        sv = np.linalg.svd(np.hstack([a.real, a.imag]), compute_uv=False)
+        a = np.hstack([a.real, a.imag])
+        sv = np.linalg.svd(a[:, np.any(a != 0, axis=0)], compute_uv=False)
         return int(np.sum(sv > SPECTRAL_ATOL * sv[0]))
 
     return real_rank(rows_product), real_rank(rows_valid)
 
 
-# every signature of dimension <= 64 that the dense method answered under its old cost bound
+def closed_form_span(sig):
+    """``valid_dim`` in closed form: ``dim`` times the digit differences in which, for each
+    ``t`` in ``1..d-1``, ``c_t`` dits and ``c_t`` anti-dits differ by ``t``; with
+    ``S = c_1 + ... + c_(d-1)`` there are ``m! / ((m - S)! prod c_t!)`` ways to choose the dits
+    and ``n! / ((n - S)! prod c_t!)`` to choose the anti-dits."""
+    total = 0
+    for counts in product(range(sig.num_pairs + 1), repeat=sig.d - 1):
+        if (s := sum(counts)) <= sig.num_pairs:
+            ways = math.prod(math.factorial(c) for c in counts)
+            total += (math.factorial(sig.m) // math.factorial(sig.m - s) // ways
+                      * math.factorial(sig.n) // math.factorial(sig.n - s) // ways)
+    return sig.dim * total
+
+
+# every signature of dimension <= 64 that the dense method answered under its old cost bound,
+# then those with pairs and four or five factors of one kind
 DENSE_SPAN_SIGNATURES = [
     (2, 0, 1), (2, 0, 2), (2, 0, 3), (2, 0, 4), (2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3),
     (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (2, 3, 1), (2, 4, 0), (3, 0, 1), (3, 0, 2),
@@ -795,6 +853,7 @@ DENSE_SPAN_SIGNATURES = [
     (7, 1, 0), (7, 2, 0), (8, 0, 1), (8, 0, 2), (8, 1, 0), (8, 2, 0), (9, 0, 1), (9, 1, 0),
     (10, 0, 1), (10, 1, 0), (11, 0, 1), (11, 1, 0), (12, 0, 1), (12, 1, 0), (13, 0, 1),
     (13, 1, 0), (14, 0, 1), (14, 1, 0), (15, 0, 1), (15, 1, 0), (16, 0, 1), (16, 1, 0),
+    (2, 4, 1), (2, 1, 4), (2, 4, 2), (2, 2, 4), (2, 5, 1), (2, 1, 5),
 ]
 
 
@@ -830,10 +889,11 @@ class TestSpanDimensions:
             tracemalloc.stop()
         assert time.perf_counter() - start < 0.5 and peak < 1e6
 
-    # one partition needs no dim x dim mask: these took 33.6 MB (tracemalloc) with it
+    # the count needs no dim x dim mask: with one it took 33.6 MB (tracemalloc) on the first two
     @pytest.mark.parametrize("dmn, dims", [((2, 12, 0), (4096, 4096)),
-                                           ((64, 1, 1), (4096, 262144))], ids=str)
-    def test_one_partition_counts_without_a_mask(self, dmn, dims):
+                                           ((64, 1, 1), (4096, 262144)),
+                                           ((2, 6, 6), (4096, 3784704))], ids=str)
+    def test_count_needs_no_mask(self, dmn, dims):
         sig = SystemSignature(*dmn)
         tracemalloc.start()
         try:
@@ -848,28 +908,42 @@ class TestSpanDimensions:
         assert span_dimensions(SystemSignature(4, 3, 3)) == (4096, 1048576)
         assert time.perf_counter() - start < 1.0
 
-    def test_every_signature_answers_or_is_refused_within_a_second(self):
-        sigs = [SystemSignature(d, m, n) for d in range(2, 17) for m in range(13)
-                for n in range(13) if m + n and d ** (m + n) <= MAX_COMPOSITE_DIM]
-        for sig in sigs:
-            start = time.perf_counter()
-            if sig.num_pairs and max(sig.m, sig.n) > MAX_PERM_FACTORS:
-                with pytest.raises(DomainError):
-                    span_dimensions(sig)
-            else:
-                prod, full = span_dimensions(sig)
-                assert prod == sig.dim <= full <= sig.dim**2
-            assert time.perf_counter() - start < 1.0, sig
+    def test_count_equals_the_closed_form(self):
+        assert closed_form_span(SystemSignature(2, 4, 4)) == 256 * 70 == 17920
+        assert closed_form_span(SystemSignature(2, 6, 6)) == 4096 * 924 == 3784704
+        for sig in ALL_SIGS:
+            assert span_dimensions(sig) == (sig.dim, closed_form_span(sig)), sig
+
+    def test_every_signature_answers_within_a_second(self):
+        # span, the pure-state test of a drawn state and the cell test, each with its first
+        # table or cover build; entries (0, 1) differ in one digit, which no cell covers.  The
+        # caches are emptied after each signature
+        from duoc.states import random_valid_state, validate_cone_member
+
+        for sig in ALL_SIGS:
+            v = build_pure_state(random_valid_state(sig, 0))
+            mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+            mat[:2, :2] = 0.5
+            try:
+                for check in (lambda: span_dimensions(sig)[0] == sig.dim,
+                              lambda: validate_pure_state(v, sig).valid,
+                              lambda: not validate_cone_member(sig, mat).valid):
+                    start = time.perf_counter()
+                    assert check(), sig
+                    assert time.perf_counter() - start < 1.0, sig
+            finally:
+                for cached in (systems.index_table, systems.admissible_differences,
+                               systems.cell_cover):
+                    cached.cache_clear()
 
     # (2,1,4) used to run for about 2 s, and (2,4,4) built 256 dense basis projectors
     # (268 MB) before a size check refused it
-    @pytest.mark.parametrize("dmn", [(2, 1, 4), (2, 4, 4)])
-    def test_costly_family_refused_before_anything_is_built(self, dmn):
+    @pytest.mark.parametrize("dmn, dims", [((2, 1, 4), (32, 160)), ((2, 4, 4), (256, 17920))])
+    def test_costly_family_answers_before_anything_is_built(self, dmn, dims):
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(DomainError, match="too large"):
-                span_dimensions(SystemSignature(*dmn))
+            assert span_dimensions(SystemSignature(*dmn)) == dims
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

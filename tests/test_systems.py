@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from duoc.systems import (
     MAX_COMPOSITE_DIM,
     FactorPermutation,
     SystemSignature,
-    all_factor_permutations,
-    cell_partitions,
+    cell_cover,
     digits_to_index,
     index_to_digits,
     parity_projector,
@@ -19,7 +19,7 @@ from duoc.systems import (
     shift_matrix,
 )
 
-from conftest import embed_permutation
+from conftest import ALL_SIGS, all_factor_permutations, embed_permutation, relabeled_cells
 
 
 class TestSystemSignature:
@@ -37,6 +37,20 @@ class TestSystemSignature:
             SystemSignature(2, 0, 0)
         with pytest.raises(DomainError):
             SystemSignature(2, -1, 2)
+
+    @pytest.mark.parametrize("dmn", [(2, 1.5, 1), (2, float("nan"), 1), (2.0, 1, 1)], ids=str)
+    def test_fields_must_be_integers(self, dmn):
+        with pytest.raises(DomainError, match="must be integers"):
+            SystemSignature(*dmn)
+
+    def test_numpy_integer_fields_accepted(self):
+        sig = SystemSignature(np.int64(2), np.int32(1), np.uint8(1))
+        assert sig == SystemSignature(2, 1, 1) and type(sig.d) is int and sig.dim == 4
+
+    def test_sub_signature_positions_must_be_integers(self):
+        with pytest.raises(DomainError, match="must be integers"):
+            SystemSignature(2, 1, 1).sub_signature((0.9,))
+        assert SystemSignature(2, 1, 1).sub_signature(np.array([1])) == SystemSignature(2, 0, 1)
 
     def test_size_cap(self):
         # 2^12 = 4096 is allowed, 2^13 is not
@@ -80,6 +94,11 @@ class TestFactorPermutation:
         ident = ab.compose(ab.inverse())
         assert ident.is_identity() or ab.inverse().compose(ab).is_identity()
 
+    def test_entries_must_be_integers(self):
+        with pytest.raises(DomainError, match="must be integers"):
+            FactorPermutation((0.9,), (0,))
+        assert FactorPermutation(np.arange(2), (np.int64(0),)).sigma == (0, 1)
+
     def test_all_factor_permutations_count(self):
         perms = list(all_factor_permutations(3, 2))
         assert len(perms) == 6 * 2
@@ -101,38 +120,51 @@ def test_index_table_is_one_shared_object_per_signature():
     assert index_table.cache_info().currsize == before
 
 
-class TestCellPartitions:
-    def partitions_by_definition(self, sig):
-        """The distinct partitions ``{cell}`` that the relabelings give, each cell a frozenset."""
-        table = index_table(sig)
-        return {frozenset(frozenset(cols[table.key == v].tolist()) for v in np.unique(table.key))
-                for cols in table.gather}
+def cell_partitions_by_definition(sig):
+    """Each relabeling's partition ``{cell}`` of the basis, each cell a frozenset, in order."""
+    return [frozenset(frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels))
+            for _, labels in relabeled_cells(sig)]
+
+
+class TestPairings:
+    """One row of the index table per pairing of dits with anti-dits."""
 
     @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2),
-                                     (3, 2, 1), (2, 3, 2), (2, 3, 3), (3, 2, 2)], ids=str)
-    def test_one_row_per_distinct_partition(self, dmn):
+                                     (3, 2, 1), (2, 3, 2), (2, 3, 3), (3, 2, 2), (2, 4, 1),
+                                     (2, 1, 4), (2, 4, 2), (2, 0, 3), (3, 2, 0)], ids=str)
+    def test_rows_are_the_first_relabeling_of_each_partition(self, dmn):
+        # walking every relabeling in order, a row starts each partition not seen before
         sig = SystemSignature(*dmn)
-        rows = cell_partitions(sig)
-        got = {frozenset(frozenset(np.flatnonzero(row == c).tolist()) for c in np.unique(row))
-               for row in rows}
-        assert len(got) == len(rows) and got == self.partitions_by_definition(sig)
-        # each label is the first index of its cell
-        for row in rows:
-            assert all(row[i] == np.flatnonzero(row == row[i])[0] for i in range(sig.dim))
+        first = {}
+        for perm, partition in zip(all_factor_permutations(sig.m, sig.n),
+                                   cell_partitions_by_definition(sig)):
+            first.setdefault(partition, perm)
+        assert index_table(sig).relabelings == tuple(first.values())
 
+    def test_one_row_per_pairing_up_to_the_cap(self):
+        for sig in ALL_SIGS:
+            try:
+                table = index_table(sig)
+                big, small = max(sig.m, sig.n), min(sig.m, sig.n)
+                assert len(table.relabelings) == len(table.gather) == math.perm(big, small)
+            finally:
+                index_table.cache_clear()
+
+    def test_table_at_the_largest_pairing_count(self):
+        # 2520 pairings of (2, 5, 7) in int16, against 604800 relabelings
+        table = index_table(SystemSignature(2, 5, 7))
+        assert table.gather.shape == (2520, 4096) and table.gather.nbytes <= 25e6
+
+
+class TestCellCover:
     @pytest.mark.parametrize("dmn", [(2, 3, 0), (3, 0, 2), (2, 12, 0)], ids=str)
-    def test_no_pairs_give_one_row_of_single_indices(self, dmn):
+    def test_no_pairs_cover_single_indices(self, dmn):
         sig = SystemSignature(*dmn)
-        assert np.array_equal(cell_partitions(sig), np.arange(sig.dim)[None])
-
-    @pytest.mark.parametrize("dmn", [(2, 4, 1), (2, 1, 4), (2, 6, 5)], ids=str)
-    def test_pairs_beyond_the_relabeling_cap_give_no_rows(self, dmn):
-        sig = SystemSignature(*dmn)
-        assert cell_partitions(sig).shape == (0, sig.dim)
+        assert np.array_equal(cell_cover(sig), np.eye(sig.dim, dtype=bool))
 
     def test_cached_per_signature(self):
         sig = SystemSignature(2, 2, 2)
-        assert cell_partitions(SystemSignature(2, 2, 2)) is cell_partitions(sig)
+        assert cell_cover(SystemSignature(2, 2, 2)) is cell_cover(sig)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
