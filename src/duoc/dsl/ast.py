@@ -101,4 +101,3 @@ class Script:
 
 
 RUN_KINDS = ("born", "chsh", "activation", "witness", "conditional", "span")
-CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")

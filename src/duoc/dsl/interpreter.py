@@ -291,8 +291,9 @@ class _Interpreter:
             if len(weights) != sig.dim:
                 raise _err(line, f"classical needs {sig.dim} weights, got {len(weights)}")
             w = np.array(weights, dtype=float)
-            # the state's trace check decides at DEFAULT_ATOL, so the weights are held to it
-            if np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > DEFAULT_ATOL:
+            # the state's trace check decides at DEFAULT_ATOL, so the weights are held to it; a
+            # weight above 1 + DEFAULT_ATOL fails the sum anyway, and is refused before it overflows
+            if np.min(w) < 0 or np.max(w) > 1 + DEFAULT_ATOL or abs(np.sum(w) - 1) > DEFAULT_ATOL:
                 raise _err(line, "classical weights must be a probability vector")
             return DensityState(sig, np.diag(w).astype(complex))
         if ctor.name == "separable":

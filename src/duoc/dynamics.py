@@ -18,8 +18,8 @@ import numpy as np
 from .effects import Effect, check_wiring, conditional_state
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    BLOCK_ENTRIES, DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, min_eigenvalue,
-    off_diagonal_max, row_blocks, tensor_all,
+    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, min_eigenvalue, off_diagonal_max,
+    symmetrized, tensor_all,
 )
 from .states import (
     DensityState, ValidityReport, product_order, product_state, random_mixed_state,
@@ -111,26 +111,12 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
 
 
 def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:
-    """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather.
-
-    Above 256 x 256 each of the :func:`~duoc.linalg.row_blocks` is gathered
-    and phase-scaled while it is in cache, then copied into place.
-    """
-    mat, conj_ph = rho.matrix, ph.conj()
-    if mat.size <= BLOCK_ENTRIES:
-        return DensityState(rho.sig, _phased_gather(mat, src, src, ph, conj_ph))
-    out = np.empty_like(mat)
-    for rows in row_blocks(mat.shape[0]):
-        out[rows] = _phased_gather(mat, src[rows], src, ph[rows], conj_ph)
-    return DensityState(rho.sig, out)
-
-
-def _phased_gather(mat, row_src, src, row_ph, conj_ph) -> np.ndarray:
-    """Rows ``row_src``, columns ``src`` of ``mat``, scaled by ``row_ph`` and ``conj_ph``."""
-    out = mat.take(row_src, 0).take(src, 1)
-    np.multiply(row_ph[:, None], out, out=out)  # operand order kept: complex products round by it
-    out *= conj_ph
-    return out
+    """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather,
+    stored symmetrized; a conjugation of an admitted state needs no positivity decision."""
+    out = rho.matrix.take(src, 0).take(src, 1)
+    np.multiply(ph[:, None], out, out=out)  # operand order kept: complex products round by it
+    out *= ph.conj()
+    return DensityState._admitted(rho.sig, symmetrized(out))
 
 
 @dataclass(eq=False)

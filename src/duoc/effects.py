@@ -34,6 +34,7 @@ from .linalg import (
     contract_effect,
     hermitian_part,
     projector,
+    symmetrized,
 )
 from .states import (
     DensityState,
@@ -172,7 +173,8 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     if prob <= ZERO_ATOL:
         return max(prob, 0.0), None
     keep = tuple(t for t in range(sig.num_factors) if t not in positions)
-    return prob, DensityState(sig.sub_signature(keep), raw / prob)
+    raw /= prob
+    return prob, DensityState._admitted(sig.sub_signature(keep), symmetrized(raw))
 
 
 def check_wiring(sig: SystemSignature, esig: SystemSignature, positions) -> tuple:

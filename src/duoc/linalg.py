@@ -5,13 +5,9 @@ factor is the most significant digit, so ``kron(a, b)`` acts on the
 composite index ``i*dim_b + j``.  All operators are dense complex
 ``numpy`` arrays.
 
-The dim^2 passes that admit a state or effect (:func:`hermitian_part`,
-the residual of :func:`low_rank_psd`) walk a matrix above 256 x 256 in
-blocks that fit in cache: ``TILE x TILE`` tile pairs and row blocks of
-``BLOCK_ENTRIES`` entries.  A full strided transpose or a dim^2
-temporary misses cache on every row there, while a 1 MB block is read
-from memory once and then reused (Lam, Rothberg & Wolf 1991).  A matrix
-of at most 256 x 256 is one block and takes the single-block path.
+The symmetrization (:func:`hermitian_part`, :func:`symmetrized`) is one
+untiled pass; only the residual of :func:`low_rank_psd` walks a matrix
+above 256 x 256 in 1 MB row blocks, which stay in cache.
 """
 
 from __future__ import annotations
@@ -29,10 +25,8 @@ ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zer
 INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
 SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 
-# The cache budget of the blocked dim^2 passes: 64 x 64 complex tiles (64 KB), and row blocks of
-# 2^16 complex entries (1 MB), which also bound the single block: a matrix of at most 256 x 256
+# The row blocks of low_rank_psd's residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
 BLOCK_ENTRIES = 1 << 16
-TILE = 64
 
 _AXIS_LABELS = string.ascii_letters
 
@@ -84,7 +78,10 @@ def tensor_all(*factors) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
-    """Rank-1 projector onto ``v``, normalizing first.
+    """Rank-1 projector onto ``v``, normalizing first; its own :func:`hermitian_part` byte for byte.
+
+    A fused multiply-add rounds the imaginary part of ``np.outer(vec, conj(vec))`` differently at
+    ``(i, j)`` and ``(j, i)``, so that part is ``im_i re_j - re_i im_j``, exactly antisymmetric.
 
     Raises
     ------
@@ -92,11 +89,21 @@ def projector(v) -> np.ndarray:
         If ``v`` has norm below ``ZERO_ATOL`` (direction undefined).
     """
     vec = as_vector(v)
-    nrm = np.linalg.norm(vec)
+    nrm = vector_norm(vec)
     if nrm < ZERO_ATOL:
         raise DegenerateInputError("cannot project onto a (near-)zero vector")
     vec = vec / nrm
-    return np.outer(vec, vec.conj())
+    re, im = vec.real, vec.imag
+    out = vec[:, None] * vec.conj()
+    np.subtract(im[:, None] * re, re[:, None] * im, out=out.imag)
+    return positive_zeros(out)
+
+
+def positive_zeros(mat) -> np.ndarray:
+    """``mat`` with every zero made ``+0``, in place.  An exactly Hermitian matrix with no ``-0``
+    is its own :func:`hermitian_part` byte for byte; a ``-0`` need not survive its halving."""
+    mat += 0
+    return mat
 
 
 def _check_dims(dims, size):
@@ -239,41 +246,23 @@ def permute_vector_factors(v, dims, dest) -> np.ndarray:
 
 
 def hermitian_part(op) -> tuple:
-    """``((op + op^H) / 2, max |op^H - op|)``; the first is exactly Hermitian.
-
-    Above 256 x 256 each ``TILE x TILE`` tile pair ``(I, J)``, ``I <= J``,
-    is visited once: both tiles are symmetrized from that pair and the
-    defect is read off it.  Each entry is summed as in the single block,
-    so the output is bit-identical to it.
-    """
+    """``(symmetrized(op), max |op^H - op|)`` of a finite square ``op``."""
     mat = as_operator(op)
-    if mat.size <= BLOCK_ENTRIES:
-        return _adjoint_mean(mat, mat, True)
-    dim = mat.shape[0]
-    out = np.empty_like(mat)
-    defect = 0.0
-    for i in range(0, dim, TILE):
-        a = slice(i, i + TILE)
-        out[a, a], tile_defect = _adjoint_mean(mat[a, a], mat[a, a], True)
-        defect = max(defect, tile_defect)
-        for j in range(i + TILE, dim, TILE):
-            b = slice(j, j + TILE)
-            out[a, b], tile_defect = _adjoint_mean(mat[a, b], mat[b, a], True)
-            defect = max(defect, tile_defect)
-            # recomputed, not mirrored: conj(out[a, b]).T can flip the sign of a zero imaginary part
-            out[b, a] = _adjoint_mean(mat[b, a], mat[a, b], False)[0]
-    return out, defect
-
-
-def _adjoint_mean(x, y, with_defect: bool) -> tuple:
-    """``((x + y^H) / 2, max |y^H - x|)`` for blocks of one shape; a defect not wanted is 0.0."""
-    # a contiguous adjoint symmetrized in place: a strided view or full-size temporaries cost more
-    sym = y.T.copy()
+    sym = mat.T.copy()  # a contiguous adjoint: a strided view or out-of-place temporaries cost more
     np.conjugate(sym, out=sym)
-    defect = float(np.max(np.abs(sym - x))) if with_defect else 0.0
-    sym += x
+    defect = float(np.max(np.abs(sym - mat)))
+    sym += mat
     sym /= 2
     return sym, defect
+
+
+def symmetrized(mat) -> np.ndarray:
+    """``(mat + mat^H) / 2``, exactly Hermitian, in one untiled pass with no defect scan."""
+    sym = mat.T.copy()
+    np.conjugate(sym, out=sym)
+    sym += mat
+    sym /= 2
+    return sym
 
 
 def row_blocks(dim: int) -> list:

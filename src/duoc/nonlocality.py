@@ -32,6 +32,7 @@ operator in a certified ``Effect``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -156,7 +157,7 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
     if d < 2:
         raise DomainError("need local dimension >= 2")
     r = _parity(r, d)
-    if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
+    if not abs(math.hypot(*np.abs(alphas)) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
         raise NormalizationError("coefficients must be normalized")
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
@@ -326,7 +327,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     if d < 2:
         raise DomainError("need local dimension >= 2")
     r = _parity(r, d)
-    if not abs(np.linalg.norm(alphas) - 1.0) <= DEFAULT_ATOL:  # NaN fails
+    if not abs(math.hypot(*alphas) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
         raise NormalizationError("coefficients must be normalized")
     if int(np.sum(alphas > 0)) < 2:
         raise NotEntangledError("activation needs at least two nonzero coefficients")

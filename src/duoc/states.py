@@ -38,7 +38,9 @@ from .linalg import (
     min_eigenvalue,
     off_diagonal_max,
     partial_trace,
+    positive_zeros,
     projector,
+    symmetrized,
     vector_norm,
 )
 from .systems import (
@@ -121,7 +123,7 @@ def _check_row(sig: SystemSignature, parity, tail, coeffs) -> None:
         raise DomainError(f"parity {parity}, tail {tail} or a coefficient key does not fit {sig}")
     if not set().union(parity, tail, *coeffs) <= set(range(sig.d)):
         raise DomainError(f"parity, tail and key digits must lie in 0..{sig.d - 1}")
-    total = sum(abs(a) ** 2 for a in coeffs.values())
+    total = sum(abs(a) * abs(a) for a in coeffs.values())  # a huge one is inf, not OverflowError
     # written so that a NaN amplitude fails it
     if not abs(total - 1.0) <= DEFAULT_ATOL:
         raise NormalizationError(f"coefficients have squared norm {total}, expected 1")
@@ -245,7 +247,7 @@ def random_mixed_state(sig: SystemSignature, rng):
         v = build_pure_state(spec)
         cert.append((float(weights[t]), spec))
         mat += weights[t] * np.outer(v, v.conj())
-    return DensityState(sig, mat), cert
+    return DensityState._admitted(sig, symmetrized(mat)), cert
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
@@ -356,11 +358,10 @@ class DensityState:
     The verdict can differ from ``eigvalsh`` alone only within rounding
     (about ``dim * eps``) of ``-atol``.
 
-    Above 256 x 256 the symmetrization and the low-rank residual walk the
-    matrix in cache-sized blocks (64 x 64 tile pairs, 1 MB row blocks;
-    see :mod:`duoc.linalg`), because a full strided transpose or a dim^2
-    temporary there costs a cache miss per row.  The stored matrix, the
-    defect and every verdict are those of the single-block pass.
+    A state derived from admitted ones is valid by construction: :meth:`_admitted`
+    checks its shape and trace only.  A projector and a product are stored as
+    built, the rest :func:`~duoc.linalg.symmetrized`, byte for byte what this
+    constructor stores.
     """
 
     sig: SystemSignature
@@ -369,24 +370,38 @@ class DensityState:
     def __post_init__(self):
         # hermitian_part coerces the input and checks it is finite and square
         sym, defect = hermitian_part(self.matrix)
-        if sym.shape[0] != self.sig.dim:
-            raise ShapeError(f"matrix dim {sym.shape[0]} != composite dimension {self.sig.dim}")
-        if defect > DEFAULT_ATOL:
+        # a wrong size is _require_trace's to report, ahead of the defect
+        if sym.shape[0] == self.sig.dim and defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
-        tr = float(np.real(np.trace(sym)))
-        if abs(tr - 1.0) > DEFAULT_ATOL:
-            raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
+        _require_trace(self.sig, sym)
         if not low_rank_psd(sym):
             _require_psd(sym)
         self.matrix = sym
 
     @classmethod
+    def _admitted(cls, sig: SystemSignature, matrix: np.ndarray) -> "DensityState":
+        """The state of a ``matrix`` Hermitian and PSD by construction; checks shape and trace."""
+        _require_trace(sig, matrix)
+        rho = cls.__new__(cls)
+        rho.sig, rho.matrix = sig, matrix
+        return rho
+
+    @classmethod
     def from_vector(cls, sig: SystemSignature, v) -> "DensityState":
-        return cls(sig, projector(v))
+        return cls._admitted(sig, projector(v))
 
     @property
     def dim(self) -> int:
         return self.sig.dim
+
+
+def _require_trace(sig: SystemSignature, mat: np.ndarray) -> None:
+    """Raise unless the square ``mat`` has ``sig``'s dimension and unit trace (NaN fails)."""
+    if mat.shape[0] != sig.dim:
+        raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {sig.dim}")
+    tr = float(np.real(np.trace(mat)))
+    if not abs(tr - 1.0) <= DEFAULT_ATOL:
+        raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
 
 
 def _require_psd(sym: np.ndarray):
@@ -418,9 +433,8 @@ def product_state(left: DensityState, right: DensityState) -> DensityState:
     sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
     order = product_order(left.sig, right.sig)
     mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
-    # the reordered copy replaces the kron product before the checks allocate their own dim^2
     mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
-    return DensityState(sig, mat)
+    return DensityState._admitted(sig, positive_zeros(mat))
 
 
 @dataclass(eq=False)
@@ -537,7 +551,7 @@ def marginal_state(rho: DensityState, keep) -> DensityState:
     keep = tuple(sorted(factor_positions(keep)))
     sub = rho.sig.sub_signature(keep)
     reduced = partial_trace(rho.matrix, rho.sig.dims, keep)
-    return DensityState(sub, reduced)
+    return DensityState._admitted(sub, symmetrized(reduced))
 
 
 def purify_classical_state(

@@ -1,0 +1,176 @@
+"""States the engine derives are admitted once, by construction.
+
+A projector, a product, a reversible conjugation, a marginal, a conditional
+state and a sampled mixture of admitted states are Hermitian and PSD by
+construction, so none of them decides positivity again (no low-rank
+factor, Cholesky or ``eigvalsh``) or runs the Hermitian defect scan.  Each
+stored matrix is still byte for byte the one the public ``DensityState``
+constructor stores for the same input, on real vectors of mixed sign,
+whose products carry zeros of both signs, and on complex ones.
+"""
+
+import numpy as np
+import pytest
+
+from duoc import effects, linalg, states
+from duoc.dynamics import (
+    ConditionalEvolutionSpec, ReversibleSpec, _reversible_index_map, apply_reversible,
+    build_reversible, conditional_evolution,
+)
+from duoc.effects import conditional_state, random_certified_effect
+from duoc.linalg import contract_effect, partial_trace, projector
+from duoc.states import (
+    DensityState, marginal_state, product_order, product_state, random_mixed_state,
+)
+from duoc.systems import FactorPermutation, SystemSignature
+
+SIGS = [(2, 1, 1), (3, 2, 1), (2, 3, 3), (2, 5, 5)]
+KINDS = ["real", "complex"]
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    return counters(monkeypatch)
+
+
+def counters(monkeypatch):
+    """Calls of the positivity deciders and of the Hermitian defect scan, wherever imported."""
+    counts = dict.fromkeys(["low_rank_psd", "cholesky", "eigvalsh", "hermitian_part"], 0)
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(states, "low_rank_psd", counting("low_rank_psd", states.low_rank_psd))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for module in (states, effects, linalg):
+        monkeypatch.setattr(module, "hermitian_part",
+                            counting("hermitian_part", linalg.hermitian_part))
+    return counts
+
+
+def vector(kind, dim, rng):
+    v = rng.normal(size=dim)
+    return v + 1j * rng.normal(size=dim) if kind == "complex" else v
+
+
+def split(sig):
+    """Two signatures whose product is ``sig``: about half the factors of each kind on the left."""
+    left = SystemSignature(sig.d, (sig.m + 1) // 2, sig.n // 2)
+    return left, SystemSignature(sig.d, sig.m - left.m, sig.n - left.n)
+
+
+def joint_matrix(left, right):
+    """The Kronecker product of two states, reordered to :func:`product_order` in the test."""
+    sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
+    order = product_order(left.sig, right.sig)
+    mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
+    return sig, mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim,
+                                                                                   sig.dim)
+
+
+def same_bytes(out, sig, matrix):
+    """``out`` is on ``sig`` and stores what ``DensityState(sig, matrix)`` stores."""
+    assert out.sig == sig
+    assert out.matrix.tobytes() == DensityState(sig, matrix).matrix.tobytes()
+
+
+def no_decision(counts):
+    assert counts == dict.fromkeys(counts, 0)
+
+
+def test_counters_see_the_public_path(counts, rng):
+    sig = SystemSignature(2, 3, 3)
+    DensityState(sig, projector(vector("complex", sig.dim, rng)))
+    assert counts["hermitian_part"] == 1 and counts["low_rank_psd"] == 1
+    mixed = random_mixed_state(SystemSignature(2, 1, 1), rng)[0]
+    DensityState(mixed.sig, mixed.matrix)
+    assert counts["cholesky"] + counts["eigvalsh"] >= 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dmn", SIGS)
+class TestAdmittedOnce:
+
+    def test_from_vector(self, dmn, kind, counts, rng):
+        sig = SystemSignature(*dmn)
+        v = vector(kind, sig.dim, rng)
+        out = DensityState.from_vector(sig, v)
+        no_decision(counts)
+        assert out.matrix.tobytes() == projector(v).tobytes()  # stored as built
+        same_bytes(out, sig, projector(v))
+
+    def test_product_state(self, dmn, kind, counts, rng):
+        left, right = (DensityState.from_vector(s, vector(kind, s.dim, rng))
+                       for s in split(SystemSignature(*dmn)))
+        out = product_state(left, right)
+        no_decision(counts)
+        sig, mat = joint_matrix(left, right)
+        assert np.array_equal(out.matrix, mat)  # stored as built, up to the signs of zeros
+        same_bytes(out, sig, mat)
+
+    def test_apply_reversible(self, dmn, kind, counts, rng):
+        sig = SystemSignature(*dmn)
+        perm = FactorPermutation(rng.permutation(sig.m), rng.permutation(sig.n))
+        spec = ReversibleSpec(perm, rng.integers(0, sig.d, size=sig.num_factors),
+                              rng.integers(0, sig.d, size=sig.num_factors))
+        u = build_reversible(spec, sig)
+        rho = DensityState.from_vector(sig, vector(kind, sig.dim, rng))
+        out = apply_reversible(u, rho)
+        no_decision(counts)
+        src, ph = _reversible_index_map(spec, sig)
+        same_bytes(out, sig, ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj())
+
+    def test_marginal_state(self, dmn, kind, counts, rng):
+        sig = SystemSignature(*dmn)
+        rho = DensityState.from_vector(sig, vector(kind, sig.dim, rng))
+        keep = tuple(range(1, sig.num_factors))
+        out = marginal_state(rho, keep)
+        no_decision(counts)
+        same_bytes(out, sig.sub_signature(keep), partial_trace(rho.matrix, sig.dims, keep))
+
+    def test_conditional_state(self, dmn, kind, rng, monkeypatch):
+        sig = SystemSignature(*dmn)
+        rho = DensityState.from_vector(sig, vector(kind, sig.dim, rng))
+        e = random_certified_effect(sig.sub_signature((0,)), rng)
+        prob, out = conditional_state(rho, e, (0,))
+        raw = contract_effect(e.op, rho.matrix, (0,), sig.dims)
+        same_bytes(out, sig.sub_signature(tuple(range(1, sig.num_factors))), raw / prob)
+        # counted on a second call, once the effect is admitted
+        count = counters(monkeypatch)
+        conditional_state(rho, e, (0,))
+        no_decision(count)
+
+    def test_conditional_evolution(self, dmn, kind, rng, monkeypatch):
+        in_sig, anc_sig = split(SystemSignature(*dmn))
+        ancilla = DensityState.from_vector(anc_sig, vector(kind, anc_sig.dim, rng))
+        # every input factor, and an ancilla dit while another ancilla factor is left
+        k = in_sig.num_factors
+        dits = [*range(in_sig.m), *([k] if anc_sig.m and anc_sig.num_factors > 1 else [])]
+        esig = SystemSignature(in_sig.d, len(dits), in_sig.n)
+        spec = ConditionalEvolutionSpec(in_sig, ancilla, random_certified_effect(esig, rng),
+                                        dits + list(range(in_sig.m, k)))
+        rho = DensityState.from_vector(in_sig, vector(kind, in_sig.dim, rng))
+        count = counters(monkeypatch)
+        prob, out = conditional_evolution(spec, rho)
+        no_decision(count)
+        joint, mat = joint_matrix(rho, ancilla)
+        mat = DensityState(joint, mat).matrix  # the product as admitted
+        raw = contract_effect(spec.effect.op, mat, spec.joint_positions, joint.dims)
+        rest = tuple(t for t in range(joint.num_factors) if t not in spec.joint_positions)
+        same_bytes(out, joint.sub_signature(rest), raw / prob)
+
+
+@pytest.mark.parametrize("dmn", SIGS)
+def test_random_mixed_state(dmn, counts, rng):
+    sig = SystemSignature(*dmn)
+    out, cert = random_mixed_state(sig, rng)
+    no_decision(counts)
+    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+    for w, spec in cert:
+        v = states.build_pure_state(spec)
+        mat += w * np.outer(v, v.conj())
+    same_bytes(out, sig, mat)

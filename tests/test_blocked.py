@@ -1,9 +1,10 @@
-"""The dim^2 admission passes above one block: bit for bit the single-block forms.
+"""The dim^2 admission passes above 256 x 256, byte for byte against the direct dense forms.
 
-Matrices above 256 x 256 are symmetrized in tile pairs, checked for low
-rank in row blocks and conjugated by a monomial map in row blocks.  Each
-test compares against the direct dense form, byte for byte, so a wrong
-tile or block slice shows.
+Matrices of any size are symmetrized in one untiled pass, checked for low
+rank in row blocks of at most 1 MB, and conjugated by a monomial map as
+one gather.  Each test compares against the direct dense form, byte for
+byte, so a wrong block slice shows; the cases that once straddled the
+64 x 64 tiles of an earlier blocked symmetrization are kept.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import test_linalg
 from duoc.dynamics import _conjugate_monomial
 from duoc.effects import Effect
 from duoc.errors import DensityMatrixError, ShapeError
-from duoc.linalg import BLOCK_ENTRIES, TILE, hermitian_part, row_blocks
+from duoc.linalg import BLOCK_ENTRIES, hermitian_part, row_blocks
 from duoc.states import DensityState
 from duoc.systems import SystemSignature
 
@@ -65,7 +66,7 @@ def test_row_blocks_cover_the_rows_and_one_block_holds_256():
 def test_hermitian_part_is_the_direct_form(big, dim):
     m = big[:dim, :dim].copy()
     if dim > 1:
-        # the largest defect, below the diagonal in the last tile row (partial unless TILE | dim)
+        # the largest defect, below the diagonal in the last 64-row band (partial unless 64 | dim)
         m[dim - 1, 0] += 50.0
     sym, defect = hermitian_part(m)
     assert sym.tobytes() == ((m + m.conj().T) / 2).tobytes()
@@ -77,7 +78,7 @@ def test_hermitian_part_is_the_direct_form(big, dim):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_entry_in_an_off_diagonal_tile(big, bad):
     m = big.copy()
-    m[DIM - 1, 3 * TILE + 1] = bad
+    m[DIM - 1, 3 * 64 + 1] = bad
     with pytest.raises(ShapeError, match="non-finite"):
         hermitian_part(m)
     with pytest.raises(ShapeError, match="non-finite"):

@@ -442,6 +442,24 @@ class TestCli:
             assert cli_main(["run", self.write(tmp_path, text)]) == 2
         assert "Warning" not in capsys.readouterr().err
 
+    # huge magnitudes used to escape as a raw OverflowError (a Python power of the amplitude)
+    # or to print a numpy overflow warning (a norm, a sum) before the error
+    @pytest.mark.parametrize("text,message", [
+        ("system S = composite(d=2, bits=1, antibits=1)\n"
+         "state A = entstate(coeffs=[1e200, 0]) on S\n", "squared norm inf"),
+        ("run activation { coeffs=[1e200, 1] } as R\n", "must be normalized"),
+        ("system S = composite(d=2, bits=1, antibits=0)\n"
+         "state A = classical(weights=[1e308, 1e308]) on S\n", "probability vector"),
+    ], ids=["entstate", "activation", "classical"])
+    def test_huge_inputs_exit_two_without_warnings(self, tmp_path, capsys, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScriptError, match=message):
+                run_script(parse_script(text))
+            assert cli_main(["run", self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
+
     # each of these used to crash with a raw numpy or math exception (channel), or to run on
     # a silently changed input: a wrapped anti-dit digit, or a truncated integer
     @pytest.mark.parametrize("text,message", [

@@ -47,7 +47,8 @@ def _name(prefix):
     return _val([f"{prefix}0"], [f"{prefix}1"])
 
 
-NUMBER = _val(["0.5", "0.3", "0.8", "pi/4"], ["0", "1", "-1", "1.5", "1e-12", "1e9"])
+NUMBER = _val(["0.5", "0.3", "0.8", "pi/4"],
+                ["0", "1", "-1", "1.5", "1e-12", "1e9", "1e200", "1e-200"])
 DIGIT = _val(["0", "1"], ["2", "-1", "1.5"])
 FACTORS = _val(["1", "2", "0"], ["-1", "1.5"])
 DIM = _val(["2", "3"], ["1", "-1", "2.5", "5000"])

@@ -147,3 +147,44 @@ def test_guard_passes_other_imports(source, package):
 def test_engine_does_not_import_the_oracle(path):
     package = ".".join(("duoc",) + path.relative_to(SRC).parent.parts)
     assert not imports_oracle(path.read_text(encoding="utf-8"), package)
+
+
+# the public DensityState(...) admits outside input: a script's classical weights, a separable
+# spec, a channel's output and a sampled map's image; every state derived from admitted ones
+# goes through DensityState._admitted
+OUTSIDE_INPUT_SITES = {
+    ("dsl/interpreter.py", "_state_ctor"),
+    ("dynamics.py", "classical_channel_map"),
+    ("dynamics.py", "validate_transformation"),
+    ("states.py", "build_separable"),
+}
+
+
+def direct_state_calls(source: str) -> list:
+    """The name of the innermost function around each call ``DensityState(...)``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else owner
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "DensityState"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "DensityState"):
+                out.append(owner)
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_guard_sees_direct_state_calls():
+    source = ("def a():\n    return DensityState(s, m)\n\nclass K:\n    def b(self):\n"
+              "        return [states.DensityState(s, m)]\n\n"
+              "def c():\n    return DensityState._admitted(s, m), DensityState.from_vector(s, v)\n")
+    assert direct_state_calls(source) == ["a", "b"]
+
+
+def test_derived_states_are_not_admitted_again():
+    sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
+             for owner in direct_state_calls(p.read_text(encoding="utf-8"))}
+    assert sites == OUTSIDE_INPUT_SITES

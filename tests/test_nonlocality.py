@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from duoc.nonlocality import (
     two_copy_distribution,
     two_copy_state,
 )
-from duoc.linalg import hermitian_part, projector
+from duoc.linalg import hermitian_part
 from duoc.states import build_pure_state, PureStateSpec
 from duoc.systems import SystemSignature, digits_to_index
 
@@ -111,6 +113,13 @@ class TestTwoCopyState:
     def test_requires_normalized(self):
         with pytest.raises(NormalizationError):
             two_copy_state([1.0, 1.0], 0)
+
+    def test_huge_coefficient_refused_without_warning(self):
+        # its norm used to print a numpy overflow warning before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError):
+                two_copy_state([1e200, 1.0], 0)
 
     def test_parity_range(self):
         with pytest.raises(DomainError):
@@ -271,6 +280,13 @@ class TestActivationSetup:
         with pytest.raises(NormalizationError):
             activation_setup([0.6, 0.9])
 
+    def test_huge_coefficient_refused_without_warning(self):
+        # its norm used to print a numpy overflow warning before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError):
+                activation_setup([1e200, 1.0])
+
     def test_phase_insensitive(self):
         a = activation_setup([0.6, 0.8])
         b = activation_setup([0.6 * np.exp(1j * 0.7), -0.8])
@@ -395,7 +411,10 @@ def parent_side_op(side, u):
             coeffs = {(0,): u[0], (1,): u[1]}
         else:
             coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
-        op += projector(build_pure_state(PureStateSpec(sig, coeffs, parity=(sector,))))
+        v = build_pure_state(PureStateSpec(sig, coeffs, parity=(sector,)))
+        # the projector as that construction formed it: a plain outer product of the unit vector
+        v = v / np.linalg.norm(v)
+        op += np.outer(v, v.conj())
     return hermitian_part(op)[0]
 
 
