@@ -71,6 +71,10 @@ MAX_CONDITIONAL_TRIALS = 10_000
 MAX_CONDITIONAL_WORK = 1 << 22
 # bounds ``computational()``: dim effects of dim^2 entries each, 33 MB at dimension 128
 MAX_COMPUTATIONAL_DIM = 128
+# bounds ``run activation``: eight dense d^2 x d^2 effects and an O(d^6) correlator; 24
+# coefficients take 0.3 s of CPU and 150 MB peak, 32 take 1.3 s and 400 MB, and 64 would hold
+# 2 GB in the effects alone
+MAX_ACTIVATION_COEFFS = 24
 
 
 @dataclass
@@ -421,6 +425,9 @@ class _Interpreter:
         coeffs = args.number_list("coeffs")
         r = args.integer("r", 0)
         args.done()
+        if len(coeffs) > MAX_ACTIVATION_COEFFS:
+            raise _err(line, f"activation is refused above {MAX_ACTIVATION_COEFFS} coefficients, "
+                             f"got {len(coeffs)}")
         setup = activation_setup(np.array(coeffs, dtype=float), r)
         f_sim, f_closed = activation_F(setup)
         return [("alpha_prime", setup.alpha_prime),

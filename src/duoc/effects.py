@@ -5,22 +5,16 @@ pure states, bounded above by the identity.  For a (1, 1) composite
 this cone is exactly the parity-block-diagonal PSD operators below the
 identity; for larger composites validity is certified constructively.
 
-Admission (:func:`admit_effect`) keeps the Hermitian part ``P`` of the
-operator and checks that its spectrum lies in ``[-atol, 1 + atol]``,
-``atol = DEFAULT_ATOL``.  A projector is admitted without an
-eigendecomposition: ``||P^2 - P||_F <= atol`` bounds every eigenvalue
-by ``|lam^2 - lam| <= atol``, and ``|lam| <= lam^2 - lam`` for
-``lam < 0`` while ``lam - 1 <= lam (lam - 1)`` for ``lam > 1``, so the
-spectrum lies in exactly the interval checked (up to the rounding of
-one matmul, of the order of ``eigvalsh``'s own).  The matmul runs only
-when the O(dim^2) necessary condition ``|tr P - ||P||_F^2| <=
-sqrt(dim) atol`` holds (``tr P - ||P||_F^2 = sum(lam - lam^2)``); any
-other operator is decided by ``eigvalsh``, with the same message.
+The public :class:`Effect` admits outside input: it keeps the Hermitian
+part of the operator and checks its spectrum with ``eigvalsh``.  An
+effect the engine builds is valid by construction (a diagonal of checked
+weights, a projector onto a valid pure state or its complement, a scaled
+combination of projectors) and goes through :meth:`Effect._admitted`,
+which stores the operator as built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -59,10 +53,9 @@ class Effect:
 
     ``certificate`` is a list of ``(weight, PureStateSpec)`` pairs with
     nonnegative weights whose projector combination reconstructs ``op``.
-    Construction keeps the Hermitian part ``P`` of ``op`` once
-    :func:`admit_effect` has checked it: a projector by ``||P^2 - P||_F <=
-    DEFAULT_ATOL``, which bounds its spectrum to ``[-DEFAULT_ATOL, 1 +
-    DEFAULT_ATOL]``, any other operator by ``eigvalsh``.
+    Construction keeps the Hermitian part of ``op`` once its size, its
+    Hermitian defect and its ``eigvalsh`` spectrum are checked, each to
+    ``DEFAULT_ATOL``.
     """
 
     sig: SystemSignature
@@ -70,54 +63,24 @@ class Effect:
     certificate: list = None
 
     def __post_init__(self):
-        self.op = admit_effect(self.op, self.sig.dim)
-
-    @classmethod
-    def _admitted(cls, sig: SystemSignature, op: np.ndarray, certificate: list) -> "Effect":
-        """The effect of an ``op`` that :func:`admit_effect`'s checks have already returned, such
-        as a matrix of :func:`scaled_effects`, built without deciding its spectrum again."""
-        e = cls.__new__(cls)
-        e.sig, e.op, e.certificate = sig, op, certificate
-        return e
-
-
-def admit_effect(op, dim: int) -> np.ndarray:
-    """The Hermitian part of ``op`` once it is checked to be an effect on ``dim`` states.
-
-    Raises ``ShapeError`` for a wrong size and ``DomainError`` for a
-    Hermitian defect or an eigenvalue beyond ``DEFAULT_ATOL`` outside
-    ``[0, 1]``; the module docstring states why a projector needs no
-    eigendecomposition.
-    """
-    # hermitian_part coerces the input and checks it is finite and square
-    mat, defect = hermitian_part(op)
-    if mat.shape[0] != dim:
-        raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {dim}")
-    if defect > DEFAULT_ATOL:
-        raise DomainError(f"effect is not Hermitian (defect {defect})")
-    if not _is_projector(mat):
+        # hermitian_part coerces the input and checks it is finite and square
+        mat, defect = hermitian_part(self.op)
+        if mat.shape[0] != self.sig.dim:
+            raise ShapeError(f"effect dim {mat.shape[0]} != composite dimension {self.sig.dim}")
+        if defect > DEFAULT_ATOL:
+            raise DomainError(f"effect is not Hermitian (defect {defect})")
         lo, hi = (float(w) for w in np.linalg.eigvalsh(mat)[[0, -1]])
         if lo < -DEFAULT_ATOL or hi > 1 + DEFAULT_ATOL:
             raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
-    return mat
+        self.op = mat
 
-
-def _is_projector(mat) -> bool:
-    """``||P^2 - P||_F <= DEFAULT_ATOL`` for Hermitian ``mat``, tried only when the trace allows it."""
-    # tr P - ||P||_F^2 = sum(lam - lam^2), at most sqrt(dim) ||P^2 - P||_F in modulus
-    if not abs(mat.trace().real - np.vdot(mat, mat).real) <= math.sqrt(len(mat)) * DEFAULT_ATOL:
-        return False
-    resid = mat @ mat
-    resid -= mat
-    return bool(np.vdot(resid, resid).real <= DEFAULT_ATOL**2)
-
-
-def check_completeness(ops, dim: int) -> None:
-    """Raise ``DomainError`` unless the operators ``ops`` sum to the ``dim``-state identity."""
-    total = sum(ops)
-    defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > DEFAULT_ATOL:
-        raise DomainError(f"effects do not sum to identity (defect {defect})")
+    @classmethod
+    def _admitted(cls, sig: SystemSignature, op: np.ndarray, certificate: list) -> "Effect":
+        """The effect of an ``op`` that is an effect by construction and exactly Hermitian, such
+        as a matrix of :func:`scaled_effects`, stored as built."""
+        e = cls.__new__(cls)
+        e.sig, e.op, e.certificate = sig, op, certificate
+        return e
 
 
 @dataclass(eq=False)
@@ -132,7 +95,9 @@ class Povm:
         sig = self.effects[0].sig
         if any(e.sig != sig for e in self.effects):
             raise DomainError("all effects of a POVM must share one signature")
-        check_completeness([e.op for e in self.effects], sig.dim)
+        defect = float(np.max(np.abs(sum(e.op for e in self.effects) - np.eye(sig.dim))))
+        if defect > DEFAULT_ATOL:
+            raise DomainError(f"effects do not sum to identity (defect {defect})")
 
     @property
     def sig(self) -> SystemSignature:
@@ -349,13 +314,14 @@ def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int
 
 
 def basis_effect(sig: SystemSignature, weights) -> Effect:
-    """The effect ``diag(weights)`` (one float per basis index), certified by its basis states of
-    positive weight; with none positive it carries no certificate."""
+    """The effect ``diag(weights)`` (one float per basis index, in ``[-ZERO_ATOL, 1 + DEFAULT_ATOL]``
+    as its callers check), certified by its basis states of positive weight; with none positive it
+    carries no certificate."""
     op = np.zeros((sig.dim, sig.dim), dtype=complex)
     np.fill_diagonal(op, weights)
     cert = [(w, basis_state_spec(sig, index_to_digits(i, sig.d, sig.num_factors)))
             for i, w in enumerate(weights) if w > 0]
-    return Effect(sig, op, certificate=cert or None)
+    return Effect._admitted(sig, op, cert or None)
 
 
 def unit_effect(sig: SystemSignature) -> Effect:
@@ -376,7 +342,9 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     if table.ndim != 2 or table.shape[1] != sig.dim:
         raise ShapeError(f"conditional probability table must be (k, {sig.dim})")
     col_sums = table.sum(axis=0)
-    if not (np.max(np.abs(col_sums - 1.0)) <= DEFAULT_ATOL and np.min(table) >= -ZERO_ATOL):
+    # every entry in [-ZERO_ATOL, 1 + DEFAULT_ATOL], so each diagonal effect is one by construction
+    if not (np.max(np.abs(col_sums - 1.0)) <= DEFAULT_ATOL and np.min(table) >= -ZERO_ATOL
+            and np.max(table) <= 1 + DEFAULT_ATOL):
         raise DomainError("columns of p(j|i) must be probability distributions")
     return Povm([basis_effect(sig, row) for row in table.tolist()])
 
@@ -401,13 +369,9 @@ def witness_povm(p: float, parity: int = 0) -> Povm:
         PureStateSpec(sig, {(0,): 1.0}, parity=(1 - parity,)),
         PureStateSpec(sig, {(1,): 1.0}, parity=(1 - parity,)),
     ]
-    p_yes_op = projector(build_pure_state(target))
-    p_yes = Effect(sig, p_yes_op, certificate=[(1.0, target)])
-    p_no = Effect(
-        sig,
-        np.eye(4, dtype=complex) - p_yes_op,
-        certificate=[(1.0, ortho)] + [(1.0, s) for s in other],
-    )
+    p_yes = Effect._admitted(sig, projector(build_pure_state(target)), [(1.0, target)])
+    p_no = Effect._admitted(sig, np.eye(4, dtype=complex) - p_yes.op,
+                            [(1.0, ortho)] + [(1.0, s) for s in other])
     return Povm([p_yes, p_no])
 
 

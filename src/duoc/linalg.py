@@ -17,7 +17,7 @@ import string
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, DomainError, ShapeError
 
 # The tolerance table: every numerical threshold of the engine is one of these.
 DEFAULT_ATOL = 1e-10  # equality checks on states, effects, POVMs, unit vectors and channels
@@ -28,16 +28,21 @@ SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 # The row blocks of low_rank_psd's residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
 BLOCK_ENTRIES = 1 << 16
 
+# The largest entry modulus of a vector: its squared norm stays finite up to 10^8 entries
+MAX_ENTRY = 1e150
+
 _AXIS_LABELS = string.ascii_letters
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D complex vector."""
+    """Coerce ``x`` to a finite 1-D complex vector whose squared norm cannot overflow."""
     v = np.asarray(x, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ShapeError("vector contains non-finite entries")
+    if not (top := np.abs(v).max()) <= MAX_ENTRY:  # NaN and inf fail too
+        if not np.isfinite(top):
+            raise ShapeError("vector contains non-finite entries")
+        raise DomainError(f"vector entry of modulus {top:.3g} exceeds {MAX_ENTRY:g}")
     return v
 
 
@@ -257,8 +262,9 @@ def hermitian_part(op) -> tuple:
 
 
 def symmetrized(mat) -> np.ndarray:
-    """``(mat + mat^H) / 2``, exactly Hermitian, in one untiled pass with no defect scan."""
-    sym = mat.T.copy()
+    """``(mat + mat^H) / 2`` of a matrix or of each in a stack (last two axes), exactly Hermitian,
+    in one untiled pass with no defect scan."""
+    sym = mat.swapaxes(-1, -2).copy()
     np.conjugate(sym, out=sym)
     sym += mat
     sym /= 2

@@ -23,11 +23,11 @@ A side's effect operators come from one kernel, ``_side_operators``:
 direction ``u`` collects, in each parity sector ``l``, the projector of
 the zero-padded (1, 1) vector holding ``u_0`` and ``u_1`` at that
 side's two slots of the sector, normalized by its own norm, and the two
-projectors are summed into a zero 4 x 4.  ``chsh_value`` admits these
-operators with the checks of :class:`~duoc.effects.Effect` and
-:class:`~duoc.effects.Povm` (Hermitian defect, spectrum, sum to the
-identity) without building either; ``side_effect`` wraps the same
-operator in a certified ``Effect``.
+projectors are summed into a zero 4 x 4.  Each operator is a rank-2
+projector by construction, and a basis's two sum to the identity, so
+neither is checked again: ``chsh_value`` symmetrizes the operators of
+its eight directions in one stacked pass, and ``side_effect`` wraps the
+same symmetrized operator in a certified ``Effect``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import Effect, Povm, admit_effect, check_completeness
+from .effects import Effect, Povm
 from .errors import (
     DomainError,
     NormalizationError,
@@ -46,7 +46,9 @@ from .errors import (
     ShapeError,
     ValidityError,
 )
-from .linalg import DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector
+from .linalg import (
+    DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector, symmetrized,
+)
 from .states import PureStateSpec, basis_state_spec, validate_pure_state
 from .systems import SystemSignature
 
@@ -113,7 +115,7 @@ def side_effect(side: str, u) -> Effect:
         else:
             coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
         cert.append((1.0, PureStateSpec(sig, coeffs, parity=(sector,))))
-    return Effect(sig, _side_operators(side, u[None])[0], certificate=cert)
+    return Effect._admitted(sig, symmetrized(_side_operators(side, u[None])[0]), cert)
 
 
 def _side_operators(side: str, rows) -> np.ndarray:
@@ -248,28 +250,23 @@ def chsh_value(alice_bases, bob_bases) -> ChshResult:
 
     ``alice_bases`` and ``bob_bases`` are pairs of LocalBasis (the two
     settings per side); outcome 0 of a setting counts as +1, outcome 1 as -1.
-    Each setting's two effect operators pass the ``Effect`` and ``Povm``
-    admission checks; no ``Effect`` or ``Povm`` object is built.
+    The effect operators are those of ``side_effect``; no ``Effect`` or
+    ``Povm`` object is built.
     """
     obs = [_side_observables("alice", alice_bases), _side_observables("bob", bob_bases)]
     return _chsh(_correlators(_BELL_TWO_COPY, *obs))
 
 
 def _side_observables(side: str, bases) -> list:
-    """``E_0 - E_1`` of each of a side's two settings, each effect pair admitted as a POVM."""
+    """``E_0 - E_1`` of each of a side's two settings."""
     try:
         bases = tuple(bases)
     except TypeError:
         bases = ()
     if len(bases) != 2 or not all(isinstance(b, LocalBasis) for b in bases):
         raise ShapeError(f"{side} needs exactly two LocalBasis settings")
-    ops = _side_operators(side, np.concatenate([b.vectors for b in bases]))
-    obs = []
-    for plus, minus in (ops[:2], ops[2:]):
-        plus, minus = admit_effect(plus, 4), admit_effect(minus, 4)
-        check_completeness([plus, minus], 4)
-        obs.append(plus - minus)
-    return obs
+    ops = symmetrized(_side_operators(side, np.concatenate([b.vectors for b in bases])))
+    return [ops[0] - ops[1], ops[2] - ops[3]]
 
 
 def optimal_chsh_bases() -> tuple:
@@ -316,7 +313,8 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     be activated.
 
     Each POVM is ``{|v><v|, I - |v><v|}`` with ``v = c0|up> + c1|down>``
-    in sector ``r``.  The complement is certified from its construction,
+    in sector ``r``; both effects are stored as built, a projector and
+    its complement.  The complement is certified from its construction,
     all weights 1: the sector-``r`` partner ``-conj(c1)|up> +
     conj(c0)|down>`` plus every other paired basis state (the d - 2
     remaining ones of sector ``r`` and all those of the other sectors),
@@ -345,9 +343,9 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
 
     def two_outcome(vec, c0, c1):
         spec = PureStateSpec(sig, {(i_up,): c0, (i_down,): c1}, parity=(r,))
-        plus = Effect(sig, projector(vec), certificate=[(1.0, spec)])
+        plus = Effect._admitted(sig, projector(vec), [(1.0, spec)])
         partner = PureStateSpec(sig, {(i_up,): -np.conj(c1), (i_down,): np.conj(c0)}, parity=(r,))
-        minus = Effect(sig, eye - plus.op, certificate=[(1.0, partner)] + others)
+        minus = Effect._admitted(sig, eye - plus.op, [(1.0, partner)] + others)
         return Povm([plus, minus])
 
     inv_sqrt2 = 1 / np.sqrt(2)

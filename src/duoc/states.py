@@ -35,7 +35,6 @@ from .linalg import (
     as_vector,
     hermitian_part,
     low_rank_psd,
-    min_eigenvalue,
     off_diagonal_max,
     partial_trace,
     positive_zeros,
@@ -415,7 +414,7 @@ def _require_psd(sym: np.ndarray):
     except np.linalg.LinAlgError:
         factored = False
     np.fill_diagonal(sym, diag)
-    if not factored and (lo := min_eigenvalue(sym)) < -DEFAULT_ATOL:
+    if not factored and (lo := float(np.linalg.eigvalsh(sym)[0])) < -DEFAULT_ATOL:
         raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
 
 

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from duoc.effects import Effect
 from duoc.linalg import DEFAULT_ATOL, as_operator, permute_vector_factors
+from duoc.nonlocality import two_copy_state
+from duoc.states import PureStateSpec, build_pure_state
 from duoc.systems import MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature
 
 
@@ -105,3 +108,29 @@ def relabeled_cells(sig):
         dits, antis = digits[:, list(perm.sigma)], digits[:, [m + i for i in perm.tau]]
         label = np.hstack([(antis[:, :p] - dits[:, :p]) % sig.d, dits[:, p:], antis[:, p:]])
         yield perm, label @ sig.d ** np.arange(label.shape[1])
+
+
+def parent_side_op(side, u):
+    """A side's effect for direction ``u`` as one certified construction per effect builds it:
+    two sector projectors, each a plain outer product of its unit vector, admitted publicly."""
+    sig = SystemSignature(2, 1, 1)
+    op = np.zeros((4, 4), dtype=complex)
+    for sector in range(2):
+        if side == "alice":
+            coeffs = {(0,): u[0], (1,): u[1]}
+        else:
+            coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
+        v = build_pure_state(PureStateSpec(sig, coeffs, parity=(sector,)))
+        v = v / np.linalg.norm(v)
+        op += np.outer(v, v.conj())
+    return Effect(sig, op).op
+
+
+def parent_chsh(alice_bases, bob_bases):
+    """CHSH expectations and F from the :func:`parent_side_op` effects of each setting."""
+    obs = [[parent_side_op(side, b.vectors[0]) - parent_side_op(side, b.vectors[1]) for b in bases]
+           for side, bases in (("alice", alice_bases), ("bob", bob_bases))]
+    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
+    m = psi2.reshape(2, 2, 2, 2).transpose(0, 3, 1, 2).reshape(4, 4)
+    e = np.einsum("xjk,yjk->xy", m.conj().T @ np.asarray(obs[0]) @ m, np.asarray(obs[1])).real
+    return e, float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])

@@ -1,4 +1,4 @@
-"""States the engine derives are admitted once, by construction.
+"""States and effects the engine derives are admitted once, by construction.
 
 A projector, a product, a reversible conjugation, a marginal, a conditional
 state and a sampled mixture of admitted states are Hermitian and PSD by
@@ -7,22 +7,35 @@ factor, Cholesky or ``eigvalsh``) or runs the Hermitian defect scan.  Each
 stored matrix is still byte for byte the one the public ``DensityState``
 constructor stores for the same input, on real vectors of mixed sign,
 whose products carry zeros of both signs, and on complex ones.
+
+Likewise the effects the engine builds (a side's direction effects, the
+witness and activation projectors with their complements, the diagonal
+effects) skip the public ``Effect`` admission, and each stored operator
+is byte for byte what that admission stores for the operator as built.
 """
 
 import numpy as np
 import pytest
 
-from duoc import effects, linalg, states
+from duoc import effects, linalg, nonlocality, states
 from duoc.dynamics import (
     ConditionalEvolutionSpec, ReversibleSpec, _reversible_index_map, apply_reversible,
     build_reversible, conditional_evolution,
 )
-from duoc.effects import conditional_state, random_certified_effect
+from duoc.dsl import RunConfig, parse_script
+from duoc.dsl.interpreter import _Interpreter
+from duoc.effects import (
+    Effect, classical_povm, conditional_state, random_certified_effect, unit_effect, witness_povm,
+)
+from duoc.errors import DensityMatrixError
 from duoc.linalg import contract_effect, partial_trace, projector
+from duoc.nonlocality import LocalBasis, activation_setup, chsh_value, side_effect, side_povm
 from duoc.states import (
     DensityState, marginal_state, product_order, product_state, random_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
+
+from conftest import parent_chsh
 
 SIGS = [(2, 1, 1), (3, 2, 1), (2, 3, 3), (2, 5, 5)]
 KINDS = ["real", "complex"]
@@ -34,8 +47,9 @@ def counts(monkeypatch):
 
 
 def counters(monkeypatch):
-    """Calls of the positivity deciders and of the Hermitian defect scan, wherever imported."""
-    counts = dict.fromkeys(["low_rank_psd", "cholesky", "eigvalsh", "hermitian_part"], 0)
+    """Calls of the positivity deciders, of the Hermitian defect scan, wherever imported, and of
+    the public ``Effect`` admission."""
+    counts = dict.fromkeys(["low_rank_psd", "cholesky", "eigvalsh", "hermitian_part", "effect"], 0)
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -49,6 +63,7 @@ def counters(monkeypatch):
     for module in (states, effects, linalg):
         monkeypatch.setattr(module, "hermitian_part",
                             counting("hermitian_part", linalg.hermitian_part))
+    monkeypatch.setattr(Effect, "__post_init__", counting("effect", Effect.__post_init__))
     return counts
 
 
@@ -89,6 +104,17 @@ def test_counters_see_the_public_path(counts, rng):
     mixed = random_mixed_state(SystemSignature(2, 1, 1), rng)[0]
     DensityState(mixed.sig, mixed.matrix)
     assert counts["cholesky"] + counts["eigvalsh"] >= 1
+    Effect(sig, np.eye(sig.dim))
+    assert counts["effect"] == 1 and counts["hermitian_part"] == 3
+
+
+def test_rejected_state_symmetrized_once(counts):
+    sig = SystemSignature(2, 3, 3)
+    mat = np.diag([1.5, -0.5] + [0.0] * (sig.dim - 2)).astype(complex)
+    with pytest.raises(DensityMatrixError) as info:
+        DensityState(sig, mat)
+    assert str(info.value) == "matrix has negative eigenvalue -0.5"
+    assert counts["hermitian_part"] == 1 and counts["eigvalsh"] == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -174,3 +200,118 @@ def test_random_mixed_state(dmn, counts, rng):
         v = states.build_pure_state(spec)
         mat += w * np.outer(v, v.conj())
     same_bytes(out, sig, mat)
+
+
+SIG11 = SystemSignature(2, 1, 1)
+
+
+def same_effect(e, sig, built):
+    """``e`` is on ``sig`` and stores what ``Effect(sig, built)`` stores."""
+    assert e.sig == sig
+    assert e.op.tobytes() == Effect(sig, built).op.tobytes()
+
+
+def directions(rng):
+    """Real rotations and complex unit directions, with edge angles."""
+    real = [LocalBasis.rotation(a).vectors[k] for a in (0.0, np.pi / 2, -np.pi, 0.3, 2.1)
+            for k in range(2)]
+    cplx = []
+    for _ in range(8):
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        cplx.append(u / np.linalg.norm(u))
+    return {"real": real, "complex": cplx}
+
+
+class TestEffectsAdmittedOnce:
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_side_effect(self, side, kind, rng, monkeypatch):
+        us = directions(rng)[kind]
+        count = counters(monkeypatch)
+        out = [side_effect(side, u) for u in us]
+        no_decision(count)
+        for e, u in zip(out, us):
+            same_effect(e, SIG11, nonlocality._side_operators(side, u[None])[0])
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_side_povm(self, side, rng, monkeypatch):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        bases = [LocalBasis.rotation(0.7), LocalBasis(q)]
+        count = counters(monkeypatch)
+        povms = [side_povm(side, b) for b in bases]
+        no_decision(count)
+        for povm, b in zip(povms, bases):
+            for e, u in zip(povm.effects, b.vectors):
+                same_effect(e, SIG11, nonlocality._side_operators(side, u[None])[0])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_witness_povm(self, parity, monkeypatch):
+        count = counters(monkeypatch)
+        povm = witness_povm(0.3, parity=parity)
+        no_decision(count)
+        for e in povm.effects:  # a projector and its complement, stored as built
+            same_effect(e, SIG11, e.op)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_activation_setup(self, d, rng, monkeypatch):
+        alphas = rng.uniform(0.05, 1.0, size=d)
+        alphas /= np.linalg.norm(alphas)
+        count = counters(monkeypatch)
+        setups = [activation_setup(alphas, r) for r in range(d)]
+        no_decision(count)
+        sig = SystemSignature(d, 1, 1)
+        for setup in setups:
+            for povm in setup.alice + setup.bob:
+                for e in povm.effects:
+                    same_effect(e, sig, e.op)
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 0), (3, 2, 0), (2, 2, 1)])
+    def test_unit_effect(self, dmn, monkeypatch):
+        sig = SystemSignature(*dmn)
+        count = counters(monkeypatch)
+        e = unit_effect(sig)
+        no_decision(count)
+        same_effect(e, sig, np.eye(sig.dim, dtype=complex))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 0), (3, 2, 0)])
+    def test_classical_povm(self, dmn, rng, monkeypatch):
+        sig = SystemSignature(*dmn)
+        table = rng.uniform(0.0, 1.0, size=(3, sig.dim))
+        table /= table.sum(axis=0)
+        count = counters(monkeypatch)
+        povm = classical_povm(table, sig)
+        no_decision(count)
+        for e, row in zip(povm.effects, table):
+            same_effect(e, sig, np.diag(row).astype(complex))
+
+    def test_computational_and_parity(self, monkeypatch):
+        interp = _Interpreter(RunConfig())
+        count = counters(monkeypatch)
+        interp.execute(parse_script("system S = composite(d=3, bits=1, antibits=1)\n"
+                                    "measure M = computational() on S\n"
+                                    "measure Q = parity() on S\n"))
+        no_decision(count)
+        sig = SystemSignature(3, 1, 1)
+        computational, parity = interp.env["M"][1], interp.env["Q"][1]
+        for i, e in enumerate(computational.effects):
+            same_effect(e, sig, np.diag(np.arange(sig.dim) == i).astype(complex))
+        # basis index 3 * dit + anti lies in sector (anti - dit) % 3
+        key = np.array([(i % 3 - i // 3) % 3 for i in range(sig.dim)])
+        for k, e in enumerate(parity.effects):
+            same_effect(e, sig, np.diag(key == k).astype(complex))
+
+    def test_chsh_value(self, rng, monkeypatch):
+        bases = [LocalBasis.rotation(a) for a in rng.uniform(-np.pi, np.pi, size=6)]
+        for _ in range(6):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            bases.append(LocalBasis(q))
+        picks = [tuple(rng.integers(len(bases), size=4)) for _ in range(30)]
+        count = counters(monkeypatch)
+        results = [chsh_value((bases[a0], bases[a1]), (bases[b0], bases[b1]))
+                   for a0, a1, b0, b1 in picks]
+        no_decision(count)
+        for res, (a0, a1, b0, b1) in zip(results, picks):
+            e, f = parent_chsh((bases[a0], bases[a1]), (bases[b0], bases[b1]))
+            assert res.expectations.tobytes() == e.tobytes()
+            assert np.float64(res.f_value).tobytes() == np.float64(f).tobytes()

@@ -23,6 +23,7 @@ from duoc.dsl import (
     render_json,
     run_script,
 )
+from duoc.dsl import interpreter
 from duoc.dsl.ast import ListV, Num
 from duoc.errors import AssertionFailure, DomainError, DuocError, ParseError, ScriptError
 
@@ -656,3 +657,25 @@ class TestRunBounds:
         path = tmp_path / "s.duoc"
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
+
+    # 32 coefficients took 2.8 s of CPU before the bound, and 64 would hold 2 GB of effects
+    def test_activation_refused_above_the_bound_before_any_setup(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("activation_setup called")
+
+        monkeypatch.setattr(interpreter, "activation_setup", fail)
+        text = f"run activation {{ coeffs=[{', '.join(['0.2'] * 25)}] }} as A\n"
+        start = time.perf_counter()
+        with pytest.raises(ScriptError, match="above 24 coefficients, got 25"):
+            run_script(parse_script(text))
+        assert time.perf_counter() - start < 0.5
+        path = tmp_path / "s.duoc"
+        path.write_text(text)
+        assert cli_main(["run", str(path)]) == 2
+
+    def test_activation_at_the_bound_runs(self):
+        coeffs = ", ".join(["0.6", "0.8"] + ["0"] * 22)  # F_simulated = F_closed on two terms
+        start = time.perf_counter()
+        table = run_script(parse_script(f"run activation {{ coeffs=[{coeffs}], r=5 }} as A\n"))
+        assert time.perf_counter() - start < 5.0
+        assert table.value("A", "F_simulated") == pytest.approx(table.value("A", "F_closed"))

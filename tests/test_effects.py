@@ -93,8 +93,8 @@ ADMISSION_SIGS = [SystemSignature(2, 1, 1), SystemSignature(3, 1, 1), SystemSign
 
 
 class TestAdmissionBound:
-    """A projector is admitted by ||P^2 - P||_F <= 1e-10, which confines its spectrum to
-    [-1e-10, 1 + 1e-10]; everything else by eigvalsh, with the message it always had."""
+    """The public Effect admits every operator by eigvalsh on [-1e-10, 1 + 1e-10], with the
+    message it always had; an effect built by construction skips it."""
 
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
@@ -121,13 +121,11 @@ class TestAdmissionBound:
         assert dim == 128 and eigvalsh_calls == []
 
     @pytest.mark.parametrize("sig", ADMISSION_SIGS, ids=str)
-    def test_projectors_and_complements_skip_eigvalsh(self, sig, rng, eigvalsh_calls):
+    def test_projectors_and_complements_admitted_as_before(self, sig, rng):
         for rank in (1, sig.dim // 2, sig.dim - 1):
             op = spectral_op(rng, [1.0] * rank + [0.0] * (sig.dim - rank))
-            Effect(sig, op)
-            Effect(sig, np.eye(sig.dim) - op)
-        unit_effect(sig)
-        assert eigvalsh_calls == []
+            for case in (op, np.eye(sig.dim) - op):
+                assert admission_message(sig, case) == parent_admission_message(case) is None
 
     @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2), (3, 2, 1)], ids=str)
     def test_random_effects_decomposed_once(self, dmn, rng, eigvalsh_calls):
@@ -304,6 +302,15 @@ class TestClassicalPovm:
         sig = SystemSignature(2, 1, 0)
         with pytest.raises(DomainError):
             classical_povm(np.array([[0.5, 0.2], [0.4, 0.8]]), sig)
+
+    def test_entry_above_one_past_the_tolerance_rejected(self):
+        # the column sums to 1 within 1e-10 and no entry is below -1e-12, yet its first entry is no
+        # effect weight; the diagonal effects are not checked again
+        table = np.array([[1 + 1.005e-10, 0.0], [-0.9e-12, 1.0]])
+        with pytest.raises(DomainError, match="probability distributions"):
+            classical_povm(table, SystemSignature(2, 1, 0))
+        table[0, 0] = 1 + 0.995e-10
+        classical_povm(table, SystemSignature(2, 1, 0))
 
     def test_effects_are_diagonal_with_certificates(self):
         sig = SystemSignature(2, 1, 0)

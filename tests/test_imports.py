@@ -151,7 +151,8 @@ def test_engine_does_not_import_the_oracle(path):
 
 # the public DensityState(...) admits outside input: a script's classical weights, a separable
 # spec, a channel's output and a sampled map's image; every state derived from admitted ones
-# goes through DensityState._admitted
+# goes through DensityState._admitted.  The engine builds every effect by construction, so no
+# module calls the public Effect(...) at all.
 OUTSIDE_INPUT_SITES = {
     ("dsl/interpreter.py", "_state_ctor"),
     ("dynamics.py", "classical_channel_map"),
@@ -160,16 +161,16 @@ OUTSIDE_INPUT_SITES = {
 }
 
 
-def direct_state_calls(source: str) -> list:
-    """The name of the innermost function around each call ``DensityState(...)``."""
+def direct_calls(source: str, cls: str) -> list:
+    """The name of the innermost function around each call ``cls(...)`` of the class ``cls``."""
     out = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             name = child.name if isinstance(child, ast.FunctionDef) else owner
             if isinstance(child, ast.Call) and (
-                    isinstance(child.func, ast.Name) and child.func.id == "DensityState"
-                    or isinstance(child.func, ast.Attribute) and child.func.attr == "DensityState"):
+                    isinstance(child.func, ast.Name) and child.func.id == cls
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == cls):
                 out.append(owner)
             visit(child, name)
 
@@ -181,10 +182,23 @@ def test_guard_sees_direct_state_calls():
     source = ("def a():\n    return DensityState(s, m)\n\nclass K:\n    def b(self):\n"
               "        return [states.DensityState(s, m)]\n\n"
               "def c():\n    return DensityState._admitted(s, m), DensityState.from_vector(s, v)\n")
-    assert direct_state_calls(source) == ["a", "b"]
+    assert direct_calls(source, "DensityState") == ["a", "b"]
 
 
 def test_derived_states_are_not_admitted_again():
     sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
-             for owner in direct_state_calls(p.read_text(encoding="utf-8"))}
+             for owner in direct_calls(p.read_text(encoding="utf-8"), "DensityState")}
     assert sites == OUTSIDE_INPUT_SITES
+
+
+def test_guard_sees_direct_effect_calls():
+    source = ("def a():\n    return Effect(s, m)\n\nclass K:\n    def b(self):\n"
+              "        return [effects.Effect(s, m), DensityState(s, m)]\n\n"
+              "def c():\n    return Effect._admitted(s, m, None), Povm([e])\n")
+    assert direct_calls(source, "Effect") == ["a", "b"]
+
+
+def test_built_effects_are_not_admitted_again():
+    sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
+             for owner in direct_calls(p.read_text(encoding="utf-8"), "Effect")}
+    assert sites == set()

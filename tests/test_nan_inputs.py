@@ -2,10 +2,13 @@
 
 Each constructor writes its check as ``not x <= tol``, so a NaN weight,
 amplitude or table entry raises the module's ``DomainError`` (or its
-``NormalizationError`` subclass) instead of passing ``x > tol``.
+``NormalizationError`` subclass) instead of passing ``x > tol``.  A finite
+vector entry too large to square and sum is refused the same way, before
+any norm overflows.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from duoc.dynamics import ClassicalChannel
 from duoc.effects import classical_povm
 from duoc.errors import DomainError, NormalizationError
 from duoc.nonlocality import LocalBasis, activation_setup, side_effect, two_copy_state
-from duoc.states import PureStateSpec, SeparableSpec
+from duoc.states import (
+    DensityState, PureStateSpec, SeparableSpec, certificate_matches, is_entangled,
+    validate_pure_state,
+)
 from duoc.systems import SystemSignature
 
 NAN = float("nan")
@@ -70,3 +76,21 @@ def test_activation_setup_theta():
     setup = activation_setup([0.6, 0.8])
     with pytest.raises(DomainError, match="defining relation"):
         dataclasses.replace(setup, theta=NAN)
+
+
+HUGE = [1e200, 1.0, 0.0, 0.0]
+SIG11 = SystemSignature(2, 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DensityState.from_vector(SIG11, HUGE),
+    lambda: validate_pure_state(HUGE, SIG11),
+    lambda: certificate_matches(PureStateSpec(SIG11, {(0,): 1.0}), HUGE),
+    lambda: is_entangled(HUGE, SIG11),
+], ids=["from_vector", "validate_pure_state", "certificate_matches", "is_entangled"])
+def test_huge_vector_entry_refused_without_overflow(call):
+    # used to warn "overflow encountered in dot", then report trace 0.0 or raise the warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="modulus 1e[+]200 exceeds 1e[+]150"):
+            call()

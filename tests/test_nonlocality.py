@@ -23,9 +23,10 @@ from duoc.nonlocality import (
     two_copy_distribution,
     two_copy_state,
 )
-from duoc.linalg import hermitian_part
 from duoc.states import build_pure_state, PureStateSpec
 from duoc.systems import SystemSignature, digits_to_index
+
+from conftest import parent_chsh, parent_side_op
 
 ROOT2 = np.sqrt(2.0)
 
@@ -402,32 +403,6 @@ class TestCorrelatorKernel:
 EDGE_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, -0.0)
 
 
-def parent_side_op(side, u):
-    """The certified construction ``chsh_value`` used to build per effect, written out."""
-    sig = SystemSignature(2, 1, 1)
-    op = np.zeros((4, 4), dtype=complex)
-    for sector in range(2):
-        if side == "alice":
-            coeffs = {(0,): u[0], (1,): u[1]}
-        else:
-            coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
-        v = build_pure_state(PureStateSpec(sig, coeffs, parity=(sector,)))
-        # the projector as that construction formed it: a plain outer product of the unit vector
-        v = v / np.linalg.norm(v)
-        op += np.outer(v, v.conj())
-    return hermitian_part(op)[0]
-
-
-def parent_chsh(alice_bases, bob_bases):
-    """Expectations and F as the per-effect construction gave them."""
-    obs = [[parent_side_op(side, b.vectors[0]) - parent_side_op(side, b.vectors[1]) for b in bases]
-           for side, bases in (("alice", alice_bases), ("bob", bob_bases))]
-    psi2 = two_copy_state(np.array([1.0, 1.0]) / np.sqrt(2), 0)
-    m = psi2.reshape(2, 2, 2, 2).transpose(0, 3, 1, 2).reshape(4, 4)
-    e = np.einsum("xjk,yjk->xy", m.conj().T @ np.asarray(obs[0]) @ m, np.asarray(obs[1])).real
-    return e, float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
-
-
 def bit_identity_bases(rng):
     """Real rotations at random and edge angles, random unitaries, and edge angles with phases."""
     out = [LocalBasis.rotation(a) for a in EDGE_ANGLES]
@@ -484,8 +459,10 @@ class TestNoReproofs:
         return counts
 
     def test_counters_see_the_certified_path(self, counts):
-        side_povm("alice", LocalBasis.rotation(0.3))
-        assert counts["spec"] == 4 and counts["effect"] == 2
+        povm = side_povm("alice", LocalBasis.rotation(0.3))
+        assert counts["spec"] == 4 and counts["effect"] == 0  # built by construction
+        effects.Effect(povm.sig, povm.effects[0].op)
+        assert counts["effect"] == 1 and counts["eigvalsh"] == 1
 
     def test_chsh_builds_no_spec_or_effect(self, counts, rng):
         alice, bob = optimal_chsh_bases()
@@ -493,10 +470,10 @@ class TestNoReproofs:
         for _ in range(5):
             a0, a1, b0, b1 = (LocalBasis.rotation(a) for a in rng.uniform(-np.pi, np.pi, size=4))
             chsh_value((a0, a1), (b0, b1))
-        assert counts["spec"] == 0 and counts["effect"] == 0 and counts["eigvalsh"] <= 1
+        assert counts["spec"] == 0 and counts["effect"] == 0 and counts["eigvalsh"] == 0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_activation_setup_calls_no_eigvalsh(self, d, counts, rng):
         alphas = rng.uniform(0.05, 1.0, size=d)
         activation_F(activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d))))
-        assert counts["effect"] == 8 and counts["eigvalsh"] == 0
+        assert counts["effect"] == 0 and counts["eigvalsh"] == 0
