@@ -344,8 +344,8 @@ class _Interpreter:
                 raise _err(st.line, f"computational() holds one dense effect per basis state; "
                                     f"refused above dimension {MAX_COMPUTATIONAL_DIM}, "
                                     f"got {sig.dim}")
-            povm = Povm([basis_effect(sig, [float(i == idx) for i in range(sig.dim)])
-                         for idx in range(sig.dim)])
+            povm = Povm._admitted([basis_effect(sig, [float(i == idx) for i in range(sig.dim)])
+                                   for idx in range(sig.dim)])
         elif st.ctor.name == "witness":
             p = args.number("p")
             parity = args.integer("parity", 0)
@@ -359,7 +359,8 @@ class _Interpreter:
                 raise _err(st.line, "parity measurement needs a (1, 1) composite")
             # sector k is the (1, 1) cell of key (anti - dit) % d == k
             key = index_table(sig).key.tolist()
-            povm = Povm([basis_effect(sig, [float(x == k) for x in key]) for k in range(sig.d)])
+            povm = Povm._admitted([basis_effect(sig, [float(x == k) for x in key])
+                                   for k in range(sig.d)])
         else:
             raise _err(st.line, f"unknown measurement constructor {st.ctor.name!r}")
         self._bind("measure", st.name, povm)

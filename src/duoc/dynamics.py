@@ -207,14 +207,19 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
 
 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:
-    """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity."""
-    dim_out = np.asarray(map_fn(_unit_matrix(dim_in, 0, 0))).shape[0]
+    """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity, of finite images
+    of one square shape: the first image's, each checked before it is written (no broadcast)."""
+    shape = as_operator(map_fn(_unit_matrix(dim_in, 0, 0))).shape
     # entry ((a, i), (b, j)) of the block matrix is map(E_ij)[a, b]: write each image in its slot
-    choi = np.zeros((dim_out, dim_in, dim_out, dim_in), dtype=complex)
+    choi = np.zeros((shape[0], dim_in, shape[0], dim_in), dtype=complex)
     for i in range(dim_in):
         for j in range(dim_in):
-            choi[:, i, :, j] = map_fn(_unit_matrix(dim_in, i, j))
-    return choi.reshape(dim_out * dim_in, dim_out * dim_in)
+            image = np.asarray(map_fn(_unit_matrix(dim_in, i, j)), dtype=complex)
+            if image.shape != shape:
+                raise ShapeError(f"images of shapes {image.shape} and {shape}")
+            choi[:, i, :, j] = image
+    # one finiteness check over every image
+    return as_operator(choi.reshape(shape[0] * dim_in, shape[0] * dim_in))
 
 
 def _unit_matrix(dim, i, j):

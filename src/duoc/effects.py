@@ -10,7 +10,8 @@ part of the operator and checks its spectrum with ``eigvalsh``.  An
 effect the engine builds is valid by construction (a diagonal of checked
 weights, a projector onto a valid pure state or its complement, a scaled
 combination of projectors) and goes through :meth:`Effect._admitted`,
-which stores the operator as built.
+which stores the operator as built; a POVM the engine builds complete
+by construction goes through :meth:`Povm._admitted` likewise.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ class Povm:
         defect = float(np.max(np.abs(sum(e.op for e in self.effects) - np.eye(sig.dim))))
         if defect > DEFAULT_ATOL:
             raise DomainError(f"effects do not sum to identity (defect {defect})")
+
+    @classmethod
+    def _admitted(cls, effects: list) -> "Povm":
+        """The POVM of ``effects`` on one signature, complete by construction, stored as built."""
+        povm = cls.__new__(cls)
+        povm.effects = effects
+        return povm
 
     @property
     def sig(self) -> SystemSignature:
@@ -346,33 +354,25 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
     if not (np.max(np.abs(col_sums - 1.0)) <= DEFAULT_ATOL and np.min(table) >= -ZERO_ATOL
             and np.max(table) <= 1 + DEFAULT_ATOL):
         raise DomainError("columns of p(j|i) must be probability distributions")
-    return Povm([basis_effect(sig, row) for row in table.tolist()])
+    return Povm._admitted([basis_effect(sig, row) for row in table.tolist()])
 
 
 def witness_povm(p: float, parity: int = 0) -> Povm:
     """Two-outcome entanglement witness for sqrt(p)|00> + sqrt(1-p)|11>.
 
-    ``P_yes`` projects onto the target state; ``P_no`` is its
-    complement, certified by the orthogonal partner
-    ``sqrt(1-p)|00> - sqrt(p)|11>`` together with the two basis states
-    of the opposite parity sector (d = 2 only).
+    ``P_yes`` projects onto the target state and ``P_no`` is its
+    complement (d = 2 only), both stored as built with no certificate:
+    the cell test of :func:`validate_effect` decides them exactly.
     """
     if not 0 < p < 1:
         raise DomainError(f"witness parameter must lie in (0, 1), got {p}")
     if parity not in (0, 1):
         raise DomainError(f"parity must be 0 or 1, got {parity}")
     sig = SystemSignature(2, 1, 1)
-    sp, sq = np.sqrt(p), np.sqrt(1 - p)
-    target = PureStateSpec(sig, {(0,): sp, (1,): sq}, parity=(parity,))
-    ortho = PureStateSpec(sig, {(0,): sq, (1,): -sp}, parity=(parity,))
-    other = [
-        PureStateSpec(sig, {(0,): 1.0}, parity=(1 - parity,)),
-        PureStateSpec(sig, {(1,): 1.0}, parity=(1 - parity,)),
-    ]
-    p_yes = Effect._admitted(sig, projector(build_pure_state(target)), [(1.0, target)])
-    p_no = Effect._admitted(sig, np.eye(4, dtype=complex) - p_yes.op,
-                            [(1.0, ortho)] + [(1.0, s) for s in other])
-    return Povm([p_yes, p_no])
+    target = PureStateSpec(sig, {(0,): np.sqrt(p), (1,): np.sqrt(1 - p)}, parity=(parity,))
+    p_yes = projector(build_pure_state(target))
+    return Povm._admitted([Effect._admitted(sig, p_yes, None),
+                           Effect._admitted(sig, np.eye(4, dtype=complex) - p_yes, None)])
 
 
 def worst_case_no_probability(p: float, grid_step: float = 0.01) -> tuple:

@@ -27,7 +27,9 @@ projectors are summed into a zero 4 x 4.  Each operator is a rank-2
 projector by construction, and a basis's two sum to the identity, so
 neither is checked again: ``chsh_value`` symmetrizes the operators of
 its eight directions in one stacked pass, and ``side_effect`` wraps the
-same symmetrized operator in a certified ``Effect``.
+same symmetrized operator in an ``Effect`` stored as built.  No effect
+here carries a certificate: on a (1, 1) composite the cell test of
+``validate_effect`` is exact.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector, symmetrized,
 )
-from .states import PureStateSpec, basis_state_spec, validate_pure_state
+from .states import validate_pure_state
 from .systems import SystemSignature
 
 ALICE_PAIR = (0, 3)
@@ -77,8 +79,9 @@ class LocalBasis:
         v = np.asarray(self.vectors, dtype=complex)
         if v.shape != (2, 2):
             raise ShapeError(f"expected two rows of 2-vectors, got shape {v.shape}")
-        gram = v @ v.conj().T
-        if not float(np.max(np.abs(gram - np.eye(2)))) <= DEFAULT_ATOL:  # NaN fails
+        # no entry of a unit row exceeds 1 in modulus, so the Gram cannot overflow; NaN fails
+        if not (np.abs(v).max() <= 1 + DEFAULT_ATOL
+                and float(np.max(np.abs(v @ v.conj().T - np.eye(2)))) <= DEFAULT_ATOL):
             raise DomainError("basis rows are not orthonormal")
         self.vectors = v
 
@@ -97,25 +100,19 @@ def side_effect(side: str, u) -> Effect:
 
     Alice's effect collects ``u_0 phi_0^{(l)} + u_1 phi_1^{(l)}`` over
     both sectors ``l``; Bob's collects ``u_0 phi_l^{(l)} + u_1
-    phi_{l+1}^{(l)}``.  Either is a rank-2 projector on its (1, 1) pair
-    and carries its construction as a certificate.
+    phi_{l+1}^{(l)}``.  Either is a rank-2 projector on its (1, 1) pair,
+    stored as built.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.size != 2:
         raise ShapeError(f"need a 2-vector, got length {u.size}")
-    if not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_ATOL:  # NaN fails
+    # no entry of a unit vector exceeds 1 in modulus, so the norm cannot overflow; NaN fails
+    if not (np.abs(u).max() <= 1 + DEFAULT_ATOL and abs(np.linalg.norm(u) - 1.0) <= DEFAULT_ATOL):
         raise DomainError("direction vector must be normalized")
     if side not in ("alice", "bob"):
         raise DomainError(f"side must be 'alice' or 'bob', got {side!r}")
-    sig = SystemSignature(2, 1, 1)
-    cert = []
-    for sector in range(2):
-        if side == "alice":
-            coeffs = {(0,): u[0], (1,): u[1]}
-        else:
-            coeffs = {(sector,): u[0], ((sector + 1) % 2,): u[1]}
-        cert.append((1.0, PureStateSpec(sig, coeffs, parity=(sector,))))
-    return Effect._admitted(sig, symmetrized(_side_operators(side, u[None])[0]), cert)
+    op = symmetrized(_side_operators(side, u[None])[0])
+    return Effect._admitted(SystemSignature(2, 1, 1), op, None)
 
 
 def _side_operators(side: str, rows) -> np.ndarray:
@@ -135,8 +132,8 @@ def _side_operators(side: str, rows) -> np.ndarray:
 
 
 def side_povm(side: str, basis: LocalBasis) -> Povm:
-    """Two-outcome POVM from a local basis; the effects sum to I."""
-    return Povm([side_effect(side, row) for row in basis.vectors])
+    """Two-outcome POVM from a local basis; its effects sum to I up to the basis's Gram defect."""
+    return Povm._admitted([side_effect(side, row) for row in basis.vectors])
 
 
 def p_quantum(v, w) -> float:
@@ -314,11 +311,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
 
     Each POVM is ``{|v><v|, I - |v><v|}`` with ``v = c0|up> + c1|down>``
     in sector ``r``; both effects are stored as built, a projector and
-    its complement.  The complement is certified from its construction,
-    all weights 1: the sector-``r`` partner ``-conj(c1)|up> +
-    conj(c0)|down>`` plus every other paired basis state (the d - 2
-    remaining ones of sector ``r`` and all those of the other sectors),
-    a list built once and shared by the four complements.
+    its complement, without a certificate.
     """
     alphas = np.abs(np.asarray(alphas, dtype=complex)).astype(float)
     d = alphas.size
@@ -338,23 +331,18 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     up = phi_vector(d, i_up, r)
     down = phi_vector(d, i_down, r)
     eye = np.eye(d * d, dtype=complex)
-    others = [(1.0, basis_state_spec(sig, (i, (i + k) % d)))
-              for k in range(d) for i in range(d) if k != r or i not in (i_up, i_down)]
 
-    def two_outcome(vec, c0, c1):
-        spec = PureStateSpec(sig, {(i_up,): c0, (i_down,): c1}, parity=(r,))
-        plus = Effect._admitted(sig, projector(vec), [(1.0, spec)])
-        partner = PureStateSpec(sig, {(i_up,): -np.conj(c1), (i_down,): np.conj(c0)}, parity=(r,))
-        minus = Effect._admitted(sig, eye - plus.op, [(1.0, partner)] + others)
-        return Povm([plus, minus])
+    def two_outcome(vec):
+        plus = projector(vec)
+        return Povm._admitted([Effect._admitted(sig, plus, None),
+                               Effect._admitted(sig, eye - plus, None)])
 
-    inv_sqrt2 = 1 / np.sqrt(2)
-    a0 = two_outcome(up, 1.0, 0.0)
-    a1 = two_outcome((up + down) * inv_sqrt2, inv_sqrt2, inv_sqrt2)
+    a0 = two_outcome(up)
+    a1 = two_outcome((up + down) * (1 / np.sqrt(2)))
     c, s = np.cos(theta), np.sin(theta)
     nrm = np.sqrt(2 * c + 2)
-    b0 = two_outcome(((c + 1) * up + s * down) / nrm, (c + 1) / nrm, s / nrm)
-    b1 = two_outcome(((c + 1) * up - s * down) / nrm, (c + 1) / nrm, -s / nrm)
+    b0 = two_outcome(((c + 1) * up + s * down) / nrm)
+    b1 = two_outcome(((c + 1) * up - s * down) / nrm)
     return ActivationSetup(
         d=d,
         r=r,

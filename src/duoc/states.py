@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
@@ -518,6 +519,9 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
+        if not all(isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], Real)
+                   and isinstance(t[1], PureStateSpec) for t in certificate):
+            raise DomainError("certificate terms must be (real weight, PureStateSpec) pairs")
         if other := [spec.sig for _, spec in certificate if spec.sig != sig]:
             raise ShapeError(f"certificate term on {other[0]} cannot certify a member of {sig}")
         for w, _ in certificate:

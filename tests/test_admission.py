@@ -12,6 +12,8 @@ Likewise the effects the engine builds (a side's direction effects, the
 witness and activation projectors with their complements, the diagonal
 effects) skip the public ``Effect`` admission, and each stored operator
 is byte for byte what that admission stores for the operator as built.
+The POVMs the engine builds sum to the identity by construction and skip
+the public ``Povm`` completeness check.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ from duoc.dynamics import (
 from duoc.dsl import RunConfig, parse_script
 from duoc.dsl.interpreter import _Interpreter
 from duoc.effects import (
-    Effect, classical_povm, conditional_state, random_certified_effect, unit_effect, witness_povm,
+    Effect, Povm, classical_povm, conditional_state, random_certified_effect, unit_effect,
+    witness_povm,
 )
 from duoc.errors import DensityMatrixError
 from duoc.linalg import contract_effect, partial_trace, projector
@@ -47,9 +50,10 @@ def counts(monkeypatch):
 
 
 def counters(monkeypatch):
-    """Calls of the positivity deciders, of the Hermitian defect scan, wherever imported, and of
-    the public ``Effect`` admission."""
-    counts = dict.fromkeys(["low_rank_psd", "cholesky", "eigvalsh", "hermitian_part", "effect"], 0)
+    """Calls of the positivity deciders, of the Hermitian defect scan, wherever imported, of
+    the public ``Effect`` admission and of the public ``Povm`` completeness check."""
+    counts = dict.fromkeys(
+        ["low_rank_psd", "cholesky", "eigvalsh", "hermitian_part", "effect", "povm"], 0)
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -64,6 +68,7 @@ def counters(monkeypatch):
         monkeypatch.setattr(module, "hermitian_part",
                             counting("hermitian_part", linalg.hermitian_part))
     monkeypatch.setattr(Effect, "__post_init__", counting("effect", Effect.__post_init__))
+    monkeypatch.setattr(Povm, "__post_init__", counting("povm", Povm.__post_init__))
     return counts
 
 
@@ -104,8 +109,8 @@ def test_counters_see_the_public_path(counts, rng):
     mixed = random_mixed_state(SystemSignature(2, 1, 1), rng)[0]
     DensityState(mixed.sig, mixed.matrix)
     assert counts["cholesky"] + counts["eigvalsh"] >= 1
-    Effect(sig, np.eye(sig.dim))
-    assert counts["effect"] == 1 and counts["hermitian_part"] == 3
+    Povm([Effect(sig, np.eye(sig.dim))])
+    assert counts["effect"] == 1 and counts["hermitian_part"] == 3 and counts["povm"] == 1
 
 
 def test_rejected_state_symmetrized_once(counts):

@@ -417,6 +417,20 @@ class TestChoiAndValidation:
                 want += np.kron(channel(unit), unit)
         assert np.array_equal(choi_matrix(channel, dim_in), want)
 
+    @pytest.mark.parametrize("map_fn", [
+        lambda r: r[:, :1],
+        lambda r: np.hstack([r, r[:, :1]]),
+        lambda r: np.trace(r),
+        lambda r: r if r[0, 0] != 0 else r[:1, :1],
+        lambda r: r * np.nan,
+    ], ids=["column", "(2, 3)", "scalar", "shape changes", "non-finite"])
+    def test_malformed_image_refused(self, map_fn):
+        # a (2, 1) image used to broadcast into its slot and fail complete positivity
+        with pytest.raises(ShapeError):
+            choi_matrix(map_fn, 2)
+        with pytest.raises(ShapeError):
+            validate_transformation(map_fn, SIG10, SIG10)
+
     def test_identity_map_validates(self):
         rep = validate_transformation(lambda r: r, SIG10, SIG10)
         assert rep.valid

@@ -151,8 +151,8 @@ def test_engine_does_not_import_the_oracle(path):
 
 # the public DensityState(...) admits outside input: a script's classical weights, a separable
 # spec, a channel's output and a sampled map's image; every state derived from admitted ones
-# goes through DensityState._admitted.  The engine builds every effect by construction, so no
-# module calls the public Effect(...) at all.
+# goes through DensityState._admitted.  The engine builds every effect and every POVM by
+# construction, so no module calls the public Effect(...) or Povm(...) at all.
 OUTSIDE_INPUT_SITES = {
     ("dsl/interpreter.py", "_state_ctor"),
     ("dynamics.py", "classical_channel_map"),
@@ -201,4 +201,17 @@ def test_guard_sees_direct_effect_calls():
 def test_built_effects_are_not_admitted_again():
     sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
              for owner in direct_calls(p.read_text(encoding="utf-8"), "Effect")}
+    assert sites == set()
+
+
+def test_guard_sees_direct_povm_calls():
+    source = ("def a():\n    return Povm([e])\n\nclass K:\n    def b(self):\n"
+              "        return effects.Povm(es)\n\n"
+              "def c():\n    return Povm._admitted([e]), Effect(s, m)\n")
+    assert direct_calls(source, "Povm") == ["a", "b"]
+
+
+def test_built_povms_are_not_checked_again():
+    sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
+             for owner in direct_calls(p.read_text(encoding="utf-8"), "Povm")}
     assert sites == set()

@@ -4,7 +4,8 @@ Each constructor writes its check as ``not x <= tol``, so a NaN weight,
 amplitude or table entry raises the module's ``DomainError`` (or its
 ``NormalizationError`` subclass) instead of passing ``x > tol``.  A finite
 vector entry too large to square and sum is refused the same way, before
-any norm overflows.
+any norm overflows; a direction entry above 1 in modulus, before its
+norm or Gram matrix is formed.
 """
 
 import dataclasses
@@ -93,4 +94,16 @@ def test_huge_vector_entry_refused_without_overflow(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="modulus 1e[+]200 exceeds 1e[+]150"):
+            call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: side_effect("alice", [1e200, 0.0]), "normalized"),
+    (lambda: LocalBasis([[1e200, 0.0], [0.0, 1.0]]), "orthonormal"),
+], ids=["side_effect", "LocalBasis"])
+def test_huge_direction_entry_refused_without_overflow(call, message):
+    # used to warn "overflow encountered" in the norm or the Gram matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
             call()

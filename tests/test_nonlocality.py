@@ -77,7 +77,7 @@ class TestSideEffects:
         np.testing.assert_allclose(sorted(vals), [0, 0, 1, 1], atol=1e-12)
 
     @pytest.mark.parametrize("side", ["alice", "bob"])
-    def test_certificate_checks_out(self, side):
+    def test_effect_validates(self, side):
         rep = validate_effect(side_effect(side, [0.6, 0.8]))
         assert rep.valid
 
@@ -294,27 +294,50 @@ class TestActivationSetup:
         np.testing.assert_allclose(a.coeffs, b.coeffs)
 
 
-class TestActivationCertificates:
-    """Each complement effect carries its closed-form certificate: the
-    sector partner of ``v`` plus every other paired basis state."""
+class TestEffectsDecidedByTheCellTest:
+    """The engine's (1, 1) effects carry no certificate: on a composite of
+    one pairing the cell test decides exactly, with no eigendecomposition."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @staticmethod
+    def decided_by_cells(effects, eigh_calls):
+        for e in effects:
+            assert e.certificate is None
+            rep = validate_effect(e)
+            assert rep.valid and rep.witness == "cell test"
+            assert rep.residual == 0.0 and rep.flags == ()
+        assert eigh_calls == []
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("support", ["two", "full"])
-    def test_every_effect_certified(self, d, support, rng):
+    def test_activation_effects(self, d, support, rng, eigh_calls):
         for r in range(d):
             alphas = np.zeros(d)
             idx = rng.choice(d, size=2, replace=False) if support == "two" else np.arange(d)
             alphas[idx] = rng.uniform(0.05, 1.0, size=idx.size)
             alphas /= np.linalg.norm(alphas)
             setup = activation_setup(alphas, r=r)
-            for povm in setup.alice + setup.bob:
-                plus, minus = povm.effects
-                for e in (plus, minus):
-                    rep = validate_effect(e)
-                    assert rep.valid and rep.witness == "certificate"
-                    assert rep.residual <= 1e-12
-                assert len(minus.certificate) == d * d - 1
-                assert all(w == 1.0 for w, _ in minus.certificate)
+            self.decided_by_cells([e for povm in setup.alice + setup.bob for e in povm.effects],
+                                  eigh_calls)
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_side_effects(self, side, eigh_calls):
+        u = np.array([0.6, 0.8j])
+        self.decided_by_cells([side_effect(side, u), side_effect(side, [1.0, 0.0])], eigh_calls)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_witness_effects(self, parity, eigh_calls):
+        self.decided_by_cells(effects.witness_povm(0.3, parity=parity).effects, eigh_calls)
 
 
 class TestActivationF:
@@ -458,11 +481,12 @@ class TestNoReproofs:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         return counts
 
-    def test_counters_see_the_certified_path(self, counts):
+    def test_counters_see_the_public_path(self, counts):
         povm = side_povm("alice", LocalBasis.rotation(0.3))
-        assert counts["spec"] == 4 and counts["effect"] == 0  # built by construction
-        effects.Effect(povm.sig, povm.effects[0].op)
-        assert counts["effect"] == 1 and counts["eigvalsh"] == 1
+        assert counts == {"spec": 0, "effect": 0, "eigvalsh": 0}  # built, with no certificate
+        spec = PureStateSpec(povm.sig, {(0,): 1.0})
+        effects.Effect(povm.sig, povm.effects[0].op, certificate=[(1.0, spec)])
+        assert counts == {"spec": 1, "effect": 1, "eigvalsh": 1}
 
     def test_chsh_builds_no_spec_or_effect(self, counts, rng):
         alice, bob = optimal_chsh_bases()
@@ -476,4 +500,4 @@ class TestNoReproofs:
     def test_activation_setup_calls_no_eigvalsh(self, d, counts, rng):
         alphas = rng.uniform(0.05, 1.0, size=d)
         activation_F(activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d))))
-        assert counts["effect"] == 0 and counts["eigvalsh"] == 0
+        assert counts == {"spec": 0, "effect": 0, "eigvalsh": 0}

@@ -610,6 +610,20 @@ class TestValidateMixedState:
         rep = validate_mixed_state(rho, certificate=[(1.0, spec)])
         assert not rep.valid
 
+    @pytest.mark.parametrize("term", ["spec", (1.0, 3), (1.0, None), ("x", "spec"), (1j, "spec")],
+                             ids=["bare spec", "int spec", "None spec", "str weight",
+                                  "complex weight"])
+    def test_malformed_certificate_term_refused(self, term):
+        from duoc.effects import Effect, validate_effect
+
+        spec = PureStateSpec(SIG11, {(0,): 1.0})
+        term = spec if term == "spec" else tuple(spec if t == "spec" else t for t in term)
+        mat = projector(build_pure_state(spec))
+        with pytest.raises(DomainError, match="certificate terms must be"):
+            validate_mixed_state(DensityState(SIG11, mat), certificate=[term])
+        with pytest.raises(DomainError, match="certificate terms must be"):
+            validate_effect(Effect(SIG11, mat, certificate=[term]))
+
     def test_spectral_path_on_larger_composite(self, rng):
         from duoc.states import random_mixed_state
 
