@@ -39,8 +39,7 @@ from .states import (
     as_rng,
     basis_state_spec,
     build_pure_state,
-    build_states,
-    draw_valid_state,
+    draw_valid_states,
     pattern_test,
     random_valid_state,
     validate_cone_member,
@@ -172,12 +171,12 @@ def check_wiring(sig: SystemSignature, esig: SystemSignature, positions) -> tupl
 def random_certified_effect(sig: SystemSignature, rng) -> Effect:
     """Random positive combination of one to three valid pure projectors, scaled below I.
 
-    Draw order: number of terms, term weights (:func:`_draw_weights`), then
+    Draw order: number of terms, term weights (uniform on ``[0.2, 1)``), then
     one :func:`~duoc.states.random_valid_state` per term.  The operator is
     admitted once, by :func:`scaled_effects`.
     """
     rng = as_rng(rng)
-    weights = _draw_weights(rng)
+    weights = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
     specs = [random_valid_state(sig, rng) for _ in weights]
     terms = np.stack([build_pure_state(spec) for spec in specs])
     op, scaled = scaled_effects(terms[None], weights[None])
@@ -207,11 +206,6 @@ def scaled_effects(terms, weights) -> tuple:
     return op, weights / scale[:, None]
 
 
-def _draw_weights(rng) -> np.ndarray:
-    """The term weights of a random certified effect: their number, then the weights."""
-    return rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
-
-
 def corrupt_case(sig: SystemSignature) -> tuple:
     """A maximally correlated state plus a digit-mixing effect: ``(spec, e_vec, positions)``.
 
@@ -232,18 +226,20 @@ def corrupt_case(sig: SystemSignature) -> tuple:
 
 
 def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool = False) -> int:
-    """Count invalid conditional states over random measurement scenarios, in one batched pass.
+    """Count invalid conditional states over random measurement scenarios, one stack per class.
 
-    Trial by trial this draws from ``rng`` what
-    :func:`duoc.oracle.brute_force_conditional_check` draws, in its order,
-    and leaves ``rng`` in the same state.  The trials measuring the same
-    positions run as one stack: admission of the scaled effects,
+    The scenarios are those of :func:`draw_conditional_trials`, which
+    :func:`duoc.oracle.brute_force_conditional_check` checks one by one, so
+    seed by seed both return one count and leave ``rng`` in one state.  With
+    each state laid out measured factors first, the trials of one measured
+    sub-signature (hence one unmeasured rest) run as one stack, whatever
+    positions they measure: admission of the scaled effects,
     :func:`~duoc.states.pattern_test` on every branch ``conj(e_t) . psi`` of
     relative weight above ``INPUT_ATOL``, then the contraction of each
     projector.  A trial of probability ``sum_t w_t |conj(e_t) . psi|^2`` at
     most ``INPUT_ATOL`` is skipped; one fails when a branch is invalid or the
     branches miss the contraction by more than ``DEFAULT_ATOL``.
-    ``corrupt=True`` runs the fixed :func:`corrupt_case` instead, drawing
+    ``corrupt=True`` makes every trial the fixed :func:`corrupt_case`, drawing
     nothing.  A stack holds 32 bytes per entry of its trials' dim x dim
     projectors, so ``run conditional`` bounds ``trials x dim^2``.
     """
@@ -251,60 +247,79 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
         raise DomainError("need at least two factors to measure a proper subset")
     if corrupt:
         spec, e_vec, positions = corrupt_case(sig)
-        cases = [(positions, np.tile(build_pure_state(spec), (trials, 1)),
-                  np.tile(e_vec, (trials, 1, 1)), np.ones((trials, 1)))]
-    else:
-        cases = _drawn_cases(trials, sig, as_rng(rng))
-    return sum(_stack_failures(sig, *case) for case in cases)
+        # every trial is this one case, checked once; it measures position 0, so the canonical
+        # layout is already measured-first
+        sub = sig.sub_signature(positions)
+        psi = build_pure_state(spec)[None]
+        return trials * _stack_failures(sub, _rest(sig, sub), psi, e_vec[None, None],
+                                        np.ones((1, 1)))
+    psi, measured, groups = draw_conditional_trials(trials, sig, as_rng(rng))
+    psi = _measured_first(sig, psi, measured)
+    return sum(_stack_failures(sub, _rest(sig, sub), psi[rows], terms, weights)
+               for sub, rows, terms, weights in groups)
 
 
-def _drawn_cases(trials: int, sig: SystemSignature, rng) -> list:
-    """The random trials of :func:`conditional_failures`, one ``(positions, psi, terms, weights)``
-    per measured position set: states ``(G, dim)``, term vectors and term weights.
+def draw_conditional_trials(trials: int, sig: SystemSignature, rng) -> tuple:
+    """The random scenarios of :func:`conditional_failures`: ``(psi, measured, groups)``.
 
-    The rows of :func:`~duoc.states.draw_valid_state` are collected while
-    the trials are drawn.  Then every trial's state is built in one
-    :func:`~duoc.states.build_states` call and each sub-signature's terms
-    in one more, and the built rows are gathered into the position groups.
+    Each generator call draws one field for every trial, in this fixed order:
+    the states (:func:`~duoc.states.draw_valid_states`); the subset sizes,
+    ``integers(1, F, size=trials)`` over ``F`` factors; the measured positions,
+    a uniform subset of that size (the first ``size`` of each row's argsort of
+    ``random((trials, F))``); the term counts, ``integers(1, 4, size=trials)``;
+    the term weights, one ``uniform(0.2, 1.0)`` call in trial order; then the
+    term states of each measured sub-signature, in ascending ``(m, n)`` order,
+    one ``draw_valid_states`` call each.
+
+    ``psi`` is ``(trials, dim)`` and ``measured`` a ``(trials, F)`` mask.
+    ``groups`` holds one ``(sub, rows, terms, weights)`` per measured
+    sub-signature: its trials' indices, their term vectors ``(G, 3, sub.dim)``
+    and weights ``(G, 3)``, zero past each count.
     """
-    states, groups, rows, weights = [], {}, {}, {}
-    for g in range(trials):
-        states.append(draw_valid_state(sig, rng))
-        size = int(rng.integers(1, sig.num_factors))
-        positions = tuple(sorted(rng.choice(sig.num_factors, size=size, replace=False).tolist()))
-        if positions not in groups:
-            groups[positions] = (sig.sub_signature(positions), [])
-        sub, members = groups[positions]
-        w = _draw_weights(rng)
-        # trial g's terms are the len(w) rows of its sub-signature's batch from len(terms) on
-        terms = rows.setdefault(sub, [])
-        members.append((g, len(terms), len(w)))
-        terms.extend(draw_valid_state(sub, rng) for _ in w)
-        weights.setdefault(sub, []).append(w)
-    psi = build_states(sig, states)
-    built = {sub: (build_states(sub, r), np.concatenate(weights[sub])) for sub, r in rows.items()}
-    cases = []
-    for positions, (sub, members) in groups.items():
-        trial, first, counts = (np.array(x) for x in zip(*members))
-        vecs, ws = built[sub]
-        # the terms and weights of trial[j] in row j, in draw order, padded with zero terms
-        slots = np.nonzero(np.arange(counts.max()) < counts[:, None])
-        src = first[slots[0]] + slots[1]
-        terms = np.zeros((len(trial), counts.max(), sub.dim), dtype=complex)
-        term_weights = np.zeros(terms.shape[:2])
-        terms[slots], term_weights[slots] = vecs[src], ws[src]
-        cases.append((positions, psi[trial], terms, term_weights))
-    return cases
+    nfac = sig.num_factors
+    psi = draw_valid_states(sig, trials, rng)
+    sizes = rng.integers(1, nfac, size=trials)
+    order = rng.random((trials, nfac)).argsort(axis=1)
+    measured = np.zeros((trials, nfac), dtype=bool)
+    measured[np.arange(trials)[:, None], order] = np.arange(nfac) < sizes[:, None]
+    # slot t of a trial holds its t-th term; the weights fill the slots in trial order
+    slots = np.arange(3) < rng.integers(1, 4, size=trials)[:, None]
+    weights = np.zeros((trials, 3))
+    weights[slots] = rng.uniform(0.2, 1.0, size=np.count_nonzero(slots))
+    # a trial's sub-signature (a, b) coded as a * (n + 1) + b, ascending with (a, b)
+    code = measured[:, : sig.m].sum(axis=1) * (sig.n + 1) + measured[:, sig.m :].sum(axis=1)
+    groups = []
+    for c in np.unique(code):
+        rows = np.flatnonzero(code == c)
+        sub = SystemSignature(sig.d, *divmod(int(c), sig.n + 1))
+        terms, used = np.zeros((len(rows), 3, sub.dim), dtype=complex), slots[rows]
+        terms[used] = draw_valid_states(sub, np.count_nonzero(used), rng)
+        groups.append((sub, rows, terms, weights[rows]))
+    return psi, measured, groups
 
 
-def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int:
-    """Failing trials among states ``psi`` ``(G, dim)`` measured at ``positions`` by the effects
-    ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
-    rest = tuple(t for t in range(sig.num_factors) if t not in positions)
+def _rest(sig: SystemSignature, sub: SystemSignature) -> SystemSignature:
+    """The signature of the factors of ``sig`` that a measurement on ``sub`` leaves."""
+    return SystemSignature(sig.d, sig.m - sub.m, sig.n - sub.n)
+
+
+def _measured_first(sig: SystemSignature, psi, measured) -> np.ndarray:
+    """Each row of ``psi`` with its factors reordered: those ``measured`` marks, ascending, then
+    the rest, ascending (dits before anti-dits in each part, as in a sub-signature)."""
+    nfac = sig.num_factors
+    # slot q of row g holds position order[g, q]; index j of the new layout reads digit q of j there
+    order = np.argsort(~measured, axis=1, kind="stable")
+    place = sig.d ** np.arange(nfac - 1, -1, -1)
+    source = place[order] @ np.indices(sig.dims).reshape(nfac, -1)
+    return np.take_along_axis(psi, source, axis=1)
+
+
+def _stack_failures(sub: SystemSignature, rest: SystemSignature, psi, terms, weights) -> int:
+    """Failing trials among states ``psi`` ``(G, dim)`` laid out as ``sub`` then ``rest``, measured
+    on their ``sub`` factors by the effects ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
     op, weights = scaled_effects(terms, weights)
     # branch t of trial g is conj(terms[g, t]) . psi[g] over the measured factors
-    cube = psi.reshape((-1,) + sig.dims).transpose([0] + [1 + t for t in positions + rest])
-    branch = terms.conj() @ cube.reshape(len(psi), terms.shape[-1], -1)
+    branch = terms.conj() @ psi.reshape(len(psi), sub.dim, rest.dim)
     mass = weights * np.sum(branch.real**2 + branch.imag**2, axis=2)
     prob = np.sum(mass, axis=1)
     kept = prob > INPUT_ATOL
@@ -314,8 +329,9 @@ def _stack_failures(sig: SystemSignature, positions, psi, terms, weights) -> int
     if tested.any():
         vecs = branch[tested]
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        invalid[tested] = ~pattern_test(vecs, sig.sub_signature(rest))[0]
-    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(), positions, sig.dims)
+        invalid[tested] = ~pattern_test(vecs, rest)[0]
+    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(),
+                          range(sub.num_factors), sub.dims + rest.dims)
     recon = (branch.transpose(0, 2, 1) * weights[:, None, :]) @ branch.conj()
     wrong = np.max(np.abs(recon - raw), axis=(1, 2)) > DEFAULT_ATOL
     return int(np.count_nonzero(kept & (wrong | invalid.any(axis=1))))

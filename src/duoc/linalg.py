@@ -311,12 +311,13 @@ def low_rank_psd(mat) -> bool:
         cols[:, k] = col
         rest -= col.real**2 + col.imag**2
     adjoint = cols[:, :k].conj().T
-    norms = []
+    square = 0.0
     for rows in row_blocks(dim):
-        resid = cols[rows, :k] @ adjoint
+        # a rank-1 product broadcast costs less than a matmul of inner dimension 1
+        resid = cols[rows, :1] * adjoint if k == 1 else cols[rows, :k] @ adjoint
         resid -= mat[rows]
-        norms.append(np.linalg.norm(resid))
-    return bool(math.hypot(*norms) <= DEFAULT_ATOL)
+        square += np.vdot(resid, resid).real
+    return bool(math.sqrt(square) <= DEFAULT_ATOL)
 
 
 def off_diagonal_max(mat) -> float:

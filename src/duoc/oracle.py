@@ -8,10 +8,12 @@ nonnegative least squares over a dense grid of valid pure projectors.
 None of these routines call the engine's embedding or partial-trace
 kernels, so agreement between the two paths is evidence, not tautology.
 
-Randomness: the conditional sweep draws its scenarios with the engine's
-samplers, which use ``numpy.random.default_rng`` (PCG64) in a fixed
-documented order; the engine's batched
-:func:`duoc.effects.conditional_failures` draws the same scenarios.
+Randomness: the conditional sweep draws the scenarios of the engine's
+:func:`duoc.effects.conditional_failures` with its sampler
+:func:`duoc.effects.draw_conditional_trials` (PCG64, in a documented order),
+then checks each trial alone.  From the engine this module takes only
+samplers, builders, the pure-state test and the signature and error types,
+never a contraction, scaling or stacking kernel (a Tier-1 guard).
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import corrupt_case, random_certified_effect
+from .effects import corrupt_case, draw_conditional_trials
 from .errors import DomainError
 from .states import as_rng, build_pure_state, random_valid_state, validate_pure_state
 from .systems import SystemSignature
+
+# random_valid_state is re-exported: tests draw reference states through the oracle
+__all__ = ["GridSpec", "brute_force_conditional_check", "brute_force_mixed_membership",
+           "oracle_conditional", "random_valid_state", "separable_grid_min"]
 
 _L = string.ascii_letters
 
@@ -77,11 +83,12 @@ def brute_force_conditional_check(trials: int, sig: SystemSignature, rng,
                                   corrupt: bool = False) -> int:
     """Count invalid conditional states over random measurement scenarios.
 
-    Each trial samples a valid pure state, a certified random effect on
-    a random proper sub-factor set, contracts with
-    :func:`oracle_conditional`, and validates every branch of the
-    conditional state (branches below relative weight 1e-9 are
-    ignored).  With ``corrupt=True`` the effect is replaced by a
+    Each trial of :func:`duoc.effects.draw_conditional_trials` (a valid
+    pure state, a certified random effect on a random proper sub-factor
+    set) is checked on its own: the effect is scaled below the identity
+    here, contracted with :func:`oracle_conditional`, and every branch of
+    the conditional state is validated (branches below relative weight
+    1e-9 are ignored).  With ``corrupt=True`` the effect is replaced by a
     deliberately invalid parity-mixing projector, so failures are the
     expected outcome.
     """
@@ -89,22 +96,23 @@ def brute_force_conditional_check(trials: int, sig: SystemSignature, rng,
     d, nfac = sig.d, sig.num_factors
     if nfac < 2:
         raise DomainError("need at least two factors to measure a proper subset")
+    if corrupt:
+        spec, e_vec, positions = corrupt_case(sig)
+        scenarios = [(build_pure_state(spec), positions, [(1.0, e_vec)])] * trials
+    else:
+        psi, measured, groups = draw_conditional_trials(trials, sig, rng)
+        scenarios = [(psi[g], tuple(np.flatnonzero(measured[g])),
+                      [(w, e) for w, e in zip(ws, es) if w > 0])
+                     for _, rows, terms, weights in groups
+                     for g, es, ws in zip(rows, terms, weights)]
     failures = 0
-    for _ in range(trials):
-        if corrupt:
-            spec, e_vec, positions = corrupt_case(sig)
-            branches = [(1.0, e_vec)]
-        else:
-            spec = random_valid_state(sig, rng)
-            size = int(rng.integers(1, nfac))
-            positions = tuple(sorted(int(x) for x in rng.choice(nfac, size=size,
-                                                                replace=False)))
-            sub = sig.sub_signature(positions)
-            effect = random_certified_effect(sub, rng)
-            branches = [(w, build_pure_state(s)) for w, s in effect.certificate]
-        psi = build_pure_state(spec)
-        rho = np.outer(psi, psi.conj())
+    for psi, positions, branches in scenarios:
         e_op = sum(w * np.outer(e, e.conj()) for w, e in branches)
+        # scaled below the identity by its top eigenvalue, with a 1e-12 margin, where that exceeds 1
+        top = np.linalg.eigvalsh(e_op)[-1]
+        scale = top * (1 + 1e-12) if top > 1 else 1.0
+        e_op, branches = e_op / scale, [(w / scale, e) for w, e in branches]
+        rho = np.outer(psi, psi.conj())
         prob, raw_out = oracle_conditional(rho, d, nfac, e_op, positions)
         if prob <= 1e-9:
             continue

@@ -14,6 +14,7 @@ longer kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from numbers import Real
@@ -176,6 +177,14 @@ def build_states(sig: SystemSignature, rows) -> np.ndarray:
     # written so that a NaN amplitude fails it
     if not (ok := np.abs(total - 1.0) <= DEFAULT_ATOL).all():
         raise NormalizationError(f"coefficients have squared norm {total[~ok][0]}, expected 1")
+    return _place_states(sig, dest, digits, amps)
+
+
+def _place_states(sig: SystemSignature, dest, digits, amps) -> np.ndarray:
+    """The vectors of :func:`build_states` for its rows stacked as ``(N, m + n)``, ``(N, max(m, n))``
+    and ``(N, d**p)`` arrays, placed with no check."""
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    rows = len(amps)
     # w[r, t]: the place value of the position that row r sends canonical factor t to
     w = np.asarray(index_table(sig).place)[dest]
     tail_w = w[:, p:m] if m > n else w[:, m + p :]
@@ -185,9 +194,9 @@ def build_states(sig: SystemSignature, rows) -> np.ndarray:
     g = np.arange(d)
     for i in range(p):
         pair = g * w[:, i, None] + (g + digits[:, i, None]) % d * w[:, m + i, None]
-        idx = (idx[:, :, None] + pair[:, None, :]).reshape(len(rows), -1)
-    v = np.zeros((len(rows), sig.dim), dtype=complex)
-    v[np.arange(len(rows))[:, None], idx] = amps
+        idx = (idx[:, :, None] + pair[:, None, :]).reshape(rows, -1)
+    v = np.zeros((rows, sig.dim), dtype=complex)
+    v[np.arange(rows)[:, None], idx] = amps
     return v
 
 
@@ -220,6 +229,28 @@ def draw_valid_state(sig: SystemSignature, rng: np.random.Generator) -> tuple:
     amps = z[:keys] + 1j * z[keys:]
     amps = amps / vector_norm(amps)
     return np.concatenate((sigma, tau + m)), np.concatenate((parity, tail)), amps
+
+
+def draw_valid_states(sig: SystemSignature, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniformly sampled valid pure states of ``sig`` as ``(count, dim)`` vectors, drawn
+    with one generator call per field and placed as :func:`build_states` places its rows.
+
+    Draw order (fixed for reproducibility): the dit permutations and the anti-dit permutations
+    (each row an argsort of uniforms), the parity digits, the tail digits, then one
+    ``normal(size=(count, 2 * d**p))`` call whose row ``r`` holds state ``r``'s amplitude reals
+    then its imaginaries.  A field with nothing to draw (at most one factor to permute, no pair,
+    no tail) makes no call.
+    """
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    keys = d**p
+    sigma, tau = (rng.random((count, k)).argsort(axis=1) if k > 1 else np.zeros((count, k), int)
+                  for k in (m, n))
+    parity, tail = (rng.integers(0, d, size=(count, k)) if k else np.zeros((count, 0), int)
+                    for k in (p, abs(m - n)))
+    z = rng.normal(size=(count, 2 * keys))
+    amps = z[:, :keys] + 1j * z[:, keys:]
+    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))[:, None]
+    return _place_states(sig, np.hstack((sigma, tau + m)), np.hstack((parity, tail)), amps)
 
 
 def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
@@ -522,6 +553,8 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         if not all(isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], Real)
                    and isinstance(t[1], PureStateSpec) for t in certificate):
             raise DomainError("certificate terms must be (real weight, PureStateSpec) pairs")
+        if not all(math.isfinite(w) for w, _ in certificate):
+            raise DomainError("certificate weights must be finite")
         if other := [spec.sig for _, spec in certificate if spec.sig != sig]:
             raise ShapeError(f"certificate term on {other[0]} cannot certify a member of {sig}")
         for w, _ in certificate:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import duoc.effects
-from duoc.effects import _drawn_cases
 from duoc.effects import (
     Effect,
     Povm,
@@ -14,6 +13,7 @@ from duoc.effects import (
     classical_povm,
     conditional_failures,
     conditional_state,
+    draw_conditional_trials,
     random_certified_effect,
     scaled_effects,
     unit_effect,
@@ -24,14 +24,14 @@ from duoc.effects import (
 from duoc.dsl import RunConfig, parse_script
 from duoc.dsl.interpreter import _Interpreter
 from duoc.errors import DomainError, ShapeError
-from duoc.linalg import embed_operator, hermitian_part, partial_trace
-from duoc.oracle import brute_force_conditional_check
+from duoc.linalg import INPUT_ATOL, embed_operator, hermitian_part, partial_trace
+from duoc.oracle import brute_force_conditional_check, oracle_conditional
 from duoc.states import (
     DensityState,
     PureStateSpec,
     basis_state_spec,
     build_pure_state,
-    random_valid_state,
+    validate_pure_state,
 )
 from duoc.systems import MAX_COMPOSITE_DIM, SystemSignature, parity_projector
 
@@ -406,58 +406,72 @@ class TestWorstCaseNo:
 DRAW_SIGS = [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 0), (2, 0, 3), (2, 3, 3)]
 
 
-def reference_drawn_cases(trials, sig, rng):
-    """The trials of ``conditional_failures`` drawn and built one at a time: each draw a dict of
-    coefficients (the reals and imaginaries in two ``normal`` calls), each vector placed digit by
-    digit, the trials grouped by measured positions.  Returns ``{positions: (psi, terms,
-    weights)}``, terms and weights padded with zeros."""
+def reference_trials(trials, sig, rng):
+    """The scenarios of ``draw_conditional_trials`` drawn one field at a time in its documented
+    order, each vector placed digit by digit.  Returns ``(psi, positions, {sub: [(trial, terms,
+    weights)]})``, with each trial's terms and weights unpadded."""
 
-    def draw(s):
+    def states(s, count):
         d, m, n, p = s.d, s.m, s.n, s.num_pairs
-        sigma = tuple(rng.permutation(m).tolist()) if m > 1 else tuple(range(m))
-        tau = tuple(rng.permutation(n).tolist()) if n > 1 else tuple(range(n))
-        parity = tuple(rng.integers(0, d, size=p).tolist()) if p else ()
-        tail = tuple(rng.integers(0, d, size=abs(m - n)).tolist()) if m != n else ()
-        raw = rng.normal(size=d**p) + 1j * rng.normal(size=d**p)
-        raw = raw / np.linalg.norm(raw)
-        coeffs = dict(zip(product(range(d), repeat=p), raw.tolist()))
-        # canonical factor t (dits, then anti-dits) lands on position dest[t]
-        dest = sigma + tuple(m + i for i in tau)
-        v = np.zeros(s.dim, dtype=complex)
-        for x, amp in coeffs.items():
-            dits = list(x) + (list(tail) if m > n else [])
-            antis = [(g + t) % d for g, t in zip(x, parity)] + (list(tail) if n > m else [])
-            placed = [0] * s.num_factors
-            for t, g in enumerate(dits + antis):
-                placed[dest[t]] = g
-            v[sum(g * d ** (s.num_factors - 1 - q) for q, g in enumerate(placed))] = amp
-        return v
+        sigma = rng.random((count, m)).argsort(axis=1) if m > 1 else np.zeros((count, m), int)
+        tau = rng.random((count, n)).argsort(axis=1) if n > 1 else np.zeros((count, n), int)
+        parity = rng.integers(0, d, size=(count, p)) if p else np.zeros((count, 0), int)
+        tail = rng.integers(0, d, size=(count, abs(m - n))) if m != n else np.zeros((count, 0), int)
+        z = rng.normal(size=(count, 2 * d**p))
+        out = np.zeros((count, s.dim), dtype=complex)
+        for r in range(count):
+            raw = z[r, : d**p] + 1j * z[r, d**p :]
+            raw = raw / np.sqrt(np.sum(raw.real**2 + raw.imag**2))
+            # canonical factor t (dits, then anti-dits) lands on position dest[t]
+            dest = [int(x) for x in sigma[r]] + [m + int(i) for i in tau[r]]
+            for x, amp in zip(product(range(d), repeat=p), raw):
+                dits = list(x) + ([int(g) for g in tail[r]] if m > n else [])
+                antis = [(g + int(t)) % d for g, t in zip(x, parity[r])] + (
+                    [int(g) for g in tail[r]] if n > m else [])
+                placed = [0] * s.num_factors
+                for t, g in enumerate(dits + antis):
+                    placed[dest[t]] = g
+                out[r, sum(g * d ** (s.num_factors - 1 - q) for q, g in enumerate(placed))] = amp
+        return out
 
+    nfac = sig.num_factors
+    psi = states(sig, trials)
+    sizes = rng.integers(1, nfac, size=trials)
+    order = rng.random((trials, nfac)).argsort(axis=1)
+    positions = [tuple(sorted(int(t) for t in order[g, : sizes[g]])) for g in range(trials)]
+    counts = rng.integers(1, 4, size=trials)
+    flat = iter(rng.uniform(0.2, 1.0, size=int(counts.sum())))
+    weights = [np.array([next(flat) for _ in range(c)]) for c in counts]
+    subs = [sig.sub_signature(pos) for pos in positions]
     groups = {}
-    for _ in range(trials):
-        psi = draw(sig)
-        size = int(rng.integers(1, sig.num_factors))
-        positions = tuple(sorted(rng.choice(sig.num_factors, size=size, replace=False).tolist()))
-        weights = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
-        terms = [draw(sig.sub_signature(positions)) for _ in weights]
-        groups.setdefault(positions, []).append((psi, weights, terms))
-    out = {}
-    for positions, trials_of in groups.items():
-        width = max(len(w) for _, w, _ in trials_of)
-        terms = np.zeros((len(trials_of), width, len(trials_of[0][2][0])), dtype=complex)
-        weights = np.zeros((len(trials_of), width))
-        for g, (_, w, vecs) in enumerate(trials_of):
-            terms[g, : len(w)], weights[g, : len(w)] = vecs, w
-        out[positions] = (np.array([psi for psi, _, _ in trials_of]), terms, weights)
-    return out
+    for sub in sorted(set(subs), key=lambda s: (s.m, s.n)):
+        members = [g for g in range(trials) if subs[g] == sub]
+        vecs = iter(states(sub, int(sum(counts[g] for g in members))))
+        groups[sub] = [(g, np.array([next(vecs) for _ in weights[g]]), weights[g])
+                       for g in members]
+    return psi, positions, groups
+
+
+def trial_probabilities(trials, sig, seed):
+    """Each scenario's probability ``Tr[(E_S x I) rho]`` by ``oracle.oracle_conditional``, with
+    the effect scaled below the identity as a certified effect is."""
+    psi, measured, groups = draw_conditional_trials(trials, sig, np.random.default_rng(seed))
+    probs = []
+    for _, rows, terms, weights in groups:
+        for g, vecs, ws in zip(rows, terms, weights):
+            op = scaled_effects(vecs[None], ws[None])[0][0]
+            rho = np.outer(psi[g], psi[g].conj())
+            probs.append(oracle_conditional(rho, sig.d, sig.num_factors, op,
+                                            np.flatnonzero(measured[g]))[0])
+    return np.array(probs)
 
 
 class TestConditionalFailures:
-    """The batched engine check against the oracle's per-trial sweep."""
+    """The stacked engine check against the oracle's per-trial sweep."""
 
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 1, 1), (2, 1, 2),
-                                     (3, 2, 1)], ids=str)
+                                     (3, 2, 1), (2, 3, 3), (3, 2, 2), (2, 1, 3)], ids=str)
     def test_matches_oracle_seed_by_seed(self, dmn, corrupt):
         sig = SystemSignature(*dmn)
         for seed in range(3):
@@ -467,52 +481,96 @@ class TestConditionalFailures:
             assert count == (25 if corrupt else 0)
             assert engine.bit_generator.state == oracle.bit_generator.state
 
-    # every trial of nonzero probability fails; with seed 0, 15 of the 20 draws measure an
-    # effect that is not orthogonal to the state
+    # every trial of probability above INPUT_ATOL fails, and some draws measure an effect
+    # orthogonal to the state
     def test_branches_that_miss_the_contraction_fail(self, monkeypatch):
         contract = duoc.effects.contract_effect
         monkeypatch.setattr(duoc.effects, "contract_effect",
                             lambda *args: contract(*args) * (1 + 1e-6))
-        assert conditional_failures(20, SystemSignature(2, 2, 1), 0) == 15
+        sig = SystemSignature(2, 2, 1)
+        want = np.count_nonzero(trial_probabilities(20, sig, 0) > INPUT_ATOL)
+        assert 0 < want < 20
+        assert conditional_failures(20, sig, 0) == want
 
     def test_an_invalid_branch_fails(self, monkeypatch):
         test = duoc.effects.pattern_test
         monkeypatch.setattr(duoc.effects, "pattern_test",
                             lambda vecs, sig: (~test(vecs, sig)[0],) + test(vecs, sig)[1:])
-        assert conditional_failures(20, SystemSignature(2, 2, 1), 0) == 15
+        sig = SystemSignature(2, 2, 1)
+        want = np.count_nonzero(trial_probabilities(20, sig, 0) > INPUT_ATOL)
+        assert 0 < want < 20
+        assert conditional_failures(20, sig, 0) == want
 
     @pytest.mark.parametrize("dmn", DRAW_SIGS, ids=str)
     def test_batched_draw_matches_per_trial_reference(self, dmn):
         sig = SystemSignature(*dmn)
         for seed in range(5):
             batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            cases = _drawn_cases(12, sig, batched)
-            want = reference_drawn_cases(12, sig, reference)
-            assert [case[0] for case in cases] == list(want)
-            for (positions, psi, terms, weights), (psi_ref, terms_ref, weights_ref) in zip(
-                    cases, want.values()):
-                assert psi.tobytes() == psi_ref.tobytes() and psi.shape == psi_ref.shape
-                assert terms.tobytes() == terms_ref.tobytes() and terms.shape == terms_ref.shape
-                assert weights.tobytes() == weights_ref.tobytes()
+            psi, measured, groups = draw_conditional_trials(12, sig, batched)
+            psi_ref, positions, want = reference_trials(12, sig, reference)
+            assert psi.tobytes() == psi_ref.tobytes() and psi.shape == psi_ref.shape
+            assert [tuple(np.flatnonzero(row)) for row in measured] == positions
+            assert [group[0] for group in groups] == list(want)
+            for (sub, rows, terms, weights), members in zip(groups, want.values()):
+                assert rows.tolist() == [g for g, _, _ in members]
+                assert terms.shape == (len(rows), 3, sub.dim) and weights.shape == (len(rows), 3)
+                for vecs, ws, (_, vecs_ref, ws_ref) in zip(terms, weights, members):
+                    k = len(ws_ref)
+                    assert vecs[:k].tobytes() == vecs_ref.tobytes() and not vecs[k:].any()
+                    assert ws[:k].tobytes() == ws_ref.tobytes() and not ws[k:].any()
             assert batched.bit_generator.state == reference.bit_generator.state
 
-    # a build per position group or per row would call it more often; with 60 trials each of
-    # these draws more position groups than sub-signatures
+    # a draw per trial or per position set would call it more often; with 60 trials each of
+    # these draws more position sets than sub-signatures
     @pytest.mark.parametrize("dmn", [(2, 2, 2), (2, 3, 1), (3, 2, 1)], ids=str)
     def test_one_build_per_signature(self, dmn, monkeypatch):
         sig = SystemSignature(*dmn)
-        positions = [case[0] for case in _drawn_cases(60, sig, np.random.default_rng(4))]
-        subs = {sig.sub_signature(p) for p in positions}
-        assert len(positions) > len(subs)
+        _, measured, groups = draw_conditional_trials(60, sig, np.random.default_rng(4))
+        subs = [group[0] for group in groups]
+        assert len({row.tobytes() for row in measured}) > len(subs)
         calls = []
-        build = duoc.effects.build_states
-        monkeypatch.setattr(duoc.effects, "build_states",
-                            lambda s, rows: calls.append(s) or build(s, rows))
+        draw = duoc.effects.draw_valid_states
+        monkeypatch.setattr(duoc.effects, "draw_valid_states",
+                            lambda s, count, rng: calls.append(s) or draw(s, count, rng))
         assert conditional_failures(60, sig, np.random.default_rng(4)) == 0
-        assert calls[0] == sig and len(calls[1:]) == len(subs) and set(calls[1:]) == subs
+        assert calls == [sig] + subs
 
-    # more than three factors of one kind, with fewer trials as the dimension grows: (2,6,5)
-    # leaves (5, 4) unmeasured with seed 2, and (5, 5) under corruption
+    # 14 position sets form 7 classes on (2,2,2), 62 form 14 on (2,3,3)
+    @pytest.mark.parametrize("dmn, classes", [((2, 2, 2), 7), ((2, 3, 3), 14)], ids=str)
+    def test_one_stack_per_signature_pair(self, dmn, classes, monkeypatch):
+        sig = SystemSignature(*dmn)
+        _, measured, _ = draw_conditional_trials(2000, sig, np.random.default_rng(5))
+        assert len({row.tobytes() for row in measured}) == 2**sig.num_factors - 2
+        calls = []
+        stack = duoc.effects._stack_failures
+        monkeypatch.setattr(duoc.effects, "_stack_failures",
+                            lambda sub, rest, *args: calls.append((sub, rest))
+                            or stack(sub, rest, *args))
+        assert conditional_failures(2000, sig, np.random.default_rng(5)) == 0
+        assert len(calls) == len(set(calls)) == classes
+        assert all((sub.m + rest.m, sub.n + rest.n) == (sig.m, sig.n) for sub, rest in calls)
+
+    def test_draws_cover_every_subset_and_term_count(self):
+        sig = SystemSignature(2, 2, 2)
+        psi, measured, groups = draw_conditional_trials(2000, sig, np.random.default_rng(6))
+        subsets = {tuple(np.flatnonzero(row)) for row in measured}
+        assert len(subsets) == 14 and all(0 < len(s) < 4 for s in subsets)
+        counts = np.concatenate([np.count_nonzero(weights, axis=1) for *_, weights in groups])
+        assert set(counts.tolist()) == {1, 2, 3}
+        assert sum(len(group[1]) for group in groups) == 2000
+
+    @pytest.mark.parametrize("dmn", [(2, 2, 2), (3, 2, 1), (2, 0, 3), (2, 1, 3)], ids=str)
+    def test_every_drawn_state_is_valid(self, dmn):
+        sig = SystemSignature(*dmn)
+        psi, measured, groups = draw_conditional_trials(40, sig, np.random.default_rng(7))
+        for v in psi:
+            assert validate_pure_state(v, sig).valid
+        for sub, rows, terms, weights in groups:
+            assert all(sub == sig.sub_signature(np.flatnonzero(measured[g])) for g in rows)
+            for v in terms[weights > 0]:
+                assert validate_pure_state(v, sub).valid
+
+    # more than three factors of one kind, with fewer trials as the dimension grows
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("dmn, trials", [((2, 5, 1), 10), ((2, 4, 4), 4), ((2, 6, 5), 1)],
                              ids=str)
@@ -557,30 +615,21 @@ class TestWiring:
 class TestScaledEffects:
     """One scaling kernel for the engine's stacks and the sampler's effects."""
 
-    @staticmethod
-    def sampled_weights(trials, sig, rng):
-        """The certificate weights of the oracle's effects, per measured position set."""
-        groups = {}
-        for _ in range(trials):
-            random_valid_state(sig, rng)
-            size = int(rng.integers(1, sig.num_factors))
-            positions = tuple(sorted(rng.choice(sig.num_factors, size=size,
-                                                replace=False).tolist()))
-            effect = random_certified_effect(sig.sub_signature(positions), rng)
-            groups.setdefault(positions, []).append([w for w, _ in effect.certificate])
-        return groups
-
     # when the engine scaled its own stack in other arithmetic, 3967 of 32000 effects (seeds
     # 0-1999, four trials each, these signatures) differed in the last bit of a weight
     @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2)], ids=str)
     def test_engine_weights_equal_the_certificate_weights(self, dmn):
+        # the stacked scaling gives each trial the weights random_certified_effect's one-effect
+        # scaling gives its certificate
         sig = SystemSignature(*dmn)
         for seed in range(40):
-            want = self.sampled_weights(4, sig, np.random.default_rng(seed))
-            for positions, _, terms, weights in _drawn_cases(4, sig, np.random.default_rng(seed)):
+            _, _, want = reference_trials(4, sig, np.random.default_rng(seed))
+            _, _, groups = draw_conditional_trials(4, sig, np.random.default_rng(seed))
+            for (sub, _, terms, weights), members in zip(groups, want.values()):
                 scaled = scaled_effects(terms, weights)[1]
-                for row, ws in zip(scaled, want[positions]):
-                    assert row[: len(ws)].tolist() == ws
+                for row, (_, vecs, ws) in zip(scaled, members):
+                    certificate = scaled_effects(vecs[None], ws[None])[1][0]
+                    assert row[: len(ws)].tolist() == certificate.tolist()
                     assert not row[len(ws):].any()
 
     def test_scaled_below_the_identity_and_admitted(self):

@@ -1,6 +1,7 @@
 """Every name a module under ``src/duoc`` imports is read by that module, and
 every top-level function or class it defines is read somewhere in the package.
-No module but the oracle itself imports the test oracle.
+No module but the oracle itself imports the test oracle, and the oracle imports
+from the engine only an allow-list of samplers, builders and checks.
 
 A package ``__init__`` re-exports the names in its ``__all__``; those count
 as read.  ``from __future__`` imports are directives, not names.
@@ -215,3 +216,47 @@ def test_built_povms_are_not_checked_again():
     sites = {(str(p.relative_to(SRC)), owner) for p in SOURCES
              for owner in direct_calls(p.read_text(encoding="utf-8"), "Povm")}
     assert sites == set()
+
+
+# the oracle may take from the engine only what draws or describes a scenario and the
+# pure-state test it checks branches with; its contraction, effect scaling and per-trial
+# loop are its own, so that its agreement with the engine counts as evidence
+ORACLE_ENGINE_NAMES = {
+    "as_rng", "build_pure_state", "corrupt_case", "draw_conditional_trials", "draw_valid_state",
+    "draw_valid_states", "random_valid_state", "validate_pure_state", "SystemSignature",
+    "FactorPermutation",
+}
+ORACLE_FORBIDDEN = {"contract_effect", "partial_trace", "embed_operator", "scaled_effects",
+                    "_stack_failures"}
+
+
+def oracle_engine_imports(source: str) -> set:
+    """The names ``duoc.oracle`` imports from the engine: each function or class, or the module
+    itself when it imports a whole module.  The errors are not engine code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "duoc"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("duoc")):
+            if (node.module or "").split(".")[-1] != "errors":
+                names |= {a.name for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("source", [
+    "from .effects import scaled_effects\n", "from .linalg import contract_effect, as_vector\n",
+    "from .effects import _stack_failures\n", "from . import linalg\n", "import duoc.linalg\n",
+    "def f():\n    from duoc.linalg import partial_trace\n"])
+def test_guard_sees_engine_kernels_in_the_oracle(source):
+    assert oracle_engine_imports(source) - ORACLE_ENGINE_NAMES
+
+
+def test_guard_passes_the_allowed_oracle_imports():
+    source = ("import numpy as np\nfrom .errors import DomainError, ShapeError\n"
+              "from .states import as_rng, validate_pure_state\nfrom .systems import SystemSignature\n")
+    assert oracle_engine_imports(source) == {"as_rng", "validate_pure_state", "SystemSignature"}
+
+
+def test_oracle_imports_no_engine_kernel():
+    names = oracle_engine_imports((SRC / "oracle.py").read_text(encoding="utf-8"))
+    assert names <= ORACLE_ENGINE_NAMES and not names & ORACLE_FORBIDDEN

@@ -624,6 +624,21 @@ class TestValidateMixedState:
         with pytest.raises(DomainError, match="certificate terms must be"):
             validate_effect(Effect(SIG11, mat, certificate=[term]))
 
+    # an inf weight used to print an overflow warning and a NaN one to answer valid=False, nan
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan, np.float64(np.nan)], ids=repr)
+    def test_non_finite_certificate_weight_refused(self, weight):
+        from duoc.effects import Effect, validate_effect
+
+        spec = PureStateSpec(SIG11, {(0,): 1.0})
+        mat = projector(build_pure_state(spec))
+        other = basis_state_spec(SIG11, (1, 1))
+        for certificate in ([(weight, spec)], [(1.0, spec), (weight, other)]):
+            with pytest.raises(DomainError, match="weights must be finite"):
+                validate_mixed_state(DensityState(SIG11, mat), certificate=certificate)
+            with pytest.raises(DomainError, match="weights must be finite"):
+                validate_effect(Effect(SIG11, mat, certificate=certificate))
+
     def test_spectral_path_on_larger_composite(self, rng):
         from duoc.states import random_mixed_state
 
