@@ -25,7 +25,7 @@ from .states import (
     DensityState, ValidityReport, product_order, product_state, random_mixed_state,
     validate_mixed_state,
 )
-from .systems import FactorPermutation, SystemSignature, factor_positions, phase_matrix
+from .systems import FactorPermutation, SystemSignature, as_integers, phase_matrix
 
 # random valid inputs on which validate_transformation checks trace and output validity
 TRANSFORMATION_SAMPLES = 25
@@ -48,8 +48,8 @@ class ReversibleSpec:
     z_phases: tuple = ()
 
     def __post_init__(self):
-        self.x_shifts = tuple(int(x) for x in self.x_shifts)
-        self.z_phases = tuple(int(x) for x in self.z_phases)
+        self.x_shifts = as_integers(self.x_shifts, "x_shifts")
+        self.z_phases = as_integers(self.z_phases, "z_phases")
 
 
 def build_reversible(spec: ReversibleSpec, sig: SystemSignature) -> np.ndarray:
@@ -181,7 +181,7 @@ class ConditionalEvolutionSpec:
     effect_positions: tuple
 
     def __post_init__(self):
-        self.effect_positions = pos = factor_positions(self.effect_positions)
+        self.effect_positions = pos = as_integers(self.effect_positions)
         ins, anc = self.input_sig, self.ancilla.sig
         if ins.d != anc.d:
             raise DomainError("local dimensions of input and ancilla differ")

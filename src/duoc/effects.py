@@ -44,7 +44,7 @@ from .states import (
     random_valid_state,
     validate_cone_member,
 )
-from .systems import SystemSignature, factor_positions, index_to_digits
+from .systems import SystemSignature, as_integers, index_to_digits
 
 
 @dataclass(eq=False)
@@ -153,7 +153,7 @@ def check_wiring(sig: SystemSignature, esig: SystemSignature, positions) -> tupl
     """``positions`` as ints, once they wire factor ``t`` of an effect on ``esig`` to factor
     ``positions[t]`` of ``sig``: integers, distinct, in range, of the same local dimension and
     kind (dit to dit, anti-dit to anti-dit), and leaving at least one factor unmeasured."""
-    positions = factor_positions(positions)
+    positions = as_integers(positions)
     if len(positions) != esig.num_factors or len(set(positions)) != len(positions):
         raise DomainError(f"need {esig.num_factors} distinct positions, got {positions}")
     if any(p < 0 or p >= sig.num_factors for p in positions):

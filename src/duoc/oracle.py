@@ -28,7 +28,7 @@ from .errors import DomainError
 from .states import as_rng, build_pure_state, random_valid_state, validate_pure_state
 from .systems import SystemSignature
 
-# random_valid_state is re-exported: tests draw reference states through the oracle
+# random_valid_state is re-exported for the acceptance tests, which import it from here
 __all__ = ["GridSpec", "brute_force_conditional_check", "brute_force_mixed_membership",
            "oracle_conditional", "random_valid_state", "separable_grid_min"]
 

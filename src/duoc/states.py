@@ -49,9 +49,9 @@ from .systems import (
     FactorPermutation,
     SystemSignature,
     admissible_differences,
+    as_integers,
     cell_cover,
     digits_to_index,
-    factor_positions,
     index_table,
     index_to_digits,
 )
@@ -98,15 +98,15 @@ class PureStateSpec:
 
     def __post_init__(self):
         sig = self.sig
-        self.parity = tuple(int(x) for x in self.parity) or (0,) * sig.num_pairs
-        self.tail = tuple(int(x) for x in self.tail) or (0,) * abs(sig.m - sig.n)
+        self.parity = as_integers(self.parity, "parity") or (0,) * sig.num_pairs
+        self.tail = as_integers(self.tail, "tail") or (0,) * abs(sig.m - sig.n)
         if self.perm is None:
             self.perm = FactorPermutation.identity(sig.m, sig.n)
         if len(self.perm.sigma) != sig.m or len(self.perm.tau) != sig.n:
             raise DomainError("factor permutation shape does not match the signature")
         coeffs = {}
         for x, a in self.coeffs.items():
-            x = tuple(int(g) for g in (x if isinstance(x, (tuple, list)) else (x,)))
+            x = as_integers(x if isinstance(x, (tuple, list)) else (x,), "coefficient key")
             if x in coeffs:
                 raise DomainError(f"duplicate coefficient key {x}")
             coeffs[x] = complex(a)
@@ -132,8 +132,9 @@ def _check_row(sig: SystemSignature, parity, tail, coeffs) -> None:
 
 def build_pure_state(spec: PureStateSpec) -> np.ndarray:
     """Dense state vector for a :class:`PureStateSpec`, checked again so that a spec changed
-    since construction is caught.  For one row this key-by-key loop is faster than the array
-    placement of :func:`build_states`, and puts the same amplitudes at the same indices."""
+    since construction is caught.  Every DSL pure state and certificate term is one spec, and
+    for one spec this key-by-key loop is faster than the batch placement of
+    :func:`draw_valid_states`, which puts the same amplitudes at the same indices."""
     sig, coeffs = spec.sig, spec.coeffs
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
     _check_row(sig, spec.parity, spec.tail, coeffs)
@@ -152,39 +153,49 @@ def build_pure_state(spec: PureStateSpec) -> np.ndarray:
     return v
 
 
-def build_states(sig: SystemSignature, rows) -> np.ndarray:
-    """Dense vectors ``(N, dim)`` of paired states, one per row ``(dest, digits, amps)`` of
-    :func:`draw_valid_state`, placed by one index computation for the whole batch.
+def as_rng(rng) -> np.random.Generator:
+    """``rng`` itself if it is a ``numpy`` generator, else ``default_rng(rng)`` (PCG64)."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng)
 
-    ``amps`` holds the amplitude of every digit string ``x`` in ``itertools.product`` order:
-    pair ``i`` puts ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit, the
-    unpaired factors carry the tail (``digits`` is the parity vector, then the tail), and
-    canonical factor ``t`` moves to ``dest[t]``.  The rows are checked together as
-    :class:`PureStateSpec` checks its fields (lengths, digits in ``0..d-1``, unit norm),
-    with its exception types and messages.
+
+def _draw_fields(sig: SystemSignature, count: int, rng: np.random.Generator) -> tuple:
+    """The fields of :func:`draw_valid_states`' ``count`` states: the ``(count, m + n)`` flat
+    factor destinations of the relabelings, the ``(count, max(m, n))`` parity digits followed by
+    the tail digits, and the ``(count, d**p)`` unit amplitudes of every key in
+    ``itertools.product`` order."""
+    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    keys = d**p
+    # a shuffle of at most one factor, or a draw of no digits, consumes nothing, so it is skipped
+    sigma, tau = (rng.permuted(np.tile(np.arange(k), (count, 1)), axis=1) if k > 1
+                  else np.zeros((count, k), int) for k in (m, n))
+    parity, tail = (rng.integers(0, d, size=(count, k)) if k else np.zeros((count, 0), int)
+                    for k in (p, abs(m - n)))
+    z = rng.normal(size=(count, 2 * keys))
+    sq = z * z  # re**2 and im**2, summed as np.sum would but without its per-call cost
+    amps = (z[:, :keys] + 1j * z[:, keys:]) / np.sqrt(
+        np.add.reduce(sq[:, :keys] + sq[:, keys:], axis=1, keepdims=True))
+    return np.concatenate((sigma, tau + m), 1), np.concatenate((parity, tail), 1), amps
+
+
+def draw_valid_states(sig: SystemSignature, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniformly sampled valid pure states of ``sig`` as ``(count, dim)`` vectors, drawn
+    with one generator call per field and placed by one index computation for the whole batch.
+
+    Draw order (fixed for reproducibility): the dit permutations, then the anti-dit
+    permutations (each one ``rng.permuted`` call shuffling the rows in turn, as ``count``
+    ``rng.permutation`` calls would), the parity digits, the tail digits, then one
+    ``normal(size=(count, 2 * d**p))`` call whose row ``r`` holds state ``r``'s amplitude reals
+    then its imaginaries.  A field with nothing to draw (at most one factor to permute, no pair,
+    no tail) makes no call, so one row uses the generator as ``permutation``, ``integers`` and
+    ``normal`` calls of its sizes do.
+
+    Pair ``i`` puts key digit ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit,
+    the unpaired factors carry the tail, and the relabeling then moves each factor into place.
     """
+    dest, digits, amps = _draw_fields(sig, count, rng)
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    width, keys = max(m, n), d**p
-    dest, digits, amps = zip(*rows)
-    if set(map(len, digits)) != {width} or set(map(len, amps)) != {keys}:
-        x = next(x for x, a in zip(digits, amps) if (len(x), len(a)) != (width, keys))
-        parity, tail = tuple(map(int, x[:p])), tuple(map(int, x[p:]))
-        raise DomainError(f"parity {parity}, tail {tail} or a coefficient key does not fit {sig}")
-    dest, digits, amps = (np.concatenate(f).reshape(len(rows), -1) for f in (dest, digits, amps))
-    if digits.min() < 0 or digits.max() >= d:
-        raise DomainError(f"parity, tail and key digits must lie in 0..{d - 1}")
-    total = np.sum(amps.real**2 + amps.imag**2, axis=1)
-    # written so that a NaN amplitude fails it
-    if not (ok := np.abs(total - 1.0) <= DEFAULT_ATOL).all():
-        raise NormalizationError(f"coefficients have squared norm {total[~ok][0]}, expected 1")
-    return _place_states(sig, dest, digits, amps)
-
-
-def _place_states(sig: SystemSignature, dest, digits, amps) -> np.ndarray:
-    """The vectors of :func:`build_states` for its rows stacked as ``(N, m + n)``, ``(N, max(m, n))``
-    and ``(N, d**p)`` arrays, placed with no check."""
-    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    rows = len(amps)
     # w[r, t]: the place value of the position that row r sends canonical factor t to
     w = np.asarray(index_table(sig).place)[dest]
     tail_w = w[:, p:m] if m > n else w[:, m + p :]
@@ -194,68 +205,16 @@ def _place_states(sig: SystemSignature, dest, digits, amps) -> np.ndarray:
     g = np.arange(d)
     for i in range(p):
         pair = g * w[:, i, None] + (g + digits[:, i, None]) % d * w[:, m + i, None]
-        idx = (idx[:, :, None] + pair[:, None, :]).reshape(rows, -1)
-    v = np.zeros((rows, sig.dim), dtype=complex)
-    v[np.arange(rows)[:, None], idx] = amps
+        idx = (idx[:, :, None] + pair[:, None, :]).reshape(count, -1)
+    v = np.zeros((count, sig.dim), dtype=complex)
+    v[np.arange(count)[:, None], idx] = amps
     return v
 
 
-def as_rng(rng) -> np.random.Generator:
-    """``rng`` itself if it is a ``numpy`` generator, else ``default_rng(rng)`` (PCG64)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def draw_valid_state(sig: SystemSignature, rng: np.random.Generator) -> tuple:
-    """One uniformly sampled valid pure state of ``sig`` as a row of :func:`build_states`.
-
-    Returns integer arrays of the flat factor destinations of the
-    relabeling and of the parity digits followed by the tail, and the
-    unit amplitude array of every key in ``itertools.product`` order.
-    Draw order (fixed for reproducibility): dit permutation, anti-dit
-    permutation, parity vector, tail, coefficient reals, coefficient
-    imaginaries; the reals and imaginaries come from one ``normal`` call,
-    which gives the values and generator state that two calls give.
-    """
-    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    keys = d**p
-    # a draw of no integers, or a shuffle of at most one, consumes nothing, so it is skipped
-    sigma = rng.permutation(m) if m > 1 else np.arange(m)
-    tau = rng.permutation(n) if n > 1 else np.arange(n)
-    parity = rng.integers(0, d, size=p) if p else np.arange(0)
-    tail = rng.integers(0, d, size=abs(m - n)) if m != n else np.arange(0)
-    z = rng.normal(size=2 * keys)
-    amps = z[:keys] + 1j * z[keys:]
-    amps = amps / vector_norm(amps)
-    return np.concatenate((sigma, tau + m)), np.concatenate((parity, tail)), amps
-
-
-def draw_valid_states(sig: SystemSignature, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` uniformly sampled valid pure states of ``sig`` as ``(count, dim)`` vectors, drawn
-    with one generator call per field and placed as :func:`build_states` places its rows.
-
-    Draw order (fixed for reproducibility): the dit permutations and the anti-dit permutations
-    (each row an argsort of uniforms), the parity digits, the tail digits, then one
-    ``normal(size=(count, 2 * d**p))`` call whose row ``r`` holds state ``r``'s amplitude reals
-    then its imaginaries.  A field with nothing to draw (at most one factor to permute, no pair,
-    no tail) makes no call.
-    """
-    d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
-    keys = d**p
-    sigma, tau = (rng.random((count, k)).argsort(axis=1) if k > 1 else np.zeros((count, k), int)
-                  for k in (m, n))
-    parity, tail = (rng.integers(0, d, size=(count, k)) if k else np.zeros((count, 0), int)
-                    for k in (p, abs(m - n)))
-    z = rng.normal(size=(count, 2 * keys))
-    amps = z[:, :keys] + 1j * z[:, keys:]
-    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))[:, None]
-    return _place_states(sig, np.hstack((sigma, tau + m)), np.hstack((parity, tail)), amps)
-
-
 def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
-    """Uniformly sampled valid pure-state spec, drawn by :func:`draw_valid_state`."""
-    dest, digits, amps = draw_valid_state(sig, as_rng(rng))
+    """Uniformly sampled valid pure-state spec: the one-row draw of :func:`draw_valid_states`,
+    which leaves the generator as that draw does and builds to the same vector."""
+    (dest,), (digits,), (amps,) = _draw_fields(sig, 1, as_rng(rng))
     m, p = sig.m, sig.num_pairs
     coeffs = dict(zip(product(range(sig.d), repeat=p), amps.tolist()))
     perm = FactorPermutation(dest[:m], dest[m:] - m)
@@ -353,7 +312,7 @@ def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
     pair has the definite parity read off its digits, and unpaired
     digits form the tail.
     """
-    digits = tuple(int(g) for g in digits)
+    digits = as_integers(digits, "digits")
     if len(digits) != sig.num_factors:
         raise DomainError(f"need {sig.num_factors} digits, got {len(digits)}")
     if any(g < 0 or g >= sig.d for g in digits):
@@ -514,7 +473,7 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
             rho[i * d + j, i * d + j] += w
     else:
         for w, dits, anti in spec.terms:
-            dits = tuple(int(g) for g in dits)
+            dits = as_integers(dits, "dit string")
             if len(dits) != sig.m:
                 raise DomainError(f"dit string {dits} must have length {sig.m}")
             if anti.sig != SystemSignature(d, 0, sig.n):
@@ -584,7 +543,7 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
 
 def marginal_state(rho: DensityState, keep) -> DensityState:
     """Reduced state on the factors listed in ``keep`` (ascending positions)."""
-    keep = tuple(sorted(factor_positions(keep)))
+    keep = tuple(sorted(as_integers(keep)))
     sub = rho.sig.sub_signature(keep)
     reduced = partial_trace(rho.matrix, rho.sig.dims, keep)
     return DensityState._admitted(sub, symmetrized(reduced))

@@ -72,7 +72,7 @@ class SystemSignature:
 
     def sub_signature(self, positions) -> "SystemSignature":
         """Signature of the sub-composite at the given factor positions."""
-        positions = factor_positions(positions)
+        positions = as_integers(positions)
         if len(set(positions)) != len(positions) or any(
             p < 0 or p >= self.num_factors for p in positions
         ):
@@ -97,8 +97,8 @@ class FactorPermutation:
     tau: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", factor_positions(self.sigma))
-        object.__setattr__(self, "tau", factor_positions(self.tau))
+        object.__setattr__(self, "sigma", as_integers(self.sigma))
+        object.__setattr__(self, "tau", as_integers(self.tau))
         for name, perm in (("sigma", self.sigma), ("tau", self.tau)):
             if sorted(perm) != list(range(len(perm))):
                 raise DomainError(f"{name}={perm} is not a permutation")
@@ -230,12 +230,13 @@ def cell_cover(sig: SystemSignature) -> np.ndarray:
     return table[:, trail][lead].transpose(0, 2, 1, 3).reshape(sig.dim, sig.dim)
 
 
-def factor_positions(positions) -> tuple:
-    """``positions`` as ints, once each is checked to be an integer (numpy integers too)."""
+def as_integers(values, what: str = "factor positions") -> tuple:
+    """``values`` as ints, once each is checked to be an integer (numpy integers too); else a
+    :class:`DomainError` that names them ``what``."""
     try:
-        return tuple(operator.index(p) for p in positions)
+        return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise DomainError(f"factor positions {positions!r} must be integers") from None
+        raise DomainError(f"{what} {values!r} must be integers") from None
 
 
 def index_to_digits(index: int, d: int, width: int) -> tuple:

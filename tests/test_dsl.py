@@ -607,13 +607,13 @@ class TestRunBounds:
     @example(p=0.5, grid=1e-7)
     def test_witness_is_exact_minimum_or_domain_error(self, p, grid):
         text = f"run witness {{ p={p!r}, grid={grid!r} }} as W\n"
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             table = run_script(parse_script(text))
         except DuocError:
             assert not (0 < p < 1 and 0 < grid <= 0.1), text
             return
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert abs(table.value("W", "min_p_no") - min(p, 1 - p)) <= 1e-9
 
     # the heaviest admitted inputs at dimensions 16, 64 and 1024, at or just below
@@ -622,17 +622,17 @@ class TestRunBounds:
                                       "trials=1024, d=2, bits=3, antibits=3",
                                       "trials=4, d=4, bits=3, antibits=2"])
     def test_conditional_work_bound_admits_only_quick_runs(self, args):
-        start = time.perf_counter()
+        start = time.process_time()
         table = run_script(parse_script(f"run conditional {{ {args} }} as C\n"))
-        assert time.perf_counter() - start < 5.0
+        assert time.process_time() - start < 5.0
         assert table.value("C", "failures") == 0
 
     # an admitted input that leaves five factors of each kind unmeasured
     def test_conditional_with_large_sides_answers_quickly(self):
-        start = time.perf_counter()
+        start = time.process_time()
         table = run_script(parse_script(
             "run conditional { trials=1, d=2, bits=6, antibits=5, corrupt=1 } as C\n"))
-        assert time.perf_counter() - start < 5.0
+        assert time.process_time() - start < 5.0
         assert table.value("C", "failures") == 1
 
     # (4,3,3) took 4.2 s and 632 MB for two trials before the work bound
@@ -640,20 +640,20 @@ class TestRunBounds:
                                       "trials=1025, d=2, bits=3, antibits=3"])
     def test_conditional_work_bound_refuses_before_any_trial(self, args, tmp_path):
         text = f"run conditional {{ {args} }} as C\n"
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ScriptError, match="trials x dim\\^2"):
             run_script(parse_script(text))
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         path = tmp_path / "s.duoc"
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
 
     def test_conditional_trials_capped_before_any_work(self, tmp_path):
         text = "run conditional { trials=1000000000 } as C\n"
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ScriptError, match="10000"):
             run_script(parse_script(text))
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         path = tmp_path / "s.duoc"
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
@@ -665,17 +665,17 @@ class TestRunBounds:
 
         monkeypatch.setattr(interpreter, "activation_setup", fail)
         text = f"run activation {{ coeffs=[{', '.join(['0.2'] * 25)}] }} as A\n"
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ScriptError, match="above 24 coefficients, got 25"):
             run_script(parse_script(text))
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         path = tmp_path / "s.duoc"
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
 
     def test_activation_at_the_bound_runs(self):
         coeffs = ", ".join(["0.6", "0.8"] + ["0"] * 22)  # F_simulated = F_closed on two terms
-        start = time.perf_counter()
+        start = time.process_time()
         table = run_script(parse_script(f"run activation {{ coeffs=[{coeffs}], r=5 }} as A\n"))
-        assert time.perf_counter() - start < 5.0
+        assert time.process_time() - start < 5.0
         assert table.value("A", "F_simulated") == pytest.approx(table.value("A", "F_closed"))

@@ -78,7 +78,7 @@ class TestReversible:
             build_reversible(ReversibleSpec(x_shifts=(1,)), SIG11)
 
     def test_preserves_validity(self, rng):
-        from duoc.oracle import random_valid_state
+        from duoc.states import random_valid_state
 
         sig = SystemSignature(3, 1, 2)
         for _ in range(5):

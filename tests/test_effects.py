@@ -413,8 +413,8 @@ def reference_trials(trials, sig, rng):
 
     def states(s, count):
         d, m, n, p = s.d, s.m, s.n, s.num_pairs
-        sigma = rng.random((count, m)).argsort(axis=1) if m > 1 else np.zeros((count, m), int)
-        tau = rng.random((count, n)).argsort(axis=1) if n > 1 else np.zeros((count, n), int)
+        sigma = np.array([rng.permutation(m) for _ in range(count)]).reshape(count, m)
+        tau = np.array([rng.permutation(n) for _ in range(count)]).reshape(count, n)
         parity = rng.integers(0, d, size=(count, p)) if p else np.zeros((count, 0), int)
         tail = rng.integers(0, d, size=(count, abs(m - n))) if m != n else np.zeros((count, 0), int)
         z = rng.normal(size=(count, 2 * d**p))

@@ -222,7 +222,7 @@ def test_built_povms_are_not_checked_again():
 # pure-state test it checks branches with; its contraction, effect scaling and per-trial
 # loop are its own, so that its agreement with the engine counts as evidence
 ORACLE_ENGINE_NAMES = {
-    "as_rng", "build_pure_state", "corrupt_case", "draw_conditional_trials", "draw_valid_state",
+    "as_rng", "build_pure_state", "corrupt_case", "draw_conditional_trials",
     "draw_valid_states", "random_valid_state", "validate_pure_state", "SystemSignature",
     "FactorPermutation",
 }

@@ -5,7 +5,10 @@ amplitude or table entry raises the module's ``DomainError`` (or its
 ``NormalizationError`` subclass) instead of passing ``x > tol``.  A finite
 vector entry too large to square and sum is refused the same way, before
 any norm overflows; a direction entry above 1 in modulus, before its
-norm or Gram matrix is formed.
+norm or Gram matrix is formed.  A digit field (parity, tail, coefficient
+key, basis digits, dit string, shift or phase exponent) is read through
+``operator.index``, so a float, NaN or infinite digit is refused rather
+than truncated.
 """
 
 import dataclasses
@@ -14,13 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from duoc.dynamics import ClassicalChannel
+from duoc.dynamics import ClassicalChannel, ReversibleSpec
 from duoc.effects import classical_povm
 from duoc.errors import DomainError, NormalizationError
 from duoc.nonlocality import LocalBasis, activation_setup, side_effect, two_copy_state
 from duoc.states import (
-    DensityState, PureStateSpec, SeparableSpec, certificate_matches, is_entangled,
-    validate_pure_state,
+    DensityState, PureStateSpec, SeparableSpec, basis_state_spec, build_pure_state,
+    build_separable, certificate_matches, is_entangled, validate_pure_state,
 )
 from duoc.systems import SystemSignature
 
@@ -107,3 +110,45 @@ def test_huge_direction_entry_refused_without_overflow(call, message):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             call()
+
+
+ANTI = DensityState(SystemSignature(2, 0, 1), np.diag([1.0, 0.0]))
+DIGIT_FIELDS = {
+    "parity": lambda g: PureStateSpec(SIG11, {(0,): 1.0}, parity=(g,)),
+    "tail": lambda g: PureStateSpec(SystemSignature(2, 2, 1), {(0,): 1.0}, tail=(g,)),
+    "coefficient key": lambda g: PureStateSpec(SIG11, {(g,): 1.0}),
+    "digits": lambda g: basis_state_spec(SIG11, (0, g)),
+    "x_shifts": lambda g: ReversibleSpec(x_shifts=(0, g)),
+    "z_phases": lambda g: ReversibleSpec(z_phases=(g, 0)),
+    "dit string": lambda g: build_separable(SeparableSpec(terms=[(1.0, (g,), ANTI)]), SIG11),
+}
+
+
+@pytest.mark.parametrize("digit", [0.9, 1.7, 1.0, NAN, float("inf"), "1"], ids=repr)
+@pytest.mark.parametrize("field", DIGIT_FIELDS)
+def test_non_integer_digit_refused(field, digit):
+    # 0.9 and 1.7 used to be truncated, NaN to raise ValueError and inf OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{field} .* must be integers$"):
+            DIGIT_FIELDS[field](digit)
+
+
+def test_fractional_key_and_parity_refused():
+    with pytest.raises(DomainError, match="must be integers"):
+        PureStateSpec(SystemSignature(2, 1, 1), {(0.9,): 1.0}, parity=(1.7,))
+
+
+@pytest.mark.parametrize("field", DIGIT_FIELDS)
+def test_numpy_integer_digit_accepted(field):
+    # the repr shows a numpy integer kept as such, so equal reprs mean plain ints were stored
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(DIGIT_FIELDS[field](np.int64(1))) == repr(DIGIT_FIELDS[field](1))
+
+
+def test_numpy_digits_build_the_same_state():
+    spec = PureStateSpec(SIG11, {(np.int8(1),): 1.0}, parity=np.array([1]))
+    assert all(type(g) is int for g in (*spec.parity, *next(iter(spec.coeffs))))
+    want = PureStateSpec(SIG11, {(1,): 1.0}, parity=(1,))
+    assert build_pure_state(spec).tobytes() == build_pure_state(want).tobytes()

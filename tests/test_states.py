@@ -22,15 +22,15 @@ from duoc.states import (
     basis_state_spec,
     build_pure_state,
     build_separable,
-    build_states,
     certificate_matches,
-    draw_valid_state,
+    draw_valid_states,
     is_entangled,
     marginal_state,
     pattern_test,
     product_order,
     product_state,
     purify_classical_state,
+    random_valid_state,
     span_dimensions,
     validate_mixed_state,
     validate_pure_state,
@@ -43,6 +43,7 @@ from duoc.linalg import (
     permute_vector_factors,
     projector,
     tensor_all,
+    vector_norm,
 )
 from duoc import systems
 from duoc.systems import (
@@ -160,8 +161,6 @@ class TestBuildPureState:
 class TestValidatePureState:
     def test_accepts_built_states(self, rng):
         for sig in (SIG11, SystemSignature(2, 2, 1), SystemSignature(3, 1, 2)):
-            from duoc.oracle import random_valid_state
-
             for _ in range(5):
                 spec = random_valid_state(sig, rng)
                 rep = validate_pure_state(build_pure_state(spec), sig)
@@ -208,8 +207,6 @@ class TestValidatePureState:
     @pytest.mark.parametrize("dmn", [(2, 4, 4), (2, 6, 6), (2, 5, 7)], ids=str)
     def test_drawn_states_validate_beyond_three_per_side(self, dmn):
         # and are rejected once a Hadamard on dit 0 moves it apart from its anti-dit
-        from duoc.states import random_valid_state
-
         sig = SystemSignature(*dmn)
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         for seed in range(3):
@@ -299,8 +296,6 @@ class TestIndexTablePaths:
     """The table-driven search and state construction against the derivations they replace."""
 
     def _vectors(self, sig, rng):
-        from duoc.oracle import random_valid_state
-
         out = []
         for _ in range(6):
             v = build_pure_state(random_valid_state(sig, rng))
@@ -350,39 +345,37 @@ class TestIndexTablePaths:
             witness = {"sigma": perm.sigma, "tau": perm.tau, "parity": parity, "tail": tail}
             _check_against_loop(v, sig, DEFAULT_ATOL, valid[i], leak[i], witness)
 
-    @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 2, 0)])
-    def test_drawn_build_matches_digit_loop(self, dmn):
-        from duoc.states import random_valid_state
+    @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 0, 3), (3, 0, 2), (2, 2, 0), (2, 4, 1),
+                                     (2, 1, 4)])
+    def test_one_row_draw_matches_the_single_row_sampler(self, dmn):
+        # the sampler that drew one state alone: its permutations, digits and amplitudes, in
+        # that order, normalized by vector_norm
+        def single_row(sig, rng):
+            d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+            sigma = rng.permutation(m) if m > 1 else np.arange(m)
+            tau = rng.permutation(n) if n > 1 else np.arange(n)
+            parity = rng.integers(0, d, size=p) if p else np.arange(0)
+            tail = rng.integers(0, d, size=abs(m - n)) if m != n else np.arange(0)
+            z = rng.normal(size=2 * d**p)
+            amps = z[: d**p] + 1j * z[d**p :]
+            coeffs = dict(zip(product(range(d), repeat=p), amps / vector_norm(amps)))
+            return PureStateSpec(sig, coeffs, parity, tail, FactorPermutation(sigma, tau))
 
         sig = SystemSignature(*dmn)
-        draws = [draw_valid_state(sig, np.random.default_rng(seed)) for seed in range(8)]
-        vecs = build_states(sig, draws)
-        for seed, v in enumerate(vecs):
-            spec = random_valid_state(sig, np.random.default_rng(seed))
+        for seed in range(20):
+            new, old, batch = (np.random.default_rng(seed) for _ in range(3))
+            spec, want = random_valid_state(sig, new), single_row(sig, old)
+            assert new.bit_generator.state == old.bit_generator.state
+            assert (spec.perm.sigma, spec.perm.tau) == (want.perm.sigma, want.perm.tau)
+            assert (spec.parity, spec.tail) == (want.parity, want.tail)
+            v = build_pure_state(spec)
+            assert np.max(np.abs(v - build_pure_state(want))) <= 1e-15
+            assert v.tobytes() == draw_valid_states(sig, 1, batch)[0].tobytes()
             assert v.tobytes() == _build_pure_loop(spec).tobytes()
-
-    def test_build_states_checks_the_rows(self):
-        # each bad row is refused alone and in the middle of a batch of good ones
-        sig = SystemSignature(2, 2, 1)
-        rows = [draw_valid_state(sig, np.random.default_rng(seed)) for seed in range(3)]
-        build_states(sig, rows)
-        dest, digits, amps = rows[1]
-        bad_rows = [
-            (NormalizationError, "squared norm", (dest, digits, 2 * amps)),
-            (NormalizationError, "squared norm nan", (dest, digits, amps * np.nan)),
-            (DomainError, "must lie in 0..1", (dest, digits + [2, 0], amps)),
-            (DomainError, r"tail \(\) or a coefficient key does not fit", (dest, digits[:1], amps)),
-            (DomainError, "does not fit", (dest, digits, amps[:1])),
-        ]
-        for error, message, bad in bad_rows:
-            for batch in ([bad], [rows[0], bad, rows[2]]):
-                with pytest.raises(error, match=message):
-                    build_states(sig, batch)
+            assert batch.bit_generator.state == new.bit_generator.state
 
     @pytest.mark.parametrize("dmn", TABLE_SIGS + [(2, 4, 1), (3, 0, 2), (2, 5, 3)])
     def test_build_matches_digit_loop(self, rng, dmn):
-        from duoc.oracle import random_valid_state
-
         sig = SystemSignature(*dmn)
         for trial in range(10):
             spec = random_valid_state(sig, rng)
@@ -947,7 +940,7 @@ class TestSpanDimensions:
         # span, the pure-state test of a drawn state and the cell test, each with its first
         # table or cover build; entries (0, 1) differ in one digit, which no cell covers.  The
         # caches are emptied after each signature
-        from duoc.states import random_valid_state, validate_cone_member
+        from duoc.states import validate_cone_member
 
         for sig in ALL_SIGS:
             v = build_pure_state(random_valid_state(sig, 0))

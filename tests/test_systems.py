@@ -106,8 +106,7 @@ class TestFactorPermutation:
 
 
 def test_index_table_is_one_shared_object_per_signature():
-    from duoc.states import build_pure_state, validate_pure_state
-    from duoc.oracle import random_valid_state
+    from duoc.states import build_pure_state, random_valid_state, validate_pure_state
     from duoc.systems import index_table
 
     sig = SystemSignature(3, 2, 1)
