@@ -18,11 +18,11 @@ import numpy as np
 from .effects import Effect, check_wiring, conditional_state
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, min_eigenvalue, off_diagonal_max,
-    symmetrized, tensor_all,
+    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, hermitian_part, off_diagonal_max,
+    psd_defect, symmetrized, tensor_all,
 )
 from .states import (
-    DensityState, ValidityReport, product_order, product_state, random_mixed_state,
+    DensityState, ValidityReport, draw_mixture, product_order, product_state,
     validate_mixed_state,
 )
 from .systems import FactorPermutation, SystemSignature, as_integers, phase_matrix
@@ -233,26 +233,30 @@ def validate_transformation(
 ) -> ValidityReport:
     """Sampled channel check: complete positivity, trace behavior, validity.
 
-    Complete positivity is decided exactly (smallest eigenvalue of the
-    induced block matrix above ``-INPUT_ATOL``); trace non-increase and
-    validity of the normalized outputs are checked on
-    ``TRANSFORMATION_SAMPLES`` random valid mixed states drawn from
-    ``seed``, so a passing report is flagged SAMPLED, not a proof.  An output whose validity cannot be decided fails the
-    check with an ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.
-    Linearity itself is spot-checked.
+    Complete positivity is decided as a state's positivity is, by
+    :func:`~duoc.linalg.psd_defect` at ``INPUT_ATOL`` on the Hermitian part
+    of the Choi matrix, whose rank-1 form for a reversible map its low-rank
+    factor settles; a rejection's residual is ``-lambda_min``.  Trace
+    non-increase and validity of the normalized outputs are checked on up to
+    ``TRANSFORMATION_SAMPLES`` random valid mixed states, drawn one at a time
+    from ``seed`` as consecutive :func:`~duoc.states.random_mixed_state` calls
+    draw them, so a passing report is flagged SAMPLED, not a proof.  An output
+    whose validity cannot be decided fails the check at that sample, with an
+    ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.  Linearity itself is
+    spot-checked.  A passing report's residual is the largest residual of the
+    output checks, and includes the Choi matrix's rounding-level
+    ``-lambda_min`` only if neither the factor nor the Cholesky settled it.
     """
     rng = np.random.default_rng(seed)
     a = np.asarray(map_fn(_unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
     b = np.asarray(map_fn(1j * _unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
     if float(np.max(np.abs(1j * a - b))) > INPUT_ATOL:
         raise DomainError("map is not linear over the complex operator space")
-    choi = choi_matrix(map_fn, sig_in.dim)
-    lo = min_eigenvalue(choi)
-    if lo < -INPUT_ATOL:
-        return ValidityReport(False, -lo, witness="complete positivity", flags=("SAMPLED",))
-    worst = max(0.0, -lo)
+    choi = hermitian_part(choi_matrix(map_fn, sig_in.dim))[0]
+    if (worst := psd_defect(choi, INPUT_ATOL)) > INPUT_ATOL:
+        return ValidityReport(False, worst, witness="complete positivity", flags=("SAMPLED",))
     for _ in range(TRANSFORMATION_SAMPLES):
-        state, _cert = random_mixed_state(sig_in, rng)
+        state = draw_mixture(sig_in, rng)[0]
         image = np.asarray(map_fn(state.matrix), dtype=complex)
         tr = float(np.real(np.trace(image)))
         if tr > 1 + DEFAULT_ATOL:

@@ -100,7 +100,9 @@ def projector(v) -> np.ndarray:
     vec = vec / nrm
     re, im = vec.real, vec.imag
     out = vec[:, None] * vec.conj()
-    np.subtract(im[:, None] * re, re[:, None] * im, out=out.imag)
+    imag = out.imag
+    np.multiply(im[:, None], re, out=imag)
+    imag -= re[:, None] * im
     return positive_zeros(out)
 
 
@@ -277,10 +279,8 @@ def row_blocks(dim: int) -> list:
     return [slice(r, r + step) for r in range(0, dim, step)]
 
 
-def low_rank_psd(mat) -> bool:
+def low_rank_psd(mat, atol: float = DEFAULT_ATOL) -> bool:
     """True when a low-rank factor proves no eigenvalue of Hermitian ``mat`` is below ``-atol``.
-
-    Here ``atol`` is ``DEFAULT_ATOL``, the tolerance of state admission.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
     at most ``dim // 64`` columns, stopping once no remaining diagonal entry
@@ -301,7 +301,7 @@ def low_rank_psd(mat) -> bool:
     cols = np.empty((dim, cap), dtype=complex)
     for k in range(cap + 1):
         p = int(np.argmax(rest))
-        if rest[p] <= DEFAULT_ATOL / dim:
+        if rest[p] <= atol / dim:
             break
         if k == cap:
             return False
@@ -317,7 +317,7 @@ def low_rank_psd(mat) -> bool:
         resid = cols[rows, :1] * adjoint if k == 1 else cols[rows, :k] @ adjoint
         resid -= mat[rows]
         square += np.vdot(resid, resid).real
-    return bool(math.sqrt(square) <= DEFAULT_ATOL)
+    return bool(math.sqrt(square) <= atol)
 
 
 def off_diagonal_max(mat) -> float:
@@ -327,7 +327,28 @@ def off_diagonal_max(mat) -> float:
     return float(np.max(mag))
 
 
-def min_eigenvalue(op) -> float:
-    """Smallest eigenvalue of a (numerically) Hermitian operator."""
-    return float(np.linalg.eigvalsh(hermitian_part(op)[0])[0])
+def psd_defect(sym, atol: float) -> float:
+    """``max(0, -lambda_min)`` of the exactly Hermitian ``sym``, or 0.0 once the first of two
+    cheaper paths rules out an eigenvalue below ``-atol``: a low-rank factor of residual at most
+    ``atol`` (:func:`low_rank_psd`), then a Cholesky factorization of ``sym + atol*I``.  Else
+    :func:`min_eigenvalue` decides, so ``psd_defect(sym, atol) <= atol`` differs from
+    ``eigvalsh`` alone only within rounding (about ``dim * eps``) of ``-atol``.  The diagonal
+    is shifted in place for the factorization, with no second dim^2 copy, and restored.
+    """
+    if low_rank_psd(sym, atol):
+        return 0.0
+    diag = sym.diagonal().copy()
+    sym.flat[:: sym.shape[0] + 1] += atol
+    try:
+        np.linalg.cholesky(sym)
+        factored = True
+    except np.linalg.LinAlgError:
+        factored = False
+    np.fill_diagonal(sym, diag)
+    return 0.0 if factored else max(0.0, -min_eigenvalue(sym))
+
+
+def min_eigenvalue(sym) -> float:
+    """Smallest eigenvalue of an exactly Hermitian matrix (:func:`hermitian_part`'s first value)."""
+    return float(np.linalg.eigvalsh(sym)[0])
 

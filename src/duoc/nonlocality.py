@@ -35,7 +35,6 @@ here carries a certificate: on a (1, 1) composite the cell test of
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ from .linalg import (
     DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector, symmetrized,
 )
 from .states import validate_pure_state
-from .systems import SystemSignature
+from .systems import SystemSignature, as_integers
 
 ALICE_PAIR = (0, 3)
 BOB_PAIR = (1, 2)
@@ -165,10 +164,7 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
 
 def _parity(r, d: int) -> int:
     """``r`` as an int, once checked to be an integer (numpy integers too) in ``0..d-1``."""
-    try:
-        r = operator.index(r)
-    except TypeError:
-        raise DomainError(f"parity {r!r} is not an integer") from None
+    (r,) = as_integers((r,), "parity")
     if not 0 <= r < d:
         raise DomainError(f"parity {r} out of range for d={d}")
     return r

@@ -36,11 +36,11 @@ from .linalg import (
     ZERO_ATOL,
     as_vector,
     hermitian_part,
-    low_rank_psd,
     off_diagonal_max,
     partial_trace,
     positive_zeros,
     projector,
+    psd_defect,
     symmetrized,
     vector_norm,
 )
@@ -194,8 +194,14 @@ def draw_valid_states(sig: SystemSignature, count: int, rng: np.random.Generator
     Pair ``i`` puts key digit ``x_i`` on its dit and ``x_i + parity_i mod d`` on its anti-dit,
     the unpaired factors carry the tail, and the relabeling then moves each factor into place.
     """
-    dest, digits, amps = _draw_fields(sig, count, rng)
+    return _place_states(sig, *_draw_fields(sig, count, rng))
+
+
+def _place_states(sig: SystemSignature, dest, digits, amps) -> np.ndarray:
+    """The ``(count, dim)`` vectors of drawn fields (:func:`_draw_fields`), every ``(row, key)``
+    placed by one index computation and one scatter."""
     d, m, n, p = sig.d, sig.m, sig.n, sig.num_pairs
+    count = len(amps)
     # w[r, t]: the place value of the position that row r sends canonical factor t to
     w = np.asarray(index_table(sig).place)[dest]
     tail_w = w[:, p:m] if m > n else w[:, m + p :]
@@ -214,30 +220,39 @@ def draw_valid_states(sig: SystemSignature, count: int, rng: np.random.Generator
 def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
     """Uniformly sampled valid pure-state spec: the one-row draw of :func:`draw_valid_states`,
     which leaves the generator as that draw does and builds to the same vector."""
-    (dest,), (digits,), (amps,) = _draw_fields(sig, 1, as_rng(rng))
+    return _row_spec(sig, _draw_fields(sig, 1, as_rng(rng)))
+
+
+def _row_spec(sig: SystemSignature, row) -> PureStateSpec:
+    """The spec of the one row of drawn fields ``row`` (:func:`_draw_fields`)."""
+    (dest,), (digits,), (amps,) = row
     m, p = sig.m, sig.num_pairs
     coeffs = dict(zip(product(range(sig.d), repeat=p), amps.tolist()))
     perm = FactorPermutation(dest[:m], dest[m:] - m)
     return PureStateSpec(sig, coeffs, parity=digits[:p], tail=digits[p:], perm=perm)
 
 
+def draw_mixture(sig: SystemSignature, rng: np.random.Generator) -> tuple:
+    """A convex mixture of one to three valid pure states, with no spec built: ``(state, weights,
+    rows)``, ``rows`` holding each term's one-row :func:`_draw_fields`.  Draw order: number of
+    terms, Dirichlet weights, then one :func:`random_valid_state` draw per term; the terms are
+    placed as a :func:`draw_valid_states` batch and summed as ``w * outer(v, conj(v))``."""
+    n_terms = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(n_terms))
+    rows = [_draw_fields(sig, 1, rng) for _ in range(n_terms)]
+    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+    for w, v in zip(weights, _place_states(sig, *map(np.concatenate, zip(*rows)))):
+        mat += w * np.outer(v, v.conj())
+    return DensityState._admitted(sig, symmetrized(mat)), weights, rows
+
+
 def random_mixed_state(sig: SystemSignature, rng):
     """Random convex mixture of one to three valid pure states; returns (state, certificate).
 
-    Draw order: number of terms, Dirichlet weights, then one
-    :func:`random_valid_state` per term.
+    The state is :func:`draw_mixture`'s; the certificate holds each term's weight and spec.
     """
-    rng = as_rng(rng)
-    n_terms = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(n_terms))
-    cert = []
-    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for t in range(n_terms):
-        spec = random_valid_state(sig, rng)
-        v = build_pure_state(spec)
-        cert.append((float(weights[t]), spec))
-        mat += weights[t] * np.outer(v, v.conj())
-    return DensityState._admitted(sig, symmetrized(mat)), cert
+    state, weights, rows = draw_mixture(sig, as_rng(rng))
+    return state, [(float(w), _row_spec(sig, row)) for w, row in zip(weights, rows)]
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
@@ -332,21 +347,11 @@ class DensityState:
     ``atol = DEFAULT_ATOL`` (eigenvalues may dip to ``-atol``); it does not
     by itself certify membership in the model's state set.
 
-    Positivity is decided on the stored (symmetrized) matrix by the first
-    of three paths that settles it:
-
-    1. a pivoted partial Cholesky factor ``L`` of at most ``dim // 64``
-       columns (so none below dimension 64) whose residual
-       ``||matrix - L L^H||_F`` is at most ``atol`` accepts, by Weyl's
-       inequality (:func:`~duoc.linalg.low_rank_psd`); this settles the
-       low-rank states that pure states and short mixtures give;
-    2. else a Cholesky factorization of ``matrix + atol*I``, which
-       succeeds when every eigenvalue lies above ``-atol``, accepts;
-    3. else ``eigvalsh`` gives the exact verdict and the eigenvalue
-       reported in the error.
-
-    The verdict can differ from ``eigvalsh`` alone only within rounding
-    (about ``dim * eps``) of ``-atol``.
+    Positivity is decided on the stored (symmetrized) matrix by
+    :func:`~duoc.linalg.psd_defect` at ``atol``: a low-rank factor, then a
+    Cholesky factorization of ``matrix + atol*I``, then ``eigvalsh``, which
+    gives the eigenvalue reported in the error.  The verdict can differ from
+    ``eigvalsh`` alone only within rounding (about ``dim * eps``) of ``-atol``.
 
     A state derived from admitted ones is valid by construction: :meth:`_admitted`
     checks its shape and trace only.  A projector and a product are stored as
@@ -364,8 +369,8 @@ class DensityState:
         if sym.shape[0] == self.sig.dim and defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
         _require_trace(self.sig, sym)
-        if not low_rank_psd(sym):
-            _require_psd(sym)
+        if (short := psd_defect(sym, DEFAULT_ATOL)) > DEFAULT_ATOL:
+            raise DensityMatrixError(f"matrix has negative eigenvalue {-short}")
         self.matrix = sym
 
     @classmethod
@@ -392,21 +397,6 @@ def _require_trace(sig: SystemSignature, mat: np.ndarray) -> None:
     tr = float(np.real(np.trace(mat)))
     if not abs(tr - 1.0) <= DEFAULT_ATOL:
         raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
-
-
-def _require_psd(sym: np.ndarray):
-    """Raise if an eigenvalue of ``sym`` is below ``-atol``: Cholesky, then ``eigvalsh``."""
-    # factor sym + atol*I in place, with no second dim^2 copy, then restore the diagonal
-    diag = sym.diagonal().copy()
-    sym.flat[:: sym.shape[0] + 1] += DEFAULT_ATOL
-    try:
-        np.linalg.cholesky(sym)
-        factored = True
-    except np.linalg.LinAlgError:
-        factored = False
-    np.fill_diagonal(sym, diag)
-    if not factored and (lo := float(np.linalg.eigvalsh(sym)[0])) < -DEFAULT_ATOL:
-        raise DensityMatrixError(f"matrix has negative eigenvalue {lo}")
 
 
 def product_order(left: SystemSignature, right: SystemSignature) -> list:
@@ -467,7 +457,10 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
     if spec.gamma is not None:
         if (sig.m, sig.n) != (1, 1):
             raise DomainError("gamma form is only defined on a (1, 1) composite")
-        for (i, j), w in spec.gamma.items():
+        for label, w in spec.gamma.items():
+            if len(label := as_integers(label, "basis labels")) != 2:
+                raise DomainError(f"basis labels {label} must be one digit per factor")
+            i, j = label
             if not (0 <= i < d and 0 <= j < d):
                 raise DomainError(f"basis labels ({i}, {j}) out of range for d={d}")
             rho[i * d + j, i * d + j] += w

@@ -234,7 +234,7 @@ def as_integers(values, what: str = "factor positions") -> tuple:
     """``values`` as ints, once each is checked to be an integer (numpy integers too); else a
     :class:`DomainError` that names them ``what``."""
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(operator.index, values))
     except TypeError:
         raise DomainError(f"{what} {values!r} must be integers") from None
 
@@ -276,7 +276,8 @@ def parity_projector(d: int, k: int) -> np.ndarray:
 
 def shift_matrix(d: int, j: int) -> np.ndarray:
     """Cyclic shift ``X^j`` on one factor: ``|s> -> |s + j mod d>``."""
-    j = int(j) % d
+    (j,) = as_integers((j,), "shift exponent")
+    j %= d
     out = np.zeros((d, d), dtype=complex)
     for s in range(d):
         out[(s + j) % d, s] = 1.0
@@ -289,6 +290,7 @@ def phase_matrix(d: int, j: int) -> np.ndarray:
     The offset ``j`` only contributes a relabeling of the global phase;
     observable consequences depend on phase differences alone.
     """
-    j = int(j) % d
+    (j,) = as_integers((j,), "phase exponent")
+    j %= d
     omega = np.exp(2j * np.pi / d)
     return np.diag([omega ** ((s + j) % d) for s in range(d)])

@@ -61,7 +61,7 @@ def counters(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(states, "low_rank_psd", counting("low_rank_psd", states.low_rank_psd))
+    monkeypatch.setattr(linalg, "low_rank_psd", counting("low_rank_psd", linalg.low_rank_psd))
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     for module in (states, effects, linalg):

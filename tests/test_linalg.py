@@ -3,6 +3,8 @@ import pytest
 
 from duoc.errors import DegenerateInputError, ShapeError
 from duoc.linalg import (
+    DEFAULT_ATOL,
+    INPUT_ATOL,
     contract_effect,
     embed_operator,
     hermitian_part,
@@ -11,6 +13,7 @@ from duoc.linalg import (
     partial_trace,
     permute_vector_factors,
     projector,
+    psd_defect,
     tensor_all,
     vector_norm,
 )
@@ -191,6 +194,21 @@ def test_low_rank_psd_matches_eigvalsh(dim, rng):
 
 def test_low_rank_psd_needs_a_step():
     assert not low_rank_psd(np.eye(63, dtype=complex) / 63)
+
+
+@pytest.mark.parametrize("dim", [16, 128])
+def test_psd_defect_takes_the_callers_tolerance(dim, rng):
+    # a low-rank factor (dim 128) or Cholesky (dim 16) settles -atol/2 at INPUT_ATOL, and only
+    # the exact eigenvalue settles it at DEFAULT_ATOL; the matrix is left as it was
+    mat = low_rank_density(rng, dim, 1, -0.5 * INPUT_ATOL, low_rank_support(rng, dim))
+    before = mat.tobytes()
+    assert psd_defect(mat, INPUT_ATOL) == 0.0
+    assert mat.tobytes() == before
+    short = psd_defect(mat, DEFAULT_ATOL)
+    assert short == -min_eigenvalue(mat) == -np.linalg.eigvalsh(mat)[0]
+    assert short == pytest.approx(0.5 * INPUT_ATOL, rel=1e-6)
+    assert mat.tobytes() == before
+    assert low_rank_psd(mat, INPUT_ATOL) == (dim >= 64) and not low_rank_psd(mat)
 
 
 def test_eigenvalue_bounds():

@@ -6,9 +6,9 @@ amplitude or table entry raises the module's ``DomainError`` (or its
 vector entry too large to square and sum is refused the same way, before
 any norm overflows; a direction entry above 1 in modulus, before its
 norm or Gram matrix is formed.  A digit field (parity, tail, coefficient
-key, basis digits, dit string, shift or phase exponent) is read through
-``operator.index``, so a float, NaN or infinite digit is refused rather
-than truncated.
+key, basis digits, dit string, shift or phase exponent, separable basis
+label) is read through ``operator.index``, so a float, NaN or infinite
+digit is refused rather than truncated.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from duoc.states import (
     DensityState, PureStateSpec, SeparableSpec, basis_state_spec, build_pure_state,
     build_separable, certificate_matches, is_entangled, validate_pure_state,
 )
-from duoc.systems import SystemSignature
+from duoc.systems import SystemSignature, phase_matrix, shift_matrix
 
 NAN = float("nan")
 
@@ -121,6 +121,9 @@ DIGIT_FIELDS = {
     "x_shifts": lambda g: ReversibleSpec(x_shifts=(0, g)),
     "z_phases": lambda g: ReversibleSpec(z_phases=(g, 0)),
     "dit string": lambda g: build_separable(SeparableSpec(terms=[(1.0, (g,), ANTI)]), SIG11),
+    "basis labels": lambda g: build_separable(SeparableSpec(gamma={(0, g): 1.0}), SIG11),
+    "shift exponent": lambda g: shift_matrix(2, g),
+    "phase exponent": lambda g: phase_matrix(2, g),
 }
 
 
@@ -132,6 +135,15 @@ def test_non_integer_digit_refused(field, digit):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"^{field} .* must be integers$"):
             DIGIT_FIELDS[field](digit)
+
+
+@pytest.mark.parametrize("label", [(0,), (0, 0, 0), 0], ids=repr)
+def test_gamma_label_of_wrong_length_refused(label):
+    # (0,) used to raise a raw ValueError on unpacking
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^basis labels "):
+            build_separable(SeparableSpec(gamma={label: 1.0}), SIG11)
 
 
 def test_fractional_key_and_parity_refused():
