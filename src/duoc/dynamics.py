@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import Effect, check_wiring, conditional_state
-from .errors import DomainError, NotClassicalError, ShapeError
+from .errors import DensityMatrixError, DomainError, NotClassicalError, ShapeError
 from .linalg import (
     DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, hermitian_part, off_diagonal_max,
     psd_defect, symmetrized, tensor_all,
@@ -242,10 +242,12 @@ def validate_transformation(
     from ``seed`` as consecutive :func:`~duoc.states.random_mixed_state` calls
     draw them, so a passing report is flagged SAMPLED, not a proof.  An output
     whose validity cannot be decided fails the check at that sample, with an
-    ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag.  Linearity itself is
-    spot-checked.  A passing report's residual is the largest residual of the
-    output checks, and includes the Choi matrix's rounding-level
-    ``-lambda_min`` only if neither the factor nor the Cholesky settled it.
+    ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag; one that is no density
+    matrix at ``DEFAULT_ATOL`` fails as an invalid output state, though the
+    Choi matrix passed at ``INPUT_ATOL``.  Linearity itself is spot-checked.
+    A passing report's residual is the largest residual of the output checks,
+    and includes the Choi matrix's rounding-level ``-lambda_min`` only if
+    neither the factor nor the Cholesky settled it.
     """
     rng = np.random.default_rng(seed)
     a = np.asarray(map_fn(_unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
@@ -263,7 +265,12 @@ def validate_transformation(
             return ValidityReport(False, tr - 1.0, witness="trace increase", flags=("SAMPLED",))
         if tr <= ZERO_ATOL:
             continue
-        rep = validate_mixed_state(DensityState(sig_out, image / tr))
+        try:
+            rep = validate_mixed_state(DensityState(sig_out, image / tr))
+        except DensityMatrixError:  # its Hermitian or eigenvalue defect is the residual
+            sym, defect = hermitian_part(image / tr)
+            return ValidityReport(False, max(defect, psd_defect(sym, DEFAULT_ATOL)),
+                                  witness="invalid output state", flags=("SAMPLED",))
         if "NON-EXHAUSTIVE" in rep.flags:
             return ValidityReport(False, rep.residual, witness="UNDECIDED output state",
                                   flags=("SAMPLED", "NON-EXHAUSTIVE"))

@@ -173,50 +173,14 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
 
 
-def _split_factors(positions, dims, op_dim):
-    """Check ``positions`` for an operator of dimension ``op_dim``; returns them and the rest."""
-    positions = tuple(int(p) for p in positions)
-    nfac = len(dims)
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= nfac for p in positions):
-        raise ShapeError(f"positions {positions} invalid for {nfac} factors")
-    sub = int(np.prod([dims[p] for p in positions]))
-    if op_dim != sub:
-        raise ShapeError(f"operator dim {op_dim} != product of target dims {sub}")
-    return positions, [t for t in range(nfac) if t not in positions]
-
-
-def embed_operator(op, positions, dims) -> np.ndarray:
-    """Embed ``op`` into a larger composite, acting at ``positions``.
-
-    ``op`` must act on ``len(positions)`` factors whose dimensions, read
-    in order, are ``dims[positions[0]], dims[positions[1]], ...``.  The
-    identity acts everywhere else.
-    """
-    small = as_operator(op)
-    dims = tuple(int(d) for d in dims)
-    positions, rest = _split_factors(positions, dims, small.shape[0])
-    nfac = len(dims)
-    rest_dim = int(np.prod([dims[t] for t in rest])) if rest else 1
-    full = np.kron(small, np.eye(rest_dim, dtype=complex))
-    # source factor order is positions + rest; permute axes back to 0..nfac-1
-    src_order = list(positions) + rest
-    src_dims = tuple(dims[t] for t in src_order)
-    tensor = full.reshape(src_dims + src_dims)
-    axis_of = {fac: ax for ax, fac in enumerate(src_order)}
-    perm = [axis_of[t] for t in range(nfac)]
-    tensor = tensor.transpose(perm + [nfac + p for p in perm])
-    total = int(np.prod(dims))
-    return tensor.reshape(total, total)
-
-
 def contract_effect(op, rho, positions, dims) -> np.ndarray:
     """``Tr_S[(E_S x I) rho]``, contracted on the tensor axes of ``rho`` in O(dim^2).
 
-    ``op`` acts on the factors at ``positions`` in that order, as in
-    :func:`embed_operator`; the result acts on the other factors in
-    ascending order, and its trace is ``Tr[(E_S x I) rho]``.  A stack of
-    states ``rho`` (one leading axis) takes a stack of as many effects and
-    gives the stack of their contractions.
+    ``op`` acts on the factors at ``positions`` in that order, of dimensions
+    ``dims[positions[0]], dims[positions[1]], ...``; the result acts on the
+    other factors in ascending order, and its trace is ``Tr[(E_S x I) rho]``.
+    A stack of states ``rho`` (one leading axis) takes a stack of as many
+    effects and gives the stack of their contractions.
     """
     small, mat = np.asarray(op, dtype=complex), np.asarray(rho, dtype=complex)
     lead = mat.shape[:-2]
@@ -224,8 +188,12 @@ def contract_effect(op, rho, positions, dims) -> np.ndarray:
         raise ShapeError(f"effects {small.shape} cannot pair with states {mat.shape}")
     small, mat = as_operators(small), as_operators(mat)
     dims = _check_dims(dims, mat.shape[-1])
-    positions, rest = _split_factors(positions, dims, small.shape[-1])
-    nfac, sub = len(dims), small.shape[-1]
+    positions, nfac, sub = tuple(int(p) for p in positions), len(dims), small.shape[-1]
+    if len(set(positions)) != len(positions) or any(p < 0 or p >= nfac for p in positions):
+        raise ShapeError(f"positions {positions} invalid for {nfac} factors")
+    if sub != (target := int(np.prod([dims[p] for p in positions]))):
+        raise ShapeError(f"operator dim {sub} != product of target dims {target}")
+    rest = [t for t in range(nfac) if t not in positions]
     rest_dim = mat.shape[-1] // sub
     # axes (a, b, x, y) hold rho[(b, x), (a, y)]; sum over a, b of E[a, b] times that
     axes = [nfac + p for p in positions] + list(positions) + rest + [nfac + t for t in rest]

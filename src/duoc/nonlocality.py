@@ -13,11 +13,12 @@ quantum two-qubit statistics exactly; for arbitrary entangled two-term
 states the tilted measurements below give a CHSH value strictly above
 2, with a closed form for the maximum.
 
-CHSH and activation share one correlator kernel: read as a d^2 x d^2
-matrix ``M`` from Alice's pair (bit1, anti2) to Bob's (bit2, anti1),
-the two-copy vector gives ``<psi| A (x) B |psi> = sum((M^H A M) * B)``,
-one batched matmul and one contraction in O(d^6).
-``two_copy_distribution`` stays the literal Born-rule reference.
+Every Bell quantity reads one correlator kernel: read as a d^2 x d^2
+matrix ``M`` from Alice's pair (bit1, anti2) to Bob's (bit2, anti1), the
+two-copy vector gives ``<psi| A (x) B |psi> = sum((M^H A M) * B)``, one
+batched matmul and one contraction in O(d^6), on the observables
+``E_0 - E_1`` for CHSH and activation and on the effects themselves for
+``two_copy_distribution``; no operator is embedded in the doubled composite.
 
 A side's effect operators come from one kernel, ``_side_operators``:
 direction ``u`` collects, in each parity sector ``l``, the projector of
@@ -26,16 +27,18 @@ side's two slots of the sector, normalized by its own norm, and the two
 projectors are summed into a zero 4 x 4.  Each operator is a rank-2
 projector by construction, and a basis's two sum to the identity, so
 neither is checked again: ``chsh_value`` symmetrizes the operators of
-its eight directions in one stacked pass, and ``side_effect`` wraps the
-same symmetrized operator in an ``Effect`` stored as built.  No effect
-here carries a certificate: on a (1, 1) composite the cell test of
-``validate_effect`` is exact.
+its eight directions in one stacked pass, ``two_copy_distribution``
+those of its four, and ``side_effect`` wraps the same symmetrized
+operator in an ``Effect`` stored as built.  No effect here carries a
+certificate: on a (1, 1) composite the cell test of ``validate_effect``
+is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .errors import (
     ValidityError,
 )
 from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, embed_operator, permute_vector_factors, projector, symmetrized,
+    DEFAULT_ATOL, INPUT_ATOL, permute_vector_factors, projector, symmetrized, vector_norm,
 )
 from .states import validate_pure_state
 from .systems import SystemSignature, as_integers
@@ -70,7 +73,11 @@ def phi_vector(d: int, i: int, j: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class LocalBasis:
-    """Two orthonormal rows of 2-dim complex vectors (measurement directions)."""
+    """Two orthonormal rows of 2-dim complex vectors (measurement directions).
+
+    Rows given to the constructor have their Gram matrix checked; the rows of
+    :meth:`rotation` are orthonormal by construction and stored through :meth:`_admitted`.
+    """
 
     vectors: np.ndarray
 
@@ -85,13 +92,23 @@ class LocalBasis:
         self.vectors = v
 
     @classmethod
+    def _admitted(cls, vectors: np.ndarray) -> "LocalBasis":
+        """The basis of complex rows ``vectors``, orthonormal by construction, stored as built."""
+        basis = cls.__new__(cls)
+        basis.vectors = vectors
+        return basis
+
+    @classmethod
     def computational(cls) -> "LocalBasis":
         return cls(np.eye(2))
 
     @classmethod
     def rotation(cls, angle: float) -> "LocalBasis":
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, s], [-s, c]]))
+        """Rows ``(cos, sin)`` and ``(-sin, cos)`` of a finite real ``angle``, read as a float."""
+        if not (isinstance(angle, Real) and math.isfinite(angle)):
+            raise DomainError(f"rotation angle must be a finite real number, got {angle!r}")
+        c, s = np.cos(float(angle)), np.sin(float(angle))
+        return cls._admitted(np.array([[c, s], [-s, c]], dtype=complex))
 
 
 def side_effect(side: str, u) -> Effect:
@@ -117,15 +134,15 @@ def side_effect(side: str, u) -> Effect:
 def _side_operators(side: str, rows) -> np.ndarray:
     """Unchecked effect operators of ``side`` for the directions ``rows``, shape (k, 4, 4).
 
-    The kernel of the module docstring; each padded vector is divided by
-    its own ``np.linalg.norm``, as :func:`~duoc.linalg.projector` divides.
+    The kernel of the module docstring; each padded vector is divided by its own
+    :func:`~duoc.linalg.vector_norm` (``np.linalg.norm``'s arithmetic), as ``projector`` divides.
     """
     rows = np.asarray(rows, dtype=complex)
     ops = np.zeros((len(rows), 4, 4), dtype=complex)
     for slots in _SECTOR_SLOTS[side]:
         vecs = np.zeros((len(rows), 4), dtype=complex)
         vecs[:, slots] = rows
-        vecs = vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+        vecs = vecs / np.array([vector_norm(v) for v in vecs])[:, None]
         ops += vecs[:, :, None] * vecs.conj()[:, None, :]
     return ops
 
@@ -215,19 +232,11 @@ _BELL_TWO_COPY.flags.writeable = False
 
 
 def two_copy_distribution(alice_basis: LocalBasis, bob_basis: LocalBasis) -> np.ndarray:
-    """Joint toy-theory distribution on two regrouped copies of the d=2
-    maximally entangled pair; equals ``p_quantum`` row by row."""
-    pa = side_povm("alice", alice_basis)
-    pb = side_povm("bob", bob_basis)
-    psi2 = _BELL_TWO_COPY
-    dims = (2,) * 4
-    out = np.zeros((2, 2))
-    for a, ea in enumerate(pa.effects):
-        full_a = embed_operator(ea.op, ALICE_PAIR, dims)
-        for b, eb in enumerate(pb.effects):
-            full_b = embed_operator(eb.op, BOB_PAIR, dims)
-            out[a, b] = float(np.real(psi2.conj() @ (full_a @ (full_b @ psi2))))
-    return out
+    """Joint toy-theory distribution on two regrouped copies of the d=2 maximally entangled
+    pair; equals ``p_quantum`` row by row.  ``p[a, b]`` is the correlator kernel on the
+    ``side_effect`` operators of row ``a`` of Alice's basis and row ``b`` of Bob's."""
+    return _correlators(_BELL_TWO_COPY, symmetrized(_side_operators("alice", alice_basis.vectors)),
+                        symmetrized(_side_operators("bob", bob_basis.vectors)))
 
 
 @dataclass(eq=False)
@@ -358,15 +367,16 @@ def _signed_observable(povm: Povm) -> np.ndarray:
     return povm.effects[0].op - povm.effects[1].op
 
 
-def _correlators(psi2, alice_obs, bob_obs) -> np.ndarray:
+def _correlators(psi2, alice_ops, bob_ops) -> np.ndarray:
     """``E[x, y] = Re sum((M^H A_x M) * B_y)`` for two-copy vector ``psi2`` read as ``M``.
 
-    Alice's observables act on (bit1, anti2), Bob's on (bit2, anti1).
+    Alice's operators (observables or effects) act on (bit1, anti2), Bob's
+    on (bit2, anti1).
     """
-    alice_obs, bob_obs = np.asarray(alice_obs), np.asarray(bob_obs)
+    alice_ops, bob_ops = np.asarray(alice_ops), np.asarray(bob_ops)
     d = round(psi2.size**0.25)
-    m = psi2.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-    return np.einsum("xjk,yjk->xy", m.conj().T @ alice_obs @ m, bob_obs).real
+    m = psi2.reshape(d, d, d, d).transpose(ALICE_PAIR + BOB_PAIR).reshape(d * d, d * d)
+    return np.einsum("xjk,yjk->xy", m.conj().T @ alice_ops @ m, bob_ops).real
 
 
 def _chsh(e) -> ChshResult:

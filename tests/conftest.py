@@ -69,6 +69,21 @@ def low_rank_support(rng, dim):
 # tests compare it with these explicit matrices
 
 
+def embed_operator(op, positions, dims):
+    """``op`` on the factors at ``positions`` of the composite ``dims``, read in that order, and
+    the identity elsewhere: the literal embedding, a reference for the engine's contractions
+    and for its Born rule on regrouped copies, neither of which embeds an operator."""
+    op, dims, positions = as_operator(op), tuple(dims), list(positions)
+    rest = [t for t in range(len(dims)) if t not in positions]
+    order = positions + rest
+    sub = [dims[t] for t in order]
+    full = np.kron(op, np.eye(int(np.prod(sub)) // op.shape[0], dtype=complex))
+    perm = [order.index(t) for t in range(len(dims))]
+    total = int(np.prod(dims))
+    return full.reshape(sub + sub).transpose(perm + [len(dims) + p for p in perm]).reshape(
+        total, total)
+
+
 def factor_permutation_matrix(dims, dest):
     """Unitary matrix sending input factor ``t`` to output position ``dest[t]``."""
     dims = tuple(int(d) for d in dims)

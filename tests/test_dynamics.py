@@ -15,7 +15,7 @@ from duoc.dynamics import (
 from duoc.dynamics import _conjugate_monomial, _reversible_index_map
 from duoc.effects import Effect, random_certified_effect, unit_effect
 from duoc.errors import DomainError, NotClassicalError, ShapeError
-from duoc.linalg import ZERO_ATOL, contract_effect, embed_operator, partial_trace, tensor_all
+from duoc.linalg import ZERO_ATOL, contract_effect, partial_trace, tensor_all
 from duoc.states import (
     DensityState,
     PureStateSpec,
@@ -32,7 +32,9 @@ from duoc.systems import (
     shift_matrix,
 )
 
-from conftest import all_factor_permutations, embed_permutation, is_unitary, random_density
+from conftest import (
+    all_factor_permutations, embed_operator, embed_permutation, is_unitary, random_density,
+)
 
 # signatures on which the structured kernels are compared with dense references
 KERNEL_SIGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 3)]

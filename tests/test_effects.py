@@ -24,7 +24,7 @@ from duoc.effects import (
 from duoc.dsl import RunConfig, parse_script
 from duoc.dsl.interpreter import _Interpreter
 from duoc.errors import DomainError, ShapeError
-from duoc.linalg import INPUT_ATOL, embed_operator, hermitian_part, partial_trace
+from duoc.linalg import INPUT_ATOL, hermitian_part, partial_trace
 from duoc.oracle import brute_force_conditional_check, oracle_conditional
 from duoc.states import (
     DensityState,
@@ -35,7 +35,7 @@ from duoc.states import (
 )
 from duoc.systems import MAX_COMPOSITE_DIM, SystemSignature, parity_projector
 
-from conftest import random_density
+from conftest import embed_operator, random_density
 
 SIG11 = SystemSignature(2, 1, 1)
 

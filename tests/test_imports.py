@@ -260,3 +260,35 @@ def test_guard_passes_the_allowed_oracle_imports():
 def test_oracle_imports_no_engine_kernel():
     names = oracle_engine_imports((SRC / "oracle.py").read_text(encoding="utf-8"))
     assert names <= ORACLE_ENGINE_NAMES and not names & ORACLE_FORBIDDEN
+
+
+# every Bell quantity reads the correlator kernel of duoc.nonlocality, the one place its Born
+# rule is written; no operator there is embedded in the doubled composite
+def embed_operator_uses(source: str) -> list:
+    """Line of each import of ``embed_operator`` in ``source`` and of each name or attribute
+    reading it (a call reads it too)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == "embed_operator" for a in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "embed_operator"
+              or isinstance(node, ast.Attribute) and node.attr == "embed_operator"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("from .linalg import embed_operator\n", [1]),
+    ("from .linalg import projector, embed_operator as emb\nemb(a, p, d)\n", [1]),
+    ("from . import linalg\nx = linalg.embed_operator(a, p, d)\n", [2]),
+    ("import duoc.linalg\n\ndef f():\n    return duoc.linalg.embed_operator(a, p, d)\n", [4]),
+    ("def f(embed_operator):\n    return embed_operator(a, p, d)\n", [2]),
+    ("from .linalg import contract_effect, projector\nprojector(v)\n", []),
+])
+def test_guard_sees_embed_operator(source, lines):
+    assert embed_operator_uses(source) == lines
+
+
+def test_bell_quantities_embed_no_operator():
+    assert embed_operator_uses((SRC / "nonlocality.py").read_text(encoding="utf-8")) == []

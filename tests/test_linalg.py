@@ -6,7 +6,6 @@ from duoc.linalg import (
     DEFAULT_ATOL,
     INPUT_ATOL,
     contract_effect,
-    embed_operator,
     hermitian_part,
     low_rank_psd,
     min_eigenvalue,
@@ -20,6 +19,7 @@ from duoc.linalg import (
 
 from conftest import (
     LOW_RANK_LAMBDAS,
+    embed_operator,
     factor_permutation_matrix,
     is_unitary,
     low_rank_density,

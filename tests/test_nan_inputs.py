@@ -5,7 +5,8 @@ amplitude or table entry raises the module's ``DomainError`` (or its
 ``NormalizationError`` subclass) instead of passing ``x > tol``.  A finite
 vector entry too large to square and sum is refused the same way, before
 any norm overflows; a direction entry above 1 in modulus, before its
-norm or Gram matrix is formed.  A digit field (parity, tail, coefficient
+norm or Gram matrix is formed; a rotation angle that is not a finite real
+number, before its cosine.  A digit field (parity, tail, coefficient
 key, basis digits, dit string, shift or phase exponent, separable basis
 label) is read through ``operator.index``, so a float, NaN or infinite
 digit is refused rather than truncated.
@@ -57,6 +58,16 @@ def test_classical_povm():
 def test_local_basis():
     with pytest.raises(DomainError, match="orthonormal"):
         LocalBasis(np.array([[NAN, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("angle", [float("inf"), -float("inf"), NAN, 0.3 + 0.1j, 1j, "0.3"],
+                         ids=repr)
+def test_rotation_angle(angle):
+    # inf used to warn "invalid value encountered in cos", a str to leak a raw TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite real"):
+            LocalBasis.rotation(angle)
 
 
 def test_side_effect():

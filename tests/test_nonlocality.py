@@ -6,6 +6,7 @@ import pytest
 from duoc import effects, states
 from duoc.effects import validate_effect
 from duoc.errors import DomainError, NotEntangledError, NormalizationError, ShapeError, ValidityError
+from duoc import nonlocality
 from duoc.nonlocality import (
     ALICE_PAIR,
     BOB_PAIR,
@@ -26,9 +27,10 @@ from duoc.nonlocality import (
 from duoc.states import build_pure_state, PureStateSpec
 from duoc.systems import SystemSignature, digits_to_index
 
-from conftest import parent_chsh, parent_side_op
+from conftest import embed_operator, parent_chsh, parent_side_op
 
 ROOT2 = np.sqrt(2.0)
+EDGE_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, -0.0)
 
 
 def pair_vector(alphas, r=0):
@@ -40,6 +42,20 @@ def pair_vector(alphas, r=0):
         parity=(r,),
     )
     return build_pure_state(spec)
+
+
+def literal_distribution(alice_basis, bob_basis):
+    """The Born rule written out: each side's effects embedded in the doubled composite
+    [bit1, bit2, anti1, anti2], Alice's on (0, 3) and Bob's on (1, 2), applied to the
+    16-entry two-copy vector of the d = 2 maximally entangled pair."""
+    psi2 = two_copy_state(np.array([1.0, 1.0]) / ROOT2, 0)
+    out = np.zeros((2, 2))
+    for a, u in enumerate(alice_basis.vectors):
+        full_a = embed_operator(side_effect("alice", u).op, (0, 3), (2,) * 4)
+        for b, w in enumerate(bob_basis.vectors):
+            full_b = embed_operator(side_effect("bob", w).op, (1, 2), (2,) * 4)
+            out[a, b] = np.real(psi2.conj() @ (full_a @ (full_b @ psi2)))
+    return out
 
 
 class TestPhiVector:
@@ -67,6 +83,22 @@ class TestLocalBasis:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             LocalBasis(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("angle", [*EDGE_ANGLES, 0.3, -2.9, 7, np.float64(1.1), np.int64(-3)],
+                             ids=repr)
+    def test_rotation_stores_what_the_checked_constructor_stores(self, angle):
+        c, s = np.cos(float(angle)), np.sin(float(angle))
+        checked = LocalBasis(np.array([[c, s], [-s, c]]))
+        built = LocalBasis.rotation(angle)
+        assert built.vectors.dtype == complex and built.vectors.shape == (2, 2)
+        assert built.vectors.tobytes() == checked.vectors.tobytes()
+
+    def test_rotation_reads_a_single_precision_angle_as_a_float(self):
+        # cos and sin of a float32 angle are orthonormal only to about 1e-7, which the
+        # checked constructor refuses; the angle is read as a float before any arithmetic
+        built = LocalBasis.rotation(np.float32(0.3))
+        assert built.vectors.tobytes() == LocalBasis.rotation(float(np.float32(0.3))).vectors.tobytes()
+        np.testing.assert_allclose(built.vectors @ built.vectors.conj().T, np.eye(2), atol=1e-15)
 
 
 class TestSideEffects:
@@ -193,6 +225,28 @@ class TestTwoCopyDistribution:
                 for j in range(2):
                     expect = p_quantum(a.vectors[i], b.vectors[j])
                     assert dist[i, j] == pytest.approx(expect, abs=1e-12)
+
+    def test_matches_literal_born_rule(self, rng):
+        bases = [LocalBasis.rotation(a) for a in rng.uniform(-np.pi, np.pi, size=25)]
+        for _ in range(25):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            bases.append(LocalBasis(q * (np.diag(r) / np.abs(np.diag(r)))))
+        for a in bases:
+            b = bases[rng.integers(len(bases))]
+            dist = two_copy_distribution(a, b)
+            assert dist.shape == (2, 2)
+            np.testing.assert_allclose(dist, literal_distribution(a, b), rtol=0, atol=1e-12)
+
+    def test_builds_no_effect_or_povm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("two_copy_distribution built an Effect or Povm")
+
+        monkeypatch.setattr(nonlocality.Effect, "_admitted", refuse)
+        monkeypatch.setattr(nonlocality.Povm, "_admitted", refuse)
+        dist = two_copy_distribution(LocalBasis.rotation(0.2), LocalBasis.rotation(1.4))
+        assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(AssertionError, match="built an Effect"):
+            side_povm("alice", LocalBasis.rotation(0.2))
 
     def test_distribution_normalized(self):
         dist = two_copy_distribution(LocalBasis.rotation(0.2), LocalBasis.rotation(1.4))
@@ -381,10 +435,11 @@ class TestActivationF:
 
 
 class TestCorrelatorKernel:
-    """``chsh_value`` and ``activation_F`` share one regrouped-matrix kernel;
-    both are checked here against contractions written out independently."""
+    """``chsh_value``, ``activation_F`` and ``two_copy_distribution`` share one regrouped-matrix
+    kernel; the first two are checked here against contractions written out independently, the
+    distribution in ``TestTwoCopyDistribution``."""
 
-    def test_chsh_matches_born_rule_distribution(self, rng):
+    def test_chsh_matches_literal_born_rule(self, rng):
         signs = (1, -1)  # outcome 0 counts +1, outcome 1 counts -1
         for _ in range(10):
             angles = rng.uniform(-np.pi, np.pi, size=4)
@@ -394,7 +449,7 @@ class TestCorrelatorKernel:
             want = np.zeros((2, 2))
             for x in range(2):
                 for y in range(2):
-                    dist = two_copy_distribution(alice[x], bob[y])
+                    dist = literal_distribution(alice[x], bob[y])
                     want[x, y] = sum(signs[a] * signs[b] * dist[a, b]
                                      for a in range(2) for b in range(2))
             np.testing.assert_allclose(res.expectations, want, rtol=0, atol=1e-12)
@@ -425,8 +480,6 @@ class TestCorrelatorKernel:
             assert f_sim == pytest.approx(f_want, abs=1e-12)
 
 
-EDGE_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, -0.0)
-
 
 def bit_identity_bases(rng):
     """Real rotations at random and edge angles, random unitaries, and edge angles with phases."""
@@ -455,6 +508,20 @@ class TestClosedFormBitIdentity:
             e, f = parent_chsh(alice, bob)
             assert res.expectations.tobytes() == e.tobytes()
             assert np.float64(res.f_value).tobytes() == np.float64(f).tobytes()
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_side_operators_match_the_linalg_norm_form(self, side, rng):
+        rows = np.concatenate([b.vectors for b in bit_identity_bases(rng)]
+                              + [rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))])
+        rows[-2000:] /= np.linalg.norm(rows[-2000:], axis=1)[:, None]
+        # each padded vector divided by its np.linalg.norm, one call per vector
+        want = np.zeros((len(rows), 4, 4), dtype=complex)
+        for slots in {"alice": ((0, 3), (1, 2)), "bob": ((0, 3), (2, 1))}[side]:
+            vecs = np.zeros((len(rows), 4), dtype=complex)
+            vecs[:, slots] = rows
+            vecs = vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+            want += vecs[:, :, None] * vecs.conj()[:, None, :]
+        assert nonlocality._side_operators(side, rows).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_side_effect_op(self, side, rng):

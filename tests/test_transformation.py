@@ -3,7 +3,8 @@ and draws its samples as consecutive ``random_mixed_state`` calls on one generat
 
 Complete positivity is read off the Hermitian part of the Choi matrix by ``psd_defect`` at
 ``INPUT_ATOL``: a low-rank factor, then Cholesky, then ``eigvalsh``.  The samples are drawn one
-at a time with no spec built, so a check that stops early at sample k has drawn k samples.
+at a time with no spec built, so a check that stops early at sample k has drawn k samples.  A
+sampled image that is no density matrix at ``DEFAULT_ATOL`` fails the check with its defect.
 """
 
 import numpy as np
@@ -120,3 +121,30 @@ def test_reversible_choi_needs_no_eigendecomposition(shapes):
     assert rep.witness in ("sampled channel check", "UNDECIDED output state")
     # the rank-1 Choi matrix is proved positive by its low-rank factor
     assert (256, 256) not in shapes["eigvalsh"] and (256, 256) not in shapes["cholesky"]
+
+
+def slightly_negative_classical_map(r):
+    """``diag(x) -> diag((1 + 5e-10) x0 + x1 / 2, -5e-10 x0 + x1 / 2)`` on a bit: its Choi matrix
+    has eigenvalue -5e-10, inside ``INPUT_ATOL``, and the image of ``|0><0|`` dips to -5e-10,
+    beyond the ``DEFAULT_ATOL`` a density matrix is admitted at."""
+    return np.diag([(1 + 5e-10) * r[0, 0] + r[1, 1] / 2, -5e-10 * r[0, 0] + r[1, 1] / 2])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_output_below_admission_reported_not_raised(seed):
+    rep = validate_transformation(slightly_negative_classical_map, SIG10, SIG10, seed=seed)
+    assert not rep.valid and rep.witness == "invalid output state" and rep.flags == ("SAMPLED",)
+    assert rep.residual == pytest.approx(5e-10, rel=1e-6)
+
+
+def antihermitian_drift_map(r):
+    """The identity plus ``5e-10 tr(r) [[0, 1], [-1, 0]]``: the Hermitian part of its Choi matrix
+    is the identity's, and every image ``X`` has ``max |X^H - X| = 1e-9``."""
+    return r + 5e-10 * np.trace(r) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_non_hermitian_output_reported_with_its_defect(seed):
+    rep = validate_transformation(antihermitian_drift_map, SIG10, SIG10, seed=seed)
+    assert not rep.valid and rep.witness == "invalid output state" and rep.flags == ("SAMPLED",)
+    assert rep.residual == pytest.approx(1e-9, rel=1e-6)
