@@ -27,6 +27,7 @@ from .linalg import (
     INPUT_ATOL,
     ZERO_ATOL,
     contract_effect,
+    contract_pure_effect,
     hermitian_part,
     projector,
     symmetrized,
@@ -235,13 +236,14 @@ def conditional_failures(trials: int, sig: SystemSignature, rng, corrupt: bool =
     sub-signature (hence one unmeasured rest) run as one stack, whatever
     positions they measure: admission of the scaled effects,
     :func:`~duoc.states.pattern_test` on every branch ``conj(e_t) . psi`` of
-    relative weight above ``INPUT_ATOL``, then the contraction of each
-    projector.  A trial of probability ``sum_t w_t |conj(e_t) . psi|^2`` at
-    most ``INPUT_ATOL`` is skipped; one fails when a branch is invalid or the
-    branches miss the contraction by more than ``DEFAULT_ATOL``.
-    ``corrupt=True`` makes every trial the fixed :func:`corrupt_case`, drawing
-    nothing.  A stack holds 32 bytes per entry of its trials' dim x dim
-    projectors, so ``run conditional`` bounds ``trials x dim^2``.
+    relative weight above ``INPUT_ATOL``, then each state's contraction, taken
+    from its vector (:func:`~duoc.linalg.contract_pure_effect`).  A trial of
+    probability ``sum_t w_t |conj(e_t) . psi|^2`` at most ``INPUT_ATOL`` is
+    skipped; one fails when a branch is invalid or the branches miss the
+    contraction by more than ``DEFAULT_ATOL``.  ``corrupt=True`` makes every
+    trial the fixed :func:`corrupt_case`, drawing nothing.  A stack holds
+    ``sub.dim^2 + 2 rest.dim^2`` entries per trial, so ``run conditional``
+    bounds ``trials x dim^2``.
     """
     if sig.num_factors < 2:
         raise DomainError("need at least two factors to measure a proper subset")
@@ -319,7 +321,8 @@ def _stack_failures(sub: SystemSignature, rest: SystemSignature, psi, terms, wei
     on their ``sub`` factors by the effects ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``."""
     op, weights = scaled_effects(terms, weights)
     # branch t of trial g is conj(terms[g, t]) . psi[g] over the measured factors
-    branch = terms.conj() @ psi.reshape(len(psi), sub.dim, rest.dim)
+    mat = psi.reshape(len(psi), sub.dim, rest.dim)
+    branch = terms.conj() @ mat
     mass = weights * np.sum(branch.real**2 + branch.imag**2, axis=2)
     prob = np.sum(mass, axis=1)
     kept = prob > INPUT_ATOL
@@ -330,10 +333,9 @@ def _stack_failures(sub: SystemSignature, rest: SystemSignature, psi, terms, wei
         vecs = branch[tested]
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         invalid[tested] = ~pattern_test(vecs, rest)[0]
-    raw = contract_effect(op, psi[:, :, None] * psi[:, None, :].conj(),
-                          range(sub.num_factors), sub.dims + rest.dims)
     recon = (branch.transpose(0, 2, 1) * weights[:, None, :]) @ branch.conj()
-    wrong = np.max(np.abs(recon - raw), axis=(1, 2)) > DEFAULT_ATOL
+    recon -= contract_pure_effect(op, mat)
+    wrong = np.max(np.abs(recon), axis=(1, 2)) > DEFAULT_ATOL
     return int(np.count_nonzero(kept & (wrong | invalid.any(axis=1))))
 
 

@@ -49,17 +49,8 @@ def as_vector(x) -> np.ndarray:
 def as_operator(x) -> np.ndarray:
     """Coerce ``x`` to a finite square complex matrix."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape}")
-    return as_operators(m)
-
-
-def as_operators(x) -> np.ndarray:
-    """Coerce ``x`` to a stack of finite square complex matrices on its last two axes, checked
-    in one pass over the stack with the messages :func:`as_operator` gives for one matrix."""
-    m = np.asarray(x, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
-        raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape[-2:]}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
     return m
@@ -179,29 +170,29 @@ def contract_effect(op, rho, positions, dims) -> np.ndarray:
     ``op`` acts on the factors at ``positions`` in that order, of dimensions
     ``dims[positions[0]], dims[positions[1]], ...``; the result acts on the
     other factors in ascending order, and its trace is ``Tr[(E_S x I) rho]``.
-    A stack of states ``rho`` (one leading axis) takes a stack of as many
-    effects and gives the stack of their contractions.
     """
-    small, mat = np.asarray(op, dtype=complex), np.asarray(rho, dtype=complex)
-    lead = mat.shape[:-2]
-    if small.ndim != mat.ndim or len(lead) > 1 or small.shape[:-2] != lead:
-        raise ShapeError(f"effects {small.shape} cannot pair with states {mat.shape}")
-    small, mat = as_operators(small), as_operators(mat)
-    dims = _check_dims(dims, mat.shape[-1])
-    positions, nfac, sub = tuple(int(p) for p in positions), len(dims), small.shape[-1]
+    small, mat = as_operator(op), as_operator(rho)
+    dims = _check_dims(dims, mat.shape[0])
+    positions, nfac, sub = tuple(int(p) for p in positions), len(dims), small.shape[0]
     if len(set(positions)) != len(positions) or any(p < 0 or p >= nfac for p in positions):
         raise ShapeError(f"positions {positions} invalid for {nfac} factors")
     if sub != (target := int(np.prod([dims[p] for p in positions]))):
         raise ShapeError(f"operator dim {sub} != product of target dims {target}")
     rest = [t for t in range(nfac) if t not in positions]
-    rest_dim = mat.shape[-1] // sub
+    rest_dim = mat.shape[0] // sub
     # axes (a, b, x, y) hold rho[(b, x), (a, y)]; sum over a, b of E[a, b] times that
     axes = [nfac + p for p in positions] + list(positions) + rest + [nfac + t for t in rest]
-    tensor = mat.reshape(lead + dims + dims).transpose(
-        list(range(len(lead))) + [len(lead) + a for a in axes])
-    out = small.reshape(lead + (1, sub * sub)) @ tensor.reshape(
-        lead + (sub * sub, rest_dim * rest_dim))
-    return out.reshape(lead + (rest_dim, rest_dim))
+    tensor = mat.reshape(dims + dims).transpose(axes)
+    out = small.reshape(1, sub * sub) @ tensor.reshape(sub * sub, rest_dim * rest_dim)
+    return out.reshape(rest_dim, rest_dim)
+
+
+def contract_pure_effect(op, psi) -> np.ndarray:
+    """:func:`contract_effect` of a stack of pure states measured on their leading factors, taken
+    from the vectors: ``psi`` is ``(G, a, b)``, each state reshaped measured factors first, and
+    ``op`` the ``(G, a, a)`` effects on them.  Row ``g`` is ``psi[g]^T op[g]^T conj(psi[g])``,
+    ``(b, b)``; no ``(a b) x (a b)`` projector is formed."""
+    return psi.transpose(0, 2, 1) @ (op.transpose(0, 2, 1) @ psi.conj())
 
 
 def permute_vector_factors(v, dims, dest) -> np.ndarray:

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_ATOL,
+    MAX_ENTRY,
     SPECTRAL_ATOL,
     ZERO_ATOL,
     as_vector,
@@ -114,6 +115,16 @@ class PureStateSpec:
             raise DegenerateInputError("a pure state needs at least one coefficient")
         _check_row(sig, self.parity, self.tail, coeffs)
         self.coeffs = coeffs
+
+    @classmethod
+    def _admitted(cls, sig: SystemSignature, coeffs: dict, parity: tuple,
+                  tail: tuple) -> "PureStateSpec":
+        """The spec of fields that are a paired state of ``sig`` by construction, stored as given
+        (keys and digits tuples of ints, amplitudes complex) under the identity relabeling."""
+        spec = cls.__new__(cls)
+        spec.sig, spec.coeffs, spec.parity, spec.tail = sig, coeffs, parity, tail
+        spec.perm = FactorPermutation.identity(sig.m, sig.n)
+        return spec
 
 
 def _check_row(sig: SystemSignature, parity, tail, coeffs) -> None:
@@ -276,12 +287,21 @@ def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> 
 def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tuple:
     """The pure-state pattern test of each row of ``vecs``: ``(valid, leak, relabeling, key)``.
 
-    One relabeling per pairing is searched, the rows of the cached :func:`~duoc.systems.index_table`
-    (read as ``intp``, which numpy indexes fastest).  Read in the layout before relabeling ``k``,
-    a row's key code at its first largest amplitude names its cell, and its leak is the norm of
-    its mass off that cell.  A row takes the first relabeling of leak at most ``atol`` (it is
-    then valid), else the first of least leak; ``key`` names that cell.  Rows run in chunks
-    whose masks hold at most ``MAX_COMPOSITE_DIM**2`` booleans, as a cover at the cap does.
+    One relabeling per pairing is searched, the rows of the cached
+    :func:`~duoc.systems.index_table`.  Read in the layout before relabeling ``k``, a row's key
+    code at its first largest amplitude names its cell, and its leak is the norm of its mass off
+    that cell.  A row takes the first relabeling of leak at most ``atol`` (it is then valid),
+    else the first of least leak; ``key`` names that cell.
+
+    One vectorized pass settles most rows without a norm.  Per row it finds the first
+    relabeling that does not clearly leak (clearly: an entry off its cell above
+    ``max(2 atol, 1 / MAX_ENTRY)``, whose square rounds neither to ``atol**2`` nor to zero).
+    If that relabeling has no nonzero entry off its cell, it wins with leak ``0.0``, the norm
+    of exact zeros, just as the norm loop would return.  A valid state built exactly, such as
+    a branch of ``run conditional``, is such a row unless an earlier relabeling leaks a little.
+    The other rows (eigenvector columns, perturbed rows, invalid ones) take norms, relabeling
+    by relabeling.  Rows and relabelings run in blocks that gather at most
+    ``MAX_COMPOSITE_DIM**2 / 8`` bytes of magnitudes.
     """
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != sig.dim:
@@ -291,24 +311,50 @@ def pattern_test(vecs, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> tupl
     # written so that a NaN or infinite entry fails it
     if not (ok := np.abs(norms - 1.0) <= DEFAULT_ATOL).all():
         raise NormalizationError(f"state vector has norm {norms[~ok][0]}, expected 1")
-    key, gather = index_table(sig).key, index_table(sig).gather.astype(np.intp)
+    key, gather = index_table(sig).key, index_table(sig).gather
     (pick, refs), leak = np.zeros((2, len(vecs)), dtype=np.intp), np.zeros(len(vecs))
-    step = max(1, MAX_COMPOSITE_DIM**2 // gather.size)
+    clear = max(2.0 * atol, 1 / MAX_ENTRY)
+    # each block of rows and relabelings gathers at most MAX_COMPOSITE_DIM**2 / 8 bytes of
+    # magnitudes; a table that fits one block is read as intp, which numpy indexes fastest
+    kstep = MAX_COMPOSITE_DIM**2 // (64 * sig.dim)
+    if whole := len(gather) <= kstep:
+        gather = gather.astype(np.intp)
+    step = max(1, kstep // len(gather))
     for lo in range(0, len(vecs), step):
-        top = (chunk := mag[lo : lo + step]) == chunk.max(axis=1, keepdims=True)
-        # the key at each relabeling's first index of largest amplitude, in its own layout
-        keys = key[top[:, gather].argmax(axis=2)]
-        for i, (vec, off) in enumerate(zip(vecs[lo : lo + step], key != keys[..., None]), lo):
+        chunk = mag[lo : lo + step]
+        keys, off, stray = _cell_leaks(chunk, key, gather) if whole else (
+            np.concatenate(part, axis=1) for part in zip(*(
+                _cell_leaks(chunk, key, gather[k : k + kstep])
+                for k in range(0, len(gather), kstep))))
+        rows = np.arange(len(chunk))
+        # a row whose first relabeling with no entry above clear has no nonzero entry there
+        # takes that relabeling with leak 0.0; the others loop
+        first = (stray <= clear).argmax(axis=1)
+        pick[lo : lo + step] = first
+        for i in stray[rows, first].nonzero()[0]:
             # relabelings in order: the first leak at most atol, else the first least
-            best = (np.inf, 0)
+            best, vec = (np.inf, 0), vecs[lo + i]
             for k, cols in enumerate(gather):
-                if (lk := vector_norm(vec[cols[off[k]]])) < best[0]:
+                if (lk := vector_norm(vec[cols[off[i, k]]])) < best[0]:
                     best = (lk, k)
                 if lk <= atol:
                     break
-            leak[i], pick[i] = best
-        refs[lo : lo + step] = keys[np.arange(len(keys)), pick[lo : lo + step]]
+            leak[lo + i], pick[lo + i] = best
+        refs[lo : lo + step] = keys[rows, pick[lo : lo + step]]
     return leak <= atol, leak, pick, refs
+
+
+def _cell_leaks(mag, key, gather) -> tuple:
+    """Per row of magnitudes ``mag`` and relabeling row of ``gather``: the key at the first
+    largest amplitude in that relabeling's layout, the mask of the entries off that cell, and
+    the largest magnitude there."""
+    # numpy reduces fastest along the longer of the row and entry axes laid out innermost; the
+    # table is in range, and mode="raise" took allocations that raised a run's peak RSS by 7 MB
+    near = np.take(mag, gather, axis=1, mode="clip") if len(mag) < mag.shape[1] else mag[:, gather]
+    keys = key[near.argmax(axis=2)]
+    off = key != keys[..., None]
+    near *= off
+    return keys, off, np.maximum.reduce(near, axis=2)
 
 
 def certificate_matches(spec: PureStateSpec, v) -> ValidityReport:
@@ -325,7 +371,8 @@ def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
 
     Every basis product vector is a valid pure state: each dit/anti-dit
     pair has the definite parity read off its digits, and unpaired
-    digits form the tail.
+    digits form the tail, so once the digits are checked the fields are
+    stored as built.
     """
     digits = as_integers(digits, "digits")
     if len(digits) != sig.num_factors:
@@ -336,7 +383,7 @@ def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
     dits, antis = digits[: sig.m], digits[sig.m :]
     parity = tuple((antis[i] - dits[i]) % sig.d for i in range(p))
     tail = dits[p:] if sig.m > sig.n else antis[p:]
-    return PureStateSpec(sig, {tuple(dits[:p]): 1.0}, parity=parity, tail=tail)
+    return PureStateSpec._admitted(sig, {dits[:p]: 1 + 0j}, parity, tail)
 
 
 @dataclass(eq=False)

@@ -16,6 +16,8 @@ The POVMs the engine builds sum to the identity by construction and skip
 the public ``Povm`` completeness check.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ from duoc.errors import DensityMatrixError
 from duoc.linalg import contract_effect, partial_trace, projector
 from duoc.nonlocality import LocalBasis, activation_setup, chsh_value, side_effect, side_povm
 from duoc.states import (
-    DensityState, marginal_state, product_order, product_state, random_mixed_state,
+    DensityState, PureStateSpec, basis_state_spec, build_pure_state, marginal_state,
+    product_order, product_state, random_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
 
@@ -320,3 +323,38 @@ class TestEffectsAdmittedOnce:
             e, f = parent_chsh((bases[a0], bases[a1]), (bases[b0], bases[b1]))
             assert res.expectations.tobytes() == e.tobytes()
             assert np.float64(res.f_value).tobytes() == np.float64(f).tobytes()
+
+
+def typed(x):
+    """``x`` with the type of every element, tuples and dicts opened."""
+    if isinstance(x, tuple):
+        return tuple, tuple(typed(y) for y in x)
+    if isinstance(x, dict):
+        return dict, [(typed(k), typed(v)) for k, v in x.items()]
+    return type(x), x
+
+
+def spec_fields(spec):
+    return (spec.sig, typed(spec.coeffs), typed(spec.parity), typed(spec.tail), type(spec.perm),
+            typed(spec.perm.sigma), typed(spec.perm.tau))
+
+
+# the digits are checked once, so a basis spec is stored as built, with no field re-read
+@pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1), (2, 2, 2), (3, 2, 0)], ids=str)
+def test_basis_specs_store_what_the_public_constructor_stores(dmn, monkeypatch):
+    sig = SystemSignature(*dmn)
+    d, m, p = sig.d, sig.m, sig.num_pairs
+    calls = []
+    checked = PureStateSpec.__post_init__
+    monkeypatch.setattr(PureStateSpec, "__post_init__",
+                        lambda spec: calls.append(spec) or checked(spec))
+    for digits in product(range(d), repeat=sig.num_factors):
+        spec = basis_state_spec(sig, digits)
+        assert calls == []
+        dits, antis = digits[:m], digits[m:]
+        parity = [(a - g) % d for g, a in zip(dits, antis)]
+        want = PureStateSpec(sig, {dits[:p]: 1.0}, parity=parity,
+                             tail=dits[p:] if m > sig.n else antis[p:])
+        calls.clear()
+        assert spec_fields(spec) == spec_fields(want)
+        assert build_pure_state(spec).tobytes() == build_pure_state(want).tobytes()

@@ -648,6 +648,22 @@ class TestRunBounds:
         path.write_text(text)
         assert cli_main(["run", str(path)]) == 2
 
+    # any other value used to run as corrupt=1
+    @pytest.mark.parametrize("corrupt", ["7", "-3", "2", "0.5"])
+    def test_conditional_corrupt_flag_is_zero_or_one(self, corrupt, tmp_path):
+        text = f"run conditional {{ trials=5, corrupt={corrupt} }} as C\n"
+        with pytest.raises(ScriptError, match="corrupt"):
+            run_script(parse_script(text))
+        path = tmp_path / "s.duoc"
+        path.write_text(text)
+        assert cli_main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("corrupt, failures", [("0", 0), ("1", 5)])
+    def test_conditional_corrupt_flag_zero_and_one_run(self, corrupt, failures):
+        text = f"run conditional {{ trials=5, corrupt={corrupt} }} as C\n"
+        table = run_script(parse_script(text))
+        assert table.value("C", "failures") == failures
+
     def test_conditional_trials_capped_before_any_work(self, tmp_path):
         text = "run conditional { trials=1000000000 } as C\n"
         start = time.process_time()

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -484,8 +485,8 @@ class TestConditionalFailures:
     # every trial of probability above INPUT_ATOL fails, and some draws measure an effect
     # orthogonal to the state
     def test_branches_that_miss_the_contraction_fail(self, monkeypatch):
-        contract = duoc.effects.contract_effect
-        monkeypatch.setattr(duoc.effects, "contract_effect",
+        contract = duoc.effects.contract_pure_effect
+        monkeypatch.setattr(duoc.effects, "contract_pure_effect",
                             lambda *args: contract(*args) * (1 + 1e-6))
         sig = SystemSignature(2, 2, 1)
         want = np.count_nonzero(trial_probabilities(20, sig, 0) > INPUT_ATOL)
@@ -582,6 +583,19 @@ class TestConditionalFailures:
             assert count == brute_force_conditional_check(trials, sig, oracle, corrupt=corrupt)
             assert count == (trials if corrupt else 0)
             assert engine.bit_generator.state == oracle.bit_generator.state
+
+    # the contraction is taken from the state vectors; the dim^2 projector of one trial alone
+    # held 64 MB here, and with its transposed copy the trial peaked at 128-132 MB
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_trial_forms_no_projector(self, seed):
+        sig = SystemSignature(2, 6, 5)
+        tracemalloc.start()
+        try:
+            assert conditional_failures(1, sig, seed) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_needs_a_proper_subset_and_a_pair_for_corruption(self):
         with pytest.raises(DomainError):

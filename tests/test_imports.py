@@ -226,8 +226,8 @@ ORACLE_ENGINE_NAMES = {
     "draw_valid_states", "random_valid_state", "validate_pure_state", "SystemSignature",
     "FactorPermutation",
 }
-ORACLE_FORBIDDEN = {"contract_effect", "partial_trace", "embed_operator", "scaled_effects",
-                    "_stack_failures"}
+ORACLE_FORBIDDEN = {"contract_effect", "contract_pure_effect", "partial_trace", "embed_operator",
+                    "scaled_effects", "_stack_failures"}
 
 
 def oracle_engine_imports(source: str) -> set:

@@ -6,6 +6,7 @@ from duoc.linalg import (
     DEFAULT_ATOL,
     INPUT_ATOL,
     contract_effect,
+    contract_pure_effect,
     hermitian_part,
     low_rank_psd,
     min_eigenvalue,
@@ -121,15 +122,27 @@ def test_contract_effect_checks_shapes(rng):
         contract_effect(np.eye(4), rho, (0, 0), [2, 2, 2])
     with pytest.raises(ShapeError):
         contract_effect(np.eye(2), rho, (0,), [2, 2])
-    # a stack is checked in one pass, with the messages of a single matrix
-    states = np.stack([rho] * 3)
-    states[2, 7, 7] = np.nan
+    bad = rho.copy()
+    bad[7, 7] = np.nan
     with pytest.raises(ShapeError, match="^matrix contains non-finite entries$"):
-        contract_effect(np.stack([np.eye(2)] * 3), states, (0,), [2, 2, 2])
+        contract_effect(np.eye(2), bad, (0,), [2, 2, 2])
     with pytest.raises(ShapeError, match=r"square matrix, got shape \(2,\)"):
         contract_effect(np.ones(2), rho[0], (0,), [2, 2, 2])
     with pytest.raises(ShapeError, match=r"square matrix, got shape \(2, 3\)"):
-        contract_effect(np.ones((3, 2, 3)), np.stack([rho] * 3), (0,), [2, 2, 2])
+        contract_effect(np.ones((2, 3)), rho, (0,), [2, 2, 2])
+    with pytest.raises(ShapeError, match=r"square matrix, got shape \(3, 2, 2\)"):
+        contract_effect(np.stack([np.eye(2)] * 3), np.stack([rho] * 3), (0,), [2, 2, 2])
+
+
+@pytest.mark.parametrize("a, b", [(2, 4), (4, 2), (3, 1), (1, 5), (8, 8)])
+def test_contract_pure_effect_matches_the_projector_contraction(a, b, rng):
+    psi = np.stack([random_unit(rng, a * b) for _ in range(4)])
+    ops = np.stack([random_density(rng, a) for _ in range(4)])
+    got = contract_pure_effect(ops, psi.reshape(4, a, b))
+    dims = [a, b]
+    for g in range(4):
+        want = contract_effect(ops[g], np.outer(psi[g], psi[g].conj()), (0,), dims)
+        np.testing.assert_allclose(got[g], want, atol=1e-14)
 
 
 def test_vector_norm_is_numpy_norm(rng):
