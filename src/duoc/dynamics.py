@@ -16,19 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import Effect, check_wiring, conditional_state
-from .errors import DensityMatrixError, DomainError, NotClassicalError, ShapeError
+from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
     DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, hermitian_part, off_diagonal_max,
     psd_defect, symmetrized, tensor_all,
 )
 from .states import (
-    DensityState, ValidityReport, draw_mixture, product_order, product_state,
-    validate_mixed_state,
+    DensityState, ValidityReport, product_order, product_state, validate_mixed_state,
 )
-from .systems import FactorPermutation, SystemSignature, as_integers, phase_matrix
-
-# random valid inputs on which validate_transformation checks trace and output validity
-TRANSFORMATION_SAMPLES = 25
+from .systems import (
+    MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature, as_integers, phase_matrix,
+)
 
 
 @dataclass(eq=False)
@@ -208,8 +206,11 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:
     """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity, of finite images
-    of one square shape: the first image's, each checked before it is written (no broadcast)."""
+    of one square shape: the first image's, each checked before it is written (no broadcast).
+    A matrix of dimension above ``MAX_COMPOSITE_DIM`` is refused before it is allocated."""
     shape = as_operator(map_fn(_unit_matrix(dim_in, 0, 0))).shape
+    if (side := shape[0] * dim_in) > MAX_COMPOSITE_DIM:
+        raise DomainError(f"Choi matrix dimension {side} exceeds cap {MAX_COMPOSITE_DIM}")
     # entry ((a, i), (b, j)) of the block matrix is map(E_ij)[a, b]: write each image in its slot
     choi = np.zeros((shape[0], dim_in, shape[0], dim_in), dtype=complex)
     for i in range(dim_in):
@@ -219,7 +220,7 @@ def choi_matrix(map_fn, dim_in: int) -> np.ndarray:
                 raise ShapeError(f"images of shapes {image.shape} and {shape}")
             choi[:, i, :, j] = image
     # one finiteness check over every image
-    return as_operator(choi.reshape(shape[0] * dim_in, shape[0] * dim_in))
+    return as_operator(choi.reshape(side, side))
 
 
 def _unit_matrix(dim, i, j):
@@ -231,52 +232,76 @@ def _unit_matrix(dim, i, j):
 def validate_transformation(
     map_fn, sig_in: SystemSignature, sig_out: SystemSignature, seed: int = 0
 ) -> ValidityReport:
-    """Sampled channel check: complete positivity, trace behavior, validity.
+    """Exact channel check: ``map_fn`` from ``(m, n)`` to ``(m', n')`` is completely valid (it
+    maps valid states to valid states, also acting on part of a larger composite) and does not
+    increase the trace exactly when its Choi state is valid and ``T = Tr_out(choi) <= I``.
 
-    Complete positivity is decided as a state's positivity is, by
-    :func:`~duoc.linalg.psd_defect` at ``INPUT_ATOL`` on the Hermitian part
-    of the Choi matrix, whose rank-1 form for a reversible map its low-rank
-    factor settles; a rejection's residual is ``-lambda_min``.  Trace
-    non-increase and validity of the normalized outputs are checked on up to
-    ``TRANSFORMATION_SAMPLES`` random valid mixed states, drawn one at a time
-    from ``seed`` as consecutive :func:`~duoc.states.random_mixed_state` calls
-    draw them, so a passing report is flagged SAMPLED, not a proof.  An output
-    whose validity cannot be decided fails the check at that sample, with an
-    ``UNDECIDED`` witness and a NON-EXHAUSTIVE flag; one that is no density
-    matrix at ``DEFAULT_ATOL`` fails as an invalid output state, though the
-    Choi matrix passed at ``INPUT_ATOL``.  Linearity itself is spot-checked.
-    A passing report's residual is the largest residual of the output checks,
-    and includes the Choi matrix's rounding-level ``-lambda_min`` only if
-    neither the factor nor the Cholesky settled it.
+    ``choi = sum_ij map(E_ij) x E_ij`` (:func:`choi_matrix`) acts on the output and a copy ``R``
+    of the input whose dits are the input's anti-dits and whose anti-dits its dits.  Over its
+    trace, laid out as output dits, ``R``'s dits, output anti-dits, ``R``'s anti-dits, it is the
+    Choi state ``C`` on ``(m' + n, n' + m)``.
+
+    *Only if.*  ``Omega``, the product over input factors of ``sum_i |i>|i> / sqrt(d)``, pairs
+    each input factor with its copy in ``R`` at parity 0, so it is a valid pure state, and ``C``
+    is ``(map x id_R)(|Omega><Omega|)`` up to weight: a completely valid map keeps it valid.
+
+    *If.*  For a valid state ``sigma`` of the input and an environment, ``<Omega| C x sigma
+    |Omega>`` over ``R`` and the input is ``(map x id)(sigma) / dim_in^2`` up to weight: the
+    conditional state of a product of valid states on a valid pure effect, valid because each
+    branch of a valid pure state under a valid pure effect lies on one cell (what
+    ``run conditional`` samples).  And ``tr map(rho) = tr(T^T rho) <= tr rho`` for every
+    ``rho >= 0`` exactly when ``T <= I``.
+
+    The first failing check decides, in this order.  A probe of unit-modulus entries drawn
+    from ``seed`` whose image is not ``sum_ij probe_ij map(E_ij)`` within ``INPUT_ATOL`` raises
+    :class:`DomainError`.  Then the Choi matrix's ``Hermiticity`` defect and, on its Hermitian
+    part, ``complete positivity`` by :func:`~duoc.linalg.psd_defect` are held to ``INPUT_ATOL``;
+    ``trace increase``, ``lambda_max(T) - 1``, to ``DEFAULT_ATOL``.  ``C`` must be a density
+    matrix at ``DEFAULT_ATOL`` as :class:`DensityState` admits one, else ``invalid Choi state``
+    with its defect (a map with ``tr(choi) <= ZERO_ATOL`` passes as the ``zero map``).  Last,
+    :func:`~duoc.states.validate_mixed_state` decides ``C``: a pass is ``Choi state``, a
+    rejection ``invalid Choi state``, and an undecided membership ``UNDECIDED Choi state``,
+    flagged ``NON-EXHAUSTIVE``, never a pass.  A pass's residual also counts the Choi matrix's
+    ``-lambda_min`` when neither its low-rank factor nor Cholesky settled it.  A Choi state above
+    ``MAX_COMPOSITE_DIM``, or two local dimensions, is refused before the map is called.
     """
-    rng = np.random.default_rng(seed)
-    a = np.asarray(map_fn(_unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
-    b = np.asarray(map_fn(1j * _unit_matrix(sig_in.dim, 0, 0)), dtype=complex)
-    if float(np.max(np.abs(1j * a - b))) > INPUT_ATOL:
+    if sig_in.d != sig_out.d:
+        raise DomainError(f"local dimensions {sig_in.d} and {sig_out.d} differ")
+    sig_c = SystemSignature(sig_in.d, sig_out.m + sig_in.n, sig_out.n + sig_in.m)
+    choi = choi_matrix(map_fn, sig_in.dim)
+    if choi.shape[0] != sig_c.dim:
+        raise ShapeError(f"image dim {choi.shape[0] // sig_in.dim} != composite dimension "
+                         f"{sig_out.dim}")
+    blocks = choi.reshape(sig_out.dim, sig_in.dim, sig_out.dim, sig_in.dim)
+    probe = np.exp(2j * np.pi * np.random.default_rng(seed).random((sig_in.dim,) * 2))
+    image = np.asarray(map_fn(probe), dtype=complex)
+    if image.shape != (sig_out.dim,) * 2 or not (
+            np.max(np.abs(image - np.einsum("aibj,ij->ab", blocks, probe))) <= INPUT_ATOL):
         raise DomainError("map is not linear over the complex operator space")
-    choi = hermitian_part(choi_matrix(map_fn, sig_in.dim))[0]
-    if (worst := psd_defect(choi, INPUT_ATOL)) > INPUT_ATOL:
-        return ValidityReport(False, worst, witness="complete positivity", flags=("SAMPLED",))
-    for _ in range(TRANSFORMATION_SAMPLES):
-        state = draw_mixture(sig_in, rng)[0]
-        image = np.asarray(map_fn(state.matrix), dtype=complex)
-        tr = float(np.real(np.trace(image)))
-        if tr > 1 + DEFAULT_ATOL:
-            return ValidityReport(False, tr - 1.0, witness="trace increase", flags=("SAMPLED",))
-        if tr <= ZERO_ATOL:
-            continue
-        try:
-            rep = validate_mixed_state(DensityState(sig_out, image / tr))
-        except DensityMatrixError:  # its Hermitian or eigenvalue defect is the residual
-            sym, defect = hermitian_part(image / tr)
-            return ValidityReport(False, max(defect, psd_defect(sym, DEFAULT_ATOL)),
-                                  witness="invalid output state", flags=("SAMPLED",))
-        if "NON-EXHAUSTIVE" in rep.flags:
-            return ValidityReport(False, rep.residual, witness="UNDECIDED output state",
-                                  flags=("SAMPLED", "NON-EXHAUSTIVE"))
-        if not rep.valid:
-            return ValidityReport(
-                False, rep.residual, witness="invalid output state", flags=("SAMPLED",)
-            )
-        worst = max(worst, rep.residual)
-    return ValidityReport(True, worst, witness="sampled channel check", flags=("SAMPLED",))
+    sym, defect = hermitian_part(choi)
+    if defect > INPUT_ATOL:
+        return ValidityReport(False, defect, witness="Hermiticity")
+    if (worst := psd_defect(sym, INPUT_ATOL)) > INPUT_ATOL:
+        return ValidityReport(False, worst, witness="complete positivity")
+    gain = float(np.linalg.eigvalsh(np.trace(sym.reshape(blocks.shape), axis1=0, axis2=2))[-1])
+    if gain - 1.0 > DEFAULT_ATOL:
+        return ValidityReport(False, gain - 1.0, witness="trace increase")
+    if (tr := float(np.real(np.trace(sym)))) <= ZERO_ATOL:
+        return ValidityReport(True, worst, witness="zero map")
+    # C's admission: its Hermitian and eigenvalue defects are the Choi matrix's over tr
+    c = _choi_layout(sym, sig_in, sig_out) * (1.0 / tr)
+    if (short := max(defect / tr, psd_defect(c, DEFAULT_ATOL))) > DEFAULT_ATOL:
+        return ValidityReport(False, short, witness="invalid Choi state")
+    rep = validate_mixed_state(DensityState._admitted(sig_c, c))
+    if not rep.valid:
+        what = "UNDECIDED" if "NON-EXHAUSTIVE" in rep.flags else "invalid"
+        return ValidityReport(False, rep.residual, witness=f"{what} Choi state", flags=rep.flags)
+    return ValidityReport(True, max(worst, rep.residual), witness="Choi state")
+
+
+def _choi_layout(choi, sig_in: SystemSignature, sig_out: SystemSignature) -> np.ndarray:
+    """``choi`` (rows output then input) with rows and columns in the Choi state's factor order:
+    output dits, input anti-dits, output anti-dits, input dits."""
+    d = sig_in.d
+    blocks = (d**sig_out.m, d**sig_out.n, d**sig_in.m, d**sig_in.n)
+    return choi.reshape(blocks * 2).transpose(0, 3, 1, 2, 4, 7, 5, 6).reshape(choi.shape)

@@ -6,8 +6,8 @@ composite index ``i*dim_b + j``.  All operators are dense complex
 ``numpy`` arrays.
 
 The symmetrization (:func:`hermitian_part`, :func:`symmetrized`) is one
-untiled pass; only the residual of :func:`low_rank_psd` walks a matrix
-above 256 x 256 in 1 MB row blocks, which stay in cache.
+untiled pass; only a factor's residual (:func:`factor_residual`) walks a
+matrix above 256 x 256 in 1 MB row blocks, which stay in cache.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zer
 INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
 SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 
-# The row blocks of low_rank_psd's residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
+# The row blocks of factor_residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
 BLOCK_ENTRIES = 1 << 16
 
 # The largest entry modulus of a vector: its squared norm stays finite up to 10^8 entries
@@ -269,14 +269,19 @@ def low_rank_psd(mat, atol: float = DEFAULT_ATOL) -> bool:
         col /= np.sqrt(rest[p])
         cols[:, k] = col
         rest -= col.real**2 + col.imag**2
-    adjoint = cols[:, :k].conj().T
+    return factor_residual(cols[:, :k], mat) <= atol
+
+
+def factor_residual(cols, mat) -> float:
+    """``||mat - cols cols^H||_F`` for a ``(dim, k)`` factor, summed over :func:`row_blocks`."""
+    adjoint = cols.conj().T
     square = 0.0
-    for rows in row_blocks(dim):
+    for rows in row_blocks(mat.shape[0]):
         # a rank-1 product broadcast costs less than a matmul of inner dimension 1
-        resid = cols[rows, :1] * adjoint if k == 1 else cols[rows, :k] @ adjoint
+        resid = cols[rows] * adjoint if cols.shape[1] == 1 else cols[rows] @ adjoint
         resid -= mat[rows]
         square += np.vdot(resid, resid).real
-    return bool(math.sqrt(square) <= atol)
+    return math.sqrt(square)
 
 
 def off_diagonal_max(mat) -> float:

@@ -36,6 +36,7 @@ from .linalg import (
     SPECTRAL_ATOL,
     ZERO_ATOL,
     as_vector,
+    factor_residual,
     hermitian_part,
     off_diagonal_max,
     partial_trace,
@@ -243,26 +244,21 @@ def _row_spec(sig: SystemSignature, row) -> PureStateSpec:
     return PureStateSpec(sig, coeffs, parity=digits[:p], tail=digits[p:], perm=perm)
 
 
-def draw_mixture(sig: SystemSignature, rng: np.random.Generator) -> tuple:
-    """A convex mixture of one to three valid pure states, with no spec built: ``(state, weights,
-    rows)``, ``rows`` holding each term's one-row :func:`_draw_fields`.  Draw order: number of
-    terms, Dirichlet weights, then one :func:`random_valid_state` draw per term; the terms are
-    placed as a :func:`draw_valid_states` batch and summed as ``w * outer(v, conj(v))``."""
+def random_mixed_state(sig: SystemSignature, rng):
+    """Random convex mixture of one to three valid pure states; returns (state, certificate).
+
+    Draw order: number of terms, Dirichlet weights, then one :func:`random_valid_state` draw per
+    term; the terms are placed as a :func:`draw_valid_states` batch and summed as
+    ``w * outer(v, conj(v))``.  The certificate holds each term's weight and spec.
+    """
+    rng = as_rng(rng)
     n_terms = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_terms))
     rows = [_draw_fields(sig, 1, rng) for _ in range(n_terms)]
     mat = np.zeros((sig.dim, sig.dim), dtype=complex)
     for w, v in zip(weights, _place_states(sig, *map(np.concatenate, zip(*rows)))):
         mat += w * np.outer(v, v.conj())
-    return DensityState._admitted(sig, symmetrized(mat)), weights, rows
-
-
-def random_mixed_state(sig: SystemSignature, rng):
-    """Random convex mixture of one to three valid pure states; returns (state, certificate).
-
-    The state is :func:`draw_mixture`'s; the certificate holds each term's weight and spec.
-    """
-    state, weights, rows = draw_mixture(sig, as_rng(rng))
+    state = DensityState._admitted(sig, symmetrized(mat))
     return state, [(float(w), _row_spec(sig, row)) for w, row in zip(weights, rows)]
 
 
@@ -534,7 +530,9 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     rejects exactly; with one pairing the cells are disjoint blocks and a
     pass is exact too.  Otherwise the eigendecomposition is tried as a
     candidate certificate; a negative answer from that path is flagged
-    ``NON-EXHAUSTIVE``.
+    ``NON-EXHAUSTIVE``.  A rank-1 operator, within ``DEFAULT_ATOL`` of
+    ``v v^H`` for one of its scaled columns ``v``, is decided as that path
+    would decide it, by the pattern test of ``v / |v|``, with no ``eigh``.
 
     Parameters
     ----------
@@ -572,13 +570,36 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
     if (off := float(np.max(mag))) > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
-    vals, vecs = np.linalg.eigh(mat)
-    cols = vecs[:, vals > DEFAULT_ATOL].T
+    if (cols := _rank_one_column(mat)) is None:
+        vals, vecs = np.linalg.eigh(mat)
+        cols = vecs[:, vals > DEFAULT_ATOL].T
     valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
     if not all(valid):
         return ValidityReport(False, float(leak[np.argmin(valid)]),
                               witness="spectral decomposition", flags=("NON-EXHAUSTIVE",))
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
+
+
+def _rank_one_column(mat):
+    """``v / |v|`` as a one-row stack when ``||mat - v v^H||_F <= DEFAULT_ATOL``, else None;
+    ``v = mat[p]^* / sqrt(mat[p, p])`` is the column of the largest diagonal entry ``p``.
+
+    Then no eigenvalue but one is above ``DEFAULT_ATOL`` (Weyl), and with ``mat[p, p]``, hence
+    ``|v|^2``, above twice that, the one is: the spectral path would test one column, the
+    eigenvector that ``v`` approximates, so the pattern test of ``v / |v|`` stands in for it.
+    """
+    diag = mat.diagonal().real
+    p = int(np.argmax(diag))
+    if not diag[p] > 2.0 * DEFAULT_ATOL:
+        return None
+    v = mat[p].conj() / math.sqrt(diag[p])
+    top = vector_norm(v)
+    # a residual of Frobenius norm at most DEFAULT_ATOL has trace at most sqrt(dim) times that,
+    # so a higher rank is refused in O(dim), before the dim^2 residual
+    if (diag.sum() - top**2 > math.sqrt(len(diag)) * DEFAULT_ATOL
+            or factor_residual(v[:, None], mat) > DEFAULT_ATOL):
+        return None
+    return (v / top)[None]
 
 
 def marginal_state(rho: DensityState, keep) -> DensityState:

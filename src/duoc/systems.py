@@ -29,19 +29,21 @@ class SystemSignature:
     n: int
 
     def __post_init__(self):
-        try:
-            for name in "dmn":
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise DomainError(f"d, m, n must be integers: {(self.d, self.m, self.n)}") from None
-        if self.d < 2:
-            raise DomainError(f"local dimension must be >= 2, got {self.d}")
-        if self.m < 0 or self.n < 0 or self.m + self.n == 0:
-            raise DomainError(f"need m, n >= 0 with m + n >= 1, got ({self.m}, {self.n})")
-        if self.d ** (self.m + self.n) > MAX_COMPOSITE_DIM:
-            raise DomainError(
-                f"composite dimension {self.d ** (self.m + self.n)} exceeds cap {MAX_COMPOSITE_DIM}"
-            )
+        d, m, n = self.d, self.m, self.n
+        # plain ints, by far the most common fields, skip the operator.index round trip
+        if not (type(d) is int and type(m) is int and type(n) is int):
+            try:
+                for name in "dmn":
+                    object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DomainError(f"d, m, n must be integers: {(d, m, n)}") from None
+            d, m, n = self.d, self.m, self.n
+        if d < 2:
+            raise DomainError(f"local dimension must be >= 2, got {d}")
+        if m < 0 or n < 0 or m + n == 0:
+            raise DomainError(f"need m, n >= 0 with m + n >= 1, got ({m}, {n})")
+        if d ** (m + n) > MAX_COMPOSITE_DIM:
+            raise DomainError(f"composite dimension {d ** (m + n)} exceeds cap {MAX_COMPOSITE_DIM}")
 
     @property
     def num_factors(self) -> int:

@@ -151,13 +151,13 @@ def test_engine_does_not_import_the_oracle(path):
 
 
 # the public DensityState(...) admits outside input: a script's classical weights, a separable
-# spec, a channel's output and a sampled map's image; every state derived from admitted ones
-# goes through DensityState._admitted.  The engine builds every effect and every POVM by
-# construction, so no module calls the public Effect(...) or Povm(...) at all.
+# spec and a channel's output; every state derived from admitted ones goes through
+# DensityState._admitted, and so does a map's Choi state once its defects are checked.  The
+# engine builds every effect and every POVM by construction, so no module calls the public
+# Effect(...) or Povm(...) at all.
 OUTSIDE_INPUT_SITES = {
     ("dsl/interpreter.py", "_state_ctor"),
     ("dynamics.py", "classical_channel_map"),
-    ("dynamics.py", "validate_transformation"),
     ("states.py", "build_separable"),
 }
 

@@ -38,14 +38,16 @@ class TestSystemSignature:
         with pytest.raises(DomainError):
             SystemSignature(2, -1, 2)
 
-    @pytest.mark.parametrize("dmn", [(2, 1.5, 1), (2, float("nan"), 1), (2.0, 1, 1)], ids=str)
+    @pytest.mark.parametrize("dmn", [(2, 1.5, 1), (2, float("nan"), 1), (2.0, 1, 1), ("2", 1, 1),
+                                     (2, 1, None)], ids=str)
     def test_fields_must_be_integers(self, dmn):
         with pytest.raises(DomainError, match="must be integers"):
             SystemSignature(*dmn)
 
     def test_numpy_integer_fields_accepted(self):
         sig = SystemSignature(np.int64(2), np.int32(1), np.uint8(1))
-        assert sig == SystemSignature(2, 1, 1) and type(sig.d) is int and sig.dim == 4
+        assert sig == SystemSignature(2, 1, 1) and sig.dim == 4
+        assert all(type(x) is int for x in (sig.d, sig.m, sig.n))
 
     def test_sub_signature_positions_must_be_integers(self):
         with pytest.raises(DomainError, match="must be integers"):

@@ -1,57 +1,257 @@
-"""The sampled channel check decides complete positivity as state admission decides positivity,
-and draws its samples as consecutive ``random_mixed_state`` calls on one generator do.
+"""The channel check decides from the Choi state, and decides complete positivity as state
+admission decides positivity.
 
-Complete positivity is read off the Hermitian part of the Choi matrix by ``psd_defect`` at
-``INPUT_ATOL``: a low-rank factor, then Cholesky, then ``eigvalsh``.  The samples are drawn one
-at a time with no spec built, so a check that stops early at sample k has drawn k samples.  A
-sampled image that is no density matrix at ``DEFAULT_ATOL`` fails the check with its defect.
+A map from ``(m, n)`` to ``(m', n')`` is completely valid exactly when its Choi matrix, divided by
+its trace, is a valid state on ``(m' + n, n' + m)``: the input's dits count there as anti-dits
+and its anti-dits as dits.  Complete positivity is read off the Hermitian part of the Choi matrix
+by ``psd_defect`` at ``INPUT_ATOL``: a low-rank factor, then Cholesky, then ``eigvalsh``.  A Choi
+state that is no density matrix at ``DEFAULT_ATOL`` fails the check with its defect.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from duoc import random_mixed_state
 from duoc.dynamics import (
-    ReversibleSpec, TRANSFORMATION_SAMPLES, build_reversible, choi_matrix, validate_transformation,
+    ConditionalEvolutionSpec, ReversibleSpec, build_reversible, choi_matrix, conditional_evolution,
+    validate_transformation,
 )
-from duoc.linalg import INPUT_ATOL, hermitian_part
-from duoc.states import validate_mixed_state
+from duoc.effects import Effect
+from duoc.errors import DomainError
+from duoc.linalg import (
+    DEFAULT_ATOL, INPUT_ATOL, contract_effect, hermitian_part, partial_trace, projector,
+    tensor_all,
+)
+from duoc.states import (
+    DensityState, draw_valid_states, product_order, validate_mixed_state,
+)
 from duoc.systems import FactorPermutation, SystemSignature
 
-STREAM_SIGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2)]
+# one kind, (1, 1), and composites with both kinds beyond (1, 1), where 25 sampled mixtures left
+# the identity undecided
+CHOI_SIGS = [(2, 1, 0), (2, 0, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1)]
 
 
-def recording(map_fn):
-    """``map_fn`` that also keeps a copy of every input it is given."""
-    inputs = []
+def conjugation(u):
+    return lambda r: u @ r @ u.conj().T
+
+
+def random_reversible(sig, rng):
+    spec = ReversibleSpec(
+        FactorPermutation(tuple(rng.permutation(sig.m)), tuple(rng.permutation(sig.n))),
+        x_shifts=tuple(rng.integers(0, sig.d, sig.num_factors)),
+        z_phases=tuple(rng.integers(0, sig.d, sig.num_factors)))
+    return build_reversible(spec, sig)
+
+
+@pytest.mark.parametrize("dmn", CHOI_SIGS)
+def test_identity_and_reversible_maps_valid_without_flags(dmn):
+    sig = SystemSignature(*dmn)
+    rng = np.random.default_rng(26)
+    maps = [lambda r: r] + [conjugation(random_reversible(sig, rng)) for _ in range(10)]
+    for map_fn in maps:
+        rep = validate_transformation(map_fn, sig, sig)
+        assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
+        assert rep.residual <= INPUT_ATOL
+
+
+def fourier(d):
+    return np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+
+
+@pytest.mark.parametrize("dmn", CHOI_SIGS)
+def test_fourier_on_one_factor_rejected(dmn):
+    # a Hadamard (d = 2) or Fourier (d = 3) matrix superposes basis states of different cells
+    sig = SystemSignature(*dmn)
+    for t in range(sig.num_factors):
+        u = tensor_all(np.eye(sig.d**t), fourier(sig.d), np.eye(sig.d ** (sig.num_factors - t - 1)))
+        rep = validate_transformation(conjugation(u), sig, sig)
+        assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+
+
+@pytest.mark.parametrize("dmn", CHOI_SIGS)
+def test_transpose_rejected_on_complete_positivity(dmn):
+    sig = SystemSignature(*dmn)
+    rep = validate_transformation(lambda r: r.T, sig, sig)
+    # the Choi matrix of the transpose is the swap, of eigenvalue -1
+    assert not rep.valid and rep.witness == "complete positivity"
+    assert rep.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 1), (2, 2, 2)])
+def test_dephasing_and_depolarizing_valid(dmn):
+    sig = SystemSignature(*dmn)
+    for map_fn in (lambda r: np.diag(np.diag(r)),
+                   lambda r: np.trace(r) * np.eye(sig.dim) / sig.dim):
+        rep = validate_transformation(map_fn, sig, sig)
+        assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
+
+
+# (input, output, kept factors of the input)
+PARTIAL_TRACES = [
+    ((2, 2, 1), (2, 2, 0), (0, 1)),
+    ((2, 2, 1), (2, 1, 1), (0, 2)),
+    ((2, 1, 2), (2, 1, 1), (0, 1)),
+    ((2, 2, 2), (2, 1, 2), (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("dmn_in, dmn_out, keep", PARTIAL_TRACES)
+def test_partial_traces_valid(dmn_in, dmn_out, keep):
+    sig_in, sig_out = SystemSignature(*dmn_in), SystemSignature(*dmn_out)
+    rep = validate_transformation(lambda r: partial_trace(r, sig_in.dims, keep), sig_in, sig_out)
+    assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
+
+
+# (input, ancilla, effect, effect positions over [input factors, ancilla factors]): each effect
+# consumes the input and part of the ancilla, and the rest of the ancilla is a (1, 1) output
+HERALDED = [
+    ((2, 1, 0), (2, 1, 2), (2, 1, 1), (0, 2)),
+    ((2, 0, 1), (2, 2, 1), (2, 1, 1), (1, 0)),
+    ((2, 1, 1), (2, 2, 1), (2, 2, 1), (0, 2, 1)),
+    ((3, 1, 0), (3, 1, 2), (3, 1, 1), (0, 2)),
+]
+
+
+def heralded_map(spec):
+    """``r -> Tr_S[(E x I)(r x sigma)]``, the unnormalized conditional evolution of ``spec``,
+    as a linear map on matrices: the product laid out as :func:`product_state` lays it out."""
+    ins, anc = spec.input_sig, spec.ancilla.sig
+    joint = SystemSignature(ins.d, ins.m + anc.m, ins.n + anc.n)
+    order = product_order(ins, anc)
+    axes = order + [joint.num_factors + t for t in order]
+
+    def map_fn(r):
+        mat = np.kron(r, spec.ancilla.matrix).reshape(joint.dims * 2).transpose(axes)
+        return contract_effect(spec.effect.op, mat.reshape(joint.dim, joint.dim),
+                               spec.joint_positions, joint.dims)
+
+    return map_fn
+
+
+@pytest.mark.parametrize("dmn_in, dmn_anc, dmn_eff, positions", HERALDED)
+def test_heralded_evolutions_completely_valid(dmn_in, dmn_anc, dmn_eff, positions):
+    # the model's own dynamics: a pure ancilla and a pure effect give a rank-1 Choi state, which
+    # the check decides; reading R's dits and anti-dits the wrong way round would reject it
+    sig_in, sig_anc, sig_eff = (SystemSignature(*x) for x in (dmn_in, dmn_anc, dmn_eff))
+    sig_out = SystemSignature(sig_in.d, 1, 1)
+    rng = np.random.default_rng(sum(positions))
+    witnesses = []
+    for _ in range(8):
+        ancilla = DensityState.from_vector(sig_anc, draw_valid_states(sig_anc, 1, rng)[0])
+        effect = Effect(sig_eff, projector(draw_valid_states(sig_eff, 1, rng)[0]))
+        spec = ConditionalEvolutionSpec(sig_in, ancilla, effect, positions)
+        map_fn = heralded_map(spec)
+        rho = random_mixed_state(sig_in, rng)[0]
+        prob, out = conditional_evolution(spec, rho)
+        if out is not None:
+            assert np.allclose(map_fn(rho.matrix), prob * out.matrix, atol=1e-12)
+        rep = validate_transformation(map_fn, sig_in, sig_out)
+        assert rep.valid and rep.flags == ()
+        witnesses.append(rep.witness)
+    # an effect that the ancilla never meets heralds nothing: the zero map
+    assert set(witnesses) <= {"Choi state", "zero map"} and witnesses.count("Choi state") >= 4
+
+
+def kind_swap(sig):
+    """The map exchanging dit 0 and anti-dit 0 of ``sig``, as a factor transpose."""
+    k = sig.num_factors
+    perm = list(range(k))
+    perm[0], perm[sig.m] = sig.m, 0
+    return lambda r: r.reshape(sig.dims * 2).transpose(perm + [k + p for p in perm]).reshape(
+        sig.dim, sig.dim)
+
+
+@pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1)])
+def test_kind_swap_valid_on_inputs_but_not_completely_valid(dmn):
+    # on (1, 1) the swap sends sum_x a_x |x>|x + s> to sum_x a_x |x + s>|x>, again valid; on the
+    # input and its copy R it leaves the input dit tracking R's dit, which no pairing allows
+    sig = SystemSignature(*dmn)
+    map_fn, rng = kind_swap(sig), np.random.default_rng(7)
+    for _ in range(10):
+        image = DensityState(sig, map_fn(random_mixed_state(sig, rng)[0].matrix))
+        assert validate_mixed_state(image).valid
+    rep = validate_transformation(map_fn, sig, sig)
+    assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+
+
+def test_trace_increase_rejected_with_the_largest_gain():
+    sig = SystemSignature(2, 1, 1)
+    rep = validate_transformation(lambda r: 1.5 * r, sig, sig)
+    assert not rep.valid and rep.witness == "trace increase"
+    assert rep.residual == pytest.approx(0.5)
+
+
+def test_trace_decreasing_map_valid():
+    sig = SystemSignature(2, 2, 1)
+    rep = validate_transformation(lambda r: r / 2, sig, sig)
+    assert rep.valid and rep.witness == "Choi state"
+
+
+def test_undecided_choi_state_is_not_a_pass():
+    # the replace channel r -> tr(r) sigma has Choi state sigma x I / dim_in, which the spectral
+    # check leaves undecided as it leaves sigma
+    sig_out = SystemSignature(2, 2, 1)
+    sigma = random_mixed_state(sig_out, 2)[0]
+    assert validate_mixed_state(sigma).flags == ("NON-EXHAUSTIVE",)
+    for dmn_in in [(2, 1, 0), (2, 0, 1), (2, 1, 1)]:
+        sig_in = SystemSignature(*dmn_in)
+        rep = validate_transformation(lambda r: np.trace(r) * sigma.matrix, sig_in, sig_out)
+        assert not rep.valid and rep.witness == "UNDECIDED Choi state"
+        assert rep.flags == ("NON-EXHAUSTIVE",)
+
+
+def counting(map_fn):
+    """``map_fn`` that also counts its calls, in ``calls[0]``."""
+    calls = [0]
 
     def wrapped(mat):
-        inputs.append(np.array(mat))
+        calls[0] += 1
         return map_fn(mat)
 
-    return wrapped, inputs
+    return wrapped, calls
 
 
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("dmn", STREAM_SIGS)
-def test_samples_are_consecutive_mixed_state_draws(dmn, seed):
+@pytest.mark.parametrize("dmn", [(2, 1, 0), (2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_map_called_once_per_unit_and_once_per_probe(dmn):
     sig = SystemSignature(*dmn)
-    map_fn, inputs = recording(lambda r: r)
-    rep = validate_transformation(map_fn, sig, sig, seed=seed)
-    # two linearity probes, the Choi matrix's shape probe and its dim^2 unit matrices come first
-    samples = inputs[3 + sig.dim**2:]
-    assert 1 <= len(samples) <= TRANSFORMATION_SAMPLES
-    rng = np.random.default_rng(seed)
-    undecided = []
-    for got in samples:
-        want = random_mixed_state(sig, rng)[0]
-        assert np.max(np.abs(got - want.matrix)) <= 1e-15
-        undecided.append("NON-EXHAUSTIVE" in validate_mixed_state(want).flags)
-    if rep.witness == "UNDECIDED output state":
-        # the check stops at the first draw it cannot decide, and has drawn nothing beyond it
-        assert undecided.index(True) == len(samples) - 1
-    else:
-        assert rep.valid and len(samples) == TRANSFORMATION_SAMPLES and not any(undecided)
+    map_fn, calls = counting(lambda r: r)
+    assert validate_transformation(map_fn, sig, sig).valid
+    # the linearity probe, choi_matrix's shape probe, then its dim^2 unit matrices
+    assert calls[0] == 1 + 1 + sig.dim**2
+
+
+def test_choi_state_above_the_cap_refused_before_any_call():
+    # the Choi matrix of a map on (2,4,4) would be a 65536 x 65536 matrix, from 65536 calls
+    sig = SystemSignature(2, 4, 4)
+    map_fn, calls = counting(lambda r: r)
+    start = time.process_time()
+    with pytest.raises(DomainError, match="exceeds cap"):
+        validate_transformation(map_fn, sig, sig)
+    assert calls[0] == 0 and time.process_time() - start < 0.5
+
+
+def test_choi_matrix_refused_before_allocation():
+    map_fn, calls = counting(lambda r: np.zeros((4096, 4096)))
+    with pytest.raises(DomainError, match="exceeds cap"):
+        choi_matrix(map_fn, 2)
+    assert calls[0] == 1
+
+
+def test_local_dimensions_must_agree():
+    map_fn, calls = counting(lambda r: r)
+    with pytest.raises(DomainError, match="local dimensions"):
+        validate_transformation(map_fn, SystemSignature(2, 1, 0), SystemSignature(3, 1, 0))
+    assert calls[0] == 0
+
+
+def test_map_linear_on_the_units_only_refused():
+    # every unit matrix has one nonzero entry, so the probe is the only input that tells
+    sig = SystemSignature(2, 1, 1)
+    with pytest.raises(DomainError, match="not linear"):
+        validate_transformation(lambda r: r if np.count_nonzero(r) <= 1 else 2 * r, sig, sig)
 
 
 def choi_map(choi, d):
@@ -71,12 +271,22 @@ def dephasing_with_coupling(c):
 SIG10 = SystemSignature(2, 1, 0)
 
 
-def test_choi_just_inside_the_threshold_passes():
-    choi = dephasing_with_coupling(0.5 * INPUT_ATOL)
-    assert np.linalg.eigvalsh(choi)[0] == pytest.approx(-0.5 * INPUT_ATOL, rel=1e-6)
+def test_choi_just_inside_both_thresholds_passes():
+    # eigenvalue -5e-11 of the Choi matrix, -2.5e-11 of the Choi state
+    choi = dephasing_with_coupling(0.5 * DEFAULT_ATOL)
+    assert np.linalg.eigvalsh(choi)[0] == pytest.approx(-0.5 * DEFAULT_ATOL, rel=1e-6)
     rep = validate_transformation(choi_map(choi, 2), SIG10, SIG10)
-    assert rep.valid and rep.witness == "sampled channel check"
-    assert rep.residual == 0.0  # Cholesky of choi + INPUT_ATOL*I decided; no eigenvalue taken
+    assert rep.valid and rep.witness == "Choi state"
+    assert rep.residual == 0.0  # both Cholesky factorizations decided; no eigenvalue taken
+
+
+def test_choi_inside_complete_positivity_fails_admission():
+    # eigenvalue -5e-10 of the Choi matrix passes at INPUT_ATOL; -2.5e-10 of the Choi state
+    # fails at DEFAULT_ATOL, and is reported, not raised
+    rep = validate_transformation(choi_map(dephasing_with_coupling(0.5 * INPUT_ATOL), 2),
+                                  SIG10, SIG10)
+    assert not rep.valid and rep.witness == "invalid Choi state"
+    assert rep.residual == pytest.approx(0.25 * INPUT_ATOL, rel=1e-6)
 
 
 def test_choi_beyond_the_threshold_rejected_with_its_eigenvalue():
@@ -89,8 +299,8 @@ def test_choi_beyond_the_threshold_rejected_with_its_eigenvalue():
 
 @pytest.fixture
 def shapes(monkeypatch):
-    """The shapes of the matrices ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` are called on."""
-    seen = {"eigvalsh": [], "cholesky": []}
+    """The shapes of the matrices ``np.linalg`` decompositions are called on."""
+    seen = {"eigvalsh": [], "cholesky": [], "eigh": []}
 
     def recorder(name, fn):
         def wrapped(a, *args, **kwargs):
@@ -117,34 +327,45 @@ def test_reversible_choi_needs_no_eigendecomposition(shapes):
     spec = ReversibleSpec(FactorPermutation((1, 0), (1, 0)), x_shifts=(1, 0, 1, 1),
                           z_phases=(0, 1, 1, 0))
     u = build_reversible(spec, sig)
-    rep = validate_transformation(lambda r: u @ r @ u.conj().T, sig, sig, seed=3)
-    assert rep.witness in ("sampled channel check", "UNDECIDED output state")
-    # the rank-1 Choi matrix is proved positive by its low-rank factor
-    assert (256, 256) not in shapes["eigvalsh"] and (256, 256) not in shapes["cholesky"]
+    rep = validate_transformation(conjugation(u), sig, sig, seed=3)
+    assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
+    # the rank-1 Choi matrix is proved positive by its low-rank factor, and its Choi state is
+    # decided by its one column
+    assert (256, 256) not in shapes["eigvalsh"] + shapes["cholesky"]
+    assert shapes["eigh"] == []
 
 
 def slightly_negative_classical_map(r):
     """``diag(x) -> diag((1 + 5e-10) x0 + x1 / 2, -5e-10 x0 + x1 / 2)`` on a bit: its Choi matrix
-    has eigenvalue -5e-10, inside ``INPUT_ATOL``, and the image of ``|0><0|`` dips to -5e-10,
-    beyond the ``DEFAULT_ATOL`` a density matrix is admitted at."""
+    has eigenvalue -5e-10, inside ``INPUT_ATOL``, and its Choi state (the Choi matrix over 2)
+    -2.5e-10, beyond the ``DEFAULT_ATOL`` a density matrix is admitted at."""
     return np.diag([(1 + 5e-10) * r[0, 0] + r[1, 1] / 2, -5e-10 * r[0, 0] + r[1, 1] / 2])
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_output_below_admission_reported_not_raised(seed):
+def test_choi_state_below_admission_reported_not_raised(seed):
+    # the seed draws only the linearity probe, so it moves no verdict
     rep = validate_transformation(slightly_negative_classical_map, SIG10, SIG10, seed=seed)
-    assert not rep.valid and rep.witness == "invalid output state" and rep.flags == ("SAMPLED",)
-    assert rep.residual == pytest.approx(5e-10, rel=1e-6)
+    assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+    assert rep.residual == pytest.approx(2.5e-10, rel=1e-6)
 
 
 def antihermitian_drift_map(r):
     """The identity plus ``5e-10 tr(r) [[0, 1], [-1, 0]]``: the Hermitian part of its Choi matrix
-    is the identity's, and every image ``X`` has ``max |X^H - X| = 1e-9``."""
+    is the identity's, its Hermitian defect is 1e-9, at ``INPUT_ATOL``, and its Choi state's
+    5e-10, beyond ``DEFAULT_ATOL``."""
     return r + 5e-10 * np.trace(r) * np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_non_hermitian_output_reported_with_its_defect(seed):
+def test_non_hermitian_choi_state_reported_with_its_defect(seed):
     rep = validate_transformation(antihermitian_drift_map, SIG10, SIG10, seed=seed)
-    assert not rep.valid and rep.witness == "invalid output state" and rep.flags == ("SAMPLED",)
-    assert rep.residual == pytest.approx(1e-9, rel=1e-6)
+    assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+    assert rep.residual == pytest.approx(5e-10, rel=1e-6)
+
+
+def test_non_hermitian_choi_matrix_rejected_with_its_defect():
+    rep = validate_transformation(lambda r: r + 1e-6 * np.trace(r) * np.triu(np.ones((2, 2)), 1),
+                                  SIG10, SIG10)
+    assert not rep.valid and rep.witness == "Hermiticity" and rep.flags == ()
+    assert rep.residual == pytest.approx(1e-6, rel=1e-6)
