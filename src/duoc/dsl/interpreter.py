@@ -49,6 +49,7 @@ from ..states import (
 )
 from ..systems import SystemSignature, index_table
 from .ast import (
+    RUN_KINDS,
     AssertDecl,
     Ctor,
     EmitDecl,
@@ -200,14 +201,15 @@ class _Interpreter:
     # -- statements ---------------------------------------------------
     def execute(self, script: Script) -> ResultTable:
         for st in script.statements:
+            handler = self._HANDLERS.get(type(st))
+            if handler is None:
+                raise _err(getattr(st, "line", 0), f"cannot execute {type(st).__name__}")
             try:
-                self._statement(st)
-            except AssertionFailure:
-                raise
-            except ScriptError:
+                handler(self, st)
+            except (AssertionFailure, ScriptError):
                 raise
             except DuocError as exc:
-                raise ScriptError(str(exc), getattr(st, "line", 0)) from exc
+                raise ScriptError(str(exc), st.line) from exc
         return self.table()
 
     def table(self) -> ResultTable:
@@ -220,24 +222,6 @@ class _Interpreter:
                 "version": __version__,
             },
         )
-
-    def _statement(self, st):
-        if isinstance(st, SystemDecl):
-            self._system(st)
-        elif isinstance(st, StateDecl):
-            self._state(st)
-        elif isinstance(st, MeasureDecl):
-            self._measure(st)
-        elif isinstance(st, TransformDecl):
-            self._transform(st)
-        elif isinstance(st, RunDecl):
-            self._run(st)
-        elif isinstance(st, AssertDecl):
-            self._assert(st)
-        elif isinstance(st, EmitDecl):
-            emit_results(self.table(), st.fmt, st.path)
-        else:
-            raise _err(getattr(st, "line", 0), f"cannot execute {type(st).__name__}")
 
     def _system(self, st: SystemDecl):
         args = _Args(st.args, st.line, "composite(...)")
@@ -392,10 +376,13 @@ class _Interpreter:
 
     # -- run blocks --------------------------------------------------------
     def _run(self, st: RunDecl):
+        handler = self._HANDLERS.get(st.kind)
+        if handler is None:
+            raise _err(st.line, f"unknown run kind {st.kind!r}, "
+                                f"expected one of {', '.join(RUN_KINDS)}")
         self.run_index += 1
         label = st.result if st.result is not None else f"run{self.run_index}"
-        handler = getattr(self, f"_run_{st.kind}")
-        metrics = handler(_Args(st.args, st.line, f"run {st.kind}"), st.line)
+        metrics = handler(self, _Args(st.args, st.line, f"run {st.kind}"), st.line)
         for metric, value in metrics:
             self.rows.append((label, st.kind, metric, value))
         if st.result is not None:
@@ -511,6 +498,23 @@ class _Interpreter:
             raise AssertionFailure(
                 f"line {st.line}: assert {name}.{metric} {st.op} {expected!r} "
                 f"failed (actual {actual!r}, tol {tol!r})")
+
+    # a statement node's type, or a run kind, to the method that executes it
+    _HANDLERS = {
+        SystemDecl: _system,
+        StateDecl: _state,
+        MeasureDecl: _measure,
+        TransformDecl: _transform,
+        RunDecl: _run,
+        AssertDecl: _assert,
+        EmitDecl: lambda self, st: emit_results(self.table(), st.fmt, st.path),
+        "born": _run_born,
+        "chsh": _run_chsh,
+        "activation": _run_activation,
+        "witness": _run_witness,
+        "conditional": _run_conditional,
+        "span": _run_span,
+    }
 
 
 def _pure_state(spec: PureStateSpec) -> DensityState:

@@ -43,6 +43,7 @@ _TOKEN_RE = re.compile(
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<cmp>==|!=|<=|>=|<|>)
   | (?P<punct>[=,(){}\[\].*/+-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -65,33 +66,27 @@ class _Token:
 
 
 def _tokenize(text: str):
+    """One scan: every character falls in some token, so ``finditer`` leaves no gaps."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    depth = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start, depth = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         tok = m.group()
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "newline":
-            if depth == 0:
-                if tokens and tokens[-1].kind != "newline":
-                    tokens.append(_Token("newline", "\n", line, col))
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            if depth == 0 and tokens and tokens[-1].kind != "newline":
+                tokens.append(_Token("newline", "\n", line, col))
             line += 1
-            col = 0
-        else:
+            line_start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        elif kind != "ws" and kind != "comment":
             if kind == "punct" and tok in "([{":
                 depth += 1
             elif kind == "punct" and tok in ")]}":
                 depth = max(0, depth - 1)
             tokens.append(_Token(kind, tok, line, col))
-        col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -175,41 +170,35 @@ class _Parser:
             return Str(_unquote(t.text))
         if t.kind == "punct" and t.text == "[":
             self._advance()
-            items = []
-            if not self._at("punct", "]"):
-                items.append(self._value())
-                while self._at("punct", ","):
-                    self._advance()
-                    items.append(self._value())
-            self._eat("punct", "]")
-            return ListV(tuple(items))
+            return ListV(self._sequence("]", self._value))
         if t.kind == "id" and t.text != "pi":
             self._advance()
             return Ref(t.text)
-        if t.kind == "number" or (t.kind == "punct" and t.text == "-") or (
-            t.kind == "id" and t.text == "pi"
-        ):
+        # only a punct token reads "-" and only an id token reads "pi"
+        if t.kind == "number" or t.text in ("-", "pi"):
             return Num(self._number())
         self._error("a value (number, string, identifier, or list)")
 
-    def _kvlist(self, close: str) -> tuple:
-        args = []
+    def _kv(self) -> tuple:
+        key = self._eat("id").text
+        self._eat("punct", "=")
+        return key, self._value()
+
+    def _sequence(self, close: str, item) -> tuple:
+        """``item ("," item)*`` or nothing, then ``close``."""
+        items = []
         if not self._at("punct", close):
-            while True:
-                key = self._eat("id").text
-                self._eat("punct", "=")
-                args.append((key, self._value()))
-                if self._at("punct", ","):
-                    self._advance()
-                    continue
-                break
+            items.append(item())
+            while self._at("punct", ","):
+                self._advance()
+                items.append(item())
         self._eat("punct", close)
-        return tuple(args)
+        return tuple(items)
 
     def _ctor(self) -> Ctor:
         name = self._eat("id").text
         self._eat("punct", "(")
-        return Ctor(name, self._kvlist(")"))
+        return Ctor(name, self._sequence(")", self._kv))
 
     def _ident(self, what="an identifier") -> str:
         t = self.tok
@@ -235,16 +224,12 @@ class _Parser:
         line = t.line
         word = t.text
         if word == "system":
-            self._advance()
-            name = self._ident("a system name")
-            self._eat("punct", "=")
+            name = self._head("a system name")
             self._eat("id", "composite")
             self._eat("punct", "(")
-            return SystemDecl(name, self._kvlist(")"), line=line)
+            return SystemDecl(name, self._sequence(")", self._kv), line=line)
         if word == "state":
-            self._advance()
-            name = self._ident("a state name")
-            self._eat("punct", "=")
+            name = self._head("a state name")
             if self._at("id", "product"):
                 self._advance()
                 self._eat("punct", "(")
@@ -258,17 +243,13 @@ class _Parser:
             system = self._ident("a system name")
             return StateDecl(name, ctor=ctor, system=system, line=line)
         if word == "measure":
-            self._advance()
-            name = self._ident("a measurement name")
-            self._eat("punct", "=")
+            name = self._head("a measurement name")
             ctor = self._ctor()
             self._eat("id", "on")
             system = self._ident("a system name")
             return MeasureDecl(name, ctor=ctor, system=system, line=line)
         if word == "transform":
-            self._advance()
-            name = self._ident("a transform name")
-            self._eat("punct", "=")
+            name = self._head("a transform name")
             return TransformDecl(name, ctor=self._ctor(), line=line)
         if word == "run":
             self._advance()
@@ -278,7 +259,7 @@ class _Parser:
                     f"unknown run kind {kind!r}, expected one of {', '.join(RUN_KINDS)}",
                     t.line, t.col)
             self._eat("punct", "{")
-            args = self._kvlist("}")
+            args = self._sequence("}", self._kv)
             result = None
             if self._at("id", "as"):
                 self._advance()
@@ -313,6 +294,13 @@ class _Parser:
             return EmitDecl(fmt, path, line=line)
         self._error("a statement keyword (system/state/measure/transform/run/assert/emit)")
 
+    def _head(self, what: str) -> str:
+        """``KEYWORD NAME =``: the declared name."""
+        self._advance()
+        name = self._ident(what)
+        self._eat("punct", "=")
+        return name
+
 
 def _unquote(text: str) -> str:
     body = text[1:-1]
@@ -323,54 +311,35 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _reads(st):
+    """The names a statement reads: its ``Ref`` arguments and list items one level deep, then
+    its ``on`` system, its ``product`` factors and its assert root."""
+    ctor = getattr(st, "ctor", None)
+    for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
+        for item in value.items if isinstance(value, ListV) else (value,):
+            if isinstance(item, Ref):
+                yield item.name
+    if getattr(st, "system", None) is not None:
+        yield st.system
+    yield from getattr(st, "product", None) or ()
+    if isinstance(st, AssertDecl):
+        yield st.target[0]
+
+
 def _check(script: Script):
-    """Static checks: definition before use, single emit."""
+    """Static checks: each name defined before a statement reads it, at most one emit."""
     defined = set()
     emits = 0
     for st in script.statements:
-        if isinstance(st, SystemDecl):
-            _check_refs(st.args, defined, st.line)
-            defined.add(st.name)
-        elif isinstance(st, StateDecl):
-            if st.product is not None:
-                for ref in st.product:
-                    _require(ref, defined, st.line)
-            else:
-                _check_refs(st.ctor.args, defined, st.line)
-                _require(st.system, defined, st.line)
-            defined.add(st.name)
-        elif isinstance(st, MeasureDecl):
-            _check_refs(st.ctor.args, defined, st.line)
-            _require(st.system, defined, st.line)
-            defined.add(st.name)
-        elif isinstance(st, TransformDecl):
-            _check_refs(st.ctor.args, defined, st.line)
-            defined.add(st.name)
-        elif isinstance(st, RunDecl):
-            _check_refs(st.args, defined, st.line)
-            if st.result is not None:
-                defined.add(st.result)
-        elif isinstance(st, AssertDecl):
-            _require(st.target[0], defined, st.line)
-        elif isinstance(st, EmitDecl):
+        for name in _reads(st):
+            if name not in defined:
+                raise ParseError(f"identifier {name!r} used before definition", st.line, 1)
+        if isinstance(st, EmitDecl):
             emits += 1
             if emits > 1:
                 raise ParseError("at most one emit statement per script", st.line, 1)
-
-
-def _require(name: str, defined: set, line: int):
-    if name not in defined:
-        raise ParseError(f"identifier {name!r} used before definition", line, 1)
-
-
-def _check_refs(args: tuple, defined: set, line: int):
-    for _, value in args:
-        if isinstance(value, Ref):
-            _require(value.name, defined, line)
-        elif isinstance(value, ListV):
-            for item in value.items:
-                if isinstance(item, Ref):
-                    _require(item.name, defined, line)
+        # a declaration defines its name, a run its result; other statements define nothing
+        defined.add(getattr(st, "name", None) or getattr(st, "result", None))
 
 
 def parse_script(text: str) -> Script:

@@ -13,7 +13,6 @@ matrix above 256 x 256 in 1 MB row blocks, which stay in cache.
 from __future__ import annotations
 
 import math
-import string
 
 import numpy as np
 
@@ -30,8 +29,6 @@ BLOCK_ENTRIES = 1 << 16
 
 # The largest entry modulus of a vector: its squared norm stays finite up to 10^8 entries
 MAX_ENTRY = 1e150
-
-_AXIS_LABELS = string.ascii_letters
 
 
 def as_vector(x) -> np.ndarray:
@@ -142,26 +139,12 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     if not keep:
         return np.array([[np.trace(mat)]], dtype=complex)
 
-    tensor = mat.reshape(dims + dims)
-    row = [""] * nfac
-    col = [""] * nfac
-    next_label = 0
-    out_labels = []
-    for k in keep:
-        row[k] = _AXIS_LABELS[next_label]
-        col[k] = _AXIS_LABELS[next_label + 1]
-        out_labels.append((row[k], col[k]))
-        next_label += 2
-    for t in range(nfac):
-        if row[t] == "":
-            # traced factor: same label on row and column axis
-            row[t] = col[t] = _AXIS_LABELS[next_label]
-            next_label += 1
-    spec = "".join(row) + "".join(col) + "->" + "".join(r for r, _ in out_labels) + "".join(
-        c for _, c in out_labels
-    )
+    # axis t is labelled t on the row side; on the column side a kept factor takes nfac + t and a
+    # traced one reuses its row label, which einsum sums over
+    cols = [nfac + t if t in keep else t for t in range(nfac)]
     kept_dim = int(np.prod([dims[k] for k in keep]))
-    return np.einsum(spec, tensor).reshape(kept_dim, kept_dim)
+    return np.einsum(mat.reshape(dims + dims), [*range(nfac), *cols],
+                     [*keep, *(nfac + k for k in keep)]).reshape(kept_dim, kept_dim)
 
 
 def contract_effect(op, rho, positions, dims) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from duoc.dsl import (
     run_script,
 )
 from duoc.dsl import interpreter
-from duoc.dsl.ast import ListV, Num
+from duoc.dsl.ast import ListV, Num, RunDecl, Script
 from duoc.errors import AssertionFailure, DomainError, DuocError, ParseError, ScriptError
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.duoc"))
@@ -77,10 +78,27 @@ class TestLexerAndNumbers:
         ctor = s.statements[1].ctor
         assert ctor.args[0][1] == ListV((Num(0.25), Num(0.75)))
 
-    def test_unexpected_character(self):
-        with pytest.raises(ParseError) as e:
-            parse("system $ = composite(d=2)\n")
-        assert e.value.line == 1 and e.value.col == 8
+    @pytest.mark.parametrize(
+        "text,line,col,char",
+        [
+            ("system $ = composite(d=2)\n", 1, 8, "$"),
+            ("# header\n# second\nsystem $ = composite(d=2)\n", 3, 8, "$"),
+            ("system S = composite(d=2)\n\n\n\nrun span { system=$ } as R\n", 5, 19, "$"),
+            ("system S = composite(d=2, bits=1, antibits=0)\n"
+             "state A = classical(weights=[\n"
+             "    0.25,\n"
+             "    0.75]) on S\n"
+             "measure M = $\n", 5, 13, "$"),
+            ("system S = composite(d=2)\r\n", 1, 26, "\r"),
+            ('system S = composite(d=2)\nemit csv "out.csv\n', 2, 10, '"'),
+        ],
+        ids=["line1", "after-comments", "after-blank-lines", "after-continuation", "carriage-return",
+             "unterminated-string"],
+    )
+    def test_unexpected_character(self, text, line, col, char):
+        with pytest.raises(ParseError, match=f"unexpected character {re.escape(repr(char))}") as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (line, col)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as e:
@@ -93,9 +111,35 @@ class TestLexerAndNumbers:
 
 
 class TestStaticChecks:
-    def test_used_before_definition(self):
-        with pytest.raises(ParseError, match="before definition"):
-            parse("run born { state=A } as R\n")
+    PRELUDE = (
+        "system S = composite(d=2, bits=1, antibits=1)\n"
+        "state E = entpair(p=0.5) on S\n"
+        "transform T = reversible(shifts=[1])\n"
+    )
+
+    @pytest.mark.parametrize(
+        "statement,name",
+        [
+            ("run born { state=X } as R", "X"),
+            ("transform U = reversible(shifts=[1, X])", "X"),
+            ("state A = basis(digits=[0, 0]) on X", "X"),
+            ("state A = product(X, E)", "X"),
+            ("state A = product(E, X)", "X"),
+            ("state A = apply(state=X, transform=T) on S", "X"),
+            ("state A = apply(state=E, transform=X) on S", "X"),
+            ("state A = purify(of=X) on S", "X"),
+            ("run span { system=X } as R", "X"),
+            ("assert X.F == 2", "X"),
+            ("state A = product(A, A)", "A"),
+        ],
+        ids=["ref-argument", "list-item", "on-system", "product-left", "product-right",
+             "apply-state", "apply-transform", "purify-of", "span-system", "assert-root",
+             "reads-own-name"],
+    )
+    def test_used_before_definition(self, statement, name):
+        with pytest.raises(ParseError, match=f"identifier '{name}' used before definition") as e:
+            parse(self.PRELUDE + statement + "\n")
+        assert e.value.line == 4
 
     def test_ref_inside_args_checked(self):
         with pytest.raises(ParseError, match="before definition"):
@@ -119,9 +163,12 @@ class TestStaticChecks:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-    def test_corpus_round_trips(self, path):
-        text = path.read_text()
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(p.read_text(), id=p.stem) for p in CORPUS]
+        + [pytest.param(text, id=f"demo-{name}") for name, text in sorted(DEMOS.items())],
+    )
+    def test_corpus_round_trips(self, text):
         script = parse(text)
         printed = pretty_print(script)
         assert parse(printed) == script
@@ -229,6 +276,17 @@ class TestInterpreter:
         )
         assert t.value("R", "p0") == pytest.approx(1.0)
         assert {row[1] for row in t.rows} == {"born"}
+
+    @pytest.mark.parametrize(
+        "node,line,message",
+        [(RunDecl("teleport", line=3), 3, "unknown run kind 'teleport'"),
+         (Num(1.0), 0, "cannot execute Num")],
+        ids=["run-kind", "statement-node"],
+    )
+    def test_unknown_node_is_script_error(self, node, line, message):
+        with pytest.raises(ScriptError, match=message) as e:
+            run_script(Script((node,)))
+        assert e.value.line == line
 
     def test_assert_failure_carries_context(self):
         with pytest.raises(AssertionFailure, match="p0"):
