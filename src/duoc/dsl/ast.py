@@ -1,8 +1,9 @@
 """Syntax tree for the scripting language.
 
-Nodes compare by content only: source line numbers ride along for error
-messages but are excluded from equality, so a parse / pretty-print /
-re-parse cycle yields an equal tree.
+Nodes compare by content only: source positions (the line of a statement,
+the line and column of each name it reads) ride along for error messages
+but are excluded from equality, so a parse / pretty-print / re-parse cycle
+yields an equal tree.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ class Str:
 @dataclass(frozen=True)
 class Ref:
     name: str
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class StateDecl:
     system: str = None
     product: tuple = None
     line: int = field(default=0, compare=False)
+    system_at: tuple = field(default=(0, 0), compare=False)  # (line, col) of the system
+    product_at: tuple = field(default=(), compare=False)  # (line, col) of each factor
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,7 @@ class MeasureDecl:
     ctor: Ctor = None
     system: str = None
     line: int = field(default=0, compare=False)
+    system_at: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,7 @@ class AssertDecl:
     value: float
     tol: float = None
     line: int = field(default=0, compare=False)
+    target_at: tuple = field(default=(0, 0), compare=False)  # (line, col) of the result name
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,7 @@ class EmitDecl:
     fmt: str
     path: str
     line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ class _Parser:
             return ListV(self._sequence("]", self._value))
         if t.kind == "id" and t.text != "pi":
             self._advance()
-            return Ref(t.text)
+            return Ref(t.text, t.line, t.col)
         # only a punct token reads "-" and only an id token reads "pi"
         if t.kind == "number" or t.text in ("-", "pi"):
             return Num(self._number())
@@ -200,11 +200,13 @@ class _Parser:
         self._eat("punct", "(")
         return Ctor(name, self._sequence(")", self._kv))
 
-    def _ident(self, what="an identifier") -> str:
+    def _ident(self, what="an identifier") -> tuple:
+        """``(name, (line, col))`` of the next identifier."""
         t = self.tok
         if t.kind != "id" or t.text in _KEYWORDS:
             self._error(what)
-        return self._advance().text
+        self._advance()
+        return t.text, (t.line, t.col)
 
     # -- statements -----------------------------------------------------
     def parse(self) -> Script:
@@ -233,21 +235,22 @@ class _Parser:
             if self._at("id", "product"):
                 self._advance()
                 self._eat("punct", "(")
-                left = self._ident("a state name")
+                left, left_at = self._ident("a state name")
                 self._eat("punct", ",")
-                right = self._ident("a state name")
+                right, right_at = self._ident("a state name")
                 self._eat("punct", ")")
-                return StateDecl(name, product=(left, right), line=line)
+                return StateDecl(name, product=(left, right), line=line,
+                                 product_at=(left_at, right_at))
             ctor = self._ctor()
             self._eat("id", "on")
-            system = self._ident("a system name")
-            return StateDecl(name, ctor=ctor, system=system, line=line)
+            system, at = self._ident("a system name")
+            return StateDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "measure":
             name = self._head("a measurement name")
             ctor = self._ctor()
             self._eat("id", "on")
-            system = self._ident("a system name")
-            return MeasureDecl(name, ctor=ctor, system=system, line=line)
+            system, at = self._ident("a system name")
+            return MeasureDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "transform":
             name = self._head("a transform name")
             return TransformDecl(name, ctor=self._ctor(), line=line)
@@ -263,11 +266,11 @@ class _Parser:
             result = None
             if self._at("id", "as"):
                 self._advance()
-                result = self._ident("a result name")
+                result = self._ident("a result name")[0]
             return RunDecl(kind, args, result=result, line=line)
         if word == "assert":
             self._advance()
-            first = self._ident("a result name")
+            first, at = self._ident("a result name")
             path = [first]
             while self._at("punct", "."):
                 self._advance()
@@ -283,7 +286,7 @@ class _Parser:
                 tol = self._number()
                 if tol < 0:
                     raise ParseError(f"tolerance must be >= 0, got {tol!r}", tt.line, tt.col)
-            return AssertDecl(tuple(path), op, value, tol=tol, line=line)
+            return AssertDecl(tuple(path), op, value, tol=tol, line=line, target_at=at)
         if word == "emit":
             self._advance()
             fmt = self._eat("id").text
@@ -291,13 +294,13 @@ class _Parser:
                 raise ParseError(f"emit format must be csv or json, got {fmt!r}",
                                  t.line, t.col)
             path = _unquote(self._eat("string").text)
-            return EmitDecl(fmt, path, line=line)
+            return EmitDecl(fmt, path, line=line, col=t.col)
         self._error("a statement keyword (system/state/measure/transform/run/assert/emit)")
 
     def _head(self, what: str) -> str:
         """``KEYWORD NAME =``: the declared name."""
         self._advance()
-        name = self._ident(what)
+        name = self._ident(what)[0]
         self._eat("punct", "=")
         return name
 
@@ -312,18 +315,19 @@ def _quote(text: str) -> str:
 
 
 def _reads(st):
-    """The names a statement reads: its ``Ref`` arguments and list items one level deep, then
-    its ``on`` system, its ``product`` factors and its assert root."""
+    """``(name, line, col)`` of each name a statement reads: its ``Ref`` arguments and list items
+    one level deep, then its ``on`` system, its ``product`` factors and its assert root."""
     ctor = getattr(st, "ctor", None)
     for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
         for item in value.items if isinstance(value, ListV) else (value,):
             if isinstance(item, Ref):
-                yield item.name
+                yield item.name, item.line, item.col
     if getattr(st, "system", None) is not None:
-        yield st.system
-    yield from getattr(st, "product", None) or ()
+        yield st.system, *st.system_at
+    for name, at in zip(getattr(st, "product", None) or (), getattr(st, "product_at", ())):
+        yield name, *at
     if isinstance(st, AssertDecl):
-        yield st.target[0]
+        yield st.target[0], *st.target_at
 
 
 def _check(script: Script):
@@ -331,13 +335,13 @@ def _check(script: Script):
     defined = set()
     emits = 0
     for st in script.statements:
-        for name in _reads(st):
+        for name, line, col in _reads(st):
             if name not in defined:
-                raise ParseError(f"identifier {name!r} used before definition", st.line, 1)
+                raise ParseError(f"identifier {name!r} used before definition", line, col)
         if isinstance(st, EmitDecl):
             emits += 1
             if emits > 1:
-                raise ParseError("at most one emit statement per script", st.line, 1)
+                raise ParseError("at most one emit statement per script", st.line, st.col)
         # a declaration defines its name, a run its result; other statements define nothing
         defined.add(getattr(st, "name", None) or getattr(st, "result", None))
 

@@ -22,7 +22,8 @@ from .linalg import (
     psd_defect, symmetrized, tensor_all,
 )
 from .states import (
-    DensityState, ValidityReport, product_order, product_state, validate_mixed_state,
+    DensityState, ValidityReport, large_pure_vector, product_order, product_state,
+    validate_mixed_state,
 )
 from .systems import (
     MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature, as_integers, phase_matrix,
@@ -110,7 +111,10 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
 
 def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:
     """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather,
-    stored symmetrized; a conjugation of an admitted state needs no positivity decision."""
+    stored symmetrized; a conjugation of an admitted state needs no positivity decision.  A
+    state of :func:`~duoc.states.large_pure_vector` ``psi`` maps to the pure ``ph * psi[src]``."""
+    if (vec := large_pure_vector(rho)) is not None:
+        return DensityState._pure(rho.sig, ph * vec[src])
     out = rho.matrix.take(src, 0).take(src, 1)
     np.multiply(ph[:, None], out, out=out)  # operand order kept: complex products round by it
     out *= ph.conj()

@@ -41,6 +41,7 @@ from .states import (
     basis_state_spec,
     build_pure_state,
     draw_valid_states,
+    large_pure_vector,
     pattern_test,
     random_valid_state,
     validate_cone_member,
@@ -137,15 +138,21 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     ``positions`` lists the factor positions of ``rho`` consumed by the
     effect, wired as :func:`check_wiring` requires.  The probability is
     ``Tr((E_S x I) rho)``; branches at or below probability ``ZERO_ATOL``
-    return ``(prob, None)`` rather than renormalizing noise.
+    return ``(prob, None)`` rather than renormalizing noise.  A state of
+    :func:`~duoc.states.large_pure_vector` is contracted from its vector
+    (:func:`~duoc.linalg.contract_pure_effect`).
     """
     sig = rho.sig
     positions = check_wiring(sig, e.sig, positions)
-    raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
+    keep = tuple(t for t in range(sig.num_factors) if t not in positions)
+    if (vec := large_pure_vector(rho)) is None:
+        raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
+    else:  # the vector laid out measured factors first, in the effect's order
+        psi = vec.reshape(sig.dims).transpose(*positions, *keep).reshape(1, e.sig.dim, -1)
+        raw = contract_pure_effect(e.op[None], psi)[0]
     prob = float(np.real(np.trace(raw)))
     if prob <= ZERO_ATOL:
         return max(prob, 0.0), None
-    keep = tuple(t for t in range(sig.num_factors) if t not in positions)
     raw /= prob
     return prob, DensityState._admitted(sig.sub_signature(keep), symmetrized(raw))
 

@@ -71,21 +71,32 @@ def tensor_all(*factors) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
-    """Rank-1 projector onto ``v``, normalizing first; its own :func:`hermitian_part` byte for byte.
-
-    A fused multiply-add rounds the imaginary part of ``np.outer(vec, conj(vec))`` differently at
-    ``(i, j)`` and ``(j, i)``, so that part is ``im_i re_j - re_i im_j``, exactly antisymmetric.
+    """Rank-1 projector onto ``v``: :func:`hermitian_outer` of :func:`unit_vector`.
 
     Raises
     ------
     DegenerateInputError
         If ``v`` has norm below ``ZERO_ATOL`` (direction undefined).
     """
+    return hermitian_outer(unit_vector(v))
+
+
+def unit_vector(v) -> np.ndarray:
+    """``v`` (through :func:`as_vector`) over its norm; a norm below ``ZERO_ATOL`` raises
+    :class:`DegenerateInputError`."""
     vec = as_vector(v)
     nrm = vector_norm(vec)
     if nrm < ZERO_ATOL:
         raise DegenerateInputError("cannot project onto a (near-)zero vector")
-    vec = vec / nrm
+    return vec / nrm
+
+
+def hermitian_outer(vec) -> np.ndarray:
+    """``vec vec^H``, its own :func:`hermitian_part` byte for byte.
+
+    A fused multiply-add rounds the imaginary part of ``np.outer(vec, conj(vec))`` differently at
+    ``(i, j)`` and ``(j, i)``, so that part is ``im_i re_j - re_i im_j``, exactly antisymmetric.
+    """
     re, im = vec.real, vec.imag
     out = vec[:, None] * vec.conj()
     imag = out.imag

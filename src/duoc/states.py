@@ -37,13 +37,17 @@ from .linalg import (
     ZERO_ATOL,
     as_vector,
     factor_residual,
+    hermitian_outer,
     hermitian_part,
     off_diagonal_max,
     partial_trace,
+    permute_vector_factors,
     positive_zeros,
     projector,
     psd_defect,
+    row_blocks,
     symmetrized,
+    unit_vector,
     vector_norm,
 )
 from .systems import (
@@ -53,10 +57,16 @@ from .systems import (
     admissible_differences,
     as_integers,
     cell_cover,
+    cover_entries,
     digits_to_index,
     index_table,
     index_to_digits,
 )
+
+# The kernels read a pure state from its vector above this dimension and from its matrix at or
+# below it, so that no corpus or demo state (the largest is 81 x 81) changes a byte of output
+VECTOR_PATH_DIM = 256
+
 
 @dataclass
 class ValidityReport:
@@ -382,7 +392,6 @@ def basis_state_spec(sig: SystemSignature, digits) -> PureStateSpec:
     return PureStateSpec._admitted(sig, {dits[:p]: 1 + 0j}, parity, tail)
 
 
-@dataclass(eq=False)
 class DensityState:
     """Density matrix tagged with its composite signature.
 
@@ -400,46 +409,85 @@ class DensityState:
     checks its shape and trace only.  A projector and a product are stored as
     built, the rest :func:`~duoc.linalg.symmetrized`, byte for byte what this
     constructor stores.
+
+    A pure state built from a vector (:meth:`from_vector`, :meth:`_pure`) stores that
+    vector as ``vector`` (``None`` on every other state) and forms ``matrix``, its
+    :func:`~duoc.linalg.hermitian_outer`, on the first read, once.
     """
 
-    sig: SystemSignature
-    matrix: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, sig: SystemSignature, matrix):
         # hermitian_part coerces the input and checks it is finite and square
-        sym, defect = hermitian_part(self.matrix)
+        sym, defect = hermitian_part(matrix)
         # a wrong size is _require_trace's to report, ahead of the defect
-        if sym.shape[0] == self.sig.dim and defect > DEFAULT_ATOL:
+        if sym.shape[0] == sig.dim and defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
-        _require_trace(self.sig, sym)
+        _require_trace(sig, sym.shape[0], np.trace(sym))
         if (short := psd_defect(sym, DEFAULT_ATOL)) > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix has negative eigenvalue {-short}")
-        self.matrix = sym
+        self.sig, self._matrix, self.vector = sig, sym, None
 
     @classmethod
     def _admitted(cls, sig: SystemSignature, matrix: np.ndarray) -> "DensityState":
         """The state of a ``matrix`` Hermitian and PSD by construction; checks shape and trace."""
-        _require_trace(sig, matrix)
+        _require_trace(sig, matrix.shape[0], np.trace(matrix))
         rho = cls.__new__(cls)
-        rho.sig, rho.matrix = sig, matrix
+        rho.sig, rho._matrix, rho.vector = sig, matrix, None
+        return rho
+
+    @classmethod
+    def _pure(cls, sig: SystemSignature, vec: np.ndarray) -> "DensityState":
+        """The pure state of a vector of unit norm by construction; checks length and norm."""
+        _require_trace(sig, vec.size, vector_norm(vec) ** 2)
+        rho = cls.__new__(cls)
+        rho.sig, rho._matrix, rho.vector = sig, None, vec
         return rho
 
     @classmethod
     def from_vector(cls, sig: SystemSignature, v) -> "DensityState":
-        return cls._admitted(sig, projector(v))
+        """The pure state of ``v`` over its norm; its ``matrix`` is ``projector(v)``."""
+        return cls._pure(sig, unit_vector(v))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = hermitian_outer(self.vector)
+        return self._matrix
 
     @property
     def dim(self) -> int:
         return self.sig.dim
 
+    def __repr__(self):
+        if self._matrix is None:
+            return f"DensityState(sig={self.sig!r}, vector={self.vector!r})"
+        return f"DensityState(sig={self.sig!r}, matrix={self._matrix!r})"
 
-def _require_trace(sig: SystemSignature, mat: np.ndarray) -> None:
-    """Raise unless the square ``mat`` has ``sig``'s dimension and unit trace (NaN fails)."""
-    if mat.shape[0] != sig.dim:
-        raise ShapeError(f"matrix dim {mat.shape[0]} != composite dimension {sig.dim}")
-    tr = float(np.real(np.trace(mat)))
+
+def _require_trace(sig: SystemSignature, size: int, trace) -> None:
+    """Raise unless an operator of ``size`` rows and trace ``trace`` has ``sig``'s dimension and
+    unit trace (NaN fails)."""
+    if size != sig.dim:
+        raise ShapeError(f"matrix dim {size} != composite dimension {sig.dim}")
+    tr = float(np.real(trace))
     if not abs(tr - 1.0) <= DEFAULT_ATOL:
         raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
+
+
+def large_pure_vector(rho: DensityState):
+    """``rho``'s vector when it carries one and :func:`_vector_sized`, else ``None``: a pure
+    state's reversible map, product, marginal, conditional and membership are then read from
+    the vector, with no dim x dim projector."""
+    return rho.vector if _vector_sized(rho.sig) else None
+
+
+def _vector_sized(sig: SystemSignature) -> bool:
+    """Whether the kernels read a pure state of ``sig`` from its vector: above
+    :data:`VECTOR_PATH_DIM`.
+
+    With the vector path at every size, the golden line ``P,born,p2,1.0000000000000002`` of
+    ``21_reversible_phases`` read ``1.0000000000000004``.
+    """
+    return sig.dim > VECTOR_PATH_DIM
 
 
 def product_order(left: SystemSignature, right: SystemSignature) -> list:
@@ -450,11 +498,16 @@ def product_order(left: SystemSignature, right: SystemSignature) -> list:
 
 
 def product_state(left: DensityState, right: DensityState) -> DensityState:
-    """The product of two states on one local dimension, in the layout of :func:`product_order`."""
+    """The product of two states on one local dimension, in the layout of :func:`product_order`;
+    of two states that carry vectors, above 256 x 256 the pure state of their reordered ``kron``."""
     if left.sig.d != right.sig.d:
         raise DomainError("product states need a common local dimension")
     sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
     order = product_order(left.sig, right.sig)
+    if left.vector is not None and right.vector is not None and _vector_sized(sig):
+        vec = np.kron(left.vector, right.vector)
+        return DensityState._pure(sig, permute_vector_factors(
+            vec, left.sig.dims + right.sig.dims, np.argsort(order)))
     mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
     mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
     return DensityState._admitted(sig, positive_zeros(mat))
@@ -538,12 +591,18 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     ----------
     certificate : list of (weight, PureStateSpec), optional
         Claimed convex decomposition; verified by reconstruction.
+
+    With no certificate, a pure state of :func:`large_pure_vector` is decided from its vector:
+    the cell test over the pairs of its support, then that vector as the rank-1 column.
     """
+    if certificate is None and (vec := large_pure_vector(rho)) is not None:
+        return validate_cone_member(rho.sig, None, vector=vec)
     return validate_cone_member(rho.sig, rho.matrix, certificate)
 
 
-def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
-    """Membership test shared by valid states and effects; see :func:`validate_mixed_state`."""
+def validate_cone_member(sig, mat, certificate=None, vector=None) -> ValidityReport:
+    """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
+    A unit ``vector`` stands in for ``mat = vector vector^H``, which is not read."""
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -565,12 +624,18 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
-    mag = np.abs(mat)
-    np.putmask(mag, cell_cover(sig), 0.0)
-    if (off := float(np.max(mag))) > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
+    if vector is None:
+        mag = np.abs(mat)
+        np.putmask(mag, cell_cover(sig), 0.0)
+        off = float(np.max(mag))
+    else:
+        off = _off_cell_outer(sig, vector)
+    if off > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
-    if (cols := _rank_one_column(mat)) is None:
+    if vector is not None:
+        cols = vector[None]
+    elif (cols := _rank_one_column(mat)) is None:
         vals, vecs = np.linalg.eigh(mat)
         cols = vecs[:, vals > DEFAULT_ATOL].T
     valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
@@ -578,6 +643,19 @@ def validate_cone_member(sig, mat, certificate=None) -> ValidityReport:
         return ValidityReport(False, float(leak[np.argmin(valid)]),
                               witness="spectral decomposition", flags=("NON-EXHAUSTIVE",))
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
+
+
+def _off_cell_outer(sig: SystemSignature, vec) -> float:
+    """The largest modulus of ``vec vec^H`` on an entry that no cell covers, as
+    ``|vec_i| |vec_j|`` over the pairs of the support of ``vec`` in
+    :func:`~duoc.linalg.row_blocks`, with no dim x dim array."""
+    support = np.flatnonzero(vec)
+    mag, off = np.abs(vec[support]), 0.0
+    for rows in row_blocks(len(support)):
+        block = mag[rows, None] * mag
+        block[cover_entries(sig, support[rows], support)] = 0.0
+        off = max(off, float(block.max()))
+    return off
 
 
 def _rank_one_column(mat):
@@ -603,9 +681,15 @@ def _rank_one_column(mat):
 
 
 def marginal_state(rho: DensityState, keep) -> DensityState:
-    """Reduced state on the factors listed in ``keep`` (ascending positions)."""
+    """Reduced state on the factors listed in ``keep`` (ascending positions); of a state of
+    :func:`large_pure_vector`, ``symmetrized(M M^H)`` with ``M`` its vector reshaped kept
+    factors by the rest."""
     keep = tuple(sorted(as_integers(keep)))
     sub = rho.sig.sub_signature(keep)
+    if (vec := large_pure_vector(rho)) is not None:
+        rest = [t for t in range(rho.sig.num_factors) if t not in keep]
+        mat = vec.reshape(rho.sig.dims).transpose(*keep, *rest).reshape(sub.dim, -1)
+        return DensityState._admitted(sub, symmetrized(mat @ mat.conj().T))
     reduced = partial_trace(rho.matrix, rho.sig.dims, keep)
     return DensityState._admitted(sub, symmetrized(reduced))
 

@@ -215,12 +215,30 @@ def cell_cover(sig: SystemSignature) -> np.ndarray:
     """``(dim, dim)`` booleans: whether basis indices ``i`` and ``j`` share some cell, that is
     whether their digit difference is admissible (:func:`admissible_differences`).
 
-    The difference code of ``(i, j)``, the digits ``(j_t - i_t) % d`` read as one base-``d``
-    integer, is built for the leading and the trailing half of the factors: block ``(a, b)`` of
-    leading indices is row ``lead[a, b]`` of the table, read through the trailing codes.
+    Block ``(a, b)`` of leading indices is row ``lead[a, b]`` of the table of
+    :func:`_cover_codes`, read through the trailing codes.
     """
     if not sig.num_pairs:
         return np.eye(sig.dim, dtype=bool)
+    lead, trail, table = _cover_codes(sig)
+    return table[:, trail][lead].transpose(0, 2, 1, 3).reshape(sig.dim, sig.dim)
+
+
+def cover_entries(sig: SystemSignature, rows, cols) -> np.ndarray:
+    """``cell_cover(sig)[np.ix_(rows, cols)]`` for index arrays ``rows`` and ``cols``, read from
+    the tables of :func:`_cover_codes` with no ``(dim, dim)`` array."""
+    if not sig.num_pairs:
+        return rows[:, None] == cols
+    lead, trail, table = _cover_codes(sig)
+    (a, b), (c, e) = divmod(rows, len(trail)), divmod(cols, len(trail))
+    return table[lead[np.ix_(a, c)], trail[np.ix_(b, e)]]
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_codes(sig: SystemSignature) -> tuple:
+    """``(lead, trail, table)``: the difference codes of the leading and of the trailing half of
+    the factors, entry ``(i, j)`` the digits ``(j_t - i_t) % d`` read as one base-``d`` integer,
+    and :func:`admissible_differences` as a ``(lead code, trail code)`` table."""
 
     def codes(factors):
         digits = np.indices((sig.d,) * factors).reshape(factors, -1)
@@ -228,8 +246,7 @@ def cell_cover(sig: SystemSignature) -> np.ndarray:
                             (digits[:, None] - digits[..., None]) % sig.d, 1)
 
     lead, trail = codes(sig.num_factors // 2), codes(sig.num_factors - sig.num_factors // 2)
-    table = admissible_differences(sig).reshape(len(lead), len(trail))
-    return table[:, trail][lead].transpose(0, 2, 1, 3).reshape(sig.dim, sig.dim)
+    return lead, trail, admissible_differences(sig).reshape(len(lead), len(trail))
 
 
 def as_integers(values, what: str = "factor positions") -> tuple:

@@ -6,7 +6,10 @@ construction, so none of them decides positivity again (no low-rank
 factor, Cholesky or ``eigvalsh``) or runs the Hermitian defect scan.  Each
 stored matrix is still byte for byte the one the public ``DensityState``
 constructor stores for the same input, on real vectors of mixed sign,
-whose products carry zeros of both signs, and on complex ones.
+whose products carry zeros of both signs, and on complex ones.  Above
+256 x 256 a pure state's product, reversible image, marginal and
+conditional are read from its vector: those rows pin the bytes of the
+vector formula, and its distance from the dense path.
 
 Likewise the effects the engine builds (a side's direction effects, the
 witness and activation projectors with their complements, the diagonal
@@ -36,8 +39,8 @@ from duoc.errors import DensityMatrixError
 from duoc.linalg import contract_effect, partial_trace, projector
 from duoc.nonlocality import LocalBasis, activation_setup, chsh_value, side_effect, side_povm
 from duoc.states import (
-    DensityState, PureStateSpec, basis_state_spec, build_pure_state, marginal_state,
-    product_order, product_state, random_mixed_state,
+    DensityState, PureStateSpec, _vector_sized, basis_state_spec, build_pure_state,
+    marginal_state, product_order, product_state, random_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
 
@@ -101,6 +104,32 @@ def same_bytes(out, sig, matrix):
     assert out.matrix.tobytes() == DensityState(sig, matrix).matrix.tobytes()
 
 
+def product_vector(left, right):
+    """The vector of the product of two pure states: their ``kron``, reordered to
+    :func:`product_order`."""
+    order = product_order(left.sig, right.sig)
+    return linalg.permute_vector_factors(np.kron(left.vector, right.vector),
+                                         left.sig.dims + right.sig.dims, np.argsort(order))
+
+
+def same_pure(out, sig, vec, dense):
+    """``out`` is the pure state of ``vec`` on ``sig``, stored as built: its matrix is the
+    bytes of ``hermitian_outer(vec)`` and of what ``DensityState`` stores for that, and within
+    1e-12 of the dense path's ``dense``."""
+    assert out.vector.tobytes() == vec.tobytes()
+    assert out.matrix.tobytes() == linalg.hermitian_outer(vec).tobytes()
+    same_bytes(out, sig, linalg.hermitian_outer(vec))
+    assert np.max(np.abs(out.matrix - dense)) <= 1e-12
+
+
+def measured_first(rho, positions):
+    """``rho``'s vector laid out as the effect's factors, then the rest, as one ``(1, a, b)``
+    stack."""
+    rest = [t for t in range(rho.sig.num_factors) if t not in positions]
+    sub = rho.sig.sub_signature(positions).dim
+    return rho.vector.reshape(rho.sig.dims).transpose(*positions, *rest).reshape(1, sub, -1)
+
+
 def no_decision(counts):
     assert counts == dict.fromkeys(counts, 0)
 
@@ -134,7 +163,9 @@ class TestAdmittedOnce:
         v = vector(kind, sig.dim, rng)
         out = DensityState.from_vector(sig, v)
         no_decision(counts)
-        assert out.matrix.tobytes() == projector(v).tobytes()  # stored as built
+        # the unit vector is stored; the matrix is formed on the first read, once
+        assert out.vector.tobytes() == linalg.unit_vector(v).tobytes() and out._matrix is None
+        assert out.matrix.tobytes() == projector(v).tobytes() and out.matrix is out.matrix
         same_bytes(out, sig, projector(v))
 
     def test_product_state(self, dmn, kind, counts, rng):
@@ -143,6 +174,9 @@ class TestAdmittedOnce:
         out = product_state(left, right)
         no_decision(counts)
         sig, mat = joint_matrix(left, right)
+        if _vector_sized(sig):
+            same_pure(out, sig, product_vector(left, right), mat)
+            return
         assert np.array_equal(out.matrix, mat)  # stored as built, up to the signs of zeros
         same_bytes(out, sig, mat)
 
@@ -156,7 +190,11 @@ class TestAdmittedOnce:
         out = apply_reversible(u, rho)
         no_decision(counts)
         src, ph = _reversible_index_map(spec, sig)
-        same_bytes(out, sig, ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj())
+        dense = ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj()
+        if _vector_sized(sig):
+            same_pure(out, sig, ph * rho.vector[src], dense)
+        else:
+            same_bytes(out, sig, dense)
 
     def test_marginal_state(self, dmn, kind, counts, rng):
         sig = SystemSignature(*dmn)
@@ -164,15 +202,28 @@ class TestAdmittedOnce:
         keep = tuple(range(1, sig.num_factors))
         out = marginal_state(rho, keep)
         no_decision(counts)
-        same_bytes(out, sig.sub_signature(keep), partial_trace(rho.matrix, sig.dims, keep))
+        sub, dense = sig.sub_signature(keep), partial_trace(rho.matrix, sig.dims, keep)
+        if _vector_sized(sig):
+            mat = rho.vector.reshape(sig.dims).transpose(*keep, 0).reshape(sub.dim, -1)
+            same_bytes(out, sub, mat @ mat.conj().T)
+            assert np.max(np.abs(out.matrix - dense)) <= 1e-12
+        else:
+            same_bytes(out, sub, dense)
 
     def test_conditional_state(self, dmn, kind, rng, monkeypatch):
         sig = SystemSignature(*dmn)
         rho = DensityState.from_vector(sig, vector(kind, sig.dim, rng))
         e = random_certified_effect(sig.sub_signature((0,)), rng)
         prob, out = conditional_state(rho, e, (0,))
-        raw = contract_effect(e.op, rho.matrix, (0,), sig.dims)
-        same_bytes(out, sig.sub_signature(tuple(range(1, sig.num_factors))), raw / prob)
+        sub, dense = sig.sub_signature(tuple(range(1, sig.num_factors))), contract_effect(
+            e.op, rho.matrix, (0,), sig.dims)
+        if _vector_sized(sig):
+            raw = linalg.contract_pure_effect(e.op[None], measured_first(rho, (0,)))[0]
+            assert prob == np.trace(raw).real
+            assert np.max(np.abs(raw - dense)) <= 1e-12
+        else:
+            raw = dense
+        same_bytes(out, sub, raw / prob)
         # counted on a second call, once the effect is admitted
         count = counters(monkeypatch)
         conditional_state(rho, e, (0,))
@@ -194,6 +245,11 @@ class TestAdmittedOnce:
         joint, mat = joint_matrix(rho, ancilla)
         mat = DensityState(joint, mat).matrix  # the product as admitted
         raw = contract_effect(spec.effect.op, mat, spec.joint_positions, joint.dims)
+        if _vector_sized(joint):
+            pure = DensityState._pure(joint, product_vector(rho, ancilla))
+            dense, raw = raw, linalg.contract_pure_effect(
+                spec.effect.op[None], measured_first(pure, spec.joint_positions))[0]
+            assert np.max(np.abs(raw - dense)) <= 1e-12
         rest = tuple(t for t in range(joint.num_factors) if t not in spec.joint_positions)
         same_bytes(out, joint.sub_signature(rest), raw / prob)
 

@@ -117,29 +117,36 @@ class TestStaticChecks:
         "transform T = reversible(shifts=[1])\n"
     )
 
+    # the name's own line and column, also where the statement runs onto a second line
     @pytest.mark.parametrize(
-        "statement,name",
+        "statement,name,line,col",
         [
-            ("run born { state=X } as R", "X"),
-            ("transform U = reversible(shifts=[1, X])", "X"),
-            ("state A = basis(digits=[0, 0]) on X", "X"),
-            ("state A = product(X, E)", "X"),
-            ("state A = product(E, X)", "X"),
-            ("state A = apply(state=X, transform=T) on S", "X"),
-            ("state A = apply(state=E, transform=X) on S", "X"),
-            ("state A = purify(of=X) on S", "X"),
-            ("run span { system=X } as R", "X"),
-            ("assert X.F == 2", "X"),
-            ("state A = product(A, A)", "A"),
+            ("run born { state=X } as R", "X", 4, 18),
+            ("transform U = reversible(shifts=[1, X])", "X", 4, 37),
+            ("state A = basis(digits=[0, 0]) on X", "X", 4, 35),
+            ("state A = product(X, E)", "X", 4, 19),
+            ("state A = product(E, X)", "X", 4, 22),
+            ("state A = apply(state=X, transform=T) on S", "X", 4, 23),
+            ("state A = apply(state=E, transform=X) on S", "X", 4, 36),
+            ("state A = purify(of=X) on S", "X", 4, 21),
+            ("run span { system=X } as R", "X", 4, 19),
+            ("assert X.F == 2", "X", 4, 8),
+            ("state A = product(A, A)", "A", 4, 19),
+            ("measure M = witness(p=0.3) on X", "X", 4, 31),
+            ("run born { state=E,\n  measure=X } as R", "X", 5, 11),
+            ("state A = basis(digits=[0,\n 0]) on X", "X", 5, 9),
+            ("state A = product(E,\n   X)", "X", 5, 4),
         ],
         ids=["ref-argument", "list-item", "on-system", "product-left", "product-right",
              "apply-state", "apply-transform", "purify-of", "span-system", "assert-root",
-             "reads-own-name"],
+             "reads-own-name", "measure-system", "second-line-argument", "second-line-system",
+             "second-line-factor"],
     )
-    def test_used_before_definition(self, statement, name):
+    def test_used_before_definition(self, statement, name, line, col):
         with pytest.raises(ParseError, match=f"identifier '{name}' used before definition") as e:
             parse(self.PRELUDE + statement + "\n")
-        assert e.value.line == 4
+        assert (e.value.line, e.value.col) == (line, col)
+        assert str(e.value).startswith(f"line {line}, col {col}: ")
 
     def test_ref_inside_args_checked(self):
         with pytest.raises(ParseError, match="before definition"):
@@ -150,8 +157,9 @@ class TestStaticChecks:
             )
 
     def test_single_emit_enforced(self):
-        with pytest.raises(ParseError, match="one emit"):
-            parse('emit csv "a.csv"\nemit json "b.json"\n')
+        with pytest.raises(ParseError, match="one emit") as e:
+            parse('emit csv "a.csv"\n  emit json "b.json"\n')
+        assert (e.value.line, e.value.col) == (2, 3)
 
     def test_unknown_run_kind(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,143 @@
+"""A pure state keeps its vector.
+
+``DensityState.from_vector`` stores the unit vector and forms ``matrix`` on the first read.
+Above 256 x 256 the reversible map, the product, the marginal, the conditional and the
+membership test of such a state read the vector; the rows of ``test_admission.py`` pin their
+bytes on (2,5,5), and these tests pin their errors, verdicts and memory.
+"""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from duoc import states, systems
+from duoc.dynamics import ReversibleSpec, _conjugate_monomial, _reversible_index_map
+from duoc.effects import conditional_state, random_certified_effect
+from duoc.errors import DegenerateInputError, DomainError, ShapeError
+from duoc.linalg import projector
+from duoc.states import (
+    DensityState, draw_valid_states, large_pure_vector, marginal_state, product_state,
+    validate_cone_member, validate_mixed_state,
+)
+from duoc.systems import FactorPermutation, SystemSignature
+
+SIG11 = SystemSignature(2, 1, 1)
+
+
+# the errors, messages and order of projector(v) followed by the length check
+@pytest.mark.parametrize("v, error, message", [
+    ([np.nan, 1, 0, 0], ShapeError, "vector contains non-finite entries"),
+    ([np.inf, 0, 0, 0], ShapeError, "vector contains non-finite entries"),
+    ([1e200, 0, 0, 0], DomainError, "vector entry of modulus 1e+200 exceeds 1e+150"),
+    ([0, 0, 0, 0], DegenerateInputError, "cannot project onto a (near-)zero vector"),
+    ([1e-13, 0, 0, 0], DegenerateInputError, "cannot project onto a (near-)zero vector"),
+    (np.eye(2), ShapeError, "expected a nonempty 1-D vector, got shape (2, 2)"),
+    ([], ShapeError, "expected a nonempty 1-D vector, got shape (0,)"),
+    (1.0, ShapeError, "expected a nonempty 1-D vector, got shape ()"),
+    ([1, 0, 0], ShapeError, "matrix dim 3 != composite dimension 4"),
+    ([1, 0, 0, 0, 0], ShapeError, "matrix dim 5 != composite dimension 4"),
+    ([0, 0, 0], DegenerateInputError, "cannot project onto a (near-)zero vector"),
+    ([np.nan, 0, 0], ShapeError, "vector contains non-finite entries"),
+    ([1e200, 0, 0], DomainError, "vector entry of modulus 1e+200 exceeds 1e+150"),
+], ids=["nan", "inf", "huge", "zero", "tiny", "matrix", "empty", "scalar", "short", "long",
+        "short-zero", "short-nan", "short-huge"])
+def test_from_vector_raises_the_projector_errors(v, error, message):
+    with pytest.raises(error) as info:
+        DensityState.from_vector(SIG11, v)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_vector_kernels_start_above_256():
+    assert states.VECTOR_PATH_DIM == 256
+    small, large = SystemSignature(2, 4, 4), SystemSignature(2, 5, 4)
+    assert large_pure_vector(DensityState.from_vector(small, np.ones(small.dim))) is None
+    rho = DensityState.from_vector(large, np.ones(large.dim))
+    assert large_pure_vector(rho) is rho.vector
+    assert large_pure_vector(DensityState._admitted(large, rho.matrix)) is None
+
+
+def test_repr_of_a_pure_state_prints_its_vector_without_forming_the_matrix():
+    rho = DensityState.from_vector(SIG11, [1, 0, 0, 1])
+    assert "vector=" in repr(rho) and rho._matrix is None
+    rho.matrix
+    assert "matrix=" in repr(rho)
+
+
+def leaked(sig, rng, eps):
+    """A valid pure state of ``sig`` with ``eps`` added on a basis index outside its support."""
+    v = draw_valid_states(sig, 1, rng)[0]
+    v[np.flatnonzero(v == 0)[0]] = eps
+    return v
+
+
+# (2,9,0) has one pairing, where the cell test decides; (3,3,3) holds [347, 272, 477], three
+# basis states that pairwise share a cell but lie on no common one
+MEMBERSHIP = {
+    "valid": lambda sig, rng: draw_valid_states(sig, 1, rng)[0],
+    "leak 1e-12": lambda sig, rng: leaked(sig, rng, 1e-12),
+    "leak 1e-6": lambda sig, rng: leaked(sig, rng, 1e-6),
+    "random": lambda sig, rng: rng.normal(size=sig.dim) + 1j * rng.normal(size=sig.dim),
+    "covered, on no cell": lambda sig, rng: np.isin(np.arange(sig.dim), [347, 272, 477]),
+}
+
+
+@pytest.mark.parametrize("dmn, case", [
+    *((dmn, case) for dmn in [(2, 9, 0), (3, 3, 3), (2, 5, 5), (2, 4, 5)]
+      for case in list(MEMBERSHIP)[:4]),
+    ((3, 3, 3), "covered, on no cell"),
+], ids=str)
+def test_membership_from_the_vector_decides_as_the_matrix(dmn, case, rng):
+    sig = SystemSignature(*dmn)
+    v = MEMBERSHIP[case](sig, rng)
+    rho = DensityState.from_vector(sig, v)
+    rep = validate_mixed_state(rho)
+    assert rho._matrix is None  # decided with no dim x dim projector
+    want = validate_cone_member(sig, projector(v))
+    assert (rep.valid, rep.witness, rep.flags) == (want.valid, want.witness, want.flags)
+    assert rep.residual == pytest.approx(want.residual, rel=1e-9, abs=1e-15)
+    if case == "covered, on no cell":
+        assert rep.flags == ("NON-EXHAUSTIVE",)
+
+
+@pytest.mark.parametrize("dmn", [(3, 3, 3), (2, 5, 5)], ids=str)
+@pytest.mark.parametrize("case", list(MEMBERSHIP)[:4])
+def test_vector_cell_test_is_the_largest_off_cell_product(dmn, case, rng):
+    # the blocked walk over the support gives the whole maximum, bit for bit
+    sig = SystemSignature(*dmn)
+    v = DensityState.from_vector(sig, MEMBERSHIP[case](sig, rng)).vector
+    mag = np.abs(v)
+    want = np.max(np.where(systems.cell_cover(sig), 0.0, mag[:, None] * mag))
+    assert states._off_cell_outer(sig, v) == want
+
+
+def test_pure_pipeline_at_the_cap_forms_no_cap_sized_array(rng):
+    """A (2,6,6) pure state through admission, a reversible map from a spec, a marginal, a
+    conditional, a membership test and a product allocates no 4096 x 4096 array, even of
+    booleans, and takes a small fraction of a second of CPU."""
+    sig, half = SystemSignature(2, 6, 6), SystemSignature(2, 3, 3)
+    v = draw_valid_states(sig, 1, rng)[0]
+    spec = ReversibleSpec(FactorPermutation(rng.permutation(6), rng.permutation(6)),
+                          rng.integers(0, 2, size=12), rng.integers(0, 2, size=12))
+    positions = (0, 1, 2, 6, 7, 8)
+    effect = random_certified_effect(sig.sub_signature(positions), rng)
+    left, right = (DensityState.from_vector(half, u) for u in draw_valid_states(half, 2, rng))
+    tracemalloc.start()
+    start = time.thread_time()
+    try:
+        rho = DensityState.from_vector(sig, v)
+        moved = _conjugate_monomial(*_reversible_index_map(spec, sig), rho)
+        marg = marginal_state(moved, (0, 1, 2, 6, 7, 8))
+        prob, post = conditional_state(moved, effect, positions)
+        rep = validate_mixed_state(moved)
+        joint = product_state(left, right)
+        cpu = time.thread_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sig.dim * sig.dim and cpu < 0.1
+    assert rep.valid and marg.sig.dim == 64 and joint.sig == sig and joint.vector is not None
+    assert post is None or post.sig.dim == 64
+    assert abs(prob - np.real(np.trace(effect.op @ marginal_state(moved, positions).matrix))) \
+        <= 1e-12

@@ -702,6 +702,13 @@ class TestCellTest:
         assert np.array_equal(systems.cell_cover(sig), cell_cover(sig))
 
     @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
+    def test_cover_entries_equal_the_definition(self, sig):
+        rng = np.random.default_rng(sig.dim)
+        rows, cols = rng.integers(0, sig.dim, size=5), rng.permutation(sig.dim)
+        assert np.array_equal(systems.cover_entries(sig, rows, cols),
+                              cell_cover(sig)[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
     def test_certified_inputs_carry_no_mass_off_the_cells(self, sig):
         from duoc.effects import Effect, random_certified_effect, validate_effect
         from duoc.states import random_mixed_state
