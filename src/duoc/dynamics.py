@@ -22,7 +22,7 @@ from .linalg import (
     psd_defect, symmetrized, tensor_all,
 )
 from .states import (
-    DensityState, ValidityReport, large_pure_vector, product_order, product_state,
+    DensityState, ValidityReport, large_factor, product_order, product_state,
     validate_mixed_state,
 )
 from .systems import (
@@ -112,9 +112,9 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
 def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:
     """``u rho u^H`` for the monomial ``u`` with entries ``u[i, src[i]] = ph[i]``, by gather,
     stored symmetrized; a conjugation of an admitted state needs no positivity decision.  A
-    state of :func:`~duoc.states.large_pure_vector` ``psi`` maps to the pure ``ph * psi[src]``."""
-    if (vec := large_pure_vector(rho)) is not None:
-        return DensityState._pure(rho.sig, ph * vec[src])
+    state of :func:`~duoc.states.large_factor` ``F`` maps to the factor ``ph * F[src]``."""
+    if (factor := large_factor(rho)) is not None:
+        return DensityState._factored(rho.sig, ph[:, None] * factor[src])
     out = rho.matrix.take(src, 0).take(src, 1)
     np.multiply(ph[:, None], out, out=out)  # operand order kept: complex products round by it
     out *= ph.conj()
@@ -285,7 +285,7 @@ def validate_transformation(
     sym, defect = hermitian_part(choi)
     if defect > INPUT_ATOL:
         return ValidityReport(False, defect, witness="Hermiticity")
-    if (worst := psd_defect(sym, INPUT_ATOL)) > INPUT_ATOL:
+    if (worst := psd_defect(sym, INPUT_ATOL)[0]) > INPUT_ATOL:
         return ValidityReport(False, worst, witness="complete positivity")
     gain = float(np.linalg.eigvalsh(np.trace(sym.reshape(blocks.shape), axis1=0, axis2=2))[-1])
     if gain - 1.0 > DEFAULT_ATOL:
@@ -294,7 +294,7 @@ def validate_transformation(
         return ValidityReport(True, worst, witness="zero map")
     # C's admission: its Hermitian and eigenvalue defects are the Choi matrix's over tr
     c = _choi_layout(sym, sig_in, sig_out) * (1.0 / tr)
-    if (short := max(defect / tr, psd_defect(c, DEFAULT_ATOL))) > DEFAULT_ATOL:
+    if (short := max(defect / tr, psd_defect(c, DEFAULT_ATOL)[0])) > DEFAULT_ATOL:
         return ValidityReport(False, short, witness="invalid Choi state")
     rep = validate_mixed_state(DensityState._admitted(sig_c, c))
     if not rep.valid:

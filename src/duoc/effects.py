@@ -33,6 +33,7 @@ from .linalg import (
     symmetrized,
 )
 from .states import (
+    FACTOR_PATH_DIM,
     DensityState,
     PureStateSpec,
     SeparableSpec,
@@ -41,7 +42,7 @@ from .states import (
     basis_state_spec,
     build_pure_state,
     draw_valid_states,
-    large_pure_vector,
+    large_factor,
     pattern_test,
     random_valid_state,
     validate_cone_member,
@@ -123,10 +124,21 @@ def validate_effect(e: Effect) -> ValidityReport:
 
 
 def born_probabilities(povm: Povm, rho: DensityState) -> np.ndarray:
-    """Outcome probabilities ``p_i = Tr(P_i rho)``."""
+    """Outcome probabilities ``p_i = Tr(P_i rho)``.
+
+    Above :data:`~duoc.states.FACTOR_PATH_DIM` no ``dim^3`` product is formed: a state of
+    :func:`~duoc.states.large_factor` ``F`` gives ``Re tr(F^H P_i F)``, and a dense state
+    ``Re sum(conj(P_i) * rho)``, which is ``Tr(P_i rho)`` for the Hermitian ``P_i``.
+    """
     if povm.sig != rho.sig:
         raise DomainError(f"POVM on {povm.sig} cannot measure a state on {rho.sig}")
-    probs = np.array([float(np.real(np.trace(e.op @ rho.matrix))) for e in povm.effects])
+    if (factor := large_factor(rho)) is not None:
+        traces = [np.vdot(factor, e.op @ factor) for e in povm.effects]
+    elif rho.sig.dim > FACTOR_PATH_DIM:
+        traces = [np.vdot(e.op, rho.matrix) for e in povm.effects]
+    else:
+        traces = [np.trace(e.op @ rho.matrix) for e in povm.effects]
+    probs = np.array([float(np.real(t)) for t in traces])
     if np.min(probs) < -DEFAULT_ATOL or abs(np.sum(probs) - 1.0) > DEFAULT_ATOL:
         raise DomainError(f"Born probabilities {probs} violate normalization")
     return probs
@@ -139,17 +151,19 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     effect, wired as :func:`check_wiring` requires.  The probability is
     ``Tr((E_S x I) rho)``; branches at or below probability ``ZERO_ATOL``
     return ``(prob, None)`` rather than renormalizing noise.  A state of
-    :func:`~duoc.states.large_pure_vector` is contracted from its vector
-    (:func:`~duoc.linalg.contract_pure_effect`).
+    :func:`~duoc.states.large_factor` is contracted column by column from its
+    factor (:func:`~duoc.linalg.contract_pure_effect`), and the columns summed.
     """
     sig = rho.sig
     positions = check_wiring(sig, e.sig, positions)
-    keep = tuple(t for t in range(sig.num_factors) if t not in positions)
-    if (vec := large_pure_vector(rho)) is None:
+    nfac = sig.num_factors
+    keep = tuple(t for t in range(nfac) if t not in positions)
+    if (factor := large_factor(rho)) is None:
         raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
-    else:  # the vector laid out measured factors first, in the effect's order
-        psi = vec.reshape(sig.dims).transpose(*positions, *keep).reshape(1, e.sig.dim, -1)
-        raw = contract_pure_effect(e.op[None], psi)[0]
+    else:  # each column laid out measured factors first, in the effect's order
+        psi = factor.reshape(*sig.dims, -1).transpose(nfac, *positions, *keep)
+        psi = psi.reshape(-1, e.sig.dim, sig.dim // e.sig.dim)
+        raw = contract_pure_effect(e.op[None], psi).sum(axis=0)
     prob = float(np.real(np.trace(raw)))
     if prob <= ZERO_ATOL:
         return max(prob, 0.0), None

@@ -8,6 +8,10 @@ composite index ``i*dim_b + j``.  All operators are dense complex
 The symmetrization (:func:`hermitian_part`, :func:`symmetrized`) is one
 untiled pass; only a factor's residual (:func:`factor_residual`) walks a
 matrix above 256 x 256 in 1 MB row blocks, which stay in cache.
+
+A low-rank state is held as a ``(dim, r)`` factor ``F`` with ``rho = F F^H``:
+:func:`low_rank_psd` returns the pivoted Cholesky factor it accepts, and
+:func:`factor_product` forms ``F F^H`` exactly Hermitian, in blocks of 64 rows.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 
 # The row blocks of factor_residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
 BLOCK_ENTRIES = 1 << 16
+
+# The row blocks of factor_product: each block's product and its mirrored adjoint stay in cache
+FACTOR_BLOCK_ROWS = 64
 
 # The largest entry modulus of a vector: its squared norm stays finite up to 10^8 entries
 MAX_ENTRY = 1e150
@@ -103,6 +110,28 @@ def hermitian_outer(vec) -> np.ndarray:
     np.multiply(im[:, None], re, out=imag)
     imag -= re[:, None] * im
     return positive_zeros(out)
+
+
+def factor_product(cols) -> np.ndarray:
+    """``cols cols^H`` of a ``(dim, r)`` factor, exactly Hermitian; at ``r = 1`` byte for byte
+    :func:`hermitian_outer` of the column.
+
+    A plain product is not exactly Hermitian (its entries ``(i, j)`` and ``(j, i)`` round apart),
+    so each block of :data:`FACTOR_BLOCK_ROWS` rows is multiplied with the rows up to its own
+    only: the block above the diagonal is the adjoint of the one below, and the diagonal block
+    is :func:`symmetrized`.  The result is its own :func:`hermitian_part` byte for byte.
+    """
+    if cols.shape[1] == 1:
+        return hermitian_outer(cols[:, 0])
+    dim = cols.shape[0]
+    out = np.empty((dim, dim), dtype=complex)
+    adjoint = cols.conj().T
+    for lo in range(0, dim, FACTOR_BLOCK_ROWS):
+        hi = lo + FACTOR_BLOCK_ROWS
+        block = np.matmul(cols[lo:hi], adjoint[:, :hi], out=out[lo:hi, :hi])
+        out[:lo, lo:hi] = block[:, :lo].T.conj()
+        out[lo:hi, lo:hi] = symmetrized(block[:, lo:hi])
+    return out
 
 
 def positive_zeros(mat) -> np.ndarray:
@@ -232,24 +261,25 @@ def row_blocks(dim: int) -> list:
     return [slice(r, r + step) for r in range(0, dim, step)]
 
 
-def low_rank_psd(mat, atol: float = DEFAULT_ATOL) -> bool:
-    """True when a low-rank factor proves no eigenvalue of Hermitian ``mat`` is below ``-atol``.
+def low_rank_psd(mat, atol: float = DEFAULT_ATOL):
+    """A ``(dim, k)`` factor ``L`` that proves no eigenvalue of Hermitian ``mat`` is below
+    ``-atol``, or ``None``, which decides nothing.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
     at most ``dim // 64`` columns, stopping once no remaining diagonal entry
     exceeds ``atol / dim`` (a PSD remainder is then below ``atol`` in trace,
     hence in Frobenius norm).  Each pivot column is read as a conjugated
-    row, which equals the column of an exactly Hermitian ``mat``.  True only
-    if the residual, summed over :func:`row_blocks`, has
+    row, which equals the column of an exactly Hermitian ``mat``.  ``L`` is
+    returned only if the residual, summed over :func:`row_blocks`, has
     ``||mat - L L^H||_F <= atol``: by Weyl's inequality no eigenvalue is
-    then below ``-atol``.  False decides nothing.
+    then below ``-atol``.
     """
     dim = mat.shape[0]
     # k <= dim // 64 columns keep the residual product (dim^2 k) far below a Cholesky (dim^3 / 3);
     # a rank above the cap gives up after O(dim k^2) work, before any dim^2 step
     cap = dim // 64
     if cap == 0:
-        return False
+        return None
     rest = mat.diagonal().real.copy()  # diagonal of the Schur complement left to factor
     cols = np.empty((dim, cap), dtype=complex)
     for k in range(cap + 1):
@@ -257,13 +287,14 @@ def low_rank_psd(mat, atol: float = DEFAULT_ATOL) -> bool:
         if rest[p] <= atol / dim:
             break
         if k == cap:
-            return False
+            return None
         col = mat[p].conj()
         col -= cols[:, :k] @ cols[p, :k].conj()
         col /= np.sqrt(rest[p])
         cols[:, k] = col
         rest -= col.real**2 + col.imag**2
-    return factor_residual(cols[:, :k], mat) <= atol
+    factor = cols[:, :k].copy()
+    return factor if factor_residual(factor, mat) <= atol else None
 
 
 def factor_residual(cols, mat) -> float:
@@ -285,16 +316,17 @@ def off_diagonal_max(mat) -> float:
     return float(np.max(mag))
 
 
-def psd_defect(sym, atol: float) -> float:
-    """``max(0, -lambda_min)`` of the exactly Hermitian ``sym``, or 0.0 once the first of two
-    cheaper paths rules out an eigenvalue below ``-atol``: a low-rank factor of residual at most
-    ``atol`` (:func:`low_rank_psd`), then a Cholesky factorization of ``sym + atol*I``.  Else
-    :func:`min_eigenvalue` decides, so ``psd_defect(sym, atol) <= atol`` differs from
-    ``eigvalsh`` alone only within rounding (about ``dim * eps``) of ``-atol``.  The diagonal
-    is shifted in place for the factorization, with no second dim^2 copy, and restored.
+def psd_defect(sym, atol: float) -> tuple:
+    """``(max(0, -lambda_min), factor)`` of the exactly Hermitian ``sym``.  The defect is 0.0 once
+    the first of two cheaper paths rules out an eigenvalue below ``-atol``: a low-rank factor of
+    residual at most ``atol`` (:func:`low_rank_psd`, whose factor is returned, else ``None``),
+    then a Cholesky factorization of ``sym + atol*I``.  Else :func:`min_eigenvalue` decides, so
+    ``psd_defect(sym, atol)[0] <= atol`` differs from ``eigvalsh`` alone only within rounding
+    (about ``dim * eps``) of ``-atol``.  The diagonal is shifted in place for the
+    factorization, with no second dim^2 copy, and restored.
     """
-    if low_rank_psd(sym, atol):
-        return 0.0
+    if (factor := low_rank_psd(sym, atol)) is not None:
+        return 0.0, factor
     diag = sym.diagonal().copy()
     sym.flat[:: sym.shape[0] + 1] += atol
     try:
@@ -303,7 +335,7 @@ def psd_defect(sym, atol: float) -> float:
     except np.linalg.LinAlgError:
         factored = False
     np.fill_diagonal(sym, diag)
-    return 0.0 if factored else max(0.0, -min_eigenvalue(sym))
+    return (0.0 if factored else max(0.0, -min_eigenvalue(sym))), None
 
 
 def min_eigenvalue(sym) -> float:

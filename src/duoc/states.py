@@ -37,11 +37,10 @@ from .linalg import (
     ZERO_ATOL,
     as_vector,
     factor_residual,
-    hermitian_outer,
+    factor_product,
     hermitian_part,
     off_diagonal_max,
     partial_trace,
-    permute_vector_factors,
     positive_zeros,
     projector,
     psd_defect,
@@ -63,9 +62,11 @@ from .systems import (
     index_to_digits,
 )
 
-# The kernels read a pure state from its vector above this dimension and from its matrix at or
-# below it, so that no corpus or demo state (the largest is 81 x 81) changes a byte of output
-VECTOR_PATH_DIM = 256
+# The kernels read a state's factor above this dimension and its matrix at or below it, so that
+# no corpus or demo state (the largest is 81 x 81) changes a byte of output: with the factor read
+# at every size, the Born rows of 06_witness_born, 07_witness_sweep, 21_reversible_phases and
+# the witness demo moved in their last digits
+FACTOR_PATH_DIM = 256
 
 
 @dataclass
@@ -410,9 +411,21 @@ class DensityState:
     built, the rest :func:`~duoc.linalg.symmetrized`, byte for byte what this
     constructor stores.
 
-    A pure state built from a vector (:meth:`from_vector`, :meth:`_pure`) stores that
-    vector as ``vector`` (``None`` on every other state) and forms ``matrix``, its
-    :func:`~duoc.linalg.hermitian_outer`, on the first read, once.
+    A low-rank state keeps a ``(dim, r)`` factor ``F`` with ``matrix = F F^H`` as ``factor``
+    (``None`` on a state without one).  A pure state (:meth:`from_vector`) is the case
+    ``r = 1``, its unit vector as one column; this constructor keeps the factor that
+    :func:`~duoc.linalg.low_rank_psd` accepted during admission (rank at most ``dim // 64``,
+    of squared norm within ``DEFAULT_ATOL`` of 1) beside the matrix it stores.  A state made
+    from a factor (:meth:`_factored`) forms ``matrix``, :func:`~duoc.linalg.factor_product`
+    of the factor, on the first read, once.
+
+    Above :data:`FACTOR_PATH_DIM` the kernels read the factor: a reversible map, the product
+    of two factored states, a marginal, a conditional, the Born rule and membership without a
+    certificate.  For an admitted ``M`` the factor leaves a remainder ``R = M - F F^H`` with
+    ``||R||_F <= DEFAULT_ATOL``, so a state derived from it differs from the dense path's by
+    the image of ``R``: in Frobenius norm at most ``||R||_F`` for a reversible map, and for a
+    marginal, a conditional or a Born probability at most the trace norm of ``R`` (a
+    contraction of it; ``||R||_1 <= sqrt(rank R) ||R||_F``).
     """
 
     def __init__(self, sig: SystemSignature, matrix):
@@ -422,35 +435,40 @@ class DensityState:
         if sym.shape[0] == sig.dim and defect > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix is not Hermitian (defect {defect})")
         _require_trace(sig, sym.shape[0], np.trace(sym))
-        if (short := psd_defect(sym, DEFAULT_ATOL)) > DEFAULT_ATOL:
+        short, factor = psd_defect(sym, DEFAULT_ATOL)
+        if short > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix has negative eigenvalue {-short}")
-        self.sig, self._matrix, self.vector = sig, sym, None
+        # the states the kernels derive from the factor must pass _require_trace in turn
+        if factor is not None and not abs(np.vdot(factor, factor).real - 1.0) <= DEFAULT_ATOL:
+            factor = None
+        self.sig, self._matrix, self.factor = sig, sym, factor
 
     @classmethod
     def _admitted(cls, sig: SystemSignature, matrix: np.ndarray) -> "DensityState":
         """The state of a ``matrix`` Hermitian and PSD by construction; checks shape and trace."""
         _require_trace(sig, matrix.shape[0], np.trace(matrix))
         rho = cls.__new__(cls)
-        rho.sig, rho._matrix, rho.vector = sig, matrix, None
+        rho.sig, rho._matrix, rho.factor = sig, matrix, None
         return rho
 
     @classmethod
-    def _pure(cls, sig: SystemSignature, vec: np.ndarray) -> "DensityState":
-        """The pure state of a vector of unit norm by construction; checks length and norm."""
-        _require_trace(sig, vec.size, vector_norm(vec) ** 2)
+    def _factored(cls, sig: SystemSignature, factor: np.ndarray) -> "DensityState":
+        """The state ``F F^H`` of a ``(dim, r)`` factor of unit squared norm by construction;
+        checks its rows and that norm."""
+        _require_trace(sig, factor.shape[0], np.vdot(factor, factor))
         rho = cls.__new__(cls)
-        rho.sig, rho._matrix, rho.vector = sig, None, vec
+        rho.sig, rho._matrix, rho.factor = sig, None, factor
         return rho
 
     @classmethod
     def from_vector(cls, sig: SystemSignature, v) -> "DensityState":
         """The pure state of ``v`` over its norm; its ``matrix`` is ``projector(v)``."""
-        return cls._pure(sig, unit_vector(v))
+        return cls._factored(sig, unit_vector(v)[:, None])
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = hermitian_outer(self.vector)
+            self._matrix = factor_product(self.factor)
         return self._matrix
 
     @property
@@ -459,7 +477,7 @@ class DensityState:
 
     def __repr__(self):
         if self._matrix is None:
-            return f"DensityState(sig={self.sig!r}, vector={self.vector!r})"
+            return f"DensityState(sig={self.sig!r}, factor={self.factor!r})"
         return f"DensityState(sig={self.sig!r}, matrix={self._matrix!r})"
 
 
@@ -473,21 +491,10 @@ def _require_trace(sig: SystemSignature, size: int, trace) -> None:
         raise DensityMatrixError(f"matrix has trace {tr}, expected 1")
 
 
-def large_pure_vector(rho: DensityState):
-    """``rho``'s vector when it carries one and :func:`_vector_sized`, else ``None``: a pure
-    state's reversible map, product, marginal, conditional and membership are then read from
-    the vector, with no dim x dim projector."""
-    return rho.vector if _vector_sized(rho.sig) else None
-
-
-def _vector_sized(sig: SystemSignature) -> bool:
-    """Whether the kernels read a pure state of ``sig`` from its vector: above
-    :data:`VECTOR_PATH_DIM`.
-
-    With the vector path at every size, the golden line ``P,born,p2,1.0000000000000002`` of
-    ``21_reversible_phases`` read ``1.0000000000000004``.
-    """
-    return sig.dim > VECTOR_PATH_DIM
+def large_factor(rho: DensityState):
+    """``rho``'s factor when it has one and its dimension is above :data:`FACTOR_PATH_DIM`, else
+    ``None``: the kernels then read the factor, with no dim x dim matrix."""
+    return rho.factor if rho.sig.dim > FACTOR_PATH_DIM else None
 
 
 def product_order(left: SystemSignature, right: SystemSignature) -> list:
@@ -499,15 +506,16 @@ def product_order(left: SystemSignature, right: SystemSignature) -> list:
 
 def product_state(left: DensityState, right: DensityState) -> DensityState:
     """The product of two states on one local dimension, in the layout of :func:`product_order`;
-    of two states that carry vectors, above 256 x 256 the pure state of their reordered ``kron``."""
+    of two factored states, above :data:`FACTOR_PATH_DIM` the state of the ``r_l r_r`` columns
+    ``kron(F_l[:, k], F_r[:, l])``, each reordered."""
     if left.sig.d != right.sig.d:
         raise DomainError("product states need a common local dimension")
     sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
     order = product_order(left.sig, right.sig)
-    if left.vector is not None and right.vector is not None and _vector_sized(sig):
-        vec = np.kron(left.vector, right.vector)
-        return DensityState._pure(sig, permute_vector_factors(
-            vec, left.sig.dims + right.sig.dims, np.argsort(order)))
+    if left.factor is not None and right.factor is not None and sig.dim > FACTOR_PATH_DIM:
+        cols = left.factor[:, None, :, None] * right.factor[None, :, None, :]
+        cols = cols.reshape(*left.sig.dims, *right.sig.dims, -1)
+        return DensityState._factored(sig, cols.transpose(*order, len(order)).reshape(sig.dim, -1))
     mat = np.kron(left.matrix, right.matrix).reshape(sig.dims * 2)
     mat = mat.transpose(order + [sig.num_factors + t for t in order]).reshape(sig.dim, sig.dim)
     return DensityState._admitted(sig, positive_zeros(mat))
@@ -592,17 +600,18 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     certificate : list of (weight, PureStateSpec), optional
         Claimed convex decomposition; verified by reconstruction.
 
-    With no certificate, a pure state of :func:`large_pure_vector` is decided from its vector:
-    the cell test over the pairs of its support, then that vector as the rank-1 column.
+    With no certificate, a state of :func:`large_factor` ``F`` is decided from the factor: the
+    cell test over the rows of its support, then the left singular vectors of ``F`` of
+    ``sigma^2 > DEFAULT_ATOL`` (the eigenvectors ``eigh`` would keep) as the spectral columns.
     """
-    if certificate is None and (vec := large_pure_vector(rho)) is not None:
-        return validate_cone_member(rho.sig, None, vector=vec)
+    if certificate is None and (factor := large_factor(rho)) is not None:
+        return validate_cone_member(rho.sig, None, factor=factor)
     return validate_cone_member(rho.sig, rho.matrix, certificate)
 
 
-def validate_cone_member(sig, mat, certificate=None, vector=None) -> ValidityReport:
+def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityReport:
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
-    A unit ``vector`` stands in for ``mat = vector vector^H``, which is not read."""
+    A ``(dim, r)`` ``factor`` stands in for ``mat = factor factor^H``, which is not read."""
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -624,17 +633,18 @@ def validate_cone_member(sig, mat, certificate=None, vector=None) -> ValidityRep
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
-    if vector is None:
+    if factor is None:
         mag = np.abs(mat)
         np.putmask(mag, cell_cover(sig), 0.0)
         off = float(np.max(mag))
     else:
-        off = _off_cell_outer(sig, vector)
+        off = _off_cell_product(sig, factor)
     if off > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
-    if vector is not None:
-        cols = vector[None]
+    if factor is not None:  # in eigh's ascending order
+        left, sing = np.linalg.svd(factor, full_matrices=False)[:2]
+        cols = left[:, sing * sing > DEFAULT_ATOL].T[::-1]
     elif (cols := _rank_one_column(mat)) is None:
         vals, vecs = np.linalg.eigh(mat)
         cols = vecs[:, vals > DEFAULT_ATOL].T
@@ -645,14 +655,15 @@ def validate_cone_member(sig, mat, certificate=None, vector=None) -> ValidityRep
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
 
 
-def _off_cell_outer(sig: SystemSignature, vec) -> float:
-    """The largest modulus of ``vec vec^H`` on an entry that no cell covers, as
-    ``|vec_i| |vec_j|`` over the pairs of the support of ``vec`` in
-    :func:`~duoc.linalg.row_blocks`, with no dim x dim array."""
-    support = np.flatnonzero(vec)
-    mag, off = np.abs(vec[support]), 0.0
+def _off_cell_product(sig: SystemSignature, factor) -> float:
+    """The largest modulus of ``F F^H`` on an entry that no cell covers, as ``|F_i F_j^H|`` over
+    the pairs of rows of ``F``'s support in :func:`~duoc.linalg.row_blocks`, with no dim x dim
+    array."""
+    support = np.flatnonzero(factor.any(axis=1))
+    rows_f = factor[support]
+    adjoint, off = rows_f.conj().T, 0.0
     for rows in row_blocks(len(support)):
-        block = mag[rows, None] * mag
+        block = np.abs(rows_f[rows] @ adjoint)
         block[cover_entries(sig, support[rows], support)] = 0.0
         off = max(off, float(block.max()))
     return off
@@ -682,13 +693,14 @@ def _rank_one_column(mat):
 
 def marginal_state(rho: DensityState, keep) -> DensityState:
     """Reduced state on the factors listed in ``keep`` (ascending positions); of a state of
-    :func:`large_pure_vector`, ``symmetrized(M M^H)`` with ``M`` its vector reshaped kept
-    factors by the rest."""
+    :func:`large_factor` ``F``, ``symmetrized(A A^H)`` with ``A`` the factor reshaped kept
+    factors by the rest and its columns."""
     keep = tuple(sorted(as_integers(keep)))
     sub = rho.sig.sub_signature(keep)
-    if (vec := large_pure_vector(rho)) is not None:
-        rest = [t for t in range(rho.sig.num_factors) if t not in keep]
-        mat = vec.reshape(rho.sig.dims).transpose(*keep, *rest).reshape(sub.dim, -1)
+    if (factor := large_factor(rho)) is not None:
+        nfac = rho.sig.num_factors
+        rest = [t for t in range(nfac) if t not in keep]
+        mat = factor.reshape(*rho.sig.dims, -1).transpose(*keep, *rest, nfac).reshape(sub.dim, -1)
         return DensityState._admitted(sub, symmetrized(mat @ mat.conj().T))
     reduced = partial_trace(rho.matrix, rho.sig.dims, keep)
     return DensityState._admitted(sub, symmetrized(reduced))

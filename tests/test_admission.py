@@ -8,8 +8,9 @@ stored matrix is still byte for byte the one the public ``DensityState``
 constructor stores for the same input, on real vectors of mixed sign,
 whose products carry zeros of both signs, and on complex ones.  Above
 256 x 256 a pure state's product, reversible image, marginal and
-conditional are read from its vector: those rows pin the bytes of the
-vector formula, and its distance from the dense path.
+conditional are read from its factor (its unit vector as one column):
+those rows pin the bytes of the factor formula, and its distance from
+the dense path.
 
 Likewise the effects the engine builds (a side's direction effects, the
 witness and activation projectors with their complements, the diagonal
@@ -39,7 +40,7 @@ from duoc.errors import DensityMatrixError
 from duoc.linalg import contract_effect, partial_trace, projector
 from duoc.nonlocality import LocalBasis, activation_setup, chsh_value, side_effect, side_povm
 from duoc.states import (
-    DensityState, PureStateSpec, _vector_sized, basis_state_spec, build_pure_state,
+    FACTOR_PATH_DIM, DensityState, PureStateSpec, basis_state_spec, build_pure_state,
     marginal_state, product_order, product_state, random_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
@@ -108,26 +109,26 @@ def product_vector(left, right):
     """The vector of the product of two pure states: their ``kron``, reordered to
     :func:`product_order`."""
     order = product_order(left.sig, right.sig)
-    return linalg.permute_vector_factors(np.kron(left.vector, right.vector),
+    return linalg.permute_vector_factors(np.kron(left.factor[:, 0], right.factor[:, 0]),
                                          left.sig.dims + right.sig.dims, np.argsort(order))
 
 
 def same_pure(out, sig, vec, dense):
-    """``out`` is the pure state of ``vec`` on ``sig``, stored as built: its matrix is the
-    bytes of ``hermitian_outer(vec)`` and of what ``DensityState`` stores for that, and within
-    1e-12 of the dense path's ``dense``."""
-    assert out.vector.tobytes() == vec.tobytes()
+    """``out`` is the pure state of ``vec`` on ``sig``, its factor the one column ``vec``: its
+    matrix is the bytes of ``hermitian_outer(vec)`` and of what ``DensityState`` stores for
+    that, and within 1e-12 of the dense path's ``dense``."""
+    assert out.factor.shape == (sig.dim, 1) and out.factor.tobytes() == vec.tobytes()
     assert out.matrix.tobytes() == linalg.hermitian_outer(vec).tobytes()
     same_bytes(out, sig, linalg.hermitian_outer(vec))
     assert np.max(np.abs(out.matrix - dense)) <= 1e-12
 
 
 def measured_first(rho, positions):
-    """``rho``'s vector laid out as the effect's factors, then the rest, as one ``(1, a, b)``
+    """``rho``'s vector (its factor's one column) laid out as the effect's factors, then the rest, as one ``(1, a, b)``
     stack."""
     rest = [t for t in range(rho.sig.num_factors) if t not in positions]
     sub = rho.sig.sub_signature(positions).dim
-    return rho.vector.reshape(rho.sig.dims).transpose(*positions, *rest).reshape(1, sub, -1)
+    return rho.factor[:, 0].reshape(rho.sig.dims).transpose(*positions, *rest).reshape(1, sub, -1)
 
 
 def no_decision(counts):
@@ -164,7 +165,7 @@ class TestAdmittedOnce:
         out = DensityState.from_vector(sig, v)
         no_decision(counts)
         # the unit vector is stored; the matrix is formed on the first read, once
-        assert out.vector.tobytes() == linalg.unit_vector(v).tobytes() and out._matrix is None
+        assert out.factor.tobytes() == linalg.unit_vector(v).tobytes() and out._matrix is None
         assert out.matrix.tobytes() == projector(v).tobytes() and out.matrix is out.matrix
         same_bytes(out, sig, projector(v))
 
@@ -174,7 +175,7 @@ class TestAdmittedOnce:
         out = product_state(left, right)
         no_decision(counts)
         sig, mat = joint_matrix(left, right)
-        if _vector_sized(sig):
+        if sig.dim > FACTOR_PATH_DIM:
             same_pure(out, sig, product_vector(left, right), mat)
             return
         assert np.array_equal(out.matrix, mat)  # stored as built, up to the signs of zeros
@@ -191,8 +192,8 @@ class TestAdmittedOnce:
         no_decision(counts)
         src, ph = _reversible_index_map(spec, sig)
         dense = ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj()
-        if _vector_sized(sig):
-            same_pure(out, sig, ph * rho.vector[src], dense)
+        if sig.dim > FACTOR_PATH_DIM:
+            same_pure(out, sig, ph * rho.factor[src, 0], dense)
         else:
             same_bytes(out, sig, dense)
 
@@ -203,8 +204,8 @@ class TestAdmittedOnce:
         out = marginal_state(rho, keep)
         no_decision(counts)
         sub, dense = sig.sub_signature(keep), partial_trace(rho.matrix, sig.dims, keep)
-        if _vector_sized(sig):
-            mat = rho.vector.reshape(sig.dims).transpose(*keep, 0).reshape(sub.dim, -1)
+        if sig.dim > FACTOR_PATH_DIM:
+            mat = rho.factor[:, 0].reshape(sig.dims).transpose(*keep, 0).reshape(sub.dim, -1)
             same_bytes(out, sub, mat @ mat.conj().T)
             assert np.max(np.abs(out.matrix - dense)) <= 1e-12
         else:
@@ -217,8 +218,8 @@ class TestAdmittedOnce:
         prob, out = conditional_state(rho, e, (0,))
         sub, dense = sig.sub_signature(tuple(range(1, sig.num_factors))), contract_effect(
             e.op, rho.matrix, (0,), sig.dims)
-        if _vector_sized(sig):
-            raw = linalg.contract_pure_effect(e.op[None], measured_first(rho, (0,)))[0]
+        if sig.dim > FACTOR_PATH_DIM:
+            raw = linalg.contract_pure_effect(e.op[None], measured_first(rho, (0,))).sum(axis=0)
             assert prob == np.trace(raw).real
             assert np.max(np.abs(raw - dense)) <= 1e-12
         else:
@@ -245,10 +246,10 @@ class TestAdmittedOnce:
         joint, mat = joint_matrix(rho, ancilla)
         mat = DensityState(joint, mat).matrix  # the product as admitted
         raw = contract_effect(spec.effect.op, mat, spec.joint_positions, joint.dims)
-        if _vector_sized(joint):
-            pure = DensityState._pure(joint, product_vector(rho, ancilla))
+        if joint.dim > FACTOR_PATH_DIM:
+            pure = DensityState._factored(joint, product_vector(rho, ancilla)[:, None])
             dense, raw = raw, linalg.contract_pure_effect(
-                spec.effect.op[None], measured_first(pure, spec.joint_positions))[0]
+                spec.effect.op[None], measured_first(pure, spec.joint_positions)).sum(axis=0)
             assert np.max(np.abs(raw - dense)) <= 1e-12
         rest = tuple(t for t in range(joint.num_factors) if t not in spec.joint_positions)
         same_bytes(out, joint.sub_signature(rest), raw / prob)

@@ -198,7 +198,7 @@ def test_low_rank_psd_matches_eigvalsh(dim, rng):
             mat = low_rank_density(rng, dim, rank, lam, support)
             lo = lowest_eigenvalue(mat, support)
             assert (lo >= -atol) == (lam >= -atol)
-            accepted = low_rank_psd(mat)
+            accepted = low_rank_psd(mat) is not None
             if rank > cap or lo < -atol:
                 assert not accepted, (rank, lam)
             elif lam == 0.0:
@@ -215,13 +215,15 @@ def test_psd_defect_takes_the_callers_tolerance(dim, rng):
     # the exact eigenvalue settles it at DEFAULT_ATOL; the matrix is left as it was
     mat = low_rank_density(rng, dim, 1, -0.5 * INPUT_ATOL, low_rank_support(rng, dim))
     before = mat.tobytes()
-    assert psd_defect(mat, INPUT_ATOL) == 0.0
+    assert psd_defect(mat, INPUT_ATOL)[0] == 0.0
     assert mat.tobytes() == before
-    short = psd_defect(mat, DEFAULT_ATOL)
+    short, factor = psd_defect(mat, DEFAULT_ATOL)
+    assert factor is None
     assert short == -min_eigenvalue(mat) == -np.linalg.eigvalsh(mat)[0]
     assert short == pytest.approx(0.5 * INPUT_ATOL, rel=1e-6)
     assert mat.tobytes() == before
-    assert low_rank_psd(mat, INPUT_ATOL) == (dim >= 64) and not low_rank_psd(mat)
+    assert (low_rank_psd(mat, INPUT_ATOL) is not None) == (dim >= 64)
+    assert low_rank_psd(mat) is None
 
 
 def test_eigenvalue_bounds():

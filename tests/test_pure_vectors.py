@@ -1,9 +1,9 @@
-"""A pure state keeps its vector.
+"""A pure state keeps its vector, as a factor of one column.
 
-``DensityState.from_vector`` stores the unit vector and forms ``matrix`` on the first read.
-Above 256 x 256 the reversible map, the product, the marginal, the conditional and the
-membership test of such a state read the vector; the rows of ``test_admission.py`` pin their
-bytes on (2,5,5), and these tests pin their errors, verdicts and memory.
+``DensityState.from_vector`` stores the unit vector as its factor and forms ``matrix`` on the
+first read.  Above 256 x 256 the reversible map, the product, the marginal, the conditional and
+the membership test of such a state read the factor; the rows of ``test_admission.py`` pin
+their bytes on (2,5,5), and these tests pin their errors, verdicts and memory.
 """
 
 import time
@@ -18,7 +18,7 @@ from duoc.effects import conditional_state, random_certified_effect
 from duoc.errors import DegenerateInputError, DomainError, ShapeError
 from duoc.linalg import projector
 from duoc.states import (
-    DensityState, draw_valid_states, large_pure_vector, marginal_state, product_state,
+    DensityState, draw_valid_states, large_factor, marginal_state, product_state,
     validate_cone_member, validate_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
@@ -49,18 +49,18 @@ def test_from_vector_raises_the_projector_errors(v, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_vector_kernels_start_above_256():
-    assert states.VECTOR_PATH_DIM == 256
+def test_factor_kernels_start_above_256():
+    assert states.FACTOR_PATH_DIM == 256
     small, large = SystemSignature(2, 4, 4), SystemSignature(2, 5, 4)
-    assert large_pure_vector(DensityState.from_vector(small, np.ones(small.dim))) is None
+    assert large_factor(DensityState.from_vector(small, np.ones(small.dim))) is None
     rho = DensityState.from_vector(large, np.ones(large.dim))
-    assert large_pure_vector(rho) is rho.vector
-    assert large_pure_vector(DensityState._admitted(large, rho.matrix)) is None
+    assert large_factor(rho) is rho.factor and rho.factor.shape == (large.dim, 1)
+    assert large_factor(DensityState._admitted(large, rho.matrix)) is None
 
 
-def test_repr_of_a_pure_state_prints_its_vector_without_forming_the_matrix():
+def test_repr_of_a_pure_state_prints_its_factor_without_forming_the_matrix():
     rho = DensityState.from_vector(SIG11, [1, 0, 0, 1])
-    assert "vector=" in repr(rho) and rho._matrix is None
+    assert "factor=" in repr(rho) and rho._matrix is None
     rho.matrix
     assert "matrix=" in repr(rho)
 
@@ -104,12 +104,13 @@ def test_membership_from_the_vector_decides_as_the_matrix(dmn, case, rng):
 @pytest.mark.parametrize("dmn", [(3, 3, 3), (2, 5, 5)], ids=str)
 @pytest.mark.parametrize("case", list(MEMBERSHIP)[:4])
 def test_vector_cell_test_is_the_largest_off_cell_product(dmn, case, rng):
-    # the blocked walk over the support gives the whole maximum, bit for bit
+    # the blocked walk over the support gives the whole maximum, to rounding: the walk takes
+    # |v_i conj(v_j)|, the product of one entry of a matrix product, not |v_i| |v_j|
     sig = SystemSignature(*dmn)
-    v = DensityState.from_vector(sig, MEMBERSHIP[case](sig, rng)).vector
-    mag = np.abs(v)
+    f = DensityState.from_vector(sig, MEMBERSHIP[case](sig, rng)).factor
+    mag = np.abs(f[:, 0])
     want = np.max(np.where(systems.cell_cover(sig), 0.0, mag[:, None] * mag))
-    assert states._off_cell_outer(sig, v) == want
+    assert states._off_cell_product(sig, f) == pytest.approx(want, rel=1e-14)
 
 
 def test_pure_pipeline_at_the_cap_forms_no_cap_sized_array(rng):
@@ -137,7 +138,7 @@ def test_pure_pipeline_at_the_cap_forms_no_cap_sized_array(rng):
     finally:
         tracemalloc.stop()
     assert peak < sig.dim * sig.dim and cpu < 0.1
-    assert rep.valid and marg.sig.dim == 64 and joint.sig == sig and joint.vector is not None
+    assert rep.valid and marg.sig.dim == 64 and joint.sig == sig and joint.factor is not None
     assert post is None or post.sig.dim == 64
     assert abs(prob - np.real(np.trace(effect.op @ marginal_state(moved, positions).matrix))) \
         <= 1e-12
