@@ -55,7 +55,6 @@ from .systems import (
     SystemSignature,
     admissible_differences,
     as_integers,
-    cell_cover,
     cover_entries,
     digits_to_index,
     index_table,
@@ -67,6 +66,10 @@ from .systems import (
 # at every size, the Born rows of 06_witness_born, 07_witness_sweep, 21_reversible_phases and
 # the witness demo moved in their last digits
 FACTOR_PATH_DIM = 256
+
+# at or below this dimension the cell test reads the whole operator: finding and gathering a
+# support costs more there than the zero rows it skips
+CELL_TEST_SUPPORT_DIM = 64
 
 
 @dataclass
@@ -587,10 +590,10 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
     A certificate decides by reconstruction.  Else mass above ``DEFAULT_ATOL``
-    on an entry that no cell covers (the cached :func:`~duoc.systems.cell_cover`)
-    rejects exactly; with one pairing the cells are disjoint blocks and a
-    pass is exact too.  Otherwise the eigendecomposition is tried as a
-    candidate certificate; a negative answer from that path is flagged
+    on an entry that no cell covers (the cell test, :func:`_off_cell`) rejects
+    exactly; with one pairing the cells are disjoint blocks and a pass is exact
+    too.  Otherwise the eigendecomposition is tried as a candidate
+    certificate; a negative answer from that path is flagged
     ``NON-EXHAUSTIVE``.  A rank-1 operator, within ``DEFAULT_ATOL`` of
     ``v v^H`` for one of its scaled columns ``v``, is decided as that path
     would decide it, by the pattern test of ``v / |v|``, with no ``eigh``.
@@ -611,7 +614,8 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
 
 def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityReport:
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
-    A ``(dim, r)`` ``factor`` stands in for ``mat = factor factor^H``, which is not read."""
+    A ``(dim, r)`` ``factor`` stands in for ``mat = factor factor^H``, which is not read; ``mat``
+    must be exactly Hermitian, as every admitted state, effect and Choi state is."""
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -633,12 +637,7 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
-    if factor is None:
-        mag = np.abs(mat)
-        np.putmask(mag, cell_cover(sig), 0.0)
-        off = float(np.max(mag))
-    else:
-        off = _off_cell_product(sig, factor)
+    off = _off_cell(sig, mat, factor)
     if off > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate
@@ -655,16 +654,30 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
 
 
-def _off_cell_product(sig: SystemSignature, factor) -> float:
-    """The largest modulus of ``F F^H`` on an entry that no cell covers, as ``|F_i F_j^H|`` over
-    the pairs of rows of ``F``'s support in :func:`~duoc.linalg.row_blocks`, with no dim x dim
-    array."""
-    support = np.flatnonzero(factor.any(axis=1))
-    rows_f = factor[support]
-    adjoint, off = rows_f.conj().T, 0.0
-    for rows in row_blocks(len(support)):
-        block = np.abs(rows_f[rows] @ adjoint)
-        block[cover_entries(sig, support[rows], support)] = 0.0
+def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
+    """The largest modulus of ``mat`` on an entry that no cell covers, read in
+    :func:`~duoc.linalg.row_blocks` with no dim x dim array, above :data:`CELL_TEST_SUPPORT_DIM`
+    only on the rows and columns of its support (none gives ``0.0``).  A ``(dim, r)`` ``factor``
+    stands in for ``mat = F F^H`` (then None), each block ``|F_rows F_support^H|``.
+
+    Exact only for an exactly Hermitian ``mat``, as every caller passes: its zero rows are then
+    its zero columns, so the support's rows and columns hold every nonzero entry."""
+    source = mat if factor is None else factor
+    support, size = slice(None), len(source)  # a slice reads rows and codes with no gather
+    if size > CELL_TEST_SUPPORT_DIM:
+        nonzero = source.any(axis=1)
+        if not (size := int(np.count_nonzero(nonzero))):
+            return 0.0
+        if size < len(source):
+            support = np.flatnonzero(nonzero)
+    if factor is not None:
+        factor = factor[support]
+        adjoint = factor.conj().T
+    off = 0.0
+    for rows in row_blocks(size):
+        index = rows if isinstance(support, slice) else support[rows]
+        block = np.abs(mat[index][:, support] if factor is None else factor[rows] @ adjoint)
+        np.putmask(block, cover_entries(sig, index, support), 0.0)
         off = max(off, float(block.max()))
     return off
 

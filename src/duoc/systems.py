@@ -193,7 +193,6 @@ def index_table(sig: SystemSignature) -> IndexTable:
     return IndexTable(sig, place, key, relabelings, gather)
 
 
-@functools.lru_cache(maxsize=None)
 def admissible_differences(sig: SystemSignature) -> np.ndarray:
     """``(dim,)`` booleans over digit differences ``delta``, each coded as a basis index: whether
     some cell holds two basis indices ``i`` and ``j`` whose digits differ by ``delta`` (mod ``d``).
@@ -202,51 +201,36 @@ def admissible_differences(sig: SystemSignature) -> np.ndarray:
     difference ``t``: a pair keeps its parity when its two differences agree, and an unpaired
     factor must not change.
     """
-    digits = np.indices(sig.dims).reshape(sig.num_factors, -1)
-    admissible = np.ones(sig.dim, dtype=bool)
-    for t in range(1, sig.d):
-        moved = digits == t
-        admissible &= moved[: sig.m].sum(axis=0) == moved[sig.m :].sum(axis=0)
-    return admissible
-
-
-@functools.lru_cache(maxsize=None)
-def cell_cover(sig: SystemSignature) -> np.ndarray:
-    """``(dim, dim)`` booleans: whether basis indices ``i`` and ``j`` share some cell, that is
-    whether their digit difference is admissible (:func:`admissible_differences`).
-
-    Block ``(a, b)`` of leading indices is row ``lead[a, b]`` of the table of
-    :func:`_cover_codes`, read through the trailing codes.
-    """
-    if not sig.num_pairs:
-        return np.eye(sig.dim, dtype=bool)
-    lead, trail, table = _cover_codes(sig)
-    return table[:, trail][lead].transpose(0, 2, 1, 3).reshape(sig.dim, sig.dim)
+    code, table = _difference_codes(sig)
+    return table[code]
 
 
 def cover_entries(sig: SystemSignature, rows, cols) -> np.ndarray:
-    """``cell_cover(sig)[np.ix_(rows, cols)]`` for index arrays ``rows`` and ``cols``, read from
-    the tables of :func:`_cover_codes` with no ``(dim, dim)`` array."""
-    if not sig.num_pairs:
-        return rows[:, None] == cols
-    lead, trail, table = _cover_codes(sig)
-    (a, b), (c, e) = divmod(rows, len(trail)), divmod(cols, len(trail))
-    return table[lead[np.ix_(a, c)], trail[np.ix_(b, e)]]
+    """``(len(rows), len(cols))`` booleans for index arrays (or slices) ``rows`` and ``cols``:
+    whether basis indices ``i`` and ``j`` share some cell, that is whether their digit difference
+    is admissible (:func:`admissible_differences`); one gather from :func:`_difference_codes`."""
+    code, table = _difference_codes(sig)
+    return table[code[cols] - code[rows, None]]
 
 
 @functools.lru_cache(maxsize=None)
-def _cover_codes(sig: SystemSignature) -> tuple:
-    """``(lead, trail, table)``: the difference codes of the leading and of the trailing half of
-    the factors, entry ``(i, j)`` the digits ``(j_t - i_t) % d`` read as one base-``d`` integer,
-    and :func:`admissible_differences` as a ``(lead code, trail code)`` table."""
+def _difference_codes(sig: SystemSignature) -> tuple:
+    """``(code, table)``.  ``code[i]`` reads basis index ``i``'s digits in base ``2d - 1``, so
+    ``code[j] - code[i]`` keeps each digit difference ``j_t - i_t`` (in ``-(d-1)..d-1``) in its
+    own place, and ``table`` at that code (a negative one read from its end) says whether those
+    differences are admissible (:func:`admissible_differences`).  ``table`` holds
+    ``(2d - 1) ** (m + n)`` booleans, at most ``3 ** 12`` (0.5 MB) up to the cap."""
+    d, k = sig.d, sig.num_factors
 
-    def codes(factors):
-        digits = np.indices((sig.d,) * factors).reshape(factors, -1)
-        return np.tensordot(sig.d ** np.arange(factors - 1, -1, -1),
-                            (digits[:, None] - digits[..., None]) % sig.d, 1)
+    def outer_sum(per_factor):  # entry (x_0, .., x_k-1), flattened, is sum_f per_factor[f][x_f]
+        return functools.reduce(np.add.outer, per_factor).reshape(-1)
 
-    lead, trail = codes(sig.num_factors // 2), codes(sig.num_factors - sig.num_factors // 2)
-    return lead, trail, admissible_differences(sig).reshape(len(lead), len(trail))
+    code = outer_sum([np.arange(d) * (2 * d - 1) ** t for t in range(k - 1, -1, -1)])
+    moved = (np.arange(2 * d - 1) - (d - 1)) % d  # each place's code digit, as a difference mod d
+    table = np.ones((2 * d - 1) ** k, dtype=bool)
+    for t in range(1, d):  # as many dits (+1) as anti-dits (-1) move by t
+        table &= outer_sum([np.int8(1 - 2 * (f >= sig.m)) * (moved == t) for f in range(k)]) == 0
+    return code, np.roll(table, -(len(table) // 2))
 
 
 def as_integers(values, what: str = "factor positions") -> tuple:

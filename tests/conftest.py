@@ -125,6 +125,34 @@ def relabeled_cells(sig):
         yield perm, label @ sig.d ** np.arange(label.shape[1])
 
 
+def cell_cover(sig):
+    """Entries ``(i, j)`` with ``i`` and ``j`` in one cell, from the definition: for every
+    relabeling, enumerated here, the indices that it gives one cell label."""
+    cover = np.zeros((sig.dim, sig.dim), dtype=bool)
+    for _, labels in relabeled_cells(sig):
+        cover |= labels[:, None] == labels
+    return cover
+
+
+def digit_difference_cover(sig, rows, cols):
+    """Whether basis indices ``rows[a]`` and ``cols[b]`` share some cell, from their digits alone,
+    with no relabeling enumerated (which :func:`cell_cover` does, too slowly above dimension 64):
+    for each ``t`` in ``1..d-1``, as many dits as anti-dits have ``(j_f - i_f) % d == t``.  A
+    pair keeps its parity when its two differences agree, and an unpaired factor must not move."""
+    first, second = np.unravel_index(rows, sig.dims), np.unravel_index(cols, sig.dims)
+    cover = np.ones((len(rows), len(cols)), dtype=bool)
+    for t in range(1, sig.d):
+        balance = np.zeros(cover.shape, dtype=np.int8)
+        for f in range(sig.num_factors):
+            moved = (second[f] - first[f][:, None]) % sig.d == t
+            if f < sig.m:
+                balance += moved
+            else:
+                balance -= moved
+        cover &= balance == 0
+    return cover
+
+
 def parent_side_op(side, u):
     """A side's effect for direction ``u`` as one certified construction per effect builds it:
     two sector projectors, each a plain outer product of its unit vector, admitted publicly."""

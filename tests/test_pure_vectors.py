@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duoc import states, systems
+from duoc import states
 from duoc.dynamics import ReversibleSpec, _conjugate_monomial, _reversible_index_map
 from duoc.effects import conditional_state, random_certified_effect
 from duoc.errors import DegenerateInputError, DomainError, ShapeError
@@ -22,6 +22,8 @@ from duoc.states import (
     validate_cone_member, validate_mixed_state,
 )
 from duoc.systems import FactorPermutation, SystemSignature
+
+from conftest import digit_difference_cover
 
 SIG11 = SystemSignature(2, 1, 1)
 
@@ -108,9 +110,9 @@ def test_vector_cell_test_is_the_largest_off_cell_product(dmn, case, rng):
     # |v_i conj(v_j)|, the product of one entry of a matrix product, not |v_i| |v_j|
     sig = SystemSignature(*dmn)
     f = DensityState.from_vector(sig, MEMBERSHIP[case](sig, rng)).factor
-    mag = np.abs(f[:, 0])
-    want = np.max(np.where(systems.cell_cover(sig), 0.0, mag[:, None] * mag))
-    assert states._off_cell_product(sig, f) == pytest.approx(want, rel=1e-14)
+    mag, every = np.abs(f[:, 0]), np.arange(sig.dim)
+    want = np.max(np.where(digit_difference_cover(sig, every, every), 0.0, mag[:, None] * mag))
+    assert states._off_cell(sig, None, f) == pytest.approx(want, rel=1e-14)
 
 
 def test_pure_pipeline_at_the_cap_forms_no_cap_sized_array(rng):

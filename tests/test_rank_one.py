@@ -13,7 +13,9 @@ from duoc.linalg import DEFAULT_ATOL, SPECTRAL_ATOL, projector
 from duoc.states import (
     draw_valid_states, pattern_test, random_mixed_state, validate_cone_member,
 )
-from duoc.systems import SystemSignature, cell_cover, index_table
+from duoc.systems import SystemSignature, index_table
+
+from conftest import cell_cover
 
 RANK_ONE_SIGS = [(2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 2, 1), (2, 3, 2), (2, 3, 3), (3, 2, 2)]
 

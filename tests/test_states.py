@@ -57,12 +57,13 @@ from conftest import (
     ALL_SIGS,
     LOW_RANK_LAMBDAS,
     all_factor_permutations,
+    cell_cover,
+    digit_difference_cover,
     factor_permutation_matrix,
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,
     random_density,
-    relabeled_cells,
 )
 
 SIG11 = SystemSignature(2, 1, 1)
@@ -642,15 +643,6 @@ class TestValidateMixedState:
         assert rep.valid or "NON-EXHAUSTIVE" in rep.flags
 
 
-def cell_cover(sig):
-    """Entries ``(i, j)`` with ``i`` and ``j`` in one cell, from the definition: for every
-    relabeling, enumerated here, the indices that it gives one cell label."""
-    cover = np.zeros((sig.dim, sig.dim), dtype=bool)
-    for _, labels in relabeled_cells(sig):
-        cover |= labels[:, None] == labels
-    return cover
-
-
 def hadamard_on_dit_0(sig):
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     return tensor_all(h, np.eye(sig.dim // 2))
@@ -699,7 +691,11 @@ class TestCellTest:
 
     @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
     def test_cover_equals_the_definition(self, sig):
-        assert np.array_equal(systems.cell_cover(sig), cell_cover(sig))
+        # over every index pair; the digit-difference reference, used above dimension 64, too
+        every = np.arange(sig.dim)
+        want = cell_cover(sig)
+        assert np.array_equal(systems.cover_entries(sig, every, every), want)
+        assert np.array_equal(digit_difference_cover(sig, every, every), want)
 
     @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
     def test_cover_entries_equal_the_definition(self, sig):
@@ -707,6 +703,29 @@ class TestCellTest:
         rows, cols = rng.integers(0, sig.dim, size=5), rng.permutation(sig.dim)
         assert np.array_equal(systems.cover_entries(sig, rows, cols),
                               cell_cover(sig)[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("dmn", [(2, 4, 3), (3, 3, 2), (2, 5, 5), (4, 3, 3), (2, 6, 6),
+                                     (2, 5, 7), (2, 12, 0), (8, 2, 2), (64, 1, 1), (16, 0, 3)],
+                             ids=str)
+    def test_cover_entries_equal_the_digit_differences(self, dmn):
+        sig = SystemSignature(*dmn)
+        rng = np.random.default_rng(sig.dim)
+        rows, cols = rng.integers(0, sig.dim, size=40), rng.permutation(sig.dim)
+        assert np.array_equal(systems.cover_entries(sig, rows, cols),
+                              digit_difference_cover(sig, rows, cols))
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2), (3, 2, 1), (2, 4, 3), (2, 0, 7)],
+                             ids=str)
+    def test_zero_effect_is_valid(self, dmn):
+        # (2, 4, 3) and (2, 0, 7) lie above states.CELL_TEST_SUPPORT_DIM, where the cell test
+        # looks for a support, and the zero operator has none
+        from duoc.effects import basis_effect, validate_effect
+
+        sig = SystemSignature(*dmn)
+        rep = validate_effect(basis_effect(sig, [0.0] * sig.dim))
+        one_pairing = len(index_table(sig).relabelings) == 1
+        assert rep.valid and rep.residual == 0.0 and rep.flags == ()
+        assert rep.witness == ("cell test" if one_pairing else "spectral decomposition")
 
     @pytest.mark.parametrize("sig", CELL_SIGS, ids=str)
     def test_certified_inputs_carry_no_mass_off_the_cells(self, sig):
@@ -945,25 +964,29 @@ class TestSpanDimensions:
 
     def test_every_signature_answers_within_a_second(self):
         # span, the pure-state test of a drawn state and the cell test, each with its first
-        # table or cover build; entries (0, 1) differ in one digit, which no cell covers.  The
-        # caches are emptied after each signature
+        # table build; entries (0, 1) differ in one digit, which no cell covers.  Then the tables
+        # the systems caches hold for every signature stay under 150 MB in total
         from duoc.states import validate_cone_member
 
-        for sig in ALL_SIGS:
-            v = build_pure_state(random_valid_state(sig, 0))
-            mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-            mat[:2, :2] = 0.5
-            try:
+        cached = (systems.index_table, systems._difference_codes)
+        try:
+            for sig in ALL_SIGS:
+                v = build_pure_state(random_valid_state(sig, 0))
+                mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+                mat[:2, :2] = 0.5
                 for check in (lambda: span_dimensions(sig)[0] == sig.dim,
                               lambda: validate_pure_state(v, sig).valid,
                               lambda: not validate_cone_member(sig, mat).valid):
                     start = time.perf_counter()
                     assert check(), sig
                     assert time.perf_counter() - start < 1.0, sig
-            finally:
-                for cached in (systems.index_table, systems.admissible_differences,
-                               systems.cell_cover):
-                    cached.cache_clear()
+            held = sum(table.key.nbytes + table.gather.nbytes
+                       + sum(a.nbytes for a in systems._difference_codes(sig))
+                       for sig in ALL_SIGS for table in [systems.index_table(sig)])
+            assert held < 150e6
+        finally:
+            for f in cached:
+                f.cache_clear()
 
     # (2,1,4) used to run for about 2 s, and (2,4,4) built 256 dense basis projectors
     # (268 MB) before a size check refused it

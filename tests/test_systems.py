@@ -10,7 +10,7 @@ from duoc.systems import (
     MAX_COMPOSITE_DIM,
     FactorPermutation,
     SystemSignature,
-    cell_cover,
+    cover_entries,
     digits_to_index,
     index_to_digits,
     parity_projector,
@@ -161,11 +161,8 @@ class TestCellCover:
     @pytest.mark.parametrize("dmn", [(2, 3, 0), (3, 0, 2), (2, 12, 0)], ids=str)
     def test_no_pairs_cover_single_indices(self, dmn):
         sig = SystemSignature(*dmn)
-        assert np.array_equal(cell_cover(sig), np.eye(sig.dim, dtype=bool))
-
-    def test_cached_per_signature(self):
-        sig = SystemSignature(2, 2, 2)
-        assert cell_cover(SystemSignature(2, 2, 2)) is cell_cover(sig)
+        rows, cols = np.arange(0, sig.dim, max(1, sig.dim // 64)), np.arange(sig.dim)
+        assert np.array_equal(cover_entries(sig, rows, cols), rows[:, None] == cols)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
