@@ -150,15 +150,15 @@ def conditional_state(rho: DensityState, e: Effect, positions) -> tuple:
     ``positions`` lists the factor positions of ``rho`` consumed by the
     effect, wired as :func:`check_wiring` requires.  The probability is
     ``Tr((E_S x I) rho)``; branches at or below probability ``ZERO_ATOL``
-    return ``(prob, None)`` rather than renormalizing noise.  A state of
-    :func:`~duoc.states.large_factor` is contracted column by column from its
-    factor (:func:`~duoc.linalg.contract_pure_effect`), and the columns summed.
+    return ``(prob, None)`` rather than renormalizing noise.  A state with a
+    factor is contracted column by column from it
+    (:func:`~duoc.linalg.contract_pure_effect`), and the columns summed.
     """
     sig = rho.sig
     positions = check_wiring(sig, e.sig, positions)
     nfac = sig.num_factors
     keep = tuple(t for t in range(nfac) if t not in positions)
-    if (factor := large_factor(rho)) is None:
+    if (factor := rho.factor) is None:
         raw = contract_effect(e.op, rho.matrix, positions, sig.dims)
     else:  # each column laid out measured factors first, in the effect's order
         psi = factor.reshape(*sig.dims, -1).transpose(nfac, *positions, *keep)

@@ -266,20 +266,18 @@ def low_rank_psd(mat, atol: float = DEFAULT_ATOL):
     ``-atol``, or ``None``, which decides nothing.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
-    at most ``dim // 64`` columns, stopping once no remaining diagonal entry
-    exceeds ``atol / dim`` (a PSD remainder is then below ``atol`` in trace,
-    hence in Frobenius norm).  Each pivot column is read as a conjugated
-    row, which equals the column of an exactly Hermitian ``mat``.  ``L`` is
-    returned only if the residual, summed over :func:`row_blocks`, has
-    ``||mat - L L^H||_F <= atol``: by Weyl's inequality no eigenvalue is
-    then below ``-atol``.
+    at most ``max(1, dim // 64)`` columns, stopping once no remaining
+    diagonal entry exceeds ``atol / dim`` (a PSD remainder is then below
+    ``atol`` in trace, hence in Frobenius norm).  Each pivot column is read
+    as a conjugated row, which equals the column of an exactly Hermitian
+    ``mat``.  ``L`` is returned only if the residual, summed over
+    :func:`row_blocks`, has ``||mat - L L^H||_F <= atol``: by Weyl's
+    inequality no eigenvalue is then below ``-atol``.
     """
     dim = mat.shape[0]
-    # k <= dim // 64 columns keep the residual product (dim^2 k) far below a Cholesky (dim^3 / 3);
-    # a rank above the cap gives up after O(dim k^2) work, before any dim^2 step
-    cap = dim // 64
-    if cap == 0:
-        return None
+    # k <= max(1, dim // 64) columns keep the residual product (dim^2 k) below a Cholesky
+    # (dim^3 / 3); a rank above the cap gives up after O(dim k^2) work, before any dim^2 step
+    cap = max(1, dim // 64)
     rest = mat.diagonal().real.copy()  # diagonal of the Schur complement left to factor
     cols = np.empty((dim, cap), dtype=complex)
     for k in range(cap + 1):

@@ -54,7 +54,7 @@ from .linalg import (
     DEFAULT_ATOL, INPUT_ATOL, permute_vector_factors, projector, symmetrized, vector_norm,
 )
 from .states import validate_pure_state
-from .systems import SystemSignature, as_integers
+from .systems import SystemSignature, as_integers, as_parity
 
 ALICE_PAIR = (0, 3)
 BOB_PAIR = (1, 2)
@@ -64,6 +64,7 @@ _SECTOR_SLOTS = {"alice": ((0, 3), (1, 2)), "bob": ((0, 3), (2, 1))}
 
 def phi_vector(d: int, i: int, j: int) -> np.ndarray:
     """Paired basis vector |i>|i+j mod d> on one (bit, anti-bit) pair."""
+    i, j = as_integers((i, j), "labels")
     if not (0 <= i < d and 0 <= j < d):
         raise DomainError(f"labels ({i}, {j}) out of range for d={d}")
     v = np.zeros(d * d, dtype=complex)
@@ -171,20 +172,12 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
     d = alphas.size
     if d < 2:
         raise DomainError("need local dimension >= 2")
-    r = _parity(r, d)
+    r = as_parity(r, d)
     if not abs(math.hypot(*np.abs(alphas)) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
         raise NormalizationError("coefficients must be normalized")
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
     return v.reshape(-1)
-
-
-def _parity(r, d: int) -> int:
-    """``r`` as an int, once checked to be an integer (numpy integers too) in ``0..d-1``."""
-    (r,) = as_integers((r,), "parity")
-    if not 0 <= r < d:
-        raise DomainError(f"parity {r} out of range for d={d}")
-    return r
 
 
 def _pair_state_data(psi, expected_d=None):
@@ -322,7 +315,7 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     d = alphas.size
     if d < 2:
         raise DomainError("need local dimension >= 2")
-    r = _parity(r, d)
+    r = as_parity(r, d)
     if not abs(math.hypot(*alphas) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
         raise NormalizationError("coefficients must be normalized")
     if int(np.sum(alphas > 0)) < 2:

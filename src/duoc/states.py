@@ -36,9 +36,9 @@ from .linalg import (
     SPECTRAL_ATOL,
     ZERO_ATOL,
     as_vector,
-    factor_residual,
     factor_product,
     hermitian_part,
+    low_rank_psd,
     off_diagonal_max,
     partial_trace,
     positive_zeros,
@@ -61,10 +61,11 @@ from .systems import (
     index_to_digits,
 )
 
-# The kernels read a state's factor above this dimension and its matrix at or below it, so that
-# no corpus or demo state (the largest is 81 x 81) changes a byte of output: with the factor read
-# at every size, the Born rows of 06_witness_born, 07_witness_sweep, 21_reversible_phases and
-# the witness demo moved in their last digits
+# The Born rule (effects.born_probabilities) and a reversible map (dynamics._conjugate_monomial)
+# read a state's factor above this dimension and its matrix at or below it, so that no corpus or
+# demo state (the largest is 81 x 81) changes a byte of output: with the factor read at every
+# size, the rows of 06_witness_born, 07_witness_sweep, 21_reversible_phases and the witness demo
+# moved in their last digits.  The other kernels read a factor at every size.
 FACTOR_PATH_DIM = 256
 
 # at or below this dimension the cell test reads the whole operator: finding and gathering a
@@ -417,18 +418,18 @@ class DensityState:
     A low-rank state keeps a ``(dim, r)`` factor ``F`` with ``matrix = F F^H`` as ``factor``
     (``None`` on a state without one).  A pure state (:meth:`from_vector`) is the case
     ``r = 1``, its unit vector as one column; this constructor keeps the factor that
-    :func:`~duoc.linalg.low_rank_psd` accepted during admission (rank at most ``dim // 64``,
-    of squared norm within ``DEFAULT_ATOL`` of 1) beside the matrix it stores.  A state made
-    from a factor (:meth:`_factored`) forms ``matrix``, :func:`~duoc.linalg.factor_product`
-    of the factor, on the first read, once.
+    :func:`~duoc.linalg.low_rank_psd` accepted during admission (rank at most
+    ``max(1, dim // 64)``, of squared norm within ``DEFAULT_ATOL`` of 1) beside the matrix it
+    stores.  A state made from a factor (:meth:`_factored`) forms ``matrix``,
+    :func:`~duoc.linalg.factor_product` of the factor, on the first read, once.
 
-    Above :data:`FACTOR_PATH_DIM` the kernels read the factor: a reversible map, the product
-    of two factored states, a marginal, a conditional, the Born rule and membership without a
-    certificate.  For an admitted ``M`` the factor leaves a remainder ``R = M - F F^H`` with
-    ``||R||_F <= DEFAULT_ATOL``, so a state derived from it differs from the dense path's by
-    the image of ``R``: in Frobenius norm at most ``||R||_F`` for a reversible map, and for a
-    marginal, a conditional or a Born probability at most the trace norm of ``R`` (a
-    contraction of it; ``||R||_1 <= sqrt(rank R) ||R||_F``).
+    At every size the product of two factored states, a marginal, a conditional and membership
+    without a certificate read the factor; a reversible map and the Born rule read it above
+    :data:`FACTOR_PATH_DIM` only (:func:`large_factor`).  For an admitted ``M`` the factor
+    leaves a remainder ``R = M - F F^H`` with ``||R||_F <= DEFAULT_ATOL``, so a state derived
+    from it differs from the dense path's by the image of ``R``: in Frobenius norm at most
+    ``||R||_F`` for a reversible map, and for a marginal, a conditional or a Born probability
+    at most the trace norm of ``R`` (a contraction of it; ``||R||_1 <= sqrt(rank R) ||R||_F``).
     """
 
     def __init__(self, sig: SystemSignature, matrix):
@@ -496,7 +497,8 @@ def _require_trace(sig: SystemSignature, size: int, trace) -> None:
 
 def large_factor(rho: DensityState):
     """``rho``'s factor when it has one and its dimension is above :data:`FACTOR_PATH_DIM`, else
-    ``None``: the kernels then read the factor, with no dim x dim matrix."""
+    ``None``: the Born rule (:func:`~duoc.effects.born_probabilities`) and a reversible map
+    (:func:`~duoc.dynamics.apply_reversible`) then read the factor, with no dim x dim matrix."""
     return rho.factor if rho.sig.dim > FACTOR_PATH_DIM else None
 
 
@@ -509,13 +511,13 @@ def product_order(left: SystemSignature, right: SystemSignature) -> list:
 
 def product_state(left: DensityState, right: DensityState) -> DensityState:
     """The product of two states on one local dimension, in the layout of :func:`product_order`;
-    of two factored states, above :data:`FACTOR_PATH_DIM` the state of the ``r_l r_r`` columns
-    ``kron(F_l[:, k], F_r[:, l])``, each reordered."""
+    of two factored states, the state of the ``r_l r_r`` columns ``kron(F_l[:, k], F_r[:, l])``,
+    each reordered."""
     if left.sig.d != right.sig.d:
         raise DomainError("product states need a common local dimension")
     sig = SystemSignature(left.sig.d, left.sig.m + right.sig.m, left.sig.n + right.sig.n)
     order = product_order(left.sig, right.sig)
-    if left.factor is not None and right.factor is not None and sig.dim > FACTOR_PATH_DIM:
+    if left.factor is not None and right.factor is not None:
         cols = left.factor[:, None, :, None] * right.factor[None, :, None, :]
         cols = cols.reshape(*left.sig.dims, *right.sig.dims, -1)
         return DensityState._factored(sig, cols.transpose(*order, len(order)).reshape(sig.dim, -1))
@@ -549,6 +551,8 @@ class SeparableSpec:
             weights = list(self.gamma.values())
         else:
             weights = [w for w, _, _ in self.terms]
+        if not all(isinstance(w, Real) for w in weights):
+            raise DomainError("separable weights must be real numbers")
         if any(w < -ZERO_ATOL for w in weights):
             raise DomainError("separable weights must be nonnegative")
         total = float(sum(weights))
@@ -592,23 +596,22 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     A certificate decides by reconstruction.  Else mass above ``DEFAULT_ATOL``
     on an entry that no cell covers (the cell test, :func:`_off_cell`) rejects
     exactly; with one pairing the cells are disjoint blocks and a pass is exact
-    too.  Otherwise the eigendecomposition is tried as a candidate
+    too.  Otherwise the spectral decomposition is tried as a candidate
     certificate; a negative answer from that path is flagged
-    ``NON-EXHAUSTIVE``.  A rank-1 operator, within ``DEFAULT_ATOL`` of
-    ``v v^H`` for one of its scaled columns ``v``, is decided as that path
-    would decide it, by the pattern test of ``v / |v|``, with no ``eigh``.
+    ``NON-EXHAUSTIVE``.
 
     Parameters
     ----------
     certificate : list of (weight, PureStateSpec), optional
         Claimed convex decomposition; verified by reconstruction.
 
-    With no certificate, a state of :func:`large_factor` ``F`` is decided from the factor: the
-    cell test over the rows of its support, then the left singular vectors of ``F`` of
-    ``sigma^2 > DEFAULT_ATOL`` (the eigenvectors ``eigh`` would keep) as the spectral columns.
+    With no certificate, a state's factor ``F`` stands in for its matrix: the cell test reads
+    the rows of its support.  The spectral columns come from one factor, the state's own, else
+    :func:`~duoc.linalg.low_rank_psd` of the matrix: its left singular vectors of ``sigma^2 >
+    DEFAULT_ATOL``, the eigenvectors ``eigh`` would keep.  With neither, ``eigh`` gives them.
     """
-    if certificate is None and (factor := large_factor(rho)) is not None:
-        return validate_cone_member(rho.sig, None, factor=factor)
+    if certificate is None and rho.factor is not None:
+        return validate_cone_member(rho.sig, None, factor=rho.factor)
     return validate_cone_member(rho.sig, rho.matrix, certificate)
 
 
@@ -640,11 +643,13 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
     off = _off_cell(sig, mat, factor)
     if off > DEFAULT_ATOL or len(index_table(sig).relabelings) == 1:
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
-    # fall back to the spectral decomposition as a candidate certificate
+    # fall back to the spectral decomposition as a candidate certificate, from a factor if any
+    if factor is None:
+        factor = low_rank_psd(mat)
     if factor is not None:  # in eigh's ascending order
         left, sing = np.linalg.svd(factor, full_matrices=False)[:2]
         cols = left[:, sing * sing > DEFAULT_ATOL].T[::-1]
-    elif (cols := _rank_one_column(mat)) is None:
+    else:
         vals, vecs = np.linalg.eigh(mat)
         cols = vecs[:, vals > DEFAULT_ATOL].T
     valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
@@ -682,35 +687,13 @@ def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
     return off
 
 
-def _rank_one_column(mat):
-    """``v / |v|`` as a one-row stack when ``||mat - v v^H||_F <= DEFAULT_ATOL``, else None;
-    ``v = mat[p]^* / sqrt(mat[p, p])`` is the column of the largest diagonal entry ``p``.
-
-    Then no eigenvalue but one is above ``DEFAULT_ATOL`` (Weyl), and with ``mat[p, p]``, hence
-    ``|v|^2``, above twice that, the one is: the spectral path would test one column, the
-    eigenvector that ``v`` approximates, so the pattern test of ``v / |v|`` stands in for it.
-    """
-    diag = mat.diagonal().real
-    p = int(np.argmax(diag))
-    if not diag[p] > 2.0 * DEFAULT_ATOL:
-        return None
-    v = mat[p].conj() / math.sqrt(diag[p])
-    top = vector_norm(v)
-    # a residual of Frobenius norm at most DEFAULT_ATOL has trace at most sqrt(dim) times that,
-    # so a higher rank is refused in O(dim), before the dim^2 residual
-    if (diag.sum() - top**2 > math.sqrt(len(diag)) * DEFAULT_ATOL
-            or factor_residual(v[:, None], mat) > DEFAULT_ATOL):
-        return None
-    return (v / top)[None]
-
-
 def marginal_state(rho: DensityState, keep) -> DensityState:
     """Reduced state on the factors listed in ``keep`` (ascending positions); of a state of
-    :func:`large_factor` ``F``, ``symmetrized(A A^H)`` with ``A`` the factor reshaped kept
-    factors by the rest and its columns."""
+    factor ``F``, ``symmetrized(A A^H)`` with ``A`` the factor reshaped kept factors by the rest
+    and its columns."""
     keep = tuple(sorted(as_integers(keep)))
     sub = rho.sig.sub_signature(keep)
-    if (factor := large_factor(rho)) is not None:
+    if (factor := rho.factor) is not None:
         nfac = rho.sig.num_factors
         rest = [t for t in range(nfac) if t not in keep]
         mat = factor.reshape(*rho.sig.dims, -1).transpose(*keep, *rest, nfac).reshape(sub.dim, -1)
@@ -765,9 +748,8 @@ def is_entangled(v, sig: SystemSignature) -> bool:
     rep = validate_pure_state(v, sig)
     if not rep.valid:
         raise ValidityError(f"not a valid pure state (residual {rep.residual})")
-    marg = partial_trace(projector(v), sig.dims, keep=(0,))
-    eigs = np.linalg.eigvalsh(marg)
-    return int(np.sum(eigs > DEFAULT_ATOL)) >= 2
+    marg = marginal_state(DensityState.from_vector(sig, v), (0,)).matrix
+    return int(np.sum(np.linalg.eigvalsh(marg) > DEFAULT_ATOL)) >= 2
 
 
 def span_dimensions(sig: SystemSignature) -> tuple:

@@ -242,6 +242,14 @@ def as_integers(values, what: str = "factor positions") -> tuple:
         raise DomainError(f"{what} {values!r} must be integers") from None
 
 
+def as_parity(r, d: int) -> int:
+    """``r`` as an int, once checked to be an integer (numpy integers too) in ``0..d-1``."""
+    (r,) = as_integers((r,), "parity")
+    if not 0 <= r < d:
+        raise DomainError(f"parity {r} out of range for d={d}")
+    return r
+
+
 def index_to_digits(index: int, d: int, width: int) -> tuple:
     """Base-``d`` digits of ``index``, most significant first."""
     if index < 0 or index >= d**width:
@@ -268,8 +276,7 @@ def parity_projector(d: int, k: int) -> np.ndarray:
 
     The sector is spanned by ``|i>|i + k mod d>`` for ``i = 0..d-1``.
     """
-    if k < 0 or k >= d:
-        raise DomainError(f"parity {k} out of range for d={d}")
+    k = as_parity(k, d)
     out = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         idx = i * d + (i + k) % d

@@ -175,11 +175,11 @@ class TestAdmittedOnce:
         out = product_state(left, right)
         no_decision(counts)
         sig, mat = joint_matrix(left, right)
-        if sig.dim > FACTOR_PATH_DIM:
+        if left.factor is not None and right.factor is not None:
             same_pure(out, sig, product_vector(left, right), mat)
-            return
-        assert np.array_equal(out.matrix, mat)  # stored as built, up to the signs of zeros
-        same_bytes(out, sig, mat)
+        else:
+            assert np.array_equal(out.matrix, mat)  # stored as built, up to the signs of zeros
+            same_bytes(out, sig, mat)
 
     def test_apply_reversible(self, dmn, kind, counts, rng):
         sig = SystemSignature(*dmn)
@@ -204,7 +204,7 @@ class TestAdmittedOnce:
         out = marginal_state(rho, keep)
         no_decision(counts)
         sub, dense = sig.sub_signature(keep), partial_trace(rho.matrix, sig.dims, keep)
-        if sig.dim > FACTOR_PATH_DIM:
+        if rho.factor is not None:
             mat = rho.factor[:, 0].reshape(sig.dims).transpose(*keep, 0).reshape(sub.dim, -1)
             same_bytes(out, sub, mat @ mat.conj().T)
             assert np.max(np.abs(out.matrix - dense)) <= 1e-12
@@ -218,7 +218,7 @@ class TestAdmittedOnce:
         prob, out = conditional_state(rho, e, (0,))
         sub, dense = sig.sub_signature(tuple(range(1, sig.num_factors))), contract_effect(
             e.op, rho.matrix, (0,), sig.dims)
-        if sig.dim > FACTOR_PATH_DIM:
+        if rho.factor is not None:
             raw = linalg.contract_pure_effect(e.op[None], measured_first(rho, (0,))).sum(axis=0)
             assert prob == np.trace(raw).real
             assert np.max(np.abs(raw - dense)) <= 1e-12
@@ -229,6 +229,27 @@ class TestAdmittedOnce:
         count = counters(monkeypatch)
         conditional_state(rho, e, (0,))
         no_decision(count)
+
+    def test_dense_input(self, dmn, kind, rng, monkeypatch):
+        # a state with no factor keeps the dense formulas: the product stored as built, the
+        # marginal and the conditional contracted from its matrix
+        sig = SystemSignature(*dmn)
+        left, right = (DensityState._admitted(s, projector(vector(kind, s.dim, rng)))
+                       for s in split(sig))
+        rho = DensityState._admitted(sig, projector(vector(kind, sig.dim, rng)))
+        e = random_certified_effect(sig.sub_signature((0,)), rng)
+        count = counters(monkeypatch)
+        out, keep = product_state(left, right), tuple(range(1, sig.num_factors))
+        marginal, (prob, post) = marginal_state(rho, keep), conditional_state(rho, e, (0,))
+        no_decision(count)
+        joint, mat = joint_matrix(left, right)
+        assert out.factor is None and np.array_equal(out.matrix, mat)
+        same_bytes(out, joint, mat)
+        sub = sig.sub_signature(keep)
+        same_bytes(marginal, sub, partial_trace(rho.matrix, sig.dims, keep))
+        raw = contract_effect(e.op, rho.matrix, (0,), sig.dims)
+        assert prob == np.trace(raw).real
+        same_bytes(post, sub, raw / prob)
 
     def test_conditional_evolution(self, dmn, kind, rng, monkeypatch):
         in_sig, anc_sig = split(SystemSignature(*dmn))
@@ -246,7 +267,7 @@ class TestAdmittedOnce:
         joint, mat = joint_matrix(rho, ancilla)
         mat = DensityState(joint, mat).matrix  # the product as admitted
         raw = contract_effect(spec.effect.op, mat, spec.joint_positions, joint.dims)
-        if joint.dim > FACTOR_PATH_DIM:
+        if rho.factor is not None and ancilla.factor is not None:
             pure = DensityState._factored(joint, product_vector(rho, ancilla)[:, None])
             dense, raw = raw, linalg.contract_pure_effect(
                 spec.effect.op[None], measured_first(pure, spec.joint_positions)).sum(axis=0)

@@ -8,8 +8,9 @@ any norm overflows; a direction entry above 1 in modulus, before its
 norm or Gram matrix is formed; a rotation angle that is not a finite real
 number, before its cosine.  A digit field (parity, tail, coefficient
 key, basis digits, dit string, shift or phase exponent, separable basis
-label) is read through ``operator.index``, so a float, NaN or infinite
-digit is refused rather than truncated.
+label, pair label or parity) is read through ``operator.index``, so a
+float, NaN or infinite digit is refused rather than truncated; a separable
+weight that is not a real number is refused too.
 """
 
 import dataclasses
@@ -21,12 +22,14 @@ import pytest
 from duoc.dynamics import ClassicalChannel, ReversibleSpec
 from duoc.effects import classical_povm
 from duoc.errors import DomainError, NormalizationError
-from duoc.nonlocality import LocalBasis, activation_setup, side_effect, two_copy_state
+from duoc.nonlocality import (
+    LocalBasis, activation_setup, phi_vector, side_effect, two_copy_state,
+)
 from duoc.states import (
     DensityState, PureStateSpec, SeparableSpec, basis_state_spec, build_pure_state,
     build_separable, certificate_matches, is_entangled, validate_pure_state,
 )
-from duoc.systems import SystemSignature, phase_matrix, shift_matrix
+from duoc.systems import SystemSignature, parity_projector, phase_matrix, shift_matrix
 
 NAN = float("nan")
 
@@ -41,6 +44,14 @@ def test_separable_spec():
         SeparableSpec(gamma={(0, 0): NAN})
     with pytest.raises(NormalizationError):
         SeparableSpec(gamma={(0, 0): NAN, (1, 1): 1.0})
+
+
+@pytest.mark.parametrize("weight", [1j, 1 + 0j, "1"], ids=repr)
+def test_separable_spec_refuses_a_weight_that_is_not_real(weight):
+    # a complex weight used to leak a raw TypeError from the sign check
+    for spec in ({"gamma": {(0, 0): weight}}, {"terms": [(weight, (0,), ANTI)]}):
+        with pytest.raises(DomainError, match="^separable weights must be real numbers$"):
+            SeparableSpec(**spec)
 
 
 def test_classical_channel():
@@ -135,16 +146,22 @@ DIGIT_FIELDS = {
     "basis labels": lambda g: build_separable(SeparableSpec(gamma={(0, g): 1.0}), SIG11),
     "shift exponent": lambda g: shift_matrix(2, g),
     "phase exponent": lambda g: phase_matrix(2, g),
+    "phi_vector": lambda g: phi_vector(2, g, 0),
+    "parity_projector": lambda g: parity_projector(2, g),
 }
+# the name a refusal gives the field, where it is not the key
+FIELD_NAMES = {"phi_vector": "labels", "parity_projector": "parity"}
 
 
 @pytest.mark.parametrize("digit", [0.9, 1.7, 1.0, NAN, float("inf"), "1"], ids=repr)
 @pytest.mark.parametrize("field", DIGIT_FIELDS)
 def test_non_integer_digit_refused(field, digit):
-    # 0.9 and 1.7 used to be truncated, NaN to raise ValueError and inf OverflowError
+    # 0.9 and 1.7 used to be truncated (phi_vector and parity_projector raised IndexError), NaN
+    # to raise ValueError and inf OverflowError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=f"^{field} .* must be integers$"):
+        with pytest.raises(DomainError, match=f"^{FIELD_NAMES.get(field, field)} .* must be "
+                                              "integers$"):
             DIGIT_FIELDS[field](digit)
 
 

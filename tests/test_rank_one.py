@@ -1,9 +1,10 @@
-"""A rank-1 operator reaches the membership verdict of the spectral path without its ``eigh``.
+"""A low-rank operator reaches the membership verdict of the spectral path without its ``eigh``.
 
-``validate_cone_member`` reads a rank-1 operator's one column ``v`` (the column of its largest
-diagonal entry, scaled) and, when ``||mat - v v^H||_F <= DEFAULT_ATOL``, runs the spectral
-path's pattern test on ``v / |v|``.  The reference below is that path as it stood before: the
-cell test, then the pattern test of every eigenvector above ``DEFAULT_ATOL``.
+``validate_cone_member`` takes the spectral columns of an operator of rank at most
+``max(1, dim // 64)`` from the factor of ``linalg.low_rank_psd`` (residual at most
+``DEFAULT_ATOL``): its left singular vectors, of a rank-1 operator the one column over its
+norm.  The reference below is the spectral path as it stood before: the cell test, then the
+pattern test of every eigenvector above ``DEFAULT_ATOL``.
 """
 
 import numpy as np
@@ -76,3 +77,14 @@ def test_rank_three_mixture_still_reaches_eigh(eigh_calls):
     eigh_calls[0] = 0
     validate_cone_member(sig, rho.matrix)
     assert eigh_calls[0] == 1
+
+
+def test_mixture_within_the_factor_cap_skips_eigh(eigh_calls):
+    # at dim 256 low_rank_psd factors up to rank 4
+    sig = SystemSignature(2, 4, 4)
+    draws = [random_mixed_state(sig, seed)[0] for seed in range(12)]
+    want = [spectral_verdict(sig, rho.matrix) for rho in draws]
+    eigh_calls[0] = 0
+    got = [validate_cone_member(sig, rho.matrix) for rho in draws]
+    assert [(rep.valid, rep.flags) for rep in got] == want
+    assert eigh_calls[0] == 0

@@ -846,6 +846,23 @@ class TestIsEntangled:
         with pytest.raises(ValidityError):
             is_entangled(v, SIG11)
 
+    def test_largest_pair_decided_from_the_vector(self):
+        # the dit marginal of a (64, 1, 1) state is taken from its vector: the 4096 x 4096
+        # projector took 0.2-0.5 s and peaked at 403 MB
+        sig = SystemSignature(64, 1, 1)
+        diagonal, basis = np.zeros((2, sig.dim), complex)
+        diagonal[::65], basis[65 * 7] = 1 / 8, 1.0
+        is_entangled(diagonal, sig)  # builds the signature's index table
+        for v, entangled in ((diagonal, True), (basis, False)):
+            tracemalloc.start()
+            start = time.thread_time()
+            try:
+                assert is_entangled(v, sig) == entangled
+                assert time.thread_time() - start < 0.1
+                assert tracemalloc.get_traced_memory()[1] < 4_000_000
+            finally:
+                tracemalloc.stop()
+
 
 def dense_span(sig):
     """Span dimensions the dense way: the real SVD rank, at ``SPECTRAL_ATOL`` relative to the
