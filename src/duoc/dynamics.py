@@ -258,12 +258,14 @@ def validate_transformation(
 
     The first failing check decides, in this order.  A probe of unit-modulus entries drawn
     from ``seed`` whose image is not ``sum_ij probe_ij map(E_ij)`` within ``INPUT_ATOL`` raises
-    :class:`DomainError`.  Then the Choi matrix's ``Hermiticity`` defect and, on its Hermitian
-    part, ``complete positivity`` by :func:`~duoc.linalg.psd_defect` are held to ``INPUT_ATOL``;
-    ``trace increase``, ``lambda_max(T) - 1``, to ``DEFAULT_ATOL``.  ``C`` must be a density
-    matrix at ``DEFAULT_ATOL`` as :class:`DensityState` admits one, else ``invalid Choi state``
-    with its defect (a map with ``tr(choi) <= ZERO_ATOL`` passes as the ``zero map``).  Last,
-    :func:`~duoc.states.validate_mixed_state` decides ``C``: a pass is ``Choi state``, a
+    :class:`DomainError`.  Then the Choi matrix's ``Hermiticity`` defect is held to
+    ``INPUT_ATOL``.  One :func:`~duoc.linalg.psd_defect` of its Hermitian part, at
+    ``min(INPUT_ATOL, max(tr, ZERO_ATOL) * DEFAULT_ATOL)``, decides ``complete positivity`` at
+    ``INPUT_ATOL`` and, after ``trace increase`` (``lambda_max(T) - 1`` held to ``DEFAULT_ATOL``),
+    ``C``'s admission as :class:`DensityState` admits one: Hermitian and eigenvalue defects over
+    ``tr`` at ``DEFAULT_ATOL``, else ``invalid Choi state`` (``tr <= ZERO_ATOL`` passes as the
+    ``zero map``).  Its low-rank factor, if any, over ``sqrt(tr)`` is ``C``'s, which
+    :func:`~duoc.states.validate_mixed_state` reads to decide ``C``: a pass is ``Choi state``, a
     rejection ``invalid Choi state``, and an undecided membership ``UNDECIDED Choi state``,
     flagged ``NON-EXHAUSTIVE``, never a pass.  A pass's residual also counts the Choi matrix's
     ``-lambda_min`` when neither its low-rank factor nor Cholesky settled it.  A Choi state above
@@ -285,27 +287,27 @@ def validate_transformation(
     sym, defect = hermitian_part(choi)
     if defect > INPUT_ATOL:
         return ValidityReport(False, defect, witness="Hermiticity")
-    if (worst := psd_defect(sym, INPUT_ATOL)[0]) > INPUT_ATOL:
+    # a cheap path settled at this tolerance proves INPUT_ATOL for choi, DEFAULT_ATOL for C
+    tr = float(np.real(np.trace(sym)))
+    worst, factor = psd_defect(sym, min(INPUT_ATOL, max(tr, ZERO_ATOL) * DEFAULT_ATOL))
+    if worst > INPUT_ATOL:
         return ValidityReport(False, worst, witness="complete positivity")
     gain = float(np.linalg.eigvalsh(np.trace(sym.reshape(blocks.shape), axis1=0, axis2=2))[-1])
     if gain - 1.0 > DEFAULT_ATOL:
         return ValidityReport(False, gain - 1.0, witness="trace increase")
-    if (tr := float(np.real(np.trace(sym)))) <= ZERO_ATOL:
+    if tr <= ZERO_ATOL:
         return ValidityReport(True, worst, witness="zero map")
     # C's admission: its Hermitian and eigenvalue defects are the Choi matrix's over tr
-    c = _choi_layout(sym, sig_in, sig_out) * (1.0 / tr)
-    if (short := max(defect / tr, psd_defect(c, DEFAULT_ATOL)[0])) > DEFAULT_ATOL:
+    if (short := max(defect, worst) / tr) > DEFAULT_ATOL:
         return ValidityReport(False, short, witness="invalid Choi state")
-    rep = validate_mixed_state(DensityState._admitted(sig_c, c))
+    # row q of C is row order[q] of choi: output dits, input anti-dits, output anti-dits, input dits
+    d = sig_in.d
+    order = np.arange(sig_c.dim).reshape(d**sig_out.m, d**sig_out.n, d**sig_in.m, d**sig_in.n)
+    order = order.transpose(0, 3, 1, 2).ravel()
+    factor = None if factor is None else factor[order] / np.sqrt(tr)
+    c = DensityState._admitted(sig_c, sym[np.ix_(order, order)] * (1.0 / tr), factor)
+    rep = validate_mixed_state(c)
     if not rep.valid:
         what = "UNDECIDED" if "NON-EXHAUSTIVE" in rep.flags else "invalid"
         return ValidityReport(False, rep.residual, witness=f"{what} Choi state", flags=rep.flags)
     return ValidityReport(True, max(worst, rep.residual), witness="Choi state")
-
-
-def _choi_layout(choi, sig_in: SystemSignature, sig_out: SystemSignature) -> np.ndarray:
-    """``choi`` (rows output then input) with rows and columns in the Choi state's factor order:
-    output dits, input anti-dits, output anti-dits, input dits."""
-    d = sig_in.d
-    blocks = (d**sig_out.m, d**sig_out.n, d**sig_in.m, d**sig_in.n)
-    return choi.reshape(blocks * 2).transpose(0, 3, 1, 2, 4, 7, 5, 6).reshape(choi.shape)

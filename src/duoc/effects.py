@@ -399,9 +399,8 @@ def classical_povm(cond_prob, sig: SystemSignature) -> Povm:
 def witness_povm(p: float, parity: int = 0) -> Povm:
     """Two-outcome entanglement witness for sqrt(p)|00> + sqrt(1-p)|11>.
 
-    ``P_yes`` projects onto the target state and ``P_no`` is its
-    complement (d = 2 only), both stored as built with no certificate:
-    the cell test of :func:`validate_effect` decides them exactly.
+    ``{P_yes, P_no}`` is the :func:`projector_povms` of the target state (d = 2 only):
+    the cell test of :func:`validate_effect` decides both effects exactly.
     """
     if not 0 < p < 1:
         raise DomainError(f"witness parameter must lie in (0, 1), got {p}")
@@ -409,9 +408,15 @@ def witness_povm(p: float, parity: int = 0) -> Povm:
         raise DomainError(f"parity must be 0 or 1, got {parity}")
     sig = SystemSignature(2, 1, 1)
     target = PureStateSpec(sig, {(0,): np.sqrt(p), (1,): np.sqrt(1 - p)}, parity=(parity,))
-    p_yes = projector(build_pure_state(target))
-    return Povm._admitted([Effect._admitted(sig, p_yes, None),
-                           Effect._admitted(sig, np.eye(4, dtype=complex) - p_yes, None)])
+    return projector_povms(sig, build_pure_state(target))[0]
+
+
+def projector_povms(sig: SystemSignature, *vecs) -> list:
+    """``{P, I - P}`` for ``P = projector(v)`` of each of ``vecs``, both effects stored as built
+    with no certificate."""
+    eye = np.eye(sig.dim, dtype=complex)
+    return [Povm._admitted([Effect._admitted(sig, p, None), Effect._admitted(sig, eye - p, None)])
+            for p in map(projector, vecs)]
 
 
 def worst_case_no_probability(p: float, grid_step: float = 0.01) -> tuple:

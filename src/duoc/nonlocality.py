@@ -42,7 +42,7 @@ from numbers import Real
 
 import numpy as np
 
-from .effects import Effect, Povm
+from .effects import Effect, Povm, projector_povms
 from .errors import (
     DomainError,
     NormalizationError,
@@ -51,7 +51,7 @@ from .errors import (
     ValidityError,
 )
 from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, permute_vector_factors, projector, symmetrized, vector_norm,
+    DEFAULT_ATOL, INPUT_ATOL, permute_vector_factors, symmetrized, vector_norm,
 )
 from .states import validate_pure_state
 from .systems import SystemSignature, as_integers, as_parity
@@ -168,16 +168,22 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
     Canonical factor order of the doubled composite is
     [bit1, bit2, anti1, anti2].
     """
+    d, r, alphas = _pair_coefficients(alphas, r)
+    x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
+    v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
+    return v.reshape(-1)
+
+
+def _pair_coefficients(alphas, r) -> tuple:
+    """``(d, r, alphas)`` of ``sum_i alpha_i |i>|i+r>``, the coefficients a complex vector,
+    checked: ``d >= 2``, ``r`` a parity of ``d`` and unit norm within ``DEFAULT_ATOL``."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    d = alphas.size
-    if d < 2:
+    if (d := alphas.size) < 2:
         raise DomainError("need local dimension >= 2")
     r = as_parity(r, d)
     if not abs(math.hypot(*np.abs(alphas)) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
         raise NormalizationError("coefficients must be normalized")
-    x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
-    v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
-    return v.reshape(-1)
+    return d, r, alphas
 
 
 def _pair_state_data(psi, expected_d=None):
@@ -307,17 +313,11 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     than two nonzero coefficients means a product state, which cannot
     be activated.
 
-    Each POVM is ``{|v><v|, I - |v><v|}`` with ``v = c0|up> + c1|down>``
-    in sector ``r``; both effects are stored as built, a projector and
-    its complement, without a certificate.
+    The POVMs are the :func:`~duoc.effects.projector_povms` of four
+    ``v = c0|up> + c1|down>`` in sector ``r``.
     """
-    alphas = np.abs(np.asarray(alphas, dtype=complex)).astype(float)
-    d = alphas.size
-    if d < 2:
-        raise DomainError("need local dimension >= 2")
-    r = as_parity(r, d)
-    if not abs(math.hypot(*alphas) - 1.0) <= DEFAULT_ATOL:  # no overflow; NaN fails
-        raise NormalizationError("coefficients must be normalized")
+    d, r, alphas = _pair_coefficients(alphas, r)
+    alphas = np.abs(alphas)
     if int(np.sum(alphas > 0)) < 2:
         raise NotEntangledError("activation needs at least two nonzero coefficients")
     order = np.argsort(-alphas, kind="stable")
@@ -328,19 +328,11 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     sig = SystemSignature(d, 1, 1)
     up = phi_vector(d, i_up, r)
     down = phi_vector(d, i_down, r)
-    eye = np.eye(d * d, dtype=complex)
-
-    def two_outcome(vec):
-        plus = projector(vec)
-        return Povm._admitted([Effect._admitted(sig, plus, None),
-                               Effect._admitted(sig, eye - plus, None)])
-
-    a0 = two_outcome(up)
-    a1 = two_outcome((up + down) * (1 / np.sqrt(2)))
     c, s = np.cos(theta), np.sin(theta)
     nrm = np.sqrt(2 * c + 2)
-    b0 = two_outcome(((c + 1) * up + s * down) / nrm)
-    b1 = two_outcome(((c + 1) * up - s * down) / nrm)
+    a0, a1, b0, b1 = projector_povms(sig, up, (up + down) * (1 / np.sqrt(2)),
+                                     ((c + 1) * up + s * down) / nrm,
+                                     ((c + 1) * up - s * down) / nrm)
     return ActivationSetup(
         d=d,
         r=r,

@@ -419,17 +419,18 @@ class DensityState:
     (``None`` on a state without one).  A pure state (:meth:`from_vector`) is the case
     ``r = 1``, its unit vector as one column; this constructor keeps the factor that
     :func:`~duoc.linalg.low_rank_psd` accepted during admission (rank at most
-    ``max(1, dim // 64)``, of squared norm within ``DEFAULT_ATOL`` of 1) beside the matrix it
-    stores.  A state made from a factor (:meth:`_factored`) forms ``matrix``,
-    :func:`~duoc.linalg.factor_product` of the factor, on the first read, once.
+    ``max(1, dim // 64)``; :func:`_unit_factor`) beside the matrix it stores.  A state made from
+    a factor (:meth:`_factored`) forms ``matrix``, :func:`~duoc.linalg.factor_product` of the
+    factor, on the first read, once.
 
-    At every size the product of two factored states, a marginal, a conditional and membership
-    without a certificate read the factor; a reversible map and the Born rule read it above
-    :data:`FACTOR_PATH_DIM` only (:func:`large_factor`).  For an admitted ``M`` the factor
-    leaves a remainder ``R = M - F F^H`` with ``||R||_F <= DEFAULT_ATOL``, so a state derived
-    from it differs from the dense path's by the image of ``R``: in Frobenius norm at most
-    ``||R||_F`` for a reversible map, and for a marginal, a conditional or a Born probability
-    at most the trace norm of ``R`` (a contraction of it; ``||R||_1 <= sqrt(rank R) ||R||_F``).
+    At every size the product of two factored states, a marginal and a conditional read the
+    factor, and membership reads it where :func:`_off_cell` does; a reversible map and the Born
+    rule read it above :data:`FACTOR_PATH_DIM` only (:func:`large_factor`).  For an admitted
+    ``M`` the factor leaves a remainder ``R = M - F F^H`` with ``||R||_F <= DEFAULT_ATOL``, so a
+    state derived from it differs from the dense path's by the image of ``R``: in Frobenius norm
+    at most ``||R||_F`` for a reversible map, and for a marginal, a conditional or a Born
+    probability at most the trace norm of ``R`` (a contraction of it; ``||R||_1 <= sqrt(rank R)
+    ||R||_F``).
     """
 
     def __init__(self, sig: SystemSignature, matrix):
@@ -442,17 +443,15 @@ class DensityState:
         short, factor = psd_defect(sym, DEFAULT_ATOL)
         if short > DEFAULT_ATOL:
             raise DensityMatrixError(f"matrix has negative eigenvalue {-short}")
-        # the states the kernels derive from the factor must pass _require_trace in turn
-        if factor is not None and not abs(np.vdot(factor, factor).real - 1.0) <= DEFAULT_ATOL:
-            factor = None
-        self.sig, self._matrix, self.factor = sig, sym, factor
+        self.sig, self._matrix, self.factor = sig, sym, _unit_factor(factor)
 
     @classmethod
-    def _admitted(cls, sig: SystemSignature, matrix: np.ndarray) -> "DensityState":
-        """The state of a ``matrix`` Hermitian and PSD by construction; checks shape and trace."""
+    def _admitted(cls, sig: SystemSignature, matrix: np.ndarray, factor=None) -> "DensityState":
+        """The state of a ``matrix`` Hermitian and PSD by construction, keeping a low-rank
+        ``factor`` of it as :func:`_unit_factor` rules; checks shape and trace."""
         _require_trace(sig, matrix.shape[0], np.trace(matrix))
         rho = cls.__new__(cls)
-        rho.sig, rho._matrix, rho.factor = sig, matrix, None
+        rho.sig, rho._matrix, rho.factor = sig, matrix, _unit_factor(factor)
         return rho
 
     @classmethod
@@ -483,6 +482,13 @@ class DensityState:
         if self._matrix is None:
             return f"DensityState(sig={self.sig!r}, factor={self.factor!r})"
         return f"DensityState(sig={self.sig!r}, matrix={self._matrix!r})"
+
+
+def _unit_factor(factor):
+    """``factor`` if its squared norm is within ``DEFAULT_ATOL`` of 1, else ``None``: the states
+    the kernels derive from a kept factor must pass :func:`_require_trace` in turn."""
+    unit = factor is not None and abs(np.vdot(factor, factor).real - 1.0) <= DEFAULT_ATOL
+    return factor if unit else None
 
 
 def _require_trace(sig: SystemSignature, size: int, trace) -> None:
@@ -593,32 +599,24 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
 def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
-    A certificate decides by reconstruction.  Else mass above ``DEFAULT_ATOL``
-    on an entry that no cell covers (the cell test, :func:`_off_cell`) rejects
-    exactly; with one pairing the cells are disjoint blocks and a pass is exact
-    too.  Otherwise the spectral decomposition is tried as a candidate
-    certificate; a negative answer from that path is flagged
-    ``NON-EXHAUSTIVE``.
+    A ``certificate``, a list of ``(weight, PureStateSpec)``, decides by reconstruction.  Else
+    mass above ``DEFAULT_ATOL`` on an entry that no cell covers (the cell test, :func:`_off_cell`)
+    rejects exactly; with one pairing the cells are disjoint blocks and a pass is exact too.
+    Otherwise the spectral decomposition is tried as a candidate certificate; a negative answer
+    from that path is flagged ``NON-EXHAUSTIVE``.
 
-    Parameters
-    ----------
-    certificate : list of (weight, PureStateSpec), optional
-        Claimed convex decomposition; verified by reconstruction.
-
-    With no certificate, a state's factor ``F`` stands in for its matrix: the cell test reads
-    the rows of its support.  The spectral columns come from one factor, the state's own, else
+    The test reads what the state holds, its formed matrix, its factor ``F`` or both (see
+    :func:`_off_cell`).  The spectral columns come from one factor, the state's own, else
     :func:`~duoc.linalg.low_rank_psd` of the matrix: its left singular vectors of ``sigma^2 >
     DEFAULT_ATOL``, the eigenvectors ``eigh`` would keep.  With neither, ``eigh`` gives them.
     """
-    if certificate is None and rho.factor is not None:
-        return validate_cone_member(rho.sig, None, factor=rho.factor)
-    return validate_cone_member(rho.sig, rho.matrix, certificate)
+    return validate_cone_member(rho.sig, rho._matrix, certificate, rho.factor)
 
 
 def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityReport:
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
-    A ``(dim, r)`` ``factor`` stands in for ``mat = factor factor^H``, which is not read; ``mat``
-    must be exactly Hermitian, as every admitted state, effect and Choi state is."""
+    ``mat`` (``None`` if not formed), a ``(dim, r)`` ``factor`` with ``mat = F F^H``, or both;
+    ``mat`` must be exactly Hermitian, as every admitted state, effect and Choi state is."""
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -636,7 +634,7 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
         vecs /= np.linalg.norm(vecs, axis=0)
         recon = (vecs * [max(float(w), 0.0) for w, _ in certificate]) @ vecs.conj().T
-        recon -= mat
+        recon -= factor_product(factor) if mat is None else mat
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
@@ -662,11 +660,13 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
 def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
     """The largest modulus of ``mat`` on an entry that no cell covers, read in
     :func:`~duoc.linalg.row_blocks` with no dim x dim array, above :data:`CELL_TEST_SUPPORT_DIM`
-    only on the rows and columns of its support (none gives ``0.0``).  A ``(dim, r)`` ``factor``
-    stands in for ``mat = F F^H`` (then None), each block ``|F_rows F_support^H|``.
+    only on the rows and columns of its support (none gives ``0.0``).  Above that size, or with
+    ``mat`` None, a ``(dim, r)`` ``factor`` with ``mat = F F^H`` is read: ``|F_rows F_support^H|``.
 
     Exact only for an exactly Hermitian ``mat``, as every caller passes: its zero rows are then
     its zero columns, so the support's rows and columns hold every nonzero entry."""
+    if mat is not None and len(mat) <= CELL_TEST_SUPPORT_DIM:
+        factor = None  # the whole held matrix is read, with no product formed
     source = mat if factor is None else factor
     support, size = slice(None), len(source)  # a slice reads rows and codes with no gather
     if size > CELL_TEST_SUPPORT_DIM:

@@ -103,6 +103,40 @@ def test_membership_from_the_vector_decides_as_the_matrix(dmn, case, rng):
         assert rep.flags == ("NON-EXHAUSTIVE",)
 
 
+class Products(np.ndarray):
+    """A factor that counts the products (``matmul``, ``multiply``) taken of it."""
+
+    taken = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc in (np.matmul, np.multiply):
+            Products.taken += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, Products) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("dmn", [(2, 2, 2), (2, 3, 3)], ids=str)
+@pytest.mark.parametrize("case", list(MEMBERSHIP)[:4])
+def test_membership_reads_a_formed_matrix_as_it_reads_the_factor(dmn, case, rng):
+    # at or below CELL_TEST_SUPPORT_DIM the cell test reads a formed matrix whole, with no
+    # F F^H; the spectral columns still come from the factor
+    sig = SystemSignature(*dmn)
+    v = MEMBERSHIP[case](sig, rng)
+    unread, read = DensityState.from_vector(sig, v), DensityState.from_vector(sig, v)
+    read.matrix
+    read.factor = read.factor.view(Products)
+    Products.taken = 0
+    got, want = validate_mixed_state(read), validate_mixed_state(unread)
+    assert Products.taken == 0 and unread._matrix is None
+    assert (got.valid, got.witness, got.flags) == (want.valid, want.witness, want.flags)
+    # a random vector is rejected by the cell test, on an entry that the formed matrix
+    # (hermitian_outer) and a product of the factor round apart
+    if case == "random":
+        assert got.residual == pytest.approx(want.residual, rel=1e-14)
+    else:
+        assert got.residual == want.residual
+
+
 @pytest.mark.parametrize("dmn", [(3, 3, 3), (2, 5, 5)], ids=str)
 @pytest.mark.parametrize("case", list(MEMBERSHIP)[:4])
 def test_vector_cell_test_is_the_largest_off_cell_product(dmn, case, rng):

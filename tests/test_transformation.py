@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from duoc import random_mixed_state
+from duoc import dynamics, linalg, random_mixed_state, states
 from duoc.dynamics import (
     ConditionalEvolutionSpec, ReversibleSpec, build_reversible, choi_matrix, conditional_evolution,
     validate_transformation,
@@ -333,6 +333,28 @@ def test_reversible_choi_needs_no_eigendecomposition(shapes):
     # decided by its one column
     assert (256, 256) not in shapes["eigvalsh"] + shapes["cholesky"]
     assert shapes["eigh"] == []
+
+
+@pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2)])
+def test_one_positivity_decision_per_choi_matrix(dmn, monkeypatch):
+    # the factor that proves complete positivity also admits the Choi state and is its factor,
+    # which membership reads: no second decision and no second factorization
+    calls = {"low_rank_psd": 0, "psd_defect": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((linalg, "low_rank_psd"), (states, "low_rank_psd"),
+                         (dynamics, "psd_defect")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sig = SystemSignature(*dmn)
+    u = random_reversible(sig, np.random.default_rng(32))
+    rep = validate_transformation(conjugation(u), sig, sig)
+    assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
+    assert calls == {"low_rank_psd": 1, "psd_defect": 1}
 
 
 def slightly_negative_classical_map(r):
