@@ -209,19 +209,19 @@ def conditional_evolution(spec: ConditionalEvolutionSpec, rho: DensityState) -> 
 
 
 def choi_matrix(map_fn, dim_in: int) -> np.ndarray:
-    """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity, of finite images
-    of one square shape: the first image's, each checked before it is written (no broadcast).
-    A matrix of dimension above ``MAX_COMPOSITE_DIM`` is refused before it is allocated."""
-    shape = as_operator(map_fn(_unit_matrix(dim_in, 0, 0))).shape
-    if (side := shape[0] * dim_in) > MAX_COMPOSITE_DIM:
+    """Block matrix ``sum_ij map(E_ij) x E_ij`` deciding complete positivity, of finite images of
+    one square shape: the first image's, each checked before it is written (no broadcast).  One
+    call per ``E_ij``; above ``MAX_COMPOSITE_DIM`` refused after the first, before allocation."""
+    first = as_operator(map_fn(_unit_matrix(dim_in, 0, 0)))
+    if (side := len(first) * dim_in) > MAX_COMPOSITE_DIM:
         raise DomainError(f"Choi matrix dimension {side} exceeds cap {MAX_COMPOSITE_DIM}")
     # entry ((a, i), (b, j)) of the block matrix is map(E_ij)[a, b]: write each image in its slot
-    choi = np.zeros((shape[0], dim_in, shape[0], dim_in), dtype=complex)
+    choi = np.zeros((len(first), dim_in) * 2, dtype=complex)
     for i in range(dim_in):
         for j in range(dim_in):
-            image = np.asarray(map_fn(_unit_matrix(dim_in, i, j)), dtype=complex)
-            if image.shape != shape:
-                raise ShapeError(f"images of shapes {image.shape} and {shape}")
+            image = np.asarray(map_fn(_unit_matrix(dim_in, i, j)) if i or j else first, complex)
+            if image.shape != first.shape:
+                raise ShapeError(f"images of shapes {image.shape} and {first.shape}")
             choi[:, i, :, j] = image
     # one finiteness check over every image
     return as_operator(choi.reshape(side, side))
@@ -266,10 +266,11 @@ def validate_transformation(
     ``tr`` at ``DEFAULT_ATOL``, else ``invalid Choi state`` (``tr <= ZERO_ATOL`` passes as the
     ``zero map``).  Its low-rank factor, if any, over ``sqrt(tr)`` is ``C``'s, which
     :func:`~duoc.states.validate_mixed_state` reads to decide ``C``: a pass is ``Choi state``, a
-    rejection ``invalid Choi state``, and an undecided membership ``UNDECIDED Choi state``,
-    flagged ``NON-EXHAUSTIVE``, never a pass.  A pass's residual also counts the Choi matrix's
-    ``-lambda_min`` when neither its low-rank factor nor Cholesky settled it.  A Choi state above
-    ``MAX_COMPOSITE_DIM``, or two local dimensions, is refused before the map is called.
+    rejection ``invalid Choi state`` (exact for a rank-1 ``C``), and an undecided membership
+    ``UNDECIDED Choi state``, flagged ``NON-EXHAUSTIVE``, never a pass.  A pass's residual also
+    counts the Choi matrix's ``-lambda_min`` when neither its low-rank factor nor Cholesky
+    settled it.  A Choi state above ``MAX_COMPOSITE_DIM``, or two local dimensions, is refused
+    before the map is called.
     """
     if sig_in.d != sig_out.d:
         raise DomainError(f"local dimensions {sig_in.d} and {sig_out.d} differ")

@@ -38,13 +38,13 @@ from .states import (
     PureStateSpec,
     SeparableSpec,
     ValidityReport,
+    _draw_terms,
     as_rng,
     basis_state_spec,
     build_pure_state,
     draw_valid_states,
     large_factor,
     pattern_test,
-    random_valid_state,
     validate_cone_member,
 )
 from .systems import SystemSignature, as_integers, index_to_digits
@@ -193,38 +193,26 @@ def check_wiring(sig: SystemSignature, esig: SystemSignature, positions) -> tupl
 def random_certified_effect(sig: SystemSignature, rng) -> Effect:
     """Random positive combination of one to three valid pure projectors, scaled below I.
 
-    Draw order: number of terms, term weights (uniform on ``[0.2, 1)``), then
-    one :func:`~duoc.states.random_valid_state` per term.  The operator is
-    admitted once, by :func:`scaled_effects`.
+    Draw order: number of terms, term weights (uniform on ``[0.2, 1)``), then the
+    terms as :func:`~duoc.states.random_mixed_state` draws them.  The operator is
+    built once, by :func:`scaled_effects`.
     """
     rng = as_rng(rng)
     weights = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
-    specs = [random_valid_state(sig, rng) for _ in weights]
-    terms = np.stack([build_pure_state(spec) for spec in specs])
+    terms, specs = _draw_terms(sig, len(weights), rng)
     op, scaled = scaled_effects(terms[None], weights[None])
     return Effect._admitted(sig, op[0], [(float(w), spec) for w, spec in zip(scaled[0], specs)])
 
 
 def scaled_effects(terms, weights) -> tuple:
-    """Row ``g``'s effect ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|``, scaled below the
-    identity by its top eigenvalue where that exceeds 1 and admitted as :class:`Effect` admits
-    it (a positive scale divides the Hermitian part, its defect and its spectrum alike).
-    Returns the Hermitian ``(G, dim, dim)`` stack and the scaled ``(G, T)`` weights."""
-    op = (terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj()
-    adjoint = op.conj().transpose(0, 2, 1)
-    defect = np.max(np.abs(adjoint - op), axis=(1, 2))
-    op += adjoint
-    op /= 2
-    vals = np.linalg.eigvalsh(op)
-    scale = np.where(vals[:, -1] > 1.0, vals[:, -1] * (1 + ZERO_ATOL), 1.0)
+    """Row ``g``'s effect ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|`` of valid unit terms
+    and nonnegative weights, :func:`~duoc.linalg.symmetrized` and scaled below the identity by its
+    top eigenvalue where that exceeds 1: an effect by construction, checked no further.  Returns
+    the exactly Hermitian ``(G, dim, dim)`` stack and the scaled ``(G, T)`` weights."""
+    op = symmetrized((terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj())
+    top = np.linalg.eigvalsh(op)[:, -1]
+    scale = np.where(top > 1.0, top * (1 + ZERO_ATOL), 1.0)
     op /= scale[:, None, None]
-    defect /= scale
-    vals /= scale[:, None]
-    if np.any(defect > DEFAULT_ATOL):
-        raise DomainError(f"effect is not Hermitian (defect {np.max(defect)})")
-    if np.any(outside := (vals[:, 0] < -DEFAULT_ATOL) | (vals[:, -1] > 1 + DEFAULT_ATOL)):
-        lo, hi = vals[np.argmax(outside)][[0, -1]]
-        raise DomainError(f"effect eigenvalues [{lo}, {hi}] outside [0, 1]")
     return op, weights / scale[:, None]
 
 

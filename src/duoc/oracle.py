@@ -143,7 +143,6 @@ class GridSpec:
     """Uniform grid over weight parameters."""
 
     step: float
-    ranges: tuple = None
 
     def __post_init__(self):
         if not 0 < self.step <= 1:

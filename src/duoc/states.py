@@ -133,13 +133,13 @@ class PureStateSpec:
         self.coeffs = coeffs
 
     @classmethod
-    def _admitted(cls, sig: SystemSignature, coeffs: dict, parity: tuple,
-                  tail: tuple) -> "PureStateSpec":
+    def _admitted(cls, sig: SystemSignature, coeffs: dict, parity: tuple, tail: tuple,
+                  perm: FactorPermutation = None) -> "PureStateSpec":
         """The spec of fields that are a paired state of ``sig`` by construction, stored as given
-        (keys and digits tuples of ints, amplitudes complex) under the identity relabeling."""
+        (keys and digits tuples of ints, amplitudes complex) under ``perm``, else the identity."""
         spec = cls.__new__(cls)
         spec.sig, spec.coeffs, spec.parity, spec.tail = sig, coeffs, parity, tail
-        spec.perm = FactorPermutation.identity(sig.m, sig.n)
+        spec.perm = perm or FactorPermutation.identity(sig.m, sig.n)
         return spec
 
 
@@ -251,30 +251,36 @@ def random_valid_state(sig: SystemSignature, rng) -> PureStateSpec:
 
 
 def _row_spec(sig: SystemSignature, row) -> PureStateSpec:
-    """The spec of the one row of drawn fields ``row`` (:func:`_draw_fields`)."""
+    """The spec of the one row of drawn fields ``row`` (:func:`_draw_fields`), stored as drawn."""
     (dest,), (digits,), (amps,) = row
     m, p = sig.m, sig.num_pairs
     coeffs = dict(zip(product(range(sig.d), repeat=p), amps.tolist()))
+    digits = tuple(digits.tolist())
     perm = FactorPermutation(dest[:m], dest[m:] - m)
-    return PureStateSpec(sig, coeffs, parity=digits[:p], tail=digits[p:], perm=perm)
+    return PureStateSpec._admitted(sig, coeffs, digits[:p], digits[p:], perm)
+
+
+def _draw_terms(sig: SystemSignature, count: int, rng: np.random.Generator) -> tuple:
+    """``count`` terms of a sampled mixture or effect, one :func:`random_valid_state` draw each:
+    their ``(count, dim)`` vectors, placed as one :func:`draw_valid_states` batch, and specs."""
+    rows = [_draw_fields(sig, 1, rng) for _ in range(count)]
+    vecs = _place_states(sig, *map(np.concatenate, zip(*rows)))
+    return vecs, [_row_spec(sig, row) for row in rows]
 
 
 def random_mixed_state(sig: SystemSignature, rng):
     """Random convex mixture of one to three valid pure states; returns (state, certificate).
 
-    Draw order: number of terms, Dirichlet weights, then one :func:`random_valid_state` draw per
-    term; the terms are placed as a :func:`draw_valid_states` batch and summed as
-    ``w * outer(v, conj(v))``.  The certificate holds each term's weight and spec.
+    Draw order: number of terms, Dirichlet weights, then the terms (:func:`_draw_terms`).  The
+    state holds only its factor of columns ``sqrt(w_t) v_t``, at every size, and forms ``matrix``
+    on the first read.  The certificate holds each term's weight and spec.
     """
     rng = as_rng(rng)
     n_terms = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_terms))
-    rows = [_draw_fields(sig, 1, rng) for _ in range(n_terms)]
-    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for w, v in zip(weights, _place_states(sig, *map(np.concatenate, zip(*rows)))):
-        mat += w * np.outer(v, v.conj())
-    state = DensityState._admitted(sig, symmetrized(mat))
-    return state, [(float(w), _row_spec(sig, row)) for w, row in zip(weights, rows)]
+    vecs, specs = _draw_terms(sig, n_terms, rng)
+    state = DensityState._factored(sig, vecs.T * np.sqrt(weights))
+    return state, [(float(w), spec) for w, spec in zip(weights, specs)]
 
 
 def validate_pure_state(v, sig: SystemSignature, atol: float = DEFAULT_ATOL) -> ValidityReport:
@@ -603,12 +609,13 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     mass above ``DEFAULT_ATOL`` on an entry that no cell covers (the cell test, :func:`_off_cell`)
     rejects exactly; with one pairing the cells are disjoint blocks and a pass is exact too.
     Otherwise the spectral decomposition is tried as a candidate certificate; a negative answer
-    from that path is flagged ``NON-EXHAUSTIVE``.
+    from that path is flagged ``NON-EXHAUSTIVE`` unless it tested one column: a rank-1 operator
+    decomposes only into multiples of itself.
 
-    The test reads what the state holds, its formed matrix, its factor ``F`` or both (see
-    :func:`_off_cell`).  The spectral columns come from one factor, the state's own, else
-    :func:`~duoc.linalg.low_rank_psd` of the matrix: its left singular vectors of ``sigma^2 >
-    DEFAULT_ATOL``, the eigenvectors ``eigh`` would keep.  With neither, ``eigh`` gives them.
+    The test reads what the state holds, with one residual either way (:func:`_off_cell`).  Its
+    spectral columns come from one factor, the state's own, else :func:`~duoc.linalg.low_rank_psd`
+    of the matrix: its left singular vectors of ``sigma^2 > DEFAULT_ATOL``, the eigenvectors
+    ``eigh`` would keep; with neither, ``eigh`` gives them.
     """
     return validate_cone_member(rho.sig, rho._matrix, certificate, rho.factor)
 
@@ -652,21 +659,24 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         cols = vecs[:, vals > DEFAULT_ATOL].T
     valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
     if not all(valid):
-        return ValidityReport(False, float(leak[np.argmin(valid)]),
-                              witness="spectral decomposition", flags=("NON-EXHAUSTIVE",))
+        # a rank-1 operator decomposes only into multiples of itself: rejecting its column is exact
+        flags = ("NON-EXHAUSTIVE",) if len(cols) > 1 else ()
+        return ValidityReport(False, float(leak[np.argmin(valid)]), "spectral decomposition", flags)
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
 
 
 def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
     """The largest modulus of ``mat`` on an entry that no cell covers, read in
     :func:`~duoc.linalg.row_blocks` with no dim x dim array, above :data:`CELL_TEST_SUPPORT_DIM`
-    only on the rows and columns of its support (none gives ``0.0``).  Above that size, or with
-    ``mat`` None, a ``(dim, r)`` ``factor`` with ``mat = F F^H`` is read: ``|F_rows F_support^H|``.
+    only on the rows and columns of its support (none gives ``0.0``).  At or below that size it
+    reads ``mat``, else :func:`~duoc.linalg.factor_product` of ``factor``, what ``matrix`` forms;
+    above it a ``(dim, r)`` ``factor`` with ``mat = F F^H``, if given: ``|F_rows F_support^H|``.
 
     Exact only for an exactly Hermitian ``mat``, as every caller passes: its zero rows are then
     its zero columns, so the support's rows and columns hold every nonzero entry."""
-    if mat is not None and len(mat) <= CELL_TEST_SUPPORT_DIM:
-        factor = None  # the whole held matrix is read, with no product formed
+    if sig.dim <= CELL_TEST_SUPPORT_DIM:
+        mat = factor_product(factor) if mat is None else mat
+        factor = None
     source = mat if factor is None else factor
     support, size = slice(None), len(source)  # a slice reads rows and codes with no gather
     if size > CELL_TEST_SUPPORT_DIM:

@@ -279,13 +279,13 @@ class TestAdmittedOnce:
 @pytest.mark.parametrize("dmn", SIGS)
 def test_random_mixed_state(dmn, counts, rng):
     sig = SystemSignature(*dmn)
+    # the drawn mixture is its factor, sqrt(w_t) times each term's vector, at every size
     out, cert = random_mixed_state(sig, rng)
     no_decision(counts)
-    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for w, spec in cert:
-        v = states.build_pure_state(spec)
-        mat += w * np.outer(v, v.conj())
-    same_bytes(out, sig, mat)
+    assert out.sig == sig and out._matrix is None
+    cols = np.stack([np.sqrt(w) * states.build_pure_state(spec) for w, spec in cert], axis=1)
+    assert out.factor.tobytes() == cols.tobytes()
+    assert out.matrix.tobytes() == linalg.factor_product(out.factor).tobytes()
 
 
 SIG11 = SystemSignature(2, 1, 1)

@@ -351,19 +351,27 @@ class TestConditionalEvolutionIsAConditionalState:
             # d = 3 up to five factors, to keep the joint's admission cheap
             d = 3 if sum(in_shape + anc_shape) <= 5 and rng.integers(2) else 2
             in_sig, anc_sig = SystemSignature(d, *in_shape), SystemSignature(d, *anc_shape)
-            rho, _ = random_mixed_state(in_sig, rng)
-            ancilla, _ = random_mixed_state(anc_sig, rng)
+            # the drawn mixtures hold factors; dense copies of them pin the dense path's bytes
+            drawn, _ = random_mixed_state(in_sig, rng)
+            held, _ = random_mixed_state(anc_sig, rng)
+            rho = DensityState._admitted(in_sig, drawn.matrix)
+            ancilla = DensityState._admitted(anc_sig, held.matrix)
             esig, positions = random_wiring(in_sig, anc_sig, rng)
-            spec = ConditionalEvolutionSpec(in_sig, ancilla, random_certified_effect(esig, rng),
-                                            positions)
+            effect = random_certified_effect(esig, rng)
+            spec = ConditionalEvolutionSpec(in_sig, ancilla, effect, positions)
             prob, out = conditional_evolution(spec, rho)
             want_prob, want = parent_conditional_evolution(spec, rho)
             assert prob == want_prob
             assert (out is None) == (want is None)
+            # the factored inputs take the factor kernels, equal to rounding
+            factored = ConditionalEvolutionSpec(in_sig, held, effect, positions)
+            got_prob, got = conditional_evolution(factored, drawn)
+            assert got_prob == pytest.approx(prob, abs=1e-12) and (got is None) == (out is None)
             if out is not None:
                 stated += 1
                 assert out.sig == want.sig
                 assert out.matrix.tobytes() == want.matrix.tobytes()
+                assert np.max(np.abs(got.matrix - out.matrix)) <= 1e-12
         assert stated > 40
 
     def test_joint_above_the_cap_refused_at_construction(self):

@@ -655,8 +655,6 @@ class TestScaledEffects:
         np.testing.assert_array_equal(op[1], np.diag([0, 0.5, 0.5, 0]))
         hermitian = Effect(SIG11, op[0]).op
         assert hermitian.tobytes() == op[0].tobytes()
-        with pytest.raises(DomainError, match="outside"):
-            scaled_effects(terms, -weights)
 
 
 def reference_basis_effects(sig, kind, table=None):

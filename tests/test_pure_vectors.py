@@ -19,9 +19,9 @@ from duoc.errors import DegenerateInputError, DomainError, ShapeError
 from duoc.linalg import projector
 from duoc.states import (
     DensityState, draw_valid_states, large_factor, marginal_state, product_state,
-    validate_cone_member, validate_mixed_state,
+    random_mixed_state, validate_cone_member, validate_mixed_state,
 )
-from duoc.systems import FactorPermutation, SystemSignature
+from duoc.systems import FactorPermutation, SystemSignature, index_table
 
 from conftest import digit_difference_cover
 
@@ -100,7 +100,8 @@ def test_membership_from_the_vector_decides_as_the_matrix(dmn, case, rng):
     assert (rep.valid, rep.witness, rep.flags) == (want.valid, want.witness, want.flags)
     assert rep.residual == pytest.approx(want.residual, rel=1e-9, abs=1e-15)
     if case == "covered, on no cell":
-        assert rep.flags == ("NON-EXHAUSTIVE",)
+        # a rank-1 state's one spectral column is its only decomposition: rejected exactly
+        assert not rep.valid and rep.flags == ()
 
 
 class Products(np.ndarray):
@@ -118,8 +119,8 @@ class Products(np.ndarray):
 @pytest.mark.parametrize("dmn", [(2, 2, 2), (2, 3, 3)], ids=str)
 @pytest.mark.parametrize("case", list(MEMBERSHIP)[:4])
 def test_membership_reads_a_formed_matrix_as_it_reads_the_factor(dmn, case, rng):
-    # at or below CELL_TEST_SUPPORT_DIM the cell test reads a formed matrix whole, with no
-    # F F^H; the spectral columns still come from the factor
+    # at or below CELL_TEST_SUPPORT_DIM the cell test reads a held matrix whole, taking no
+    # product of the factor; the spectral columns still come from the factor
     sig = SystemSignature(*dmn)
     v = MEMBERSHIP[case](sig, rng)
     unread, read = DensityState.from_vector(sig, v), DensityState.from_vector(sig, v)
@@ -128,13 +129,43 @@ def test_membership_reads_a_formed_matrix_as_it_reads_the_factor(dmn, case, rng)
     Products.taken = 0
     got, want = validate_mixed_state(read), validate_mixed_state(unread)
     assert Products.taken == 0 and unread._matrix is None
-    assert (got.valid, got.witness, got.flags) == (want.valid, want.witness, want.flags)
-    # a random vector is rejected by the cell test, on an entry that the formed matrix
-    # (hermitian_outer) and a product of the factor round apart
-    if case == "random":
-        assert got.residual == pytest.approx(want.residual, rel=1e-14)
-    else:
-        assert got.residual == want.residual
+    # with no matrix held the cell test forms the one .matrix forms, so nothing rounds apart
+    assert (got.valid, got.witness, got.flags, got.residual) == (
+        want.valid, want.witness, want.flags, want.residual)
+
+
+@pytest.mark.parametrize("dmn", [(2, 2, 2), (2, 3, 3)], ids=str)
+def test_residual_does_not_depend_on_a_read_matrix(dmn):
+    sig, rng = SystemSignature(*dmn), np.random.default_rng(sum(dmn))
+    pairs = [(random_mixed_state(sig, seed)[0], random_mixed_state(sig, seed)[0])
+             for seed in range(50)]
+    pairs += [(DensityState.from_vector(sig, v), DensityState.from_vector(sig, v))
+              for v in (MEMBERSHIP["random"](sig, rng) for _ in range(100))]
+    for unread, read in pairs:
+        read.matrix
+        got, want = validate_mixed_state(read), validate_mixed_state(unread)
+        assert unread._matrix is None
+        assert (got.valid, got.residual, got.witness, got.flags) == (
+            want.valid, want.residual, want.witness, want.flags)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_drawn_mixture_at_the_cap_is_drawn_and_checked_within_a_second(seed):
+    sig = SystemSignature(2, 6, 6)
+    index_table(sig)  # the per-signature tables are built once per process, not per draw
+    tracemalloc.start()
+    start = time.thread_time()
+    try:
+        rho, cert = random_mixed_state(sig, seed)
+        rep = validate_mixed_state(rho)
+        cpu = time.thread_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cpu < 1.0 and peak < 50e6
+    # a certified mixture is never rejected decisively
+    assert rep.valid or rep.flags == ("NON-EXHAUSTIVE",)
+    assert rho._matrix is None and rho.factor.shape == (sig.dim, len(cert))
 
 
 @pytest.mark.parametrize("dmn", [(3, 3, 3), (2, 5, 5)], ids=str)

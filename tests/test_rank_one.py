@@ -4,7 +4,8 @@
 ``max(1, dim // 64)`` from the factor of ``linalg.low_rank_psd`` (residual at most
 ``DEFAULT_ATOL``): its left singular vectors, of a rank-1 operator the one column over its
 norm.  The reference below is the spectral path as it stood before: the cell test, then the
-pattern test of every eigenvector above ``DEFAULT_ATOL``.
+pattern test of every eigenvector above ``DEFAULT_ATOL``, whose rejection of more than one
+eigenvector is flagged ``NON-EXHAUSTIVE``.
 """
 
 import numpy as np
@@ -30,7 +31,8 @@ def spectral_verdict(sig, mat):
     vals, vecs = np.linalg.eigh(mat)
     cols = vecs[:, vals > DEFAULT_ATOL].T
     if len(cols) and not pattern_test(cols, sig, atol=SPECTRAL_ATOL)[0].all():
-        return False, ("NON-EXHAUSTIVE",)
+        # one column is the operator's only decomposition, so its rejection is exact
+        return False, ("NON-EXHAUSTIVE",) if len(cols) > 1 else ()
     return True, ()
 
 

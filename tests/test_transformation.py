@@ -203,6 +203,19 @@ def test_undecided_choi_state_is_not_a_pass():
         assert rep.flags == ("NON-EXHAUSTIVE",)
 
 
+def test_rank_one_choi_state_rejected_exactly():
+    # a Kraus map whose Choi vector lies on three basis states of (3,3,3) that pairwise share a
+    # cell but lie on no common one: the cell test passes it, and its one spectral column, its
+    # only decomposition, fails
+    sig_in, sig_out = SystemSignature(3, 1, 1), SystemSignature(3, 2, 2)
+    # row q of the Choi state is row order[q] of the Choi matrix, whose vector is the Kraus operator
+    order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 3, 1, 2).ravel()
+    kraus = np.zeros(729, dtype=complex)
+    kraus[order[[347, 272, 477]]] = 3**-0.5
+    rep = validate_transformation(conjugation(kraus.reshape(81, 9)), sig_in, sig_out)
+    assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+
+
 def counting(map_fn):
     """``map_fn`` that also counts its calls, in ``calls[0]``."""
     calls = [0]
@@ -219,8 +232,8 @@ def test_map_called_once_per_unit_and_once_per_probe(dmn):
     sig = SystemSignature(*dmn)
     map_fn, calls = counting(lambda r: r)
     assert validate_transformation(map_fn, sig, sig).valid
-    # the linearity probe, choi_matrix's shape probe, then its dim^2 unit matrices
-    assert calls[0] == 1 + 1 + sig.dim**2
+    # the linearity probe, then choi_matrix's dim^2 unit matrices, the first its shape probe
+    assert calls[0] == 1 + sig.dim**2
 
 
 def test_choi_state_above_the_cap_refused_before_any_call():
