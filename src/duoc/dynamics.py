@@ -265,8 +265,8 @@ def validate_transformation(
     ``C``'s admission as :class:`DensityState` admits one: Hermitian and eigenvalue defects over
     ``tr`` at ``DEFAULT_ATOL``, else ``invalid Choi state`` (``tr <= ZERO_ATOL`` passes as the
     ``zero map``).  Its low-rank factor, if any, over ``sqrt(tr)`` is ``C``'s, which
-    :func:`~duoc.states.validate_mixed_state` reads to decide ``C``: a pass is ``Choi state``, a
-    rejection ``invalid Choi state`` (exact for a rank-1 ``C``), and an undecided membership
+    :func:`~duoc.states.validate_mixed_state` reads to decide ``C``: a pass is ``Choi state``, an
+    unflagged rejection ``invalid Choi state``, and an undecided membership
     ``UNDECIDED Choi state``, flagged ``NON-EXHAUSTIVE``, never a pass.  A pass's residual also
     counts the Choi matrix's ``-lambda_min`` when neither its low-rank factor nor Cholesky
     settled it.  A Choi state above ``MAX_COMPOSITE_DIM``, or two local dimensions, is refused

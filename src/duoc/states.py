@@ -609,8 +609,8 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     mass above ``DEFAULT_ATOL`` on an entry that no cell covers (the cell test, :func:`_off_cell`)
     rejects exactly; with one pairing the cells are disjoint blocks and a pass is exact too.
     Otherwise the spectral decomposition is tried as a candidate certificate; a negative answer
-    from that path is flagged ``NON-EXHAUSTIVE`` unless it tested one column: a rank-1 operator
-    decomposes only into multiples of itself.
+    from that path is flagged ``NON-EXHAUSTIVE`` unless it tested one column ``u`` too far from
+    every cell for any mixture: each needs ``dist(u)^2 q <= tr - q`` for ``q = <u|rho|u>``.
 
     The test reads what the state holds, with one residual either way (:func:`_off_cell`).  Its
     spectral columns come from one factor, the state's own, else :func:`~duoc.linalg.low_rank_psd`
@@ -624,6 +624,8 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
     ``mat`` (``None`` if not formed), a ``(dim, r)`` ``factor`` with ``mat = F F^H``, or both;
     ``mat`` must be exactly Hermitian, as every admitted state, effect and Choi state is."""
+    if mat is None and (certificate is not None or sig.dim <= CELL_TEST_SUPPORT_DIM):
+        mat = factor_product(factor)  # what ``matrix`` forms
     if certificate is not None:
         if not certificate:
             raise DegenerateInputError("empty certificate")
@@ -641,7 +643,7 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
         vecs /= np.linalg.norm(vecs, axis=0)
         recon = (vecs * [max(float(w), 0.0) for w, _ in certificate]) @ vecs.conj().T
-        recon -= factor_product(factor) if mat is None else mat
+        recon -= mat
         defect = float(np.max(np.abs(recon)))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
@@ -659,31 +661,36 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         cols = vecs[:, vals > DEFAULT_ATOL].T
     valid, leak = pattern_test(cols, sig, atol=SPECTRAL_ATOL)[:2] if len(cols) else ((), ())
     if not all(valid):
-        # a rank-1 operator decomposes only into multiples of itself: rejecting its column is exact
-        flags = ("NON-EXHAUSTIVE",) if len(cols) > 1 else ()
+        # a valid term a lies on a cell, so |<u,a>| dist(u) <= |a - <u,a> u| and dist^2 q <= tr - q;
+        # one column past that bound (DEFAULT_ATOL tr for rounding) is rejected exactly
+        flags = ("NON-EXHAUSTIVE",)
+        if len(cols) == 1:
+            table, u = index_table(sig), cols[0]
+            near = max(np.bincount(table.key, np.abs(u[g]) ** 2).max() for g in table.gather)
+            q, tr = (u.conj() @ mat @ u, np.trace(mat)) if mat is not None else (
+                vector_norm(u.conj() @ factor) ** 2, np.vdot(factor, factor))
+            flags = () if (2.0 - near) * q.real > (1.0 + DEFAULT_ATOL) * tr.real else flags
         return ValidityReport(False, float(leak[np.argmin(valid)]), "spectral decomposition", flags)
     return ValidityReport(True, float(max(leak, default=0.0)), witness="spectral decomposition")
 
 
 def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
     """The largest modulus of ``mat`` on an entry that no cell covers, read in
-    :func:`~duoc.linalg.row_blocks` with no dim x dim array, above :data:`CELL_TEST_SUPPORT_DIM`
-    only on the rows and columns of its support (none gives ``0.0``).  At or below that size it
-    reads ``mat``, else :func:`~duoc.linalg.factor_product` of ``factor``, what ``matrix`` forms;
-    above it a ``(dim, r)`` ``factor`` with ``mat = F F^H``, if given: ``|F_rows F_support^H|``.
+    :func:`~duoc.linalg.row_blocks` with no dim x dim array.  At or below
+    :data:`CELL_TEST_SUPPORT_DIM` it reads the whole of ``mat``; above it only the rows and
+    columns of the support (none gives ``0.0``), of a ``(dim, r)`` ``factor`` with
+    ``mat = F F^H`` if given: ``|F_rows F_support^H|``.
 
     Exact only for an exactly Hermitian ``mat``, as every caller passes: its zero rows are then
     its zero columns, so the support's rows and columns hold every nonzero entry."""
-    if sig.dim <= CELL_TEST_SUPPORT_DIM:
-        mat = factor_product(factor) if mat is None else mat
+    support, size = slice(None), sig.dim  # a slice reads rows and codes with no gather
+    if size <= CELL_TEST_SUPPORT_DIM:
         factor = None
-    source = mat if factor is None else factor
-    support, size = slice(None), len(source)  # a slice reads rows and codes with no gather
-    if size > CELL_TEST_SUPPORT_DIM:
-        nonzero = source.any(axis=1)
+    else:
+        nonzero = (mat if factor is None else factor).any(axis=1)
         if not (size := int(np.count_nonzero(nonzero))):
             return 0.0
-        if size < len(source):
+        if size < sig.dim:
             support = np.flatnonzero(nonzero)
     if factor is not None:
         factor = factor[support]

@@ -100,8 +100,24 @@ def test_membership_from_the_vector_decides_as_the_matrix(dmn, case, rng):
     assert (rep.valid, rep.witness, rep.flags) == (want.valid, want.witness, want.flags)
     assert rep.residual == pytest.approx(want.residual, rel=1e-9, abs=1e-15)
     if case == "covered, on no cell":
-        # a rank-1 state's one spectral column is its only decomposition: rejected exactly
+        # the state is exactly rank 1 and its one spectral column lies far from every cell, so
+        # no mass cut below DEFAULT_ATOL explains the leak: rejected exactly
         assert not rep.valid and rep.flags == ()
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6, 1e-5])
+def test_mixture_cut_to_one_column_is_not_rejected_exactly(eps):
+    # a and b each lie on a cell (c and x share one, c and y another) and sum a valid mixture.
+    # Its second eigenvalue eps^2 / 2 falls below the cut, so one spectral column is kept; that
+    # column leaks about eps / 2, past SPECTRAL_ATOL, but the cut mass explains the leak
+    sig = SystemSignature(3, 3, 3)
+    (c, x, y), terms = (347, 272, 477), np.zeros((sig.dim, 2))
+    terms[c], terms[x, 0], terms[y, 1] = np.sqrt(1 - eps**2), eps, eps
+    factor = terms / np.sqrt(2)
+    for rho in (DensityState._factored(sig, factor), DensityState(sig, factor @ factor.T)):
+        rep = validate_mixed_state(rho)
+        assert (rep.valid, rep.witness, rep.flags) == (
+            False, "spectral decomposition", ("NON-EXHAUSTIVE",))
 
 
 class Products(np.ndarray):

@@ -5,7 +5,8 @@
 ``DEFAULT_ATOL``): its left singular vectors, of a rank-1 operator the one column over its
 norm.  The reference below is the spectral path as it stood before: the cell test, then the
 pattern test of every eigenvector above ``DEFAULT_ATOL``, whose rejection of more than one
-eigenvector is flagged ``NON-EXHAUSTIVE``.
+eigenvector is flagged ``NON-EXHAUSTIVE``; a lone eigenvector of these inputs leaks too far for
+the mass below the cut to explain, so its rejection is exact.
 """
 
 import numpy as np
@@ -31,7 +32,8 @@ def spectral_verdict(sig, mat):
     vals, vecs = np.linalg.eigh(mat)
     cols = vecs[:, vals > DEFAULT_ATOL].T
     if len(cols) and not pattern_test(cols, sig, atol=SPECTRAL_ATOL)[0].all():
-        # one column is the operator's only decomposition, so its rejection is exact
+        # every input here is exactly of its rank and a lone column of it leaks past 1e-4, so
+        # no mass cut below DEFAULT_ATOL explains the leak: its rejection is exact
         return False, ("NON-EXHAUSTIVE",) if len(cols) > 1 else ()
     return True, ()
 

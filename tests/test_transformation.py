@@ -205,15 +205,35 @@ def test_undecided_choi_state_is_not_a_pass():
 
 def test_rank_one_choi_state_rejected_exactly():
     # a Kraus map whose Choi vector lies on three basis states of (3,3,3) that pairwise share a
-    # cell but lie on no common one: the cell test passes it, and its one spectral column, its
-    # only decomposition, fails
-    sig_in, sig_out = SystemSignature(3, 1, 1), SystemSignature(3, 2, 2)
-    # row q of the Choi state is row order[q] of the Choi matrix, whose vector is the Kraus operator
-    order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 3, 1, 2).ravel()
-    kraus = np.zeros(729, dtype=complex)
-    kraus[order[[347, 272, 477]]] = 3**-0.5
-    rep = validate_transformation(conjugation(kraus.reshape(81, 9)), sig_in, sig_out)
+    # cell but lie on no common one: the cell test passes it, and its one spectral column, of an
+    # exactly rank-1 Choi state and far from every cell, fails
+    kraus = choi_vectors({347: 3**-0.5, 272: 3**-0.5, 477: 3**-0.5})
+    rep = validate_transformation(conjugation(kraus.reshape(81, 9)), *CHOI_333)
     assert not rep.valid and rep.witness == "invalid Choi state" and rep.flags == ()
+
+
+def test_two_kraus_map_cut_to_one_column_is_undecided():
+    # Kraus operators of Choi vectors sqrt(1 - eps^2) e_c + eps e_x and sqrt(1 - eps^2) e_c +
+    # eps e_y (c, x and c, y share cells): a valid map whose Choi state's second eigenvalue
+    # falls below the cut, with a lone column that leaks past SPECTRAL_ATOL
+    eps = 1e-6
+    pair = [choi_vectors({347: np.sqrt(1 - eps**2), other: eps}).reshape(81, 9) / np.sqrt(2)
+            for other in (272, 477)]
+    rep = validate_transformation(lambda r: sum(k @ r @ k.conj().T for k in pair), *CHOI_333)
+    assert (rep.valid, rep.witness, rep.flags) == (
+        False, "UNDECIDED Choi state", ("NON-EXHAUSTIVE",))
+
+
+CHOI_333 = SystemSignature(3, 1, 1), SystemSignature(3, 2, 2)  # a Choi state on (3, 3, 3)
+
+
+def choi_vectors(entries):
+    """The Choi matrix vector of (3, 1, 1) -> (3, 2, 2) with the given entries at Choi state rows:
+    row q of the Choi state is row ``order[q]`` of the Choi matrix."""
+    order = np.arange(729).reshape(9, 9, 3, 3).transpose(0, 3, 1, 2).ravel()
+    vec = np.zeros(729, dtype=complex)
+    vec[order[list(entries)]] = list(entries.values())
+    return vec
 
 
 def counting(map_fn):
