@@ -18,8 +18,8 @@ import numpy as np
 from .effects import Effect, check_wiring, conditional_state
 from .errors import DomainError, NotClassicalError, ShapeError
 from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, hermitian_part, off_diagonal_max,
-    psd_defect, symmetrized, tensor_all,
+    DEFAULT_ATOL, INPUT_ATOL, ZERO_ATOL, as_operator, as_square, hermitian_part,
+    off_diagonal_max, psd_defect, row_blocks, symmetrized, tensor_all,
 )
 from .states import (
     DensityState, ValidityReport, large_factor, product_order, product_state,
@@ -92,21 +92,28 @@ def apply_reversible(u: np.ndarray, rho: DensityState) -> DensityState:
     column.  ``u`` must be such a matrix within ``DEFAULT_ATOL`` (for a
     monomial matrix this is the unitarity test); any other matrix, a
     unitary that mixes basis states included, raises :class:`DomainError`.
-    The result is ``(ph x conj(ph)) * rho[src][:, src]``.
+    The result is ``(ph x conj(ph)) * rho[src][:, src]``.  ``u`` is read once, one
+    :func:`~duoc.linalg.row_blocks` block of moduli at a time, with no dim x dim temporary; a
+    non-finite entry in any block raises :class:`ShapeError` before any :class:`DomainError`.
     """
-    mat = as_operator(u)
-    mag = np.abs(mat)
-    rows = np.arange(mat.shape[0])
-    src = np.argmax(mag, axis=1)  # u[i, src[i]] is the one entry of row i
-    defect = float(np.max(np.abs(mag[rows, src] - 1.0)))
-    mag[rows, src] = 0.0
-    defect = max(defect, float(np.max(mag)))
-    del mag  # released before the state checks allocate
+    mat = as_square(u)
+    src, defect = np.empty(mat.shape[0], dtype=np.intp), 0.0
+    for rows in row_blocks(mat.shape[0]):
+        mag = np.abs(mat[rows])
+        # the top modulus is non-finite if an entry is, or if a finite entry's modulus overflows
+        if not np.isfinite(mag.max()) and not np.all(np.isfinite(mat[rows])):
+            raise ShapeError("matrix contains non-finite entries")
+        peak = np.arange(len(mag)), np.argmax(mag, axis=1)  # u[i, src[i]]: row i's one entry
+        src[rows] = peak[1]
+        defect = max(defect, float(np.max(np.abs(mag[peak] - 1.0))))
+        mag[peak] = 0.0
+        defect = max(defect, float(np.max(mag)))
+    del mag  # released before the conjugation allocates
     if np.unique(src).size != src.size or defect > DEFAULT_ATOL:
         raise DomainError(f"transformation matrix is not a monomial unitary (defect {defect})")
     if mat.shape[0] != rho.sig.dim:
         raise ShapeError("unitary dimension does not match the state")
-    return _conjugate_monomial(src, mat[rows, src], rho)
+    return _conjugate_monomial(src, mat[np.arange(src.size), src], rho)
 
 
 def _conjugate_monomial(src, ph, rho: DensityState) -> DensityState:

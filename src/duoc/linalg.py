@@ -6,8 +6,11 @@ composite index ``i*dim_b + j``.  All operators are dense complex
 ``numpy`` arrays.
 
 The symmetrization (:func:`hermitian_part`, :func:`symmetrized`) is one
-untiled pass; only a factor's residual (:func:`factor_residual`) walks a
-matrix above 256 x 256 in 1 MB row blocks, which stay in cache.
+untiled pass.  Three entrywise checks walk a dense matrix in :func:`row_blocks`
+of 1 MB, which stay in cache, and form no dim x dim temporary: a factor's
+residual (:func:`factor_residual`), a certificate's reconstruction residual
+(``states.validate_cone_member``) and the monomial test of a reversible map
+(``dynamics.apply_reversible``); so does the cell test ``states._off_cell``.
 
 A low-rank state is held as a ``(dim, r)`` factor ``F`` with ``rho = F F^H``:
 :func:`low_rank_psd` returns the pivoted Cholesky factor it accepts, and
@@ -28,7 +31,7 @@ ZERO_ATOL = 1e-12  # a magnitude treated as zero: weight slack, null branch, zer
 INPUT_ATOL = 1e-9  # typed activation coefficients, script asserts, map spot checks
 SPECTRAL_ATOL = 1e-8  # quantities read off an eigendecomposition
 
-# The row blocks of factor_residual: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
+# The row blocks of the entrywise checks: 2^16 complex entries (1 MB), all of a 256 x 256 matrix
 BLOCK_ENTRIES = 1 << 16
 
 # The row blocks of factor_product: each block's product and its mirrored adjoint stay in cache
@@ -52,11 +55,17 @@ def as_vector(x) -> np.ndarray:
 
 def as_operator(x) -> np.ndarray:
     """Coerce ``x`` to a finite square complex matrix."""
+    m = as_square(x)
+    if not np.all(np.isfinite(m)):
+        raise ShapeError("matrix contains non-finite entries")
+    return m
+
+
+def as_square(x) -> np.ndarray:
+    """Coerce ``x`` to a nonempty square complex matrix, finite or not."""
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix contains non-finite entries")
     return m
 
 

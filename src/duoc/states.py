@@ -605,7 +605,10 @@ def build_separable(spec: SeparableSpec, sig: SystemSignature) -> DensityState:
 def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
-    A ``certificate``, a list of ``(weight, PureStateSpec)``, decides by reconstruction.  Else
+    A ``certificate``, a list of ``(weight, PureStateSpec)``, decides by reconstruction: the
+    largest modulus of ``sum_t w_t |v_t><v_t| - rho``, formed and read one
+    :func:`~duoc.linalg.row_blocks` block at a time, with no dim x dim temporary besides the
+    matrix (formed from the factor, and not kept, if the state has not formed it).  Else
     mass above ``DEFAULT_ATOL`` on an entry that no cell covers (the cell test, :func:`_off_cell`)
     rejects exactly; with one pairing the cells are disjoint blocks and a pass is exact too.
     Otherwise the spectral decomposition is tried as a candidate certificate; a negative answer
@@ -639,12 +642,15 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         for w, _ in certificate:
             if w < -ZERO_ATOL:
                 return ValidityReport(False, float(w), witness="negative certificate weight")
-        # sum_t w_t |v_t><v_t| over unit columns v_t, as one product
+        # sum_t w_t |v_t><v_t| over unit columns v_t, one product row block at a time
         vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
         vecs /= np.linalg.norm(vecs, axis=0)
-        recon = (vecs * [max(float(w), 0.0) for w, _ in certificate]) @ vecs.conj().T
-        recon -= mat
-        defect = float(np.max(np.abs(recon)))
+        weighted = vecs * [max(float(w), 0.0) for w, _ in certificate]
+        adjoint, defect = vecs.conj().T, 0.0
+        for rows in row_blocks(sig.dim):
+            recon = weighted[rows] @ adjoint
+            recon -= mat[rows]
+            defect = max(defect, float(np.max(np.abs(recon))))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
     off = _off_cell(sig, mat, factor)

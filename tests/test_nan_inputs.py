@@ -10,7 +10,9 @@ number, before its cosine.  A digit field (parity, tail, coefficient
 key, basis digits, dit string, shift or phase exponent, separable basis
 label, pair label or parity) is read through ``operator.index``, so a
 float, NaN or infinite digit is refused rather than truncated; a separable
-weight that is not a real number is refused too.
+weight that is not a real number is refused too.  ``apply_reversible``
+reads its matrix in row blocks, yet a non-finite entry anywhere raises
+``ShapeError`` before a block that is not monomial raises ``DomainError``.
 """
 
 import dataclasses
@@ -19,9 +21,9 @@ import warnings
 import numpy as np
 import pytest
 
-from duoc.dynamics import ClassicalChannel, ReversibleSpec
+from duoc.dynamics import ClassicalChannel, ReversibleSpec, apply_reversible
 from duoc.effects import classical_povm
-from duoc.errors import DomainError, NormalizationError
+from duoc.errors import DomainError, NormalizationError, ShapeError
 from duoc.nonlocality import (
     LocalBasis, activation_setup, phi_vector, side_effect, two_copy_state,
 )
@@ -192,3 +194,28 @@ def test_numpy_digits_build_the_same_state():
     assert all(type(g) is int for g in (*spec.parity, *next(iter(spec.coeffs))))
     want = PureStateSpec(SIG11, {(1,): 1.0}, parity=(1,))
     assert build_pure_state(spec).tobytes() == build_pure_state(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [NAN, float("inf"), complex(0.0, NAN), complex(1.0, -float("inf"))],
+                         ids=["nan", "inf", "nan-imag", "inf-imag"])
+@pytest.mark.parametrize("first_row", ["monomial", "mixing"])
+@pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 5, 5)], ids=["dim4", "dim1024"])
+def test_apply_reversible_refuses_non_finite_before_non_monomial(dmn, first_row, bad):
+    # at dimension 1024 the entry lies in the last of 16 row blocks, the mixing row in the first
+    sig = SystemSignature(*dmn)
+    u = np.eye(sig.dim, dtype=complex)
+    if first_row == "mixing":
+        u[0, :2] = 0.5 ** 0.5
+    u[sig.dim - 1, sig.dim // 2] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        apply_reversible(u, DensityState.from_vector(sig, np.eye(sig.dim)[0]))
+
+
+def test_apply_reversible_reads_an_overflowing_modulus_as_a_defect():
+    # a finite entry is not refused as non-finite, though its modulus is inf
+    u = np.eye(4, dtype=complex)
+    u[3, 3] = complex(1.5e308, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"\(defect inf\)"):
+            apply_reversible(u, DensityState.from_vector(SIG11, [1.0, 0.0, 0.0, 0.0]))
