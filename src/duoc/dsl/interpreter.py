@@ -5,7 +5,8 @@ measurements and transforms are bound by name, ``run`` blocks append
 rows to the result table, ``assert`` statements compare a stored metric
 against a literal, and an ``emit`` statement writes the table so far.
 Runs are deterministic for a fixed seed: a single PCG64 generator is
-created up front and consumed in statement order.
+created at the first ``run conditional``, its only reader, and consumed in
+statement order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -180,7 +182,9 @@ class _Interpreter:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.tol = cfg.resolved_tolerance()
-        self.rng = np.random.default_rng(cfg.seed)
+        if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, Integral) or cfg.seed < 0:
+            raise ScriptError(f"seed must be an integer >= 0, got {cfg.seed!r}")
+        self.rng = None  # made from the seed at the first run conditional
         self.env = {}
         self.rows = []
         self.results = {}
@@ -456,6 +460,8 @@ class _Interpreter:
         if trials * sig.dim**2 > MAX_CONDITIONAL_WORK:
             raise _err(line, f"conditional needs trials x dim^2 <= {MAX_CONDITIONAL_WORK}, "
                              f"got {trials} x {sig.dim}^2")
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.cfg.seed)
         failures = conditional_failures(trials, sig, self.rng, corrupt=bool(corrupt))
         return [("trials", int(trials)), ("failures", int(failures))]
 

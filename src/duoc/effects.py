@@ -207,10 +207,14 @@ def random_certified_effect(sig: SystemSignature, rng) -> Effect:
 def scaled_effects(terms, weights) -> tuple:
     """Row ``g``'s effect ``sum_t weights[g, t] |terms[g, t]><terms[g, t]|`` of valid unit terms
     and nonnegative weights, :func:`~duoc.linalg.symmetrized` and scaled below the identity by its
-    top eigenvalue where that exceeds 1: an effect by construction, checked no further.  Returns
-    the exactly Hermitian ``(G, dim, dim)`` stack and the scaled ``(G, T)`` weights."""
+    top eigenvalue where that exceeds 1: an effect by construction, checked no further.  The top
+    eigenvalue is read off the ``T x T`` Gram matrix of the rows ``sqrt(w_t) terms[g, t]``, whose
+    spectrum is the effect's nonzero one, at a cost that does not grow with ``dim``; zero terms
+    padding a row add only zero eigenvalues.  Returns the exactly Hermitian ``(G, dim, dim)``
+    stack and the scaled ``(G, T)`` weights."""
     op = symmetrized((terms.transpose(0, 2, 1) * weights[:, None, :]) @ terms.conj())
-    top = np.linalg.eigvalsh(op)[:, -1]
+    rows = terms * np.sqrt(weights)[:, :, None]
+    top = np.linalg.eigvalsh(rows.conj() @ rows.transpose(0, 2, 1))[:, -1]
     scale = np.where(top > 1.0, top * (1 + ZERO_ATOL), 1.0)
     op /= scale[:, None, None]
     return op, weights / scale[:, None]

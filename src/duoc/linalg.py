@@ -270,23 +270,21 @@ def row_blocks(dim: int) -> list:
     return [slice(r, r + step) for r in range(0, dim, step)]
 
 
-def low_rank_psd(mat, atol: float = DEFAULT_ATOL):
+def low_rank_psd(mat, cap: int, atol: float = DEFAULT_ATOL):
     """A ``(dim, k)`` factor ``L`` that proves no eigenvalue of Hermitian ``mat`` is below
     ``-atol``, or ``None``, which decides nothing.
 
     A pivoted partial Cholesky factorization (Higham 1990) builds ``L`` with
-    at most ``max(1, dim // 64)`` columns, stopping once no remaining
+    at most ``cap`` columns, stopping once no remaining
     diagonal entry exceeds ``atol / dim`` (a PSD remainder is then below
     ``atol`` in trace, hence in Frobenius norm).  Each pivot column is read
     as a conjugated row, which equals the column of an exactly Hermitian
     ``mat``.  ``L`` is returned only if the residual, summed over
     :func:`row_blocks`, has ``||mat - L L^H||_F <= atol``: by Weyl's
-    inequality no eigenvalue is then below ``-atol``.
+    inequality no eigenvalue is then below ``-atol``.  A rank above ``cap``
+    gives up after ``O(dim cap^2)`` work, before any ``dim^2`` step.
     """
     dim = mat.shape[0]
-    # k <= max(1, dim // 64) columns keep the residual product (dim^2 k) below a Cholesky
-    # (dim^3 / 3); a rank above the cap gives up after O(dim k^2) work, before any dim^2 step
-    cap = max(1, dim // 64)
     rest = mat.diagonal().real.copy()  # diagonal of the Schur complement left to factor
     cols = np.empty((dim, cap), dtype=complex)
     for k in range(cap + 1):
@@ -332,7 +330,8 @@ def psd_defect(sym, atol: float) -> tuple:
     (about ``dim * eps``) of ``-atol``.  The diagonal is shifted in place for the
     factorization, with no second dim^2 copy, and restored.
     """
-    if (factor := low_rank_psd(sym, atol)) is not None:
+    # k <= max(1, dim // 64) columns keep the residual product (dim^2 k) below a Cholesky
+    if (factor := low_rank_psd(sym, max(1, sym.shape[0] // 64), atol)) is not None:
         return 0.0, factor
     diag = sym.diagonal().copy()
     sym.flat[:: sym.shape[0] + 1] += atol

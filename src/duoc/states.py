@@ -72,6 +72,13 @@ FACTOR_PATH_DIM = 256
 # support costs more there than the zero rows it skips
 CELL_TEST_SUPPORT_DIM = 64
 
+# Uncertified membership takes its spectral columns from a factor of rank up to dim // 4 from this
+# dimension up, in O(dim^2 r) against eigh's O(dim^3): a factor of rank dim // 4 costs 0.66, 0.26
+# and 0.12 of the eigh at dimensions 64, 256 and 1024 (they break even near rank 24, 170 and above
+# 512), and an attempt that fails at the cap 0.29, 0.06 and 0.03.  Below it an eigh costs a few
+# factor steps, and the factor is tried at rank 1 only, as admission tries it.
+SPECTRAL_FACTOR_DIM = 16
+
 
 @dataclass
 class ValidityReport:
@@ -617,8 +624,10 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
 
     The test reads what the state holds, with one residual either way (:func:`_off_cell`).  Its
     spectral columns come from one factor, the state's own, else :func:`~duoc.linalg.low_rank_psd`
-    of the matrix: its left singular vectors of ``sigma^2 > DEFAULT_ATOL``, the eigenvectors
-    ``eigh`` would keep; with neither, ``eigh`` gives them.
+    of the matrix at the membership cap (rank ``dim // 4`` from :data:`SPECTRAL_FACTOR_DIM` up, 1
+    below it; admission's is ``max(1, dim // 64)``): its left singular vectors of
+    ``sigma^2 > DEFAULT_ATOL``, the eigenvectors ``eigh`` would keep; with neither, ``eigh``
+    gives them.
     """
     return validate_cone_member(rho.sig, rho._matrix, certificate, rho.factor)
 
@@ -658,7 +667,7 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         return ValidityReport(off <= DEFAULT_ATOL, off, witness="cell test")
     # fall back to the spectral decomposition as a candidate certificate, from a factor if any
     if factor is None:
-        factor = low_rank_psd(mat)
+        factor = low_rank_psd(mat, sig.dim // 4 if sig.dim >= SPECTRAL_FACTOR_DIM else 1)
     if factor is not None:  # in eigh's ascending order
         left, sing = np.linalg.svd(factor, full_matrices=False)[:2]
         cols = left[:, sing * sing > DEFAULT_ATOL].T[::-1]

@@ -15,6 +15,23 @@ def rng():
     return np.random.default_rng(20260818)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The shapes of the arrays that ``np.linalg.eigh``, ``eigvalsh`` and ``cholesky`` are called
+    on, by name, in call order."""
+    seen = {"eigh": [], "eigvalsh": [], "cholesky": []}
+
+    def recorder(name, fn):
+        def wrapped(a, *args, **kwargs):
+            seen[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
+    return seen
+
+
 def random_unit(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

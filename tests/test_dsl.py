@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,7 +27,9 @@ from duoc.dsl import (
 )
 from duoc.dsl import interpreter
 from duoc.dsl.ast import ListV, Num, RunDecl, Script
+from duoc.effects import conditional_failures
 from duoc.errors import AssertionFailure, DomainError, DuocError, ParseError, ScriptError
+from duoc.systems import SystemSignature
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.duoc"))
 
@@ -269,6 +272,33 @@ class TestRunConfig:
             run_script(script, RunConfig(tolerance=math.inf))
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.0, "3", None, True])
+    def test_bad_seed_refused_before_any_statement(self, tmp_path, seed):
+        out = tmp_path / "r.csv"
+        script = parse_script(f'run span {{ }} as S\nemit csv "{out}"\n')
+        message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ScriptError, match=message):
+            run_script(script, RunConfig(seed=seed))
+        assert not out.exists()
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        script = parse_script("run conditional { trials=15, d=2, bits=2, antibits=2 } as C\n")
+        a, b = (run_script(script, RunConfig(seed=seed)) for seed in (np.uint32(5), 5))
+        assert a.rows == b.rows and a.metadata == b.metadata
+
+    def test_generator_made_at_the_first_conditional(self, monkeypatch):
+        made, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        run_script(parse_script("run span { d=2, bits=1, antibits=1 } as S\n"), RunConfig(seed=3))
+        assert made == []
+        text = "run conditional { trials=5 } as C\nrun conditional { trials=5 } as D\n"
+        lazy = run_script(parse_script(text), RunConfig(seed=3))
+        assert made == [(3,)]
+        # the one generator is read in statement order, as one made up front would be
+        rng = default_rng(3)
+        assert [row[3] for row in lazy.rows if row[2] == "failures"] == [
+            conditional_failures(5, SystemSignature(2, 1, 1), rng) for _ in range(2)]
+
 
 class TestInterpreter:
     def run(self, text, **kw):
@@ -483,6 +513,13 @@ class TestCli:
         path = self.write(tmp_path, "system = composite(d=2)\n")
         assert cli_main(["run", path]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        path = self.write(tmp_path, "run span { } as S\n")
+        assert cli_main(["run", "--seed", "-1", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_domain_error_exit_two(self, tmp_path):
         path = self.write(

@@ -188,9 +188,10 @@ def test_hermitian_part_matches_direct_forms(rng):
 
 @pytest.mark.parametrize("dim", [64, 256, 1024])
 def test_low_rank_psd_matches_eigvalsh(dim, rng):
-    # never accepts what eigvalsh rejects, nor a rank above its cap of dim // 64 steps, and
-    # accepts every PSD matrix of rank up to the cap; a negative eigenvalue within atol may
-    # leave a Schur-complement residual above atol, which hands the verdict to the fallback
+    # at admission's cap of dim // 64 steps: never accepts what eigvalsh rejects, nor a rank
+    # above the cap, and accepts every PSD matrix of rank up to the cap; a negative eigenvalue
+    # within atol may leave a Schur-complement residual above atol, which hands the verdict to
+    # the fallback
     atol, cap = 1e-10, dim // 64
     support = low_rank_support(rng, dim)
     for rank in range(1, cap + 2):
@@ -198,7 +199,7 @@ def test_low_rank_psd_matches_eigvalsh(dim, rng):
             mat = low_rank_density(rng, dim, rank, lam, support)
             lo = lowest_eigenvalue(mat, support)
             assert (lo >= -atol) == (lam >= -atol)
-            accepted = low_rank_psd(mat) is not None
+            accepted = low_rank_psd(mat, cap) is not None
             if rank > cap or lo < -atol:
                 assert not accepted, (rank, lam)
             elif lam == 0.0:
@@ -206,7 +207,7 @@ def test_low_rank_psd_matches_eigvalsh(dim, rng):
 
 
 def test_low_rank_psd_needs_a_step():
-    assert not low_rank_psd(np.eye(63, dtype=complex) / 63)
+    assert not low_rank_psd(np.eye(63, dtype=complex) / 63, 1)
 
 
 @pytest.mark.parametrize("dim", [16, 128])
@@ -222,8 +223,8 @@ def test_psd_defect_takes_the_callers_tolerance(dim, rng):
     assert short == -min_eigenvalue(mat) == -np.linalg.eigvalsh(mat)[0]
     assert short == pytest.approx(0.5 * INPUT_ATOL, rel=1e-6)
     assert mat.tobytes() == before
-    assert low_rank_psd(mat, INPUT_ATOL) is not None
-    assert low_rank_psd(mat) is None
+    assert low_rank_psd(mat, 1, INPUT_ATOL) is not None
+    assert low_rank_psd(mat, 1) is None
 
 
 def test_eigenvalue_bounds():

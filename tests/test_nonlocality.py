@@ -354,29 +354,18 @@ class TestEffectsDecidedByTheCellTest:
     """The engine's (1, 1) effects carry no certificate: on a composite of
     one pairing the cell test decides exactly, with no eigendecomposition."""
 
-    @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        calls, eigh = [], np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return calls
-
     @staticmethod
-    def decided_by_cells(effects, eigh_calls):
+    def decided_by_cells(effects, linalg_calls):
         for e in effects:
             assert e.certificate is None
             rep = validate_effect(e)
             assert rep.valid and rep.witness == "cell test"
             assert rep.residual == 0.0 and rep.flags == ()
-        assert eigh_calls == []
+        assert linalg_calls["eigh"] == []
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("support", ["two", "full"])
-    def test_activation_effects(self, d, support, rng, eigh_calls):
+    def test_activation_effects(self, d, support, rng, linalg_calls):
         for r in range(d):
             alphas = np.zeros(d)
             idx = rng.choice(d, size=2, replace=False) if support == "two" else np.arange(d)
@@ -384,16 +373,16 @@ class TestEffectsDecidedByTheCellTest:
             alphas /= np.linalg.norm(alphas)
             setup = activation_setup(alphas, r=r)
             self.decided_by_cells([e for povm in setup.alice + setup.bob for e in povm.effects],
-                                  eigh_calls)
+                                  linalg_calls)
 
     @pytest.mark.parametrize("side", ["alice", "bob"])
-    def test_side_effects(self, side, eigh_calls):
+    def test_side_effects(self, side, linalg_calls):
         u = np.array([0.6, 0.8j])
-        self.decided_by_cells([side_effect(side, u), side_effect(side, [1.0, 0.0])], eigh_calls)
+        self.decided_by_cells([side_effect(side, u), side_effect(side, [1.0, 0.0])], linalg_calls)
 
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_witness_effects(self, parity, eigh_calls):
-        self.decided_by_cells(effects.witness_povm(0.3, parity=parity).effects, eigh_calls)
+    def test_witness_effects(self, parity, linalg_calls):
+        self.decided_by_cells(effects.witness_povm(0.3, parity=parity).effects, linalg_calls)
 
 
 class TestActivationF:

@@ -508,7 +508,7 @@ class TestDensityState:
         rest = mat.diagonal().real - np.abs(mat[:, p]) ** 2 / mat[p, p].real
         assert np.max(rest) <= atol / sig.dim
         assert np.linalg.eigvalsh(mat)[0] < -atol
-        assert not low_rank_psd(mat)
+        assert not low_rank_psd(mat, 1)
         with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
             DensityState(sig, mat)
 

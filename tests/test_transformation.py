@@ -330,32 +330,17 @@ def test_choi_beyond_the_threshold_rejected_with_its_eigenvalue():
     assert rep.residual == pytest.approx(2 * INPUT_ATOL, rel=1e-6)
 
 
-@pytest.fixture
-def shapes(monkeypatch):
-    """The shapes of the matrices ``np.linalg`` decompositions are called on."""
-    seen = {"eigvalsh": [], "cholesky": [], "eigh": []}
-
-    def recorder(name, fn):
-        def wrapped(a, *args, **kwargs):
-            seen[name].append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
-
-    for name in seen:
-        monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
-    return seen
-
-
 @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2)])
-def test_full_rank_choi_accepted_by_cholesky(dmn, shapes):
+def test_full_rank_choi_accepted_by_cholesky(dmn, linalg_calls):
     sig = SystemSignature(*dmn)
     rep = validate_transformation(lambda r: np.trace(r) * np.eye(sig.dim) / sig.dim, sig, sig)
     assert rep.valid and rep.residual <= INPUT_ATOL
     side = sig.dim**2
-    assert (side, side) in shapes["cholesky"] and (side, side) not in shapes["eigvalsh"]
+    assert (side, side) in linalg_calls["cholesky"]
+    assert (side, side) not in linalg_calls["eigvalsh"]
 
 
-def test_reversible_choi_needs_no_eigendecomposition(shapes):
+def test_reversible_choi_needs_no_eigendecomposition(linalg_calls):
     sig = SystemSignature(2, 2, 2)
     spec = ReversibleSpec(FactorPermutation((1, 0), (1, 0)), x_shifts=(1, 0, 1, 1),
                           z_phases=(0, 1, 1, 0))
@@ -364,8 +349,8 @@ def test_reversible_choi_needs_no_eigendecomposition(shapes):
     assert rep.valid and rep.witness == "Choi state" and rep.flags == ()
     # the rank-1 Choi matrix is proved positive by its low-rank factor, and its Choi state is
     # decided by its one column
-    assert (256, 256) not in shapes["eigvalsh"] + shapes["cholesky"]
-    assert shapes["eigh"] == []
+    assert (256, 256) not in linalg_calls["eigvalsh"] + linalg_calls["cholesky"]
+    assert linalg_calls["eigh"] == []
 
 
 @pytest.mark.parametrize("dmn", [(2, 1, 1), (2, 2, 2)])
