@@ -5,6 +5,14 @@ arguments everywhere, ``#`` comments, and rational-pi angle literals
 (``pi/8``, ``-3*pi/4``).  Statements normally end at the newline, but a
 line with open brackets continues onto the next.
 
+The lexer is one ``findall`` over the text: each match pairs the blanks
+and comment before a token with the token (empty at the end).  A token
+is a plain ``(kind, text, line, col)`` tuple, whose kind is read off its
+whole text if that is fixed (punctuation, comparison, newline), else off
+its first character.  The whole text is tokenized before the parser
+indexes the list, so an unexpected character anywhere wins over an
+earlier syntax error.
+
 ``parse_script(pretty_print(parse_script(text)))`` returns a tree equal
 to ``parse_script(text)``: the printer is a normal form, not a
 transcript.
@@ -33,324 +41,311 @@ from .ast import (
     TransformDecl,
 )
 
+# Every position starts a match, so the matches tile the text with no gaps.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<cmp>==|!=|<=|>=|<|>)
-  | (?P<punct>[=,(){}\[\].*/+-])
-  | (?P<bad>.)
+    ([ \t]*+(?:\#[^\n]*+)?)                    # blanks and a comment before the token
+    ( [A-Za-z_][A-Za-z_0-9]*+                 # id
+    | [=!<>]=                                 # two-character comparison
+    | [=,(){}\[\].*/+\-<>\n]                  # punctuation, < or >, newline
+    | \d++(?:\.\d++)?(?:[eE][+-]?\d++)?       # number
+    | "(?:[^"\\\n]|\\.)*+"                    # string
+    | .                                       # any other character: refused
+    | \Z )                                    # end of the text: an empty token
     """,
     re.VERBOSE,
 )
+
+# kind of a token of fixed text (a lone ``!`` or ``"`` is refused), else by its first character
+_FIXED_KIND = {**dict.fromkeys("=,(){}[].*/+-", "punct"),
+               **dict.fromkeys(["==", "!=", "<=", ">=", "<", ">"], "cmp"),
+               "\n": "newline", "": "eof", "!": "bad", '"': "bad"}
+_FIRST_KIND = {**dict.fromkeys("0123456789", "number"), '"': "string",
+               **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "id")}
 
 _KEYWORDS = {"system", "state", "measure", "transform", "run", "assert", "emit",
              "on", "as", "tol", "pi", "product"}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"_Token({self.kind!r}, {self.text!r}, {self.line}, {self.col})"
-
-
-def _tokenize(text: str):
-    """One scan: every character falls in some token, so ``finditer`` leaves no gaps."""
+def _tokenize(text: str) -> list:
+    """``(kind, text, line, col)`` of each token, ending in one ``eof``.  A newline token ends
+    a statement: newlines inside brackets, at the start and after another newline are dropped."""
     tokens = []
-    line, line_start, depth = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = m.group()
-        col = m.start() - line_start + 1
-        if kind == "newline":
-            if depth == 0 and tokens and tokens[-1].kind != "newline":
-                tokens.append(_Token("newline", "\n", line, col))
-            line += 1
-            line_start = m.end()
+    append = tokens.append
+    line, col, depth = 1, 1, 0
+    for skip, tok in _TOKEN_RE.findall(text):
+        col += len(skip)
+        kind = (_FIXED_KIND.get(tok) or _FIRST_KIND.get(tok[0])
+                or ("number" if tok[0].isdecimal() else "bad"))  # ``\d`` takes non-ASCII digits too
+        if kind == "punct":
+            if tok in "([{":
+                depth += 1
+            elif tok in ")]}" and depth:
+                depth -= 1
+        elif kind == "newline":
+            if depth == 0 and tokens and tokens[-1][0] != "newline":
+                append((kind, tok, line, col))
+            line, col = line + 1, 1
+            continue
+        elif kind == "eof":
+            break
         elif kind == "bad":
             raise ParseError(f"unexpected character {tok!r}", line, col)
-        elif kind != "ws" and kind != "comment":
-            if kind == "punct" and tok in "([{":
-                depth += 1
-            elif kind == "punct" and tok in ")]}":
-                depth = max(0, depth - 1)
-            tokens.append(_Token(kind, tok, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        append((kind, tok, line, col))
+        col += len(tok)
+    append(("eof", "", line, col))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list; ``self.i`` indexes the next token, never past
+    ``eof``.  Punctuation and keywords are told apart from every other token by text alone.
+
+    The static checks run as the names are read: each name a statement reads (a ``Ref``
+    argument or list item one level deep, its ``on`` system, its ``product`` factors, its assert
+    root) must be defined by an earlier statement, and a script has at most one emit.  The first
+    failure is raised once the whole text has parsed, so any syntax error wins over it.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.defined = set()  # the names the statements parsed so far declare
+        self.lists = 0  # how many list brackets enclose the value being parsed
+        self.emits = 0
+        self.failure = None
 
     # -- primitives ----------------------------------------------------
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
+    def _error(self, expected: str, at: int = None):
+        kind, text, line, col = self.tokens[self.i if at is None else at]
+        got = "end of input" if kind == "eof" else repr(text)
+        raise ParseError(f"expected {expected}, got {got}", line, col)
 
-    def _advance(self) -> _Token:
-        t = self.tok
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def _eat(self, kind: str, expected: str = None) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        t = self.tokens[self.i]
+        if t[0] != kind:
+            self._error(expected or kind)
+        self.i += 1
+        return t[1]
 
-    def _error(self, expected: str):
-        t = self.tok
-        got = "end of input" if t.kind == "eof" else repr(t.text)
-        raise ParseError(f"expected {expected}, got {got}", t.line, t.col)
+    def _expect(self, text: str):
+        """Step over the next token, which must read ``text``."""
+        if self.tokens[self.i][1] != text:
+            self._error(text)
+        self.i += 1
 
-    def _eat(self, kind: str, text: str = None) -> _Token:
-        t = self.tok
-        if t.kind != kind or (text is not None and t.text != text):
-            self._error(text if text is not None else kind)
-        return self._advance()
+    def _at(self, text: str) -> bool:
+        return self.tokens[self.i][1] == text
 
-    def _skip_newlines(self):
-        while self.tok.kind == "newline":
-            self._advance()
+    def _fail(self, message: str, line: int, col: int):
+        if self.failure is None:
+            self.failure = ParseError(message, line, col)
 
-    def _at(self, kind: str, text: str = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
+    def _read(self, name: str, line: int, col: int):
+        if name not in self.defined:
+            self._fail(f"identifier {name!r} used before definition", line, col)
 
     # -- values ---------------------------------------------------------
     def _number(self) -> float:
-        t = self.tok
-        try:
-            value = self._literal()
-        except ZeroDivisionError:
-            value = math.nan
+        """number ::= ["-"] (NUM ["*" "pi" ["/" NUM]] | "pi" ["/" NUM]), and finite"""
+        tokens, i = self.tokens, self.i
+        first = tokens[i]
+        sign = 1.0
+        if first[1] == "-":
+            i += 1
+            sign = -1.0
+        kind, text = tokens[i][0], tokens[i][1]
+        if kind == "number":
+            value = float(text)
+            if tokens[i + 1][1] == "*" and tokens[i + 2][1] == "pi":
+                value *= math.pi
+                i += 2
+        elif text == "pi":
+            value = math.pi
+        else:
+            self._error("number", i)
+        self.i = i + 1
+        if tokens[i][1] == "pi" and tokens[i + 1][1] == "/":
+            self.i = i + 2
+            divisor = float(self._eat("number"))
+            value = value / divisor if divisor else math.nan
+        value = sign * value
         if not math.isfinite(value):
-            raise ParseError("number is not finite (overflow or division by zero)", t.line, t.col)
+            raise ParseError("number is not finite (overflow or division by zero)", *first[2:])
         return value
 
-    def _literal(self) -> float:
-        """number ::= ["-"] (NUM ["*" "pi" ["/" NUM]] | "pi" ["/" NUM])"""
-        sign = 1.0
-        if self._at("punct", "-"):
-            self._advance()
-            sign = -1.0
-        if self._at("id", "pi"):
-            self._advance()
-            value = math.pi
-            if self._at("punct", "/"):
-                self._advance()
-                value /= float(self._eat("number").text)
-            return sign * value
-        num = float(self._eat("number").text)
-        if self._at("punct", "*"):
-            save = self.i
-            self._advance()
-            if self._at("id", "pi"):
-                self._advance()
-                num *= math.pi
-                if self._at("punct", "/"):
-                    self._advance()
-                    num /= float(self._eat("number").text)
-            else:
-                self.i = save
-        return sign * num
-
     def _value(self):
-        t = self.tok
-        if t.kind == "string":
-            self._advance()
-            return Str(_unquote(t.text))
-        if t.kind == "punct" and t.text == "[":
-            self._advance()
-            return ListV(self._sequence("]", self._value))
-        if t.kind == "id" and t.text != "pi":
-            self._advance()
-            return Ref(t.text, t.line, t.col)
+        kind, text, line, col = self.tokens[self.i]
+        if kind == "id" and text != "pi":
+            self.i += 1
+            if self.lists < 2:
+                self._read(text, line, col)
+            return Ref(text, line, col)
         # only a punct token reads "-" and only an id token reads "pi"
-        if t.kind == "number" or t.text in ("-", "pi"):
+        if kind == "number" or text == "-" or text == "pi":
             return Num(self._number())
+        if kind == "string":
+            self.i += 1
+            return Str(_unquote(text))
+        if text == "[":
+            self.i += 1
+            self.lists += 1
+            items = self._sequence("]", self._value)
+            self.lists -= 1
+            return ListV(items)
         self._error("a value (number, string, identifier, or list)")
 
     def _kv(self) -> tuple:
-        key = self._eat("id").text
-        self._eat("punct", "=")
-        return key, self._value()
+        tokens, i = self.tokens, self.i
+        key = tokens[i]
+        if key[0] != "id":
+            self._error("id")
+        if tokens[i + 1][1] != "=":
+            self._error("=", i + 1)
+        self.i = i + 2
+        return key[1], self._value()
 
     def _sequence(self, close: str, item) -> tuple:
         """``item ("," item)*`` or nothing, then ``close``."""
+        tokens = self.tokens
         items = []
-        if not self._at("punct", close):
+        if tokens[self.i][1] != close:
             items.append(item())
-            while self._at("punct", ","):
-                self._advance()
+            while tokens[self.i][1] == ",":
+                self.i += 1
                 items.append(item())
-        self._eat("punct", close)
+        self._expect(close)
         return tuple(items)
 
     def _ctor(self) -> Ctor:
-        name = self._eat("id").text
-        self._eat("punct", "(")
+        name = self._eat("id")
+        self._expect("(")
         return Ctor(name, self._sequence(")", self._kv))
 
-    def _ident(self, what="an identifier") -> tuple:
-        """``(name, (line, col))`` of the next identifier."""
-        t = self.tok
-        if t.kind != "id" or t.text in _KEYWORDS:
+    def _ident(self, what: str, read: bool = False) -> tuple:
+        """``(name, (line, col))`` of the next identifier, which the statement may ``read``."""
+        kind, text, line, col = self.tokens[self.i]
+        if kind != "id" or text in _KEYWORDS:
             self._error(what)
-        self._advance()
-        return t.text, (t.line, t.col)
+        self.i += 1
+        if read:
+            self._read(text, line, col)
+        return text, (line, col)
 
     # -- statements -----------------------------------------------------
     def parse(self) -> Script:
+        tokens = self.tokens
         stmts = []
-        self._skip_newlines()
-        while self.tok.kind != "eof":
-            stmts.append(self._statement())
-            if self.tok.kind not in ("newline", "eof"):
+        while tokens[self.i][0] != "eof":
+            st = self._statement()
+            stmts.append(st)
+            kind = tokens[self.i][0]
+            if kind == "newline":
+                self.i += 1
+            elif kind != "eof":
                 self._error("end of statement")
-            self._skip_newlines()
+            # a declaration defines its name, a run its result; other statements define nothing
+            self.defined.add(getattr(st, "name", None) or getattr(st, "result", None))
+        if self.failure is not None:
+            raise self.failure
         return Script(tuple(stmts))
 
     def _statement(self):
-        t = self.tok
-        if t.kind != "id":
+        kind, word, line, col = self.tokens[self.i]
+        if kind != "id":
             self._error("a statement keyword")
-        line = t.line
-        word = t.text
         if word == "system":
             name = self._head("a system name")
-            self._eat("id", "composite")
-            self._eat("punct", "(")
+            self._expect("composite")
+            self._expect("(")
             return SystemDecl(name, self._sequence(")", self._kv), line=line)
         if word == "state":
             name = self._head("a state name")
-            if self._at("id", "product"):
-                self._advance()
-                self._eat("punct", "(")
-                left, left_at = self._ident("a state name")
-                self._eat("punct", ",")
-                right, right_at = self._ident("a state name")
-                self._eat("punct", ")")
+            if self._at("product"):
+                self.i += 1
+                self._expect("(")
+                left, left_at = self._ident("a state name", read=True)
+                self._expect(",")
+                right, right_at = self._ident("a state name", read=True)
+                self._expect(")")
                 return StateDecl(name, product=(left, right), line=line,
                                  product_at=(left_at, right_at))
             ctor = self._ctor()
-            self._eat("id", "on")
-            system, at = self._ident("a system name")
+            self._expect("on")
+            system, at = self._ident("a system name", read=True)
             return StateDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "measure":
             name = self._head("a measurement name")
             ctor = self._ctor()
-            self._eat("id", "on")
-            system, at = self._ident("a system name")
+            self._expect("on")
+            system, at = self._ident("a system name", read=True)
             return MeasureDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "transform":
             name = self._head("a transform name")
             return TransformDecl(name, ctor=self._ctor(), line=line)
         if word == "run":
-            self._advance()
-            kind = self._eat("id").text
-            if kind not in RUN_KINDS:
+            self.i += 1
+            run = self._eat("id")
+            if run not in RUN_KINDS:
                 raise ParseError(
-                    f"unknown run kind {kind!r}, expected one of {', '.join(RUN_KINDS)}",
-                    t.line, t.col)
-            self._eat("punct", "{")
+                    f"unknown run kind {run!r}, expected one of {', '.join(RUN_KINDS)}",
+                    line, col)
+            self._expect("{")
             args = self._sequence("}", self._kv)
             result = None
-            if self._at("id", "as"):
-                self._advance()
+            if self._at("as"):
+                self.i += 1
                 result = self._ident("a result name")[0]
-            return RunDecl(kind, args, result=result, line=line)
+            return RunDecl(run, args, result=result, line=line)
         if word == "assert":
-            self._advance()
-            first, at = self._ident("a result name")
+            self.i += 1
+            first, at = self._ident("a result name", read=True)
             path = [first]
-            while self._at("punct", "."):
-                self._advance()
-                path.append(self._eat("id").text)
-            if self.tok.kind != "cmp":
-                self._error("a comparison operator")
-            op = self._advance().text
+            while self._at("."):
+                self.i += 1
+                path.append(self._eat("id"))
+            op = self._eat("cmp", "a comparison operator")
             value = self._number()
             tol = None
-            if self._at("id", "tol"):
-                self._advance()
-                tt = self.tok
+            if self._at("tol"):
+                self.i += 1
+                tt = self.tokens[self.i]
                 tol = self._number()
                 if tol < 0:
-                    raise ParseError(f"tolerance must be >= 0, got {tol!r}", tt.line, tt.col)
+                    raise ParseError(f"tolerance must be >= 0, got {tol!r}", tt[2], tt[3])
             return AssertDecl(tuple(path), op, value, tol=tol, line=line, target_at=at)
         if word == "emit":
-            self._advance()
-            fmt = self._eat("id").text
+            self.i += 1
+            fmt = self._eat("id")
             if fmt not in ("csv", "json"):
-                raise ParseError(f"emit format must be csv or json, got {fmt!r}",
-                                 t.line, t.col)
-            path = _unquote(self._eat("string").text)
-            return EmitDecl(fmt, path, line=line, col=t.col)
+                raise ParseError(f"emit format must be csv or json, got {fmt!r}", line, col)
+            path = _unquote(self._eat("string"))
+            self.emits += 1
+            if self.emits > 1:
+                self._fail("at most one emit statement per script", line, col)
+            return EmitDecl(fmt, path, line=line, col=col)
         self._error("a statement keyword (system/state/measure/transform/run/assert/emit)")
 
     def _head(self, what: str) -> str:
         """``KEYWORD NAME =``: the declared name."""
-        self._advance()
+        self.i += 1
         name = self._ident(what)[0]
-        self._eat("punct", "=")
+        self._expect("=")
         return name
 
 
 def _unquote(text: str) -> str:
-    body = text[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\")
+    return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _reads(st):
-    """``(name, line, col)`` of each name a statement reads: its ``Ref`` arguments and list items
-    one level deep, then its ``on`` system, its ``product`` factors and its assert root."""
-    ctor = getattr(st, "ctor", None)
-    for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
-        for item in value.items if isinstance(value, ListV) else (value,):
-            if isinstance(item, Ref):
-                yield item.name, item.line, item.col
-    if getattr(st, "system", None) is not None:
-        yield st.system, *st.system_at
-    for name, at in zip(getattr(st, "product", None) or (), getattr(st, "product_at", ())):
-        yield name, *at
-    if isinstance(st, AssertDecl):
-        yield st.target[0], *st.target_at
-
-
-def _check(script: Script):
-    """Static checks: each name defined before a statement reads it, at most one emit."""
-    defined = set()
-    emits = 0
-    for st in script.statements:
-        for name, line, col in _reads(st):
-            if name not in defined:
-                raise ParseError(f"identifier {name!r} used before definition", line, col)
-        if isinstance(st, EmitDecl):
-            emits += 1
-            if emits > 1:
-                raise ParseError("at most one emit statement per script", st.line, st.col)
-        # a declaration defines its name, a run its result; other statements define nothing
-        defined.add(getattr(st, "name", None) or getattr(st, "result", None))
-
-
 def parse_script(text: str) -> Script:
     """Parse script text to an AST, with static well-formedness checks."""
-    script = _Parser(text).parse()
-    _check(script)
-    return script
+    return _Parser(text).parse()
 
 
 def _fmt_num(x: float) -> str:
@@ -375,6 +370,10 @@ def _fmt_args(args: tuple) -> str:
     return ", ".join(f"{k}={_fmt_value(v)}" for k, v in args)
 
 
+def _fmt_ctor(ctor: Ctor) -> str:
+    return f"{ctor.name}({_fmt_args(ctor.args)})"
+
+
 def pretty_print(script: Script) -> str:
     """Canonical text for a script; reparses to an equal AST."""
     out = []
@@ -385,15 +384,11 @@ def pretty_print(script: Script) -> str:
             if st.product is not None:
                 out.append(f"state {st.name} = product({st.product[0]}, {st.product[1]})")
             else:
-                out.append(
-                    f"state {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)}) on {st.system}"
-                )
+                out.append(f"state {st.name} = {_fmt_ctor(st.ctor)} on {st.system}")
         elif isinstance(st, MeasureDecl):
-            out.append(
-                f"measure {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)}) on {st.system}"
-            )
+            out.append(f"measure {st.name} = {_fmt_ctor(st.ctor)} on {st.system}")
         elif isinstance(st, TransformDecl):
-            out.append(f"transform {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)})")
+            out.append(f"transform {st.name} = {_fmt_ctor(st.ctor)}")
         elif isinstance(st, RunDecl):
             text = f"run {st.kind} {{ {_fmt_args(st.args)} }}" if st.args else (
                 f"run {st.kind} {{ }}")

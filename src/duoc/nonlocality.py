@@ -11,7 +11,9 @@ seam.
 For the maximally entangled state the regrouped measurements reproduce
 quantum two-qubit statistics exactly; for arbitrary entangled two-term
 states the tilted measurements below give a CHSH value strictly above
-2, with a closed form for the maximum.
+2, in closed form.  That is the value of these measurements, not a
+maximum over valid ones: on the uniform pair they give 1 + sqrt(2),
+while the CHSH settings reach 2*sqrt(2) on the same two copies.
 
 Every Bell quantity reads one correlator kernel: read as a d^2 x d^2
 matrix ``M`` from Alice's pair (bit1, anti2) to Bob's (bit2, anti1), the
@@ -373,10 +375,11 @@ def activation_F(setup: ActivationSetup, psi=None) -> tuple:
     """Simulated and closed-form CHSH values for the activation setup.
 
     ``F_simulated`` evaluates the four correlators by the Born rule on
-    the literal two-copy state; ``F_closed`` is the analytic maximum
-    2 + 2(a'^2+b'^2)(sqrt(1 + 4a'^2b'^2/(a'^2+b'^2)^2) - 1).  The two
-    agree when the state is supported on the two dominant indices; for
-    wider support only ``F_simulated`` is meaningful.
+    the literal two-copy state; ``F_closed`` is the value of the same
+    tilted measurements in closed form, not a maximum over valid
+    measurements: 2 + 2(a'^2+b'^2)(sqrt(1 + 4a'^2b'^2/(a'^2+b'^2)^2) - 1).
+    The two agree when the state is supported on the two dominant
+    indices; for wider support only ``F_simulated`` is meaningful.
     """
     if psi is not None:
         _, pr, alphas = _pair_state_data(psi, setup.d)

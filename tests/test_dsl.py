@@ -26,12 +26,26 @@ from duoc.dsl import (
     run_script,
 )
 from duoc.dsl import interpreter
-from duoc.dsl.ast import ListV, Num, RunDecl, Script
+from duoc.dsl.ast import (
+    AssertDecl,
+    EmitDecl,
+    ListV,
+    MeasureDecl,
+    Num,
+    Ref,
+    RunDecl,
+    Script,
+    StateDecl,
+    SystemDecl,
+    TransformDecl,
+)
 from duoc.effects import conditional_failures
 from duoc.errors import AssertionFailure, DomainError, DuocError, ParseError, ScriptError
 from duoc.systems import SystemSignature
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.duoc"))
+SCRIPTS = ([pytest.param(p.read_text(), id=p.stem) for p in CORPUS]
+           + [pytest.param(text, id=f"demo-{name}") for name, text in sorted(DEMOS.items())])
 
 
 def parse(text):
@@ -108,6 +122,63 @@ class TestLexerAndNumbers:
             parse("system S = composite(d=2)\nstate B =\n")
         assert e.value.line == 2
 
+    SYS = "system S = composite(d=2, bits=1, antibits=0)\n"
+    RUN = SYS + "run span { system=S } as R\n"
+
+    # the end of the text, comments, one- and two-character operators, bracket depth and tabs
+    # are where a change to the scan could move a message or its position
+    @pytest.mark.parametrize(
+        "text,line,col,message",
+        [
+            (SYS + "run span { system=S } as R $", 2, 28, "unexpected character '$'"),
+            (SYS + "# note\n%", 3, 1, "unexpected character '%'"),
+            ("system S = composite(d=2,\n# still open", 2, 13, "expected id, got end of input"),
+            (SYS + "state A = # dangling", 2, 21, "expected id, got end of input"),
+            (RUN + "assert R.dim ! 2\n", 3, 14, "unexpected character '!'"),
+            (RUN + "assert R.dim !!= 2\n", 3, 14, "unexpected character '!'"),
+            (RUN + "assert R.dim !=! 2\n", 3, 16, "unexpected character '!'"),
+            (RUN + "assert R.dim === 2\n", 3, 16, "expected number, got '='"),
+            (RUN + "assert R.dim = 2\n", 3, 14, "expected a comparison operator, got '='"),
+            ("system S == composite(d=2)\n", 1, 10, "expected =, got '=='"),
+            (SYS + ")\n", 2, 1, "expected a statement keyword, got ')'"),
+            ("system S = composite(d=2))\nstate A = basis(digits=[0]) on S\n", 1, 26,
+             "expected end of statement, got ')'"),
+            (SYS + "state A = classical(weights=[[0.5,\n 0.5],\n\n 3\n)\n", 6, 1,
+             "expected ], got ')'"),
+            ("system S = composite(d=[(\n\n 2\n", 1, 25,
+             "expected a value (number, string, identifier, or list), got '('"),
+            (SYS + "\t\t$\n", 2, 3, "unexpected character '$'"),
+            (SYS + "run span {\tsystem=S\t@ } as R\n", 2, 21, "unexpected character '@'"),
+            (SYS + 'emit csv "out.csv', 2, 10, "unexpected character '\"'"),
+            (SYS + 'emit csv "', 2, 10, "unexpected character '\"'"),
+            ("system S = composite(d=2, bits=1", 1, 33, "expected ), got end of input"),
+            ("system S = composite(d=2,\n bits=1,\n", 3, 1, "expected id, got end of input"),
+            (SYS + "state A = classical(weights=[0.5, \n", 3, 1,
+             "expected a value (number, string, identifier, or list), got end of input"),
+            ("run chsh { a0=0,   ", 1, 20, "expected id, got end of input"),
+            ("system = = =\n$", 2, 1, "unexpected character '$'"),
+        ],
+        ids=["bad-char-at-end-no-newline", "bad-char-after-comment-no-newline",
+             "comment-last-inside-brackets", "comment-last-after-open-statement", "lone-bang",
+             "bang-before-neq", "bang-after-neq", "eq-before-eqeq", "eq-as-comparison",
+             "eqeq-as-binding", "unmatched-close-line-start", "unmatched-close-after-statement",
+             "newline-in-nested-brackets", "newline-in-open-brackets", "tab-before-bad-char",
+             "tab-inside-line-before-bad-char", "unterminated-string-at-end",
+             "lone-quote-at-end", "end-inside-brackets", "end-inside-brackets-after-newlines",
+             "end-inside-list", "end-after-blanks-inside-brackets",
+             "bad-char-wins-over-earlier-syntax-error"],
+    )
+    def test_error_position_pinned(self, text, line, col, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (line, col)
+        assert str(e.value) == f"line {line}, col {col}: {message}"
+
+    def test_digits_beyond_ascii_read_as_a_number(self):
+        # the number pattern's ``\d`` matches any decimal digit, and float() reads it
+        s = parse("run chsh { a0 = \u0663, a1 = 1\u0665 } as R\n")
+        assert [v.value for _, v in s.statements[0].args] == [3.0, 15.0]
+
     def test_string_escapes(self):
         s = parse('emit csv "a \\"b\\" c.csv"\n')
         assert s.statements[0].path == 'a "b" c.csv'
@@ -151,6 +222,30 @@ class TestStaticChecks:
         assert (e.value.line, e.value.col) == (line, col)
         assert str(e.value).startswith(f"line {line}, col {col}: ")
 
+    # the first failure in statement order is raised, and only once the whole text has parsed
+    @pytest.mark.parametrize(
+        "tail,line,col,message",
+        [
+            ("run born { state=Q } as R\nsystem = \n", 5, 8, "expected a system name, got '='"),
+            ('emit csv "a"\nemit csv "b"\nrun born { state=Q } as R\n', 5, 1,
+             "at most one emit statement per script"),
+            ('run born { state=Q } as R\nemit csv "a"\nemit csv "b"\n', 4, 18,
+             "identifier 'Q' used before definition"),
+            ("state A = classical(weights=[[Y], X]) on S\n", 4, 35,
+             "identifier 'X' used before definition"),
+        ],
+        ids=["syntax-error-after-undefined-name", "second-emit-before-undefined-name",
+             "undefined-name-before-second-emit", "list-item-after-nested-list"],
+    )
+    def test_first_failure_wins(self, tail, line, col, message):
+        with pytest.raises(ParseError) as e:
+            parse(self.PRELUDE + tail)
+        assert str(e.value) == f"line {line}, col {col}: {message}"
+
+    def test_names_two_lists_deep_are_left_to_the_interpreter(self):
+        s = parse(self.PRELUDE + "state A = classical(weights=[[X]]) on S\n")
+        assert s.statements[-1].ctor.args[0][1] == ListV((ListV((Ref("X"),)),))
+
     def test_ref_inside_args_checked(self):
         with pytest.raises(ParseError, match="before definition"):
             parse(
@@ -174,11 +269,7 @@ class TestStaticChecks:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "text",
-        [pytest.param(p.read_text(), id=p.stem) for p in CORPUS]
-        + [pytest.param(text, id=f"demo-{name}") for name, text in sorted(DEMOS.items())],
-    )
+    @pytest.mark.parametrize("text", SCRIPTS)
     def test_corpus_round_trips(self, text):
         script = parse(text)
         printed = pretty_print(script)
@@ -192,6 +283,61 @@ class TestRoundTrip:
         a = parse("system S = composite(d=2)\n")
         b = parse("# shifted down\n\nsystem S = composite(d=2)\n")
         assert a == b
+
+
+_KEYWORD = {SystemDecl: "system", StateDecl: "state", MeasureDecl: "measure",
+            TransformDecl: "transform", RunDecl: "run", AssertDecl: "assert", EmitDecl: "emit"}
+
+
+def _word_at(lines, word, line, col):
+    """``word`` stands whole at 1-based ``(line, col)`` of the source lines."""
+    assert line >= 1 and col >= 1, (word, line, col)
+    text = f" {lines[line - 1]} "  # pad: the word sits at text[col:col + len(word)]
+    around = text[col - 1] + text[col + len(word)]
+    return (text[col:col + len(word)] == word
+            and not any(ch.isalnum() or ch == "_" for ch in around))
+
+
+def _refs(value):
+    if isinstance(value, Ref):
+        yield value
+    elif isinstance(value, ListV):
+        for item in value.items:
+            yield from _refs(item)
+
+
+class TestPositions:
+    """Each position the parser records names the word it belongs to in the source text,
+    read with plain string slicing and no tokenizer."""
+
+    @pytest.mark.parametrize("text", SCRIPTS)
+    def test_positions_point_at_their_words(self, text):
+        lines = text.split("\n")
+        for st in parse(text).statements:
+            head = lines[st.line - 1]
+            col = len(head) - len(head.lstrip(" \t")) + 1
+            assert _word_at(lines, _KEYWORD[type(st)], st.line, col), st
+            if isinstance(st, EmitDecl):
+                assert st.col == col
+            ctor = getattr(st, "ctor", None)
+            for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
+                for ref in _refs(value):
+                    assert _word_at(lines, ref.name, ref.line, ref.col), ref
+            if getattr(st, "system", None) is not None:
+                assert _word_at(lines, st.system, *st.system_at), st
+            for name, at in zip(getattr(st, "product", None) or (), getattr(st, "product_at", ())):
+                assert _word_at(lines, name, *at), st
+            if isinstance(st, AssertDecl):
+                assert _word_at(lines, st.target[0], *st.target_at), st
+
+    def test_positions_cover_every_kind(self):
+        """The corpus and demos hold every kind of position the oracle above checks."""
+        statements = [st for p in SCRIPTS for st in parse(p.values[0]).statements]
+        kinds = {type(st) for st in statements}
+        assert kinds == set(_KEYWORD)
+        assert any(st.product is not None for st in statements if isinstance(st, StateDecl))
+        assert any(isinstance(v, Ref) for st in statements if isinstance(st, RunDecl)
+                   for _, v in st.args)
 
 
 class TestResultTable:
