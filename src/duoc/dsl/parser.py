@@ -44,12 +44,12 @@ from .ast import (
 # Every position starts a match, so the matches tile the text with no gaps.
 _TOKEN_RE = re.compile(
     r"""
-    ([ \t]*+(?:\#[^\n]*+)?)                    # blanks and a comment before the token
-    ( [A-Za-z_][A-Za-z_0-9]*+                 # id
+    ([ \t]*(?:\#[^\n]*)?)                      # blanks and a comment before the token
+    ( [A-Za-z_][A-Za-z_0-9]*                  # id
     | [=!<>]=                                 # two-character comparison
     | [=,(){}\[\].*/+\-<>\n]                  # punctuation, < or >, newline
-    | \d++(?:\.\d++)?(?:[eE][+-]?\d++)?       # number
-    | "(?:[^"\\\n]|\\.)*+"                    # string
+    | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?          # number
+    | "(?:[^"\\\n]|\\.)*"                     # string
     | .                                       # any other character: refused
     | \Z )                                    # end of the text: an empty token
     """,
@@ -99,21 +99,11 @@ def _tokenize(text: str) -> list:
 
 class _Parser:
     """Recursive descent over the token list; ``self.i`` indexes the next token, never past
-    ``eof``.  Punctuation and keywords are told apart from every other token by text alone.
-
-    The static checks run as the names are read: each name a statement reads (a ``Ref``
-    argument or list item one level deep, its ``on`` system, its ``product`` factors, its assert
-    root) must be defined by an earlier statement, and a script has at most one emit.  The first
-    failure is raised once the whole text has parsed, so any syntax error wins over it.
-    """
+    ``eof``.  Punctuation and keywords are told apart from every other token by text alone."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.defined = set()  # the names the statements parsed so far declare
-        self.lists = 0  # how many list brackets enclose the value being parsed
-        self.emits = 0
-        self.failure = None
 
     # -- primitives ----------------------------------------------------
     def _error(self, expected: str, at: int = None):
@@ -137,14 +127,6 @@ class _Parser:
 
     def _at(self, text: str) -> bool:
         return self.tokens[self.i][1] == text
-
-    def _fail(self, message: str, line: int, col: int):
-        if self.failure is None:
-            self.failure = ParseError(message, line, col)
-
-    def _read(self, name: str, line: int, col: int):
-        if name not in self.defined:
-            self._fail(f"identifier {name!r} used before definition", line, col)
 
     # -- values ---------------------------------------------------------
     def _number(self) -> float:
@@ -179,8 +161,6 @@ class _Parser:
         kind, text, line, col = self.tokens[self.i]
         if kind == "id" and text != "pi":
             self.i += 1
-            if self.lists < 2:
-                self._read(text, line, col)
             return Ref(text, line, col)
         # only a punct token reads "-" and only an id token reads "pi"
         if kind == "number" or text == "-" or text == "pi":
@@ -190,21 +170,13 @@ class _Parser:
             return Str(_unquote(text))
         if text == "[":
             self.i += 1
-            self.lists += 1
-            items = self._sequence("]", self._value)
-            self.lists -= 1
-            return ListV(items)
+            return ListV(self._sequence("]", self._value))
         self._error("a value (number, string, identifier, or list)")
 
     def _kv(self) -> tuple:
-        tokens, i = self.tokens, self.i
-        key = tokens[i]
-        if key[0] != "id":
-            self._error("id")
-        if tokens[i + 1][1] != "=":
-            self._error("=", i + 1)
-        self.i = i + 2
-        return key[1], self._value()
+        key = self._eat("id")
+        self._expect("=")
+        return key, self._value()
 
     def _sequence(self, close: str, item) -> tuple:
         """``item ("," item)*`` or nothing, then ``close``."""
@@ -223,14 +195,12 @@ class _Parser:
         self._expect("(")
         return Ctor(name, self._sequence(")", self._kv))
 
-    def _ident(self, what: str, read: bool = False) -> tuple:
-        """``(name, (line, col))`` of the next identifier, which the statement may ``read``."""
+    def _ident(self, what: str) -> tuple:
+        """``(name, (line, col))`` of the next identifier."""
         kind, text, line, col = self.tokens[self.i]
         if kind != "id" or text in _KEYWORDS:
             self._error(what)
         self.i += 1
-        if read:
-            self._read(text, line, col)
         return text, (line, col)
 
     # -- statements -----------------------------------------------------
@@ -238,17 +208,12 @@ class _Parser:
         tokens = self.tokens
         stmts = []
         while tokens[self.i][0] != "eof":
-            st = self._statement()
-            stmts.append(st)
+            stmts.append(self._statement())
             kind = tokens[self.i][0]
             if kind == "newline":
                 self.i += 1
             elif kind != "eof":
                 self._error("end of statement")
-            # a declaration defines its name, a run its result; other statements define nothing
-            self.defined.add(getattr(st, "name", None) or getattr(st, "result", None))
-        if self.failure is not None:
-            raise self.failure
         return Script(tuple(stmts))
 
     def _statement(self):
@@ -265,21 +230,21 @@ class _Parser:
             if self._at("product"):
                 self.i += 1
                 self._expect("(")
-                left, left_at = self._ident("a state name", read=True)
+                left, left_at = self._ident("a state name")
                 self._expect(",")
-                right, right_at = self._ident("a state name", read=True)
+                right, right_at = self._ident("a state name")
                 self._expect(")")
                 return StateDecl(name, product=(left, right), line=line,
                                  product_at=(left_at, right_at))
             ctor = self._ctor()
             self._expect("on")
-            system, at = self._ident("a system name", read=True)
+            system, at = self._ident("a system name")
             return StateDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "measure":
             name = self._head("a measurement name")
             ctor = self._ctor()
             self._expect("on")
-            system, at = self._ident("a system name", read=True)
+            system, at = self._ident("a system name")
             return MeasureDecl(name, ctor=ctor, system=system, line=line, system_at=at)
         if word == "transform":
             name = self._head("a transform name")
@@ -300,7 +265,7 @@ class _Parser:
             return RunDecl(run, args, result=result, line=line)
         if word == "assert":
             self.i += 1
-            first, at = self._ident("a result name", read=True)
+            first, at = self._ident("a result name")
             path = [first]
             while self._at("."):
                 self.i += 1
@@ -321,9 +286,6 @@ class _Parser:
             if fmt not in ("csv", "json"):
                 raise ParseError(f"emit format must be csv or json, got {fmt!r}", line, col)
             path = _unquote(self._eat("string"))
-            self.emits += 1
-            if self.emits > 1:
-                self._fail("at most one emit statement per script", line, col)
             return EmitDecl(fmt, path, line=line, col=col)
         self._error("a statement keyword (system/state/measure/transform/run/assert/emit)")
 
@@ -336,16 +298,51 @@ class _Parser:
 
 
 def _unquote(text: str) -> str:
-    return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    body = text[1:-1]
+    return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _reads(st):
+    """``(name, line, col)`` of each name a statement reads: its ``Ref`` arguments and list items
+    one level deep, then its ``on`` system, its ``product`` factors and its assert root."""
+    ctor = getattr(st, "ctor", None)
+    for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
+        for item in value.items if isinstance(value, ListV) else (value,):
+            if isinstance(item, Ref):
+                yield item.name, item.line, item.col
+    if getattr(st, "system", None) is not None:
+        yield st.system, *st.system_at
+    for name, at in zip(getattr(st, "product", None) or (), getattr(st, "product_at", ())):
+        yield name, *at
+    if isinstance(st, AssertDecl):
+        yield st.target[0], *st.target_at
+
+
+def _check(script: Script):
+    """Static checks: each name defined before a statement reads it, at most one emit."""
+    defined = set()
+    emits = 0
+    for st in script.statements:
+        for name, line, col in _reads(st):
+            if name not in defined:
+                raise ParseError(f"identifier {name!r} used before definition", line, col)
+        if isinstance(st, EmitDecl):
+            emits += 1
+            if emits > 1:
+                raise ParseError("at most one emit statement per script", st.line, st.col)
+        # a declaration defines its name, a run its result; other statements define nothing
+        defined.add(getattr(st, "name", None) or getattr(st, "result", None))
+
+
 def parse_script(text: str) -> Script:
     """Parse script text to an AST, with static well-formedness checks."""
-    return _Parser(text).parse()
+    script = _Parser(text).parse()
+    _check(script)
+    return script
 
 
 def _fmt_num(x: float) -> str:
@@ -370,10 +367,6 @@ def _fmt_args(args: tuple) -> str:
     return ", ".join(f"{k}={_fmt_value(v)}" for k, v in args)
 
 
-def _fmt_ctor(ctor: Ctor) -> str:
-    return f"{ctor.name}({_fmt_args(ctor.args)})"
-
-
 def pretty_print(script: Script) -> str:
     """Canonical text for a script; reparses to an equal AST."""
     out = []
@@ -384,11 +377,15 @@ def pretty_print(script: Script) -> str:
             if st.product is not None:
                 out.append(f"state {st.name} = product({st.product[0]}, {st.product[1]})")
             else:
-                out.append(f"state {st.name} = {_fmt_ctor(st.ctor)} on {st.system}")
+                out.append(
+                    f"state {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)}) on {st.system}"
+                )
         elif isinstance(st, MeasureDecl):
-            out.append(f"measure {st.name} = {_fmt_ctor(st.ctor)} on {st.system}")
+            out.append(
+                f"measure {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)}) on {st.system}"
+            )
         elif isinstance(st, TransformDecl):
-            out.append(f"transform {st.name} = {_fmt_ctor(st.ctor)}")
+            out.append(f"transform {st.name} = {st.ctor.name}({_fmt_args(st.ctor.args)})")
         elif isinstance(st, RunDecl):
             text = f"run {st.kind} {{ {_fmt_args(st.args)} }}" if st.args else (
                 f"run {st.kind} {{ }}")
