@@ -60,18 +60,14 @@ def _execute(text: str, name: str, args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            with open(args.script, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            script = parse_script(text)
-            print(f"ok: {len(script.statements)} statements")
-            return 0
-        if args.command == "run":
-            with open(args.script, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            return _execute(text, args.script, args)
         if args.command == "demo":
             return _execute(DEMOS[args.name], f"demo:{args.name}", args)
+        with open(args.script, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if args.command == "check":
+            print(f"ok: {len(parse_script(text).statements)} statements")
+            return 0
+        return _execute(text, args.script, args)
     except AssertionFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
@@ -84,7 +80,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Syntax tree for the scripting language.
 
-Nodes compare by content only: source positions (the line of a statement,
-the line and column of each name it reads) ride along for error messages
-but are excluded from equality, so a parse / pretty-print / re-parse cycle
-yields an equal tree.
+Nodes compare by content only: a statement's source line rides along for
+the interpreter's error messages but is excluded from equality, so a
+parse / pretty-print / re-parse cycle yields an equal tree.  The parser
+checks names where it reads them, so no other node keeps a position.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class Str:
 @dataclass(frozen=True)
 class Ref:
     name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ class StateDecl:
     system: str = None
     product: tuple = None
     line: int = field(default=0, compare=False)
-    system_at: tuple = field(default=(0, 0), compare=False)  # (line, col) of the system
-    product_at: tuple = field(default=(), compare=False)  # (line, col) of each factor
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,6 @@ class MeasureDecl:
     ctor: Ctor = None
     system: str = None
     line: int = field(default=0, compare=False)
-    system_at: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class AssertDecl:
     value: float
     tol: float = None
     line: int = field(default=0, compare=False)
-    target_at: tuple = field(default=(0, 0), compare=False)  # (line, col) of the result name
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,6 @@ class EmitDecl:
     fmt: str
     path: str
     line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)

@@ -296,10 +296,7 @@ class _Interpreter:
                 raise _err(line, "separable(...) needs a (1, 1) composite")
             if len(weights) != sig.d * sig.d:
                 raise _err(line, f"separable needs {sig.d * sig.d} weights")
-            gamma = {}
-            for i in range(sig.d):
-                for j in range(sig.d):
-                    gamma[(i, j)] = float(weights[i * sig.d + j])
+            gamma = {divmod(k, sig.d): float(w) for k, w in enumerate(weights)}
             return build_separable(SeparableSpec(gamma=gamma), sig)
         if ctor.name == "purify":
             of = args.ref("of")

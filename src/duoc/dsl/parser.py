@@ -5,13 +5,17 @@ arguments everywhere, ``#`` comments, and rational-pi angle literals
 (``pi/8``, ``-3*pi/4``).  Statements normally end at the newline, but a
 line with open brackets continues onto the next.
 
-The lexer is one ``findall`` over the text: each match pairs the blanks
-and comment before a token with the token (empty at the end).  A token
-is a plain ``(kind, text, line, col)`` tuple, whose kind is read off its
-whole text if that is fixed (punctuation, comparison, newline), else off
-its first character.  The whole text is tokenized before the parser
-indexes the list, so an unexpected character anywhere wins over an
-earlier syntax error.
+A script goes through two passes.  The lexer is one ``findall`` over
+the text: each match pairs the blanks and comment before a token with
+the token (empty at the end).  A token is a plain ``(kind, text, line,
+col)`` tuple, whose kind is read off its whole text if that is fixed
+(punctuation, comparison, newline), else off its first character.  The
+whole text is tokenized first, so an unexpected character anywhere wins
+over a syntax error.  The parser then indexes the list and checks each
+name at the token that reads it: it must be bound by an earlier
+statement, and a second ``emit`` is refused.  The first such failure is
+raised once the whole text has parsed, so a syntax error anywhere wins
+over it.
 
 ``parse_script(pretty_print(parse_script(text)))`` returns a tree equal
 to ``parse_script(text)``: the printer is a normal form, not a
@@ -104,6 +108,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.bound = set()  # names bound by the statements parsed so far
+        self.emitted = False
+        self.failure = None  # the first name or emit failure in statement order
 
     # -- primitives ----------------------------------------------------
     def _error(self, expected: str, at: int = None):
@@ -127,6 +134,14 @@ class _Parser:
 
     def _at(self, text: str) -> bool:
         return self.tokens[self.i][1] == text
+
+    def _fail(self, message: str, line: int, col: int):
+        if self.failure is None:
+            self.failure = ParseError(message, line, col)
+
+    def _read(self, name: str, line: int, col: int):
+        if name not in self.bound:
+            self._fail(f"identifier {name!r} used before definition", line, col)
 
     # -- values ---------------------------------------------------------
     def _number(self) -> float:
@@ -157,11 +172,14 @@ class _Parser:
             raise ParseError("number is not finite (overflow or division by zero)", *first[2:])
         return value
 
-    def _value(self):
+    def _value(self, depth: int = 0):
+        """A value ``depth`` lists deep; a name at most one list deep must be bound."""
         kind, text, line, col = self.tokens[self.i]
         if kind == "id" and text != "pi":
             self.i += 1
-            return Ref(text, line, col)
+            if depth < 2:
+                self._read(text, line, col)
+            return Ref(text)
         # only a punct token reads "-" and only an id token reads "pi"
         if kind == "number" or text == "-" or text == "pi":
             return Num(self._number())
@@ -170,7 +188,7 @@ class _Parser:
             return Str(_unquote(text))
         if text == "[":
             self.i += 1
-            return ListV(self._sequence("]", self._value))
+            return ListV(self._sequence("]", lambda: self._value(depth + 1)))
         self._error("a value (number, string, identifier, or list)")
 
     def _kv(self) -> tuple:
@@ -195,25 +213,32 @@ class _Parser:
         self._expect("(")
         return Ctor(name, self._sequence(")", self._kv))
 
-    def _ident(self, what: str) -> tuple:
-        """``(name, (line, col))`` of the next identifier."""
+    def _ident(self, what: str, reads: bool = False) -> str:
+        """The next identifier, which must be bound if the statement ``reads`` it."""
         kind, text, line, col = self.tokens[self.i]
         if kind != "id" or text in _KEYWORDS:
             self._error(what)
         self.i += 1
-        return text, (line, col)
+        if reads:
+            self._read(text, line, col)
+        return text
 
     # -- statements -----------------------------------------------------
     def parse(self) -> Script:
         tokens = self.tokens
         stmts = []
         while tokens[self.i][0] != "eof":
-            stmts.append(self._statement())
+            st = self._statement()
+            stmts.append(st)
+            # a declaration binds its name, a run its result; other statements bind nothing
+            self.bound.add(getattr(st, "name", None) or getattr(st, "result", None))
             kind = tokens[self.i][0]
             if kind == "newline":
                 self.i += 1
             elif kind != "eof":
                 self._error("end of statement")
+        if self.failure is not None:
+            raise self.failure
         return Script(tuple(stmts))
 
     def _statement(self):
@@ -230,22 +255,21 @@ class _Parser:
             if self._at("product"):
                 self.i += 1
                 self._expect("(")
-                left, left_at = self._ident("a state name")
+                left = self._ident("a state name", reads=True)
                 self._expect(",")
-                right, right_at = self._ident("a state name")
+                right = self._ident("a state name", reads=True)
                 self._expect(")")
-                return StateDecl(name, product=(left, right), line=line,
-                                 product_at=(left_at, right_at))
+                return StateDecl(name, product=(left, right), line=line)
             ctor = self._ctor()
             self._expect("on")
-            system, at = self._ident("a system name")
-            return StateDecl(name, ctor=ctor, system=system, line=line, system_at=at)
+            return StateDecl(name, ctor=ctor, system=self._ident("a system name", reads=True),
+                             line=line)
         if word == "measure":
             name = self._head("a measurement name")
             ctor = self._ctor()
             self._expect("on")
-            system, at = self._ident("a system name")
-            return MeasureDecl(name, ctor=ctor, system=system, line=line, system_at=at)
+            return MeasureDecl(name, ctor=ctor, system=self._ident("a system name", reads=True),
+                               line=line)
         if word == "transform":
             name = self._head("a transform name")
             return TransformDecl(name, ctor=self._ctor(), line=line)
@@ -261,12 +285,11 @@ class _Parser:
             result = None
             if self._at("as"):
                 self.i += 1
-                result = self._ident("a result name")[0]
+                result = self._ident("a result name")
             return RunDecl(run, args, result=result, line=line)
         if word == "assert":
             self.i += 1
-            first, at = self._ident("a result name")
-            path = [first]
+            path = [self._ident("a result name", reads=True)]
             while self._at("."):
                 self.i += 1
                 path.append(self._eat("id"))
@@ -279,20 +302,23 @@ class _Parser:
                 tol = self._number()
                 if tol < 0:
                     raise ParseError(f"tolerance must be >= 0, got {tol!r}", tt[2], tt[3])
-            return AssertDecl(tuple(path), op, value, tol=tol, line=line, target_at=at)
+            return AssertDecl(tuple(path), op, value, tol=tol, line=line)
         if word == "emit":
             self.i += 1
             fmt = self._eat("id")
             if fmt not in ("csv", "json"):
                 raise ParseError(f"emit format must be csv or json, got {fmt!r}", line, col)
             path = _unquote(self._eat("string"))
-            return EmitDecl(fmt, path, line=line, col=col)
+            if self.emitted:
+                self._fail("at most one emit statement per script", line, col)
+            self.emitted = True
+            return EmitDecl(fmt, path, line=line)
         self._error("a statement keyword (system/state/measure/transform/run/assert/emit)")
 
     def _head(self, what: str) -> str:
         """``KEYWORD NAME =``: the declared name."""
         self.i += 1
-        name = self._ident(what)[0]
+        name = self._ident(what)
         self._expect("=")
         return name
 
@@ -306,43 +332,9 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _reads(st):
-    """``(name, line, col)`` of each name a statement reads: its ``Ref`` arguments and list items
-    one level deep, then its ``on`` system, its ``product`` factors and its assert root."""
-    ctor = getattr(st, "ctor", None)
-    for _, value in ctor.args if ctor is not None else getattr(st, "args", ()):
-        for item in value.items if isinstance(value, ListV) else (value,):
-            if isinstance(item, Ref):
-                yield item.name, item.line, item.col
-    if getattr(st, "system", None) is not None:
-        yield st.system, *st.system_at
-    for name, at in zip(getattr(st, "product", None) or (), getattr(st, "product_at", ())):
-        yield name, *at
-    if isinstance(st, AssertDecl):
-        yield st.target[0], *st.target_at
-
-
-def _check(script: Script):
-    """Static checks: each name defined before a statement reads it, at most one emit."""
-    defined = set()
-    emits = 0
-    for st in script.statements:
-        for name, line, col in _reads(st):
-            if name not in defined:
-                raise ParseError(f"identifier {name!r} used before definition", line, col)
-        if isinstance(st, EmitDecl):
-            emits += 1
-            if emits > 1:
-                raise ParseError("at most one emit statement per script", st.line, st.col)
-        # a declaration defines its name, a run its result; other statements define nothing
-        defined.add(getattr(st, "name", None) or getattr(st, "result", None))
-
-
 def parse_script(text: str) -> Script:
     """Parse script text to an AST, with static well-formedness checks."""
-    script = _Parser(text).parse()
-    _check(script)
-    return script
+    return _Parser(text).parse()
 
 
 def _fmt_num(x: float) -> str:
