@@ -28,9 +28,10 @@ from .linalg import (
     ZERO_ATOL,
     contract_effect,
     contract_pure_effect,
+    hermitian_outer,
     hermitian_part,
-    projector,
     symmetrized,
+    unit_vector,
 )
 from .states import (
     FACTOR_PATH_DIM,
@@ -404,11 +405,14 @@ def witness_povm(p: float, parity: int = 0) -> Povm:
 
 
 def projector_povms(sig: SystemSignature, *vecs) -> list:
-    """``{P, I - P}`` for ``P = projector(v)`` of each of ``vecs``, both effects stored as built
-    with no certificate."""
-    eye = np.eye(sig.dim, dtype=complex)
-    return [Povm._admitted([Effect._admitted(sig, p, None), Effect._admitted(sig, eye - p, None)])
-            for p in map(projector, vecs)]
+    """``{P, I - P}`` for ``P = projector(v)`` of each of ``vecs``, as stacked projectors: one
+    ``hermitian_outer`` of the stacked ``unit_vector`` rows (each checked as ``projector`` checks
+    it) and one broadcast ``I - P``, byte for byte the per-vector forms.  Both effects are
+    stored as built with no certificate."""
+    ps = hermitian_outer(np.array([unit_vector(v) for v in vecs]))
+    rest = np.eye(sig.dim, dtype=complex) - ps
+    return [Povm._admitted([Effect._admitted(sig, p, None), Effect._admitted(sig, q, None)])
+            for p, q in zip(ps, rest)]
 
 
 def worst_case_no_probability(p: float, grid_step: float = 0.01) -> tuple:

@@ -108,16 +108,17 @@ def unit_vector(v) -> np.ndarray:
 
 
 def hermitian_outer(vec) -> np.ndarray:
-    """``vec vec^H``, its own :func:`hermitian_part` byte for byte.
+    """``vec vec^H`` of a vector, or of each row of a ``(..., D)`` stack (the same formula on the
+    last axis), its own :func:`hermitian_part` byte for byte.
 
     A fused multiply-add rounds the imaginary part of ``np.outer(vec, conj(vec))`` differently at
     ``(i, j)`` and ``(j, i)``, so that part is ``im_i re_j - re_i im_j``, exactly antisymmetric.
     """
     re, im = vec.real, vec.imag
-    out = vec[:, None] * vec.conj()
+    out = vec[..., None] * vec.conj()[..., None, :]
     imag = out.imag
-    np.multiply(im[:, None], re, out=imag)
-    imag -= re[:, None] * im
+    np.multiply(im[..., None], re[..., None, :], out=imag)
+    imag -= re[..., None] * im[..., None, :]
     return positive_zeros(out)
 
 
@@ -225,22 +226,6 @@ def contract_pure_effect(op, psi) -> np.ndarray:
     ``op`` the ``(G, a, a)`` effects on them.  Row ``g`` is ``psi[g]^T op[g]^T conj(psi[g])``,
     ``(b, b)``; no ``(a b) x (a b)`` projector is formed."""
     return psi.transpose(0, 2, 1) @ (op.transpose(0, 2, 1) @ psi.conj())
-
-
-def permute_vector_factors(v, dims, dest) -> np.ndarray:
-    """Reorder tensor factors of a vector.
-
-    ``dest[t]`` is the output position of input factor ``t``.
-    """
-    vec = as_vector(v)
-    dims = _check_dims(dims, vec.size)
-    nfac = len(dims)
-    dest = tuple(int(p) for p in dest)
-    if sorted(dest) != list(range(nfac)):
-        raise ShapeError(f"destination {dest} is not a permutation of 0..{nfac - 1}")
-    # output axis q holds the input factor t with dest[t] == q
-    inv = np.argsort(dest)
-    return vec.reshape(dims).transpose(inv).reshape(-1)
 
 
 def hermitian_part(op) -> tuple:

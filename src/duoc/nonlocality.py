@@ -25,15 +25,15 @@ batched matmul and one contraction in O(d^6), on the observables
 A side's effect operators come from one kernel, ``_side_operators``:
 direction ``u`` collects, in each parity sector ``l``, the projector of
 the zero-padded (1, 1) vector holding ``u_0`` and ``u_1`` at that
-side's two slots of the sector, normalized by its own norm, and the two
-projectors are summed into a zero 4 x 4.  Each operator is a rank-2
-projector by construction, and a basis's two sum to the identity, so
-neither is checked again: ``chsh_value`` symmetrizes the operators of
-its eight directions in one stacked pass, ``two_copy_distribution``
-those of its four, and ``side_effect`` wraps the same symmetrized
-operator in an ``Effect`` stored as built.  No effect here carries a
-certificate: on a (1, 1) composite the cell test of ``validate_effect``
-is exact.
+side's two slots of the sector, over one norm per direction row, reused
+in both sectors, and the two projectors are summed into a zero 4 x 4.
+Each operator is a rank-2 projector by construction, and a basis's two
+sum to the identity, so neither is checked again: ``chsh_value``
+symmetrizes the operators of its eight directions in one stacked pass,
+``two_copy_distribution`` those of its four, and ``side_effect`` wraps
+the same symmetrized operator in an ``Effect`` stored as built.  No
+effect here carries a certificate: on a (1, 1) composite the cell test
+of ``validate_effect`` is exact.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ from .errors import (
     ShapeError,
     ValidityError,
 )
-from .linalg import (
-    DEFAULT_ATOL, INPUT_ATOL, permute_vector_factors, symmetrized, vector_norm,
-)
+from .linalg import DEFAULT_ATOL, INPUT_ATOL, symmetrized, vector_norm
 from .states import validate_pure_state
 from .systems import SystemSignature, as_integers, as_parity
 
@@ -137,16 +135,19 @@ def side_effect(side: str, u) -> Effect:
 def _side_operators(side: str, rows) -> np.ndarray:
     """Unchecked effect operators of ``side`` for the directions ``rows``, shape (k, 4, 4).
 
-    The kernel of the module docstring; each padded vector is divided by its own
-    :func:`~duoc.linalg.vector_norm` (``np.linalg.norm``'s arithmetic), as ``projector`` divides.
+    The kernel of the module docstring: one norm per direction row, reused in both sectors, the
+    :func:`~duoc.linalg.vector_norm` of the row padded into sector 0 (the same two entries among
+    zeros as in sector 1); the ``(2, k, 4)`` padded stack is divided once, as ``projector``
+    divides, and each sector's projectors are added into zeros, keeping that sum's signed zeros.
     """
     rows = np.asarray(rows, dtype=complex)
+    vecs = np.zeros((2, len(rows), 4), dtype=complex)
+    for sector, slots in zip(vecs, _SECTOR_SLOTS[side]):
+        sector[:, slots] = rows
+    vecs /= np.array([vector_norm(v) for v in vecs[0]])[:, None]
     ops = np.zeros((len(rows), 4, 4), dtype=complex)
-    for slots in _SECTOR_SLOTS[side]:
-        vecs = np.zeros((len(rows), 4), dtype=complex)
-        vecs[:, slots] = rows
-        vecs = vecs / np.array([vector_norm(v) for v in vecs])[:, None]
-        ops += vecs[:, :, None] * vecs.conj()[:, None, :]
+    for sector in vecs:
+        ops += sector[:, :, None] * sector.conj()[:, None, :]
     return ops
 
 
@@ -201,30 +202,28 @@ def _pair_state_data(psi, expected_d=None):
     if not rep.valid:
         raise ValidityError(f"not a valid (1,1) pure state (residual {rep.residual})")
     r = rep.witness["parity"][0]
-    alphas = np.array([psi[i * d + (i + r) % d] for i in range(d)])
-    return d, r, alphas
+    x = np.arange(d)
+    return d, r, psi[x * d + (x + r) % d]
 
 
 def regroup_check(psi, d: int = None) -> float:
     """Residual of the two-copy regrouping identity for a valid (1, 1) state.
 
-    The left side is the literal tensor square of ``psi`` (copies held
-    as (bit1, anti1), (bit2, anti2)); the right side rebuilds it as a
-    sum of paired basis products across the (bit1, anti2) / (bit2,
-    anti1) grouping.  Exact algebraically, so the residual is numerical
-    noise only.
+    The left side is the tensor square of ``psi`` (copies held as (bit1, anti1),
+    (bit2, anti2)): ``kron(psi, psi)``'s products, broadcast from ``psi`` read as
+    ``P[bit, anti]`` straight into canonical order.  The right side rebuilds it as a sum
+    of paired basis products across the (bit1, anti2) / (bit2, anti1) grouping.  Exact
+    algebraically, so the residual is numerical noise only.
     """
     d, r, alphas = _pair_state_data(psi, d)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    lhs_kron = np.kron(psi, psi)
-    # kron order is [bit1, anti1, bit2, anti2]; canonical wants [bit1, bit2, anti1, anti2]
-    lhs = permute_vector_factors(lhs_kron, (d,) * 4, (0, 2, 1, 3))
+    p = np.asarray(psi, dtype=complex).reshape(d, d)
+    lhs = p[:, None, :, None] * p[None, :, None, :]
     # one scatter over (k, l); (k, l) -> (k, kp) is one-to-one, so no entry is hit twice
     k, l = np.arange(d)[:, None], np.arange(d)
     kp = (k + l - r) % d
     rhs = np.zeros((d,) * 4, dtype=complex)
     rhs[k, kp, (kp + 2 * r - l) % d, (k + l) % d] = alphas[k] * alphas[kp]
-    return float(np.max(np.abs(lhs - rhs.reshape(-1))))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # two copies of the d = 2 maximally entangled pair, shared read-only by every CHSH call
@@ -235,9 +234,10 @@ _BELL_TWO_COPY.flags.writeable = False
 def two_copy_distribution(alice_basis: LocalBasis, bob_basis: LocalBasis) -> np.ndarray:
     """Joint toy-theory distribution on two regrouped copies of the d=2 maximally entangled
     pair; equals ``p_quantum`` row by row.  ``p[a, b]`` is the correlator kernel on the
-    ``side_effect`` operators of row ``a`` of Alice's basis and row ``b`` of Bob's."""
-    return _correlators(_BELL_TWO_COPY, symmetrized(_side_operators("alice", alice_basis.vectors)),
-                        symmetrized(_side_operators("bob", bob_basis.vectors)))
+    ``side_effect`` operators of row ``a`` of Alice's basis and row ``b`` of Bob's.  Each basis
+    must be a :class:`LocalBasis`, checked as ``chsh_value`` checks its settings."""
+    return _correlators(_BELL_TWO_COPY, _setting_operators("alice", (alice_basis,), 1),
+                        _setting_operators("bob", (bob_basis,), 1))
 
 
 @dataclass(eq=False)
@@ -256,20 +256,23 @@ def chsh_value(alice_bases, bob_bases) -> ChshResult:
     The effect operators are those of ``side_effect``; no ``Effect`` or
     ``Povm`` object is built.
     """
-    obs = [_side_observables("alice", alice_bases), _side_observables("bob", bob_bases)]
+    # E_0 - E_1 of each setting: rows 2s and 2s + 1 are its two outcomes
+    obs = [ops[0::2] - ops[1::2] for ops in (_setting_operators("alice", alice_bases, 2),
+                                             _setting_operators("bob", bob_bases, 2))]
     return _chsh(_correlators(_BELL_TWO_COPY, *obs))
 
 
-def _side_observables(side: str, bases) -> list:
-    """``E_0 - E_1`` of each of a side's two settings."""
+def _setting_operators(side: str, bases, count: int) -> np.ndarray:
+    """Symmetrized ``side_effect`` operators of the rows of a side's ``count`` settings; anything
+    but an iterable of exactly ``count`` :class:`LocalBasis` objects raises :class:`ShapeError`."""
     try:
         bases = tuple(bases)
     except TypeError:
         bases = ()
-    if len(bases) != 2 or not all(isinstance(b, LocalBasis) for b in bases):
-        raise ShapeError(f"{side} needs exactly two LocalBasis settings")
-    ops = symmetrized(_side_operators(side, np.concatenate([b.vectors for b in bases])))
-    return [ops[0] - ops[1], ops[2] - ops[3]]
+    if len(bases) != count or not all(isinstance(b, LocalBasis) for b in bases):
+        raise ShapeError(f"{side} needs exactly {('one', 'two')[count - 1]} LocalBasis setting"
+                         + "s" * (count - 1))
+    return symmetrized(_side_operators(side, np.concatenate([b.vectors for b in bases])))
 
 
 def optimal_chsh_bases() -> tuple:
@@ -349,11 +352,6 @@ def activation_setup(alphas, r: int = 0) -> ActivationSetup:
     )
 
 
-def _signed_observable(povm: Povm) -> np.ndarray:
-    """``E_0 - E_1`` of a two-outcome POVM: outcome 0 counts +1, outcome 1 counts -1."""
-    return povm.effects[0].op - povm.effects[1].op
-
-
 def _correlators(psi2, alice_ops, bob_ops) -> np.ndarray:
     """``E[x, y] = Re sum((M^H A_x M) * B_y)`` for two-copy vector ``psi2`` read as ``M``.
 
@@ -386,7 +384,7 @@ def activation_F(setup: ActivationSetup, psi=None) -> tuple:
         if pr != setup.r or float(np.max(np.abs(np.abs(alphas) - setup.coeffs))) > INPUT_ATOL:
             raise DomainError("state does not match the setup's coefficients")
     psi2 = two_copy_state(setup.coeffs, setup.r)
-    obs = [[_signed_observable(p) for p in side] for side in (setup.alice, setup.bob)]
+    obs = [[p.effects[0].op - p.effects[1].op for p in side] for side in (setup.alice, setup.bob)]
     f_sim = _chsh(_correlators(psi2, *obs)).f_value
     s = setup.alpha_prime**2 + setup.beta_prime**2
     f_closed = float(

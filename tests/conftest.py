@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duoc.effects import Effect
-from duoc.linalg import DEFAULT_ATOL, as_operator, permute_vector_factors
+from duoc.linalg import DEFAULT_ATOL, as_operator
 from duoc.nonlocality import two_copy_state
 from duoc.states import PureStateSpec, build_pure_state
 from duoc.systems import MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature
@@ -99,6 +99,15 @@ def embed_operator(op, positions, dims):
     total = int(np.prod(dims))
     return full.reshape(sub + sub).transpose(perm + [len(dims) + p for p in perm]).reshape(
         total, total)
+
+
+def permute_vector_factors(v, dims, dest):
+    """Reorder the tensor factors ``dims`` of a vector: ``dest[t]`` is the output position of
+    input factor ``t``.  The literal factor move, a reference for the engine's layouts."""
+    dest = tuple(int(p) for p in dest)
+    assert sorted(dest) == list(range(len(dims))), f"{dest} is not a permutation"
+    # output axis q holds the input factor t with dest[t] == q
+    return np.asarray(v, dtype=complex).reshape(dims).transpose(np.argsort(dest)).reshape(-1)
 
 
 def factor_permutation_matrix(dims, dest):

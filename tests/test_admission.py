@@ -45,7 +45,7 @@ from duoc.states import (
 )
 from duoc.systems import FactorPermutation, SystemSignature
 
-from conftest import parent_chsh
+from conftest import parent_chsh, permute_vector_factors
 
 SIGS = [(2, 1, 1), (3, 2, 1), (2, 3, 3), (2, 5, 5)]
 KINDS = ["real", "complex"]
@@ -109,8 +109,8 @@ def product_vector(left, right):
     """The vector of the product of two pure states: their ``kron``, reordered to
     :func:`product_order`."""
     order = product_order(left.sig, right.sig)
-    return linalg.permute_vector_factors(np.kron(left.factor[:, 0], right.factor[:, 0]),
-                                         left.sig.dims + right.sig.dims, np.argsort(order))
+    return permute_vector_factors(np.kron(left.factor[:, 0], right.factor[:, 0]),
+                                  left.sig.dims + right.sig.dims, np.argsort(order))
 
 
 def same_pure(out, sig, vec, dense):

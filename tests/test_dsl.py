@@ -325,7 +325,8 @@ class TestPositions:
             assert _word_at(lines, _KEYWORD[type(st)], st.line, col), st
 
     def test_positions_cover_every_kind(self):
-        """The corpus and demos hold every kind of position the oracle above checks."""
+        """The corpus and demos hold every statement kind (so the position test above sees each
+        keyword), a ``product`` state and a run with a ``Ref`` argument."""
         statements = [st for p in SCRIPTS for st in parse(p.values[0]).statements]
         kinds = {type(st) for st in statements}
         assert kinds == set(_KEYWORD)

@@ -7,11 +7,11 @@ from duoc.linalg import (
     INPUT_ATOL,
     contract_effect,
     contract_pure_effect,
+    hermitian_outer,
     hermitian_part,
     low_rank_psd,
     min_eigenvalue,
     partial_trace,
-    permute_vector_factors,
     projector,
     psd_defect,
     tensor_all,
@@ -26,6 +26,7 @@ from conftest import (
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,
+    permute_vector_factors,
     random_density,
     random_unit,
 )
@@ -46,6 +47,17 @@ def test_projector_normalizes():
 def test_projector_rejects_zero_vector():
     with pytest.raises(DegenerateInputError):
         projector(np.zeros(3))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 36, 64])
+def test_stacked_hermitian_outer_matches_rows(dim, rng):
+    vecs = rng.normal(size=(2, 3, dim)) + 1j * rng.normal(size=(2, 3, dim))
+    vecs[0, 0, : dim // 2] = 0  # zero entries, whose signed zeros the outer product must keep
+    stacked = hermitian_outer(vecs)
+    assert stacked.shape == (2, 3, dim, dim)
+    for block, rows in zip(stacked, vecs):
+        for out, vec in zip(block, rows):
+            assert out.tobytes() == hermitian_outer(vec).tobytes()
 
 
 def test_partial_trace_product_factorizes(rng):

@@ -3,9 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from duoc import effects, states
-from duoc.effects import validate_effect
-from duoc.errors import DomainError, NotEntangledError, NormalizationError, ShapeError, ValidityError
+from duoc import effects, linalg, states
+from duoc.effects import projector_povms, validate_effect
+from duoc.errors import (
+    DegenerateInputError,
+    DomainError,
+    NormalizationError,
+    NotEntangledError,
+    ShapeError,
+    ValidityError,
+)
+from duoc.linalg import projector
 from duoc import nonlocality
 from duoc.nonlocality import (
     ALICE_PAIR,
@@ -27,7 +35,7 @@ from duoc.nonlocality import (
 from duoc.states import build_pure_state, PureStateSpec
 from duoc.systems import SystemSignature, digits_to_index
 
-from conftest import embed_operator, parent_chsh, parent_side_op
+from conftest import embed_operator, parent_chsh, parent_side_op, permute_vector_factors
 
 ROOT2 = np.sqrt(2.0)
 EDGE_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, -0.0)
@@ -261,6 +269,13 @@ class TestTwoCopyDistribution:
 
     def test_pair_constants(self):
         assert ALICE_PAIR == (0, 3) and BOB_PAIR == (1, 2)
+
+    @pytest.mark.parametrize("bad", [np.eye(2), None], ids=["array", "none"])
+    def test_each_side_needs_a_local_basis(self, bad):
+        good = LocalBasis.rotation(0.3)
+        for alice, bob in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeError, match="exactly one LocalBasis setting"):
+                two_copy_distribution(alice, bob)
 
 
 class TestChsh:
@@ -519,6 +534,76 @@ class TestClosedFormBitIdentity:
                 assert side_effect(side, u).op.tobytes() == parent_side_op(side, u).tobytes()
 
 
+def parent_regroup_residual(psi, d, r):
+    """``regroup_check``'s residual for parity ``r``, with the left side formed as
+    ``np.kron(psi, psi)`` reordered from [bit1, anti1, bit2, anti2] to canonical order."""
+    lhs = permute_vector_factors(np.kron(psi, psi), (d,) * 4, (0, 2, 1, 3))
+    alphas = np.array([psi[i * d + (i + r) % d] for i in range(d)])
+    k, l = np.arange(d)[:, None], np.arange(d)
+    kp = (k + l - r) % d
+    rhs = np.zeros((d,) * 4, dtype=complex)
+    rhs[k, kp, (kp + 2 * r - l) % d, (k + l) % d] = alphas[k] * alphas[kp]
+    return float(np.max(np.abs(lhs - rhs.reshape(-1))))
+
+
+def activation_vectors(setup):
+    """The four vectors ``c0|up> + c1|down>`` whose projectors the activation POVMs are."""
+    up = phi_vector(setup.d, setup.up_index, setup.r)
+    down = phi_vector(setup.d, setup.down_index, setup.r)
+    c, s = np.cos(setup.theta), np.sin(setup.theta)
+    nrm = np.sqrt(2 * c + 2)
+    return [up, (up + down) * (1 / np.sqrt(2)), ((c + 1) * up + s * down) / nrm,
+            ((c + 1) * up - s * down) / nrm]
+
+
+class TestStackedKernels:
+    """The stacked projectors and the broadcast tensor square reproduce the per-vector forms
+    byte for byte."""
+
+    @staticmethod
+    def same_as_projectors(povms, vecs):
+        for povm, v in zip(povms, vecs, strict=True):
+            p = projector(v)
+            assert povm.effects[0].op.tobytes() == p.tobytes()
+            assert povm.effects[1].op.tobytes() == (np.eye(p.shape[0], dtype=complex) - p).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_projector_povms_match_projector_on_random_vectors(self, d, rng):
+        sig = SystemSignature(d, 1, 1)
+        for count in (1, 2, 4, 7):
+            vecs = rng.normal(size=(count, d * d)) + 1j * rng.normal(size=(count, d * d))
+            vecs *= rng.uniform(1e-3, 1e3, size=(count, 1))
+            self.same_as_projectors(projector_povms(sig, *vecs), vecs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_activation_povms_match_projector(self, d, rng):
+        for _ in range(10):
+            alphas = rng.uniform(0.05, 1.0, size=d)
+            setup = activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d)))
+            self.same_as_projectors(setup.alice + setup.bob, activation_vectors(setup))
+
+    def test_projector_povms_keep_projectors_input_contract(self):
+        sig = SystemSignature(2, 1, 1)
+        one = np.array([1.0, 0, 0, 0])
+        with pytest.raises(DegenerateInputError):
+            projector_povms(sig, one, np.zeros(4))
+        with pytest.raises(ShapeError, match="non-finite"):
+            projector_povms(sig, one, np.array([1.0, np.nan, 0, 0]))
+        with pytest.raises(ShapeError, match="non-finite"):
+            projector_povms(sig, np.array([np.inf, 0, 0, 0]), one)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_regroup_residual_matches_kron_and_permute(self, d, rng):
+        # both sides hold the same products, so each residual is 0.0 unless a product is misplaced
+        for _ in range(50):
+            alphas = rng.normal(size=d) + 1j * rng.normal(size=d)
+            alphas /= np.linalg.norm(alphas)
+            r = int(rng.integers(d))
+            psi = pair_vector(alphas, r)
+            want = parent_regroup_residual(psi, d, r)
+            assert np.float64(regroup_check(psi, d)).tobytes() == np.float64(want).tobytes()
+
+
 class TestNoReproofs:
     """Structural guard, no timing: the Bell path builds nothing it does not read."""
 
@@ -559,3 +644,25 @@ class TestNoReproofs:
         alphas = rng.uniform(0.05, 1.0, size=d)
         activation_F(activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d))))
         assert counts == {"spec": 0, "effect": 0, "eigvalsh": 0}
+
+    def test_chsh_takes_one_norm_per_direction_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nonlocality, "vector_norm",
+                            lambda v: calls.append(v.shape) or linalg.vector_norm(v))
+        chsh_value(*optimal_chsh_bases())
+        assert calls == [(4,)] * 8  # four rows per side, each padded into sector 0
+
+    def test_regroup_forms_no_kron_or_factor_permutation(self, monkeypatch, rng):
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron") or kron(*a, **k))
+        psi = pair_vector(np.array([0.6, 0.8j, 0.0]), 1)
+        parent_regroup_residual(psi, 3, 1)
+        assert calls == ["kron"]  # the counter sees the kron-and-permute form
+        for d in range(2, 7):
+            alphas = rng.normal(size=d) + 1j * rng.normal(size=d)
+            regroup_check(pair_vector(alphas / np.linalg.norm(alphas), int(rng.integers(d))), d)
+        assert calls == ["kron"]
+        # the factor permutation is a test reference only; the engine has none to call
+        assert not hasattr(linalg, "permute_vector_factors")
+        assert not hasattr(nonlocality, "permute_vector_factors")

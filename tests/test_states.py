@@ -40,7 +40,6 @@ from duoc.linalg import (
     SPECTRAL_ATOL,
     low_rank_psd,
     off_diagonal_max,
-    permute_vector_factors,
     projector,
     tensor_all,
     vector_norm,
@@ -63,6 +62,7 @@ from conftest import (
     low_rank_density,
     low_rank_support,
     lowest_eigenvalue,
+    permute_vector_factors,
     random_density,
 )
 
