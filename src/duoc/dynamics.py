@@ -74,14 +74,16 @@ def _reversible_index_map(spec: ReversibleSpec, sig: SystemSignature) -> tuple:
     perm = spec.perm or FactorPermutation.identity(sig.m, sig.n)
     if len(perm.sigma) != sig.m or len(perm.tau) != sig.n:
         raise DomainError("factor permutation shape does not match the signature")
-    # src[i] is the basis index that the map sends to basis index i
-    src = np.arange(sig.dim).reshape(sig.dims)
-    for axis, j in enumerate(spec.x_shifts):
-        src = np.roll(src, j, axis=axis)
+    # src[i] is the basis index that the map sends to basis index i; each axis rolled by its
+    # shift (np.roll), all in one gather
+    src, d = np.arange(sig.dim).reshape(sig.dims), sig.d
+    if spec.x_shifts:
+        src = src[np.ix_(*[(np.arange(d) - j) % d for j in spec.x_shifts])]
     src = src.transpose(np.argsort(perm.destinations(sig.m, sig.n))).reshape(-1)
     phases = np.ones(sig.dim, dtype=complex)
     if spec.z_phases:  # the diagonal of the tensor product of the per-factor phases
-        phases = tensor_all(*[np.diag(phase_matrix(sig.d, j)) for j in spec.z_phases])
+        table = np.array([np.diag(phase_matrix(d, j)) for j in range(d)])
+        phases = tensor_all(*table[np.mod(spec.z_phases, d)])
     return src, phases[src]
 
 

@@ -6,11 +6,12 @@ composite index ``i*dim_b + j``.  All operators are dense complex
 ``numpy`` arrays.
 
 The symmetrization (:func:`hermitian_part`, :func:`symmetrized`) is one
-untiled pass.  Three entrywise checks walk a dense matrix in :func:`row_blocks`
+untiled pass.  Two entrywise checks walk a dense matrix in :func:`row_blocks`
 of 1 MB, which stay in cache, and form no dim x dim temporary: a factor's
-residual (:func:`factor_residual`), a certificate's reconstruction residual
-(``states.validate_cone_member``) and the monomial test of a reversible map
-(``dynamics.apply_reversible``); so does the cell test ``states._off_cell``.
+residual (:func:`factor_residual`) and the monomial test of a reversible map
+(``dynamics.apply_reversible``).  Membership's cell test and a certificate's
+reconstruction residual walk row blocks of an operator's support only
+(``states._support_blocks``), read from a kept factor above dimension 64.
 
 A low-rank state is held as a ``(dim, r)`` factor ``F`` with ``rho = F F^H``:
 :func:`low_rank_psd` returns the pivoted Cholesky factor it accepts, and
@@ -77,12 +78,16 @@ def vector_norm(v) -> float:
 
 
 def tensor_all(*factors) -> np.ndarray:
-    """Kronecker product of any number of vectors or operators, left to right."""
+    """Kronecker product of any number of vectors, or of operators, left to right: the products
+    ``np.kron`` forms, broadcast into its places."""
     if not factors:
         raise DegenerateInputError("tensor_all needs at least one factor")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        prod = out.reshape([k for n in out.shape for k in (n, 1)]) * f.reshape(
+            [k for n in f.shape for k in (1, n)])
+        out = prod.reshape([a * b for a, b in zip(out.shape, f.shape)])
     return out
 
 
@@ -250,8 +255,9 @@ def symmetrized(mat) -> np.ndarray:
 
 
 def row_blocks(dim: int) -> list:
-    """Row slices of ``BLOCK_ENTRIES // dim`` rows (at least one) covering a ``dim``-row matrix."""
-    step = max(1, BLOCK_ENTRIES // dim)
+    """Row slices of ``BLOCK_ENTRIES // dim`` rows (at least one) covering a ``dim``-row matrix;
+    none for ``dim = 0``."""
+    step = max(1, BLOCK_ENTRIES // (dim or 1))
     return [slice(r, r + step) for r in range(0, dim, step)]
 
 

@@ -171,7 +171,11 @@ def two_copy_state(alphas, r: int) -> np.ndarray:
     Canonical factor order of the doubled composite is
     [bit1, bit2, anti1, anti2].
     """
-    d, r, alphas = _pair_coefficients(alphas, r)
+    return _two_copy_vector(*_pair_coefficients(alphas, r))
+
+
+def _two_copy_vector(d: int, r: int, alphas) -> np.ndarray:
+    """:func:`two_copy_state` of coefficients already checked (:func:`_pair_coefficients`)."""
     x, v = np.arange(d), np.zeros((d,) * 4, dtype=complex)
     v[x[:, None], x, (x[:, None] + r) % d, (x + r) % d] = np.outer(alphas, alphas)
     return v.reshape(-1)
@@ -212,8 +216,10 @@ def regroup_check(psi, d: int = None) -> float:
     The left side is the tensor square of ``psi`` (copies held as (bit1, anti1),
     (bit2, anti2)): ``kron(psi, psi)``'s products, broadcast from ``psi`` read as
     ``P[bit, anti]`` straight into canonical order.  The right side rebuilds it as a sum
-    of paired basis products across the (bit1, anti2) / (bit2, anti1) grouping.  Exact
-    algebraically, so the residual is numerical noise only.
+    of paired basis products across the (bit1, anti2) / (bit2, anti1) grouping.  Both sides
+    hold the same floating products ``alpha_k alpha_k'`` (the entries of ``psi`` on its cell),
+    so the residual is exactly ``0.0`` for every valid state; a nonzero one means a misplaced
+    product.
     """
     d, r, alphas = _pair_state_data(psi, d)
     p = np.asarray(psi, dtype=complex).reshape(d, d)
@@ -383,7 +389,7 @@ def activation_F(setup: ActivationSetup, psi=None) -> tuple:
         _, pr, alphas = _pair_state_data(psi, setup.d)
         if pr != setup.r or float(np.max(np.abs(np.abs(alphas) - setup.coeffs))) > INPUT_ATOL:
             raise DomainError("state does not match the setup's coefficients")
-    psi2 = two_copy_state(setup.coeffs, setup.r)
+    psi2 = _two_copy_vector(setup.d, setup.r, setup.coeffs)  # checked by activation_setup
     obs = [[p.effects[0].op - p.effects[1].op for p in side] for side in (setup.alice, setup.bob)]
     f_sim = _chsh(_correlators(psi2, *obs)).f_value
     s = setup.alpha_prime**2 + setup.beta_prime**2

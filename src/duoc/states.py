@@ -437,13 +437,14 @@ class DensityState:
     factor, on the first read, once.
 
     At every size the product of two factored states, a marginal and a conditional read the
-    factor, and membership reads it where :func:`_off_cell` does; a reversible map and the Born
-    rule read it above :data:`FACTOR_PATH_DIM` only (:func:`large_factor`).  For an admitted
-    ``M`` the factor leaves a remainder ``R = M - F F^H`` with ``||R||_F <= DEFAULT_ATOL``, so a
-    state derived from it differs from the dense path's by the image of ``R``: in Frobenius norm
-    at most ``||R||_F`` for a reversible map, and for a marginal, a conditional or a Born
-    probability at most the trace norm of ``R`` (a contraction of it; ``||R||_1 <= sqrt(rank R)
-    ||R||_F``).
+    factor, and membership (the cell test and a certificate's residual) reads it where
+    :func:`_support_blocks` does; a reversible map and the Born rule read it above
+    :data:`FACTOR_PATH_DIM` only (:func:`large_factor`).  For an admitted ``M`` the factor
+    leaves a remainder ``R = M - F F^H`` with ``||R||_F <= DEFAULT_ATOL``, so a result derived
+    from it differs from the dense path's by the image of ``R``: at most ``||R||_F`` for a
+    membership residual (a largest modulus) and in Frobenius norm for a reversible map, and for
+    a marginal, a conditional or a Born probability at most the trace norm of ``R`` (a
+    contraction of it; ``||R||_1 <= sqrt(rank R) ||R||_F``).
     """
 
     def __init__(self, sig: SystemSignature, matrix):
@@ -613,9 +614,10 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
     """Test whether ``rho`` is a mixture of valid pure states.
 
     A ``certificate``, a list of ``(weight, PureStateSpec)``, decides by reconstruction: the
-    largest modulus of ``sum_t w_t |v_t><v_t| - rho``, formed and read one
-    :func:`~duoc.linalg.row_blocks` block at a time, with no dim x dim temporary besides the
-    matrix (formed from the factor, and not kept, if the state has not formed it).  Else
+    largest modulus of ``sum_t w_t |v_t><v_t| - rho`` on the rows where ``rho`` or a term is
+    nonzero (:func:`_support`; both sides are zero off them), ``rho`` read as the cell test reads
+    it (:func:`_support_blocks`): above :data:`CELL_TEST_SUPPORT_DIM` from a kept factor ``F``,
+    which moves the residual by at most ``||rho - F F^H||_F <= DEFAULT_ATOL``.  Else
     mass above ``DEFAULT_ATOL`` on an entry that no cell covers (the cell test, :func:`_off_cell`)
     rejects exactly; with one pairing the cells are disjoint blocks and a pass is exact too.
     Otherwise the spectral decomposition is tried as a candidate certificate; a negative answer
@@ -635,8 +637,10 @@ def validate_mixed_state(rho: DensityState, certificate=None) -> ValidityReport:
 def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityReport:
     """Membership test shared by valid states and effects; see :func:`validate_mixed_state`.
     ``mat`` (``None`` if not formed), a ``(dim, r)`` ``factor`` with ``mat = F F^H``, or both;
-    ``mat`` must be exactly Hermitian, as every admitted state, effect and Choi state is."""
-    if mat is None and (certificate is not None or sig.dim <= CELL_TEST_SUPPORT_DIM):
+    ``mat`` must be exactly Hermitian, as every admitted state, effect and Choi state is.  A
+    missing ``mat`` is formed, as ``matrix`` forms it, at or below :data:`CELL_TEST_SUPPORT_DIM`
+    only."""
+    if mat is None and sig.dim <= CELL_TEST_SUPPORT_DIM:
         mat = factor_product(factor)  # what ``matrix`` forms
     if certificate is not None:
         if not certificate:
@@ -651,14 +655,17 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
         for w, _ in certificate:
             if w < -ZERO_ATOL:
                 return ValidityReport(False, float(w), witness="negative certificate weight")
-        # sum_t w_t |v_t><v_t| over unit columns v_t, one product row block at a time
+        # sum_t w_t |v_t><v_t| over unit columns v_t, one product row block at a time, on the
+        # rows where the operator or a term is nonzero: both sides are zero off them
         vecs = np.stack([build_pure_state(spec) for _, spec in certificate], axis=1)
         vecs /= np.linalg.norm(vecs, axis=0)
+        support, size = _support(sig, mat, factor, vecs)
+        vecs = vecs[support]
         weighted = vecs * [max(float(w), 0.0) for w, _ in certificate]
         adjoint, defect = vecs.conj().T, 0.0
-        for rows in row_blocks(sig.dim):
+        for rows, _, block in _support_blocks(sig, mat, factor, support, size):
             recon = weighted[rows] @ adjoint
-            recon -= mat[rows]
+            recon -= block
             defect = max(defect, float(np.max(np.abs(recon))))
         return ValidityReport(defect <= DEFAULT_ATOL, defect, witness="certificate")
     # every valid operator is zero off the cells; with one pairing they are disjoint blocks
@@ -690,33 +697,44 @@ def validate_cone_member(sig, mat, certificate=None, factor=None) -> ValidityRep
 
 
 def _off_cell(sig: SystemSignature, mat, factor=None) -> float:
-    """The largest modulus of ``mat`` on an entry that no cell covers, read in
-    :func:`~duoc.linalg.row_blocks` with no dim x dim array.  At or below
-    :data:`CELL_TEST_SUPPORT_DIM` it reads the whole of ``mat``; above it only the rows and
-    columns of the support (none gives ``0.0``), of a ``(dim, r)`` ``factor`` with
-    ``mat = F F^H`` if given: ``|F_rows F_support^H|``.
-
-    Exact only for an exactly Hermitian ``mat``, as every caller passes: its zero rows are then
-    its zero columns, so the support's rows and columns hold every nonzero entry."""
-    support, size = slice(None), sig.dim  # a slice reads rows and codes with no gather
-    if size <= CELL_TEST_SUPPORT_DIM:
-        factor = None
-    else:
-        nonzero = (mat if factor is None else factor).any(axis=1)
-        if not (size := int(np.count_nonzero(nonzero))):
-            return 0.0
-        if size < sig.dim:
-            support = np.flatnonzero(nonzero)
-    if factor is not None:
-        factor = factor[support]
-        adjoint = factor.conj().T
+    """The largest modulus of ``mat`` on an entry that no cell covers, read on its support
+    (:func:`_support_blocks`); an operator with no support gives ``0.0``."""
+    support, size = _support(sig, mat, factor)
     off = 0.0
-    for rows in row_blocks(size):
-        index = rows if isinstance(support, slice) else support[rows]
-        block = np.abs(mat[index][:, support] if factor is None else factor[rows] @ adjoint)
+    for _, index, block in _support_blocks(sig, mat, factor, support, size):
+        block = np.abs(block)
         np.putmask(block, cover_entries(sig, index, support), 0.0)
         off = max(off, float(block.max()))
     return off
+
+
+def _support(sig: SystemSignature, mat, factor=None, *extra) -> tuple:
+    """``(support, size)``: the rows where ``mat`` (its ``(dim, r)`` ``factor`` if given) or an
+    ``extra`` array is nonzero, and their count; ``slice(None)``, read with no gather, at or
+    below :data:`CELL_TEST_SUPPORT_DIM` or where every row is.  An exactly Hermitian operator's
+    zero rows are its zero columns, so the support's rows and columns hold all its mass."""
+    if sig.dim <= CELL_TEST_SUPPORT_DIM:
+        return slice(None), sig.dim
+    nonzero = (mat if factor is None else factor).any(axis=1)
+    for arr in extra:
+        nonzero |= arr.any(axis=1)
+    size = int(np.count_nonzero(nonzero))
+    return (slice(None) if size == sig.dim else np.flatnonzero(nonzero)), size
+
+
+def _support_blocks(sig: SystemSignature, mat, factor, support, size):
+    """Per :func:`~duoc.linalg.row_blocks` block ``rows`` of the ``size`` support rows, its
+    operator rows ``index`` and the operator on ``index x support``: ``mat`` whole at or below
+    :data:`CELL_TEST_SUPPORT_DIM`, else ``F_index F_support^H`` of a ``factor``, if given."""
+    if sig.dim <= CELL_TEST_SUPPORT_DIM:  # one block, the whole matrix
+        yield support, support, mat
+        return
+    if factor is not None:
+        factor = factor[support]
+        adjoint = factor.conj().T
+    for rows in row_blocks(size):
+        index = rows if isinstance(support, slice) else support[rows]
+        yield rows, index, mat[index][:, support] if factor is None else factor[rows] @ adjoint
 
 
 def marginal_state(rho: DensityState, keep) -> DensityState:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from duoc.effects import Effect
 from duoc.linalg import DEFAULT_ATOL, as_operator
 from duoc.nonlocality import two_copy_state
 from duoc.states import PureStateSpec, build_pure_state
-from duoc.systems import MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature
+from duoc.systems import MAX_COMPOSITE_DIM, FactorPermutation, SystemSignature, phase_matrix
 
 
 @pytest.fixture
@@ -108,6 +109,27 @@ def permute_vector_factors(v, dims, dest):
     assert sorted(dest) == list(range(len(dims))), f"{dest} is not a permutation"
     # output axis q holds the input factor t with dest[t] == q
     return np.asarray(v, dtype=complex).reshape(dims).transpose(np.argsort(dest)).reshape(-1)
+
+
+def kron_all(*factors):
+    """The Kronecker product of ``factors`` left to right by ``np.kron``, a reference for
+    ``linalg.tensor_all``."""
+    return functools.reduce(np.kron, [np.asarray(f, dtype=complex) for f in factors])
+
+
+def reference_index_map(spec, sig):
+    """``(src, ph)`` of a reversible spec by one ``np.roll`` per shifted axis and the
+    :func:`kron_all` of the per-factor phase diagonals, a reference for
+    ``dynamics._reversible_index_map``."""
+    perm = spec.perm or FactorPermutation.identity(sig.m, sig.n)
+    src = np.arange(sig.dim).reshape(sig.dims)
+    for axis, j in enumerate(spec.x_shifts):
+        src = np.roll(src, j, axis=axis)
+    src = src.transpose(np.argsort(perm.destinations(sig.m, sig.n))).reshape(-1)
+    phases = np.ones(sig.dim, dtype=complex)
+    if spec.z_phases:
+        phases = kron_all(*[np.diag(phase_matrix(sig.d, j)) for j in spec.z_phases])
+    return src, phases[src]
 
 
 def factor_permutation_matrix(dims, dest):

@@ -1,16 +1,20 @@
 """The dim^2 passes over a dense operator, byte for byte against the direct dense forms.
 
 Matrices of any size are symmetrized in one untiled pass and conjugated by
-a monomial map as one gather.  Three entrywise checks walk a matrix in row
+a monomial map as one gather.  Two entrywise checks walk a matrix in row
 blocks of at most 1 MB and form no dim x dim temporary: the low-rank
-residual, the monomial test of ``apply_reversible`` and a certificate's
-reconstruction residual.  Each test compares against the direct
-whole-matrix form, byte for byte where the arithmetic is the same, so a
-wrong block slice shows; the signatures of dimension 729 end in a partial
-block of 17 rows.  The cases that once straddled the 64 x 64 tiles of an
-earlier blocked symmetrization are kept.
+residual and the monomial test of ``apply_reversible``.  A certificate's
+reconstruction residual walks row blocks of the rows where the operator or
+a term is nonzero, above dimension 64 read from a kept factor, and forms
+no ``F F^H``.  Each test compares against the direct whole-matrix form,
+byte for byte where the arithmetic is the same and to rounding where a
+block product is taken, so a wrong block slice or a missed row shows; the
+signatures of dimension 729 end in a partial block of 17 rows.  The cases
+that once straddled the 64 x 64 tiles of an earlier blocked symmetrization
+are kept.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,9 +24,13 @@ import test_linalg
 from duoc.dynamics import _conjugate_monomial, apply_reversible
 from duoc.effects import Effect
 from duoc.errors import DensityMatrixError, DomainError, ShapeError
-from duoc.linalg import BLOCK_ENTRIES, hermitian_part, row_blocks
-from duoc.states import DensityState, build_pure_state, random_mixed_state, validate_mixed_state
-from duoc.systems import SystemSignature
+from duoc import states
+from duoc.linalg import BLOCK_ENTRIES, factor_residual, hermitian_part, row_blocks
+from duoc.states import (
+    DensityState, basis_state_spec, build_pure_state, random_mixed_state, random_valid_state,
+    validate_mixed_state,
+)
+from duoc.systems import SystemSignature, index_table
 
 from conftest import low_rank_density, low_rank_support, lowest_eigenvalue
 
@@ -240,3 +248,123 @@ def test_certificate_check_at_dim_1024_allocates_no_dim_squared_temporary():
     # the whole-matrix residual peaked at 24 MB, the reconstruction and its moduli
     rho, cert, _ = certified(SystemSignature(2, 5, 5), 1)  # the matrix is formed here
     assert traced_peak(lambda: validate_mixed_state(rho, certificate=cert)) < 4e6
+
+
+def direct_residual(cert, mat):
+    """The certificate residual over the whole matrix: ``max |sum_t w_t v_t v_t^H - mat|``."""
+    vecs = np.stack([build_pure_state(spec) for _, spec in cert], axis=1)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return float(np.max(np.abs((vecs * [max(w, 0.0) for w, _ in cert]) @ vecs.conj().T - mat)))
+
+
+def wrong_certificates(sig, seed):
+    """A drawn mixture's certificate and three that do not certify it: other weights, a term
+    dropped (replaced, for one term) and a term added."""
+    rho, cert = random_mixed_state(sig, seed)
+    rng = np.random.default_rng(seed)
+    extra = random_valid_state(sig, rng)
+    weights = rng.dirichlet(np.ones(len(cert)))
+    return rho, [cert, [(float(w), spec) for w, (_, spec) in zip(weights, cert)],
+                 cert[:-1] or [(1.0, extra)], cert + [(0.1, extra)]]
+
+
+def off_support_pair(sig, cert):
+    """Two rows that no certificate term touches, the first in the last row block."""
+    vecs = np.stack([build_pure_state(spec) for _, spec in cert], axis=1)
+    outside = np.flatnonzero(~vecs.any(axis=1))
+    assert outside[-1] >= row_blocks(sig.dim)[-1].start
+    return outside[-1], outside[0]
+
+
+ADVERSARIAL_SIGS = [(2, 3, 3), (2, 4, 4), (3, 2, 2), (2, 4, 3), (2, 5, 5)]
+
+
+@pytest.mark.parametrize("dmn", ADVERSARIAL_SIGS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_support_residual_is_the_direct_maximum_on_wrong_certificates(dmn, seed):
+    # a factor-only state read from its factor, the formed matrix held alone, and that matrix
+    # with a Hermitian pair of 2e-10 on rows no term touches: each residual within 1e-15 of
+    # the whole-matrix maximum, each verdict the direct one
+    sig = SystemSignature(*dmn)
+    rho, certs = wrong_certificates(sig, seed)
+    mat = states.factor_product(rho.factor)
+    stray = mat.copy()
+    i, k = off_support_pair(sig, certs[0])
+    stray[i, k] += 2e-10 + 1e-10j
+    stray[k, i] += 2e-10 - 1e-10j
+    held = [DensityState._admitted(sig, m) for m in (mat, stray)]
+    for cert in certs:
+        for state, m in zip([rho, *held], [mat, mat, stray]):
+            rep, want = validate_mixed_state(state, cert), direct_residual(cert, m)
+            assert rep.residual == pytest.approx(want, rel=0, abs=1e-15)
+            assert rep.valid == (want <= 1e-10) and rep.witness == "certificate"
+        assert rho._matrix is None and not validate_mixed_state(held[1], certs[0]).valid
+
+
+@pytest.mark.parametrize("dmn", [(2, 4, 4), (2, 5, 5)], ids=str)
+def test_kept_factor_residual_is_within_the_factor_remainder(mixtures, dmn):
+    # an admitted dense mixture keeps its factor; the check reads it, not the matrix
+    sig = SystemSignature(*dmn)
+    rho = mixtures(sig)
+    assert rho.factor is not None
+    # the mixture is no valid state, so a certificate of three valid terms leaves a residual
+    cert = random_mixed_state(sig, 5)[1]
+    rep, want = validate_mixed_state(rho, cert), direct_residual(cert, rho.matrix)
+    bound = factor_residual(rho.factor, rho.matrix)
+    assert bound <= 1e-10 and not rep.valid
+    assert abs(rep.residual - want) <= bound + 1e-15
+
+
+@pytest.mark.parametrize("dmn", [(3, 2, 2), (2, 4, 3), (2, 4, 4), (2, 5, 5)], ids=str)
+def test_certificate_above_64_forms_no_factor_product(monkeypatch, dmn):
+    sig = SystemSignature(*dmn)
+    rho, cert = random_mixed_state(sig, 2)
+    small, small_cert = random_mixed_state(SystemSignature(2, 3, 3), 2)
+    # the first term alone, admitted dense, keeps its rank-1 factor
+    first = rho.factor[:, :1] / np.linalg.norm(rho.factor[:, 0])
+    dense = DensityState(sig, states.factor_product(first))
+    assert dense.factor is not None
+    calls = []
+    product = states.factor_product
+    monkeypatch.setattr(states, "factor_product", lambda f: calls.append(f.shape) or product(f))
+    assert validate_mixed_state(rho, cert).valid
+    assert validate_mixed_state(dense, [(1.0, cert[0][1])]).valid
+    assert calls == [] and rho._matrix is None
+    # at or below 64 the check reads the matrix, formed as .matrix forms it
+    assert validate_mixed_state(small, small_cert).valid and len(calls) == 1
+
+
+def test_full_support_certificate_reads_slices(monkeypatch):
+    # I / 81 certified by all 81 basis states: every row is in the support, read by slices
+    sig = SystemSignature(3, 2, 2)
+    rho = DensityState._admitted(sig, np.eye(sig.dim, dtype=complex) / sig.dim)
+    cert = [(1 / sig.dim, basis_state_spec(sig, digits))
+            for digits in np.ndindex(*sig.dims)]
+    assert states._support(sig, rho.matrix, None)[0] == slice(None)
+    gathers = []
+    flat = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.shape) or flat(a))
+    rep = validate_mixed_state(rho, cert)
+    assert rep.valid and rep.residual == pytest.approx(direct_residual(cert, rho.matrix),
+                                                       rel=0, abs=1e-15)
+    assert gathers == []
+    validate_mixed_state(rho, cert[:1])  # one term on a full-support operator: still slices
+    assert gathers == []
+    drawn, drawn_cert = random_mixed_state(sig, 3)
+    validate_mixed_state(DensityState._admitted(sig, drawn.matrix), drawn_cert)
+    assert len(gathers) == 1  # the counter sees a partial support's gather
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_factor_only_certificate_at_the_cap_is_small_and_fast(seed):
+    # forming F F^H took 178 ms and peaked at 273 MB
+    sig = SystemSignature(2, 6, 6)
+    index_table(sig)  # the per-signature tables are built once per process, not per check
+    rho, cert = random_mixed_state(sig, seed)
+    validate_mixed_state(rho, cert)
+    start = time.thread_time()
+    peak = traced_peak(lambda: validate_mixed_state(rho, cert))
+    cpu = time.thread_time() - start
+    rep = validate_mixed_state(rho, cert)
+    assert rep.valid and rep.witness == "certificate" and rho._matrix is None
+    assert peak < 4e6 and cpu < 0.05

@@ -33,7 +33,8 @@ from duoc.systems import (
 )
 
 from conftest import (
-    all_factor_permutations, embed_operator, embed_permutation, is_unitary, random_density,
+    all_factor_permutations, embed_operator, embed_permutation, is_unitary, kron_all,
+    random_density, reference_index_map,
 )
 
 # signatures on which the structured kernels are compared with dense references
@@ -166,6 +167,36 @@ class TestStructuredReversible:
         # bit for bit the fancy-index gather with the phases applied out of place
         old = DensityState(sig, ph[:, None] * rho.matrix[np.ix_(src, src)] * ph.conj()).matrix
         assert np.array_equal(out, old)
+
+    @pytest.mark.parametrize("dmn", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2),
+                                     (2, 3, 3), (4, 2, 1), (2, 4, 4), (3, 3, 2), (5, 1, 1),
+                                     (2, 0, 3), (3, 2, 0)], ids=str)
+    def test_index_map_is_the_roll_and_kron_form(self, dmn):
+        # byte for byte, with shifts and phases outside 0..d-1 and empty layers among the specs
+        sig = SystemSignature(*dmn)
+        rng = np.random.default_rng(sig.dim)
+        specs = [random_reversible_spec(sig, rng) for _ in range(4)]
+        k = sig.num_factors
+        specs += [ReversibleSpec(specs[0].perm, tuple(rng.integers(-7, 9, size=k).tolist()),
+                                 tuple(rng.integers(-7, 9, size=k).tolist())),
+                  ReversibleSpec(specs[1].perm, z_phases=specs[1].z_phases)]
+        for spec in specs:
+            (src, ph), (ref_src, ref_ph) = _reversible_index_map(spec, sig), reference_index_map(
+                spec, sig)
+            assert src.tobytes() == ref_src.tobytes() and ph.tobytes() == ref_ph.tobytes()
+            u = np.zeros((sig.dim, sig.dim), dtype=complex)
+            u[np.arange(sig.dim), ref_src] = ref_ph
+            assert build_reversible(spec, sig).tobytes() == u.tobytes()
+
+    def test_tensor_all_is_the_kron_form(self, rng):
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        vectors = [draw(n) for n in (2, 3, 1, 4)]
+        operators = [draw(2, 2), draw(3, 1), draw(1, 4), draw(3, 3)]
+        for factors in (vectors, operators):
+            for k in range(1, len(factors) + 1):
+                assert tensor_all(*factors[:k]).tobytes() == kron_all(*factors[:k]).tobytes()
 
     def test_apply_rejects_mixing_unitary(self):
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)

@@ -194,6 +194,15 @@ class TestRegroup:
             alphas /= np.linalg.norm(alphas)
             assert regroup_check(pair_vector(alphas, r), d) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_residual_is_exactly_zero(self, d):
+        # both sides hold the same floating products, so no rounding separates them
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            alphas = rng.normal(size=d) + 1j * rng.normal(size=d)
+            assert regroup_check(pair_vector(alphas / np.linalg.norm(alphas),
+                                             int(rng.integers(d))), d) == 0.0
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_scatter_matches_loop(self, d, rng):
         # the right-hand side as the per-(k, l) loop the scatter replaced, with the
@@ -432,6 +441,17 @@ class TestActivationF:
         f_sim, _ = activation_F(s, psi=pair_vector(alphas, r=1))
         assert f_sim > 2
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_simulated_value_is_the_checked_two_copy_form(self, d, rng):
+        # the correlators on two_copy_state of the setup's coefficients, byte for byte
+        for _ in range(10):
+            alphas = rng.uniform(0.0, 1.0, size=d)
+            s = activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d)))
+            obs = [[p.effects[0].op - p.effects[1].op for p in side] for side in (s.alice, s.bob)]
+            psi2 = two_copy_state(s.coeffs, s.r)
+            want = nonlocality._chsh(nonlocality._correlators(psi2, *obs)).f_value
+            assert np.float64(activation_F(s)[0]).tobytes() == np.float64(want).tobytes()
+
     def test_mismatched_state_rejected(self):
         s = activation_setup([0.6, 0.8], r=0)
         with pytest.raises(DomainError):
@@ -644,6 +664,16 @@ class TestNoReproofs:
         alphas = rng.uniform(0.05, 1.0, size=d)
         activation_F(activation_setup(alphas / np.linalg.norm(alphas), int(rng.integers(d))))
         assert counts == {"spec": 0, "effect": 0, "eigvalsh": 0}
+
+    def test_activation_checks_its_coefficients_once(self, monkeypatch):
+        calls = []
+        check = nonlocality._pair_coefficients
+        monkeypatch.setattr(nonlocality, "_pair_coefficients",
+                            lambda *a: calls.append(len(calls)) or check(*a))
+        setup = activation_setup(np.array([0.6, 0.0, 0.8]), 2)
+        assert calls == [0]
+        activation_F(setup)
+        assert calls == [0]  # the two-copy vector is built from the setup's checked fields
 
     def test_chsh_takes_one_norm_per_direction_row(self, monkeypatch):
         calls = []
